@@ -7,6 +7,7 @@ bounds and are asserted where given.  Run with -v to get one pass/fail
 line per criterion.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -193,6 +194,57 @@ def test_criterion_09_arithmetic_unit_oracles():
     assert time.monotonic() - t0 < 1.0
 
 
+# sha256 of each canonical check entry (sorted keys, compact separators,
+# no timings) of the acceptance reports, recorded before the dense product
+# was rewritten; entries rather than whole reports, so that the numpy
+# version in the report header does not pin them
+GOLDEN_ENTRIES = {
+    "acceptance_gl2.json": {
+        "arithmetic-oracles":
+            "9453074da16b56b987ce6369a04b0a64d33ead89968a3a092b274e838dd23acf",
+        "central-power-classes":
+            "3beb0f657445312c50e7c25f0a381f931a2d44094bc37d74879b7fa1e2fcd3f1",
+        "exponent-transfer":
+            "d9a98eb1020de7ab9833c1f82afbc4181a7d7daa22d66eca7521dab179733432",
+        "hilbert-series":
+            "f3392896816353a3593d4aed6c65eb035d751205d4a8d465356b98b6c1e01c45",
+        "ideal-power-spans":
+            "fbce2708acde9c4b9a7dd6b4c3a5e25ebe3deafeb57b6bcacd7375b08805ecd2",
+        "restriction-determinism":
+            "349f01998dede8915235727e317ec6e01158e97b617d0495502a8f12fe6d9a9a",
+        "sandwich":
+            "05d0a58c6470cbb1eab7f4613d5897d6a883b2f8870eb0af55b08313e1de32b1",
+        "tau-contract":
+            "546556a77cb02726969f188c23fd2bb04766685acdfa6d36270174e983585dfb",
+    },
+    "acceptance_quat.json": {
+        "arithmetic-oracles":
+            "9453074da16b56b987ce6369a04b0a64d33ead89968a3a092b274e838dd23acf",
+        "central-power-classes":
+            "3beb0f657445312c50e7c25f0a381f931a2d44094bc37d74879b7fa1e2fcd3f1",
+        "exponent-transfer":
+            "0892294b8062eda366ae753b710c5a80d623f21879b7702c0b1b6aca2ba4fc9f",
+        "hilbert-series":
+            "f3392896816353a3593d4aed6c65eb035d751205d4a8d465356b98b6c1e01c45",
+        "ideal-power-spans":
+            "fbce2708acde9c4b9a7dd6b4c3a5e25ebe3deafeb57b6bcacd7375b08805ecd2",
+        "quaternion-commutator":
+            "d8e70b8e8077cdf82c8daf29e8995532f7bb2ce911a689535cdf62011f47365b",
+        "restriction-determinism":
+            "349f01998dede8915235727e317ec6e01158e97b617d0495502a8f12fe6d9a9a",
+    },
+}
+
+
+def entry_digests(report):
+    out = {}
+    for entry in report["checks"]:
+        body = {k: v for k, v in entry.items() if k != "elapsed_s"}
+        canon = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        out[entry["name"]] = hashlib.sha256(canon).hexdigest()
+    return out
+
+
 def test_criterion_10_reports_are_byte_identical():
     for name in ("acceptance_gl2.json", "acceptance_quat.json"):
         data = json.loads((SCENARIOS / name).read_text())
@@ -200,3 +252,4 @@ def test_criterion_10_reports_are_byte_identical():
         r2, code2 = run_scenario(data)
         assert code1 == code2 == 0, (name, [c["status"] for c in r1["checks"]])
         assert report_bytes(r1) == report_bytes(r2), name
+        assert entry_digests(r1) == GOLDEN_ENTRIES[name], name
