@@ -6,6 +6,7 @@ from .errors import (
     BoundExceeded,
     ConfigError,
     ConfigMismatch,
+    ContractViolation,
     CutoffBeyondFaithful,
     InputNotUnitOne,
     LevelTooDeep,
@@ -21,6 +22,7 @@ __all__ = [
     "PropringError",
     "ConfigError",
     "ConfigMismatch",
+    "ContractViolation",
     "InputNotUnitOne",
     "NotInGroup",
     "LevelTooDeep",

@@ -49,6 +49,11 @@ from .gf import gf, rank, rref
 from .groups import Digits, GroupModel, group_model
 
 
+# support pairs per accumulation step of GroupAlgebra.mul; bounds its
+# transient memory to a few tens of MB
+_PAIR_CHUNK = 1 << 18
+
+
 def _binom_table(rows: int, p: int) -> np.ndarray:
     b = np.zeros((rows, rows), dtype=np.int16)
     b[:, 0] = 1
@@ -69,7 +74,6 @@ class GroupAlgebra:
         self._P = _binom_table(self.pM, self.p)  # P[x, k] = binom(x, k)
         self._Q = self._invert_mod_p(self._P)
         self._nu_w: np.ndarray | None = None
-        self._perms: list[np.ndarray] | None = None
         self._mono_cache: dict[Digits, np.ndarray] = {}
 
     def _invert_mod_p(self, m: np.ndarray) -> np.ndarray:
@@ -107,23 +111,9 @@ class GroupAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def gen_perm(self, i: int) -> np.ndarray:
-        if self._perms is None:
-            self._perms = [None] * self.n
-        if self._perms[i] is None:
-            self._perms[i] = self.model.right_mul_table(self.model.generator(i))
-        return self._perms[i]
-
-    def gmul(self, a: np.ndarray, x: Digits) -> np.ndarray:
-        """Right multiplication by the group element with digits x."""
-        perm = self.model.right_mul_table(x)
-        out = np.empty_like(a)
-        out[perm] = a
-        return out
-
     def zmul(self, a: np.ndarray, i: int, e: int = 1) -> np.ndarray:
         """Right multiplication by (g_i - 1)^e."""
-        perm = self.gen_perm(i)
+        perm = self.model.right_mul_table(self.model.generator(i))
         for _ in range(e):
             b = np.empty_like(a)
             b[perm] = a
@@ -137,11 +127,27 @@ class GroupAlgebra:
         return a
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """General product; cost scales with the support of b."""
-        out = self.zero().astype(np.int64)
-        for idx in np.nonzero(b)[0]:
-            out += int(b[idx]) * self.gmul(a, self.model.digits_of(int(idx)))
-        return (out % self.p).astype(np.int16)
+        """General product, summed over the support pairs (x, h) of a and b:
+        the index of x h takes n gathers into the power tables, and the
+        coefficients a[x] b[h] are accumulated _PAIR_CHUNK pairs at a time."""
+        xs = np.flatnonzero(a)
+        hs = np.flatnonzero(b)
+        out = np.zeros(self.order, dtype=np.int64)
+        pairs = xs.size * hs.size
+        powers = self.model.power_tables().reshape(self.n, -1)
+        hdig = np.stack(np.unravel_index(hs, (self.pM,) * self.n)) * self.order
+        av = a[xs].astype(np.float64)
+        bv = b[hs].astype(np.float64)
+        for start in range(0, pairs, _PAIR_CHUNK):
+            t = np.arange(start, min(start + _PAIR_CHUNK, pairs))
+            xi, hi = np.divmod(t, hs.size)
+            idx = xs[xi]
+            for i in range(self.n):
+                idx = powers[i][hdig[i, hi] + idx]
+            # exact: each bin sums at most _PAIR_CHUNK (p-1)^2 < 2^53
+            acc = np.bincount(idx, weights=av[xi] * bv[hi], minlength=self.order)
+            out = (out + acc.astype(np.int64)) % self.p
+        return out.astype(np.int16)
 
     def monomial(self, k: Digits) -> np.ndarray:
         """Dense vector of z^k."""
@@ -199,17 +205,6 @@ class GroupAlgebra:
             out[tuple(k for k, _ in combo)] = coeff
         return out
 
-    def expand_dict_sparse(self, terms: dict[Digits, int]) -> dict[Digits, int]:
-        out: dict[Digits, int] = {}
-        for x, c in terms.items():
-            for k, ck in self.expand_group_sparse(x).items():
-                v = (out.get(k, 0) + c * ck) % self.p
-                if v:
-                    out[k] = v
-                else:
-                    out.pop(k, None)
-        return out
-
     # -- weights and nu --------------------------------------------------------
 
     def nu_prime(self, k) -> int:
@@ -234,10 +229,6 @@ class GroupAlgebra:
         if hit.size == 0:
             return None
         return int(self.nu_weight_array[hit].min())
-
-    def nu_sparse(self, expansion: dict[Digits, int]) -> int | None:
-        vals = [self.nu_prime(k) for k, c in expansion.items() if c % self.p]
-        return min(vals) if vals else None
 
     def nu_faithful(self, a: np.ndarray) -> int:
         """nu with the guarantee that it agrees with the untruncated ring;
@@ -319,7 +310,7 @@ def check_maximal_ideal_powers(
             {"generator": 2 * model.f + i, "x": x, "y": y, "w": w, "holds": bool(ok)}
         )
 
-    perms = [alg.gen_perm(i) for i in range(n)]
+    perms = [model.right_mul_table(model.generator(i)) for i in range(n)]
     digit_grid = [
         (np.arange(order, dtype=np.int64) // (pM ** (n - 1 - i))) % pM for i in range(n)
     ]

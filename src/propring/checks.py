@@ -254,12 +254,17 @@ def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, d
     for item in raw:
         if isinstance(item, str):
             item = {"check": item}
+        if not isinstance(item, dict):
+            raise ConfigError("each check must be a name or an object")
         cname = item.get("check")
         if cname not in CHECKS:
             raise ConfigError(f"unknown check {cname!r}")
         params = item.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"params of {cname!r} must be an object")
+        for key, v in params.items():
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigError(f"param {key!r} of {cname!r} must be an integer")
         checks.append((cname, params))
     return name, cfg, seed, checks
 

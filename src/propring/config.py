@@ -44,15 +44,6 @@ class PrimeConfig:
         """Dimension of the group: 3f generators."""
         return 3 * self.f
 
-    @property
-    def group_order(self) -> int:
-        return self.p ** (self.M * 3 * self.f)
-
-    def require_N(self) -> int:
-        if self.N is None:
-            raise ConfigError("this operation needs the rescaling depth N")
-        return self.N
-
     def header(self) -> dict:
         return {
             "p": self.p,
@@ -62,17 +53,3 @@ class PrimeConfig:
             "case": self.case,
             "seed": self.seed,
         }
-
-    @staticmethod
-    def from_header(h: dict) -> "PrimeConfig":
-        try:
-            return PrimeConfig(
-                p=int(h["p"]),
-                f=int(h["f"]),
-                M=int(h["M"]),
-                case=str(h["case"]),
-                N=None if h.get("N") is None else int(h["N"]),
-                seed=int(h.get("seed", 0)),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad configuration header: {e}") from e

@@ -37,6 +37,14 @@ class NonConvergent(PropringError):
     """An iterative rewriting failed to make progress (internal soundness guard)."""
 
 
+class ContractViolation(PropringError):
+    """A rewriting broke its weight contract; carries the monomial as witness."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class RelationCheckFailed(PropringError):
     """Module generator matrices violate a group relation; carries a witness."""
 

@@ -296,20 +296,6 @@ def in_span(vec: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) ->
     return not residue(vec, basis, pivots, field).any()
 
 
-def solve(vec: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF):
-    """Coefficients expressing vec over the rref basis, or None."""
-    v = np.array(vec, dtype=np.int16)
-    add, mul, neg = field.add, field.mul, field.neg
-    coeffs = np.zeros(len(basis), dtype=np.int16)
-    for i, (row, c) in enumerate(zip(basis, pivots)):
-        if v[c]:
-            coeffs[i] = v[c]
-            v = add[v, mul[neg[v[c]], row]]
-    if v.any():
-        return None
-    return coeffs
-
-
 def matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     """Matrix product over F_q.  Prime fields go through integer matmul;
     extensions contract one shared axis of table lookups at a time."""
@@ -321,10 +307,6 @@ def matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     for k in range(a.shape[1]):
         out = field.add[out, field.mul[a[:, k].reshape(-1, 1), b[k].reshape(1, -1)]]
     return out
-
-
-def matvec(a: np.ndarray, v: np.ndarray, field: GF) -> np.ndarray:
-    return matmul(a, np.asarray(v, dtype=np.int16).reshape(-1, 1), field)[:, 0]
 
 
 def mat_inverse(a: np.ndarray, field: GF) -> np.ndarray:

@@ -31,8 +31,8 @@ from . import gf as gflib
 from .algebra import GroupAlgebra
 from .errors import (
     ConfigError,
+    ContractViolation,
     CutoffBeyondFaithful,
-    NonConvergent,
     NonHomogeneousInput,
 )
 from .gf import GF, gf, in_span, rref
@@ -401,10 +401,6 @@ class IdealTables:
 # -- ring-level checks ---------------------------------------------------------
 
 
-def commutator_class(gr: GradedRing, x: GradedClass, y: GradedClass) -> GradedClass:
-    return gr.commutator(x, y)
-
-
 def check_centrality(gr: GradedRing, cls: GradedClass, T: int) -> bool:
     """Bracket of cls against every degree-one generator class vanishes;
     the brackets live through weight T at most."""
@@ -633,7 +629,6 @@ class TauTranscript:
     terms: list[TauTerm]
     residual_weight: int | None  # None when the rewriting terminated exactly
     passes: int
-    contract_ok: bool
 
 
 def tau_exponents(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[Digits, Digits]:
@@ -653,16 +648,17 @@ def tau_word(alg: GroupAlgebra, exps: Digits, N: int) -> list[tuple[int, int]]:
 def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int, verify: bool = True) -> np.ndarray:
     """Dense image of the monomial under the rewriting: all chunk factors
     (multiples of p^N) in basis order, then all remainders in basis order.
-    Verifies the contract nu(tau(x)) = nu(x) and tau(x) - x in m^(nu+1)."""
+    Verifies the contract nu(tau(x)) = nu(x) and tau(x) - x in m^(nu+1),
+    raising ContractViolation with x as witness when it breaks."""
     exps = alg.model.check_digits(exps)
     dense = alg.word_mul(alg.of_group(alg.model.identity), tau_word(alg, exps, N))
     if verify:
         w = alg.nu_prime(exps)
         if alg.nu(dense) != w:
-            raise NonConvergent(f"rewriting changed the weight of {exps}")
+            raise ContractViolation(f"rewriting changed the weight of {exps}", exps)
         diff = (dense - alg.monomial(exps)) % alg.p
         if diff.any() and not alg.in_filtration(diff, w + 1):
-            raise NonConvergent(f"rewriting perturbed {exps} at its own weight")
+            raise ContractViolation(f"rewriting perturbed {exps} at its own weight", exps)
     return dense
 
 
@@ -675,7 +671,6 @@ def iterate_tau(alg: GroupAlgebra, exps: Digits, N: int, cutoff: int) -> TauTran
     residual = alg.monomial(exps).copy()
     terms: list[TauTerm] = []
     passes = 0
-    contract_ok = True
     residual_weight: int | None = None
     while True:
         mono = alg.to_monomial(residual)
@@ -700,11 +695,11 @@ def iterate_tau(alg: GroupAlgebra, exps: Digits, N: int, cutoff: int) -> TauTran
         mono = alg.to_monomial(residual)
         hit = np.nonzero(mono)[0]
         if hit.size and int(nu_w[hit].min()) <= w0:
-            raise NonConvergent(f"pass {passes} failed to raise the weight past {w0}")
+            raise ContractViolation(
+                f"pass {passes} on {exps} failed to raise the weight past {w0}", exps)
         passes += 1
     return TauTranscript(start=exps, N=N, cutoff=cutoff, terms=terms,
-                         residual_weight=residual_weight, passes=passes,
-                         contract_ok=contract_ok)
+                         residual_weight=residual_weight, passes=passes)
 
 
 def verify_transcript(alg: GroupAlgebra, tr: TauTranscript) -> bool:

@@ -77,7 +77,8 @@ class GroupModel:
         self.two_omega = tuple(1 if i < 2 * f else 2 for i in range(self.n))
         self._realized: dict[Digits, object] = {}
         self._decomposed: dict[object, Digits] = {}
-        self._tables: dict[Digits, np.ndarray] = {}
+        self._tables: dict[Digits, np.ndarray] = {}  # generator tables only
+        self._powers: np.ndarray | None = None
         self._strides = tuple(self.pM ** (self.n - 1 - i) for i in range(self.n))
 
     # -- digit bookkeeping -------------------------------------------------
@@ -177,26 +178,39 @@ class GroupModel:
     def right_mul_table(self, h: Digits) -> np.ndarray:
         """Permutation of element indices given by right multiplication.
 
-        Generator tables are built from group arithmetic; everything else
-        is composed from them along the digit word of h, since
-        x h = ((x g_1^(h_1)) g_2^(h_2)) ... matches the basis order."""
+        Generator tables are built from group arithmetic and memoized;
+        any other h is composed, uncached, from the power tables along its
+        digit word, since x h = ((x g_1^(h_1)) g_2^(h_2)) ... matches the
+        basis order."""
         h = self.check_digits(h)
+        if sum(h) != 1:
+            powers = self.power_tables()
+            t = np.arange(self.order, dtype=np.int32)
+            for i, e in enumerate(h):
+                if e:
+                    t = powers[i, e][t]
+            return t
         t = self._tables.get(h)
         if t is None:
-            if sum(h) == 1:
-                rh = self.realize(h)
-                t = np.empty(self.order, dtype=np.int32)
-                for idx, x in enumerate(self.all_elements()):
-                    t[idx] = self.index_of(self.decompose(self._mul(self.realize(x), rh)))
-            else:
-                t = np.arange(self.order, dtype=np.int32)
-                for i, e in enumerate(h):
-                    if e:
-                        g = self.right_mul_table(self.generator(i))
-                        for _ in range(e):
-                            t = g[t]
+            rh = self.realize(h)
+            t = np.empty(self.order, dtype=np.int32)
+            for idx, x in enumerate(self.all_elements()):
+                t[idx] = self.index_of(self.decompose(self._mul(self.realize(x), rh)))
             self._tables[h] = t
         return t
+
+    def power_tables(self) -> np.ndarray:
+        """R[i, e] = right_mul_table(g_i^e) for e < p^M: n * p^M index rows,
+        built once from the generator tables."""
+        if self._powers is None:
+            R = np.empty((self.n, self.pM, self.order), dtype=np.int32)
+            for i in range(self.n):
+                g = self.right_mul_table(self.generator(i))
+                R[i, 0] = np.arange(self.order, dtype=np.int32)
+                for e in range(1, self.pM):
+                    R[i, e] = g[R[i, e - 1]]
+            self._powers = R
+        return self._powers
 
     def random_element(self, rng) -> Digits:
         return tuple(int(rng.integers(self.pM)) for _ in range(self.n))

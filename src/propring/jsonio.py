@@ -35,6 +35,8 @@ def config_from_json(d: dict) -> PrimeConfig:
         )
     except KeyError as e:
         raise ConfigError(f"config is missing {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad config value: {e}") from None
 
 
 def coeff_to_json(field: GF, idx: int) -> list[int]:
@@ -210,28 +212,33 @@ def module_from_json(d: dict, case: str | None = None):
     fld = d.get("field")
     if not isinstance(fld, dict):
         raise ConfigError("module needs a field header {p, f}")
-    cfg = PrimeConfig(
-        p=int(fld["p"]),
-        f=int(fld["f"]),
-        M=int(d.get("level", 1)),
-        case=case or str(d.get("case", "GL2")),
-    )
-    field = gf(cfg.p, cfg.f)
-    gens_in = d.get("generators")
-    if not isinstance(gens_in, list):
-        raise ConfigError("module needs a generators list")
-    dim = int(d.get("dim", 0))
-    mats = []
-    for g in gens_in:
-        m = np.zeros((dim, dim), dtype=np.int16)
-        if len(g) != dim:
-            raise ConfigError("generator matrix size does not match dim")
-        for i, row in enumerate(g):
-            if len(row) != dim:
+    try:
+        cfg = PrimeConfig(
+            p=int(fld["p"]),
+            f=int(fld["f"]),
+            M=int(d.get("level", 1)),
+            case=case or str(d.get("case", "GL2")),
+        )
+        field = gf(cfg.p, cfg.f)
+        gens_in = d.get("generators")
+        if not isinstance(gens_in, list):
+            raise ConfigError("module needs a generators list")
+        dim = int(d.get("dim", 0))
+        mats = []
+        for g in gens_in:
+            m = np.zeros((dim, dim), dtype=np.int16)
+            if len(g) != dim:
                 raise ConfigError("generator matrix size does not match dim")
-            for j, v in enumerate(row):
-                m[i, j] = v if isinstance(v, int) else coeff_from_json(field, v)
-        mats.append(m)
+            for i, row in enumerate(g):
+                if len(row) != dim:
+                    raise ConfigError("generator matrix size does not match dim")
+                for j, v in enumerate(row):
+                    m[i, j] = v if isinstance(v, int) else coeff_from_json(field, v)
+            mats.append(m)
+    except KeyError as e:
+        raise ConfigError(f"module is missing {e.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad module value: {e}") from None
     return build_module(cfg, "explicit", matrices=mats)
 
 

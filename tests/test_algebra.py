@@ -4,6 +4,7 @@ weight filtration, and the maximal-ideal power certificate."""
 import numpy as np
 import pytest
 
+from propring import algebra
 from propring.algebra import check_maximal_ideal_powers, group_algebra
 from propring.config import PrimeConfig
 from propring.errors import CutoffBeyondFaithful
@@ -23,6 +24,41 @@ def test_group_embedding_multiplicative(alg, rng):
         x, y = m.random_element(rng), m.random_element(rng)
         lhs = alg.mul(alg.of_group(x), alg.of_group(y))
         assert np.array_equal(lhs, alg.of_group(m.mul(x, y)))
+
+
+def oracle_mul(alg, a, b):
+    """Sum of a[x] b[h] [x h] over the supports, by group arithmetic."""
+    m = alg.model
+    out = {}
+    for x, ca in alg.to_dict(a).items():
+        for h, cb in alg.to_dict(b).items():
+            xh = m.mul(x, h)
+            out[xh] = out.get(xh, 0) + ca * cb
+    return alg.of_dict(out)
+
+
+def test_mul_matches_group_oracle(alg, rng):
+    for _ in range(10):
+        a, b = rand_sparse(alg, rng, 5), rand_sparse(alg, rng, 4)
+        assert np.array_equal(alg.mul(a, b), oracle_mul(alg, a, b))
+    a = rand_sparse(alg, rng)
+    assert not alg.mul(a, alg.zero()).any()
+    assert not alg.mul(alg.zero(), a).any()
+
+
+def test_mul_across_pair_chunks(alg, rng, monkeypatch):
+    # a product of more support pairs than one accumulation step takes,
+    # against sum_h b[h] (a permuted by right multiplication by h)
+    monkeypatch.setattr(algebra, "_PAIR_CHUNK", 1000)
+    a, b = rand_sparse(alg, rng, 300), rand_sparse(alg, rng, 40)
+    ref = np.zeros(alg.order, dtype=np.int64)
+    for h, cb in alg.to_dict(b).items():
+        shifted = np.empty_like(a)
+        shifted[alg.model.right_mul_table(h)] = a
+        ref += cb * shifted.astype(np.int64)
+    assert np.count_nonzero(a) * np.count_nonzero(b) > 2 * 1000
+    assert np.array_equal(alg.mul(a, b), ref % alg.p)
+    assert len(alg.model._tables) <= alg.n
 
 
 def test_mul_associative_and_distributive(alg, rng):

@@ -1,7 +1,11 @@
 """Scenario runner: registry, seed derivation, report canonicalization."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from propring import graded
 from propring.checks import CHECKS, parse_scenario, report_bytes, report_csv, run_scenario, sub_rng
 from propring.errors import ConfigError
 
@@ -82,3 +86,31 @@ def test_header_carries_config_and_seed():
     report, _ = run_scenario(TINY)
     h = report["header"]
     assert (h["p"], h["f"], h["M"], h["N"], h["case"], h["seed"]) == (5, 1, 2, 1, "GL2", 3)
+
+
+def test_parse_scenario_rejects_non_integer_params():
+    for bad in ("x", 8.0, True, None, [8]):
+        data = dict(TINY, checks=[{"check": "hilbert-series", "params": {"tmax": bad}}])
+        with pytest.raises(ConfigError):
+            parse_scenario(data)
+    with pytest.raises(ConfigError):
+        parse_scenario(dict(TINY, checks=[7]))
+
+
+def test_broken_tau_contract_fails(monkeypatch):
+    # dropping the remainder factors breaks nu(tau(x)) = nu(x); that is a
+    # violated claim, reported as fail with the monomial as witness
+    quick = Path(__file__).resolve().parent.parent / "scenarios" / "quick_gl2.json"
+    data = json.loads(quick.read_text())
+    data["checks"] = [c for c in data["checks"]
+                      if isinstance(c, dict) and c["check"] == "tau-contract"]
+    def chunk_only(alg, exps, N):
+        chunk, _ = graded.tau_exponents(alg, exps, N)
+        return [(i, e) for i, e in enumerate(chunk) if e]
+
+    monkeypatch.setattr(graded, "tau_word", chunk_only)
+    report, code = run_scenario(data)
+    assert code == 1
+    [entry] = report["checks"]
+    assert entry["name"] == "tau-contract" and entry["status"] == "fail"
+    assert "rewriting" in entry["witness"]

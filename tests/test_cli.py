@@ -157,6 +157,31 @@ def test_verify_config_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_malformed_input_exits_2(tmp_path, capsys):
+    from propring.config import PrimeConfig
+    from propring.jsonio import module_to_json
+    from propring.modules import trivial_module
+
+    bad_p = write(tmp_path, "e.json", {**GL2, "p": "x", "matrix": [[1, 0], [0, 1]]})
+    module = module_to_json(trivial_module(PrimeConfig(5, 1, 2, "GL2")))
+    del module["field"]["p"]
+    no_p = write(tmp_path, "m.json", module)
+    huge = write(tmp_path, "h.json", dict(module, field={"p": 5, "f": 1},
+                                          generators=[[[10**6]]] * 3))
+    bad_param = write(tmp_path, "s.json", {
+        "name": "bad", "seed": 1,
+        "config": {"p": 5, "f": 1, "M": 2, "N": 1, "case": "GL2"},
+        "checks": ["arithmetic-oracles",
+                   {"check": "ideal-power-spans", "params": {"jmax": "x"}}],
+    })
+    for argv in (["decompose", "--in", bad_p], ["module-exponent", "--in", no_p],
+                 ["module-exponent", "--in", huge], ["verify", bad_param]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:"), captured.err
+
+
 def test_verify_indeterminate_exit(tmp_path, capsys):
     path = write(tmp_path, "indet.json", {
         "name": "indet", "seed": 1,
