@@ -74,7 +74,6 @@ class GroupAlgebra:
         self._P = _binom_table(self.pM, self.p)  # P[x, k] = binom(x, k)
         self._Q = self._invert_mod_p(self._P)
         self._nu_w: np.ndarray | None = None
-        self._mono_cache: dict[Digits, np.ndarray] = {}
 
     def _invert_mod_p(self, m: np.ndarray) -> np.ndarray:
         F = gf(self.p, 1)
@@ -150,16 +149,22 @@ class GroupAlgebra:
         return out.astype(np.int16)
 
     def monomial(self, k: Digits) -> np.ndarray:
-        """Dense vector of z^k."""
-        k = tuple(int(c) for c in k)
-        m = self._mono_cache.get(k)
-        if m is None:
-            m = self.of_group(self.model.identity)
-            for i, e in enumerate(k):
-                if e:
-                    m = self.zmul(m, i, e)
-            self._mono_cache[k] = m
-        return m
+        """Dense vector of z^k, a fresh array: its group coordinates are the
+        tensor product of the rows Q[k_i, .] of the inverse binomial matrix."""
+        k = self.model.check_digits(k)
+        m = self._Q[k[0]]
+        for ki in k[1:]:
+            m = np.multiply.outer(m, self._Q[ki]) % self.p
+        return m.ravel()
+
+    def monomial_columns(self, ks: np.ndarray, rows: np.ndarray, op) -> np.ndarray:
+        """Matrix whose column t holds the monomial coordinates, at the flat
+        indices rows, of op(z^k) for the flat index k = ks[t]."""
+        out = np.zeros((rows.size, ks.size), dtype=np.int16)
+        for t, k in enumerate(ks):
+            mono = self.monomial(self.model.digits_of(int(k)))
+            out[:, t] = self.to_monomial(op(mono))[rows]
+        return out
 
     # -- basis transforms ----------------------------------------------------
 
@@ -188,6 +193,17 @@ class GroupAlgebra:
         return self._axis_apply(self._Q, phi)
 
     # -- expansion without dense arrays --------------------------------------
+
+    def binomial_expansion(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """E[s, t] = prod_i binom(x_i, k_i) mod p for the flat indices
+        x = xs[s] and k = ks[t]: row s holds the monomial coordinates of the
+        group element x at the monomials ks."""
+        shape = (self.pM,) * self.n
+        out = np.ones((len(xs), len(ks)), dtype=np.int16)
+        for xd, kd in zip(np.unravel_index(xs, shape), np.unravel_index(ks, shape)):
+            out *= self._P[xd[:, None], kd[None, :]]
+            out %= self.p
+        return out
 
     def expand_group_sparse(self, x: Digits) -> dict[Digits, int]:
         """Monomial expansion of a single group element by the closed form;
@@ -296,7 +312,7 @@ def check_maximal_ideal_powers(
     independent exhaustive oracle at small size.
     """
     model = alg.model
-    p, n, pM, order = alg.p, alg.n, alg.pM, alg.order
+    p, n, order = alg.p, alg.n, alg.order
     nu_w = alg.nu_weight_array
     if jmax is None:
         jmax = alg.nu_max()
@@ -311,20 +327,14 @@ def check_maximal_ideal_powers(
         )
 
     perms = [model.right_mul_table(model.generator(i)) for i in range(n)]
-    digit_grid = [
-        (np.arange(order, dtype=np.int64) // (pM ** (n - 1 - i))) % pM for i in range(n)
-    ]
+    group = np.arange(order)
 
     sel = np.nonzero(nu_w <= jmax)[0]
     violations: list[dict] = []
     checked = 0
     for start in range(0, sel.size, chunk):
         ks = sel[start : start + chunk]
-        kdig = [(ks // (pM ** (n - 1 - i))) % pM for i in range(n)]
-        rows = np.ones((ks.size, order), dtype=np.int16)
-        for i in range(n):
-            rows *= alg._P[digit_grid[i][None, :], kdig[i][:, None]]
-            rows %= p
+        rows = alg.binomial_expansion(group, ks).T
         level = nu_w[ks]
         for i in range(n):
             delta = (rows[:, perms[i]] - rows) % p

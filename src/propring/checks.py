@@ -236,7 +236,7 @@ CHECKS = {
 
 def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, dict]]]:
     """Validate a scenario document; raises ConfigError on any problem."""
-    from .jsonio import config_from_json
+    from .jsonio import config_from_json, json_int
 
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
@@ -244,9 +244,7 @@ def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, d
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario needs a name")
     cfg = config_from_json(data.get("config", {}))
-    seed = data.get("seed", cfg.seed)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    seed = json_int(data.get("seed", cfg.seed), "seed")
     raw = data.get("checks")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("scenario needs a non-empty checks list")
@@ -263,8 +261,7 @@ def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, d
         if not isinstance(params, dict):
             raise ConfigError(f"params of {cname!r} must be an object")
         for key, v in params.items():
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"param {key!r} of {cname!r} must be an integer")
+            json_int(v, f"param {key!r} of {cname!r}")
         checks.append((cname, params))
     return name, cfg, seed, checks
 

@@ -87,9 +87,6 @@ class GradedRing:
 
     # -- construction --------------------------------------------------------
 
-    def zero_class(self, degree: int) -> GradedClass:
-        return GradedClass(degree, (0,) * self.dim(degree))
-
     def one(self) -> GradedClass:
         return GradedClass(0, (1,))
 
@@ -202,18 +199,20 @@ class GradedRing:
         m = self._mats.get(key)
         if m is not None:
             return m
-        rows = self.dim(d + w)
-        out = np.zeros((rows, self.dim(d)), dtype=np.int16)
-        gen_dense = self.alg.of_group(self.model.generator(gi))
-        for t, k in enumerate(self.weight_index(d)):
-            mono = self.alg.monomial(self.model.digits_of(int(k)))
+        alg = self.alg
+        gen_dense = alg.of_group(self.model.generator(gi))
+
+        def op(mono):
             if side == "right":
-                prod = self.alg.zmul(mono, gi, 1)
-            else:
-                prod = (self.alg.mul(gen_dense, mono) - mono) % self.p
-            pm = self.alg.to_monomial(prod)
-            assert not pm[self.alg.nu_weight_array < d + w].any()
-            out[:, t] = pm[self.weight_index(d + w)]
+                return alg.zmul(mono, gi, 1)
+            return (alg.mul(gen_dense, mono) - mono) % self.p
+
+        nu_w = alg.nu_weight_array
+        rows = np.nonzero(nu_w <= d + w)[0]
+        cols = alg.monomial_columns(self.weight_index(d), rows, op)
+        low = nu_w[rows] < d + w
+        assert not cols[low].any()
+        out = cols[~low]
         self._mats[key] = out
         return out
 
@@ -555,37 +554,25 @@ def check_ideal_power_spans(alg: GroupAlgebra, jmax: int) -> dict:
     chain measures."""
     if jmax + 1 > alg.pM:
         raise CutoffBeyondFaithful(f"jmax {jmax} reaches the unfaithful range")
-    p, n, pM = alg.p, alg.n, alg.pM
-    F = gf(p, 1)
+    F = gf(alg.p, 1)
     nu_w = alg.nu_weight_array
     sel = np.nonzero(nu_w <= jmax)[0]
     width = sel.size
     weights = nu_w[sel]
 
     # right multiplication by z_i on quotient coordinates
-    zmats = []
-    for i in range(n):
-        m = np.zeros((width, width), dtype=np.int16)
-        for t, k in enumerate(sel):
-            prod = alg.zmul(alg.monomial(alg.model.digits_of(int(k))), i, 1)
-            m[:, t] = alg.to_monomial(prod)[sel]
-        zmats.append(m)
+    zmats = [alg.monomial_columns(sel, sel, lambda mono, i=i: alg.zmul(mono, i, 1))
+             for i in range(alg.n)]
 
     # m itself: every [x] - [1], accumulated incrementally
-    kdig = [(sel // (pM ** (n - 1 - i))) % pM for i in range(n)]
     basis = np.zeros((0, width), dtype=np.int16)
     pivots: list[int] = []
     order = alg.order
     chunk = 1024
     id_col = int(np.searchsorted(sel, alg.model.index_of(alg.model.identity)))
     for start in range(0, order, chunk):
-        xs = np.arange(start, min(start + chunk, order), dtype=np.int64)
-        rows = np.ones((xs.size, width), dtype=np.int16)
-        for i in range(n):
-            xd = (xs // (pM ** (n - 1 - i))) % pM
-            rows *= alg._P[xd[:, None], kdig[i][None, :]]
-            rows %= p
-        rows[:, id_col] = (rows[:, id_col] - 1) % p
+        rows = alg.binomial_expansion(np.arange(start, min(start + chunk, order)), sel)
+        rows[:, id_col] = (rows[:, id_col] - 1) % alg.p
         stacked = np.concatenate([basis, rows]) if basis.size else rows
         basis, pivots = rref(stacked, F)
 
@@ -668,7 +655,7 @@ def iterate_tau(alg: GroupAlgebra, exps: Digits, N: int, cutoff: int) -> TauTran
     minimal weight must rise strictly with every pass."""
     exps = alg.model.check_digits(exps)
     nu_w = alg.nu_weight_array
-    residual = alg.monomial(exps).copy()
+    residual = alg.monomial(exps)
     terms: list[TauTerm] = []
     passes = 0
     residual_weight: int | None = None

@@ -157,9 +157,6 @@ class GroupModel:
     def commutator(self, x: Digits, y: Digits) -> Digits:
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
 
-    def conjugate(self, x: Digits, g: Digits) -> Digits:
-        return self.mul(self.mul(self.inv(g), x), g)
-
     def pth_root(self, x: Digits) -> Digits:
         """The p-th root of an element of valuation > p/(p-1), by digit
         refinement; exact by construction, verified before returning."""

@@ -15,10 +15,18 @@ from .gf import GF, gf
 from .graded import IdealSpec, ideal_spec
 
 
+def json_int(v, what: str) -> int:
+    """v itself if it is a JSON integer; a bool, float or string is refused
+    rather than coerced."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def _as_int_list(v, what: str) -> list[int]:
-    if not isinstance(v, (list, tuple)) or not all(isinstance(x, int) for x in v):
+    if not isinstance(v, (list, tuple)):
         raise ConfigError(f"{what} must be a list of integers")
-    return list(v)
+    return [json_int(x, f"{what} entry") for x in v]
 
 
 def config_from_json(d: dict) -> PrimeConfig:
@@ -26,17 +34,15 @@ def config_from_json(d: dict) -> PrimeConfig:
         raise ConfigError("config must be an object")
     try:
         return PrimeConfig(
-            p=int(d["p"]),
-            f=int(d["f"]),
-            M=int(d["M"]),
+            p=json_int(d["p"], "p"),
+            f=json_int(d["f"], "f"),
+            M=json_int(d["M"], "M"),
             case=str(d["case"]),
-            N=int(d["N"]) if d.get("N") is not None else None,
-            seed=int(d.get("seed", 0)),
+            N=json_int(d["N"], "N") if d.get("N") is not None else None,
+            seed=json_int(d.get("seed", 0), "seed"),
         )
     except KeyError as e:
         raise ConfigError(f"config is missing {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad config value: {e}") from None
 
 
 def coeff_to_json(field: GF, idx: int) -> list[int]:
@@ -45,7 +51,8 @@ def coeff_to_json(field: GF, idx: int) -> list[int]:
 
 
 def coeff_from_json(field: GF, v) -> int:
-    if isinstance(v, int):
+    if not isinstance(v, (list, tuple)):
+        v = json_int(v, "coefficient")
         if not 0 <= v < field.p:
             raise ConfigError(f"scalar coefficient {v} is not a residue mod {field.p}")
         return v
@@ -214,16 +221,16 @@ def module_from_json(d: dict, case: str | None = None):
         raise ConfigError("module needs a field header {p, f}")
     try:
         cfg = PrimeConfig(
-            p=int(fld["p"]),
-            f=int(fld["f"]),
-            M=int(d.get("level", 1)),
+            p=json_int(fld["p"], "field.p"),
+            f=json_int(fld["f"], "field.f"),
+            M=json_int(d.get("level", 1), "level"),
             case=case or str(d.get("case", "GL2")),
         )
         field = gf(cfg.p, cfg.f)
         gens_in = d.get("generators")
         if not isinstance(gens_in, list):
             raise ConfigError("module needs a generators list")
-        dim = int(d.get("dim", 0))
+        dim = json_int(d.get("dim", 0), "dim")
         mats = []
         for g in gens_in:
             m = np.zeros((dim, dim), dtype=np.int16)
@@ -233,7 +240,8 @@ def module_from_json(d: dict, case: str | None = None):
                 if len(row) != dim:
                     raise ConfigError("generator matrix size does not match dim")
                 for j, v in enumerate(row):
-                    m[i, j] = v if isinstance(v, int) else coeff_from_json(field, v)
+                    m[i, j] = (coeff_from_json(field, v) if isinstance(v, (list, tuple))
+                               else json_int(v, "matrix entry"))
             mats.append(m)
     except KeyError as e:
         raise ConfigError(f"module is missing {e.args[0]!r}") from None

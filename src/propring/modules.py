@@ -140,11 +140,7 @@ def weight_quotient_module(cfg: PrimeConfig, jcut: int) -> FiniteModule:
     mats = []
     for i in range(cfg.dim):
         gd = alg.of_group(alg.model.generator(i))
-        m = np.zeros((sel.size, sel.size), dtype=np.int16)
-        for t, k in enumerate(sel):
-            mono = alg.monomial(alg.model.digits_of(int(k)))
-            m[:, t] = alg.to_monomial(alg.mul(gd, mono))[sel]
-        mats.append(m)
+        mats.append(alg.monomial_columns(sel, sel, lambda mono: alg.mul(gd, mono)))
     return FiniteModule(cfg, int(sel.size), tuple(mats), f"weight-quotient<{jcut}")
 
 
@@ -345,9 +341,6 @@ class GradedModule:
             self.chain[i].shape[0] - self.chain[i + 1].shape[0]
             for i in range(len(self.chain) - 1)
         ]
-
-    def degree_label(self, i: int) -> int:
-        return i if self.kind == "gr" else i * self.cfg.p**self.N
 
 
 def _aug_ops(mod: FiniteModule, power: int = 1) -> list[np.ndarray]:

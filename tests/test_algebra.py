@@ -3,6 +3,8 @@ weight filtration, and the maximal-ideal power certificate."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propring import algebra
 from propring.algebra import check_maximal_ideal_powers, group_algebra
@@ -102,6 +104,60 @@ def test_product_weights_superadditive(alg, rng):
             assert vab is None
         elif vab is not None:
             assert vab >= va + vb
+
+
+def zmul_chain(alg, k):
+    """z^k as the ordered chain of right multiplications by the z_i, from
+    the identity: the reference for the closed-form monomial."""
+    m = alg.of_group(alg.model.identity)
+    for i, e in enumerate(k):
+        m = alg.zmul(m, i, e)
+    return m
+
+
+def test_monomial_closed_form_matches_zmul_chain(alg):
+    # the edge digits; random exponents are drawn by the property test below
+    ks = [(0,) * alg.n, (alg.pM - 1,) * alg.n]
+    ks += [alg.model.generator(i) for i in range(alg.n)]
+    for k in ks:
+        assert np.array_equal(alg.monomial(k), zmul_chain(alg, k)), k
+
+
+def test_monomial_returns_a_fresh_array(alg):
+    k = alg.model.generator(0)
+    alg.monomial(k)[:] = 0
+    assert np.array_equal(alg.monomial(k), zmul_chain(alg, k))
+
+
+def test_binomial_expansion_matches_transform(alg, rng):
+    xs = rng.choice(alg.order, size=8, replace=False)
+    ks = np.sort(rng.choice(alg.order, size=200, replace=False))
+    full = alg.binomial_expansion(xs, np.arange(alg.order))
+    part = alg.binomial_expansion(xs, ks)
+    for s, x in enumerate(xs):
+        g = alg.model.digits_of(int(x))
+        assert np.array_equal(full[s], alg.to_monomial(alg.of_group(g)))
+        assert np.array_equal(part[s], full[s, ks])
+        sparse = {alg.model.index_of(k): c for k, c in alg.expand_group_sparse(g).items()}
+        assert {int(t): int(full[s, t]) for t in np.nonzero(full[s])[0]} == sparse
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_property_transform_round_trip(alg, data):
+    terms = data.draw(st.dictionaries(st.integers(0, alg.order - 1),
+                                      st.integers(1, alg.p - 1), max_size=20))
+    a = alg.zero()
+    a[list(terms)] = list(terms.values())
+    assert np.array_equal(alg.from_monomial(alg.to_monomial(a)), a)
+    assert np.array_equal(alg.to_monomial(alg.from_monomial(a)), a)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_property_monomial_matches_zmul_chain(alg, data):
+    k = data.draw(st.tuples(*[st.integers(0, alg.pM - 1)] * alg.n))
+    assert np.array_equal(alg.monomial(k), zmul_chain(alg, k))
 
 
 def test_in_filtration(alg):

@@ -174,8 +174,22 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         "checks": ["arithmetic-oracles",
                    {"check": "ideal-power-spans", "params": {"jmax": "x"}}],
     })
+    float_p = write(tmp_path, "f.json", {**GL2, "p": 5.9, "digits": [1, 0, 0]})
+    str_p_bool_f = write(tmp_path, "b.json",
+                         {**GL2, "p": "5", "f": True, "digits": [1, 0, 0]})
+    bool_digit = write(tmp_path, "d.json", {**GL2, "digits": [True, 0, 0]})
+    bool_level = write(tmp_path, "l.json", dict(module, field={"p": 5, "f": 1},
+                                                level=True))
+    bool_seed = write(tmp_path, "t.json", {
+        "name": "bad", "seed": True,
+        "config": {"p": 5, "f": 1, "M": 2, "N": 1, "case": "GL2"},
+        "checks": ["arithmetic-oracles"],
+    })
     for argv in (["decompose", "--in", bad_p], ["module-exponent", "--in", no_p],
-                 ["module-exponent", "--in", huge], ["verify", bad_param]):
+                 ["module-exponent", "--in", huge], ["verify", bad_param],
+                 ["nu", "--in", float_p], ["nu", "--in", str_p_bool_f],
+                 ["nu", "--in", bool_digit],
+                 ["module-exponent", "--in", bool_level], ["verify", bool_seed]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""

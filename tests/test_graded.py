@@ -195,3 +195,16 @@ def test_pigeonhole_light(gr, ideals, rng):
     out = check_pigeonhole(gr, ideals[0], 1, rng, samples=5)
     assert out["ok"]
     assert out["pigeonhole_ok"] and out["congruence_ok"] and out["membership_ok"]
+
+
+def test_mult_matrix_matches_unit_class_products(gr):
+    # columns read off GradedRing.mul, which lifts through from_monomial and
+    # the dense product rather than monomial() and zmul
+    gens = gr.ring_generator_classes()
+    for gi, g in enumerate(gens):
+        for d in range(4):
+            units = [gr.unit_class(k) for k in gr.exponents(d)]
+            left = np.array([gr.mul(g, u).coords for u in units], dtype=np.int16).T
+            right = np.array([gr.mul(u, g).coords for u in units], dtype=np.int16).T
+            assert np.array_equal(gr.mult_matrix("left", gi, d), left), (gi, d)
+            assert np.array_equal(gr.mult_matrix("right", gi, d), right), (gi, d)
