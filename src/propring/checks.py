@@ -9,6 +9,7 @@ canonical form and only attached on request)."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import group_algebra
-from .config import PrimeConfig
+from .config import CASES, PrimeConfig
 from .errors import (
     ConfigError,
     CutoffBeyondFaithful,
@@ -35,7 +36,7 @@ from .graded import (
     default_ideals,
 )
 from .groups import group_model, quaternion_commutator_congruence
-from .jsonio import to_jsonable
+from .jsonio import config_from_json, json_int, to_jsonable
 from .modules import (
     check_exponent_transfer,
     module_corpus,
@@ -49,18 +50,44 @@ def sub_rng(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(h[:8], "big"))
 
 
-def _require_N(cfg: PrimeConfig, params: dict) -> int:
-    n = params.get("N", cfg.N)
-    if n is None or not isinstance(n, int) or not 1 <= n < cfg.M:
-        raise ConfigError("check needs a rescaling depth N with 1 <= N < M")
-    return n
+class Run:
+    """The config of one scenario run and the structures its checks share,
+    each built on first use and dropped with the run: the graded ring, and
+    the module corpora by (count, start_seed)."""
+
+    def __init__(self, cfg: PrimeConfig):
+        self.cfg = cfg
+        self._corpora: dict[tuple[int, int], list] = {}
+
+    @functools.cached_property
+    def ring(self) -> GradedRing:
+        return GradedRing(group_algebra(self.cfg))
+
+    def corpus(self, count: int, start_seed: int) -> list:
+        key = (count, start_seed)
+        if key not in self._corpora:
+            self._corpora[key] = module_corpus(self.cfg, count=count, start_seed=start_seed)
+        return self._corpora[key]
 
 
-def _chk_ideal_power_spans(cfg: PrimeConfig, params: dict, rng) -> dict:
-    jmax = int(params.get("jmax", 8))
-    if jmax < 1:
-        raise ConfigError("jmax must be at least 1")
-    res = check_ideal_power_spans(group_algebra(cfg), jmax)
+def _pick(d: dict, *keys: str) -> dict:
+    return {k: d[k] for k in keys}
+
+
+def _over_corpus(run: Run, N: int, count: int, start_seed: int, fn, keys) -> tuple[dict, list]:
+    """fn(module, ideal) for every corpus module and default ideal, in that
+    order.  Returns the detail both corpus checks report, with each result
+    cut to keys as one row, and the full results."""
+    corpus = run.corpus(count, start_seed)
+    ideals = default_ideals(run.cfg.f, gf(run.cfg.p, run.cfg.f))
+    reps = [fn(mod, spec) for mod in corpus for spec in ideals]
+    rows = [_pick(r, *keys) for r in reps]
+    return {"ok": all(r["ok"] for r in rows), "N": N, "modules": len(corpus),
+            "pairs": len(rows), "rows": rows}, reps
+
+
+def _chk_ideal_power_spans(run: Run, rng, jmax: int) -> dict:
+    res = check_ideal_power_spans(group_algebra(run.cfg), jmax)
     return {
         "ok": res["ok"],
         "jmax": jmax,
@@ -69,133 +96,63 @@ def _chk_ideal_power_spans(cfg: PrimeConfig, params: dict, rng) -> dict:
     }
 
 
-def _chk_quaternion_commutator(cfg: PrimeConfig, params: dict, rng) -> dict:
-    level = int(params.get("level", 3))
-    res = quaternion_commutator_congruence(cfg.p, cfg.f, level)
-    return {
-        "ok": res["ok"],
-        "gammas_checked": res["gammas_checked"],
-        "convention": res["convention"],
-        "failures": res["failures"],
-    }
+def _chk_quaternion_commutator(run: Run, rng, level: int) -> dict:
+    res = quaternion_commutator_congruence(run.cfg.p, run.cfg.f, level)
+    return _pick(res, "ok", "gammas_checked", "convention", "failures")
 
 
-def _chk_central_power_classes(cfg: PrimeConfig, params: dict, rng) -> dict:
-    n = _require_N(cfg, params)
-    gr = GradedRing(group_algebra(cfg))
-    res = check_central_power_classes(gr, n)
-    return {
-        "ok": res["ok"],
-        "N": n,
-        "pairs_checked": res["pairs_checked"],
-        "failures": res["failures"],
-    }
+def _chk_central_power_classes(run: Run, rng, N: int) -> dict:
+    return check_central_power_classes(run.ring, N)
 
 
-def _chk_hilbert(cfg: PrimeConfig, params: dict, rng) -> dict:
-    tmax = int(params.get("tmax", 6))
-    if not 0 <= tmax < cfg.p**cfg.M:
-        raise ConfigError("tmax must stay below the faithful weight bound")
-    gr = GradedRing(group_algebra(cfg))
-    res = check_hilbert(gr, tmax)
-    return {"ok": res["ok"], **{k: v for k, v in res.items() if k != "ok"}}
+def _chk_hilbert(run: Run, rng, tmax: int) -> dict:
+    return check_hilbert(run.ring, tmax)
 
 
-def _chk_sandwich(cfg: PrimeConfig, params: dict, rng) -> dict:
-    n = _require_N(cfg, params)
-    kmax = int(params.get("kmax", 3))
-    samples = int(params.get("samples", 200))
-    mono = int(params.get("mono_samples", 50))
-    alg = group_algebra(cfg)
+def _chk_sandwich(run: Run, rng, N: int, kmax: int, samples: int,
+                  mono_samples: int) -> dict:
+    alg = group_algebra(run.cfg)
     per_k = []
     for k in range(1, kmax + 1):
-        res = check_sandwich(alg, k, n, rng, samples=samples, mono_samples=mono)
+        res = check_sandwich(alg, k, N, rng, samples=samples, mono_samples=mono_samples)
         per_k.append(
             {
                 "k": k,
                 "ok": res["ok"],
                 "first_samples": res["first_inclusion"]["samples"],
-                "transcripts": res["second_inclusion"]["transcripts"],
-                "monomials_touched": res["second_inclusion"]["monomials_touched"],
-                "min_chunk_margin": res["second_inclusion"]["min_chunk_margin"],
+                **_pick(res["second_inclusion"], "transcripts", "monomials_touched",
+                        "min_chunk_margin"),
             }
         )
-    return {"ok": all(r["ok"] for r in per_k), "N": n, "per_k": per_k}
+    return {"ok": all(r["ok"] for r in per_k), "N": N, "per_k": per_k}
 
 
-def _chk_tau_contract(cfg: PrimeConfig, params: dict, rng) -> dict:
-    n = _require_N(cfg, params)
-    samples = int(params.get("samples", 50))
-    res = check_tau_contract(group_algebra(cfg), n, rng, samples=samples)
-    return {"ok": res["ok"], "N": n, "monomials_checked": res["monomials_checked"]}
+def _chk_tau_contract(run: Run, rng, N: int, samples: int) -> dict:
+    return check_tau_contract(group_algebra(run.cfg), N, rng, samples=samples)
 
 
-def _corpus(cfg: PrimeConfig, params: dict):
-    count = int(params.get("count", 20))
-    return module_corpus(cfg, count=count, start_seed=int(params.get("start_seed", 0)))
+def _chk_exponent_transfer(run: Run, rng, N: int, count: int, start_seed: int) -> dict:
+    detail, _ = _over_corpus(
+        run, N, count, start_seed, lambda mod, spec: check_exponent_transfer(mod, spec, N),
+        ("module", "dim", "ideal", "exponents", "implications", "ok"),
+    )
+    return detail
 
 
-def _chk_exponent_transfer(cfg: PrimeConfig, params: dict, rng) -> dict:
-    n = _require_N(cfg, params)
-    corpus = _corpus(cfg, params)
-    ideals = default_ideals(cfg.f, gf(cfg.p, cfg.f))
-    rows = []
-    for mod in corpus:
-        for spec in ideals:
-            rep = check_exponent_transfer(mod, spec, n)
-            rows.append(
-                {
-                    "module": rep["module"],
-                    "dim": rep["dim"],
-                    "ideal": rep["ideal"],
-                    "exponents": rep["exponents"],
-                    "implications": rep["implications"],
-                    "ok": rep["ok"],
-                }
-            )
-    return {
-        "ok": all(r["ok"] for r in rows),
-        "N": n,
-        "modules": len(corpus),
-        "pairs": len(rows),
-        "rows": rows,
-    }
+def _chk_restriction_determinism(run: Run, rng, N: int, count: int, start_seed: int,
+                                 basis_changes: int) -> dict:
+    detail, reps = _over_corpus(
+        run, N, count, start_seed,
+        lambda mod, spec: restriction_determinism(mod, spec, N, rng, basis_changes),
+        ("module", "dim", "ideal", "exponent", "restricted_path", "basis_change_exponents",
+         "twist_exponent", "ok"),
+    )
+    detail["live_twists"] = sum(bool(r["twist_present"]) for r in reps)
+    detail["ok"] = detail["ok"] and detail["live_twists"] > 0
+    return detail
 
 
-def _chk_restriction_determinism(cfg: PrimeConfig, params: dict, rng) -> dict:
-    n = _require_N(cfg, params)
-    basis_changes = int(params.get("basis_changes", 5))
-    corpus = _corpus(cfg, params)
-    ideals = default_ideals(cfg.f, gf(cfg.p, cfg.f))
-    rows = []
-    twists = 0
-    for mod in corpus:
-        for spec in ideals:
-            rep = restriction_determinism(mod, spec, n, rng, basis_changes)
-            twists += bool(rep["twist_present"])
-            rows.append(
-                {
-                    "module": rep["module"],
-                    "dim": rep["dim"],
-                    "ideal": rep["ideal"],
-                    "exponent": rep["exponent"],
-                    "restricted_path": rep["restricted_path"],
-                    "basis_change_exponents": rep["basis_change_exponents"],
-                    "twist_exponent": rep["twist_exponent"],
-                    "ok": rep["ok"],
-                }
-            )
-    return {
-        "ok": all(r["ok"] for r in rows) and twists > 0,
-        "N": n,
-        "modules": len(corpus),
-        "pairs": len(rows),
-        "live_twists": twists,
-        "rows": rows,
-    }
-
-
-def _chk_arithmetic_oracles(cfg: PrimeConfig, params: dict, rng) -> dict:
+def _chk_arithmetic_oracles(run: Run, rng) -> dict:
     """Frozen unit oracles at p=5, f=1, level 2; independent of the
     scenario configuration."""
     R = zq_ring(5, 1, 2)
@@ -221,23 +178,54 @@ def _chk_arithmetic_oracles(cfg: PrimeConfig, params: dict, rng) -> dict:
     return {"ok": all(results.values()), "oracles": results}
 
 
-CHECKS = {
-    "arithmetic-oracles": _chk_arithmetic_oracles,
-    "central-power-classes": _chk_central_power_classes,
-    "exponent-transfer": _chk_exponent_transfer,
-    "hilbert-series": _chk_hilbert,
-    "ideal-power-spans": _chk_ideal_power_spans,
-    "quaternion-commutator": _chk_quaternion_commutator,
-    "restriction-determinism": _chk_restriction_determinism,
-    "sandwich": _chk_sandwich,
-    "tau-contract": _chk_tau_contract,
+# the rescaling depth: the config's N by default, 1 <= N < M
+_N = (lambda cfg: cfg.N, 1, lambda cfg: cfg.M - 1)
+_CORPUS = {"count": (20, 1, None), "start_seed": (0, 0, None)}
+
+# The check registry: name -> (check, cases it runs on, {param: (default,
+# low, high)}).  Bounds are inclusive, a high of None is unbounded, and a
+# default or bound may be a function of the config.
+REGISTRY = {
+    "arithmetic-oracles": (_chk_arithmetic_oracles, CASES, {}),
+    "central-power-classes": (_chk_central_power_classes, CASES, {"N": _N}),
+    "exponent-transfer": (_chk_exponent_transfer, CASES, {"N": _N, **_CORPUS}),
+    "hilbert-series": (_chk_hilbert, CASES, {"tmax": (6, 0, lambda cfg: cfg.p**cfg.M - 1)}),
+    "ideal-power-spans": (_chk_ideal_power_spans, CASES, {"jmax": (8, 1, None)}),
+    "quaternion-commutator": (_chk_quaternion_commutator, ("QUAT",), {"level": (3, 2, None)}),
+    "restriction-determinism": (_chk_restriction_determinism, CASES,
+                                {"N": _N, **_CORPUS, "basis_changes": (5, 1, None)}),
+    "sandwich": (_chk_sandwich, CASES, {"N": _N, "kmax": (3, 1, None),
+                                        "samples": (200, 1, None),
+                                        "mono_samples": (50, 1, None)}),
+    "tau-contract": (_chk_tau_contract, CASES, {"N": _N, "samples": (50, 1, None)}),
 }
+# run_scenario looks each check up here at call time, so a caller may wrap one
+CHECKS = {name: entry[0] for name, entry in REGISTRY.items()}
 
 
-def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, dict]]]:
-    """Validate a scenario document; raises ConfigError on any problem."""
-    from .jsonio import config_from_json, json_int
+def _check_kwargs(cname: str, params: dict, cfg: PrimeConfig) -> dict:
+    """The keyword arguments of one check: its params checked against the
+    registry, with the defaults filled in."""
+    _, cases, spec = REGISTRY[cname]
+    if cfg.case not in cases:
+        raise ConfigError(f"check {cname!r} runs only on case {' or '.join(cases)}")
+    for key in params:
+        if key not in spec:
+            raise ConfigError(f"unknown param {key!r} of {cname!r}")
+    kwargs = {}
+    for key, bounds in spec.items():
+        default, low, high = (b(cfg) if callable(b) else b for b in bounds)
+        v = json_int(params[key], f"param {key!r} of {cname!r}") if key in params else default
+        if v is None or v < low or (high is not None and v > high):
+            upper = "" if high is None else f" <= {high}"
+            raise ConfigError(f"{cname!r} needs {low} <= {key}{upper}, got {v}")
+        kwargs[key] = v
+    return kwargs
 
+
+def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, dict, dict]]]:
+    """Validate a scenario document; raises ConfigError on any problem.
+    Each check comes back as (name, params as given, keyword arguments)."""
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
     name = data.get("name")
@@ -257,12 +245,12 @@ def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, d
         cname = item.get("check")
         if cname not in CHECKS:
             raise ConfigError(f"unknown check {cname!r}")
+        if set(item) - {"check", "params"}:
+            raise ConfigError(f"check {cname!r} takes only the keys 'check' and 'params'")
         params = item.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"params of {cname!r} must be an object")
-        for key, v in params.items():
-            json_int(v, f"param {key!r} of {cname!r}")
-        checks.append((cname, params))
+        checks.append((cname, params, _check_kwargs(cname, params, cfg)))
     return name, cfg, seed, checks
 
 
@@ -271,13 +259,14 @@ def run_scenario(data: dict, include_timings: bool = False) -> tuple[dict, int]:
     with exit 0 iff all checks pass; scenario validation errors raise
     ConfigError and are the caller's exit-2 path."""
     name, cfg, seed, checks = parse_scenario(data)
+    run = Run(cfg)
     results = []
     total_t0 = time.monotonic()
-    for cname, params in sorted(checks, key=lambda c: c[0]):
+    for cname, params, kwargs in sorted(checks, key=lambda c: c[0]):
         entry = {"name": cname, "params": to_jsonable(params)}
         t0 = time.monotonic()
         try:
-            detail = CHECKS[cname](cfg, params, sub_rng(seed, cname))
+            detail = CHECKS[cname](run, sub_rng(seed, cname), **kwargs)
             entry["status"] = "pass" if detail.pop("ok") else "fail"
             entry["detail"] = to_jsonable(detail)
         except (CutoffBeyondFaithful, NonConvergent) as e:

@@ -130,18 +130,17 @@ def _cmd_module_exponent(args) -> int:
     if args.ideal in shipped:
         spec = shipped[args.ideal]
     elif os.path.exists(args.ideal):
-        with open(args.ideal, "r", encoding="utf-8") as fh:
-            spec = ideal_spec_from_json(json.load(fh), mod.cfg.f, field)
+        spec = ideal_spec_from_json(_read_json(args.ideal), mod.cfg.f, field)
     else:
         raise ConfigError(
             f"ideal must be one of {sorted(shipped)} or a path to an ideal file"
         )
-    n = args.level_n
+    n = None if args.grading == "gr" else args.level_n
     if args.grading != "gr":
-        if n is None:
-            raise ConfigError("int/res gradings need --level-n")
+        if n is None or not 1 <= n < mod.cfg.M:
+            raise ConfigError(f"int/res gradings need --level-n N with 1 <= N < M = {mod.cfg.M}")
         spec = build_JN(spec, n, field)
-    gm = grade(mod, args.grading, n if args.grading != "gr" else None)
+    gm = grade(mod, args.grading, n)
     rep = min_annihilator_exponent(gm, spec)
     out = dict(mod.cfg.header())
     out.update(

@@ -178,14 +178,15 @@ def _quotient_by_closure(base: FiniteModule, rows: np.ndarray, provenance: str):
     return FiniteModule(base.cfg, len(keep), tuple(mats), provenance)
 
 
-def quotient_module(cfg: PrimeConfig, seed: int, jcut: int = 6,
-                    max_dim: int = 40) -> FiniteModule:
+def quotient_module(cfg: PrimeConfig, seed: int, jcut: int = 6, max_dim: int = 40,
+                    base: FiniteModule | None = None) -> FiniteModule:
     """Seeded quotient of a weight quotient of the regular module: random
     vectors supported in the deeper filtration weights span a submodule,
     and the action descends to the complement coordinates of its echelon
     basis.  Restricting the support keeps the quotient from collapsing,
-    since the submodule stays inside the starting weight."""
-    base = weight_quotient_module(cfg, jcut)
+    since the submodule stays inside the starting weight.  base, when
+    given, is the weight quotient at jcut, built once by the caller."""
+    base = weight_quotient_module(cfg, jcut) if base is None else base
     alg = group_algebra(cfg)
     wts = alg.nu_weight_array[alg.nu_weight_array < jcut]
     field = base.field
@@ -223,7 +224,8 @@ def deep_line_module(cfg: PrimeConfig) -> FiniteModule:
 
 
 def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
-                 matrices=None, jcut: int = 6, check_pairs: int = 512) -> FiniteModule:
+                 matrices=None, jcut: int = 6, check_pairs: int = 512,
+                 base: FiniteModule | None = None) -> FiniteModule:
     """Construct and validate a module.  Validation always runs the order
     check and the multiplicativity check (exhaustive at M = 1)."""
     if source == "trivial":
@@ -231,7 +233,7 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
     elif source == "regular":
         mod = regular_module(cfg)
     elif source == "quotient":
-        mod = quotient_module(cfg, seed, jcut)
+        mod = quotient_module(cfg, seed, jcut, base=base)
     elif source == "deep":
         mod = deep_line_module(cfg)
     elif source == "explicit":
@@ -771,13 +773,16 @@ def module_corpus(cfg: PrimeConfig, count: int = 20, start_seed: int = 0,
                   jcuts=(5, 6)) -> list[FiniteModule]:
     """A deterministic family of validated modules: the trivial module, the
     deep line quotient, and seeded quotients of weight quotients of the
-    regular module."""
+    regular module; the seeded quotients share one weight quotient per cut."""
     out = [build_module(cfg, "trivial"), build_module(cfg, "deep")]
+    bases = {}
     seed = start_seed
     while len(out) < count + 2 and seed < start_seed + 20 * count:
         jcut = jcuts[seed % len(jcuts)]
         try:
-            out.append(build_module(cfg, "quotient", seed=seed, jcut=jcut))
+            if jcut not in bases:
+                bases[jcut] = weight_quotient_module(cfg, jcut)
+            out.append(build_module(cfg, "quotient", seed=seed, jcut=jcut, base=bases[jcut]))
         except ConfigError:
             pass
         seed += 1

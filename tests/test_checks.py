@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from propring import graded
+from propring import checks, graded, modules
 from propring.checks import CHECKS, parse_scenario, report_bytes, report_csv, run_scenario, sub_rng
 from propring.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY = {
     "name": "tiny",
@@ -95,12 +97,60 @@ def test_parse_scenario_rejects_non_integer_params():
             parse_scenario(data)
     with pytest.raises(ConfigError):
         parse_scenario(dict(TINY, checks=[7]))
+    # unknown keys, out-of-range values and an unsupported case are refused
+    # before any check runs
+    for check, params in (
+        ("hilbert-series", {"tmax": 4, "tmx": 4}),
+        ("hilbert-series", {"tmax": -1}),
+        ("ideal-power-spans", {"jmax": 0}),
+        ("sandwich", {"samples": -3}),
+        ("tau-contract", {"samples": 0}),
+        ("restriction-determinism", {"basis_changes": -1}),
+        ("quaternion-commutator", {}),
+    ):
+        data = dict(TINY, checks=[{"check": check, "params": params}])
+        with pytest.raises(ConfigError):
+            parse_scenario(data)
+    with pytest.raises(ConfigError):
+        parse_scenario(dict(TINY, checks=[{"check": "sandwich", "param": {"N": 1}}]))
+
+
+SHIPPED = sorted((ROOT / "scenarios").glob("*.json")) + [
+    ROOT / "bench" / "data" / "verify-gl2.json",
+    ROOT / "bench" / "data" / "verify-quat.json",
+]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_scenarios_parse(path):
+    parse_scenario(json.loads(path.read_text()))
+
+
+def test_corpus_checks_share_one_corpus(monkeypatch):
+    corpus_calls, cuts = [], []
+
+    def counting(fn, calls):
+        def wrapped(*args, **kwargs):
+            calls.append(args[1:])
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(checks, "module_corpus", counting(checks.module_corpus, corpus_calls))
+    monkeypatch.setattr(modules, "weight_quotient_module",
+                        counting(modules.weight_quotient_module, cuts))
+    params = {"N": 1, "count": 2}
+    data = dict(TINY, checks=[{"check": "exponent-transfer", "params": params},
+                              {"check": "restriction-determinism", "params": params}])
+    report, code = run_scenario(data)
+    assert code == 0
+    assert len(corpus_calls) == 1
+    assert len(cuts) == len(set(cuts)) == 3
 
 
 def test_broken_tau_contract_fails(monkeypatch):
     # dropping the remainder factors breaks nu(tau(x)) = nu(x); that is a
     # violated claim, reported as fail with the monomial as witness
-    quick = Path(__file__).resolve().parent.parent / "scenarios" / "quick_gl2.json"
+    quick = ROOT / "scenarios" / "quick_gl2.json"
     data = json.loads(quick.read_text())
     data["checks"] = [c for c in data["checks"]
                       if isinstance(c, dict) and c["check"] == "tau-contract"]

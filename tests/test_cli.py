@@ -164,6 +164,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
 
     bad_p = write(tmp_path, "e.json", {**GL2, "p": "x", "matrix": [[1, 0], [0, 1]]})
     module = module_to_json(trivial_module(PrimeConfig(5, 1, 2, "GL2")))
+    good = write(tmp_path, "g.json", module)
+    torn_ideal = tmp_path / "i.json"
+    torn_ideal.write_text("{")
     del module["field"]["p"]
     no_p = write(tmp_path, "m.json", module)
     huge = write(tmp_path, "h.json", dict(module, field={"p": 5, "f": 1},
@@ -189,7 +192,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["module-exponent", "--in", huge], ["verify", bad_param],
                  ["nu", "--in", float_p], ["nu", "--in", str_p_bool_f],
                  ["nu", "--in", bool_digit],
-                 ["module-exponent", "--in", bool_level], ["verify", bool_seed]):
+                 ["module-exponent", "--in", bool_level], ["verify", bool_seed],
+                 ["module-exponent", "--in", good, "--ideal", str(torn_ideal)],
+                 ["module-exponent", "--in", good, "--grading", "int", "--level-n", "5"]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
