@@ -14,8 +14,14 @@ element with digits x expands as
 
 an exact finite identity because the ordered product of the generator
 powers matches the ordering of the monomials, so the change of basis is a
-tensor product of univariate binomial matrices mod p.  Its inverse is
-computed, not hand-signed.
+tensor product of univariate binomial matrices mod p.  By Lucas' theorem,
+binom(x, k) = prod_j binom(x_j, k_j) mod p over the base-p digits, so each
+univariate matrix is the M-fold Kronecker power of the p x p Pascal matrix
+P[x, k] = binom(x, k), and the transforms apply P along each of the nM
+base-p digit axes of the flat index.  The inverse is the closed form
+Q[x, k] = (-1)^(x-k) binom(x, k), the inverse of the lower-triangular
+Pascal matrix over Z (checked in tests/test_algebra.py,
+test_pascal_pair_inverse).
 
 The weight of a monomial index is nu'(k) = sum_i w_i k_i with w = 1 for the
 A and B positions and w = 2 for the C positions (doubled generator
@@ -40,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -54,13 +61,12 @@ from .groups import Digits, GroupModel, group_model
 _PAIR_CHUNK = 1 << 18
 
 
-def _binom_table(rows: int, p: int) -> np.ndarray:
-    b = np.zeros((rows, rows), dtype=np.int16)
-    b[:, 0] = 1
-    for x in range(1, rows):
-        for k in range(1, x + 1):
-            b[x, k] = (b[x - 1, k - 1] + b[x - 1, k]) % p
-    return b
+def _pascal_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """P[x, k] = binom(x, k) mod p for x, k < p, and its inverse
+    Q[x, k] = (-1)^(x-k) binom(x, k) mod p."""
+    P = np.array([[math.comb(x, k) % p for k in range(p)] for x in range(p)], dtype=np.int64)
+    sign = (-1) ** np.add.outer(np.arange(p), np.arange(p))
+    return P, sign * P % p
 
 
 class GroupAlgebra:
@@ -71,18 +77,14 @@ class GroupAlgebra:
         self.pM = model.pM
         self.order = model.order
         self.nu_weights = tuple(model.two_omega)
-        self._P = _binom_table(self.pM, self.p)  # P[x, k] = binom(x, k)
-        self._Q = self._invert_mod_p(self._P)
-        self._nu_w: np.ndarray | None = None
-
-    def _invert_mod_p(self, m: np.ndarray) -> np.ndarray:
-        F = gf(self.p, 1)
-        aug = np.concatenate(
-            [m.astype(np.int16), np.eye(len(m), dtype=np.int16)], axis=1
+        self._pair = _pascal_pair(self.p)  # (P, Q), applied per base-p digit
+        # P[x, k] = binom(x, k) and its inverse for x, k < p^M, the row
+        # tables of monomial and binomial_expansion (Lucas' theorem)
+        self._P, self._Q = (
+            (functools.reduce(np.kron, [m] * model.M) % self.p).astype(np.int16)
+            for m in self._pair
         )
-        red, piv = rref(aug, F)
-        assert list(piv) == list(range(len(m)))
-        return red[:, len(m) :].copy()
+        self._nu_w: np.ndarray | None = None
 
     # -- dense vectors -------------------------------------------------------
 
@@ -168,29 +170,27 @@ class GroupAlgebra:
 
     # -- basis transforms ----------------------------------------------------
 
-    def _axis_apply(self, mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
-        """Contract mat[k, x] against each of the n digit axes of arr;
-        arr may carry one leading batch axis."""
-        lead = arr.shape[:-1]
-        a = arr.reshape(lead + (self.pM,) * self.n).astype(np.float64)
-        m = mat.astype(np.float64)
-        off = len(lead)
-        for ax in range(self.n):
-            a = np.moveaxis(np.tensordot(a, m, axes=([off + ax], [1])), -1, off + ax)
-            a %= self.p
-        return a.astype(np.int16).reshape(lead + (self.order,))
+    def _digit_apply(self, mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
+        """Contract the p x p matrix mat[k, x] against each of the nM base-p
+        digit axes of arr (most significant first, the flat C order); arr
+        may carry one leading batch axis."""
+        a = arr.astype(np.int64)
+        axes = self.n * self.model.M
+        for j in range(axes):
+            a = mat @ a.reshape(-1, self.p, self.p ** (axes - 1 - j)) % self.p
+        return a.astype(np.int16).reshape(arr.shape)
 
     def to_monomial(self, a: np.ndarray) -> np.ndarray:
         """Coefficients over the z^k basis, same flat index layout."""
-        return self._axis_apply(self._P.T, a)
+        return self._digit_apply(self._pair[0].T, a)
 
     def from_monomial(self, c: np.ndarray) -> np.ndarray:
-        return self._axis_apply(self._Q.T, c)
+        return self._digit_apply(self._pair[1].T, c)
 
     def dual_to_monomial(self, phi: np.ndarray) -> np.ndarray:
         """Coordinates of a functional (values on the group basis) over the
         coefficient functionals e_k."""
-        return self._axis_apply(self._Q, phi)
+        return self._digit_apply(self._pair[1], phi)
 
     # -- expansion without dense arrays --------------------------------------
 
@@ -206,19 +206,17 @@ class GroupAlgebra:
         return out
 
     def expand_group_sparse(self, x: Digits) -> dict[Digits, int]:
-        """Monomial expansion of a single group element by the closed form;
-        works at any size since no full-space array is involved."""
+        """Monomial expansion of a single group element by the closed form,
+        with math.comb; works at any size since no full-space array is
+        involved."""
         x = self.model.check_digits(x)
-        per_axis = []
-        for xi in x:
-            col = [(k, int(self._P[xi, k])) for k in range(xi + 1) if self._P[xi, k]]
-            per_axis.append(col)
+        per_axis = [
+            [(k, c) for k in range(xi + 1) if (c := math.comb(xi, k) % self.p)]
+            for xi in x
+        ]
         out = {}
         for combo in itertools.product(*per_axis):
-            coeff = 1
-            for _, c in combo:
-                coeff = (coeff * c) % self.p
-            out[tuple(k for k, _ in combo)] = coeff
+            out[tuple(k for k, _ in combo)] = math.prod(c for _, c in combo) % self.p
         return out
 
     # -- weights and nu --------------------------------------------------------

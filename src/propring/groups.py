@@ -33,13 +33,13 @@ constraint kills the fixed part.
 
 The valuation of a digit vector is  min_i ( omega(g_i) + v_p(x_i) )  over
 the nonzero digits, a value in (1/2)Z; the identity gets None.
+GroupModel.two_omega_of returns twice this value.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
 import numpy as np
 
@@ -115,10 +115,6 @@ class GroupModel:
                 if best is None or v < best:
                     best = v
         return best
-
-    def omega(self, x: Digits) -> Fraction | None:
-        t = self.two_omega_of(x)
-        return None if t is None else Fraction(t, 2)
 
     # -- group operations --------------------------------------------------
 
@@ -491,7 +487,13 @@ def quaternion_commutator_congruence(p: int, f: int, level: int = 3) -> dict:
     Membership in p Pi O_D means: scalar part divisible by p^2, Pi-part
     divisible by p.  The commutator convention (which of the two bracket
     orders) is not pinned a priori; both are tried on a nonzero sample and
-    the matching one is used throughout, recorded in the report."""
+    the matching one is used throughout, recorded in the report.
+
+    The level is the p-adic precision; below 2 it is too coarse to test
+    membership in p Pi O_D, so the congruence would read as violated, and
+    ConfigError is raised instead."""
+    if level < 2:
+        raise ConfigError(f"level must be at least 2 to test the congruence, got {level}")
     ctx = quat_context(p, f, level)
     R = ctx.ring
     F = R.field

@@ -1,6 +1,8 @@
 """Truncated group ring: dense multiplication, the monomial expansion, the
 weight filtration, and the maximal-ideal power certificate."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,46 @@ def test_property_transform_round_trip(alg, data):
 def test_property_monomial_matches_zmul_chain(alg, data):
     k = data.draw(st.tuples(*[st.integers(0, alg.pM - 1)] * alg.n))
     assert np.array_equal(alg.monomial(k), zmul_chain(alg, k))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_pascal_pair_inverse(p):
+    P, Q = algebra._pascal_pair(p)
+    assert np.array_equal(P @ Q % p, np.eye(p, dtype=np.int64))
+
+
+@pytest.fixture(scope="module", params=[(5, 2, 1), (7, 1, 2)], ids=str)
+def wide_alg(request):
+    """Configs beyond the (5, 1, 2) fixture: f = 2 and p = 7."""
+    return group_algebra(PrimeConfig(*request.param, "GL2"))
+
+
+def test_to_monomial_matches_comb_product(wide_alg, rng):
+    # the digit-axis (Lucas) transform against prod_i comb(x_i, k_i) mod p
+    # computed with math.comb over all k
+    alg = wide_alg
+    for _ in range(4):
+        x = alg.model.random_element(rng)
+        ref = np.ones(1, dtype=np.int64)
+        for xi in x:
+            col = np.array([comb(xi, k) % alg.p for k in range(alg.pM)])
+            ref = np.multiply.outer(ref, col).ravel() % alg.p
+        assert np.array_equal(alg.to_monomial(alg.of_group(x)), ref)
+
+
+def test_transforms_invert_at_wide_configs(wide_alg, rng):
+    alg = wide_alg
+    a = rng.integers(0, alg.p, size=(3, alg.order)).astype(np.int16)
+    c = alg.to_monomial(a)
+    assert np.array_equal(alg.from_monomial(c), a)
+    assert np.array_equal(alg.to_monomial(alg.from_monomial(a)), a)
+    for row, crow in zip(a, c):
+        assert np.array_equal(alg.to_monomial(row), crow)
+    # the dual transform: phi(a) = sum_k dual_to_monomial(phi)[k] c_k(a)
+    phi = rng.integers(0, alg.p, size=alg.order).astype(np.int16)
+    lhs = a.astype(np.int64) @ phi % alg.p
+    rhs = c.astype(np.int64) @ alg.dual_to_monomial(phi) % alg.p
+    assert np.array_equal(lhs, rhs)
 
 
 def test_in_filtration(alg):

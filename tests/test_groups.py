@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from propring.config import PrimeConfig
+from propring.errors import ConfigError
 from propring.groups import group_model, quaternion_commutator_congruence
 
 INF = 10**9
@@ -145,6 +146,15 @@ def test_quaternion_commutator_congruence_all_gammas():
     assert out["ok"]
     assert out["gammas_checked"] == 25
     assert out["failures"] == []
+
+
+def test_quaternion_commutator_congruence_refuses_level_1():
+    # level 1 is too coarse to test membership in p Pi O_D; the congruence
+    # holds from level 2 on
+    with pytest.raises(ConfigError):
+        quaternion_commutator_congruence(5, 1, level=1)
+    for level in (2, 3):
+        assert quaternion_commutator_congruence(5, 1, level=level)["ok"]
 
 
 @pytest.mark.parametrize(
