@@ -31,11 +31,13 @@ the augmentation) is
     m^j = span{ z^k : nu'(k) >= j }   for all j,
 
 from which nu(a) = max{j : a in m^j} is read off the monomial support.
-The certificate is non-circular: the inclusion m^j <= span comes from a
-dual induction (the coefficient functionals e_k with nu'(k) < j kill m^j,
-checked through the operators phi -> phi(. z_i) which generate the step
-from m^j to m^(j+1)), and the reverse dimension bound comes from exhibited
-group witnesses C_i = [x,y] w^p which place every z^k inside m^(nu'(k)).
+Its certificate, check_maximal_ideal_powers, is the reported check
+ideal-power-spans.  It is non-circular: the inclusion m^j <= span comes
+from a dual induction (the coefficient functionals e_k with nu'(k) < j
+kill m^j, checked through the operators phi -> phi(. z_i) which generate
+the step from m^j to m^(j+1)), and the reverse dimension bound comes from
+exhibited group witnesses C_i = [x,y] w^p which place every z^k inside
+m^(nu'(k)).
 Truncation is faithful for nu below p^M: the kernel of the projection from
 the full completed ring is spanned by monomials with some k_i >= p^M, all
 of weight at least p^M.
@@ -43,7 +45,6 @@ of weight at least p^M.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -52,13 +53,15 @@ import numpy as np
 
 from .config import PrimeConfig
 from .errors import CutoffBeyondFaithful
-from .gf import gf, rank, rref
+from .gf import rref  # noqa: F401  bench/test_bench.py reaches rref through this module
 from .groups import Digits, GroupModel, group_model
 
 
 # support pairs per accumulation step of GroupAlgebra.mul; bounds its
 # transient memory to a few tens of MB
 _PAIR_CHUNK = 1 << 18
+# witness entries a failed certificate reports
+_WITNESSES = 10
 
 
 def _pascal_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,9 +236,6 @@ class GroupAlgebra:
             self._nu_w = w
         return self._nu_w
 
-    def nu_max(self) -> int:
-        return sum(w * (self.pM - 1) for w in self.nu_weights)
-
     def nu(self, a: np.ndarray) -> int | None:
         """min nu' over the monomial support; None for zero."""
         c = self.to_monomial(a)
@@ -259,33 +259,8 @@ class GroupAlgebra:
         c = self.to_monomial(a)
         return not c[self.nu_weight_array < j].any()
 
-    def hilbert_counts(self, jmax: int) -> list[int]:
-        w = self.nu_weight_array
-        return [int((w == j).sum()) for j in range(jmax + 1)]
 
-
-@dataclasses.dataclass
-class MaxidealCertificate:
-    ok: bool
-    functionals_checked: int
-    jmax: int
-    witnesses: list[dict]
-    violations: list[dict]
-    primal_crosschecked: bool
-
-    def summary(self) -> str:
-        state = "certified" if self.ok else "FAILED"
-        extra = ", primal span cross-checked" if self.primal_crosschecked else ""
-        return (
-            f"maximal-ideal powers {state}: {self.functionals_checked} coefficient "
-            f"functionals through weight {self.jmax}, {len(self.witnesses)} central "
-            f"witnesses{extra}"
-        )
-
-
-def check_maximal_ideal_powers(
-    alg: GroupAlgebra, jmax: int | None = None, chunk: int = 512
-) -> MaxidealCertificate:
+def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
     """Certify m^j = span{z^k : nu'(k) >= j} for 0 <= j <= jmax + 1.
 
     Two halves, neither assuming the conclusion:
@@ -295,9 +270,9 @@ def check_maximal_ideal_powers(
       generated by the z_i on either side, m^(j+1) = sum_i m^j z_i, so the
       step needs exactly: e_k composed with right multiplication by z_i
       lies in span{e_k' : nu'(k') < nu'(k)}.  That membership is what the
-      batched sweep below verifies for every k, reading the composed
-      functional off the right-multiplication permutation and taking its
-      coordinates over the e_k'.
+      sweep below verifies for every k with nu'(k) <= jmax, reading the
+      composed functional off the right-multiplication permutation and
+      taking its coordinates over the e_k'.
     * Dimension count.  The inclusion above caps dim ann(m^j); equality
       needs dim m^j >= #{nu' >= j}, which follows once z_i lies in m^(w_i).
       Weight one is the definition of m; weight two is certified by the
@@ -305,96 +280,49 @@ def check_maximal_ideal_powers(
       [x,y] - 1 = x^(-1)y^(-1)((x-1)(y-1) - (y-1)(x-1)) lands in m^2 and
       w^p - 1 = (w - 1)^p in characteristic p.
 
-    At depth M = 1 the filtration is additionally rebuilt primally
-    (closure of spans under right multiplication) and compared, an
-    independent exhaustive oracle at small size.
+    On success the report carries the dimensions this proves, inside the
+    quotient by weights above jmax: power_dims[j-1] = dim m^j / m^(jmax+1)
+    for j = 1..jmax+1, and graded_dims[j] = dim m^j / m^(j+1) for
+    j = 0..jmax.  On failure it carries a witness instead: the failing
+    central identities and the first violations {k, generator, lands_on}
+    (e_k composed with z_generator has a coordinate on e_lands_on, which is
+    not of lower weight), _WITNESSES entries at most.
     """
+    if jmax + 1 > alg.pM:
+        raise CutoffBeyondFaithful(f"jmax {jmax} reaches the unfaithful range")
     model = alg.model
-    p, n, order = alg.p, alg.n, alg.order
-    nu_w = alg.nu_weight_array
-    if jmax is None:
-        jmax = alg.nu_max()
+    p, nu_w = alg.p, alg.nu_weight_array
 
-    witnesses = []
+    witness = []
     for i in range(model.f):
         x, y, w = model.central_witness(i)
-        target = model.generator(2 * model.f + i)
-        ok = model.mul(model.commutator(x, y), model.power(w, p)) == target
-        witnesses.append(
-            {"generator": 2 * model.f + i, "x": x, "y": y, "w": w, "holds": bool(ok)}
-        )
+        gen = 2 * model.f + i
+        if model.mul(model.commutator(x, y), model.power(w, p)) != model.generator(gen):
+            witness.append({"generator": gen, "x": x, "y": y, "w": w})
 
-    perms = [model.right_mul_table(model.generator(i)) for i in range(n)]
-    group = np.arange(order)
-
-    sel = np.nonzero(nu_w <= jmax)[0]
-    violations: list[dict] = []
-    checked = 0
-    for start in range(0, sel.size, chunk):
-        ks = sel[start : start + chunk]
-        rows = alg.binomial_expansion(group, ks).T
-        level = nu_w[ks]
-        for i in range(n):
-            delta = (rows[:, perms[i]] - rows) % p
-            coords = alg.dual_to_monomial(delta)
-            bad = (coords != 0) & (nu_w[None, :] >= level[:, None])
-            if bad.any():
-                for r, c in zip(*np.nonzero(bad)):
-                    violations.append(
-                        {
-                            "k": model.digits_of(int(ks[r])),
-                            "generator": i,
-                            "lands_on": model.digits_of(int(c)),
-                        }
-                    )
-                    if len(violations) >= 10:
-                        break
-        checked += ks.size
-
-    primal = False
-    if model.M == 1:
-        primal = _primal_crosscheck(alg)
-
-    ok = all(w["holds"] for w in witnesses) and not violations and (model.M != 1 or primal)
-    return MaxidealCertificate(
-        ok=ok,
-        functionals_checked=checked,
-        jmax=jmax,
-        witnesses=witnesses,
-        violations=violations,
-        primal_crosschecked=primal,
-    )
-
-
-def _primal_crosscheck(alg: GroupAlgebra) -> bool:
-    """Rebuild m^j at depth 1 by repeated right multiplication and compare
-    with the weighted monomial spans, exhaustively."""
-    F = gf(alg.p, 1)
-    order = alg.order
-    idx_id = alg.model.index_of(alg.model.identity)
-    basis = []
-    for idx in range(order):
-        if idx == idx_id:
-            continue
-        v = alg.zero()
-        v[idx] = 1
-        v[idx_id] = alg.p - 1
-        basis.append(v)
-    cur, piv = rref(np.array(basis, dtype=np.int16), F)
-    for j in range(1, alg.nu_max() + 2):
-        target = [alg.monomial(alg.model.digits_of(int(k))) for k in np.nonzero(alg.nu_weight_array >= j)[0]]
-        dim_m = cur.shape[0]
-        if dim_m != len(target):
-            return False
-        if target and rank(np.concatenate([cur, np.array(target, dtype=np.int16)]), F) != dim_m:
-            return False
-        nxt = [alg.zmul(row, i) for row in cur for i in range(alg.n)]
-        if not nxt:
+    # one functional at a time: batching rows measured no faster, and its
+    # int64 transients raise the peak memory by about 0.5 MB per row
+    perms = [model.right_mul_table(model.generator(i)) for i in range(alg.n)]
+    group = np.arange(alg.order)
+    sel = np.flatnonzero(nu_w <= jmax)
+    for k in sel:
+        e_k = alg.binomial_expansion(group, k[None])[:, 0]  # values on the group basis
+        for i, perm in enumerate(perms):
+            coords = alg.dual_to_monomial((e_k[perm] - e_k) % p)
+            hits = np.flatnonzero((coords != 0) & (nu_w >= nu_w[k]))
+            for c in hits[: _WITNESSES - len(witness)]:
+                witness.append({"k": model.digits_of(int(k)), "generator": i,
+                                "lands_on": model.digits_of(int(c))})
+        if len(witness) >= _WITNESSES:
             break
-        cur, piv = rref(np.array(nxt, dtype=np.int16), F)
-        if cur.shape[0] == 0:
-            cur = np.zeros((0, order), dtype=np.int16)
-    return True
+
+    if witness:
+        return {"ok": False, "jmax": jmax, "witness": witness}
+    counts = np.bincount(nu_w[sel], minlength=jmax + 1)
+    above = counts[::-1].cumsum()[::-1]  # above[j] = #{k : j <= nu'(k) <= jmax}
+    return {"ok": True, "jmax": jmax,
+            "power_dims": [int(v) for v in above[1:]] + [0],
+            "graded_dims": [int(v) for v in counts]}
 
 
 @functools.lru_cache(maxsize=None)

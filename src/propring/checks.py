@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .algebra import group_algebra
+from .algebra import check_maximal_ideal_powers, group_algebra
 from .config import CASES, PrimeConfig
 from .errors import (
     ConfigError,
@@ -30,7 +30,6 @@ from .graded import (
     GradedRing,
     check_central_power_classes,
     check_hilbert,
-    check_ideal_power_spans,
     check_sandwich,
     check_tau_contract,
     default_ideals,
@@ -87,13 +86,7 @@ def _over_corpus(run: Run, N: int, count: int, start_seed: int, fn, keys) -> tup
 
 
 def _chk_ideal_power_spans(run: Run, rng, jmax: int) -> dict:
-    res = check_ideal_power_spans(group_algebra(run.cfg), jmax)
-    return {
-        "ok": res["ok"],
-        "jmax": jmax,
-        "power_dims": [r["dim"] for r in res["powers"]],
-        "graded_dims": res["graded_dims"],
-    }
+    return check_maximal_ideal_powers(group_algebra(run.cfg), jmax)
 
 
 def _chk_quaternion_commutator(run: Run, rng, level: int) -> dict:

@@ -3,7 +3,8 @@ checks built on it: centrality of p-th power classes, Hilbert data, ideal
 specifications with their p^N-twists, the chunk-and-remainder rewriting of
 monomials, and the filtration sandwich.
 
-By the certified description of the maximal ideal powers, the degree-j
+By the certified description of the maximal ideal powers (the reported
+check ideal-power-spans, algebra.check_maximal_ideal_powers), the degree-j
 piece gr^j = m^j/m^(j+1) has the classes of the weight-j monomials z^k as
 a basis, so a homogeneous class is just a coefficient vector over
 {k : nu'(k) = j}.  Products lift to the dense ring, multiply exactly and
@@ -158,10 +159,6 @@ class GradedRing:
         self._gate(degree)
         xa = np.array(x.coords, dtype=np.int16)
         ya = np.array(y.coords, dtype=np.int16)
-        if self.f == 1:
-            return GradedClass(
-                degree, tuple(int(c) for c in self._mul_fp(x.degree, xa, y.degree, ya))
-            )
         F, p = self.field, self.p
         out = np.zeros(self.dim(degree), dtype=np.int16)
         for e1 in range(self.f):
@@ -539,60 +536,6 @@ def check_JN_in_J(gr: GradedRing, spec: IdealSpec, N: int, cutoff: int | None = 
         if not tables.contains(g):
             misses.append(g.degree)
     return {"ideal": spec.name, "N": N, "cutoff": cutoff, "misses": misses, "ok": not misses}
-
-
-def check_ideal_power_spans(alg: GroupAlgebra, jmax: int) -> dict:
-    """Span-computed powers of the maximal ideal against the weighted
-    coordinate subspaces, inside the weight <= jmax quotient space.
-
-    The quotient by span{z^k : nu'(k) > jmax} is legitimate because that
-    span is a two-sided ideal (products only raise weight).  m is built
-    from every augmentation difference [x] - [1], with no reference to the
-    weighted description; each next power uses m^(j+1) = sum_i m^j z_i.
-    Equality with the coordinate subspace is dimension count plus support
-    inclusion; the report also carries the graded dimensions this span
-    chain measures."""
-    if jmax + 1 > alg.pM:
-        raise CutoffBeyondFaithful(f"jmax {jmax} reaches the unfaithful range")
-    F = gf(alg.p, 1)
-    nu_w = alg.nu_weight_array
-    sel = np.nonzero(nu_w <= jmax)[0]
-    width = sel.size
-    weights = nu_w[sel]
-
-    # right multiplication by z_i on quotient coordinates
-    zmats = [alg.monomial_columns(sel, sel, lambda mono, i=i: alg.zmul(mono, i, 1))
-             for i in range(alg.n)]
-
-    # m itself: every [x] - [1], accumulated incrementally
-    basis = np.zeros((0, width), dtype=np.int16)
-    pivots: list[int] = []
-    order = alg.order
-    chunk = 1024
-    id_col = int(np.searchsorted(sel, alg.model.index_of(alg.model.identity)))
-    for start in range(0, order, chunk):
-        rows = alg.binomial_expansion(np.arange(start, min(start + chunk, order)), sel)
-        rows[:, id_col] = (rows[:, id_col] - 1) % alg.p
-        stacked = np.concatenate([basis, rows]) if basis.size else rows
-        basis, pivots = rref(stacked, F)
-
-    expected = [int((weights >= j).sum()) for j in range(jmax + 2)]
-    results = []
-    span_dims = [width]
-    cur, piv = basis, pivots
-    ok = True
-    for j in range(1, jmax + 2):
-        dim_ok = cur.shape[0] == expected[j]
-        support_ok = not cur[:, weights < j].any() if cur.size else True
-        results.append({"j": j, "dim": int(cur.shape[0]), "expected": expected[j],
-                        "equal": bool(dim_ok and support_ok)})
-        ok = ok and dim_ok and support_ok
-        span_dims.append(int(cur.shape[0]))
-        if j <= jmax:
-            nxt = np.concatenate([gflib.matmul(cur, zm.T, F) for zm in zmats])
-            cur, piv = rref(nxt, F)
-    graded = [span_dims[j] - span_dims[j + 1] for j in range(jmax + 1)]
-    return {"jmax": jmax, "powers": results, "graded_dims": graded, "ok": ok}
 
 
 # -- chunk-and-remainder rewriting ----------------------------------------------

@@ -87,14 +87,18 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
         return cfg, digits_from_json(d, cfg)
     if cfg.case == "GL2":
         m = d.get("matrix")
-        if not (isinstance(m, list) and len(m) == 2 and all(len(r) == 2 for r in m)):
+        if not (isinstance(m, list) and len(m) == 2
+                and all(isinstance(r, list) and len(r) == 2 for r in m)):
             raise ConfigError("GL2 element needs a 2x2 matrix")
-        return cfg, model.normalize([m[0][0], m[0][1], m[1][0], m[1][1]])
+        # an entry is an integer or its coordinate list over the ring
+        entries = [_as_int_list(e, "matrix entry") if isinstance(e, list)
+                   else json_int(e, "matrix entry") for row in m for e in row]
+        return cfg, model.normalize(entries)
     a = d.get("a")
     b = d.get("b")
     if a is None or b is None:
         raise ConfigError("QUAT element needs components a and b")
-    return cfg, model.normalize(a, b)
+    return cfg, model.normalize(_as_int_list(a, "a"), _as_int_list(b, "b"))
 
 
 def algebra_element_to_json(alg: GroupAlgebra, comps: list[np.ndarray]) -> list[dict]:
@@ -122,6 +126,8 @@ def algebra_element_from_json(alg: GroupAlgebra, items) -> list[np.ndarray]:
     comps = [alg.zero() for _ in range(f)]
     pM = alg.pM
     for item in items:
+        if not isinstance(item, dict):
+            raise ConfigError("each support item must be an object {digits, coeff}")
         x = _as_int_list(item.get("digits"), "digits")
         if len(x) != alg.n or any(not 0 <= v < pM for v in x):
             raise ConfigError("support digits must be n values in [0, p^M)")
@@ -183,6 +189,8 @@ def ideal_spec_from_json(d: dict, f: int, field: GF) -> IdealSpec:
         raise ConfigError("ideal spec needs an f_gens list")
     gens = []
     for gen in gens_in:
+        if not isinstance(gen, list) or not all(isinstance(t, dict) for t in gen):
+            raise ConfigError("each ideal generator must be a list of {m, n, coeff} terms")
         terms = []
         for t in gen:
             m = _as_int_list(t.get("m"), "a-exponents")

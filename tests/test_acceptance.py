@@ -20,7 +20,6 @@ from propring.config import PrimeConfig
 from propring.gf import gf
 from propring.graded import (
     GradedRing,
-    check_ideal_power_spans,
     check_sandwich,
     default_ideals,
     hilbert_dims,
@@ -32,6 +31,7 @@ from propring.groups import group_model, quaternion_commutator_congruence
 from propring.jsonio import to_jsonable
 from propring.modules import check_exponent_transfer, module_corpus, restriction_determinism
 from propring.padic import zq_ring
+from span_oracle import primal_ideal_power_spans
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CASES = ("GL2", "QUAT")
@@ -56,10 +56,11 @@ def nth_power(alg, x, e):
 
 def test_criterion_01_maxideal_powers_match_weight_subspaces():
     # span-computed powers of the maximal ideal equal the weight subspaces
-    # for every j <= 8, in the weight <= 8 monomial space; both cases
+    # for every j <= 8, in the weight <= 8 monomial space; both cases (the
+    # primal span chain, the oracle of the reported certificate)
     for case in CASES:
         t0 = time.monotonic()
-        out = check_ideal_power_spans(group_algebra(cfg_for(case)), 8)
+        out = primal_ideal_power_spans(group_algebra(cfg_for(case)), 8)
         assert out["ok"], (case, out)
         assert all(row["equal"] for row in out["powers"])
         assert time.monotonic() - t0 < 300, case

@@ -1,6 +1,7 @@
 """Truncated group ring: dense multiplication, the monomial expansion, the
 weight filtration, and the maximal-ideal power certificate."""
 
+import copy
 from math import comb
 
 import numpy as np
@@ -13,6 +14,7 @@ from propring.algebra import check_maximal_ideal_powers, group_algebra
 from propring.config import PrimeConfig
 from propring.errors import CutoffBeyondFaithful
 from propring.graded import hilbert_oracle
+from span_oracle import primal_ideal_power_spans
 
 
 def rand_sparse(alg, rng, support=12):
@@ -162,6 +164,20 @@ def test_property_monomial_matches_zmul_chain(alg, data):
     assert np.array_equal(alg.monomial(k), zmul_chain(alg, k))
 
 
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_property_mul_associative(alg, data):
+    elements = []
+    for _ in range(3):
+        terms = data.draw(st.dictionaries(st.integers(0, alg.order - 1),
+                                          st.integers(1, alg.p - 1), max_size=5))
+        a = alg.zero()
+        a[list(terms)] = list(terms.values())
+        elements.append(a)
+    a, b, c = elements
+    assert np.array_equal(alg.mul(alg.mul(a, b), c), alg.mul(a, alg.mul(b, c)))
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_pascal_pair_inverse(p):
     P, Q = algebra._pascal_pair(p)
@@ -213,9 +229,14 @@ def test_nu_faithful_rejects_vanishing(alg):
         alg.nu_faithful(alg.zero())
 
 
+def weight_counts(alg, jmax):
+    """#{k : nu'(k) = j} for j = 0..jmax, read off the weight array."""
+    return np.bincount(alg.nu_weight_array)[: jmax + 1].tolist()
+
+
 def test_hilbert_counts_frozen(alg):
-    assert alg.hilbert_counts(6) == [1, 2, 4, 6, 9, 12, 16]
-    assert alg.hilbert_counts(6) == hilbert_oracle(6, 1, False)
+    assert weight_counts(alg, 6) == [1, 2, 4, 6, 9, 12, 16]
+    assert weight_counts(alg, 6) == hilbert_oracle(6, 1, False)
 
 
 def test_sparse_expansion_matches_dense(alg, rng):
@@ -232,13 +253,48 @@ def test_sparse_expansion_matches_dense(alg, rng):
 
 def test_maxideal_powers_certificate(alg):
     cert = check_maximal_ideal_powers(alg, jmax=6)
-    assert cert.ok
-    assert cert.violations == []
-    assert cert.functionals_checked > 0
-    assert "certified" in cert.summary()
+    assert cert == {"ok": True, "jmax": 6, "power_dims": [49, 47, 43, 37, 28, 16, 0],
+                    "graded_dims": [1, 2, 4, 6, 9, 12, 16]}
+    with pytest.raises(CutoffBeyondFaithful):
+        check_maximal_ideal_powers(alg, alg.pM)
 
 
 @pytest.mark.parametrize("p,f,T", [(5, 2, 3), (7, 1, 4)])
 def test_hilbert_counts_other_parameters(p, f, T):
     alg = group_algebra(PrimeConfig(p, f, 1, "GL2"))
-    assert alg.hilbert_counts(T) == hilbert_oracle(T, f, False)
+    assert weight_counts(alg, T) == hilbert_oracle(T, f, False)
+
+
+@pytest.mark.parametrize("M,jmax", [(1, 4), (2, 8)])
+def test_certificate_dims_match_primal_oracle(case, M, jmax):
+    alg = group_algebra(PrimeConfig(5, 1, M, case))
+    cert = check_maximal_ideal_powers(alg, jmax)
+    primal = primal_ideal_power_spans(alg, jmax)
+    assert cert["ok"] and primal["ok"]
+    assert cert["power_dims"] == [r["dim"] for r in primal["powers"]]
+    assert cert["graded_dims"] == primal["graded_dims"]
+
+
+def faulty_algebra(model, gen, swap):
+    """A fresh algebra over a copy of model whose right-multiplication table
+    of generator gen has the entries at the two indices of swap exchanged;
+    the cached model is left untouched."""
+    faulty = copy.copy(model)
+    table = model.right_mul_table(model.generator(gen)).copy()
+    table[list(swap)] = table[list(swap[::-1])]
+    faulty._tables = {**model._tables, model.generator(gen): table}
+    faulty._powers = None
+    return algebra.GroupAlgebra(faulty)
+
+
+def test_certificate_catches_planted_table_fault(alg):
+    # the primal chain works in the quotient by weights above jmax, which
+    # hides this fault; the dual sweep sees it
+    m = alg.model
+    bad = faulty_algebra(m, 2, (m.index_of((0, 0, 7)), m.index_of((0, 0, 24))))
+    cert = check_maximal_ideal_powers(bad, 8)
+    assert not cert["ok"] and "power_dims" not in cert
+    assert len(cert["witness"]) == 10
+    assert cert["witness"][0] == {"k": (0, 0, 1), "generator": 2, "lands_on": (0, 0, 7)}
+    assert primal_ideal_power_spans(bad, 8)["ok"]
+    assert check_maximal_ideal_powers(alg, 8)["ok"]

@@ -126,6 +126,16 @@ def test_shipped_scenarios_parse(path):
     parse_scenario(json.loads(path.read_text()))
 
 
+def test_every_registered_check_is_reported():
+    # each registered check runs in at least one shipped scenario, so none
+    # is tested without ever reaching a report
+    reported = set()
+    for path in (ROOT / "scenarios").glob("*.json"):
+        for item in json.loads(path.read_text())["checks"]:
+            reported.add(item if isinstance(item, str) else item["check"])
+    assert set(checks.REGISTRY) <= reported, sorted(set(checks.REGISTRY) - reported)
+
+
 def test_corpus_checks_share_one_corpus(monkeypatch):
     corpus_calls, cuts = [], []
 

