@@ -79,6 +79,7 @@ class GroupModel:
         self._decomposed: dict[object, Digits] = {}
         self._tables: dict[Digits, np.ndarray] = {}  # generator tables only
         self._powers: np.ndarray | None = None
+        self._pc: tuple | None = None
         self._strides = tuple(self.pM ** (self.n - 1 - i) for i in range(self.n))
 
     # -- digit bookkeeping -------------------------------------------------
@@ -204,6 +205,30 @@ class GroupModel:
                     R[i, e] = g[R[i, e - 1]]
             self._powers = R
         return self._powers
+
+    def pc_relations(self) -> tuple[tuple[tuple[int, int], tuple[int, int], Digits], ...]:
+        """Conjugation relations of a polycyclic presentation from Lazard's
+        ordered basis, memoized.  The pc generators are u_(i,k) = g_i^(p^k),
+        k < M, ordered by (omega(g_i) + k, i, k).  The entry ((i, k), (j, l),
+        W) for u_a = u_(i,k) before u_b = u_(j,l) reads u_b u_a = u_a u_b W,
+        and every letter of W (each (i', k') whose base-p digit k' of W_i' is
+        nonzero) comes after u_b."""
+        if self._pc is None:
+            p, M = self.p, self.M
+            gens = sorted(((i, k) for i in range(self.n) for k in range(M)),
+                          key=lambda g: (self.two_omega[g[0]] + 2 * g[1], g))
+            u = {(i, k): tuple(p**k * c for c in self.generator(i)) for i, k in gens}
+            rels = []
+            for r, a in enumerate(gens):
+                for s, b in enumerate(gens[r + 1:], r + 1):
+                    w = self.mul(self.inv(self.mul(u[a], u[b])), self.mul(u[b], u[a]))
+                    letters = {(i, k) for i, c in enumerate(w) for k in range(M) if c // p**k % p}
+                    if not letters <= set(gens[s + 1:]):
+                        # raised, not asserted: exact module validation rests on it
+                        raise AssertionError(f"pc condition fails for {a}, {b}: W = {w}")
+                    rels.append((a, b, w))
+            self._pc = tuple(rels)
+        return self._pc
 
     def random_element(self, rng) -> Digits:
         return tuple(int(rng.integers(self.pM)) for _ in range(self.n))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .algebra import GroupAlgebra
 from .config import PrimeConfig
-from .errors import ConfigError
+from .errors import ConfigError, NotInGroup, RelationCheckFailed
 from .gf import GF, gf
 from .graded import IdealSpec, ideal_spec
 
@@ -91,14 +91,16 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
                 and all(isinstance(r, list) and len(r) == 2 for r in m)):
             raise ConfigError("GL2 element needs a 2x2 matrix")
         # an entry is an integer or its coordinate list over the ring
-        entries = [_as_int_list(e, "matrix entry") if isinstance(e, list)
-                   else json_int(e, "matrix entry") for row in m for e in row]
-        return cfg, model.normalize(entries)
-    a = d.get("a")
-    b = d.get("b")
-    if a is None or b is None:
-        raise ConfigError("QUAT element needs components a and b")
-    return cfg, model.normalize(_as_int_list(a, "a"), _as_int_list(b, "b"))
+        args = ([_as_int_list(e, "matrix entry") if isinstance(e, list)
+                 else json_int(e, "matrix entry") for row in m for e in row],)
+    else:
+        if d.get("a") is None or d.get("b") is None:
+            raise ConfigError("QUAT element needs components a and b")
+        args = (_as_int_list(d["a"], "a"), _as_int_list(d["b"], "b"))
+    try:
+        return cfg, model.normalize(*args)
+    except NotInGroup as e:
+        raise ConfigError(f"element is not in the group: {e}") from None
 
 
 def algebra_element_to_json(alg: GroupAlgebra, comps: list[np.ndarray]) -> list[dict]:
@@ -255,7 +257,10 @@ def module_from_json(d: dict, case: str | None = None):
         raise ConfigError(f"module is missing {e.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad module value: {e}") from None
-    return build_module(cfg, "explicit", matrices=mats)
+    try:
+        return build_module(cfg, "explicit", matrices=mats)
+    except RelationCheckFailed as e:
+        raise ConfigError(f"module is not a representation: {e}") from None
 
 
 def to_jsonable(obj):

@@ -6,7 +6,9 @@ inequalities between the gradings.
 A module is a left action: rho assigns an invertible matrix to each of the
 3f ordered-basis generators, and rho(x) for a digit vector x is the ordered
 product of generator powers.  Multiplicativity of that assignment is a
-checked invariant, not an assumption.
+checked invariant, not an assumption: every module is built through
+check_multiplicative, which proves it exactly on the relations of a
+polycyclic presentation of the truncated group.
 
 Ideal generators act through ring lifts.  A twisted generator (all exponents
 divisible by p^N) is a polynomial in the p^N-th power actions rho(g)^(p^N):
@@ -73,43 +75,32 @@ class FiniteModule:
         return [self.power_of(i, q) for i in range(len(self.gen_action))]
 
 
-def _check_orders(mod: FiniteModule) -> None:
-    pM = mod.cfg.p**mod.cfg.M
+def check_multiplicative(mod: FiniteModule) -> int:
+    """rho is a representation of the truncated group G, checked on the
+    polycyclic presentation of GroupModel.pc_relations.  With
+    rho(u_(i,k)) := rho(g_i)^(p^k), the power relations u_(i,k)^p =
+    u_(i,k+1) and u_(i,M-1)^p = 1 say that rho(g_i) has order dividing
+    p^M, and each u_b u_a = u_a u_b W must hold as rho(u_b) rho(u_a) =
+    rho(u_a) rho(u_b) rho(W).  Exact: each generator adds at most a factor
+    p, so the presented group has order at most p^(nM) = |G|; G satisfies
+    the relations and is generated by the u's, so it is the presented
+    group and element_action is a homomorphism.  Returns the number of
+    conjugation relations; raises with the failing one as witness."""
+    p, field = mod.cfg.p, mod.field
     for i in range(len(mod.gen_action)):
-        if not np.array_equal(mod.power_of(i, pM), mod.identity_matrix()):
+        if not np.array_equal(mod.power_of(i, p**mod.cfg.M), mod.identity_matrix()):
+            raise RelationCheckFailed(f"rho(g_{i})^(p^M) is not the identity", witness=i)
+    rels = group_model(mod.cfg).pc_relations()
+    for (i, k), (j, l), w in rels:
+        ua, ub = mod.power_of(i, p**k), mod.power_of(j, p**l)
+        rhs = gflib.matmul(gflib.matmul(ua, ub, field), mod.element_action(w), field)
+        if not np.array_equal(gflib.matmul(ub, ua, field), rhs):
             raise RelationCheckFailed(
-                f"generator {i} does not have order dividing p^M", witness=i
+                f"action violates u_b u_a = u_a u_b W for u_a = g_{i}^(p^{k}), "
+                f"u_b = g_{j}^(p^{l}), W = {list(w)}",
+                witness={"a": (i, k), "b": (j, l), "w": w},
             )
-
-
-def check_multiplicative(mod: FiniteModule, rng=None, pairs: int = 512) -> int:
-    """rho(x) rho(y) = rho(x y) on digit pairs; exhaustive at M = 1, sampled
-    above.  Returns the number of pairs verified, raises with a witness."""
-    model = group_model(mod.cfg)
-    field = mod.field
-    if mod.cfg.M == 1:
-        todo = itertools.product(list(model.all_elements()), repeat=2)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        todo = (
-            (model.random_element(rng), model.random_element(rng))
-            for _ in range(pairs)
-        )
-    cache: dict[Digits, np.ndarray] = {}
-
-    def act(x):
-        if x not in cache:
-            cache[x] = mod.element_action(x)
-        return cache[x]
-
-    checked = 0
-    for x, y in todo:
-        lhs = gflib.matmul(act(x), act(y), field)
-        if not np.array_equal(lhs, act(model.mul(x, y))):
-            raise RelationCheckFailed("action is not multiplicative", witness=(x, y))
-        checked += 1
-    return checked
+    return len(rels)
 
 
 def trivial_module(cfg: PrimeConfig) -> FiniteModule:
@@ -224,10 +215,10 @@ def deep_line_module(cfg: PrimeConfig) -> FiniteModule:
 
 
 def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
-                 matrices=None, jcut: int = 6, check_pairs: int = 512,
+                 matrices=None, jcut: int = 6,
                  base: FiniteModule | None = None) -> FiniteModule:
-    """Construct and validate a module.  Validation always runs the order
-    check and the multiplicativity check (exhaustive at M = 1)."""
+    """Construct a module and validate it with check_multiplicative, which
+    proves that it is a representation of the truncated group."""
     if source == "trivial":
         mod = trivial_module(cfg)
     elif source == "regular":
@@ -256,8 +247,7 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
         mod = FiniteModule(cfg, dim, mats, "loaded")
     else:
         raise ConfigError(f"unknown module source {source!r}")
-    _check_orders(mod)
-    check_multiplicative(mod, np.random.default_rng(seed ^ 0x5EED), pairs=check_pairs)
+    check_multiplicative(mod)
     return mod
 
 
@@ -345,13 +335,11 @@ class GradedModule:
         ]
 
 
-def _aug_ops(mod: FiniteModule, power: int = 1) -> list[np.ndarray]:
-    """The operators rho(g_i)^power - 1."""
+def _aug_ops(mod: FiniteModule) -> list[np.ndarray]:
+    """The operators rho(g_i) - 1."""
     field = mod.field
     neg_eye = field.mul[int(field.neg[1]), mod.identity_matrix()]
-    return [
-        field.add[mod.power_of(i, power), neg_eye] for i in range(len(mod.gen_action))
-    ]
+    return [field.add[g, neg_eye] for g in mod.gen_action]
 
 
 def _radical_chain(mod: FiniteModule):
@@ -430,23 +418,13 @@ def grade(mod: FiniteModule, kind: str, N: int | None = None) -> GradedModule:
         raise LevelTooDeep(f"need 1 <= N < M, got N={N} at M={mod.cfg.M}")
     if kind == "int":
         full, fpiv = _radical_chain(mod)
-        q = mod.cfg.p**N
-        chain, piv = [], []
-        i = 0
-        while True:
-            j = min(i * q, len(full) - 1)
-            chain.append(full[j])
-            piv.append(fpiv[j])
-            if chain[-1].shape[0] == 0:
-                break
-            i += 1
-        return GradedModule("int", N, mod.dim, field, mod.cfg, chain, piv, mod)
+        # only the last step of the radical chain is zero
+        steps = [*range(0, len(full) - 1, mod.cfg.p**N), len(full) - 1]
+        return GradedModule("int", N, mod.dim, field, mod.cfg, [full[j] for j in steps],
+                            [fpiv[j] for j in steps], mod)
     if kind == "res":
-        qmats = mod.restriction_matrices(N)
-        top = mod.cfg.p ** (mod.cfg.M - N)
-        weights = group_model(mod.cfg).two_omega
-        chain, piv = _restriction_chain(qmats, field, top, weights)
-        return GradedModule("res", N, mod.dim, field, mod.cfg, chain, piv, mod)
+        gm = grade_res_from_restriction(mod.restriction_matrices(N), mod.cfg, N)
+        return dataclasses.replace(gm, module=mod)
     raise ConfigError(f"unknown grading kind {kind!r}")
 
 
@@ -485,29 +463,21 @@ def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
     source is either a FiniteModule or a list of p^N-th power generator
     matrices; the latter is accepted exactly when the spec is twisted, so
     the operators provably use restriction data only."""
-    if isinstance(source, FiniteModule):
-        dim = source.dim
-
-        def powers(i: int, e: int) -> np.ndarray:
-            return source.power_of(i, e)
-    else:
-        if not isinstance(spec, IdealSpecN):
-            raise ConfigError("restriction data can only act through a twisted spec")
-        mats = list(source)
-        dim = mats[0].shape[0]
-        eye = np.eye(dim, dtype=np.int16)
-
-        def powers(i: int, e: int) -> np.ndarray:
-            return mats[i] if e else eye
-
     unit = p**spec.N if isinstance(spec, IdealSpecN) else 1
+    if isinstance(source, FiniteModule):
+        mats = [source.power_of(i, unit) for i in range(len(source.gen_action))]
+    elif isinstance(spec, IdealSpecN):
+        mats = list(source)
+    else:
+        raise ConfigError("restriction data can only act through a twisted spec")
+    dim = mats[0].shape[0]
     neg_eye = field.mul[int(field.neg[1]), np.eye(dim, dtype=np.int16)]
 
     def aug_power(i: int, e: int) -> np.ndarray:
         # (rho(g_i) - 1)^e computed as (rho(g_i)^unit - 1)^(e/unit)
         if e % unit:
             raise ConfigError("twisted exponents must be divisible by p^N")
-        z = field.add[powers(i, unit), neg_eye]
+        z = field.add[mats[i], neg_eye]
         cur = np.eye(dim, dtype=np.int16)
         for _ in range(e // unit):
             cur = gflib.matmul(cur, z, field)
@@ -738,7 +708,7 @@ def restriction_determinism(mod: FiniteModule, spec: IdealSpec, N: int, rng,
     ]
     twisted = _central_order_p_twist(mod, N)
     if twisted is not None:
-        check_multiplicative(twisted, rng, pairs=64)
+        check_multiplicative(twisted)
         same_restriction = all(
             np.array_equal(a, b)
             for a, b in zip(

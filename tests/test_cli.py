@@ -86,9 +86,12 @@ def test_module_exponent_trivial(tmp_path, capsys):
     from propring.modules import trivial_module
 
     path = write(tmp_path, "m.json", module_to_json(trivial_module(PrimeConfig(*GL2.values()))))
-    for extra in ([], ["--grading", "int", "--level-n", "1"],
-                  ["--grading", "res", "--level-n", "1"]):
-        code, out = run(capsys, ["module-exponent", "--in", path, "--ideal", "c"] + extra)
+    # the benchmark's probe input: a group of order 5^6, 15 relations to check
+    probe = write(tmp_path, "probe.json", {"dim": 1, "field": {"p": 5, "f": 2}, "level": 1,
+                                           "generators": [[[1]]] * 6, "case": "GL2"})
+    for argv in ([path], [path, "--grading", "int", "--level-n", "1"],
+                 [path, "--grading", "res", "--level-n", "1"], [probe, "--grading", "gr"]):
+        code, out = run(capsys, ["module-exponent", "--ideal", "c", "--in"] + argv)
         assert code == 0
         assert json.loads(out)["exponent"] == 1
 
@@ -194,6 +197,13 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     bool_entry = write(tmp_path, "z.json", {**GL2, "matrix": [[True, 0], [0, 1]]})
     quat_str = write(tmp_path, "q.json", {**GL2, "case": "QUAT", "a": ["x"], "b": [0]})
     int_term = write(tmp_path, "k.json", {"f_gens": [[1]]})
+    gl2_outside = write(tmp_path, "o.json", {**GL2, "matrix": [[2, 0], [0, 1]]})
+    quat_outside = write(tmp_path, "r.json", {**GL2, "case": "QUAT", "a": [2, 0], "b": [0, 0]})
+    # every generator has order p; with C trivial the relations force A and
+    # B to commute, and these two do not
+    unipotent = dict(module, field={"p": 5, "f": 1}, dim=2,
+                     generators=[[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 1]]])
+    no_rep = write(tmp_path, "v.json", unipotent)
     for argv in (["nu", "--in", support_int], ["expand", "--in", support_int],
                  ["decompose", "--in", str_entry], ["decompose", "--in", float_entry],
                  ["decompose", "--in", bool_entry], ["decompose", "--in", quat_str],
@@ -204,7 +214,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["nu", "--in", bool_digit],
                  ["module-exponent", "--in", bool_level], ["verify", bool_seed],
                  ["module-exponent", "--in", good, "--ideal", str(torn_ideal)],
-                 ["module-exponent", "--in", good, "--grading", "int", "--level-n", "5"]):
+                 ["module-exponent", "--in", good, "--grading", "int", "--level-n", "5"],
+                 ["decompose", "--in", gl2_outside], ["decompose", "--in", quat_outside],
+                 ["module-exponent", "--in", no_rep]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""

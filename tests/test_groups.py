@@ -194,3 +194,31 @@ def test_other_parameters_roundtrip(p, f, case):
         assert m.decompose(m.realize(x)) == x
         assert m.mul(x, m.inv(x)) == m.identity
         assert tw(m, m.commutator(x, y)) >= min(tw(m, x) + tw(m, y), INF)
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", ((5, 1, 1), (5, 1, 2), (5, 2, 1), (7, 1, 2)))
+def test_pc_relations(case, pfm):
+    p, f, M = pfm
+    model = group_model(PrimeConfig(p, f, M, case))
+    rels = model.pc_relations()
+    m = 3 * f * M
+    assert len(rels) == m * (m - 1) // 2
+    assert model.pc_relations() is rels
+    order = sorted(((i, k) for i in range(3 * f) for k in range(M)),
+                   key=lambda g: (model.two_omega[g[0]] + 2 * g[1], g[0], g[1]))
+    rank = {g: r for r, g in enumerate(order)}
+    assert [(a, b) for a, b, _ in rels] == [
+        (a, b) for r, a in enumerate(order) for b in order[r + 1:]]
+
+    def u(g):
+        return model.power(model.generator(g[0]), p ** g[1])
+
+    for a, b, w in rels:
+        # the pc condition: every letter of W comes after u_b
+        for i, c in enumerate(w):
+            for k in range(M):
+                if (c // p**k) % p:
+                    assert rank[(i, k)] > rank[b], (a, b, w)
+        # the relation u_b u_a = u_a u_b W holds in the group
+        assert model.mul(u(b), u(a)) == model.mul(model.mul(u(a), u(b)), w)

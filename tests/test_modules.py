@@ -8,8 +8,10 @@ from propring.config import PrimeConfig
 from propring.errors import ConfigError, LevelTooDeep, RelationCheckFailed
 from propring.gf import gf, matmul
 from propring.graded import build_JN, default_ideals
+from propring.groups import group_model
 from propring.modules import (
     FiniteModule,
+    _conjugate,
     build_module,
     check_exponent_transfer,
     check_multiplicative,
@@ -26,6 +28,8 @@ from propring.modules import (
     trivial_module,
     weight_quotient_module,
 )
+
+from pair_oracle import first_unpaired
 
 F5 = gf(5, 1)
 IDEALS = default_ideals(1, F5)
@@ -96,14 +100,14 @@ def test_deep_module_frozen_exponents(deep):
         }
 
 
-def test_quotient_corpus(cfg, rng):
+def test_quotient_corpus(cfg):
     mods = module_corpus(cfg, count=8)
     assert len(mods) == 10
     assert mods[0].provenance.startswith("trivial")
     assert mods[1].provenance.startswith("deep")
     for mod in mods:
         assert 1 <= mod.dim <= 40
-        check_multiplicative(mod, rng, pairs=256)
+        check_multiplicative(mod)
 
 
 def test_grading_chains_are_filtrations(deep):
@@ -135,7 +139,7 @@ def test_multiplicativity_catches_corruption():
         provenance="corrupted",
     )
     with pytest.raises(RelationCheckFailed):
-        check_multiplicative(broken, np.random.default_rng(0), pairs=64)
+        check_multiplicative(broken)
 
 
 def test_build_module_explicit_roundtrip(cfg, rng):
@@ -194,3 +198,37 @@ def test_equivariant_self_maps_contain_identity(cfg):
     from propring.gf import rank
 
     assert rank(stack, F5) == rank(np.vstack([stack, eye]), F5)
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_relation_check_agrees_with_pair_oracle(case):
+    cfg = PrimeConfig(5, 1, 1, case)
+    mods = [weight_quotient_module(cfg, j) for j in range(2, 6)]
+    mods += module_corpus(cfg, count=4, jcuts=(4, 5))
+    for mod in mods:
+        assert check_multiplicative(mod) == 3, mod.provenance
+        assert first_unpaired(mod) is None, mod.provenance
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_planted_faults_rejected_by_relations_and_pairs(case):
+    cfg = PrimeConfig(5, 1, 1, case)
+    mod = weight_quotient_module(cfg, 5)
+    a, b, c = mod.gen_action
+    faults = {
+        "identity for g_0": (mod.identity_matrix(), b, c),
+        "A and B swapped": (b, a, c),
+        "C conjugated alone": (a, b, _conjugate(mod, np.random.default_rng(7)).gen_action[2]),
+    }
+    rels = {(r[0], r[1]): r[2] for r in group_model(cfg).pc_relations()}
+    for name, mats in faults.items():
+        bad = FiniteModule(cfg, mod.dim, mats, name)
+        # every generator keeps its order, so only a conjugation relation fails
+        for i in range(3):
+            assert np.array_equal(bad.power_of(i, 5), bad.identity_matrix()), name
+        with pytest.raises(RelationCheckFailed) as err:
+            check_multiplicative(bad)
+        w = err.value.witness
+        assert rels[w["a"], w["b"]] == w["w"], name
+        assert f"W = {list(w['w'])}" in str(err.value), name
+        assert first_unpaired(bad) is not None, name
