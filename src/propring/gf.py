@@ -169,41 +169,42 @@ def irreducible_lift(p: int, deg: int) -> tuple[int, ...]:
 
 
 class GF:
-    """F_{p^f} with precomputed operation tables on integer indices."""
+    """F_{p^f} with precomputed operation tables on integer indices.  The
+    root of the primitive lift generates the multiplicative group, so the
+    multiplicative tables are read off its discrete-log table."""
 
     def __init__(self, p: int, f: int):
         self.p = p
         self.f = f
         self.q = q = p**f
         self.poly = irreducible_lift(p, f)
-        # multiplication table via polynomial arithmetic
-        add = np.zeros((q, q), dtype=np.int16)
-        mul = np.zeros((q, q), dtype=np.int16)
-        coords = [self.coords(i) for i in range(q)]
+        weights = p ** np.arange(f)
+        digits = np.arange(q)[:, None] // weights % p  # digits[a, j]: coordinate j of a
+        self.neg = (-digits % p @ weights).astype(np.int16)
+        # antilog[k] = gen^k, stepping by x: shift up, reduce x^f by the monic poly
+        antilog = np.zeros(q - 1, dtype=np.int16)
+        c = np.zeros(f, dtype=np.int64)
+        c[0] = 1
+        low = np.array(self.poly[:f], dtype=np.int64)
+        for k in range(q - 1):
+            antilog[k] = c @ weights
+            c = (np.concatenate(([0], c[:-1])) - c[-1] * low) % p
+        if (antilog[1:] <= 1).any():  # x^k is 0 or 1 before k = q - 1
+            raise ConfigError(f"the root of the lift for p={p}, f={f} is not primitive")
+        log = np.zeros(q, dtype=np.int64)
+        log[antilog] = np.arange(q - 1)
+        # row by row: q x q temporaries, freed early, raised the peak RSS of later work
+        self.add = np.zeros((q, q), dtype=np.int16)
+        self.mul = np.zeros((q, q), dtype=np.int16)
         for a in range(q):
-            ca = coords[a]
-            for b in range(a, q):
-                cb = coords[b]
-                s = [(x + y) % p for x, y in zip(ca, cb)]
-                add[a, b] = add[b, a] = self.index(s)
-                m = _polmod(_polmul(list(ca), list(cb), p), list(self.poly), p)
-                m += [0] * (f - len(m))
-                mul[a, b] = mul[b, a] = self.index(m)
-        self.add = add
-        self.mul = mul
-        neg = np.zeros(q, dtype=np.int16)
-        for a in range(q):
-            neg[a] = self.index([(-c) % p for c in coords[a]])
-        self.neg = neg
-        inv = np.zeros(q, dtype=np.int16)
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
-        self.inv = inv
-        frob = np.zeros(q, dtype=np.int16)
-        for a in range(q):
-            frob[a] = self.pow(a, p)
-        self.frob = frob  # x -> x^p
+            self.add[a] = (digits[a] + digits) % p @ weights
+            if a:
+                self.mul[a, 1:] = antilog[(log[a] + log[1:]) % (q - 1)]
+        nonzero = np.arange(1, q)
+        self.inv = np.zeros(q, dtype=np.int16)
+        self.inv[nonzero] = antilog[-log[nonzero] % (q - 1)]
+        self.frob = np.zeros(q, dtype=np.int16)  # x -> x^p
+        self.frob[nonzero] = antilog[p * log[nonzero] % (q - 1)]
 
     def coords(self, idx: int) -> tuple[int, ...]:
         out = []
@@ -320,38 +321,3 @@ def mat_inverse(a: np.ndarray, field: GF) -> np.ndarray:
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
     return red[:, n:].copy()
-
-
-class ColumnSolver:
-    """Solver for A x = v where A has the given full-rank columns over F_q.
-
-    Row-reduces [A^T | I] once; solving a target is then a single reduction
-    pass.  Columns that are linearly dependent are rejected up front.
-    """
-
-    def __init__(self, cols, field: GF):
-        self.field = field
-        cols = [np.asarray(c, dtype=np.int16) for c in cols]
-        self.n = len(cols[0])
-        self.k = len(cols)
-        aug = np.zeros((self.k, self.n + self.k), dtype=np.int16)
-        for j, c in enumerate(cols):
-            aug[j, : self.n] = c
-            aug[j, self.n + j] = 1
-        red, piv = rref(aug, field)
-        if any(c >= self.n for c in piv) or len(piv) != self.k:
-            raise ValueError("columns are linearly dependent")
-        self._red = red
-        self._piv = piv
-
-    def solve(self, v):
-        field = self.field
-        add, mul, neg = field.add, field.mul, field.neg
-        r = np.zeros(self.n + self.k, dtype=np.int16)
-        r[: self.n] = np.asarray(v, dtype=np.int16)
-        for row, c in zip(self._red, self._piv):
-            if r[c]:
-                r = add[r, mul[neg[r[c]], row]]
-        if r[: self.n].any():
-            return None
-        return neg[r[self.n :]]

@@ -12,7 +12,9 @@ digit vector x in [0, p^M)^(3f).  All group operations run through exact
 matrix or quaternion arithmetic at coefficient level p^(M+1): the guard
 digit is what makes the top coordinate of every element recoverable, so
 multiplication of cosets is computed exactly and no floating or symbolic
-approximation appears anywhere.
+approximation appears anywhere.  Single elements go through the ring and
+quaternion objects of padic; generator tables run the same arithmetic and
+the same checks on int64 arrays holding every element of the group at once.
 
 Case GL2: upper-triangular-unipotent-mod-p matrices over the unramified
 degree-f ring, taken modulo the center.  Canonical coset representatives
@@ -45,7 +47,6 @@ import numpy as np
 
 from .config import PrimeConfig
 from .errors import ConfigError, NonConvergent, NotInGroup
-from .gf import ColumnSolver
 from .padic import Quaternion, quat_context, zq_ring
 
 Digits = tuple[int, ...]
@@ -75,8 +76,6 @@ class GroupModel:
         self.identity: Digits = (0,) * self.n
         # doubled valuations of the generators: 1 for A and B, 2 for C
         self.two_omega = tuple(1 if i < 2 * f else 2 for i in range(self.n))
-        self._realized: dict[Digits, object] = {}
-        self._decomposed: dict[object, Digits] = {}
         self._tables: dict[Digits, np.ndarray] = {}  # generator tables only
         self._powers: np.ndarray | None = None
         self._pc: tuple | None = None
@@ -119,20 +118,47 @@ class GroupModel:
 
     # -- group operations --------------------------------------------------
 
-    def realize(self, x: Digits):
-        r = self._realized.get(x)
-        if r is None:
-            r = self._realize(x)
-            self._realized[x] = r
-        return r
+    @functools.cached_property
+    def _gen_powers(self) -> list[list]:
+        """g_i^e for e < p^M, per generator, as concrete elements: the one
+        source of generator powers for realize and for the batch path."""
+        out = []
+        for g in self._gens:
+            pw = [self._one, g]
+            for _ in range(2, self.pM):
+                pw.append(self._mul(pw[-1], g))
+            out.append(pw)
+        return out
 
-    def decompose(self, concrete) -> Digits:
-        key = self._key(concrete)
-        d = self._decomposed.get(key)
-        if d is None:
-            d = self._decompose(concrete)
-            self._decomposed[key] = d
-        return d
+    @functools.cached_property
+    def _gen_power_array(self) -> np.ndarray:
+        """_gen_powers as one (n, p^M, parts, deg) int64 array."""
+        return np.array([[self._key(c) for c in pw] for pw in self._gen_powers],
+                        dtype=np.int64)
+
+    def realize(self, x: Digits):
+        """The concrete element g_0^(x_0) ... g_(n-1)^(x_(n-1))."""
+        out = self._one
+        for pw, e in zip(self._gen_powers, x):
+            if e:
+                out = pw[e] if out is self._one else self._mul(out, pw[e])
+        return out
+
+    def realize_array(self, xs: np.ndarray) -> np.ndarray:
+        """realize on a (batch, n) digit array: a (batch, parts, deg) array."""
+        P = self._gen_power_array
+        out = P[0][xs[:, 0]]
+        for i in range(1, self.n):
+            out = self._mul_array(out, P[i][xs[:, i]])
+        return out
+
+    def decompose(self, concrete):
+        """Digits of one concrete element, or a (batch, n) digit array for a
+        (batch, parts, deg) array of them.  Both paths make the same checks
+        in the same order and raise the same NotInGroup messages."""
+        if isinstance(concrete, np.ndarray):
+            return self._decompose_array(concrete)
+        return self._decompose(concrete)
 
     def mul(self, x: Digits, y: Digits) -> Digits:
         return self.decompose(self._mul(self.realize(x), self.realize(y)))
@@ -172,10 +198,10 @@ class GroupModel:
     def right_mul_table(self, h: Digits) -> np.ndarray:
         """Permutation of element indices given by right multiplication.
 
-        Generator tables are built from group arithmetic and memoized;
-        any other h is composed, uncached, from the power tables along its
-        digit word, since x h = ((x g_1^(h_1)) g_2^(h_2)) ... matches the
-        basis order."""
+        Generator tables are built in one batched pass (realize every
+        element, multiply by g_i, decompose) and memoized; any other h is
+        composed, uncached, from the power tables along its digit word,
+        since x h = ((x g_1^(h_1)) g_2^(h_2)) ... matches the basis order."""
         h = self.check_digits(h)
         if sum(h) != 1:
             powers = self.power_tables()
@@ -186,10 +212,9 @@ class GroupModel:
             return t
         t = self._tables.get(h)
         if t is None:
-            rh = self.realize(h)
-            t = np.empty(self.order, dtype=np.int32)
-            for idx, x in enumerate(self.all_elements()):
-                t[idx] = self.index_of(self.decompose(self._mul(self.realize(x), rh)))
+            xs = np.indices((self.pM,) * self.n).reshape(self.n, -1).T
+            ys = self._mul_array(self.realize_array(xs), self._gen_power_array[h.index(1), 1])
+            t = (self.decompose(ys) @ np.array(self._strides)).astype(np.int32)
             self._tables[h] = t
         return t
 
@@ -260,21 +285,26 @@ class GroupModel:
                 return x, y, w
         raise NonConvergent("no commutator witness with small enough residual")
 
-    # -- to be provided per case -------------------------------------------
-
-    def _realize(self, x: Digits):
-        raise NotImplementedError
+    # -- to be provided per case: _one and _gens (concrete identity and
+    # generators), and the methods below ----------------------------------
 
     def _decompose(self, concrete) -> Digits:
         raise NotImplementedError
 
+    def _decompose_array(self, arr: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def _mul(self, a, b):
+        raise NotImplementedError
+
+    def _mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _inv(self, a):
         raise NotImplementedError
 
     def _key(self, concrete):
+        """The coordinate tuples of a concrete element, parts by deg."""
         raise NotImplementedError
 
     def _witness_pair(self, i: int) -> tuple[Digits, Digits]:
@@ -287,11 +317,16 @@ class GL2Model(GroupModel):
         self.ring = zq_ring(p, f, M + 1)
         R = self.ring
         tb = R.teich_basis
-        self._tb = tb
-        self._tdiag = [R.one + p * tb[i] for i in range(f)]  # 1 + p[a^i]
-        self._tdiag_inv = [R.inv(t) for t in self._tdiag]
+        tdiag = [R.one + p * t for t in tb]  # 1 + p[a^i]
+        self._tdiag_inv = [R.inv(t) for t in tdiag]
+        self._one = (R.one, R.zero, R.zero, R.one)
+        # U([a^i]), L(p[a^i]) and D(1 + p[a^i]) = diag(t, t^-1)
+        self._gens = ([(R.one, t, R.zero, R.one) for t in tb]
+                      + [(R.one, R.zero, p * t, R.one) for t in tb]
+                      + [(t, R.zero, R.zero, ti) for t, ti in zip(tdiag, self._tdiag_inv)])
 
-    # concrete elements are 4-tuples (a, b, c, d) of ring elements, det 1
+    # concrete elements are 4-tuples (a, b, c, d) of ring elements, det 1;
+    # arrays have shape (..., 4, f)
 
     def _key(self, m):
         return (m[0].vec, m[1].vec, m[2].vec, m[3].vec)
@@ -301,28 +336,18 @@ class GL2Model(GroupModel):
         e, f_, g, h = n
         return (a * e + b * g, a * f_ + b * h, c * e + d * g, c * f_ + d * h)
 
+    def _mul_array(self, m, n):
+        R, mod = self.ring, self.ring.modulus
+        a, b, c, d = (m[..., j, :] for j in range(4))
+        e, f_, g, h = (n[..., j, :] for j in range(4))
+        return np.stack([R.mul_array(a, e) + R.mul_array(b, g),
+                         R.mul_array(a, f_) + R.mul_array(b, h),
+                         R.mul_array(c, e) + R.mul_array(d, g),
+                         R.mul_array(c, f_) + R.mul_array(d, h)], axis=-2) % mod
+
     def _inv(self, m):
         a, b, c, d = m
         return (d, -b, -c, a)
-
-    def _realize(self, x):
-        R = self.ring
-        f = self.f
-        u = R.zero
-        w = R.zero
-        for i in range(f):
-            if x[i]:
-                u = u + x[i] * self._tb[i]
-            if x[f + i]:
-                w = w + (self.p * x[f + i]) * self._tb[i]
-        t = R.one
-        for i in range(f):
-            e = x[2 * f + i]
-            if e:
-                t = t * self._tdiag[i] ** e
-        ti = R.inv(t)
-        # U(u) * L(w) * D(t)
-        return (t + u * (w * t), u * ti, w * t, ti)
 
     def _decompose(self, m):
         R = self.ring
@@ -356,6 +381,43 @@ class GL2Model(GroupModel):
             raise NotInGroup("diagonal peeling did not terminate")
         return tuple(digits)
 
+    @functools.cached_property
+    def _peel_array(self) -> np.ndarray:
+        """(f, M, p, f): entry [i, k-1, delta] is (1 + p[a^i])^(-delta p^(k-1))."""
+        p = self.p
+        return np.array([[[(t ** (delta * p ** (k - 1))).vec for delta in range(p)]
+                          for k in range(1, self.M + 1)] for t in self._tdiag_inv],
+                        dtype=np.int64)
+
+    def _decompose_array(self, m):
+        """_decompose on a (batch, 4, f) array, each check on the whole batch."""
+        R = self.ring
+        p, f, M, mod = self.p, self.f, self.M, self.ring.modulus
+        b, c, d = m[:, 1], m[:, 2], m[:, 3]
+        if not (d % p).any(axis=1).all():
+            raise NotInGroup("lower-right entry must be a unit")
+        t = R.inv_array(d)
+        digits = np.zeros((len(m), self.n), dtype=np.int64)
+        digits[:, :f] = R.teich_coords_array(R.mul_array(b, t)) % self.pM
+        cw = R.teich_coords_array(R.mul_array(c, d))
+        if (cw % p).any():
+            raise NotInGroup("lower-left entry must vanish mod p")
+        digits[:, f:2 * f] = cw // p % self.pM
+        one = np.array(R.one.vec)
+        cur = t
+        for k in range(1, M + 1):
+            pk = p**k
+            dev = R.teich_coords_array((cur - one) % mod)
+            if (dev % pk).any():
+                raise NotInGroup("diagonal part must be congruent to 1 mod p")
+            delta = dev // pk % p
+            digits[:, 2 * f:] += delta * p ** (k - 1)
+            for i in range(f):
+                cur = R.mul_array(cur, self._peel_array[i, k - 1][delta[:, i]])
+        if (cur != one).any():
+            raise NotInGroup("diagonal peeling did not terminate")
+        return digits
+
     def normalize(self, entries) -> Digits:
         """Digits of a user-supplied matrix [[a,b],[c,d]]: validates the
         congruence pattern, scales to determinant 1, decomposes."""
@@ -381,33 +443,46 @@ class QuatModel(GroupModel):
         self.ctx = quat_context(p, f, M + 1)
         R = self.ctx.ring
         F = R.field
-        self.sig_idx = F.frob.copy()
+        sig = F.frob.copy()
         for _ in range(f - 1):
-            self.sig_idx = F.frob[self.sig_idx]
+            sig = F.frob[sig]
         alpha = self.ctx.alpha_residue()
         zeta = F.gen
         at = [R.teichmuller(F.pow(alpha, i)) for i in range(f)]
         zt = R.teichmuller(zeta)
-        self._gens = []
-        for i in range(f):
-            self._gens.append(self._norm_one(self.ctx.quat(R.one, at[i])))
-        for i in range(f):
-            self._gens.append(self._norm_one(self.ctx.quat(R.one, at[i] * zt)))
-        for i in range(f):
-            self._gens.append(self._norm_one(self.ctx.quat(R.one + p * (at[i] * zt), R.zero)))
-        # residue-field solvers for the two layer types
+        quat = self.ctx.quat
+        self._one = self.ctx.one
+        self._gens = ([self._norm_one(quat(R.one, t)) for t in at]
+                      + [self._norm_one(quat(R.one, t * zt)) for t in at]
+                      + [self._norm_one(quat(R.one + p * (t * zt), R.zero)) for t in at])
+        # residue-field solves for the two layer types, as lookup tables
         ap = [F.pow(alpha, i) for i in range(f)]
-        half_cols = [F.coords(e) for e in ap]
-        half_cols += [F.coords(F.mul[e, zeta]) for e in ap]
-        self._half = ColumnSolver(half_cols, F)
-        eta = F.mul[F.add[zeta, F.neg[self.sig_idx[zeta]]], F.inv[2]]
+        eta = F.mul[F.add[zeta, F.neg[sig[zeta]]], F.inv[2]]
         self._eta = int(eta)
-        self._int = ColumnSolver([F.coords(F.mul[e, eta]) for e in ap], F)
+        self._half_sol = self._solve_table([F.coords(e) for e in ap]
+                                           + [F.coords(F.mul[e, zeta]) for e in ap])
+        self._int_sol = self._solve_table([F.coords(F.mul[e, eta]) for e in ap])
+
+    def _solve_table(self, cols) -> np.ndarray:
+        """Row r: the coefficients s in F_p^k with sum_j s_j cols_j equal to
+        the residue of index r in F_q, or -1s where r is outside the span."""
+        F = self.ctx.ring.field
+        p, k = self.p, len(cols)
+        sols = np.indices((p,) * k).reshape(k, -1).T
+        image = sols @ np.array(cols, dtype=np.int64) % p @ p ** np.arange(F.f)
+        table = np.full((F.q, k), -1, dtype=np.int64)
+        table[image] = sols
+        if not np.array_equal(table[image], sols):  # two sols share a residue
+            raise ValueError("columns are linearly dependent")
+        return table
 
     def _norm_one(self, q: Quaternion) -> Quaternion:
         R = self.ctx.ring
         s = R.inv(R.hensel_sqrt(q.nrd()))
         return self.ctx.quat(q.a * s, q.b * s)
+
+    # concrete elements are norm-one quaternions, whose inverse is the
+    # conjugate; arrays have shape (..., 2, 2f)
 
     def _key(self, q):
         return (q.a.vec, q.b.vec)
@@ -415,24 +490,11 @@ class QuatModel(GroupModel):
     def _mul(self, a, b):
         return a * b
 
-    def _inv(self, a):
-        return a.inv()
+    def _mul_array(self, a, b):
+        return self.ctx.mul_array(a, b)
 
-    def _realize(self, x):
-        acc = self.ctx.one
-        for i in range(self.n):
-            if x[i]:
-                g = self._gens[i]
-                e = x[i]
-                pw = g
-                out = None
-                while e:
-                    if e & 1:
-                        out = pw if out is None else out * pw
-                    pw = pw * pw
-                    e >>= 1
-                acc = acc * out
-        return acc
+    def _inv(self, a):
+        return a.conj()
 
     def _decompose(self, q):
         R = self.ctx.ring
@@ -441,39 +503,64 @@ class QuatModel(GroupModel):
         if (q.a - R.one).vp() < 1:
             raise NotInGroup("scalar part must be congruent to 1 mod p")
         digits = [0] * self.n
-        y: Digits = self.identity
         for step in range(1, 2 * M + 1):
-            d = self.realize(y).inv() * q
+            d = self.realize(digits).conj() * q
+            k = step // 2
+            pk = p**k
             if step % 2 == 1:  # level k + 1/2: b-part layer at depth k
-                k = (step - 1) // 2
-                pk = p**k
                 vec = d.b.vec
                 if any(c % pk for c in vec):
                     raise NotInGroup("b-part layer appeared below its level")
                 beta = F.index((c // pk) % p for c in vec)
                 if beta:
-                    sol = self._half.solve(F.coords(beta))
-                    for i in range(f):
-                        digits[i] += int(sol[i]) * pk
-                        digits[f + i] += int(sol[f + i]) * pk
+                    for i, s in enumerate(self._half_sol[beta]):  # A then B digits
+                        digits[i] += int(s) * pk
             else:  # level k: a-part layer at depth k, anti-fixed
-                k = step // 2
-                pk = p**k
                 vec = (d.a - R.one).vec
                 if any(c % pk for c in vec):
                     raise NotInGroup("a-part layer appeared below its level")
                 gamma = F.index((c // pk) % p for c in vec)
                 if gamma:
-                    sol = self._int.solve(F.coords(gamma))
-                    if sol is None:
+                    sol = self._int_sol[gamma]
+                    if sol[0] < 0:
                         raise NotInGroup("a-part layer is not anti-fixed")
                     for i in range(f):
                         digits[2 * f + i] += int(sol[i]) * p ** (k - 1)
-            y = tuple(digits)
-        d = self.realize(y).inv() * q
+        d = self.realize(digits).conj() * q
         if d.a != R.one or d.b.vp() < M:
             raise NotInGroup("digit extraction did not terminate")
-        return y
+        return tuple(digits)
+
+    def _decompose_array(self, qs):
+        """_decompose on a (batch, 2, 2f) array, each check on the whole batch."""
+        ctx = self.ctx
+        p, f, M, mod = self.p, self.f, self.M, ctx.ring.modulus
+        one = np.array(ctx.ring.one.vec)
+        index = p ** np.arange(2 * f)  # residue coordinates -> F_q index
+        if ((qs[:, 0] - one) % p).any():
+            raise NotInGroup("scalar part must be congruent to 1 mod p")
+        digits = np.zeros((len(qs), self.n), dtype=np.int64)
+        for step in range(1, 2 * M + 1):
+            d = ctx.mul_array(ctx.conj_array(self.realize_array(digits)), qs)
+            k = step // 2
+            pk = p**k
+            if step % 2 == 1:
+                vec = d[:, 1]
+                if (vec % pk).any():
+                    raise NotInGroup("b-part layer appeared below its level")
+                digits[:, :2 * f] += self._half_sol[vec // pk % p @ index] * pk
+            else:
+                vec = (d[:, 0] - one) % mod
+                if (vec % pk).any():
+                    raise NotInGroup("a-part layer appeared below its level")
+                sol = self._int_sol[vec // pk % p @ index]
+                if (sol < 0).any():
+                    raise NotInGroup("a-part layer is not anti-fixed")
+                digits[:, 2 * f:] += sol * p ** (k - 1)
+        d = ctx.mul_array(ctx.conj_array(self.realize_array(digits)), qs)
+        if (d[:, 0] != one).any() or (d[:, 1] % p**M).any():
+            raise NotInGroup("digit extraction did not terminate")
+        return digits
 
     def normalize(self, a_coords, b_coords) -> Digits:
         """Digits of a user-supplied unit a + b*P: validates the unit-one
@@ -489,14 +576,8 @@ class QuatModel(GroupModel):
         F = self.ctx.ring.field
         alpha = self.ctx.alpha_residue()
         gamma = F.mul[F.mul[F.pow(alpha, i), self._eta], F.inv[2]]
-        sol = self._half.solve(F.coords(int(gamma)))
-        if sol is None:
-            raise NonConvergent("witness layer target not solvable")
-        x = [0] * self.n
-        for j in range(self.f):
-            x[j] = int(sol[j])
-            x[self.f + j] = int(sol[self.f + j])
-        return tuple(x), self.generator(0)
+        sol = self._half_sol[gamma]  # A then B digits
+        return tuple(int(c) for c in sol) + (0,) * self.f, self.generator(0)
 
 
 def quaternion_commutator_congruence(p: int, f: int, level: int = 3) -> dict:

@@ -22,12 +22,18 @@ Distinguished elements and maps:
 
 Quaternion elements over the quadratic ring are pairs u = a + b*P with
 P^2 = p and P*c = sigma(c)*P; reduced norm nrd(u) = a*sigma(a) - p*b*sigma(b).
+
+The *_array methods run the same arithmetic on whole batches: a ring
+element is an int64 array of shape (..., deg) with entries in [0, p^level),
+and a quaternion a + b*P one of shape (..., 2, deg).
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ConfigError, ConfigMismatch, InputNotUnitOne
 from .gf import gf, irreducible_lift
@@ -270,6 +276,44 @@ class ZqRing:
             acc = acc + int(c) * b
         return acc
 
+    # -- batched arithmetic on (..., deg) int64 arrays ---------------------
+
+    @functools.cached_property
+    def _reduction(self) -> np.ndarray:
+        """(deg * deg, deg): row i * deg + j holds the coordinates of x^(i+j)
+        reduced mod phi and mod p^level."""
+        unit = [tuple(int(k == i) for k in range(self.deg)) for i in range(self.deg)]
+        return np.array([self._mulvec(a, b) for a in unit for b in unit], dtype=np.int64)
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of broadcastable (..., deg) arrays: one polynomial
+        convolution, reduced mod phi and mod p^level.  Exact in int64 while
+        deg^2 * p^(3 level) < 2^63."""
+        outer = a[..., :, None] * b[..., None, :]
+        return outer.reshape(outer.shape[:-2] + (-1,)) @ self._reduction % self.modulus
+
+    def inv_array(self, a: np.ndarray) -> np.ndarray:
+        """Inverses of a (..., deg) array of units: the residue-field inverse,
+        then Newton lifting, as in inv."""
+        p, mod = self.p, self.modulus
+        digits = p ** np.arange(self.deg)
+        r0 = self.field.inv[(a % p) @ digits].astype(np.int64)
+        v = r0[..., None] // digits % p
+        two = np.zeros(self.deg, dtype=np.int64)
+        two[0] = 2
+        prec = 1
+        while prec < self.level:
+            v = self.mul_array(v, (two - self.mul_array(a, v)) % mod)
+            prec *= 2
+        return v
+
+    def teich_coords_array(self, a: np.ndarray) -> np.ndarray:
+        """Coordinates over the Teichmueller power basis, as in teich_coords."""
+        if self.deg == 1:
+            return a
+        self.teich_basis
+        return a @ np.array(self._teich_inverse, dtype=np.int64).T % self.modulus
+
     def frobenius(self, f: int) -> "FrobeniusMap":
         """Order-two automorphism of the degree-2f ring lifting x -> x^(p^f)."""
         if self.deg != 2 * f:
@@ -311,6 +355,7 @@ class FrobeniusMap:
             cols.append(pw.vec)
             pw = pw * r
         self._cols = cols
+        self.matrix = np.array(cols, dtype=np.int64)  # sigma(e) = e @ matrix
 
     def __call__(self, e: ZqElement) -> ZqElement:
         ring = self.ring
@@ -399,6 +444,18 @@ class QuatContext:
 
     def quat(self, a: ZqElement, b: ZqElement) -> Quaternion:
         return Quaternion(self, a, b)
+
+    def mul_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Products of broadcastable (..., 2, deg) quaternion arrays."""
+        R, S, mod = self.ring, self.sigma.matrix, self.ring.modulus
+        a, b, c, d = x[..., 0, :], x[..., 1, :], y[..., 0, :], y[..., 1, :]
+        return np.stack([(R.mul_array(a, c) + self.p * R.mul_array(b, d @ S % mod)) % mod,
+                         (R.mul_array(a, d) + R.mul_array(b, c @ S % mod)) % mod], axis=-2)
+
+    def conj_array(self, x: np.ndarray) -> np.ndarray:
+        """Conjugates sigma(a) - b*P; the inverse of a norm-one quaternion."""
+        mod = self.ring.modulus
+        return np.stack([x[..., 0, :] @ self.sigma.matrix % mod, -x[..., 1, :] % mod], axis=-2)
 
     # residue of the fixed-subring generator: the degree-f generator embeds
     # as zeta^(p^f + 1) by norm compatibility of the defining polynomials

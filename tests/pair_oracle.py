@@ -18,10 +18,12 @@ def first_unpaired(mod):
     or None when the action is multiplicative on every pair."""
     model = group_model(mod.cfg)
     elements = list(model.all_elements())
-    act = {x: mod.element_action(x) for x in elements}
-    for x in elements:
-        for y in elements:
-            if not np.array_equal(gflib.matmul(act[x], act[y], mod.field),
-                                  act[model.mul(x, y)]):
+    act = [mod.element_action(x) for x in elements]
+    # products[iy][ix] is the index of x y, from the model's table of y
+    products = [model.right_mul_table(y) for y in elements]
+    for ix, x in enumerate(elements):
+        for iy, y in enumerate(elements):
+            if not np.array_equal(gflib.matmul(act[ix], act[iy], mod.field),
+                                  act[products[iy][ix]]):
                 return x, y
     return None

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propring.config import PrimeConfig
-from propring.errors import ConfigError
-from propring.groups import group_model, quaternion_commutator_congruence
+from propring.errors import ConfigError, NotInGroup
+from propring.groups import QuatModel, group_model, quaternion_commutator_congruence
+from table_oracle import scalar_rows
 
 INF = 10**9
 
@@ -222,3 +223,72 @@ def test_pc_relations(case, pfm):
                     assert rank[(i, k)] > rank[b], (a, b, w)
         # the relation u_b u_a = u_a u_b W holds in the group
         assert model.mul(u(b), u(a)) == model.mul(model.mul(u(a), u(b)), w)
+
+
+def _concrete(model, row):
+    """The concrete element of one (parts, deg) row of a batch array."""
+    if isinstance(model, QuatModel):
+        R = model.ctx.ring
+        return model.ctx.quat(R.element(row[0]), R.element(row[1]))
+    return tuple(model.ring.element(r) for r in row)
+
+
+# full tables at the small configs, seeded rows at the larger ones
+TABLE_CASES = [(pfm, case, None) for pfm in ((5, 1, 1), (7, 1, 1)) for case in ("GL2", "QUAT")]
+TABLE_CASES += [((5, 1, 2), "GL2", None), ((5, 1, 2), "QUAT", 500), ((5, 2, 1), "QUAT", 500),
+                ((7, 1, 2), "GL2", 500), ((7, 1, 2), "QUAT", 500)]
+
+
+@pytest.mark.parametrize("pfm,case,rows", TABLE_CASES)
+def test_batched_tables_match_scalar_oracle(pfm, case, rows):
+    model = group_model(PrimeConfig(*pfm, case))
+    rng = np.random.default_rng(20250901)
+    for i in range(model.n):
+        t = model.right_mul_table(model.generator(i))
+        sel = np.arange(model.order) if rows is None else rng.choice(model.order, rows, False)
+        assert np.array_equal(t[sel], scalar_rows(model, i, sel)), i
+        assert np.array_equal(np.sort(t), np.arange(model.order))
+        idx = np.arange(model.order)
+        for _ in range(model.pM):  # g_i^(p^M) acts as the identity
+            idx = t[idx]
+        assert np.array_equal(idx, np.arange(model.order))
+
+
+@pytest.mark.parametrize("case,fault,message", [
+    ("QUAT", "scalar", "scalar part must be congruent to 1 mod p"),
+    ("GL2", "lower-left", "lower-left entry must vanish mod p"),
+    ("QUAT", "central", "a-part layer is not anti-fixed"),
+])
+def test_batch_decompose_planted_fault(case, fault, message):
+    model = group_model(PrimeConfig(5, 1, 2, case))
+    rng = np.random.default_rng(7)
+    xs = rng.integers(0, model.pM, (40, model.n))
+    good = model.realize_array(xs)
+    assert np.array_equal(model.decompose(good), xs)
+    mod, p = model.p ** (model.M + 1), model.p
+    bad = good.copy()
+    if fault == "scalar":  # a = 2 mod p
+        bad[7, 0] = 2 * bad[7, 0] % mod
+    elif fault == "lower-left":  # c = 1 mod p
+        bad[7, 2] = (bad[7, 2] + 1) % mod
+    else:  # times the central unit 1 + p, of norm (1 + p)^2 != 1
+        bad[7] = (1 + p) * bad[7] % mod
+    with pytest.raises(NotInGroup) as scalar:
+        model.decompose(_concrete(model, bad[7]))
+    with pytest.raises(NotInGroup) as batch:
+        model.decompose(bad)
+    assert str(scalar.value) == str(batch.value) == message
+    if case == "QUAT":  # an earlier check fails first, on whichever element
+        bad[30, 0] = 2 * bad[30, 0] % mod
+        with pytest.raises(NotInGroup, match="scalar part"):
+            model.decompose(bad)
+
+
+def test_model_state_bounded(model):
+    # after every generator table is built, only per-generator state remains
+    for i in range(model.n):
+        model.right_mul_table(model.generator(i))
+    model.power_tables()
+    for name, v in vars(model).items():
+        if isinstance(v, (dict, list, tuple)):
+            assert len(v) <= model.n * model.pM, name
