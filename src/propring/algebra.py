@@ -21,7 +21,12 @@ P[x, k] = binom(x, k), and the transforms apply P along each of the nM
 base-p digit axes of the flat index.  The inverse is the closed form
 Q[x, k] = (-1)^(x-k) binom(x, k), the inverse of the lower-triangular
 Pascal matrix over Z (checked in tests/test_algebra.py,
-test_pascal_pair_inverse).
+test_pascal_pair_inverse).  Each axis is one float64 BLAS product with no
+reduction in between, and the result is reduced mod p once at the end.
+That is exact while every partial sum stays below 2^53: for inputs with
+entries in [0, p) the largest is (p-1) (p(p-1))^(nM), and GroupAlgebra
+refuses a configuration beyond that bound with a ConfigError before it
+allocates anything of the group's order.
 
 The weight of a monomial index is nu'(k) = sum_i w_i k_i with w = 1 for the
 A and B positions and w = 2 for the C positions (doubled generator
@@ -52,7 +57,7 @@ import math
 import numpy as np
 
 from .config import PrimeConfig
-from .errors import CutoffBeyondFaithful
+from .errors import ConfigError, CutoffBeyondFaithful
 from .gf import rref  # noqa: F401  bench/test_bench.py reaches rref through this module
 from .groups import Digits, GroupModel, group_model
 
@@ -62,6 +67,8 @@ from .groups import Digits, GroupModel, group_model
 _PAIR_CHUNK = 1 << 18
 # witness entries a failed certificate reports
 _WITNESSES = 10
+# float64 represents every integer below this exactly
+_EXACT = 2**53
 
 
 def _pascal_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -74,6 +81,13 @@ def _pascal_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 class GroupAlgebra:
     def __init__(self, model: GroupModel):
+        p, nM = model.p, model.n * model.M
+        largest = (p - 1) * (p * (p - 1)) ** nM  # largest transform sum
+        if largest >= _EXACT:
+            raise ConfigError(
+                f"p={p}, f={model.f}, M={model.M} is beyond the exact transform bound: "
+                f"(p-1)(p(p-1))^(nM) = {largest:.3g} must stay below 2^53 "
+                f"(group order {model.order})")
         self.model = model
         self.p = model.p
         self.n = model.n
@@ -176,11 +190,20 @@ class GroupAlgebra:
     def _digit_apply(self, mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
         """Contract the p x p matrix mat[k, x] against each of the nM base-p
         digit axes of arr (most significant first, the flat C order); arr
-        may carry one leading batch axis."""
-        a = arr.astype(np.int64)
-        axes = self.n * self.model.M
-        for j in range(axes):
-            a = mat @ a.reshape(-1, self.p, self.p ** (axes - 1 - j)) % self.p
+        may carry one leading batch axis.  Entries of arr must lie in
+        [0, p): the float64 sums are then exact (see __init__), and the
+        result is reduced mod p once.
+
+        Each step contracts the leading digit axis and moves it last.  The
+        batch axis starts behind the digit axes, so after nM steps it is in
+        front again and the digit axes are back in order."""
+        p = self.p
+        a = arr.reshape(-1, self.order).T.astype(np.float64, order="C")
+        mt = mat.T.astype(np.float64)
+        for _ in range(self.n * self.model.M):
+            a = a.reshape(p, -1).T @ mt
+        a = a.astype(np.int64)
+        a %= p  # in place, so no third array of the input's size
         return a.astype(np.int16).reshape(arr.shape)
 
     def to_monomial(self, a: np.ndarray) -> np.ndarray:
@@ -300,8 +323,9 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
         if model.mul(model.commutator(x, y), model.power(w, p)) != model.generator(gen):
             witness.append({"generator": gen, "x": x, "y": y, "w": w})
 
-    # one functional at a time: batching rows measured no faster, and its
-    # int64 transients raise the peak memory by about 0.5 MB per row
+    # one functional at a time: stacking the n generator rows measured
+    # slower (112 against 81 ms at (5, 1, 2), jmax = 6), and its float64
+    # transients raise the peak memory by about 0.4 MB per row
     perms = [model.right_mul_table(model.generator(i)) for i in range(alg.n)]
     group = np.arange(alg.order)
     sel = np.flatnonzero(nu_w <= jmax)

@@ -153,18 +153,12 @@ def monomial_expansion_to_json(alg: GroupAlgebra, comps: list[np.ndarray],
     cutoff, terms in lexicographic exponent order."""
     if not 0 <= cutoff < alg.pM:
         raise ConfigError("cutoff must stay below the faithful weight bound")
-    monos = [alg.to_monomial(c) for c in comps]
-    terms = []
-    for flat in range(alg.order):
-        coords = [int(m[flat]) for m in monos]
-        if any(coords) and alg.nu_weight_array[flat] <= cutoff:
-            terms.append(
-                {
-                    "exps": [int(v) for v in alg.model.digits_of(int(flat))],
-                    "coeff": coords,
-                }
-            )
-    terms.sort(key=lambda t: t["exps"])
+    monos = alg.to_monomial(np.stack(comps))
+    # flat indices ascend in lexicographic exponent order
+    hits = np.flatnonzero(monos.any(axis=0) & (alg.nu_weight_array <= cutoff))
+    exps = np.stack(np.unravel_index(hits, (alg.pM,) * alg.n), axis=1)
+    terms = [{"exps": e, "coeff": c}
+             for e, c in zip(exps.tolist(), monos[:, hits].T.tolist())]
     return {"cutoff": cutoff, "terms": terms}
 
 

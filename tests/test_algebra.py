@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propring import algebra
-from propring.algebra import check_maximal_ideal_powers, group_algebra
+from propring.algebra import GroupAlgebra, check_maximal_ideal_powers, group_algebra
 from propring.config import PrimeConfig
-from propring.errors import CutoffBeyondFaithful
+from propring.errors import ConfigError, CutoffBeyondFaithful
 from propring.graded import hilbert_oracle
+from propring.groups import GroupModel
+from propring.padic import _is_prime
 from span_oracle import primal_ideal_power_spans
+from transform_oracle import transforms
 
 
 def rand_sparse(alg, rng, support=12):
@@ -216,6 +219,38 @@ def test_transforms_invert_at_wide_configs(wide_alg, rng):
     lhs = a.astype(np.int64) @ phi % alg.p
     rhs = c.astype(np.int64) @ alg.dual_to_monomial(phi) % alg.p
     assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (5, 2, 1), (7, 1, 2), (11, 1, 1)], ids=str)
+def test_transforms_match_per_axis_oracle(pfm, rng):
+    # the float64 kernel reduced once against the int64 kernel reduced per
+    # axis, on the input with the largest sums and on a random batch
+    alg = group_algebra(PrimeConfig(*pfm, "GL2"))
+    worst = np.full(alg.order, alg.p - 1, dtype=np.int16)
+    batch = rng.integers(0, alg.p, size=(3, alg.order)).astype(np.int16)
+    for name, fast, oracle in transforms(alg):
+        for a in (worst, batch):
+            got = fast(a)
+            assert got.dtype == np.int16 and got.shape == a.shape, name
+            assert np.array_equal(got, oracle(a)), (name, a.shape)
+
+
+def test_exact_transform_bound_refuses_exactly_beyond_it():
+    # GroupAlgebra refuses a config exactly when the largest float64 partial
+    # sum, (p-1)(p(p-1))^(nM) for inputs in [0, p), reaches 2^53; the bare
+    # GroupModel allocates nothing of the group's order
+    for p in filter(_is_prime, range(5, 32)):
+        for f, M in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4)):
+            model = GroupModel(p, f, M)
+            exact = (p - 1) * (p * (p - 1)) ** (3 * f * M) < 2**53
+            if exact:
+                assert GroupAlgebra(model).order == model.order
+            else:
+                with pytest.raises(ConfigError, match="2\\^53"):
+                    GroupAlgebra(model)
+    GroupAlgebra(GroupModel(5, 1, 3))  # order 1,953,125; largest sum 2.0e12
+    with pytest.raises(ConfigError, match="group order 244140625"):
+        GroupAlgebra(GroupModel(5, 2, 2))
 
 
 def test_in_filtration(alg):

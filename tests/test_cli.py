@@ -2,6 +2,7 @@
 codes, and output routing."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     unipotent = dict(module, field={"p": 5, "f": 1}, dim=2,
                      generators=[[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 1]]])
     no_rep = write(tmp_path, "v.json", unipotent)
+    # order 5^12 = 2.4e8, beyond the exact transform bound
+    oversize = write(tmp_path, "w.json", {"p": 5, "f": 2, "M": 2, "case": "GL2",
+                                          "digits": [1, 0, 0, 0, 0, 0]})
     for argv in (["nu", "--in", support_int], ["expand", "--in", support_int],
                  ["decompose", "--in", str_entry], ["decompose", "--in", float_entry],
                  ["decompose", "--in", bool_entry], ["decompose", "--in", quat_str],
@@ -221,6 +225,19 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error:"), captured.err
+    for argv in (["nu", "--in", oversize], ["expand", "--in", oversize]):
+        # refused before any array of the group's order (488 MB as int16)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2, argv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24, (argv, peak)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:"), captured.err
+        assert "2^53" in captured.err, captured.err
 
 
 def test_verify_indeterminate_exit(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """JSON forms of configs, elements, ideals, and modules."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,34 @@ def test_algebra_element_components_f2():
     assert element_nu(alg, comps) == 1
     exp = monomial_expansion_to_json(alg, comps, 2)
     assert exp["terms"] == [{"exps": [1, 0, 0, 0, 0, 0], "coeff": [0, 1]}]
+
+
+def loop_expansion(alg, comps, cutoff):
+    """The scan over every flat index that monomial_expansion_to_json
+    replaced by one mask."""
+    monos = [alg.to_monomial(c) for c in comps]
+    terms = []
+    for flat in range(alg.order):
+        coords = [int(m[flat]) for m in monos]
+        if any(coords) and alg.nu_weight_array[flat] <= cutoff:
+            terms.append({"exps": [int(v) for v in alg.model.digits_of(int(flat))],
+                          "coeff": coords})
+    terms.sort(key=lambda t: t["exps"])
+    return {"cutoff": cutoff, "terms": terms}
+
+
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (5, 2, 1), (7, 1, 2)], ids=str)
+def test_monomial_expansion_matches_loop(pfm):
+    alg = group_algebra(PrimeConfig(*pfm, "GL2"))
+    rng = np.random.default_rng(20250825)
+    comps = [alg.zero() for _ in range(alg.model.f)]
+    for c in comps:
+        idx = rng.choice(alg.order, size=6, replace=False)
+        c[idx] = rng.integers(1, alg.p, size=6)
+    for cutoff in (0, 1, 4, alg.pM // 2, alg.pM - 1):
+        got = monomial_expansion_to_json(alg, comps, cutoff)
+        assert got == loop_expansion(alg, comps, cutoff), cutoff
+        assert json.dumps(got) == json.dumps(loop_expansion(alg, comps, cutoff))
 
 
 def test_monomial_expansion_cutoff_gate():
