@@ -130,12 +130,28 @@ class GroupAlgebra:
     # -- multiplication ------------------------------------------------------
 
     def zmul(self, a: np.ndarray, i: int, e: int = 1) -> np.ndarray:
-        """Right multiplication by (g_i - 1)^e."""
+        """Right multiplication by (g_i - 1)^e.  In characteristic p,
+        (g - 1)^(p^k) = g^(p^k) - 1, so over the base-p digits e_k of e
+
+            (g_i - 1)^e = prod_k (g_i^(p^k) - 1)^(e_k),
+
+        one pass per unit of digit sum, each through the permutation
+        power_tables()[i, p^k]; the units digit reads the generator table,
+        so e < p never builds the power tables.  Since g_i^(p^M) = 1,
+        e >= p^M gives zero."""
+        if e >= self.pM:
+            return np.zeros_like(a)
         perm = self.model.right_mul_table(self.model.generator(i))
-        for _ in range(e):
-            b = np.empty_like(a)
-            b[perm] = a
-            a = (b - a) % self.p
+        k = 0
+        while e:
+            e, digit = divmod(e, self.p)
+            for _ in range(digit):
+                b = np.empty_like(a)
+                b[perm] = a
+                a = (b - a) % self.p
+            k += 1
+            if e:
+                perm = self.model.power_tables()[i, self.p**k]
         return a
 
     def word_mul(self, a: np.ndarray, word) -> np.ndarray:

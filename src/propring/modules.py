@@ -19,7 +19,6 @@ computation tagged "restriction" genuinely reads only the subgroup matrices.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -148,11 +147,11 @@ def _stable_closure(rows: np.ndarray, gens, field: GF):
     return cur, piv
 
 
-def _quotient_by_closure(base: FiniteModule, rows: np.ndarray, provenance: str):
-    """Quotient of base by the submodule generated by rows, written in the
-    complement coordinates of the closure's echelon basis."""
+def _quotient_by_closure(base: FiniteModule, closure, provenance: str):
+    """Quotient of base by a submodule given as its _stable_closure
+    (echelon basis, pivots), written in the complement coordinates."""
     field = base.field
-    sub, piv = _stable_closure(rows, base.gen_action, field)
+    sub, piv = closure
     pivset = set(piv)
     keep = [c for c in range(base.dim) if c not in pivset]
     if not keep:
@@ -188,12 +187,9 @@ def quotient_module(cfg: PrimeConfig, seed: int, jcut: int = 6, max_dim: int = 4
         mask = wts >= w0
         vecs = np.zeros((k, base.dim), dtype=np.int16)
         vecs[:, mask] = rng.integers(0, field.q, size=(k, int(mask.sum())))
-        sub = _stable_closure(vecs, base.gen_action, field)[0]
-        dim = base.dim - sub.shape[0]
-        if 2 <= dim <= max_dim:
-            return _quotient_by_closure(
-                base, vecs, f"quotient seed={seed} j<{jcut}"
-            )
+        closure = _stable_closure(vecs, base.gen_action, field)
+        if 2 <= base.dim - closure[0].shape[0] <= max_dim:
+            return _quotient_by_closure(base, closure, f"quotient seed={seed} j<{jcut}")
     raise ConfigError("seeded submodule search found no quotient in range")
 
 
@@ -211,7 +207,8 @@ def deep_line_module(cfg: PrimeConfig) -> FiniteModule:
     za = (1,) + (0,) * (cfg.dim - 1)
     rows = np.zeros((1, base.dim), dtype=np.int16)
     rows[0, pos[alg.model.index_of(za)]] = 1
-    return _quotient_by_closure(base, rows, "deep-line")
+    closure = _stable_closure(rows, base.gen_action, base.field)
+    return _quotient_by_closure(base, closure, "deep-line")
 
 
 def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
@@ -362,24 +359,32 @@ def _radical_chain(mod: FiniteModule):
 def _restriction_chain(qmats, field: GF, top: int, weights):
     """Subring filtration from restriction data alone: step i is spanned by
     the images of the ordered products prod (rho(g_t)^(p^N) - 1)^(y_t) over
-    exponent vectors y in [0, top)^(3f) of subring weight >= i."""
+    exponent vectors y in [0, top)^(3f) of subring weight >= i.
+
+    The products are built one generator at a time: each prefix o, a
+    product over the generators before t, is multiplied once by the
+    concatenation [Z^0 | ... | Z^(top-1)] of generator t's powers
+    Z = rho(g_t)^(p^N) - 1, and block j of that product is o Z^j.  At
+    f = 1 that is top + top^2 products for the top^3 operators."""
     dim = qmats[0].shape[0]
     neg_eye = field.mul[int(field.neg[1]), np.eye(dim, dtype=np.int16)]
-    zops = [field.add[q, neg_eye] for q in qmats]
-    pow_cache = []
-    for z in zops:
+    strips = []  # [Z^0 | ... | Z^(top-1)] per generator
+    for q in qmats:
+        z = field.add[q, neg_eye]
         col = [np.eye(dim, dtype=np.int16)]
         for _ in range(top - 1):
             col.append(gflib.matmul(col[-1], z, field))
-        pow_cache.append(col)
+        strips.append(np.concatenate(col, axis=1))
+
+    def blocks(prod, w, wt):
+        return [(prod[:, j * dim:(j + 1) * dim], w + wt * j) for j in range(top)]
+
+    ops = blocks(strips[0], 0, weights[0])  # (product, subring weight)
+    for strip, wt in zip(strips[1:], weights[1:]):
+        ops = [b for o, w in ops for b in blocks(gflib.matmul(o, strip, field), w, wt)]
     by_weight: dict[int, list[np.ndarray]] = {}
-    for y in itertools.product(range(top), repeat=len(qmats)):
-        w = sum(wi * yi for wi, yi in zip(weights, y))
-        op = pow_cache[0][y[0]]
-        for t in range(1, len(qmats)):
-            if y[t]:
-                op = gflib.matmul(op, pow_cache[t][y[t]], field)
-        by_weight.setdefault(w, []).append(np.ascontiguousarray(op.T))
+    for op, w in ops:
+        by_weight.setdefault(w, []).append(op.T)
     spans: dict[int, tuple[np.ndarray, list[int]]] = {}
     acc = np.zeros((0, dim), dtype=np.int16)
     for i in sorted(by_weight, reverse=True):
@@ -504,6 +509,30 @@ def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
     return out
 
 
+def _close(spaces, ring_ops, field: GF):
+    """Close the graded pieces, each (echelon basis, pivots), under the
+    ambient ring operators (operator, weight shift) in one ascending sweep;
+    ring_ops None leaves them as they are.  Every ring operator raises the
+    piece index by its two_omega >= 1, so each image landing in piece j
+    comes from a piece below j, and piece j is final when the sweep reaches
+    it: its queued images are absorbed with one rref, and its own images
+    are queued for the pieces above."""
+    if ring_ops is None:
+        return spaces
+    npieces = len(spaces)
+    queued: list[list[np.ndarray]] = [[] for _ in range(npieces)]
+    for j in range(npieces):
+        if queued[j]:
+            spaces[j] = rref(np.concatenate([spaces[j][0]] + queued[j]), field)
+        basis = spaces[j][0]
+        if basis.shape[0] == 0:
+            continue
+        for op, w in ring_ops:
+            if j + w < npieces:
+                queued[j + w].append(gflib.matmul(basis, op.T, field))
+    return spaces
+
+
 def _min_exponent(chain, pivots, lifts, ring_ops, field: GF, bound: int,
                   ideal: str, kind: str, N: int | None) -> AnnihilatorReport:
     """Core search: track the graded pieces of the ideal powers applied to
@@ -515,32 +544,10 @@ def _min_exponent(chain, pivots, lifts, ring_ops, field: GF, bound: int,
     tails = [chain[j + 1] for j in range(npieces)]
     tail_dims = [t.shape[0] for t in tails]
 
-    def close(spaces):
-        if ring_ops is None:
-            return spaces
-        changed = True
-        while changed:
-            changed = False
-            for j in range(npieces):
-                basis = spaces[j][0]
-                if basis.shape[0] == 0:
-                    continue
-                for op, w in ring_ops:
-                    j2 = j + w
-                    if j2 >= npieces:
-                        continue
-                    img = gflib.matmul(basis, op.T, field)
-                    b2 = spaces[j2][0]
-                    nb, npv = rref(np.concatenate([b2, img]), field)
-                    if nb.shape[0] != b2.shape[0]:
-                        spaces[j2] = (nb, npv)
-                        changed = True
-        return spaces
-
     def excess(spaces):
         return sum(spaces[j][0].shape[0] - tail_dims[j] for j in range(npieces))
 
-    spaces = close([(chain[j], pivots[j]) for j in range(npieces)])
+    spaces = _close([(chain[j], pivots[j]) for j in range(npieces)], ring_ops, field)
     history = [excess(spaces)]
     ell = 0
     while excess(spaces) > 0:
@@ -569,7 +576,7 @@ def _min_exponent(chain, pivots, lifts, ring_ops, field: GF, bound: int,
                 spaces.append(rref(np.concatenate([tails[j]] + new_rows[j]), field))
             else:
                 spaces.append((tails[j], pivots[j + 1]))
-        spaces = close(spaces)
+        spaces = _close(spaces, ring_ops, field)
         history.append(excess(spaces))
     return AnnihilatorReport(ideal, kind, N, ell, bound, history)
 
@@ -667,7 +674,10 @@ def _central_order_p_twist(mod: FiniteModule, N: int):
     return FiniteModule(cfg, mod.dim, tuple(mats), f"twist({mod.provenance})")
 
 
-def _conjugate(mod: FiniteModule, rng) -> FiniteModule:
+def _conjugate_dual(mod: FiniteModule, dual: FiniteModule, rng) -> FiniteModule:
+    """The dual of mod conjugated by a random basis change T, read off
+    dual = dualize(mod) with the one inverse of T:
+    dual(T rho T^-1) = S rho* S^-1 for S = (T^-1)^T and S^-1 = T^T."""
     field = mod.field
     while True:
         t = rng.integers(0, field.q, size=(mod.dim, mod.dim)).astype(np.int16)
@@ -677,9 +687,9 @@ def _conjugate(mod: FiniteModule, rng) -> FiniteModule:
         except ValueError:
             continue
     mats = tuple(
-        gflib.matmul(t, gflib.matmul(g, tinv, field), field) for g in mod.gen_action
+        gflib.matmul(tinv.T, gflib.matmul(g, t.T, field), field) for g in dual.gen_action
     )
-    return FiniteModule(mod.cfg, mod.dim, mats, f"conj({mod.provenance})")
+    return FiniteModule(mod.cfg, mod.dim, mats, f"dual(conj({mod.provenance}))")
 
 
 def restriction_determinism(mod: FiniteModule, spec: IdealSpec, N: int, rng,
@@ -703,9 +713,7 @@ def restriction_determinism(mod: FiniteModule, spec: IdealSpec, N: int, rng,
     ]
     gm = grade_res_from_restriction(qmats, mod.cfg, N)
     ell_restricted = min_annihilator_exponent(gm, specN, source=qmats).ell
-    conj_ells = [
-        res_exponent(dualize(_conjugate(mod, rng))) for _ in range(basis_changes)
-    ]
+    conj_ells = [res_exponent(_conjugate_dual(mod, dual, rng)) for _ in range(basis_changes)]
     twisted = _central_order_p_twist(mod, N)
     if twisted is not None:
         check_multiplicative(twisted)

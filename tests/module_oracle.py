@@ -1,0 +1,119 @@
+"""The replaced module kernels, kept as test oracles: the fixpoint closure of
+graded pieces, the restriction chain over itertools.product, the int64
+prime-field matmul, and the plain basis change.
+
+close repeats one rref per (piece, operator) until nothing changes, where
+modules._close makes one ascending sweep with one rref per receiving piece.
+restriction_chain multiplies the generator powers of every exponent vector
+one pair at a time, where modules._restriction_chain makes one product per
+prefix.  matmul reduces an int64 product mod p, where gf.matmul sums in
+float64 through BLAS.  The first two multiply through the oracle matmul,
+so all three share with the library only rref and the field tables.
+conjugate draws T as modules._conjugate_dual does and returns T rho T^-1,
+whose dualize is what _conjugate_dual reads off the dual with one inverse."""
+
+import itertools
+
+import numpy as np
+
+from propring.errors import BoundExceeded
+from propring.gf import mat_inverse, rref
+from propring.modules import FiniteModule
+
+
+def matmul(a, b, field):
+    """Matrix product over F_q: int64 matmul reduced mod p for prime fields,
+    one shared axis of table lookups at a time for extensions."""
+    a = np.asarray(a, dtype=np.int16)
+    b = np.asarray(b, dtype=np.int16)
+    if field.f == 1:
+        return (a.astype(np.int64) @ b.astype(np.int64) % field.p).astype(np.int16)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int16)
+    for k in range(a.shape[1]):
+        out = field.add[out, field.mul[a[:, k].reshape(-1, 1), b[k].reshape(1, -1)]]
+    return out
+
+
+def close(spaces, ring_ops, field):
+    """Close the graded pieces under the ring operators by fixpoint
+    iteration; the signature of modules._close."""
+    if ring_ops is None:
+        return spaces
+    npieces = len(spaces)
+    changed = True
+    while changed:
+        changed = False
+        for j in range(npieces):
+            basis = spaces[j][0]
+            if basis.shape[0] == 0:
+                continue
+            for op, w in ring_ops:
+                j2 = j + w
+                if j2 >= npieces:
+                    continue
+                img = matmul(basis, op.T, field)
+                b2 = spaces[j2][0]
+                nb, npv = rref(np.concatenate([b2, img]), field)
+                if nb.shape[0] != b2.shape[0]:
+                    spaces[j2] = (nb, npv)
+                    changed = True
+    return spaces
+
+
+def restriction_chain(qmats, field, top, weights):
+    """The subring filtration, one ordered product per exponent vector; the
+    signature of modules._restriction_chain."""
+    dim = qmats[0].shape[0]
+    neg_eye = field.mul[int(field.neg[1]), np.eye(dim, dtype=np.int16)]
+    zops = [field.add[q, neg_eye] for q in qmats]
+    pow_cache = []
+    for z in zops:
+        col = [np.eye(dim, dtype=np.int16)]
+        for _ in range(top - 1):
+            col.append(matmul(col[-1], z, field))
+        pow_cache.append(col)
+    by_weight = {}
+    for y in itertools.product(range(top), repeat=len(qmats)):
+        w = sum(wi * yi for wi, yi in zip(weights, y))
+        op = pow_cache[0][y[0]]
+        for t in range(1, len(qmats)):
+            if y[t]:
+                op = matmul(op, pow_cache[t][y[t]], field)
+        by_weight.setdefault(w, []).append(np.ascontiguousarray(op.T))
+    spans = {}
+    acc = np.zeros((0, dim), dtype=np.int16)
+    for i in sorted(by_weight, reverse=True):
+        acc, acc_piv = rref(np.concatenate([acc] + by_weight[i]), field)
+        spans[i] = (acc, acc_piv)
+    maxw = max(by_weight)
+    chain, pivots = [], []
+    for i in range(maxw + 1):
+        j = i
+        while j not in spans:
+            j += 1
+        cur, piv = spans[j]
+        if chain and cur.shape[0] == 0 and chain[-1].shape[0] == 0:
+            break
+        chain.append(cur)
+        pivots.append(piv)
+    if chain[-1].shape[0]:
+        chain.append(np.zeros((0, dim), dtype=np.int16))
+        pivots.append([])
+    for i in range(len(chain) - 1):
+        if chain[i].shape[0] and chain[i + 1].shape[0] >= chain[i].shape[0]:
+            raise BoundExceeded("subring filtration failed to decrease strictly")
+    return chain, pivots
+
+
+def conjugate(mod, rng):
+    """mod conjugated by a random basis change T: T rho T^-1."""
+    field = mod.field
+    while True:
+        t = rng.integers(0, field.q, size=(mod.dim, mod.dim)).astype(np.int16)
+        try:
+            tinv = mat_inverse(t, field)
+            break
+        except ValueError:
+            continue
+    mats = tuple(matmul(t, matmul(g, tinv, field), field) for g in mod.gen_action)
+    return FiniteModule(mod.cfg, mod.dim, mats, f"conj({mod.provenance})")

@@ -130,6 +130,33 @@ def test_monomial_closed_form_matches_zmul_chain(alg):
         assert np.array_equal(alg.monomial(k), zmul_chain(alg, k)), k
 
 
+def zmul_loop(alg, a, i, e):
+    """Right multiplication by (g_i - 1)^e as e passes through the generator
+    table: the loop that the digit-wise GroupAlgebra.zmul replaced."""
+    perm = alg.model.right_mul_table(alg.model.generator(i))
+    for _ in range(e):
+        b = np.empty_like(a)
+        b[perm] = a
+        a = (b - a) % alg.p
+    return a
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (5, 2, 1), (7, 1, 2)], ids=str)
+def test_zmul_digits_match_pass_loop(pfm, case):
+    # every generator and every e < p^M, and e = p^M, where both give zero;
+    # the loop's e passes are reached one pass at a time
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    a = np.random.default_rng(sum(pfm)).integers(0, alg.p, alg.order).astype(np.int16)
+    for i in range(alg.n):
+        want = a
+        for e in range(alg.pM + 1):
+            got = alg.zmul(a, i, e)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (i, e)
+            want = zmul_loop(alg, want, i, 1)
+        assert not alg.zmul(a, i, alg.pM).any()
+
+
 def test_monomial_returns_a_fresh_array(alg):
     k = alg.model.generator(0)
     alg.monomial(k)[:] = 0

@@ -4,14 +4,16 @@ minimal annihilator exponents, and the restriction-only reconstruction."""
 import numpy as np
 import pytest
 
+from propring import gf as gflib
+from propring import modules
 from propring.config import PrimeConfig
-from propring.errors import ConfigError, LevelTooDeep, RelationCheckFailed
-from propring.gf import gf, matmul
+from propring.errors import BoundExceeded, ConfigError, LevelTooDeep, RelationCheckFailed
+from propring.gf import gf, matmul, rref
 from propring.graded import build_JN, default_ideals
 from propring.groups import group_model
 from propring.modules import (
     FiniteModule,
-    _conjugate,
+    _conjugate_dual,
     build_module,
     check_exponent_transfer,
     check_multiplicative,
@@ -29,6 +31,7 @@ from propring.modules import (
     weight_quotient_module,
 )
 
+import module_oracle
 from pair_oracle import first_unpaired
 
 F5 = gf(5, 1)
@@ -218,7 +221,8 @@ def test_planted_faults_rejected_by_relations_and_pairs(case):
     faults = {
         "identity for g_0": (mod.identity_matrix(), b, c),
         "A and B swapped": (b, a, c),
-        "C conjugated alone": (a, b, _conjugate(mod, np.random.default_rng(7)).gen_action[2]),
+        "C conjugated alone":
+            (a, b, module_oracle.conjugate(mod, np.random.default_rng(7)).gen_action[2]),
     }
     rels = {(r[0], r[1]): r[2] for r in group_model(cfg).pc_relations()}
     for name, mats in faults.items():
@@ -232,3 +236,104 @@ def test_planted_faults_rejected_by_relations_and_pairs(case):
         assert rels[w["a"], w["b"]] == w["w"], name
         assert f"W = {list(w['w'])}" in str(err.value), name
         assert first_unpaired(bad) is not None, name
+
+
+def _gradings_and_exponents(cfg):
+    """Chains, pivots and (ell, excess_dims) of every default ideal on the
+    three gradings at N = 1, for a count-4 corpus and the duals."""
+    out = []
+    for mod in module_corpus(cfg, count=4):
+        for m in (mod, dualize(mod)):
+            for kind in ("gr", "int", "res"):
+                gm = grade(m, kind, None if kind == "gr" else 1)
+                specs = [build_JN(spec, 1, F5) for spec in IDEALS]
+                if kind == "gr":
+                    specs += IDEALS
+                reps = [min_annihilator_exponent(gm, spec) for spec in specs]
+                out.append((m.provenance, kind, gm.chain, gm.pivots,
+                            [(r.ell, r.excess_dims) for r in reps]))
+    return out
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_sweep_and_prefix_kernels_match_oracles(case, monkeypatch):
+    # the one-sweep closure, the per-prefix restriction chain and the BLAS
+    # matmul against the fixpoint closure, the itertools chain and the
+    # int64 matmul they replaced, all swapped in together
+    cfg = PrimeConfig(5, 1, 2, case, N=1)
+    got = _gradings_and_exponents(cfg)
+    monkeypatch.setattr(modules, "_close", module_oracle.close)
+    monkeypatch.setattr(modules, "_restriction_chain", module_oracle.restriction_chain)
+    monkeypatch.setattr(gflib, "matmul", module_oracle.matmul)
+    want = _gradings_and_exponents(cfg)
+    assert len(got) == len(want) == 36
+    for (name, kind, chain, piv, reps), (name2, _, chain2, piv2, reps2) in zip(got, want):
+        assert name == name2
+        assert piv == piv2, (name, kind)
+        assert len(chain) == len(chain2)
+        for c, c2 in zip(chain, chain2):
+            assert c.dtype == c2.dtype and c.shape == c2.shape, (name, kind)
+            assert c.tobytes() == c2.tobytes(), (name, kind)
+        assert reps == reps2, (name, kind)
+
+
+def test_conjugate_dual_matches_dual_of_conjugate(deep):
+    # one inverse per basis change: the dual of T rho T^-1 read off the
+    # module's dual, from the same draw as the plain conjugate
+    dual = dualize(deep)
+    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(3):
+        got = _conjugate_dual(deep, dual, rng_a)
+        want = dualize(module_oracle.conjugate(deep, rng_b))
+        assert got.provenance == want.provenance
+        for a, b in zip(got.gen_action, want.gen_action, strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _unipotent(dim, weights, rng):
+    """Matrices I + Z_t, Z_t random and raising a random level of the basis
+    vectors by at least weights[t]: nilpotent operators whose powers stay
+    nonzero longer than those of the corpus modules."""
+    level = np.sort(rng.integers(0, 12, dim))
+    raises = level[:, None] >= level[None, :] + np.array(weights)[:, None, None]
+    z = rng.integers(0, 5, (len(weights), dim, dim)) * raises
+    return [((np.eye(dim, dtype=np.int64) + zt) % 5).astype(np.int16) for zt in z]
+
+
+def test_restriction_chain_matches_oracle_on_random_unipotents():
+    rng = np.random.default_rng(5)
+    compared = 0
+    for _ in range(20):
+        qmats = _unipotent(12, (1, 1, 2), rng)
+        outcomes = []
+        for chain_of in (modules._restriction_chain, module_oracle.restriction_chain):
+            try:
+                outcomes.append(chain_of(qmats, F5, 5, (1, 1, 2)))
+            except BoundExceeded:  # both must refuse a chain that stalls
+                outcomes.append(None)
+        got, want = outcomes
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[1] == want[1]
+            assert [c.tobytes() for c in got[0]] == [c.tobytes() for c in want[0]]
+            compared += 1
+    assert compared >= 5
+
+
+def test_close_sweep_matches_fixpoint_on_random_pieces():
+    # rank-2 operators, so the closure grows the pieces without filling them
+    rng = np.random.default_rng(6)
+    grew = 0
+    for _ in range(20):
+        dim = 10
+        spaces = [rref(rng.integers(0, 5, (int(rng.integers(0, 4)), dim)), F5)
+                  for _ in range(7)]
+        ring_ops = [(matmul(rng.integers(0, 5, (dim, 2)), rng.integers(0, 5, (2, dim)), F5), w)
+                    for w in (1, 1, 2)]
+        got = modules._close(list(spaces), ring_ops, F5)
+        want = module_oracle.close(list(spaces), ring_ops, F5)
+        assert [s[1] for s in got] == [s[1] for s in want]
+        assert [s[0].tobytes() for s in got] == [s[0].tobytes() for s in want]
+        grew += sum(g[0].shape[0] > s[0].shape[0] for g, s in zip(got, spaces))
+    assert grew >= 20
