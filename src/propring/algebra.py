@@ -28,6 +28,12 @@ entries in [0, p) the largest is (p-1) (p(p-1))^(nM), and GroupAlgebra
 refuses a configuration beyond that bound with a ConfigError before it
 allocates anything of the group's order.
 
+A generator acting on low monomials needs no vector of the group's order:
+z^k = sum_(x <= k) Q[k, x] [x] and the coordinate k' of [y] is
+prod_i binom(y_i, k'_i), so the coordinates of g_i z^k (or z^k g_i) at a
+set of monomials are one product Q[ks, X] E[g_i X, rows] mod p over the
+down-set X of weights up to those of ks (generator_columns).
+
 The weight of a monomial index is nu'(k) = sum_i w_i k_i with w = 1 for the
 A and B positions and w = 2 for the C positions (doubled generator
 valuations).  The certified statement about the maximal ideal m (kernel of
@@ -58,6 +64,7 @@ import numpy as np
 
 from .config import PrimeConfig
 from .errors import ConfigError, CutoffBeyondFaithful
+from .gf import gf, matmul
 from .gf import rref  # noqa: F401  bench/test_bench.py reaches rref through this module
 from .groups import Digits, GroupModel, group_model
 
@@ -65,6 +72,8 @@ from .groups import Digits, GroupModel, group_model
 # support pairs per accumulation step of GroupAlgebra.mul; bounds its
 # transient memory to a few tens of MB
 _PAIR_CHUNK = 1 << 18
+# entries of the expansion block per step of GroupAlgebra.generator_columns
+_KERNEL_CHUNK = 1 << 16
 # witness entries a failed certificate reports
 _WITNESSES = 10
 # float64 represents every integer below this exactly
@@ -192,13 +201,43 @@ class GroupAlgebra:
             m = np.multiply.outer(m, self._Q[ki]) % self.p
         return m.ravel()
 
-    def monomial_columns(self, ks: np.ndarray, rows: np.ndarray, op) -> np.ndarray:
+    def generator_columns(self, i: int, side: str, ks: np.ndarray,
+                          rows: np.ndarray) -> np.ndarray:
         """Matrix whose column t holds the monomial coordinates, at the flat
-        indices rows, of op(z^k) for the flat index k = ks[t]."""
+        indices rows, of g_i z^k (side "left") or z^k g_i (side "right") for
+        the flat index k = ks[t], without a dense product or transform.
+
+        z^k = sum_(x <= k) Q[k, x] [x], so the coordinates are the block
+        Q[ks, X] E[g_i X or X g_i, rows] mod p, where E[y, k'] =
+        prod_i binom(y_i, k'_i) (binomial_expansion) and X = {x : nu'(x) <=
+        max nu'(ks)}, a down-set and so holding every x <= k.  Right
+        products read right_mul_table(g_i); a left product g_i x walks the
+        digit word of x through the generator tables, so the power tables
+        are never built."""
+        model, p = self.model, self.p
+        nu_w = self.nu_weight_array
+        xs = np.flatnonzero(nu_w <= nu_w[ks].max(initial=-1))
+        if side == "right":
+            gx = model.right_mul_table(model.generator(i))[xs]
+        else:
+            gx = np.full(xs.size, model.index_of(model.generator(i)))
+            digits = np.unravel_index(xs, (self.pM,) * self.n)
+            for j, d in enumerate(digits):
+                table = model.right_mul_table(model.generator(j))
+                for e in range(int(d.max(initial=0))):
+                    gx = np.where(d > e, table[gx], gx)
+        field = gf(p, 1)
         out = np.zeros((rows.size, ks.size), dtype=np.int16)
-        for t, k in enumerate(ks):
-            mono = self.monomial(self.model.digits_of(int(k)))
-            out[:, t] = self.to_monomial(op(mono))[rows]
+        # blocks Q[ks, X_s], E[g X_s, rows_r] and their product stay below
+        # _KERNEL_CHUNK entries each; only the result grows with the cut
+        step = max(1, _KERNEL_CHUNK // max(ks.size, 1))
+        width = max(1, _KERNEL_CHUNK // max(step, ks.size))
+        for s in range(0, xs.size, step):
+            q = self._tensor(self._Q, ks, xs[s:s + step])
+            for r in range(0, rows.size, width):
+                e = self.binomial_expansion(gx[s:s + step], rows[r:r + width])
+                out[r:r + width] += matmul(q, e, field).T
+                out[r:r + width] %= p
         return out
 
     # -- basis transforms ----------------------------------------------------
@@ -236,16 +275,21 @@ class GroupAlgebra:
 
     # -- expansion without dense arrays --------------------------------------
 
+    def _tensor(self, table: np.ndarray, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """out[s, t] = prod_i table[x_i, k_i] mod p over the digits of the
+        flat indices x = xs[s] and k = ks[t]."""
+        shape = (self.pM,) * self.n
+        out = np.ones((len(xs), len(ks)), dtype=np.int16)
+        for xd, kd in zip(np.unravel_index(xs, shape), np.unravel_index(ks, shape)):
+            out *= table[xd[:, None], kd[None, :]]
+            out %= self.p
+        return out
+
     def binomial_expansion(self, xs: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """E[s, t] = prod_i binom(x_i, k_i) mod p for the flat indices
         x = xs[s] and k = ks[t]: row s holds the monomial coordinates of the
         group element x at the monomials ks."""
-        shape = (self.pM,) * self.n
-        out = np.ones((len(xs), len(ks)), dtype=np.int16)
-        for xd, kd in zip(np.unravel_index(xs, shape), np.unravel_index(ks, shape)):
-            out *= self._P[xd[:, None], kd[None, :]]
-            out %= self.p
-        return out
+        return self._tensor(self._P, xs, ks)
 
     def expand_group_sparse(self, x: Digits) -> dict[Digits, int]:
         """Monomial expansion of a single group element by the closed form,

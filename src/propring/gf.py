@@ -6,6 +6,11 @@ sum(c_i * p^i).  For f = 1 the index is the residue itself.  All linear
 algebra in the package (row reduction, rank, solving) runs over these index
 arrays with numpy fancy-indexing into the q x q operation tables, which keeps
 every computation exact.
+
+A space that grows by a few rows at a time is held as its reduced row
+echelon basis and extended with rref_insert, which reduces only the new rows
+against it: reduced row echelon form is unique for a row space, so the
+extended basis is byte for byte the rref of all the rows stacked.
 """
 
 from __future__ import annotations
@@ -283,18 +288,45 @@ def rank(rows: np.ndarray, field: GF) -> int:
     return rref(rows, field)[0].shape[0]
 
 
-def residue(vec: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) -> np.ndarray:
-    """Reduce vec against an rref basis; zero result means membership."""
-    v = np.array(vec, dtype=np.int16)
-    add, mul, neg = field.add, field.mul, field.neg
-    for row, c in zip(basis, pivots):
-        if v[c]:
-            v = add[v, mul[neg[v[c]], row]]
-    return v
+def residue(rows: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) -> np.ndarray:
+    """Reduce each row of a 2-D stack against an rref basis B with pivots P
+    in one product: rows - rows[:, P] B.  Every row of B vanishes at the
+    other pivots, so this equals subtracting v[c] times the row of pivot c
+    one pivot at a time; a zero result row means membership."""
+    rows = np.asarray(rows, dtype=np.int16)
+    return field.add[rows, field.neg[matmul(rows[:, pivots], basis, field)]]
 
 
 def in_span(vec: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) -> bool:
-    return not residue(vec, basis, pivots, field).any()
+    return not residue(np.asarray(vec)[None, :], basis, pivots, field).any()
+
+
+def rref_insert(basis: np.ndarray, pivots: list[int], rows: np.ndarray,
+                field: GF) -> tuple[np.ndarray, list[int]]:
+    """rref(concat([basis, rows])) for a basis B that is already in reduced
+    row echelon form with pivots P, without re-reducing B:
+
+    * the new rows are reduced against B, V - V[:, P] B (residue);
+    * only the nonzero residue is row-reduced, to R with pivots Q, which
+      avoid P because the residue vanishes there;
+    * B is back-substituted, B - B[:, Q] R, which clears its Q columns and
+      leaves its P columns (R vanishes there);
+    * the rows of both are merged in pivot order.
+
+    The result spans the same space, has the echelon shape and the
+    identity at its pivots, and reduced row echelon form is unique, so it
+    is byte for byte the full rref of the stacked rows."""
+    if basis.shape[0] == 0:
+        return rref(rows, field)
+    res = residue(rows, basis, pivots, field)
+    res = res[res.any(axis=1)]
+    if res.shape[0] == 0:
+        return basis, pivots
+    new, qpiv = rref(res, field)
+    basis = field.add[basis, field.neg[matmul(basis[:, qpiv], new, field)]]
+    piv = pivots + qpiv
+    order = sorted(range(len(piv)), key=piv.__getitem__)
+    return np.concatenate([basis, new])[order], [piv[t] for t in order]
 
 
 def matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:

@@ -197,16 +197,13 @@ class GradedRing:
         if m is not None:
             return m
         alg = self.alg
-        gen_dense = alg.of_group(self.model.generator(gi))
-
-        def op(mono):
-            if side == "right":
-                return alg.zmul(mono, gi, 1)
-            return (alg.mul(gen_dense, mono) - mono) % self.p
-
         nu_w = alg.nu_weight_array
         rows = np.nonzero(nu_w <= d + w)[0]
-        cols = alg.monomial_columns(self.weight_index(d), rows, op)
+        ks = self.weight_index(d)
+        # (g - 1) z^k or z^k (g - 1): the generator action less z^k itself
+        cols = alg.generator_columns(gi, side, ks, rows)
+        at_k = np.searchsorted(rows, ks), np.arange(ks.size)
+        cols[at_k] = (cols[at_k] - 1) % self.p
         low = nu_w[rows] < d + w
         assert not cols[low].any()
         out = cols[~low]

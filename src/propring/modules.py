@@ -122,50 +122,47 @@ def regular_module(cfg: PrimeConfig) -> FiniteModule:
 
 def weight_quotient_module(cfg: PrimeConfig, jcut: int) -> FiniteModule:
     """Quotient of the regular module by the two-sided span of all monomials
-    of weight >= jcut, written in monomial coordinates."""
+    of weight >= jcut, written in monomial coordinates: generator i acts by
+    the block of GroupAlgebra.generator_columns on the kept monomials."""
     alg = group_algebra(cfg)
     if not 1 <= jcut <= alg.pM:
         raise ConfigError("weight cut must stay inside the faithful range")
     sel = np.nonzero(alg.nu_weight_array < jcut)[0]
-    mats = []
-    for i in range(cfg.dim):
-        gd = alg.of_group(alg.model.generator(i))
-        mats.append(alg.monomial_columns(sel, sel, lambda mono: alg.mul(gd, mono)))
-    return FiniteModule(cfg, int(sel.size), tuple(mats), f"weight-quotient<{jcut}")
+    mats = tuple(alg.generator_columns(i, "left", sel, sel) for i in range(cfg.dim))
+    return FiniteModule(cfg, int(sel.size), mats, f"weight-quotient<{jcut}")
 
 
 def _stable_closure(rows: np.ndarray, gens, field: GF):
     """Smallest row space containing rows and stable under every generator
-    (row vectors transform through the transposed matrices)."""
+    (row vectors transform through the transposed matrices).  Each round
+    inserts the images of the rows the previous round added; the images of
+    the older rows are already in the space."""
     cur, piv = rref(np.array(rows, dtype=np.int16), field)
-    while cur.shape[0]:
-        stacked = np.concatenate([cur] + [gflib.matmul(cur, g.T, field) for g in gens])
-        nxt, npiv = rref(stacked, field)
-        if nxt.shape[0] == cur.shape[0]:
-            break
-        cur, piv = nxt, npiv
+    front = cur
+    while front.shape[0]:
+        images = np.concatenate([gflib.matmul(front, g.T, field) for g in gens])
+        old = set(piv)
+        cur, piv = gflib.rref_insert(cur, piv, images, field)
+        front = cur[[t for t, c in enumerate(piv) if c not in old]]
     return cur, piv
 
 
 def _quotient_by_closure(base: FiniteModule, closure, provenance: str):
     """Quotient of base by a submodule given as its _stable_closure
-    (echelon basis, pivots), written in the complement coordinates."""
+    (echelon basis, pivots), written in the complement coordinates: the
+    images of the kept basis vectors are reduced against the closure in one
+    product."""
     field = base.field
     sub, piv = closure
     pivset = set(piv)
     keep = [c for c in range(base.dim) if c not in pivset]
     if not keep:
         raise ConfigError("closure swallowed the whole module")
-    mats = []
-    for g in base.gen_action:
-        m = np.zeros((len(keep), len(keep)), dtype=np.int16)
-        for t, c in enumerate(keep):
-            img = g[:, c].copy()
-            if sub.shape[0]:
-                img = gflib.residue(img, sub, piv, field)
-            m[:, t] = img[keep]
-        mats.append(m)
-    return FiniteModule(base.cfg, len(keep), tuple(mats), provenance)
+    mats = tuple(
+        np.ascontiguousarray(gflib.residue(g[:, keep].T, sub, piv, field)[:, keep].T)
+        for g in base.gen_action
+    )
+    return FiniteModule(base.cfg, len(keep), mats, provenance)
 
 
 def quotient_module(cfg: PrimeConfig, seed: int, jcut: int = 6, max_dim: int = 40,
@@ -386,9 +383,9 @@ def _restriction_chain(qmats, field: GF, top: int, weights):
     for op, w in ops:
         by_weight.setdefault(w, []).append(op.T)
     spans: dict[int, tuple[np.ndarray, list[int]]] = {}
-    acc = np.zeros((0, dim), dtype=np.int16)
+    acc, acc_piv = np.zeros((0, dim), dtype=np.int16), []
     for i in sorted(by_weight, reverse=True):
-        acc, acc_piv = rref(np.concatenate([acc] + by_weight[i]), field)
+        acc, acc_piv = gflib.rref_insert(acc, acc_piv, np.concatenate(by_weight[i]), field)
         spans[i] = (acc, acc_piv)
     maxw = max(by_weight)
     chain, pivots = [], []
@@ -515,15 +512,15 @@ def _close(spaces, ring_ops, field: GF):
     ring_ops None leaves them as they are.  Every ring operator raises the
     piece index by its two_omega >= 1, so each image landing in piece j
     comes from a piece below j, and piece j is final when the sweep reaches
-    it: its queued images are absorbed with one rref, and its own images
-    are queued for the pieces above."""
+    it: its queued images are inserted into its basis at once, and its own
+    images are queued for the pieces above."""
     if ring_ops is None:
         return spaces
     npieces = len(spaces)
     queued: list[list[np.ndarray]] = [[] for _ in range(npieces)]
     for j in range(npieces):
         if queued[j]:
-            spaces[j] = rref(np.concatenate([spaces[j][0]] + queued[j]), field)
+            spaces[j] = gflib.rref_insert(*spaces[j], np.concatenate(queued[j]), field)
         basis = spaces[j][0]
         if basis.shape[0] == 0:
             continue
@@ -573,7 +570,8 @@ def _min_exponent(chain, pivots, lifts, ring_ops, field: GF, bound: int,
         spaces = []
         for j in range(npieces):
             if new_rows[j]:
-                spaces.append(rref(np.concatenate([tails[j]] + new_rows[j]), field))
+                spaces.append(gflib.rref_insert(tails[j], pivots[j + 1],
+                                                np.concatenate(new_rows[j]), field))
             else:
                 spaces.append((tails[j], pivots[j + 1]))
         spaces = _close(spaces, ring_ops, field)

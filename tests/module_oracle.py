@@ -1,6 +1,8 @@
 """The replaced module kernels, kept as test oracles: the fixpoint closure of
 graded pieces, the restriction chain over itertools.product, the int64
-prime-field matmul, and the plain basis change.
+prime-field matmul, the plain basis change, the full rref of a stacked
+basis, the one-vector-at-a-time residue and the stable closure that maps
+its whole basis every round.
 
 close repeats one rref per (piece, operator) until nothing changes, where
 modules._close makes one ascending sweep with one rref per receiving piece.
@@ -10,7 +12,12 @@ prefix.  matmul reduces an int64 product mod p, where gf.matmul sums in
 float64 through BLAS.  The first two multiply through the oracle matmul,
 so all three share with the library only rref and the field tables.
 conjugate draws T as modules._conjugate_dual does and returns T rho T^-1,
-whose dualize is what _conjugate_dual reads off the dual with one inverse."""
+whose dualize is what _conjugate_dual reads off the dual with one inverse.
+rref_insert re-reduces the whole stack, where gf.rref_insert reduces only
+the new rows; residue reduces one row at a time, one pivot at a time, where
+gf.residue takes one product for the whole stack.  stable_closure maps the
+whole basis through every generator each round, where
+modules._stable_closure maps only the rows the last round added."""
 
 import itertools
 
@@ -117,3 +124,34 @@ def conjugate(mod, rng):
             continue
     mats = tuple(matmul(t, matmul(g, tinv, field), field) for g in mod.gen_action)
     return FiniteModule(mod.cfg, mod.dim, mats, f"conj({mod.provenance})")
+
+
+def rref_insert(basis, pivots, rows, field):
+    """The extended echelon basis as the rref of the stacked rows; the
+    signature of gf.rref_insert."""
+    return rref(np.concatenate([basis, rows]), field)
+
+
+def residue(rows, basis, pivots, field):
+    """Each row reduced against an rref basis pivot by pivot; the signature
+    of gf.residue."""
+    out = np.array(rows, dtype=np.int16)
+    add, mul, neg = field.add, field.mul, field.neg
+    for v in out:
+        for row, c in zip(basis, pivots):
+            if v[c]:
+                v[:] = add[v, mul[neg[v[c]], row]]
+    return out
+
+
+def stable_closure(rows, gens, field):
+    """Smallest row space containing rows and stable under every generator;
+    the signature of modules._stable_closure."""
+    cur, piv = rref(np.array(rows, dtype=np.int16), field)
+    while cur.shape[0]:
+        stacked = np.concatenate([cur] + [matmul(cur, g.T, field) for g in gens])
+        nxt, npiv = rref(stacked, field)
+        if nxt.shape[0] == cur.shape[0]:
+            break
+        cur, piv = nxt, npiv
+    return cur, piv

@@ -1,0 +1,47 @@
+"""The per-monomial paths that GroupAlgebra.generator_columns replaced,
+kept as test oracles: each column is one dense product (GroupAlgebra.mul
+for a left factor, zmul for a right one) and one transform to monomial
+coordinates, through span_oracle.monomial_columns.  They share with the
+kernel only the dense ring itself."""
+
+import numpy as np
+
+from propring.algebra import group_algebra
+from propring.errors import ConfigError
+from propring.modules import FiniteModule
+
+from span_oracle import monomial_columns
+
+
+def weight_quotient_module(cfg, jcut):
+    """modules.weight_quotient_module, one dense left product per monomial."""
+    alg = group_algebra(cfg)
+    if not 1 <= jcut <= alg.pM:
+        raise ConfigError("weight cut must stay inside the faithful range")
+    sel = np.nonzero(alg.nu_weight_array < jcut)[0]
+    mats = []
+    for i in range(cfg.dim):
+        gd = alg.of_group(alg.model.generator(i))
+        mats.append(monomial_columns(alg, sel, sel, lambda mono: alg.mul(gd, mono)))
+    return FiniteModule(cfg, int(sel.size), tuple(mats), f"weight-quotient<{jcut}")
+
+
+def mult_matrix(gr, side, gi, d):
+    """GradedRing.mult_matrix (uncached): (g - 1) z^k through alg.mul, or
+    z^k (g - 1) through zmul."""
+    w = 2 if gi >= 2 * gr.f else 1
+    gr._gate(d + w)
+    alg = gr.alg
+    gen_dense = alg.of_group(gr.model.generator(gi))
+
+    def op(mono):
+        if side == "right":
+            return alg.zmul(mono, gi, 1)
+        return (alg.mul(gen_dense, mono) - mono) % gr.p
+
+    nu_w = alg.nu_weight_array
+    rows = np.nonzero(nu_w <= d + w)[0]
+    cols = monomial_columns(alg, gr.weight_index(d), rows, op)
+    low = nu_w[rows] < d + w
+    assert not cols[low].any()
+    return cols[~low]

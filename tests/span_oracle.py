@@ -12,6 +12,16 @@ from propring.errors import CutoffBeyondFaithful
 from propring.gf import gf, rref
 
 
+def monomial_columns(alg, ks, rows, op):
+    """Column t: the monomial coordinates, at the flat indices rows, of
+    op(z^k) for the flat index k = ks[t]."""
+    out = np.zeros((rows.size, ks.size), dtype=np.int16)
+    for t, k in enumerate(ks):
+        mono = alg.monomial(alg.model.digits_of(int(k)))
+        out[:, t] = alg.to_monomial(op(mono))[rows]
+    return out
+
+
 def primal_ideal_power_spans(alg, jmax: int) -> dict:
     """Span-computed powers of the maximal ideal against the weighted
     coordinate subspaces, inside the weight <= jmax quotient space.
@@ -32,7 +42,7 @@ def primal_ideal_power_spans(alg, jmax: int) -> dict:
     weights = nu_w[sel]
 
     # right multiplication by z_i on quotient coordinates
-    zmats = [alg.monomial_columns(sel, sel, lambda mono, i=i: alg.zmul(mono, i, 1))
+    zmats = [monomial_columns(alg, sel, sel, lambda mono, i=i: alg.zmul(mono, i, 1))
              for i in range(alg.n)]
 
     # m itself: every [x] - [1], accumulated incrementally

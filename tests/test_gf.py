@@ -1,8 +1,11 @@
 """The finite-field tables against the polynomial construction they replace,
-and matmul against the int64 product it replaced."""
+matmul against the int64 product it replaced, and the echelon insertion and
+batched residue against the full rref and the row-by-row residue."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from propring import gf as gflib
 
@@ -78,3 +81,56 @@ def test_extension_matmul_bytes_unchanged(p, f):
         got = gflib.matmul(a, b, field)
         assert got.dtype == np.int16
         assert got.tobytes() == module_oracle.matmul(a, b, field).tobytes(), k
+
+
+def _insertion_case(q, ncols, rank, nrows, kind, seed):
+    """(basis, pivots, new rows): an rref basis of at most the given rank,
+    and new rows drawn at random, from the basis span, or as the missing
+    unit rows plus span noise, which complete the space to full rank."""
+    field = gflib.gf(*{5: (5, 1), 7: (7, 1), 25: (5, 2)}[q])
+    rng = np.random.default_rng(seed)
+    basis, piv = gflib.rref(rng.integers(0, q, (rank, ncols)), field)
+    if kind == "random":
+        rows = rng.integers(0, q, (nrows, ncols)).astype(np.int16)
+    else:
+        rows = gflib.matmul(rng.integers(0, q, (nrows, basis.shape[0])), basis, field)
+        if kind == "complete":
+            missing = [c for c in range(ncols) if c not in piv]
+            units = np.eye(ncols, dtype=np.int16)[missing]
+            rows = np.concatenate([units, rows])
+            rows = field.add[rows, gflib.matmul(
+                rng.integers(0, q, (rows.shape[0], basis.shape[0])), basis, field)]
+    return field, basis, piv, rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(q=st.sampled_from([5, 7, 25]), ncols=st.integers(1, 12), rank=st.integers(0, 12),
+       nrows=st.integers(0, 9), kind=st.sampled_from(["random", "span", "complete"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(q=5, ncols=6, rank=0, nrows=4, kind="random", seed=1)     # empty basis
+@example(q=7, ncols=6, rank=3, nrows=0, kind="random", seed=2)     # no new rows
+@example(q=25, ncols=6, rank=0, nrows=0, kind="random", seed=3)    # both empty
+@example(q=25, ncols=8, rank=5, nrows=6, kind="span", seed=4)      # nothing new
+@example(q=7, ncols=8, rank=4, nrows=3, kind="complete", seed=5)   # reaches full rank
+def test_rref_insert_matches_full_rref(q, ncols, rank, nrows, kind, seed):
+    field, basis, piv, rows = _insertion_case(q, ncols, rank, nrows, kind, seed)
+    got, got_piv = gflib.rref_insert(basis, piv, rows, field)
+    want, want_piv = module_oracle.rref_insert(basis, piv, rows, field)
+    assert got_piv == want_piv
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    if kind == "span":
+        assert got_piv == piv
+    if kind == "complete":
+        assert got_piv == list(range(ncols))
+
+
+@pytest.mark.parametrize("q", [5, 7, 25])
+def test_batched_residue_matches_row_by_row(q):
+    for seed in range(20):
+        field, basis, piv, rows = _insertion_case(q, 10, seed % 11, 7, "random", seed)
+        got = gflib.residue(rows, basis, piv, field)
+        want = module_oracle.residue(rows, basis, piv, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        inside = gflib.matmul(rows[:, : basis.shape[0]], basis, field)
+        assert not gflib.residue(inside, basis, piv, field).any()

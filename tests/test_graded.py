@@ -4,6 +4,8 @@ spans, the p^N-twist, and the chunk rewriting."""
 import numpy as np
 import pytest
 
+from propring.algebra import group_algebra
+from propring.config import PrimeConfig
 from propring.errors import CutoffBeyondFaithful, NonHomogeneousInput
 from propring.gf import gf
 from propring.graded import (
@@ -30,6 +32,7 @@ from propring.graded import (
     tau_rewrite,
     verify_transcript,
 )
+import monomial_oracle
 from span_oracle import primal_ideal_power_spans
 
 F5 = gf(5, 1)
@@ -195,6 +198,25 @@ def test_pigeonhole_light(gr, ideals, rng):
     out = check_pigeonhole(gr, ideals[0], 1, rng, samples=5)
     assert out["ok"]
     assert out["pigeonhole_ok"] and out["congruence_ok"] and out["membership_ok"]
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+@pytest.mark.parametrize("pfm", [(5, 1, 1), (5, 1, 2), (7, 1, 2), (5, 2, 1)], ids=str)
+def test_mult_matrix_matches_per_monomial_oracle(pfm, case):
+    # the Q E kernel against one dense product (alg.mul on the left, zmul on
+    # the right) and one transform per monomial, on a fresh, uncached ring
+    gr = GradedRing(group_algebra(PrimeConfig(*pfm, case)))
+    compared = 0
+    for gi in range(gr.n):
+        w = 2 if gi >= 2 * gr.f else 1
+        for d in range(min(6, gr.faithful - 1 - w) + 1):
+            for side in ("left", "right"):
+                got = gr.mult_matrix(side, gi, d)
+                want = monomial_oracle.mult_matrix(gr, side, gi, d)
+                assert got.dtype == want.dtype and got.shape == want.shape, (side, gi, d)
+                assert got.tobytes() == want.tobytes(), (side, gi, d)
+                compared += 1
+    assert compared >= 2 * gr.n * 3
 
 
 def test_mult_matrix_matches_unit_class_products(gr):

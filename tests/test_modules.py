@@ -1,9 +1,12 @@
 """Finite modules over the truncated ring: builders, the three gradings,
 minimal annihilator exponents, and the restriction-only reconstruction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from propring import algebra
 from propring import gf as gflib
 from propring import modules
 from propring.config import PrimeConfig
@@ -32,6 +35,7 @@ from propring.modules import (
 )
 
 import module_oracle
+import monomial_oracle
 from pair_oracle import first_unpaired
 
 F5 = gf(5, 1)
@@ -83,6 +87,42 @@ def test_weight_quotient_dims(cfg):
     mod = weight_quotient_module(cfg, 6)
     assert mod.dim == 34
     assert grade(mod, "gr").piece_dims() == [1, 2, 4, 6, 9, 12]
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", [(5, 1, 1), (5, 1, 2), (7, 1, 2), (5, 2, 1)], ids=str)
+def test_weight_quotient_matches_per_monomial_oracle(pfm, case):
+    # every shipped cut (the corpus cuts 5 and 6 and the deep-line cut
+    # 2 p^(M-1) + 1) inside the faithful range, and every cut at (5, 1, 1);
+    # the oracle builds each column with one dense product and transform
+    p, f, M = pfm
+    cfg = PrimeConfig(p, f, M, case)
+    cuts = {5, 6, 2 * p ** (M - 1) + 1} | (set(range(2, p**M + 1)) if pfm == (5, 1, 1) else set())
+    for jcut in sorted(c for c in cuts if c <= p**M):
+        got = weight_quotient_module(cfg, jcut)
+        want = monomial_oracle.weight_quotient_module(cfg, jcut)
+        assert got.dim == want.dim and got.provenance == want.provenance
+        for a, b in zip(got.gen_action, want.gen_action, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape, jcut
+            assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), jcut
+
+
+def test_generator_kernel_memory_is_chunked():
+    # the deep-line cut at (7, 1, 2): 372 monomials, so one unchunked
+    # expansion block E[g X, rows] holds 138,384 entries; each block of the
+    # kernel stays below _KERNEL_CHUNK entries, so the traced peak stays
+    # below the result plus a few float64 blocks
+    cfg = PrimeConfig(7, 1, 2, "GL2")
+    weight_quotient_module(cfg, 2)  # builds the generator tables outside the trace
+    tracemalloc.start()
+    try:
+        mod = weight_quotient_module(cfg, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mod.dim == 372
+    result = sum(m.nbytes for m in mod.gen_action)
+    assert peak < result + 4 * 8 * algebra._KERNEL_CHUNK, peak
 
 
 def test_deep_module_has_live_twist(deep):
@@ -250,25 +290,33 @@ def _gradings_and_exponents(cfg):
                 if kind == "gr":
                     specs += IDEALS
                 reps = [min_annihilator_exponent(gm, spec) for spec in specs]
-                out.append((m.provenance, kind, gm.chain, gm.pivots,
-                            [(r.ell, r.excess_dims) for r in reps]))
+                out.append((m.provenance, [g.tobytes() for g in m.gen_action], kind,
+                            gm.chain, gm.pivots, [(r.ell, r.excess_dims) for r in reps]))
     return out
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
 def test_sweep_and_prefix_kernels_match_oracles(case, monkeypatch):
-    # the one-sweep closure, the per-prefix restriction chain and the BLAS
-    # matmul against the fixpoint closure, the itertools chain and the
-    # int64 matmul they replaced, all swapped in together
+    # the one-sweep closure, the per-prefix restriction chain, the BLAS
+    # matmul, the echelon insertion, the batched residue, the frontier
+    # closure and the generator kernel against the fixpoint closure, the
+    # itertools chain, the int64 matmul, the full rref, the row-by-row
+    # residue, the whole-basis closure and the per-monomial weight quotient
+    # they replaced, all swapped in together
     cfg = PrimeConfig(5, 1, 2, case, N=1)
     got = _gradings_and_exponents(cfg)
     monkeypatch.setattr(modules, "_close", module_oracle.close)
     monkeypatch.setattr(modules, "_restriction_chain", module_oracle.restriction_chain)
+    monkeypatch.setattr(modules, "weight_quotient_module", monomial_oracle.weight_quotient_module)
+    monkeypatch.setattr(modules, "_stable_closure", module_oracle.stable_closure)
     monkeypatch.setattr(gflib, "matmul", module_oracle.matmul)
+    monkeypatch.setattr(gflib, "rref_insert", module_oracle.rref_insert)
+    monkeypatch.setattr(gflib, "residue", module_oracle.residue)
     want = _gradings_and_exponents(cfg)
     assert len(got) == len(want) == 36
-    for (name, kind, chain, piv, reps), (name2, _, chain2, piv2, reps2) in zip(got, want):
-        assert name == name2
+    for (name, mats, kind, chain, piv, reps), (name2, mats2, _, chain2, piv2, reps2) in zip(
+            got, want):
+        assert name == name2 and mats == mats2, name
         assert piv == piv2, (name, kind)
         assert len(chain) == len(chain2)
         for c, c2 in zip(chain, chain2):
@@ -337,3 +385,18 @@ def test_close_sweep_matches_fixpoint_on_random_pieces():
         assert [s[0].tobytes() for s in got] == [s[0].tobytes() for s in want]
         grew += sum(g[0].shape[0] > s[0].shape[0] for g, s in zip(got, spaces))
     assert grew >= 20
+
+
+def test_stable_closure_matches_oracle_on_random_generators():
+    # unipotent generators grow a random start over several rounds, so the
+    # frontier rounds are exercised beyond the first
+    rng = np.random.default_rng(8)
+    grew = 0
+    for _ in range(20):
+        gens = _unipotent(12, (1, 1, 2), rng)
+        rows = rng.integers(0, 5, (int(rng.integers(0, 3)), 12))
+        got = modules._stable_closure(rows, gens, F5)
+        want = module_oracle.stable_closure(rows, gens, F5)
+        assert got[1] == want[1] and got[0].tobytes() == want[0].tobytes()
+        grew += got[0].shape[0] > rref(rows, F5)[0].shape[0]
+    assert grew >= 10
