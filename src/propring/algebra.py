@@ -57,7 +57,6 @@ of weight at least p^M.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -121,20 +120,6 @@ class GroupAlgebra:
         a = self.zero()
         a[self.model.index_of(self.model.check_digits(x))] = 1
         return a
-
-    def of_dict(self, terms: dict[Digits, int]) -> np.ndarray:
-        a = self.zero()
-        for x, c in terms.items():
-            a[self.model.index_of(self.model.check_digits(x))] = (
-                a[self.model.index_of(self.model.check_digits(x))] + c
-            ) % self.p
-        return a
-
-    def to_dict(self, a: np.ndarray) -> dict[Digits, int]:
-        out = {}
-        for idx in np.nonzero(a)[0]:
-            out[self.model.digits_of(int(idx))] = int(a[idx])
-        return out
 
     # -- multiplication ------------------------------------------------------
 
@@ -291,20 +276,6 @@ class GroupAlgebra:
         group element x at the monomials ks."""
         return self._tensor(self._P, xs, ks)
 
-    def expand_group_sparse(self, x: Digits) -> dict[Digits, int]:
-        """Monomial expansion of a single group element by the closed form,
-        with math.comb; works at any size since no full-space array is
-        involved."""
-        x = self.model.check_digits(x)
-        per_axis = [
-            [(k, c) for k in range(xi + 1) if (c := math.comb(xi, k) % self.p)]
-            for xi in x
-        ]
-        out = {}
-        for combo in itertools.product(*per_axis):
-            out[tuple(k for k, _ in combo)] = math.prod(c for _, c in combo) % self.p
-        return out
-
     # -- weights and nu --------------------------------------------------------
 
     def nu_prime(self, k) -> int:
@@ -326,16 +297,6 @@ class GroupAlgebra:
         if hit.size == 0:
             return None
         return int(self.nu_weight_array[hit].min())
-
-    def nu_faithful(self, a: np.ndarray) -> int:
-        """nu with the guarantee that it agrees with the untruncated ring;
-        beyond p^M the truncation cannot certify the value."""
-        v = self.nu(a)
-        if v is None or v >= self.pM:
-            raise CutoffBeyondFaithful(
-                f"nu is at least {self.pM}, beyond the faithful range of depth M={self.model.M}"
-            )
-        return v
 
     def in_filtration(self, a: np.ndarray, j: int) -> bool:
         """Membership in span{z^k : nu'(k) >= j} (= m^j once certified)."""

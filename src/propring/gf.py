@@ -297,10 +297,6 @@ def residue(rows: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) -
     return field.add[rows, field.neg[matmul(rows[:, pivots], basis, field)]]
 
 
-def in_span(vec: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) -> bool:
-    return not residue(np.asarray(vec)[None, :], basis, pivots, field).any()
-
-
 def rref_insert(basis: np.ndarray, pivots: list[int], rows: np.ndarray,
                 field: GF) -> tuple[np.ndarray, list[int]]:
     """rref(concat([basis, rows])) for a basis B that is already in reduced

@@ -36,7 +36,7 @@ from .errors import (
     CutoffBeyondFaithful,
     NonHomogeneousInput,
 )
-from .gf import GF, gf, in_span, rref
+from .gf import GF, gf, rref
 from .groups import Digits
 
 
@@ -77,9 +77,6 @@ class GradedRing:
     def dim(self, j: int) -> int:
         return self.weight_index(j).size
 
-    def exponents(self, j: int) -> list[Digits]:
-        return [self.model.digits_of(int(k)) for k in self.weight_index(j)]
-
     def _gate(self, degree: int) -> None:
         if degree >= self.faithful:
             raise CutoffBeyondFaithful(
@@ -118,14 +115,6 @@ class GradedRing:
 
     def ring_generator_classes(self) -> list[GradedClass]:
         return self.degree_one_classes() + [self.c(i) for i in range(self.f)]
-
-    def c_span_ok(self, cls: GradedClass) -> bool:
-        """Support contained in the c_i monomial positions (degree 2 only)."""
-        if cls.degree != 2:
-            return False
-        cpos = {self.model.index_of(self._unit_exps(2 * self.f + i)) for i in range(self.f)}
-        idx = self.weight_index(2)
-        return all(c == 0 or int(idx[t]) in cpos for t, c in enumerate(cls.coords))
 
     # -- linear structure ----------------------------------------------------
 
@@ -225,9 +214,6 @@ class IdealSpec:
     f_gens: tuple[tuple[Term, ...], ...]
     name: str = ""
 
-    def gen_degrees(self) -> list[int]:
-        return [sum(g[0][0]) + sum(g[0][1]) for g in self.f_gens]
-
 
 @dataclasses.dataclass(frozen=True)
 class IdealSpecN:
@@ -264,9 +250,7 @@ def ideal_spec(f_gens, f: int, name: str = "", homogenize: bool = False) -> Idea
         degrees = sorted({_term_degree(t) for t in terms})
         if len(degrees) > 1:
             if not homogenize:
-                raise NonHomogeneousInput(
-                    f"generator mixes degrees {degrees}; pass homogenize=True to split"
-                )
+                raise NonHomogeneousInput(f"generator mixes degrees {degrees}")
             for d in degrees:
                 out.append(tuple(t for t in terms if _term_degree(t) == d))
         else:
@@ -295,37 +279,6 @@ def default_ideals(f: int, field: GF) -> list[IdealSpec]:
     ]
 
 
-def evaluate_term(gr: GradedRing, t: Term) -> GradedClass:
-    m, n, coeff = t
-    out = gr.one()
-    for i, e in enumerate(m):
-        for _ in range(e):
-            out = gr.mul(out, gr.a(i))
-    for i, e in enumerate(n):
-        for _ in range(e):
-            out = gr.mul(out, gr.b(i))
-    return gr.scale(coeff, out)
-
-
-def evaluate_generator(gr: GradedRing, gen: tuple[Term, ...]) -> GradedClass:
-    out = evaluate_term(gr, gen[0])
-    for t in gen[1:]:
-        out = gr.add(out, evaluate_term(gr, t))
-    return out
-
-
-def generator_classes(gr: GradedRing, spec: IdealSpec | IdealSpecN) -> list[GradedClass]:
-    """All ideal generators as graded classes, including the implicit
-    c-part (c_i for a plain spec, c_i^(p^N) for a twisted one)."""
-    out = [evaluate_generator(gr, gen) for gen in spec.f_gens]
-    if isinstance(spec, IdealSpecN):
-        q = gr.p**spec.N
-        out += [gr.power(gr.c(i), q) for i in range(gr.f)]
-    else:
-        out += [gr.c(i) for i in range(gr.f)]
-    return out
-
-
 def build_JN(spec: IdealSpec, N: int, field: GF) -> IdealSpecN:
     if N < 1:
         raise ConfigError("N must be positive")
@@ -352,8 +305,6 @@ class IdealTables:
 
     def __init__(self, gr: GradedRing, gens: list[GradedClass], cutoff: int):
         gr._gate(cutoff)
-        self.gr = gr
-        self.cutoff = cutoff
         self.tables: dict[int, tuple[np.ndarray, list[int]]] = {}
         field = gr.field
         by_degree: dict[int, list[np.ndarray]] = {}
@@ -382,38 +333,8 @@ class IdealTables:
     def dim(self, d: int) -> int:
         return self.tables[d][0].shape[0]
 
-    def contains(self, cls: GradedClass) -> bool:
-        if cls.degree > self.cutoff:
-            raise CutoffBeyondFaithful(
-                f"tables built through degree {self.cutoff}, element has degree {cls.degree}"
-            )
-        basis, piv = self.tables[cls.degree]
-        return in_span(np.array(cls.coords, dtype=np.int16), basis, piv, self.gr.field)
-
 
 # -- ring-level checks ---------------------------------------------------------
-
-
-def check_centrality(gr: GradedRing, cls: GradedClass, T: int) -> bool:
-    """Bracket of cls against every degree-one generator class vanishes;
-    the brackets live through weight T at most."""
-    if cls.degree + 1 > T:
-        raise CutoffBeyondFaithful(f"degree {cls.degree} + 1 exceeds the cutoff {T}")
-    gr._gate(T)
-    return all(gr.commutator(cls, g).is_zero() for g in gr.degree_one_classes())
-
-
-def check_power_commutator_identity(
-    gr: GradedRing, i: int, x: GradedClass, ell: int, T: int
-) -> bool:
-    """[a_i^l, x] = l a_i^(l-1) [a_i, x] as classes in degree l + deg x."""
-    if ell * 1 + x.degree + 1 > T:
-        raise CutoffBeyondFaithful(f"l + deg + 1 exceeds the cutoff {T}")
-    gr._gate(T)
-    ai = gr.a(i)
-    lhs = gr.commutator(gr.power(ai, ell), x)
-    rhs = gr.scale(ell % gr.p, gr.mul(gr.power(ai, ell - 1), gr.commutator(ai, x)))
-    return lhs == rhs
 
 
 def hilbert_oracle(T: int, f: int, quotient_by_c: bool) -> list[int]:
@@ -456,33 +377,6 @@ def check_hilbert(gr: GradedRing, T: int) -> dict:
     }
 
 
-def check_regular_central_sequence(gr: GradedRing, T: int) -> dict:
-    """The c_i are central and multiplication by c_i is injective on the
-    quotient by (c_0, ..., c_(i-1)) in every degree through T - 2."""
-    gr._gate(T)
-    field = gr.field
-    central = all(check_centrality(gr, gr.c(i), T) for i in range(gr.f))
-    injective = True
-    witness = None
-    for i in range(gr.f):
-        prev = IdealTables(gr, [gr.c(t) for t in range(i)], T) if i else None
-        for d in range(T - 1):
-            lm = gr.mult_matrix("left", 2 * gr.f + i, d)
-            image = lm.T  # rows: c_i * (basis monomial)
-            if prev is None:
-                ok = gflib.rank(image, field) == gr.dim(d)
-            else:
-                below, below_rank = prev.tables[d][0], prev.dim(d)
-                above_rank = prev.dim(d + 2)
-                stacked = np.concatenate([prev.tables[d + 2][0], image])
-                ok = gflib.rank(stacked, field) - above_rank == gr.dim(d) - below_rank
-            if not ok:
-                injective = False
-                witness = {"c": i, "degree": d}
-                break
-    return {"central": central, "injective": injective, "witness": witness, "ok": central and injective}
-
-
 def check_central_power_classes(gr: GradedRing, N: int) -> dict:
     """The p^N-th power classes a_i^(p^N), b_i^(p^N), c_i^(p^N) commute with
     every degree-one generator and with each other, exactly (all degrees
@@ -506,33 +400,6 @@ def check_central_power_classes(gr: GradedRing, N: int) -> dict:
                 )
     return {"N": N, "pairs_checked": len(powers) * (2 * gr.f) + len(powers) * (len(powers) - 1) // 2,
             "failures": failures, "ok": not failures}
-
-
-def check_commutative_quotient(gr: GradedRing, spec: IdealSpec, cutoff: int = 2) -> bool:
-    """All brackets of degree-one generators land in the ideal (so the
-    quotient is commutative through the checked degree)."""
-    tables = IdealTables(gr, generator_classes(gr, spec), cutoff)
-    ones = gr.degree_one_classes()
-    return all(
-        tables.contains(gr.commutator(x, y)) for x in ones for y in ones
-    )
-
-
-def check_JN_in_J(gr: GradedRing, spec: IdealSpec, N: int, cutoff: int | None = None) -> dict:
-    """Every generator of the twisted ideal lies in the degreewise span of
-    the original one (which is enough: the span tables are two-sided)."""
-    twisted = build_JN(spec, N, gr.field)
-    gens_N = generator_classes(gr, twisted)
-    if cutoff is None:
-        cutoff = max(g.degree for g in gens_N)
-    tables = IdealTables(gr, generator_classes(gr, spec), cutoff)
-    misses = []
-    for g in gens_N:
-        if g.degree > cutoff:
-            continue
-        if not tables.contains(g):
-            misses.append(g.degree)
-    return {"ideal": spec.name, "N": N, "cutoff": cutoff, "misses": misses, "ok": not misses}
 
 
 # -- chunk-and-remainder rewriting ----------------------------------------------
@@ -755,60 +622,3 @@ def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
         checked += len(tr.terms)
         done += 1
     return {"N": N, "monomials_checked": checked, "ok": True}
-
-
-def check_pigeonhole(gr: GradedRing, spec: IdealSpec, N: int,
-                     rng: np.random.Generator, samples: int = 25,
-                     cutoff: int | None = None) -> dict:
-    """Desk-scale shadow of the pigeonhole step: a product of (f + n) p^N
-    ideal generators always repeats one of them p^N times, and its class
-    lies in the twisted ideal plus the c-part; the twist congruence
-    f_i^(p^N) = twisted f_i modulo the c-ideal is verified exactly."""
-    q = gr.p**N
-    twisted = build_JN(spec, N, gr.field)
-    f_classes = [evaluate_generator(gr, g) for g in spec.f_gens]
-    ft_classes = [evaluate_generator(gr, g) for g in twisted.f_gens]
-    c_classes = [gr.c(i) for i in range(gr.f)]
-    cq_classes = [gr.power(gr.c(i), q) for i in range(gr.f)]
-
-    congruence_ok = True
-    c_cut = max([q * c.degree for c in f_classes], default=2)
-    if cutoff is not None:
-        c_cut = min(c_cut, cutoff)
-    c_tables = IdealTables(gr, c_classes, c_cut)
-    for fc, ftc in zip(f_classes, ft_classes):
-        diff = gr.sub(gr.power(fc, q), ftc)
-        if not diff.is_zero() and not c_tables.contains(diff):
-            congruence_ok = False
-
-    gens = f_classes + c_classes
-    count = (gr.f + len(f_classes)) * q
-    max_deg = count * max(g.degree for g in gens)
-    if cutoff is None:
-        cutoff = min(max_deg, gr.faithful - 1)
-    target = IdealTables(gr, ft_classes + cq_classes + c_classes, cutoff)
-    drawn = 0
-    skipped = 0
-    member_ok = True
-    pigeon_ok = True
-    for _ in range(samples):
-        draw = [int(t) for t in rng.integers(0, len(gens), size=count)]
-        if max(draw.count(t) for t in set(draw)) < q:
-            pigeon_ok = False
-        degree = sum(gens[t].degree for t in draw)
-        if degree > cutoff:
-            skipped += 1
-            continue
-        prod = gr.one()
-        for t in draw:
-            prod = gr.mul(prod, gens[t])
-        drawn += 1
-        if not prod.is_zero() and not target.contains(prod):
-            member_ok = False
-    return {
-        "ideal": spec.name, "N": N, "factors": count, "cutoff": cutoff,
-        "products_checked": drawn, "products_skipped": skipped,
-        "pigeonhole_ok": pigeon_ok, "congruence_ok": congruence_ok,
-        "membership_ok": member_ok,
-        "ok": pigeon_ok and congruence_ok and member_ok,
-    }

@@ -41,7 +41,6 @@ GroupModel.two_omega_of returns twice this value.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -102,10 +101,6 @@ class GroupModel:
             idx %= s
         return tuple(out)
 
-    def all_elements(self):
-        """All digit vectors in index order."""
-        return itertools.product(range(self.pM), repeat=self.n)
-
     def two_omega_of(self, x: Digits) -> int | None:
         """Doubled valuation of the element, or None for the identity."""
         best = None
@@ -119,29 +114,45 @@ class GroupModel:
     # -- group operations --------------------------------------------------
 
     @functools.cached_property
-    def _gen_powers(self) -> list[list]:
-        """g_i^e for e < p^M, per generator, as concrete elements: the one
-        source of generator powers for realize and for the batch path."""
+    def _digit_powers(self) -> list[list[list]]:
+        """[i][k][d] = g_i^(d p^k) for k < M and d < p, as concrete
+        elements: n M p of them, the one source of generator powers for
+        realize and for the batch path."""
         out = []
         for g in self._gens:
-            pw = [self._one, g]
-            for _ in range(2, self.pM):
-                pw.append(self._mul(pw[-1], g))
-            out.append(pw)
+            rows = []
+            for _ in range(self.M):
+                row = [self._one, g]
+                for _ in range(2, self.p):
+                    row.append(self._mul(row[-1], g))
+                rows.append(row)
+                g = self._mul(row[-1], g)  # g^p, the base of the next digit
+            out.append(rows)
         return out
 
     @functools.cached_property
     def _gen_power_array(self) -> np.ndarray:
-        """_gen_powers as one (n, p^M, parts, deg) int64 array."""
-        return np.array([[self._key(c) for c in pw] for pw in self._gen_powers],
-                        dtype=np.int64)
+        """g_i^e for e < p^M as one (n, p^M, parts, deg) int64 array, one
+        array product per base-p digit of e.  Built for the generator
+        tables only, which hold p^(nM) entries already."""
+        D = np.array([[[self._key(c) for c in row] for row in rows]
+                      for rows in self._digit_powers], dtype=np.int64)
+        out = D[:, 0]
+        for k in range(1, self.M):
+            # e = d p^k + e_low with d the slower axis, as in the flat order
+            out = self._mul_array(D[:, k, :, None], out[:, None])
+            out = out.reshape(self.n, -1, *out.shape[3:])
+        return out
 
     def realize(self, x: Digits):
-        """The concrete element g_0^(x_0) ... g_(n-1)^(x_(n-1))."""
+        """The concrete element g_0^(x_0) ... g_(n-1)^(x_(n-1)), each power
+        a product over the base-p digits of its exponent."""
         out = self._one
-        for pw, e in zip(self._gen_powers, x):
-            if e:
-                out = pw[e] if out is self._one else self._mul(out, pw[e])
+        for rows, e in zip(self._digit_powers, x):
+            for row in rows:
+                e, d = divmod(e, self.p)
+                if d:
+                    out = row[d] if out is self._one else self._mul(out, row[d])
         return out
 
     def realize_array(self, xs: np.ndarray) -> np.ndarray:
@@ -196,20 +207,12 @@ class GroupModel:
     # -- derived structure -------------------------------------------------
 
     def right_mul_table(self, h: Digits) -> np.ndarray:
-        """Permutation of element indices given by right multiplication.
-
-        Generator tables are built in one batched pass (realize every
-        element, multiply by g_i, decompose) and memoized; any other h is
-        composed, uncached, from the power tables along its digit word,
-        since x h = ((x g_1^(h_1)) g_2^(h_2)) ... matches the basis order."""
+        """Permutation of element indices given by right multiplication by
+        a generator h = g_i, built in one batched pass (realize every
+        element, multiply by g_i, decompose) and memoized."""
         h = self.check_digits(h)
         if sum(h) != 1:
-            powers = self.power_tables()
-            t = np.arange(self.order, dtype=np.int32)
-            for i, e in enumerate(h):
-                if e:
-                    t = powers[i, e][t]
-            return t
+            raise ValueError(f"right_mul_table takes a generator, got {h}")
         t = self._tables.get(h)
         if t is None:
             xs = np.indices((self.pM,) * self.n).reshape(self.n, -1).T
@@ -254,20 +257,6 @@ class GroupModel:
                     rels.append((a, b, w))
             self._pc = tuple(rels)
         return self._pc
-
-    def random_element(self, rng) -> Digits:
-        return tuple(int(rng.integers(self.pM)) for _ in range(self.n))
-
-    def random_in_filtration(self, rng, two_omega_min: int) -> Digits:
-        """Uniform digit vector subject to doubled valuation >= the bound."""
-        out = []
-        for w in self.two_omega:
-            e = max(0, -(-(two_omega_min - w) // 2))  # ceil
-            if e >= self.M:
-                out.append(0)
-            else:
-                out.append(self.p**e * int(rng.integers(self.pM // self.p**e)))
-        return tuple(out)
 
     def central_witness(self, i: int) -> tuple[Digits, Digits, Digits]:
         """(x, y, w) with C_i = [x, y] * w^p holding exactly in the

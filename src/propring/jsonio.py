@@ -10,7 +10,7 @@ import numpy as np
 
 from .algebra import GroupAlgebra
 from .config import PrimeConfig
-from .errors import ConfigError, NotInGroup, RelationCheckFailed
+from .errors import ConfigError, NonHomogeneousInput, NotInGroup, RelationCheckFailed
 from .gf import GF, gf
 from .graded import IdealSpec, ideal_spec
 
@@ -103,23 +103,6 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
         raise ConfigError(f"element is not in the group: {e}") from None
 
 
-def algebra_element_to_json(alg: GroupAlgebra, comps: list[np.ndarray]) -> list[dict]:
-    """Support form of an element given by its f prime-field components on
-    the power basis of the coefficient field."""
-    support = np.zeros(alg.order, dtype=bool)
-    for c in comps:
-        support |= c != 0
-    out = []
-    for flat in np.nonzero(support)[0]:
-        out.append(
-            {
-                "digits": [int(v) for v in alg.model.digits_of(int(flat))],
-                "coeff": [int(c[flat]) for c in comps],
-            }
-        )
-    return out
-
-
 def algebra_element_from_json(alg: GroupAlgebra, items) -> list[np.ndarray]:
     if not isinstance(items, list):
         raise ConfigError("algebra element must be a list of {digits, coeff}")
@@ -162,24 +145,9 @@ def monomial_expansion_to_json(alg: GroupAlgebra, comps: list[np.ndarray],
     return {"cutoff": cutoff, "terms": terms}
 
 
-def ideal_spec_to_json(spec: IdealSpec, field: GF) -> dict:
-    return {
-        "name": spec.name,
-        "f_gens": [
-            [
-                {
-                    "m": list(m),
-                    "n": list(n),
-                    "coeff": coeff_to_json(field, coeff),
-                }
-                for m, n, coeff in gen
-            ]
-            for gen in spec.f_gens
-        ],
-    }
-
-
 def ideal_spec_from_json(d: dict, f: int, field: GF) -> IdealSpec:
+    if not isinstance(d, dict):
+        raise ConfigError("ideal spec must be an object")
     gens_in = d.get("f_gens")
     if not isinstance(gens_in, list):
         raise ConfigError("ideal spec needs an f_gens list")
@@ -193,7 +161,10 @@ def ideal_spec_from_json(d: dict, f: int, field: GF) -> IdealSpec:
             n = _as_int_list(t.get("n"), "b-exponents")
             terms.append((tuple(m), tuple(n), coeff_from_json(field, t.get("coeff"))))
         gens.append(tuple(terms))
-    return ideal_spec(gens, f, name=str(d.get("name", "ideal")))
+    try:
+        return ideal_spec(gens, f, name=str(d.get("name", "ideal")))
+    except NonHomogeneousInput as e:
+        raise ConfigError(f"ideal generator is not homogeneous: {e}") from None
 
 
 def module_to_json(mod) -> dict:

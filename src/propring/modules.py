@@ -36,6 +36,18 @@ from .graded import IdealSpec, IdealSpecN, build_JN
 from .groups import Digits, group_model
 
 
+def _mat_power(m: np.ndarray, e: int, field: GF) -> np.ndarray:
+    """m^e over the field by repeated squaring, at most 2 log2(e) products."""
+    out = np.eye(m.shape[0], dtype=np.int16)
+    while e:
+        if e & 1:
+            out = gflib.matmul(out, m, field)
+        e >>= 1
+        if e:
+            m = gflib.matmul(m, m, field)
+    return out
+
+
 @dataclasses.dataclass
 class FiniteModule:
     cfg: PrimeConfig
@@ -51,15 +63,12 @@ class FiniteModule:
         return np.eye(self.dim, dtype=np.int16)
 
     def power_of(self, i: int, e: int) -> np.ndarray:
-        """rho(g_i)^e, cached for all digit values."""
-        cache = getattr(self, "_powers", None)
-        if cache is None:
-            cache = [[self.identity_matrix()] for _ in self.gen_action]
-            self._powers = cache
-        col = cache[i]
-        while len(col) <= e:
-            col.append(gflib.matmul(col[-1], self.gen_action[i], self.field))
-        return col[e]
+        """rho(g_i)^e by repeated squaring, memoized per (i, e): the
+        callers ask for a few exponents up to p^M, never for all of them."""
+        memo = self.__dict__.setdefault("_powers", {})
+        if (i, e) not in memo:
+            memo[i, e] = _mat_power(self.gen_action[i], e, self.field)
+        return memo[i, e]
 
     def element_action(self, x: Digits) -> np.ndarray:
         out = self.identity_matrix()
@@ -105,19 +114,6 @@ def check_multiplicative(mod: FiniteModule) -> int:
 def trivial_module(cfg: PrimeConfig) -> FiniteModule:
     mats = tuple(np.eye(1, dtype=np.int16) for _ in range(cfg.dim))
     return FiniteModule(cfg, 1, mats, "trivial")
-
-
-def regular_module(cfg: PrimeConfig) -> FiniteModule:
-    """Left translation on the group basis of the truncated group ring."""
-    model = group_model(cfg)
-    mats = []
-    for i in range(cfg.dim):
-        g = model.generator(i)
-        m = np.zeros((model.order, model.order), dtype=np.int16)
-        for x in model.all_elements():
-            m[model.index_of(model.mul(g, x)), model.index_of(x)] = 1
-        mats.append(m)
-    return FiniteModule(cfg, model.order, tuple(mats), "regular")
 
 
 def weight_quotient_module(cfg: PrimeConfig, jcut: int) -> FiniteModule:
@@ -215,8 +211,6 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
     proves that it is a representation of the truncated group."""
     if source == "trivial":
         mod = trivial_module(cfg)
-    elif source == "regular":
-        mod = regular_module(cfg)
     elif source == "quotient":
         mod = quotient_module(cfg, seed, jcut, base=base)
     elif source == "deep":
@@ -254,60 +248,6 @@ def dualize(mod: FiniteModule) -> FiniteModule:
     return FiniteModule(mod.cfg, mod.dim, mats, f"dual({mod.provenance})")
 
 
-def equivariant_maps(src: FiniteModule, dst: FiniteModule) -> list[np.ndarray]:
-    """Basis of the space of module maps src -> dst, the solutions of
-    phi rho_src(g) = rho_dst(g) phi over all generators."""
-    if src.cfg != dst.cfg:
-        raise ConfigError("modules live over different configurations")
-    field = src.field
-    d1, d2 = src.dim, dst.dim
-
-    def kron(a, b):
-        out = field.mul[a[:, None, :, None], b[None, :, None, :]]
-        return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-    eye1 = np.eye(d1, dtype=np.int16)
-    eye2 = np.eye(d2, dtype=np.int16)
-    blocks = []
-    for s, t in zip(src.gen_action, dst.gen_action):
-        # column-major vec: vec(phi s) = (s^T kron I) x, vec(t phi) = (I kron t) x
-        diff = field.add[kron(s.T, eye2), field.mul[int(field.neg[1]), kron(eye1, t)]]
-        blocks.append(diff)
-    red, piv = rref(np.concatenate(blocks), field)
-    pivset = set(piv)
-    basis = []
-    for c in range(d1 * d2):
-        if c in pivset:
-            continue
-        x = np.zeros(d1 * d2, dtype=np.int16)
-        x[c] = 1
-        for row, pc in zip(red, piv):
-            x[pc] = field.neg[row[c]]
-        basis.append(np.ascontiguousarray(x.reshape(d1, d2).T))
-    return basis
-
-
-def find_isomorphism(src: FiniteModule, dst: FiniteModule, rng, tries: int = 64):
-    """An invertible equivariant map if one is found, else None."""
-    if src.dim != dst.dim:
-        return None
-    field = src.field
-    maps = equivariant_maps(src, dst)
-    candidates = list(maps)
-    for _ in range(tries):
-        combo = np.zeros((dst.dim, src.dim), dtype=np.int16)
-        for m in maps:
-            combo = field.add[combo, field.mul[int(rng.integers(field.q)), m]]
-        candidates.append(combo)
-    for m in candidates:
-        try:
-            gflib.mat_inverse(m, field)
-            return m
-        except ValueError:
-            continue
-    return None
-
-
 # -- the three gradings ---------------------------------------------------------
 
 
@@ -321,12 +261,6 @@ class GradedModule:
     chain: list[np.ndarray]  # rref row bases; chain[0] full, last entry empty
     pivots: list[list[int]]
     module: FiniteModule | None = None
-
-    def piece_dims(self) -> list[int]:
-        return [
-            self.chain[i].shape[0] - self.chain[i + 1].shape[0]
-            for i in range(len(self.chain) - 1)
-        ]
 
 
 def _aug_ops(mod: FiniteModule) -> list[np.ndarray]:
@@ -453,9 +387,6 @@ class AnnihilatorReport:
     bound: int
     excess_dims: list[int]  # dimension above the chain tails, per power
 
-    def summary(self) -> str:
-        return f"{self.ideal} on {self.kind}: minimal exponent {self.ell}"
-
 
 def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
                          f: int, p: int) -> list[tuple[np.ndarray, int]]:
@@ -479,11 +410,7 @@ def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
         # (rho(g_i) - 1)^e computed as (rho(g_i)^unit - 1)^(e/unit)
         if e % unit:
             raise ConfigError("twisted exponents must be divisible by p^N")
-        z = field.add[mats[i], neg_eye]
-        cur = np.eye(dim, dtype=np.int16)
-        for _ in range(e // unit):
-            cur = gflib.matmul(cur, z, field)
-        return cur
+        return _mat_power(field.add[mats[i], neg_eye], e // unit, field)
 
     out = []
     for gen in spec.f_gens:

@@ -31,7 +31,6 @@ and a quaternion a + b*P one of shape (..., 2, deg).
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
@@ -269,13 +268,6 @@ class ZqRing:
             for i in range(self.deg)
         )
 
-    def from_teich_coords(self, coords) -> ZqElement:
-        basis = self.teich_basis
-        acc = self.zero
-        for c, b in zip(coords, basis):
-            acc = acc + int(c) * b
-        return acc
-
     # -- batched arithmetic on (..., deg) int64 arrays ---------------------
 
     @functools.cached_property
@@ -418,16 +410,6 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quat(a={self.a.vec}, b={self.b.vec})"
-
-    def pi_val(self) -> Fraction | float:
-        """p-adic valuation of the quaternion, in (1/2)Z, capped by level."""
-        va = self.a.vp()
-        vb = self.b.vp()
-        cap_a = va >= self.ctx.ring.level
-        cap_b = vb >= self.ctx.ring.level
-        if cap_a and cap_b:
-            return float("inf")
-        return min(Fraction(va), Fraction(2 * vb + 1, 2))
 
 
 class QuatContext:

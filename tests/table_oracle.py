@@ -4,7 +4,7 @@ GroupModel.right_mul_table.
 It multiplies one concrete element at a time by g_i and decomposes the
 product through the scalar path, where the batched builder realizes,
 multiplies and decomposes every element in one array pass; the two share
-only the generator power lists.  One QUAT row costs about 0.4 ms, so full
+only the generator digit powers.  One QUAT row costs about 0.4 ms, so full
 tables are for small configurations such as (5, 1, 1)."""
 
 import numpy as np

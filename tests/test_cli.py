@@ -198,6 +198,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     bool_entry = write(tmp_path, "z.json", {**GL2, "matrix": [[True, 0], [0, 1]]})
     quat_str = write(tmp_path, "q.json", {**GL2, "case": "QUAT", "a": ["x"], "b": [0]})
     int_term = write(tmp_path, "k.json", {"f_gens": [[1]]})
+    list_ideal = write(tmp_path, "j.json", [{"m": [1], "n": [0], "coeff": 1}])
+    mixed_ideal = write(tmp_path, "n.json", {"f_gens": [[{"m": [1], "n": [0], "coeff": 1},
+                                                          {"m": [2], "n": [0], "coeff": 1}]]})
     gl2_outside = write(tmp_path, "o.json", {**GL2, "matrix": [[2, 0], [0, 1]]})
     quat_outside = write(tmp_path, "r.json", {**GL2, "case": "QUAT", "a": [2, 0], "b": [0, 0]})
     # every generator has order p; with C trivial the relations force A and
@@ -212,6 +215,8 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["decompose", "--in", str_entry], ["decompose", "--in", float_entry],
                  ["decompose", "--in", bool_entry], ["decompose", "--in", quat_str],
                  ["module-exponent", "--in", good, "--ideal", int_term],
+                 ["module-exponent", "--in", good, "--ideal", list_ideal],
+                 ["module-exponent", "--in", good, "--ideal", mixed_ideal],
                  ["decompose", "--in", bad_p], ["module-exponent", "--in", no_p],
                  ["module-exponent", "--in", huge], ["verify", bad_param],
                  ["nu", "--in", float_p], ["nu", "--in", str_p_bool_f],
@@ -238,6 +243,45 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("config error:"), captured.err
         assert "2^53" in captured.err, captured.err
+
+
+def test_huge_ideal_exponent_answers_as_at_p_to_the_M(tmp_path, capsys):
+    # (rho(g) - 1)^e = 0 once e >= p^M, so an exponent of 10^8 acts as 25
+    from propring.config import PrimeConfig
+    from propring.jsonio import module_to_json
+    from propring.modules import quotient_module
+
+    mod = quotient_module(PrimeConfig(5, 1, 2, "GL2"), seed=4)
+    module = write(tmp_path, "m.json", module_to_json(mod))
+    outs = []
+    for e in (25, 10**8):
+        ideal = write(tmp_path, f"i{e}.json",
+                      {"name": "a-power", "f_gens": [[{"m": [e], "n": [0], "coeff": 1}]]})
+        for extra in ([], ["--grading", "res", "--level-n", "1"]):
+            code, out = run(capsys, ["module-exponent", "--in", module, "--ideal", ideal] + extra)
+            assert code == 0
+            outs.append(out)
+    assert outs[:2] == outs[2:]
+
+
+def test_point_queries_at_depth_8_stay_small(tmp_path, capsys):
+    # generator powers from base-p digits and module powers by squaring: no
+    # request holds all p^M powers of a generator (3 x 5^8 of them here)
+    quat = write(tmp_path, "q.json",
+                 {"p": 5, "f": 1, "M": 8, "case": "QUAT", "a": [1, 0], "b": [1, 0]})
+    trivial = write(tmp_path, "m.json", {"dim": 1, "field": {"p": 5, "f": 1}, "level": 8,
+                                         "case": "GL2", "generators": [[[1]]] * 3})
+    for argv, key, want in ((["decompose", "--in", quat], "digits", [1, 0, 0]),
+                            (["module-exponent", "--in", trivial], "exponent", 1)):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)[key] == want
+        assert peak < 16 * 2**20, (argv, peak)
 
 
 def test_verify_indeterminate_exit(tmp_path, capsys):

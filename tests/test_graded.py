@@ -7,24 +7,17 @@ import pytest
 from propring.algebra import group_algebra
 from propring.config import PrimeConfig
 from propring.errors import CutoffBeyondFaithful, NonHomogeneousInput
-from propring.gf import gf
+from propring.gf import gf, residue
 from propring.graded import (
     GradedRing,
     IdealTables,
     build_JN,
-    check_JN_in_J,
     check_central_power_classes,
-    check_centrality,
-    check_commutative_quotient,
     check_hilbert,
-    check_pigeonhole,
-    check_power_commutator_identity,
-    check_regular_central_sequence,
     check_sandwich,
     check_tau_contract,
     chunk_weight_bound,
     default_ideals,
-    generator_classes,
     hilbert_dims,
     hilbert_oracle,
     ideal_spec,
@@ -53,36 +46,47 @@ def test_graded_dims_match_oracle(gr):
     assert hilbert_dims(gr, 6, quotient_by_c=True) == hilbert_oracle(6, 1, True)
 
 
+def is_central(gr, cls):
+    """The bracket of cls with every degree-one generator class vanishes."""
+    return all(gr.commutator(cls, g).is_zero() for g in gr.degree_one_classes())
+
+
+def member(tables, cls):
+    """cls lies in the degree-cls.degree span of the ideal tables."""
+    basis, pivots = tables.tables[cls.degree]
+    return not residue(np.array([cls.coords]), basis, pivots, F5).any()
+
+
 def test_degree_one_bracket_is_c(gr):
     br = gr.commutator(gr.a(0), gr.b(0))
     assert not br.is_zero()
     assert br.degree == 2
-    assert gr.c_span_ok(br)
+    c = gr.c(0)
+    assert br == gr.scale(br.coords[c.coords.index(1)], c)
 
 
 def test_c_is_central_a_is_not(gr):
-    assert check_centrality(gr, gr.c(0), 6)
-    assert not check_centrality(gr, gr.a(0), 6)
+    assert is_central(gr, gr.c(0))
+    assert not is_central(gr, gr.a(0))
 
 
 def test_fifth_powers_become_central(gr):
-    assert check_centrality(gr, gr.power(gr.a(0), 5), 8)
-    assert check_centrality(gr, gr.power(gr.b(0), 5), 8)
+    assert is_central(gr, gr.power(gr.a(0), 5))
+    assert is_central(gr, gr.power(gr.b(0), 5))
 
 
 def test_power_commutator_identity(gr):
+    # [a^l, b] = l a^(l-1) [a, b] as classes in degree l + 1
+    a, b = gr.a(0), gr.b(0)
     for ell in (2, 3, 5, 7):
-        assert check_power_commutator_identity(gr, 0, gr.b(0), ell, 12)
+        lhs = gr.commutator(gr.power(a, ell), b)
+        rhs = gr.scale(ell % gr.p, gr.mul(gr.power(a, ell - 1), gr.commutator(a, b)))
+        assert lhs == rhs, ell
 
 
 def test_hilbert_check(gr):
     out = check_hilbert(gr, 6)
     assert out["ok"]
-
-
-def test_regular_central_sequence(gr):
-    out = check_regular_central_sequence(gr, 6)
-    assert out["ok"] and out["central"] and out["injective"]
 
 
 def test_central_power_classes(gr):
@@ -95,8 +99,8 @@ def test_central_power_classes(gr):
 def test_default_ideal_shapes(ideals):
     assert [sp.name for sp in ideals] == ["c", "a+c", "mixed"]
     assert ideals[0].f_gens == ()
-    assert ideals[1].gen_degrees() == [1]
-    assert ideals[2].gen_degrees() == [2]
+    assert ideals[1].f_gens == ((((1,), (0,), 1),),)
+    assert ideals[2].f_gens == ((((2,), (0,), 1), ((1,), (1,), 2), ((0,), (2,), 3)),)
 
 
 def test_ideal_spec_rejects_mixed_degrees():
@@ -104,12 +108,15 @@ def test_ideal_spec_rejects_mixed_degrees():
     with pytest.raises(NonHomogeneousInput):
         ideal_spec(bad, 1, name="bad")
     split = ideal_spec(bad, 1, name="split", homogenize=True)
-    assert sorted(split.gen_degrees()) == [1, 2]
+    assert split.f_gens == ((((1,), (0,), 1),), (((2,), (0,), 1),))
 
 
-def test_commutative_quotients(gr, ideals):
-    for sp in ideals:
-        assert check_commutative_quotient(gr, sp)
+def test_commutative_quotients(gr):
+    # every ideal holds the c-part, and every bracket of degree-one classes
+    # already lies in the c-ideal
+    tabs = IdealTables(gr, [gr.c(0)], cutoff=2)
+    ones = gr.degree_one_classes()
+    assert all(member(tabs, gr.commutator(x, y)) for x in ones for y in ones)
 
 
 def test_build_JN_scales_exponents(ideals):
@@ -118,20 +125,14 @@ def test_build_JN_scales_exponents(ideals):
     assert jn.f_gens == ((((5,), (0,), 1),),)
 
 
-def test_JN_inside_J(gr, ideals):
-    for sp in ideals:
-        out = check_JN_in_J(gr, sp, 1)
-        assert out["ok"] and out["misses"] == []
-
-
-def test_ideal_tables_membership(gr, ideals):
-    tabs = IdealTables(gr, generator_classes(gr, ideals[0]), cutoff=6)
-    assert tabs.contains(gr.c(0))
-    assert tabs.contains(gr.mul(gr.a(0), gr.c(0)))
-    assert tabs.contains(gr.mul(gr.c(0), gr.b(0)))
-    assert not tabs.contains(gr.a(0))
-    assert not tabs.contains(gr.one())
-    assert not tabs.contains(gr.mul(gr.a(0), gr.b(0)))
+def test_ideal_tables_membership(gr):
+    tabs = IdealTables(gr, [gr.c(0)], cutoff=6)
+    assert member(tabs, gr.c(0))
+    assert member(tabs, gr.mul(gr.a(0), gr.c(0)))
+    assert member(tabs, gr.mul(gr.c(0), gr.b(0)))
+    assert not member(tabs, gr.a(0))
+    assert not member(tabs, gr.one())
+    assert not member(tabs, gr.mul(gr.a(0), gr.b(0)))
 
 
 def test_ideal_power_spans(alg):
@@ -194,12 +195,6 @@ def test_tau_contract_check(alg, rng):
     assert out["ok"] and out["monomials_checked"] > 0
 
 
-def test_pigeonhole_light(gr, ideals, rng):
-    out = check_pigeonhole(gr, ideals[0], 1, rng, samples=5)
-    assert out["ok"]
-    assert out["pigeonhole_ok"] and out["congruence_ok"] and out["membership_ok"]
-
-
 @pytest.mark.parametrize("case", ["GL2", "QUAT"])
 @pytest.mark.parametrize("pfm", [(5, 1, 1), (5, 1, 2), (7, 1, 2), (5, 2, 1)], ids=str)
 def test_mult_matrix_matches_per_monomial_oracle(pfm, case):
@@ -225,7 +220,7 @@ def test_mult_matrix_matches_unit_class_products(gr):
     gens = gr.ring_generator_classes()
     for gi, g in enumerate(gens):
         for d in range(4):
-            units = [gr.unit_class(k) for k in gr.exponents(d)]
+            units = [gr.unit_class(gr.model.digits_of(int(k))) for k in gr.weight_index(d)]
             left = np.array([gr.mul(g, u).coords for u in units], dtype=np.int16).T
             right = np.array([gr.mul(u, g).coords for u in units], dtype=np.int16).T
             assert np.array_equal(gr.mult_matrix("left", gi, d), left), (gi, d)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from propring.config import PrimeConfig
 from propring.errors import ConfigError, NotInGroup
 from propring.groups import QuatModel, group_model, quaternion_commutator_congruence
+from pair_oracle import random_element, right_mul_table
 from table_oracle import scalar_rows
 
 INF = 10**9
@@ -36,15 +37,15 @@ def test_generator_orders_exact(model):
 
 def test_realize_decompose_roundtrip(model, rng):
     for _ in range(100):
-        x = model.random_element(rng)
+        x = random_element(model, rng)
         assert model.decompose(model.realize(x)) == x
 
 
 def test_group_laws_sampled(model, rng):
     for _ in range(60):
-        x = model.random_element(rng)
-        y = model.random_element(rng)
-        z = model.random_element(rng)
+        x = random_element(model, rng)
+        y = random_element(model, rng)
+        z = random_element(model, rng)
         assert model.mul(x, model.identity) == x
         assert model.mul(x, model.inv(x)) == model.identity
         assert model.mul(model.mul(x, y), z) == model.mul(x, model.mul(y, z))
@@ -75,16 +76,16 @@ def test_property_pth_root_against_power(model, data):
 def test_commutator_convention(model, rng):
     # inverse-first: [x, y] = x^-1 y^-1 x y
     for _ in range(20):
-        x = model.random_element(rng)
-        y = model.random_element(rng)
+        x = random_element(model, rng)
+        y = random_element(model, rng)
         byhand = model.mul(model.mul(model.inv(x), model.inv(y)), model.mul(x, y))
         assert model.commutator(x, y) == byhand
 
 
 def test_valuation_axioms_sampled(model, rng):
     for _ in range(200):
-        x = model.random_element(rng)
-        y = model.random_element(rng)
+        x = random_element(model, rng)
+        y = random_element(model, rng)
         assert tw(model, model.inv(x)) == tw(model, x)
         assert tw(model, model.mul(x, y)) >= min(tw(model, x), tw(model, y))
         assert tw(model, model.commutator(x, y)) >= min(
@@ -101,26 +102,22 @@ def test_valuation_axioms_sampled(model, rng):
 
 def test_pth_power_lands_deeper(model, rng):
     for _ in range(40):
-        x = model.random_in_filtration(rng, 1)
+        x = random_element(model, rng)
         xp = model.power(x, model.p)
         root = model.pth_root(xp)
         assert model.power(root, model.p) == xp
 
 
-def test_random_in_filtration_respects_bound(model, rng):
-    for bound in (1, 2, 3, 4):
-        for _ in range(30):
-            x = model.random_in_filtration(rng, bound)
-            assert tw(model, x) >= bound
-
-
 def test_right_mul_table_consistent(model, rng):
-    h = model.random_element(rng)
-    t = model.right_mul_table(h)
+    h = random_element(model, rng)
+    t = right_mul_table(model, h)
     assert np.array_equal(np.sort(t), np.arange(model.order))
     for _ in range(25):
-        x = model.random_element(rng)
+        x = random_element(model, rng)
         assert t[model.index_of(x)] == model.index_of(model.mul(x, h))
+    # the library builds generator tables only
+    with pytest.raises(ValueError):
+        model.right_mul_table(model.identity)
 
 
 def test_central_witness(model):
@@ -161,7 +158,7 @@ def test_gl2_worked_example():
 def test_quat_normalize_roundtrip(rng):
     model = group_model(PrimeConfig(5, 1, 2, "QUAT"))
     for _ in range(20):
-        x = model.random_element(rng)
+        x = random_element(model, rng)
         q = model.realize(x)
         assert model.normalize(q.a.vec, q.b.vec) == x
 
@@ -190,8 +187,8 @@ def test_other_parameters_roundtrip(p, f, case):
     rng = np.random.default_rng(3)
     assert m.n == 3 * f
     for _ in range(25):
-        x = m.random_element(rng)
-        y = m.random_element(rng)
+        x = random_element(m, rng)
+        y = random_element(m, rng)
         assert m.decompose(m.realize(x)) == x
         assert m.mul(x, m.inv(x)) == m.identity
         assert tw(m, m.commutator(x, y)) >= min(tw(m, x) + tw(m, y), INF)
@@ -223,6 +220,22 @@ def test_pc_relations(case, pfm):
                     assert rank[(i, k)] > rank[b], (a, b, w)
         # the relation u_b u_a = u_a u_b W holds in the group
         assert model.mul(u(b), u(a)) == model.mul(model.mul(u(a), u(b)), w)
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", ((5, 1, 2), (5, 2, 1), (7, 1, 2)), ids=str)
+def test_digit_powers_match_repeated_products(case, pfm):
+    # realize and the batch power array, both built from the digit powers
+    # g_i^(d p^k), against g_i^e taken one product at a time
+    model = group_model(PrimeConfig(*pfm, case))
+    for i, g in enumerate(model._gens):
+        pw = model._one
+        for e in range(model.pM):
+            want = model._key(pw)
+            x = tuple(e if j == i else 0 for j in range(model.n))
+            assert model._key(model.realize(x)) == want, (i, e)
+            assert np.array_equal(model._gen_power_array[i, e], want), (i, e)
+            pw = model._mul(pw, g)
 
 
 def _concrete(model, row):

@@ -12,14 +12,13 @@ from propring.gf import gf
 from propring.graded import default_ideals
 from propring.jsonio import (
     algebra_element_from_json,
-    algebra_element_to_json,
+    coeff_to_json,
     config_from_json,
     digits_from_json,
     digits_to_json,
     element_nu,
     group_element_digits,
     ideal_spec_from_json,
-    ideal_spec_to_json,
     module_from_json,
     module_to_json,
     monomial_expansion_to_json,
@@ -70,8 +69,13 @@ def test_algebra_element_roundtrip():
     comps = algebra_element_from_json(alg, items)
     assert len(comps) == 1
     assert element_nu(alg, comps) == 2
-    out = algebra_element_to_json(alg, comps)
-    assert algebra_element_to_json(alg, algebra_element_from_json(alg, out)) == out
+    want = alg.zero()
+    want[alg.model.index_of((0, 0, 1))], want[0] = 1, 4
+    assert np.array_equal(comps[0], want)
+    # repeated support items add up
+    again = algebra_element_from_json(alg, items + [{"digits": [0, 0, 0], "coeff": 2}])
+    want[0] = 1
+    assert np.array_equal(again[0], want)
 
 
 def test_algebra_element_components_f2():
@@ -125,7 +129,9 @@ def test_monomial_expansion_cutoff_gate():
 
 def test_ideal_spec_roundtrip():
     for spec in default_ideals(1, F5):
-        d = ideal_spec_to_json(spec, F5)
+        d = {"name": spec.name,
+             "f_gens": [[{"m": list(m), "n": list(n), "coeff": coeff_to_json(F5, c)}
+                         for m, n, c in gen] for gen in spec.f_gens]}
         back = ideal_spec_from_json(d, 1, F5)
         assert back.name == spec.name
         assert back.f_gens == spec.f_gens

@@ -22,13 +22,10 @@ from propring.modules import (
     check_multiplicative,
     deep_line_module,
     dualize,
-    equivariant_maps,
-    find_isomorphism,
     grade,
     min_annihilator_exponent,
     module_corpus,
     quotient_module,
-    regular_module,
     restriction_determinism,
     trivial_module,
     weight_quotient_module,
@@ -36,7 +33,7 @@ from propring.modules import (
 
 import module_oracle
 import monomial_oracle
-from pair_oracle import first_unpaired
+from pair_oracle import first_unpaired, regular_module
 
 F5 = gf(5, 1)
 IDEALS = default_ideals(1, F5)
@@ -47,12 +44,17 @@ def deep(cfg):
     return deep_line_module(cfg)
 
 
+def piece_dims(gm):
+    """Dimensions of the graded pieces: the drops along the chain."""
+    return [gm.chain[i].shape[0] - gm.chain[i + 1].shape[0] for i in range(len(gm.chain) - 1)]
+
+
 def test_trivial_module(cfg):
     mod = trivial_module(cfg)
     assert mod.dim == 1
     for kind in ("gr", "int", "res"):
         gm = grade(mod, kind, N=None if kind == "gr" else 1)
-        assert gm.piece_dims() == [1]
+        assert piece_dims(gm) == [1]
         for spec in IDEALS:
             use = spec if kind == "gr" else build_JN(spec, 1, F5)
             src = mod if kind == "gr" else None
@@ -63,7 +65,7 @@ def test_trivial_module(cfg):
 def test_regular_module_frozen_gradings():
     mod = regular_module(PrimeConfig(5, 1, 1, "GL2"))
     assert mod.dim == 125
-    dims = grade(mod, "gr").piece_dims()
+    dims = piece_dims(grade(mod, "gr"))
     assert dims == [1, 2, 4, 6, 9, 10, 12, 12, 13, 12, 12, 10, 9, 6, 4, 2, 1]
     assert sum(dims) == 125
 
@@ -86,7 +88,7 @@ def test_regular_module_c_exponent_matches_nilpotency():
 def test_weight_quotient_dims(cfg):
     mod = weight_quotient_module(cfg, 6)
     assert mod.dim == 34
-    assert grade(mod, "gr").piece_dims() == [1, 2, 4, 6, 9, 12]
+    assert piece_dims(grade(mod, "gr")) == [1, 2, 4, 6, 9, 12]
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
@@ -154,9 +156,9 @@ def test_quotient_corpus(cfg):
 
 
 def test_grading_chains_are_filtrations(deep):
-    gr_dims = grade(deep, "gr").piece_dims()
-    int_dims = grade(deep, "int", 1).piece_dims()
-    res_dims = grade(deep, "res", 1).piece_dims()
+    gr_dims = piece_dims(grade(deep, "gr"))
+    int_dims = piece_dims(grade(deep, "int", 1))
+    res_dims = piece_dims(grade(deep, "res", 1))
     for dims in (gr_dims, int_dims, res_dims):
         assert sum(dims) == deep.dim
         assert dims[0] >= 1
@@ -226,21 +228,13 @@ def test_restriction_determinism(deep, rng):
     assert set(out["basis_change_exponents"]) == {out["exponent"]}
 
 
-def test_dual_of_dual_is_isomorphic(cfg, rng):
+def test_dual_of_dual_is_isomorphic(cfg):
+    # the inverse transpose twice gives back every generator matrix exactly
     mod = quotient_module(cfg, seed=7, max_dim=12)
     dd = dualize(dualize(mod))
-    iso = find_isomorphism(mod, dd, rng)
-    assert iso is not None
-
-
-def test_equivariant_self_maps_contain_identity(cfg):
-    mod = quotient_module(cfg, seed=7, max_dim=12)
-    maps = equivariant_maps(mod, mod)
-    stack = np.array([m.reshape(-1) % 5 for m in maps], dtype=np.int16)
-    eye = np.eye(mod.dim, dtype=np.int16).reshape(1, -1)
-    from propring.gf import rank
-
-    assert rank(stack, F5) == rank(np.vstack([stack, eye]), F5)
+    assert dd.dim == mod.dim
+    for a, b in zip(dd.gen_action, mod.gen_action, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))

@@ -2,8 +2,6 @@
 quaternion order: Teichmueller lifts, Hensel square roots, Frobenius,
 reduced norms."""
 
-from fractions import Fraction
-
 import pytest
 
 from propring.errors import InputNotUnitOne
@@ -75,7 +73,10 @@ def test_teich_coordinate_roundtrip():
     R = zq_ring(5, 2, 2)
     for idx in (0, 1, 7, 12, 23):
         e = R.teichmuller(idx) + R.teichmuller((idx * 3) % 25) * R.from_int(5)
-        assert R.from_teich_coords(R.teich_coords(e)) == e
+        back = R.zero
+        for c, b in zip(R.teich_coords(e), R.teich_basis, strict=True):
+            back = back + int(c) * b
+        assert back == e
 
 
 def test_quaternion_norm_frozen():
@@ -89,7 +90,6 @@ def test_quaternion_uniformizer():
     ctx = quat_context(5, 1, 3)
     R = ctx.ring
     pi = ctx.quat(R.from_int(0), R.from_int(1))
-    assert pi.pi_val() == Fraction(1, 2)
     assert pi * pi == ctx.quat(R.from_int(5), R.from_int(0))
     assert pi.nrd() == R.from_int(-5)
 

@@ -5,7 +5,11 @@ It contracts the p x p matrix against one base-p digit axis at a time in
 int64 and reduces mod p after every axis, so no intermediate exceeds
 p (p-1)^2 and any int16 input is exact.  The library kernel instead sums
 in float64 and reduces once at the end; the two share only the Pascal
-pair."""
+pair.  expand_group_sparse is the closed-form expansion of one group
+element with math.comb, for the binomial expansion and the transforms."""
+
+import itertools
+import math
 
 import numpy as np
 
@@ -27,3 +31,12 @@ def transforms(alg):
     return (("to_monomial", alg.to_monomial, lambda a: digit_apply(alg, P.T, a)),
             ("from_monomial", alg.from_monomial, lambda a: digit_apply(alg, Q.T, a)),
             ("dual_to_monomial", alg.dual_to_monomial, lambda a: digit_apply(alg, Q, a)))
+
+
+def expand_group_sparse(alg, x):
+    """Monomial expansion {k: coefficient} of the group element x by the
+    closed form prod_i binom(x_i, k_i) mod p, with math.comb."""
+    per_axis = [[(k, c) for k in range(xi + 1) if (c := math.comb(xi, k) % alg.p)]
+                for xi in x]
+    return {tuple(k for k, _ in combo): math.prod(c for _, c in combo) % alg.p
+            for combo in itertools.product(*per_axis)}
