@@ -145,6 +145,7 @@ def _cmd_module_exponent(args) -> int:
     out = dict(mod.cfg.header())
     out.update(
         {
+            "N": rep.N,
             "module_dim": mod.dim,
             "ideal": rep.ideal,
             "grading": rep.kind,

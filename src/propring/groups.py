@@ -45,7 +45,7 @@ import functools
 import numpy as np
 
 from .config import PrimeConfig
-from .errors import ConfigError, NonConvergent, NotInGroup
+from .errors import ConfigError, ContractViolation, NonConvergent, NotInGroup
 from .padic import Quaternion, quat_context, zq_ring
 
 Digits = tuple[int, ...]
@@ -78,6 +78,7 @@ class GroupModel:
         self._tables: dict[Digits, np.ndarray] = {}  # generator tables only
         self._powers: np.ndarray | None = None
         self._pc: tuple | None = None
+        self._straight: set[int] = set()  # levels N certified by certify_straightening
         self._strides = tuple(self.pM ** (self.n - 1 - i) for i in range(self.n))
 
     # -- digit bookkeeping -------------------------------------------------
@@ -257,6 +258,28 @@ class GroupModel:
                     rels.append((a, b, w))
             self._pc = tuple(rels)
         return self._pc
+
+    def certify_straightening(self, N: int) -> None:
+        """Certify, memoized per level N, the straightening condition that
+        modules.grade_res_from_restriction rests on: for each pair s < t of
+        u_t = g_t^(p^N), the pc relation W = (u_s u_t)^(-1) u_t u_s (u_(s,N)
+        comes first, as two_omega never decreases) has every digit d_i
+        divisible by p^N and subring weight min_i w_i p^(v_p(d_i) - N) above
+        w_s + w_t, w = two_omega.  Raises ContractViolation naming the pair."""
+        if N in self._straight:
+            return
+        q, w = self.p**N, self.two_omega
+        rels = {(a, b): x for a, b, x in self.pc_relations()}
+        for s in range(self.n):
+            for t in range(s + 1, self.n):
+                x = rels[(s, N), (t, N)]
+                if any(d % q for d in x) or any(
+                        w[i] * self.p ** (_vp(d, self.p, self.M) - N) <= w[s] + w[t]
+                        for i, d in enumerate(x) if d):
+                    raise ContractViolation(
+                        f"u_{s}, u_{t} at N = {N} do not straighten: W = {list(x)}",
+                        witness={"s": s, "t": t, "N": N, "w": x})
+        self._straight.add(N)
 
     def central_witness(self, i: int) -> tuple[Digits, Digits, Digits]:
         """(x, y, w) with C_i = [x, y] * w^p holding exactly in the

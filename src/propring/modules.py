@@ -263,83 +263,38 @@ class GradedModule:
     module: FiniteModule | None = None
 
 
-def _aug_ops(mod: FiniteModule) -> list[np.ndarray]:
-    """The operators rho(g_i) - 1."""
-    field = mod.field
-    neg_eye = field.mul[int(field.neg[1]), mod.identity_matrix()]
-    return [field.add[g, neg_eye] for g in mod.gen_action]
+def _aug_ops(mats, field: GF) -> list[np.ndarray]:
+    """The operators m - 1, one per matrix m."""
+    neg_eye = field.mul[int(field.neg[1]), np.eye(mats[0].shape[0], dtype=np.int16)]
+    return [field.add[m, neg_eye] for m in mats]
 
 
-def _radical_chain(mod: FiniteModule):
-    """F_0 = M, F_{j+1} = sum of (rho(g_i) - 1) F_j, down to zero."""
-    field = mod.field
-    ops = _aug_ops(mod)
+def _weighted_chain(ops, weights, field: GF):
+    """The filtration R_0 = M, R_i = sum_t Z_t R_max(i - w_t, 0) for the
+    operators Z_t = ops[t] of weights w_t = weights[t] >= 1, as rref row
+    bases down to zero.  By induction R_i lies in R_(i-1), so a step that
+    does not shrink the space raises, and at most dim + 1 steps run, each
+    of len(ops) products and one row reduction."""
     chain, pivots = [], []
-    cur, piv = rref(mod.identity_matrix(), field)
+    cur, piv = rref(np.eye(ops[0].shape[0], dtype=np.int16), field)
     while True:
         chain.append(cur)
         pivots.append(piv)
         if cur.shape[0] == 0:
             return chain, pivots
-        nxt = np.concatenate([gflib.matmul(cur, op.T, field) for op in ops])
-        cur, piv = rref(nxt, field)
+        cur, piv = rref(np.concatenate([gflib.matmul(chain[max(len(chain) - w, 0)], op.T, field)
+                                        for op, w in zip(ops, weights)]), field)
         if cur.shape[0] >= chain[-1].shape[0]:
-            raise BoundExceeded("radical chain failed to decrease")
+            raise BoundExceeded("filtration failed to decrease strictly")
 
 
-def _restriction_chain(qmats, field: GF, top: int, weights):
-    """Subring filtration from restriction data alone: step i is spanned by
-    the images of the ordered products prod (rho(g_t)^(p^N) - 1)^(y_t) over
-    exponent vectors y in [0, top)^(3f) of subring weight >= i.
-
-    The products are built one generator at a time: each prefix o, a
-    product over the generators before t, is multiplied once by the
-    concatenation [Z^0 | ... | Z^(top-1)] of generator t's powers
-    Z = rho(g_t)^(p^N) - 1, and block j of that product is o Z^j.  At
-    f = 1 that is top + top^2 products for the top^3 operators."""
-    dim = qmats[0].shape[0]
-    neg_eye = field.mul[int(field.neg[1]), np.eye(dim, dtype=np.int16)]
-    strips = []  # [Z^0 | ... | Z^(top-1)] per generator
-    for q in qmats:
-        z = field.add[q, neg_eye]
-        col = [np.eye(dim, dtype=np.int16)]
-        for _ in range(top - 1):
-            col.append(gflib.matmul(col[-1], z, field))
-        strips.append(np.concatenate(col, axis=1))
-
-    def blocks(prod, w, wt):
-        return [(prod[:, j * dim:(j + 1) * dim], w + wt * j) for j in range(top)]
-
-    ops = blocks(strips[0], 0, weights[0])  # (product, subring weight)
-    for strip, wt in zip(strips[1:], weights[1:]):
-        ops = [b for o, w in ops for b in blocks(gflib.matmul(o, strip, field), w, wt)]
-    by_weight: dict[int, list[np.ndarray]] = {}
-    for op, w in ops:
-        by_weight.setdefault(w, []).append(op.T)
-    spans: dict[int, tuple[np.ndarray, list[int]]] = {}
-    acc, acc_piv = np.zeros((0, dim), dtype=np.int16), []
-    for i in sorted(by_weight, reverse=True):
-        acc, acc_piv = gflib.rref_insert(acc, acc_piv, np.concatenate(by_weight[i]), field)
-        spans[i] = (acc, acc_piv)
-    maxw = max(by_weight)
-    chain, pivots = [], []
-    for i in range(maxw + 1):
-        # a weight with no operators of its own inherits the deeper span
-        j = i
-        while j not in spans:
-            j += 1
-        cur, piv = spans[j]
-        if chain and cur.shape[0] == 0 and chain[-1].shape[0] == 0:
-            break
-        chain.append(cur)
-        pivots.append(piv)
-    if chain[-1].shape[0]:
-        chain.append(np.zeros((0, dim), dtype=np.int16))
-        pivots.append([])
-    for i in range(len(chain) - 1):
-        if chain[i].shape[0] and chain[i + 1].shape[0] >= chain[i].shape[0]:
-            raise BoundExceeded("subring filtration failed to decrease strictly")
-    return chain, pivots
+def _subsample(gr: GradedModule, N: int) -> GradedModule:
+    """The "int" grading: the "gr" chain read at multiples of p^N, closed by
+    its last step, the only zero one."""
+    last = len(gr.chain) - 1
+    steps = [*range(0, last, gr.cfg.p**N), last]
+    return dataclasses.replace(gr, kind="int", N=N, chain=[gr.chain[j] for j in steps],
+                               pivots=[gr.pivots[j] for j in steps])
 
 
 def grade(mod: FiniteModule, kind: str, N: int | None = None) -> GradedModule:
@@ -348,16 +303,12 @@ def grade(mod: FiniteModule, kind: str, N: int | None = None) -> GradedModule:
     "res" filters by the subring ideal steps (restriction data only)."""
     field = mod.field
     if kind == "gr":
-        chain, piv = _radical_chain(mod)
+        chain, piv = _weighted_chain(_aug_ops(mod.gen_action, field), (1,) * mod.cfg.dim, field)
         return GradedModule("gr", None, mod.dim, field, mod.cfg, chain, piv, mod)
     if N is None or not (1 <= N < mod.cfg.M):
         raise LevelTooDeep(f"need 1 <= N < M, got N={N} at M={mod.cfg.M}")
     if kind == "int":
-        full, fpiv = _radical_chain(mod)
-        # only the last step of the radical chain is zero
-        steps = [*range(0, len(full) - 1, mod.cfg.p**N), len(full) - 1]
-        return GradedModule("int", N, mod.dim, field, mod.cfg, [full[j] for j in steps],
-                            [fpiv[j] for j in steps], mod)
+        return _subsample(grade(mod, "gr"), N)
     if kind == "res":
         gm = grade_res_from_restriction(mod.restriction_matrices(N), mod.cfg, N)
         return dataclasses.replace(gm, module=mod)
@@ -365,13 +316,37 @@ def grade(mod: FiniteModule, kind: str, N: int | None = None) -> GradedModule:
 
 
 def grade_res_from_restriction(qmats, cfg: PrimeConfig, N: int) -> GradedModule:
-    """The "res" grading built purely from the p^N-th power matrices."""
+    """The "res" grading from qmats alone.  Contract: qmats are the p^N-th
+    power matrices rho(u_t), u_t = g_t^(p^N), of a representation rho of
+    the truncated group, as FiniteModule.restriction_matrices gives them.
+
+    With Z_t = rho(u_t) - 1, w = two_omega and top = p^(M-N), step E_i is
+    the span of the images of the ordered products Z^y = Z_0^(y_0) ...
+    Z_(3f-1)^(y_(3f-1)), y in [0, top)^(3f), of weight sum_t w_t y_t >= i.
+    _weighted_chain computes it as R_i = sum_t Z_t R_max(i - w_t, 0), in at
+    most dim + 1 steps.  E_i lies in R_i for any matrices: peel the first
+    factor off Z^y and induct on i.  R_i lies in E_i by the same induction
+    once the span I_j of the Z^y of weight >= j has I_a I_b within I_(a+b).
+
+    That is Lazard's straightening, given GroupModel.certify_straightening
+    (whose failure raises ContractViolation).  Let J_m be the span of all
+    words in the Z_t of weight >= m: I_m lies in J_m, J_a J_b in J_(a+b),
+    and J_m = 0 for large m (the augmentation ideal of F_q[G_N] is
+    nilpotent).  Show J_m within I_m by descending induction on m, then on
+    the inversions of a word.  A sorted word is 0 once an exponent reaches
+    top (Z_t^top = rho(u_t^top) - 1 = 0), else an ordered product of weight
+    >= m.  An inversion Z_t Z_s, s < t, becomes Z_s Z_t + rho(u_s u_t)
+    (rho(W) - 1), W = (u_s u_t)^(-1) u_t u_s, whose first term has fewer
+    inversions.  The certificate makes W = prod_i u_i^(c_i), c_i = d_i / p^N,
+    with w_i p^(v_p(c_i)) > w_s + w_t whenever c_i != 0; as (1 + Z)^c =
+    (1 + Z^(p^v))^(c / p^v) for v = v_p(c), rho(W) - 1 lies in
+    I_(w_s + w_t + 1), so the second term lies in J_(m+1), within I_(m+1)."""
     if not 1 <= N < cfg.M:
         raise LevelTooDeep(f"need 1 <= N < M, got N={N} at M={cfg.M}")
+    model = group_model(cfg)
+    model.certify_straightening(N)
     field = gf(cfg.p, cfg.f)
-    top = cfg.p ** (cfg.M - N)
-    weights = group_model(cfg).two_omega
-    chain, piv = _restriction_chain(list(qmats), field, top, weights)
+    chain, piv = _weighted_chain(_aug_ops(qmats, field), model.two_omega, field)
     return GradedModule("res", N, qmats[0].shape[0], field, cfg, chain, piv, None)
 
 
@@ -404,13 +379,13 @@ def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
     else:
         raise ConfigError("restriction data can only act through a twisted spec")
     dim = mats[0].shape[0]
-    neg_eye = field.mul[int(field.neg[1]), np.eye(dim, dtype=np.int16)]
+    zs = _aug_ops(mats, field)
 
     def aug_power(i: int, e: int) -> np.ndarray:
         # (rho(g_i) - 1)^e computed as (rho(g_i)^unit - 1)^(e/unit)
         if e % unit:
             raise ConfigError("twisted exponents must be divisible by p^N")
-        return _mat_power(field.add[mats[i], neg_eye], e // unit, field)
+        return _mat_power(zs[i], e // unit, field)
 
     out = []
     for gen in spec.f_gens:
@@ -534,7 +509,7 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
     else:
         shifts = list(lifts)
         if isinstance(source, FiniteModule):
-            ring_ops = list(zip(_aug_ops(source), group_model(cfg).two_omega))
+            ring_ops = list(zip(_aug_ops(source.gen_action, field), group_model(cfg).two_omega))
         else:
             raise ConfigError("the full grading needs the full module action")
     if bound is None:
@@ -554,9 +529,9 @@ def check_exponent_transfer(mod: FiniteModule, spec: IdealSpec, N: int) -> dict:
     f = mod.cfg.f
     q = mod.cfg.p**N
     specN = build_JN(spec, N, field)
+    gres = grade(mod, "res", N)  # refuses N outside [1, M)
     gr = grade(mod, "gr")
-    gint = grade(mod, "int", N)
-    gres = grade(mod, "res", N)
+    gint = _subsample(gr, N)
     ell_gr_J = min_annihilator_exponent(gr, spec).ell
     ell_gr_JN = min_annihilator_exponent(gr, specN).ell
     ell_int = min_annihilator_exponent(gint, specN).ell

@@ -6,11 +6,19 @@ its whole basis every round.
 
 close repeats one rref per (piece, operator) until nothing changes, where
 modules._close makes one ascending sweep with one rref per receiving piece.
-restriction_chain multiplies the generator powers of every exponent vector
-one pair at a time, where modules._restriction_chain makes one product per
-prefix.  matmul reduces an int64 product mod p, where gf.matmul sums in
-float64 through BLAS.  The first two multiply through the oracle matmul,
-so all three share with the library only rref and the field tables.
+restriction_chain enumerates all top^(3f) ordered products
+Z^y = Z_0^(y_0) ... Z_(3f-1)^(y_(3f-1)), Z_t = rho(g_t)^(p^N) - 1, and
+spans their images by weight wt(y) = sum_t w_t y_t, one product per
+factor.  modules.grade_res_from_restriction computes the same filtration
+as the recursion R_i = sum_t Z_t R_max(i - w_t, 0): at most dim + 1 steps,
+each of 3f products and one row reduction.  The recursion always contains
+the enumerated steps, and equals them once GroupModel.certify_straightening
+has shown that every commutator of two subgroup generators lies deeper than
+their weights add up to; grade_res_from_restriction below is the
+enumerated grading in the library's signature.  matmul reduces an int64
+product mod p, where gf.matmul sums in float64 through BLAS.  The first two
+multiply through the oracle matmul, so all three share with the library
+only rref and the field tables.
 conjugate draws T as modules._conjugate_dual does and returns T rho T^-1,
 whose dualize is what _conjugate_dual reads off the dual with one inverse.
 rref_insert re-reduces the whole stack, where gf.rref_insert reduces only
@@ -24,8 +32,9 @@ import itertools
 import numpy as np
 
 from propring.errors import BoundExceeded
-from propring.gf import mat_inverse, rref
-from propring.modules import FiniteModule
+from propring.gf import gf, mat_inverse, rref
+from propring.groups import group_model
+from propring.modules import FiniteModule, GradedModule
 
 
 def matmul(a, b, field):
@@ -68,8 +77,9 @@ def close(spaces, ring_ops, field):
 
 
 def restriction_chain(qmats, field, top, weights):
-    """The subring filtration, one ordered product per exponent vector; the
-    signature of modules._restriction_chain."""
+    """The subring filtration, one ordered product per exponent vector y in
+    [0, top)^len(qmats): (chain, pivots), the step i spanned by the images
+    of the products of weight >= i."""
     dim = qmats[0].shape[0]
     neg_eye = field.mul[int(field.neg[1]), np.eye(dim, dtype=np.int16)]
     zops = [field.add[q, neg_eye] for q in qmats]
@@ -110,6 +120,15 @@ def restriction_chain(qmats, field, top, weights):
         if chain[i].shape[0] and chain[i + 1].shape[0] >= chain[i].shape[0]:
             raise BoundExceeded("subring filtration failed to decrease strictly")
     return chain, pivots
+
+
+def grade_res_from_restriction(qmats, cfg, N):
+    """The "res" grading through restriction_chain; the signature of
+    modules.grade_res_from_restriction."""
+    field = gf(cfg.p, cfg.f)
+    chain, piv = restriction_chain(list(qmats), field, cfg.p ** (cfg.M - N),
+                                   group_model(cfg).two_omega)
+    return GradedModule("res", N, qmats[0].shape[0], field, cfg, chain, piv, None)
 
 
 def conjugate(mod, rng):

@@ -29,8 +29,15 @@ from propring.graded import (
 )
 from propring.groups import group_model, quaternion_commutator_congruence
 from propring.jsonio import to_jsonable
-from propring.modules import check_exponent_transfer, module_corpus, restriction_determinism
+from propring import modules
+from propring.modules import (
+    check_exponent_transfer,
+    grade_res_from_restriction,
+    module_corpus,
+    restriction_determinism,
+)
 from propring.padic import zq_ring
+import module_oracle
 from span_oracle import primal_ideal_power_spans
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -246,11 +253,26 @@ def entry_digests(report):
     return out
 
 
-def test_criterion_10_reports_are_byte_identical():
+def test_criterion_10_reports_are_byte_identical(monkeypatch):
+    # the second run also holds every res grading of the module checks to
+    # the enumerated oracle, byte for byte in chains and pivots
+    graded = []
+
+    def compared(qmats, cfg, N):
+        got = grade_res_from_restriction(qmats, cfg, N)
+        want = module_oracle.grade_res_from_restriction(qmats, cfg, N)
+        assert got.pivots == want.pivots
+        assert [c.tobytes() for c in got.chain] == [c.tobytes() for c in want.chain]
+        graded.append(cfg.case)
+        return got
+
     for name in ("acceptance_gl2.json", "acceptance_quat.json"):
         data = json.loads((SCENARIOS / name).read_text())
         r1, code1 = run_scenario(data)
-        r2, code2 = run_scenario(data)
+        with monkeypatch.context() as m:
+            m.setattr(modules, "grade_res_from_restriction", compared)
+            r2, code2 = run_scenario(data)
         assert code1 == code2 == 0, (name, [c["status"] for c in r1["checks"]])
         assert report_bytes(r1) == report_bytes(r2), name
         assert entry_digests(r1) == GOLDEN_ENTRIES[name], name
+    assert set(graded) == {"GL2", "QUAT"}

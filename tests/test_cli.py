@@ -107,6 +107,20 @@ def test_module_exponent_needs_level(tmp_path, capsys):
     assert code == 2
 
 
+def test_module_exponent_reports_grading_level(tmp_path, capsys):
+    # N is the level the grading used; the module file carries none.  At
+    # level 4 and N = 1 the res grading once enumerated 125^3 products
+    path = write(tmp_path, "m.json", {"dim": 1, "field": {"p": 5, "f": 1}, "level": 4,
+                                      "case": "GL2", "generators": [[[1]]] * 3})
+    for grading, n in (("gr", None), ("int", 1), ("res", 1), ("res", 3)):
+        level = [] if n is None else ["--level-n", str(n)]
+        code, out = run(capsys, ["module-exponent", "--in", path, "--grading", grading] + level)
+        assert code == 0
+        got = json.loads(out)
+        assert (got["N"], got["ideal"], got["exponent"]) == (
+            n, "c" if n is None else f"c^[{n}]", 1)
+
+
 def test_verify_quick_scenario(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -223,6 +223,29 @@ def test_pc_relations(case, pfm):
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", ((5, 1, 2), (7, 1, 2), (5, 2, 2), (5, 1, 3)), ids=str)
+def test_straightening_certificate_holds(case, pfm):
+    # at M = 2 the p-th powers commute; at (5, 1, 3) and N = 1, [A^5, B^5]
+    # is a power C^d with v_5(d) = 2, of subring weight 2 * 5 > 1 + 1
+    p, f, M = pfm
+    model = group_model(PrimeConfig(p, f, M, case))
+    for N in range(1, M):
+        model.certify_straightening(N)
+        model.certify_straightening(N)  # memoized
+
+    def u(t):
+        return tuple(p * c for c in model.generator(t))
+
+    ws = {(s, t): model.mul(model.inv(model.mul(u(s), u(t))), model.mul(u(t), u(s)))
+          for s in range(3 * f) for t in range(s + 1, 3 * f)}
+    if M == 2:
+        assert set(ws.values()) == {model.identity}
+    else:
+        w = ws[0, 1]
+        assert w[:2] == (0, 0) and w[2] % 25 == 0 and w[2] % 125, w
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
 @pytest.mark.parametrize("pfm", ((5, 1, 2), (5, 2, 1), (7, 1, 2)), ids=str)
 def test_digit_powers_match_repeated_products(case, pfm):
     # realize and the batch power array, both built from the digit powers

@@ -1,6 +1,7 @@
 """Finite modules over the truncated ring: builders, the three gradings,
 minimal annihilator exponents, and the restriction-only reconstruction."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,13 @@ from propring import algebra
 from propring import gf as gflib
 from propring import modules
 from propring.config import PrimeConfig
-from propring.errors import BoundExceeded, ConfigError, LevelTooDeep, RelationCheckFailed
+from propring.errors import (
+    BoundExceeded,
+    ConfigError,
+    ContractViolation,
+    LevelTooDeep,
+    RelationCheckFailed,
+)
 from propring.gf import gf, matmul, rref
 from propring.graded import build_JN, default_ideals
 from propring.groups import group_model
@@ -291,16 +298,17 @@ def _gradings_and_exponents(cfg):
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
 def test_sweep_and_prefix_kernels_match_oracles(case, monkeypatch):
-    # the one-sweep closure, the per-prefix restriction chain, the BLAS
+    # the one-sweep closure, the recursive restriction grading, the BLAS
     # matmul, the echelon insertion, the batched residue, the frontier
     # closure and the generator kernel against the fixpoint closure, the
-    # itertools chain, the int64 matmul, the full rref, the row-by-row
-    # residue, the whole-basis closure and the per-monomial weight quotient
-    # they replaced, all swapped in together
+    # enumerated restriction grading, the int64 matmul, the full rref, the
+    # row-by-row residue, the whole-basis closure and the per-monomial
+    # weight quotient they replaced, all swapped in together
     cfg = PrimeConfig(5, 1, 2, case, N=1)
     got = _gradings_and_exponents(cfg)
     monkeypatch.setattr(modules, "_close", module_oracle.close)
-    monkeypatch.setattr(modules, "_restriction_chain", module_oracle.restriction_chain)
+    monkeypatch.setattr(modules, "grade_res_from_restriction",
+                        module_oracle.grade_res_from_restriction)
     monkeypatch.setattr(modules, "weight_quotient_module", monomial_oracle.weight_quotient_module)
     monkeypatch.setattr(modules, "_stable_closure", module_oracle.stable_closure)
     monkeypatch.setattr(gflib, "matmul", module_oracle.matmul)
@@ -343,24 +351,93 @@ def _unipotent(dim, weights, rng):
     return [((np.eye(dim, dtype=np.int64) + zt) % 5).astype(np.int16) for zt in z]
 
 
-def test_restriction_chain_matches_oracle_on_random_unipotents():
+def test_weighted_chain_contains_oracle_on_random_unipotents():
+    # independent random nilpotents are no representation, so the recursion
+    # may exceed the enumerated span; E_i within R_i holds for any matrices
     rng = np.random.default_rng(5)
-    compared = 0
-    for _ in range(20):
-        qmats = _unipotent(12, (1, 1, 2), rng)
-        outcomes = []
-        for chain_of in (modules._restriction_chain, module_oracle.restriction_chain):
-            try:
-                outcomes.append(chain_of(qmats, F5, 5, (1, 1, 2)))
-            except BoundExceeded:  # both must refuse a chain that stalls
-                outcomes.append(None)
-        got, want = outcomes
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[1] == want[1]
-            assert [c.tobytes() for c in got[0]] == [c.tobytes() for c in want[0]]
-            compared += 1
-    assert compared >= 5
+    weights = (1, 1, 2)
+    compared = exceeded = 0
+    for _ in range(60):
+        qmats = _unipotent(12, weights, rng)
+        try:  # either may refuse a chain that stalls
+            chain, _ = modules._weighted_chain(modules._aug_ops(qmats, F5), weights, F5)
+            want, _ = module_oracle.restriction_chain(qmats, F5, 5, weights)
+        except BoundExceeded:
+            continue
+        assert len(want) <= len(chain)
+        for r, e in zip(chain, want):
+            assert rref(np.concatenate([r, e]), F5)[0].shape[0] == r.shape[0]
+        exceeded += any(r.shape[0] > e.shape[0] for r, e in zip(chain, want))
+        compared += 1
+    assert compared >= 8 and exceeded >= 4, (compared, exceeded)
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_restriction_grading_matches_oracle_on_representations(pfm, case):
+    # corpus modules, their duals and conjugated duals are representations,
+    # inside the contract, so the recursion equals the enumeration
+    cfg = PrimeConfig(*pfm, case)
+    rng = np.random.default_rng(9)
+    for mod in module_corpus(cfg, count=4):
+        dual = dualize(mod)
+        for m in (mod, dual, _conjugate_dual(mod, dual, rng)):
+            qmats = m.restriction_matrices(1)
+            got = modules.grade_res_from_restriction(qmats, cfg, 1)
+            want = module_oracle.grade_res_from_restriction(qmats, cfg, 1)
+            assert got.pivots == want.pivots, m.provenance
+            assert [c.tobytes() for c in got.chain] == [c.tobytes() for c in want.chain]
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_subring_monomials_straighten_in_dense_algebra(case):
+    # what the straightening certificate proves, checked in F_p[G] at
+    # (5, 1, 2): (u_t - 1) z^(p y) lies in the span of the z^(p y') with
+    # wt(y') >= wt(y) + w_t, u_t = g_t^p, for all 3 x 125 pairs (t, y)
+    cfg = PrimeConfig(5, 1, 2, case)
+    alg = algebra.group_algebra(cfg)
+    p, w = cfg.p, np.array(alg.model.two_omega)
+    ks = np.indices((alg.pM,) * 3).reshape(3, -1).T  # the flat index order
+    wt = np.where((ks % p == 0).all(axis=1), ks // p @ w, -1)
+    for t in range(3):
+        ut = alg.of_group(tuple(p * c for c in alg.model.generator(t)))
+        for y in itertools.product(range(p), repeat=3):
+            z = alg.monomial(tuple(p * c for c in y))
+            coords = alg.to_monomial((alg.mul(ut, z) - z) % p)
+            assert (wt[coords != 0] >= w @ y + w[t]).all(), (t, y)
+
+
+@pytest.mark.parametrize("fault", [(0, 0, 1), (0, 0, 5)], ids=("outside", "shallow"))
+def test_planted_commutator_fails_certificate(fault, monkeypatch):
+    # [A^5, B^5] = 1 at (5, 1, 2); plant C (not a product of fifth powers)
+    # and C^5 (subring weight 2, not above 1 + 1)
+    cfg = PrimeConfig(5, 1, 2, "GL2")
+    good = group_model(cfg)
+    bad = type(good)(5, 1, 2)
+    bad._pc = tuple((a, b, fault if (a, b) == ((0, 1), (1, 1)) else w)
+                    for a, b, w in good.pc_relations())
+    with pytest.raises(ContractViolation) as err:
+        bad.certify_straightening(1)
+    assert err.value.witness == {"s": 0, "t": 1, "N": 1, "w": fault}
+    assert f"W = {list(fault)}" in str(err.value)
+    monkeypatch.setattr(modules, "group_model", lambda c: bad)
+    with pytest.raises(ContractViolation):  # no fallback to enumeration
+        grade(trivial_module(cfg), "res", 1)
+
+
+def test_restriction_grading_is_bounded_at_level_4(monkeypatch):
+    # top^(3f) = 125^3 enumerated products before; the recursion makes at
+    # most 3f (dim + 1)
+    cfg = PrimeConfig(5, 1, 4, "GL2")
+    mod = build_module(cfg, "trivial")
+    mod.restriction_matrices(1)  # the powers, memoized outside the count
+    calls = []
+    matmul_ = gflib.matmul
+    monkeypatch.setattr(gflib, "matmul", lambda *a: calls.append(1) or matmul_(*a))
+    gm = grade(mod, "res", 1)
+    assert 1 <= len(calls) <= 3 * (mod.dim + 1)
+    monkeypatch.undo()
+    assert min_annihilator_exponent(gm, build_JN(IDEALS[0], 1, F5)).ell == 1
 
 
 def test_close_sweep_matches_fixpoint_on_random_pieces():
