@@ -74,12 +74,13 @@ def _pick(d: dict, *keys: str) -> dict:
 
 
 def _over_corpus(run: Run, N: int, count: int, start_seed: int, fn, keys) -> tuple[dict, list]:
-    """fn(module, ideal) for every corpus module and default ideal, in that
-    order.  Returns the detail both corpus checks report, with each result
-    cut to keys as one row, and the full results."""
+    """fn(module, ideals) for every corpus module, with the default ideals;
+    fn returns one result per ideal, in order.  Returns the detail both
+    corpus checks report, with each result cut to keys as one row, and the
+    full results."""
     corpus = run.corpus(count, start_seed)
     ideals = default_ideals(run.cfg.f, gf(run.cfg.p, run.cfg.f))
-    reps = [fn(mod, spec) for mod in corpus for spec in ideals]
+    reps = [rep for mod in corpus for rep in fn(mod, ideals)]
     rows = [_pick(r, *keys) for r in reps]
     return {"ok": all(r["ok"] for r in rows), "N": N, "modules": len(corpus),
             "pairs": len(rows), "rows": rows}, reps
@@ -126,7 +127,7 @@ def _chk_tau_contract(run: Run, rng, N: int, samples: int) -> dict:
 
 def _chk_exponent_transfer(run: Run, rng, N: int, count: int, start_seed: int) -> dict:
     detail, _ = _over_corpus(
-        run, N, count, start_seed, lambda mod, spec: check_exponent_transfer(mod, spec, N),
+        run, N, count, start_seed, lambda mod, specs: check_exponent_transfer(mod, specs, N),
         ("module", "dim", "ideal", "exponents", "implications", "ok"),
     )
     return detail
@@ -136,7 +137,7 @@ def _chk_restriction_determinism(run: Run, rng, N: int, count: int, start_seed: 
                                  basis_changes: int) -> dict:
     detail, reps = _over_corpus(
         run, N, count, start_seed,
-        lambda mod, spec: restriction_determinism(mod, spec, N, rng, basis_changes),
+        lambda mod, specs: restriction_determinism(mod, specs, N, rng, basis_changes),
         ("module", "dim", "ideal", "exponent", "restricted_path", "basis_change_exponents",
          "twist_exponent", "ok"),
     )

@@ -12,9 +12,13 @@ digit vector x in [0, p^M)^(3f).  All group operations run through exact
 matrix or quaternion arithmetic at coefficient level p^(M+1): the guard
 digit is what makes the top coordinate of every element recoverable, so
 multiplication of cosets is computed exactly and no floating or symbolic
-approximation appears anywhere.  Single elements go through the ring and
-quaternion objects of padic; generator tables run the same arithmetic and
-the same checks on int64 arrays holding every element of the group at once.
+approximation appears anywhere.  Group arithmetic has one path: concrete
+elements are int64 arrays of shape (batch, parts, deg), and decompose runs
+every check on a whole batch at once.  A generator table is one batch
+holding every element of the group; a single element is a batch of one,
+and mul, inv, power, commutator and the pc relations realize their inputs
+once, multiply concrete arrays and decompose once.  The ring and
+quaternion objects of padic remain the source of the generator powers.
 
 Case GL2: upper-triangular-unipotent-mod-p matrices over the unramified
 degree-f ring, taken modulo the center.  Canonical coset representatives
@@ -117,8 +121,7 @@ class GroupModel:
     @functools.cached_property
     def _digit_powers(self) -> list[list[list]]:
         """[i][k][d] = g_i^(d p^k) for k < M and d < p, as concrete
-        elements: n M p of them, the one source of generator powers for
-        realize and for the batch path."""
+        elements: n M p of them, the one source of generator powers."""
         out = []
         for g in self._gens:
             rows = []
@@ -134,8 +137,8 @@ class GroupModel:
     @functools.cached_property
     def _gen_power_array(self) -> np.ndarray:
         """g_i^e for e < p^M as one (n, p^M, parts, deg) int64 array, one
-        array product per base-p digit of e.  Built for the generator
-        tables only, which hold p^(nM) entries already."""
+        array product per base-p digit of e.  Built for batches of at least
+        p^M rows only (the generator tables), which hold that many already."""
         D = np.array([[[self._key(c) for c in row] for row in rows]
                       for rows in self._digit_powers], dtype=np.int64)
         out = D[:, 0]
@@ -156,48 +159,69 @@ class GroupModel:
                     out = row[d] if out is self._one else self._mul(out, row[d])
         return out
 
-    def realize_array(self, xs: np.ndarray) -> np.ndarray:
-        """realize on a (batch, n) digit array: a (batch, parts, deg) array."""
-        P = self._gen_power_array
-        out = P[0][xs[:, 0]]
-        for i in range(1, self.n):
-            out = self._mul_array(out, P[i][xs[:, i]])
-        return out
+    def realize_array(self, xs) -> np.ndarray:
+        """realize on a (batch, n) digit array: a (batch, parts, deg) array.
+        A batch of at least p^M rows gathers each power from the p^M powers
+        of its generator; a smaller one is realized row by row from the
+        base-p digit powers, so a point query holds no table of p^M powers."""
+        xs = np.asarray(xs, dtype=np.int64)
+        if len(xs) >= self.pM:
+            P = self._gen_power_array
+            out = P[0][xs[:, 0]]
+            for i in range(1, self.n):
+                out = self._mul_array(out, P[i][xs[:, i]])
+            return out
+        return np.array([self._key(self.realize(x)) for x in xs], dtype=np.int64)
 
-    def decompose(self, concrete):
-        """Digits of one concrete element, or a (batch, n) digit array for a
-        (batch, parts, deg) array of them.  Both paths make the same checks
-        in the same order and raise the same NotInGroup messages."""
-        if isinstance(concrete, np.ndarray):
-            return self._decompose_array(concrete)
-        return self._decompose(concrete)
+    def decompose(self, arr: np.ndarray) -> np.ndarray:
+        """Digits of a (batch, parts, deg) array of concrete elements, as a
+        (batch, n) array.  Every check runs on the whole batch, and the
+        first one that some element fails raises NotInGroup."""
+        return self._decompose_array(arr)
+
+    def _decompose_one(self, a: np.ndarray) -> Digits:
+        """Digits of one (parts, deg) concrete element: a batch of one."""
+        return tuple(int(c) for c in self.decompose(a[None])[0])
 
     def mul(self, x: Digits, y: Digits) -> Digits:
-        return self.decompose(self._mul(self.realize(x), self.realize(y)))
+        X, Y = self.realize_array([x, y])
+        return self._decompose_one(self._mul_array(X, Y))
 
     def inv(self, x: Digits) -> Digits:
-        return self.decompose(self._inv(self.realize(x)))
+        return self._decompose_one(self._inv_array(self.realize_array([x])[0]))
 
-    def power(self, x: Digits, e: int) -> Digits:
-        if e < 0:
-            return self.power(self.inv(x), -e)
-        acc, base = self.identity, x
+    def _power_array(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e for a concrete element and e >= 0, by repeated squaring."""
+        acc = None
         while e:
             if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = a if acc is None else self._mul_array(acc, a)
             e >>= 1
-        return acc
+            if e:
+                a = self._mul_array(a, a)
+        return np.array(self._key(self._one)) if acc is None else acc
+
+    def power(self, x: Digits, e: int) -> Digits:
+        a = self.realize_array([x])[0]
+        if e < 0:
+            a, e = self._inv_array(a), -e
+        return self._decompose_one(self._power_array(a, e))
 
     def commutator(self, x: Digits, y: Digits) -> Digits:
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
+        """x^-1 y^-1 x y."""
+        X, Y = self.realize_array([x, y])
+        inv_yx = self._inv_array(self._mul_array(Y, X))
+        return self._decompose_one(self._mul_array(inv_yx, self._mul_array(X, Y)))
 
     def pth_root(self, x: Digits) -> Digits:
         """The p-th root of an element of valuation > p/(p-1), by digit
         refinement; exact by construction, verified before returning."""
+        X = self.realize_array([x])[0]
         y = self.identity
         for _ in range(2 * self.M + 3):
-            d = self.mul(self.inv(self.power(y, self.p)), x)
+            Y = self.realize_array([y])[0]
+            d = self._decompose_one(
+                self._mul_array(self._inv_array(self._power_array(Y, self.p)), X))
             if d == self.identity:
                 return y
             if any(c % self.p for c in d):
@@ -246,16 +270,20 @@ class GroupModel:
             p, M = self.p, self.M
             gens = sorted(((i, k) for i in range(self.n) for k in range(M)),
                           key=lambda g: (self.two_omega[g[0]] + 2 * g[1], g))
-            u = {(i, k): tuple(p**k * c for c in self.generator(i)) for i, k in gens}
+            # one array pass: realize every u, both products of every pair,
+            # one inverse and one decompose
+            U = self.realize_array([[p**k * (j == i) for j in range(self.n)] for i, k in gens])
+            ra, rb = np.triu_indices(len(gens), 1)
+            W = self.decompose(self._mul_array(
+                self._inv_array(self._mul_array(U[ra], U[rb])), self._mul_array(U[rb], U[ra])))
             rels = []
-            for r, a in enumerate(gens):
-                for s, b in enumerate(gens[r + 1:], r + 1):
-                    w = self.mul(self.inv(self.mul(u[a], u[b])), self.mul(u[b], u[a]))
-                    letters = {(i, k) for i, c in enumerate(w) for k in range(M) if c // p**k % p}
-                    if not letters <= set(gens[s + 1:]):
-                        # raised, not asserted: exact module validation rests on it
-                        raise AssertionError(f"pc condition fails for {a}, {b}: W = {w}")
-                    rels.append((a, b, w))
+            for r, s, w in zip(ra, rb, W):
+                a, b, w = gens[r], gens[s], tuple(int(c) for c in w)
+                letters = {(i, k) for i, c in enumerate(w) for k in range(M) if c // p**k % p}
+                if not letters <= set(gens[s + 1:]):
+                    # raised, not asserted: exact module validation rests on it
+                    raise AssertionError(f"pc condition fails for {a}, {b}: W = {w}")
+                rels.append((a, b, w))
             self._pc = tuple(rels)
         return self._pc
 
@@ -300,9 +328,6 @@ class GroupModel:
     # -- to be provided per case: _one and _gens (concrete identity and
     # generators), and the methods below ----------------------------------
 
-    def _decompose(self, concrete) -> Digits:
-        raise NotImplementedError
-
     def _decompose_array(self, arr: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -312,7 +337,7 @@ class GroupModel:
     def _mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _inv(self, a):
+    def _inv_array(self, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _key(self, concrete):
@@ -357,41 +382,9 @@ class GL2Model(GroupModel):
                          R.mul_array(c, e) + R.mul_array(d, g),
                          R.mul_array(c, f_) + R.mul_array(d, h)], axis=-2) % mod
 
-    def _inv(self, m):
-        a, b, c, d = m
-        return (d, -b, -c, a)
-
-    def _decompose(self, m):
-        R = self.ring
-        p, f, M = self.p, self.f, self.M
-        a, b, c, d = m
-        if not R.is_unit(d):
-            raise NotInGroup("lower-right entry must be a unit")
-        t = R.inv(d)
-        u = b * t
-        w = c * d
-        digits = [0] * self.n
-        for i, cu in enumerate(R.teich_coords(u)):
-            digits[i] = cu % self.pM
-        for i, cw in enumerate(R.teich_coords(w)):
-            if cw % p:
-                raise NotInGroup("lower-left entry must vanish mod p")
-            digits[f + i] = (cw // p) % self.pM
-        # peel the diagonal part t in 1 + pO against 1 + p[a^i]
-        cur = t
-        for k in range(1, M + 1):
-            pk = p**k
-            dev = R.teich_coords(cur - R.one)
-            for i in range(f):
-                if dev[i] % pk:
-                    raise NotInGroup("diagonal part must be congruent to 1 mod p")
-                delta = (dev[i] // pk) % p
-                if delta:
-                    digits[2 * f + i] += delta * p ** (k - 1)
-                    cur = cur * self._tdiag_inv[i] ** (delta * p ** (k - 1))
-        if cur != R.one:
-            raise NotInGroup("diagonal peeling did not terminate")
-        return tuple(digits)
+    def _inv_array(self, m):
+        """Inverses by the adjugate (d, -b, -c, a): every element has det 1."""
+        return m[..., [3, 1, 2, 0], :] * np.array([1, -1, -1, 1])[:, None] % self.ring.modulus
 
     @functools.cached_property
     def _peel_array(self) -> np.ndarray:
@@ -402,7 +395,7 @@ class GL2Model(GroupModel):
                         dtype=np.int64)
 
     def _decompose_array(self, m):
-        """_decompose on a (batch, 4, f) array, each check on the whole batch."""
+        """decompose on a (batch, 4, f) array."""
         R = self.ring
         p, f, M, mod = self.p, self.f, self.M, self.ring.modulus
         b, c, d = m[:, 1], m[:, 2], m[:, 3]
@@ -442,7 +435,7 @@ class GL2Model(GroupModel):
             raise NotInGroup("matrix is not in the pro-p Iwahori pattern")
         det = a * d - b * c
         s = R.inv(R.hensel_sqrt(det))
-        return self.decompose((a * s, b * s, c * s, d * s))
+        return self._decompose_one(np.array(self._key((a * s, b * s, c * s, d * s))))
 
     def _witness_pair(self, i):
         # an upper element with entry [a^i] against the first lower generator
@@ -505,46 +498,11 @@ class QuatModel(GroupModel):
     def _mul_array(self, a, b):
         return self.ctx.mul_array(a, b)
 
-    def _inv(self, a):
-        return a.conj()
-
-    def _decompose(self, q):
-        R = self.ctx.ring
-        F = R.field
-        p, f, M = self.p, self.f, self.M
-        if (q.a - R.one).vp() < 1:
-            raise NotInGroup("scalar part must be congruent to 1 mod p")
-        digits = [0] * self.n
-        for step in range(1, 2 * M + 1):
-            d = self.realize(digits).conj() * q
-            k = step // 2
-            pk = p**k
-            if step % 2 == 1:  # level k + 1/2: b-part layer at depth k
-                vec = d.b.vec
-                if any(c % pk for c in vec):
-                    raise NotInGroup("b-part layer appeared below its level")
-                beta = F.index((c // pk) % p for c in vec)
-                if beta:
-                    for i, s in enumerate(self._half_sol[beta]):  # A then B digits
-                        digits[i] += int(s) * pk
-            else:  # level k: a-part layer at depth k, anti-fixed
-                vec = (d.a - R.one).vec
-                if any(c % pk for c in vec):
-                    raise NotInGroup("a-part layer appeared below its level")
-                gamma = F.index((c // pk) % p for c in vec)
-                if gamma:
-                    sol = self._int_sol[gamma]
-                    if sol[0] < 0:
-                        raise NotInGroup("a-part layer is not anti-fixed")
-                    for i in range(f):
-                        digits[2 * f + i] += int(sol[i]) * p ** (k - 1)
-        d = self.realize(digits).conj() * q
-        if d.a != R.one or d.b.vp() < M:
-            raise NotInGroup("digit extraction did not terminate")
-        return tuple(digits)
+    def _inv_array(self, a):
+        return self.ctx.conj_array(a)
 
     def _decompose_array(self, qs):
-        """_decompose on a (batch, 2, 2f) array, each check on the whole batch."""
+        """decompose on a (batch, 2, 2f) array."""
         ctx = self.ctx
         p, f, M, mod = self.p, self.f, self.M, ctx.ring.modulus
         one = np.array(ctx.ring.one.vec)
@@ -581,7 +539,7 @@ class QuatModel(GroupModel):
         q = self.ctx.quat(R.element(a_coords), R.element(b_coords))
         if (q.a - R.one).vp() < 1:
             raise NotInGroup("scalar part must be congruent to 1 mod p")
-        return self.decompose(self._norm_one(q))
+        return self._decompose_one(np.array(self._key(self._norm_one(q))))
 
     def _witness_pair(self, i):
         # b-part gamma with gamma - sigma(gamma) = a^i eta, i.e. a^i eta / 2

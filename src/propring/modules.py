@@ -522,41 +522,45 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
 # -- transfer and determinism checks ----------------------------------------------
 
 
-def check_exponent_transfer(mod: FiniteModule, spec: IdealSpec, N: int) -> dict:
-    """Measure the minimal annihilator exponents of an ideal and its twist
-    on the three gradings and verify the five transfer inequalities."""
+def check_exponent_transfer(mod: FiniteModule, specs, N: int) -> list[dict]:
+    """For each ideal in specs, measure the minimal annihilator exponents of
+    the ideal and its twist on the three gradings and verify the five
+    transfer inequalities.  The gradings are built once for all ideals."""
     field = mod.field
     f = mod.cfg.f
     q = mod.cfg.p**N
-    specN = build_JN(spec, N, field)
     gres = grade(mod, "res", N)  # refuses N outside [1, M)
     gr = grade(mod, "gr")
     gint = _subsample(gr, N)
-    ell_gr_J = min_annihilator_exponent(gr, spec).ell
-    ell_gr_JN = min_annihilator_exponent(gr, specN).ell
-    ell_int = min_annihilator_exponent(gint, specN).ell
-    ell_res = min_annihilator_exponent(gres, specN).ell
-    implications = {
-        "twist_inside_ideal": ell_gr_JN <= ell_gr_J,
-        "full_to_subsampled": ell_int <= q * ell_gr_JN,
-        "subsampled_to_subring": ell_res <= (4 * f + 1) * ell_int,
-        "subring_to_subsampled": ell_int <= (4 * f + 1) * ell_res,
-        "subsampled_to_full": ell_gr_JN <= ell_int,
-    }
-    return {
-        "module": mod.provenance,
-        "dim": mod.dim,
-        "ideal": spec.name,
-        "N": N,
-        "exponents": {
-            "gr_ideal": ell_gr_J,
-            "gr_twist": ell_gr_JN,
-            "int_twist": ell_int,
-            "res_twist": ell_res,
-        },
-        "implications": implications,
-        "ok": all(implications.values()),
-    }
+    out = []
+    for spec in specs:
+        specN = build_JN(spec, N, field)
+        ell_gr_J = min_annihilator_exponent(gr, spec).ell
+        ell_gr_JN = min_annihilator_exponent(gr, specN).ell
+        ell_int = min_annihilator_exponent(gint, specN).ell
+        ell_res = min_annihilator_exponent(gres, specN).ell
+        implications = {
+            "twist_inside_ideal": ell_gr_JN <= ell_gr_J,
+            "full_to_subsampled": ell_int <= q * ell_gr_JN,
+            "subsampled_to_subring": ell_res <= (4 * f + 1) * ell_int,
+            "subring_to_subsampled": ell_int <= (4 * f + 1) * ell_res,
+            "subsampled_to_full": ell_gr_JN <= ell_int,
+        }
+        out.append({
+            "module": mod.provenance,
+            "dim": mod.dim,
+            "ideal": spec.name,
+            "N": N,
+            "exponents": {
+                "gr_ideal": ell_gr_J,
+                "gr_twist": ell_gr_JN,
+                "int_twist": ell_int,
+                "res_twist": ell_res,
+            },
+            "implications": implications,
+            "ok": all(implications.values()),
+        })
+    return out
 
 
 def _central_order_p_twist(mod: FiniteModule, N: int):
@@ -592,29 +596,25 @@ def _conjugate_dual(mod: FiniteModule, dual: FiniteModule, rng) -> FiniteModule:
     return FiniteModule(mod.cfg, mod.dim, mats, f"dual(conj({mod.provenance}))")
 
 
-def restriction_determinism(mod: FiniteModule, spec: IdealSpec, N: int, rng,
-                            basis_changes: int = 5) -> dict:
-    """The twisted-ideal exponent on the subring grading of the dual depends
-    only on the p^N-th power matrices.  Checked three ways: the full-action
-    path against the restriction-only path, invariance under random basis
-    changes, and invariance under a twist that changes a generator matrix
-    while fixing every restriction matrix."""
+def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
+                            basis_changes: int = 5) -> list[dict]:
+    """For each ideal in specs: the twisted-ideal exponent on the subring
+    grading of the dual depends only on the p^N-th power matrices.  Checked
+    three ways: the full-action path against the restriction-only path,
+    invariance under random basis changes, and invariance under a twist
+    that changes a generator matrix while fixing every restriction matrix.
+    What does not depend on the ideal is built once; the basis changes are
+    drawn per ideal, in order."""
     field = mod.field
-    specN = build_JN(spec, N, field)
     dual = dualize(mod)
-
-    def res_exponent(m: FiniteModule) -> int:
-        return min_annihilator_exponent(grade(m, "res", N), specN).ell
-
-    ell_full = res_exponent(dual)
+    gdual = grade(dual, "res", N)
     qmats = [
         np.ascontiguousarray(gflib.mat_inverse(q, field).T)
         for q in mod.restriction_matrices(N)
     ]
     gm = grade_res_from_restriction(qmats, mod.cfg, N)
-    ell_restricted = min_annihilator_exponent(gm, specN, source=qmats).ell
-    conj_ells = [res_exponent(_conjugate_dual(mod, dual, rng)) for _ in range(basis_changes)]
     twisted = _central_order_p_twist(mod, N)
+    same_restriction = True
     if twisted is not None:
         check_multiplicative(twisted)
         same_restriction = all(
@@ -623,28 +623,37 @@ def restriction_determinism(mod: FiniteModule, spec: IdealSpec, N: int, rng,
                 twisted.restriction_matrices(N), mod.restriction_matrices(N)
             )
         )
-        ell_twisted = res_exponent(dualize(twisted))
-    else:
-        same_restriction = True
-        ell_twisted = ell_full
-    ok = (
-        ell_restricted == ell_full
-        and all(e == ell_full for e in conj_ells)
-        and same_restriction
-        and ell_twisted == ell_full
-    )
-    return {
-        "module": mod.provenance,
-        "dim": mod.dim,
-        "ideal": spec.name,
-        "N": N,
-        "exponent": ell_full,
-        "restricted_path": ell_restricted,
-        "basis_change_exponents": conj_ells,
-        "twist_present": twisted is not None,
-        "twist_exponent": ell_twisted,
-        "ok": ok,
-    }
+        gtwisted = grade(dualize(twisted), "res", N)
+    out = []
+    for spec in specs:
+        specN = build_JN(spec, N, field)
+        ell_full = min_annihilator_exponent(gdual, specN).ell
+        ell_restricted = min_annihilator_exponent(gm, specN, source=qmats).ell
+        conj_ells = [
+            min_annihilator_exponent(grade(_conjugate_dual(mod, dual, rng), "res", N), specN).ell
+            for _ in range(basis_changes)
+        ]
+        ell_twisted = (ell_full if twisted is None
+                       else min_annihilator_exponent(gtwisted, specN).ell)
+        ok = (
+            ell_restricted == ell_full
+            and all(e == ell_full for e in conj_ells)
+            and same_restriction
+            and ell_twisted == ell_full
+        )
+        out.append({
+            "module": mod.provenance,
+            "dim": mod.dim,
+            "ideal": spec.name,
+            "N": N,
+            "exponent": ell_full,
+            "restricted_path": ell_restricted,
+            "basis_change_exponents": conj_ells,
+            "twist_present": twisted is not None,
+            "twist_exponent": ell_twisted,
+            "ok": ok,
+        })
+    return out
 
 
 def module_corpus(cfg: PrimeConfig, count: int = 20, start_seed: int = 0,

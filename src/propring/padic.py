@@ -259,14 +259,7 @@ class ZqRing:
     def teich_coords(self, e: ZqElement) -> tuple[int, ...]:
         """Coordinates of e over the Teichmueller power basis."""
         self._check(e)
-        if self.deg == 1:
-            return e.vec
-        self.teich_basis
-        mod = self.modulus
-        return tuple(
-            sum(self._teich_inverse[i][j] * e.vec[j] for j in range(self.deg)) % mod
-            for i in range(self.deg)
-        )
+        return tuple(int(c) for c in self.teich_coords_array(np.array(e.vec, dtype=np.int64)))
 
     # -- batched arithmetic on (..., deg) int64 arrays ---------------------
 
@@ -300,7 +293,8 @@ class ZqRing:
         return v
 
     def teich_coords_array(self, a: np.ndarray) -> np.ndarray:
-        """Coordinates over the Teichmueller power basis, as in teich_coords."""
+        """Coordinates over the Teichmueller power basis of a (..., deg)
+        array."""
         if self.deg == 1:
             return a
         self.teich_basis

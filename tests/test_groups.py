@@ -10,6 +10,7 @@ from propring.config import PrimeConfig
 from propring.errors import ConfigError, NotInGroup
 from propring.groups import QuatModel, group_model, quaternion_commutator_congruence
 from pair_oracle import random_element, right_mul_table
+import table_oracle as oracle
 from table_oracle import scalar_rows
 
 INF = 10**9
@@ -38,7 +39,7 @@ def test_generator_orders_exact(model):
 def test_realize_decompose_roundtrip(model, rng):
     for _ in range(100):
         x = random_element(model, rng)
-        assert model.decompose(model.realize(x)) == x
+        assert model.decompose(model.realize_array([x])).tolist() == [list(x)]
 
 
 def test_group_laws_sampled(model, rng):
@@ -189,7 +190,7 @@ def test_other_parameters_roundtrip(p, f, case):
     for _ in range(25):
         x = random_element(m, rng)
         y = random_element(m, rng)
-        assert m.decompose(m.realize(x)) == x
+        assert m.decompose(m.realize_array([x])).tolist() == [list(x)]
         assert m.mul(x, m.inv(x)) == m.identity
         assert tw(m, m.commutator(x, y)) >= min(tw(m, x) + tw(m, y), INF)
 
@@ -243,6 +244,43 @@ def test_straightening_certificate_holds(case, pfm):
     else:
         w = ws[0, 1]
         assert w[:2] == (0, 0) and w[2] % 25 == 0 and w[2] % 125, w
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", ((5, 1, 2), (7, 1, 2), (5, 2, 2), (5, 1, 3)), ids=str)
+def test_pc_relations_match_pairwise_products(case, pfm):
+    # the one-pass relations against W = (u_a u_b)^-1 u_b u_a taken pair by
+    # pair through the scalar oracle
+    p = pfm[0]
+    model = group_model(PrimeConfig(*pfm, case))
+
+    def u(g):
+        return tuple(p ** g[1] * c for c in model.generator(g[0]))
+
+    for a, b, w in model.pc_relations():
+        ab, ba = oracle.mul(model, u(a), u(b)), oracle.mul(model, u(b), u(a))
+        assert w == oracle.mul(model, oracle.inv(model, ab), ba), (a, b)
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", ((5, 1, 2), (5, 2, 1), (7, 1, 2), (5, 1, 3)), ids=str)
+def test_single_element_ops_match_scalar_oracle(case, pfm):
+    # each op realizes its inputs once and decomposes a batch of one; the
+    # oracle decomposes every intermediate product through the scalar path
+    model = group_model(PrimeConfig(*pfm, case))
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        x, y = random_element(model, rng), random_element(model, rng)
+        c = model._mul(model.realize(x), model.realize(y))
+        assert model.decompose(np.array([model._key(c)])).tolist() == [
+            list(oracle.decompose(model, c))]
+        assert model.mul(x, y) == oracle.mul(model, x, y)
+        assert model.inv(x) == oracle.inv(model, x)
+        for e in (0, 1, model.p, 7, -3):
+            assert model.power(x, e) == oracle.power(model, x, e), e
+        assert model.commutator(x, y) == oracle.commutator(model, x, y)
+        xp = oracle.power(model, x, model.p)
+        assert model.pth_root(xp) == oracle.pth_root(model, xp)
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
@@ -310,7 +348,7 @@ def test_batch_decompose_planted_fault(case, fault, message):
     else:  # times the central unit 1 + p, of norm (1 + p)^2 != 1
         bad[7] = (1 + p) * bad[7] % mod
     with pytest.raises(NotInGroup) as scalar:
-        model.decompose(_concrete(model, bad[7]))
+        oracle.decompose(model, _concrete(model, bad[7]))
     with pytest.raises(NotInGroup) as batch:
         model.decompose(bad)
     assert str(scalar.value) == str(batch.value) == message

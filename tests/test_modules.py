@@ -141,8 +141,7 @@ def test_deep_module_has_live_twist(deep):
 
 
 def test_deep_module_frozen_exponents(deep):
-    for spec in IDEALS:
-        out = check_exponent_transfer(deep, spec, 1)
+    for out in check_exponent_transfer(deep, IDEALS, 1):
         assert out["ok"]
         assert out["exponents"] == {
             "gr_ideal": 6,
@@ -222,17 +221,41 @@ def test_twisted_exponent_needs_scaled_ideal(deep):
 def test_exponent_transfer_on_quotients(cfg):
     for seed in (1, 2, 3):
         mod = quotient_module(cfg, seed=seed)
-        for spec in IDEALS:
-            out = check_exponent_transfer(mod, spec, 1)
-            assert out["ok"], (seed, spec.name, out)
+        outs = check_exponent_transfer(mod, IDEALS, 1)
+        assert [out["ideal"] for out in outs] == [spec.name for spec in IDEALS]
+        for out in outs:
+            assert out["ok"], (seed, out)
 
 
 def test_restriction_determinism(deep, rng):
-    out = restriction_determinism(deep, IDEALS[0], 1, rng, basis_changes=3)
+    (out,) = restriction_determinism(deep, IDEALS[:1], 1, rng, basis_changes=3)
     assert out["ok"]
     assert out["twist_present"]
     assert out["restricted_path"] == out["exponent"]
     assert set(out["basis_change_exponents"]) == {out["exponent"]}
+
+
+def test_corpus_checks_grade_each_module_once(deep, monkeypatch):
+    # the ideal loop runs inside both checks: with 3 ideals, the module's
+    # own gradings and its dual's res grading are built once, and only the
+    # random basis changes are graded per ideal
+    calls = []
+    real = modules.grade
+
+    def counting(mod, kind, N=None):
+        calls.append((mod.provenance, kind))
+        return real(mod, kind, N)
+
+    monkeypatch.setattr(modules, "grade", counting)
+    assert len(IDEALS) == 3
+    check_exponent_transfer(deep, IDEALS, 1)
+    assert sorted(calls) == [(deep.provenance, "gr"), (deep.provenance, "res")]
+    calls.clear()
+    reps = restriction_determinism(deep, IDEALS, 1, np.random.default_rng(5), basis_changes=2)
+    assert [r["ideal"] for r in reps] == [spec.name for spec in IDEALS]
+    assert calls.count((f"dual({deep.provenance})", "res")) == 1
+    assert calls.count((f"dual(twist({deep.provenance}))", "res")) == 1
+    assert calls.count((f"dual(conj({deep.provenance}))", "res")) == 3 * 2
 
 
 def test_dual_of_dual_is_isomorphic(cfg):
