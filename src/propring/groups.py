@@ -13,7 +13,9 @@ matrix or quaternion arithmetic at coefficient level p^(M+1): the guard
 digit is what makes the top coordinate of every element recoverable, so
 multiplication of cosets is computed exactly and no floating or symbolic
 approximation appears anywhere.  Group arithmetic has one path: concrete
-elements are int64 arrays of shape (batch, parts, deg), and decompose runs
+elements are arrays of shape (batch, parts, deg) in the ring's dtype (int64,
+or Python-int objects at levels where int64 products would overflow, see
+padic.ZqRing.dtype), and decompose runs
 every check on a whole batch at once.  A generator table is one batch
 holding every element of the group; a single element is a batch of one,
 and mul, inv, power, commutator and the pc relations realize their inputs
@@ -136,11 +138,11 @@ class GroupModel:
 
     @functools.cached_property
     def _gen_power_array(self) -> np.ndarray:
-        """g_i^e for e < p^M as one (n, p^M, parts, deg) int64 array, one
+        """g_i^e for e < p^M as one (n, p^M, parts, deg) array, one
         array product per base-p digit of e.  Built for batches of at least
         p^M rows only (the generator tables), which hold that many already."""
         D = np.array([[[self._key(c) for c in row] for row in rows]
-                      for rows in self._digit_powers], dtype=np.int64)
+                      for rows in self._digit_powers], dtype=self.dtype)
         out = D[:, 0]
         for k in range(1, self.M):
             # e = d p^k + e_low with d the slower axis, as in the flat order
@@ -164,14 +166,14 @@ class GroupModel:
         A batch of at least p^M rows gathers each power from the p^M powers
         of its generator; a smaller one is realized row by row from the
         base-p digit powers, so a point query holds no table of p^M powers."""
-        xs = np.asarray(xs, dtype=np.int64)
         if len(xs) >= self.pM:
+            xs = np.asarray(xs, dtype=np.int64)
             P = self._gen_power_array
             out = P[0][xs[:, 0]]
             for i in range(1, self.n):
                 out = self._mul_array(out, P[i][xs[:, i]])
             return out
-        return np.array([self._key(self.realize(x)) for x in xs], dtype=np.int64)
+        return np.array([self._key(self.realize(x)) for x in xs], dtype=self.dtype)
 
     def decompose(self, arr: np.ndarray) -> np.ndarray:
         """Digits of a (batch, parts, deg) array of concrete elements, as a
@@ -199,7 +201,7 @@ class GroupModel:
             e >>= 1
             if e:
                 a = self._mul_array(a, a)
-        return np.array(self._key(self._one)) if acc is None else acc
+        return np.array(self._key(self._one), dtype=self.dtype) if acc is None else acc
 
     def power(self, x: Digits, e: int) -> Digits:
         a = self.realize_array([x])[0]
@@ -326,7 +328,7 @@ class GroupModel:
         raise NonConvergent("no commutator witness with small enough residual")
 
     # -- to be provided per case: _one and _gens (concrete identity and
-    # generators), and the methods below ----------------------------------
+    # generators), dtype (the ring's array dtype), and the methods below ---
 
     def _decompose_array(self, arr: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -353,6 +355,7 @@ class GL2Model(GroupModel):
         super().__init__(p, f, M)
         self.ring = zq_ring(p, f, M + 1)
         R = self.ring
+        self.dtype = R.dtype
         tb = R.teich_basis
         tdiag = [R.one + p * t for t in tb]  # 1 + p[a^i]
         self._tdiag_inv = [R.inv(t) for t in tdiag]
@@ -392,7 +395,7 @@ class GL2Model(GroupModel):
         p = self.p
         return np.array([[[(t ** (delta * p ** (k - 1))).vec for delta in range(p)]
                           for k in range(1, self.M + 1)] for t in self._tdiag_inv],
-                        dtype=np.int64)
+                        dtype=self.dtype)
 
     def _decompose_array(self, m):
         """decompose on a (batch, 4, f) array."""
@@ -402,7 +405,7 @@ class GL2Model(GroupModel):
         if not (d % p).any(axis=1).all():
             raise NotInGroup("lower-right entry must be a unit")
         t = R.inv_array(d)
-        digits = np.zeros((len(m), self.n), dtype=np.int64)
+        digits = np.zeros((len(m), self.n), dtype=self.dtype)
         digits[:, :f] = R.teich_coords_array(R.mul_array(b, t)) % self.pM
         cw = R.teich_coords_array(R.mul_array(c, d))
         if (cw % p).any():
@@ -417,6 +420,7 @@ class GL2Model(GroupModel):
                 raise NotInGroup("diagonal part must be congruent to 1 mod p")
             delta = dev // pk % p
             digits[:, 2 * f:] += delta * p ** (k - 1)
+            delta = delta.astype(np.int64, copy=False)
             for i in range(f):
                 cur = R.mul_array(cur, self._peel_array[i, k - 1][delta[:, i]])
         if (cur != one).any():
@@ -435,7 +439,7 @@ class GL2Model(GroupModel):
             raise NotInGroup("matrix is not in the pro-p Iwahori pattern")
         det = a * d - b * c
         s = R.inv(R.hensel_sqrt(det))
-        return self._decompose_one(np.array(self._key((a * s, b * s, c * s, d * s))))
+        return self._decompose_one(np.array(self._key((a * s, b * s, c * s, d * s)), dtype=self.dtype))
 
     def _witness_pair(self, i):
         # an upper element with entry [a^i] against the first lower generator
@@ -447,6 +451,7 @@ class QuatModel(GroupModel):
         super().__init__(p, f, M)
         self.ctx = quat_context(p, f, M + 1)
         R = self.ctx.ring
+        self.dtype = R.dtype
         F = R.field
         sig = F.frob.copy()
         for _ in range(f - 1):
@@ -475,7 +480,7 @@ class QuatModel(GroupModel):
         p, k = self.p, len(cols)
         sols = np.indices((p,) * k).reshape(k, -1).T
         image = sols @ np.array(cols, dtype=np.int64) % p @ p ** np.arange(F.f)
-        table = np.full((F.q, k), -1, dtype=np.int64)
+        table = np.full((F.q, k), -1, dtype=self.dtype)
         table[image] = sols
         if not np.array_equal(table[image], sols):  # two sols share a residue
             raise ValueError("columns are linearly dependent")
@@ -509,7 +514,7 @@ class QuatModel(GroupModel):
         index = p ** np.arange(2 * f)  # residue coordinates -> F_q index
         if ((qs[:, 0] - one) % p).any():
             raise NotInGroup("scalar part must be congruent to 1 mod p")
-        digits = np.zeros((len(qs), self.n), dtype=np.int64)
+        digits = np.zeros((len(qs), self.n), dtype=self.dtype)
         for step in range(1, 2 * M + 1):
             d = ctx.mul_array(ctx.conj_array(self.realize_array(digits)), qs)
             k = step // 2
@@ -518,12 +523,12 @@ class QuatModel(GroupModel):
                 vec = d[:, 1]
                 if (vec % pk).any():
                     raise NotInGroup("b-part layer appeared below its level")
-                digits[:, :2 * f] += self._half_sol[vec // pk % p @ index] * pk
+                digits[:, :2 * f] += self._half_sol[(vec // pk % p @ index).astype(np.int64)] * pk
             else:
                 vec = (d[:, 0] - one) % mod
                 if (vec % pk).any():
                     raise NotInGroup("a-part layer appeared below its level")
-                sol = self._int_sol[vec // pk % p @ index]
+                sol = self._int_sol[(vec // pk % p @ index).astype(np.int64)]
                 if (sol < 0).any():
                     raise NotInGroup("a-part layer is not anti-fixed")
                 digits[:, 2 * f:] += sol * p ** (k - 1)
@@ -539,7 +544,7 @@ class QuatModel(GroupModel):
         q = self.ctx.quat(R.element(a_coords), R.element(b_coords))
         if (q.a - R.one).vp() < 1:
             raise NotInGroup("scalar part must be congruent to 1 mod p")
-        return self._decompose_one(np.array(self._key(self._norm_one(q))))
+        return self._decompose_one(np.array(self._key(self._norm_one(q)), dtype=self.dtype))
 
     def _witness_pair(self, i):
         # b-part gamma with gamma - sigma(gamma) = a^i eta, i.e. a^i eta / 2

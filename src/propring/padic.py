@@ -24,8 +24,10 @@ Quaternion elements over the quadratic ring are pairs u = a + b*P with
 P^2 = p and P*c = sigma(c)*P; reduced norm nrd(u) = a*sigma(a) - p*b*sigma(b).
 
 The *_array methods run the same arithmetic on whole batches: a ring
-element is an int64 array of shape (..., deg) with entries in [0, p^level),
-and a quaternion a + b*P one of shape (..., 2, deg).
+element is an array of shape (..., deg) with entries in [0, p^level), and a
+quaternion a + b*P one of shape (..., 2, deg).  The arrays have the ring's
+dtype: int64 while every array product stays below 2^63, else object, where
+numpy computes in Python ints and stays exact at any level.
 """
 
 from __future__ import annotations
@@ -259,21 +261,33 @@ class ZqRing:
     def teich_coords(self, e: ZqElement) -> tuple[int, ...]:
         """Coordinates of e over the Teichmueller power basis."""
         self._check(e)
-        return tuple(int(c) for c in self.teich_coords_array(np.array(e.vec, dtype=np.int64)))
+        return tuple(int(c) for c in self.teich_coords_array(np.array(e.vec, dtype=self.dtype)))
 
-    # -- batched arithmetic on (..., deg) int64 arrays ---------------------
+    # -- batched arithmetic on (..., deg) arrays of dtype self.dtype --------
+
+    @functools.cached_property
+    def _reduction_rows(self) -> list[tuple[int, ...]]:
+        """Row i * deg + j holds the coordinates of x^(i+j) reduced mod phi
+        and mod p^level."""
+        unit = [tuple(int(k == i) for k in range(self.deg)) for i in range(self.deg)]
+        return [self._mulvec(a, b) for a in unit for b in unit]
+
+    @functools.cached_property
+    def dtype(self):
+        """int64 if no array product can reach 2^63, else object.  The
+        largest sums are the mul_array convolution, a column of _reduction
+        over products of two coordinates, and the deg-term basis changes
+        of teich_coords_array and the Frobenius matrix."""
+        weight = max(self.deg, *(sum(col) for col in zip(*self._reduction_rows)))
+        return np.int64 if (self.modulus - 1) ** 2 * weight < 2**63 else object
 
     @functools.cached_property
     def _reduction(self) -> np.ndarray:
-        """(deg * deg, deg): row i * deg + j holds the coordinates of x^(i+j)
-        reduced mod phi and mod p^level."""
-        unit = [tuple(int(k == i) for k in range(self.deg)) for i in range(self.deg)]
-        return np.array([self._mulvec(a, b) for a in unit for b in unit], dtype=np.int64)
+        return np.array(self._reduction_rows, dtype=self.dtype)
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of broadcastable (..., deg) arrays: one polynomial
-        convolution, reduced mod phi and mod p^level.  Exact in int64 while
-        deg^2 * p^(3 level) < 2^63."""
+        convolution, reduced mod phi and mod p^level."""
         outer = a[..., :, None] * b[..., None, :]
         return outer.reshape(outer.shape[:-2] + (-1,)) @ self._reduction % self.modulus
 
@@ -282,9 +296,9 @@ class ZqRing:
         then Newton lifting, as in inv."""
         p, mod = self.p, self.modulus
         digits = p ** np.arange(self.deg)
-        r0 = self.field.inv[(a % p) @ digits].astype(np.int64)
-        v = r0[..., None] // digits % p
-        two = np.zeros(self.deg, dtype=np.int64)
+        r0 = self.field.inv[((a % p) @ digits).astype(np.int64, copy=False)].astype(np.int64)
+        v = (r0[..., None] // digits % p).astype(self.dtype, copy=False)
+        two = np.zeros(self.deg, dtype=self.dtype)
         two[0] = 2
         prec = 1
         while prec < self.level:
@@ -298,7 +312,7 @@ class ZqRing:
         if self.deg == 1:
             return a
         self.teich_basis
-        return a @ np.array(self._teich_inverse, dtype=np.int64).T % self.modulus
+        return a @ np.array(self._teich_inverse, dtype=self.dtype).T % self.modulus
 
     def frobenius(self, f: int) -> "FrobeniusMap":
         """Order-two automorphism of the degree-2f ring lifting x -> x^(p^f)."""
@@ -341,7 +355,7 @@ class FrobeniusMap:
             cols.append(pw.vec)
             pw = pw * r
         self._cols = cols
-        self.matrix = np.array(cols, dtype=np.int64)  # sigma(e) = e @ matrix
+        self.matrix = np.array(cols, dtype=ring.dtype)  # sigma(e) = e @ matrix
 
     def __call__(self, e: ZqElement) -> ZqElement:
         ring = self.ring

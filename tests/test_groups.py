@@ -1,6 +1,8 @@
 """Digit models of the two groups: ordered-basis decomposition, valuation
 axioms, centrality structure, and the frozen worked example."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,28 @@ def test_single_element_ops_match_scalar_oracle(case, pfm):
         assert model.commutator(x, y) == oracle.commutator(model, x, y)
         xp = oracle.power(model, x, model.p)
         assert model.pth_root(xp) == oracle.pth_root(model, xp)
+
+
+@pytest.mark.parametrize("case, pfm, dtype", (
+    ("QUAT", (5, 1, 8), np.int64), ("QUAT", (5, 1, 9), object), ("QUAT", (5, 1, 12), object),
+    ("GL2", (5, 1, 12), np.int64), ("GL2", (5, 1, 13), object), ("GL2", (101, 1, 10), object),
+), ids=str)
+def test_deep_point_queries_stay_exact(case, pfm, dtype):
+    # past the int64 range of the array products (and, at (101, 1, 10), of
+    # the coordinates themselves) the arrays hold Python ints
+    model = group_model(PrimeConfig(*pfm, case))
+    assert model.dtype is dtype
+    rng = random.Random(5)
+    for _ in range(3):
+        x, y = (tuple(rng.randrange(model.pM) for _ in range(model.n)) for _ in range(2))
+        c = model._mul(model.realize(x), model.realize(y))
+        assert model.decompose(np.array([model._key(c)], dtype=dtype)).tolist() == [
+            list(oracle.decompose(model, c))]
+        assert model.decompose(model.realize_array([x])).tolist() == [list(x)]
+        assert model.mul(x, y) == oracle.mul(model, x, y)
+        assert model.inv(x) == oracle.inv(model, x)
+        assert model.power(x, model.p) == oracle.power(model, x, model.p)
+        assert model.commutator(x, y) == oracle.commutator(model, x, y)
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
