@@ -439,7 +439,8 @@ class GL2Model(GroupModel):
             raise NotInGroup("matrix is not in the pro-p Iwahori pattern")
         det = a * d - b * c
         s = R.inv(R.hensel_sqrt(det))
-        return self._decompose_one(np.array(self._key((a * s, b * s, c * s, d * s)), dtype=self.dtype))
+        m = np.array(self._key((a * s, b * s, c * s, d * s)), dtype=self.dtype)
+        return self._decompose_one(m)
 
     def _witness_pair(self, i):
         # an upper element with entry [a^i] against the first lower generator
