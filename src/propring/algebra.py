@@ -298,11 +298,6 @@ class GroupAlgebra:
             return None
         return int(self.nu_weight_array[hit].min())
 
-    def in_filtration(self, a: np.ndarray, j: int) -> bool:
-        """Membership in span{z^k : nu'(k) >= j} (= m^j once certified)."""
-        c = self.to_monomial(a)
-        return not c[self.nu_weight_array < j].any()
-
 
 def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
     """Certify m^j = span{z^k : nu'(k) >= j} for 0 <= j <= jmax + 1.

@@ -30,7 +30,7 @@ class CutoffBeyondFaithful(PropringError):
 
 
 class NonHomogeneousInput(PropringError):
-    """Ideal generator is not homogeneous and homogenization was disabled."""
+    """Ideal generator is not homogeneous."""
 
 
 class NonConvergent(PropringError):

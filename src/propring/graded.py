@@ -229,11 +229,10 @@ def _term_degree(t: Term) -> int:
     return sum(t[0]) + sum(t[1])
 
 
-def ideal_spec(f_gens, f: int, name: str = "", homogenize: bool = False) -> IdealSpec:
-    """Validate (or split) generators.  Each generator is an iterable of
+def ideal_spec(f_gens, f: int, name: str = "") -> IdealSpec:
+    """Validate generators.  Each generator is an iterable of
     (a-exponents, b-exponents, coeff) terms; non-homogeneous generators are
-    rejected, or split into their homogeneous components when homogenize is
-    set (the smallest homogeneous ideal containing the input)."""
+    rejected."""
     out = []
     for gen in f_gens:
         terms = []
@@ -249,12 +248,8 @@ def ideal_spec(f_gens, f: int, name: str = "", homogenize: bool = False) -> Idea
             continue
         degrees = sorted({_term_degree(t) for t in terms})
         if len(degrees) > 1:
-            if not homogenize:
-                raise NonHomogeneousInput(f"generator mixes degrees {degrees}")
-            for d in degrees:
-                out.append(tuple(t for t in terms if _term_degree(t) == d))
-        else:
-            out.append(tuple(terms))
+            raise NonHomogeneousInput(f"generator mixes degrees {degrees}")
+        out.append(tuple(terms))
     return IdealSpec(f_gens=tuple(out), name=name)
 
 
@@ -439,36 +434,39 @@ def tau_word(alg: GroupAlgebra, exps: Digits, N: int) -> list[tuple[int, int]]:
     return word
 
 
-def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int, verify: bool = True) -> np.ndarray:
-    """Dense image of the monomial under the rewriting: all chunk factors
-    (multiples of p^N) in basis order, then all remainders in basis order.
-    Verifies the contract nu(tau(x)) = nu(x) and tau(x) - x in m^(nu+1),
-    raising ContractViolation with x as witness when it breaks."""
+def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> np.ndarray:
+    """Monomial coordinates of the monomial under the rewriting: all chunk
+    factors (multiples of p^N) in basis order, then all remainders in basis
+    order.  Verifies the contract nu(tau(x)) = nu(x) and tau(x) - x in
+    m^(nu+1), raising ContractViolation with x as witness when it breaks."""
     exps = alg.model.check_digits(exps)
-    dense = alg.word_mul(alg.of_group(alg.model.identity), tau_word(alg, exps, N))
-    if verify:
-        w = alg.nu_prime(exps)
-        if alg.nu(dense) != w:
-            raise ContractViolation(f"rewriting changed the weight of {exps}", exps)
-        diff = (dense - alg.monomial(exps)) % alg.p
-        if diff.any() and not alg.in_filtration(diff, w + 1):
-            raise ContractViolation(f"rewriting perturbed {exps} at its own weight", exps)
-    return dense
+    mono = alg.to_monomial(
+        alg.word_mul(alg.of_group(alg.model.identity), tau_word(alg, exps, N)))
+    nu_w = alg.nu_weight_array
+    w, flat = alg.nu_prime(exps), alg.model.index_of(exps)
+    hit = np.flatnonzero(mono)
+    if hit.size == 0 or nu_w[hit].min() != w:
+        raise ContractViolation(f"rewriting changed the weight of {exps}", exps)
+    # less the unit vector at x, nothing may remain at weight w
+    if hit[nu_w[hit] == w].tolist() != [flat] or mono[flat] != 1:
+        raise ContractViolation(f"rewriting perturbed {exps} at its own weight", exps)
+    return mono
 
 
 def iterate_tau(alg: GroupAlgebra, exps: Digits, N: int, cutoff: int) -> TauTranscript:
     """Rewrite the monomial and keep rewriting every surviving lowest-weight
     monomial until the residual vanishes or leaves the cutoff range.  The
-    minimal weight must rise strictly with every pass."""
+    minimal weight must rise strictly with every pass.  The residual is kept
+    in monomial coordinates throughout, as tau_rewrite returns them."""
     exps = alg.model.check_digits(exps)
     nu_w = alg.nu_weight_array
-    residual = alg.monomial(exps)
+    residual = alg.zero()
+    residual[alg.model.index_of(exps)] = 1
     terms: list[TauTerm] = []
     passes = 0
     residual_weight: int | None = None
     while True:
-        mono = alg.to_monomial(residual)
-        hit = np.nonzero(mono)[0]
+        hit = np.flatnonzero(residual)
         if hit.size == 0:
             residual_weight = None
             break
@@ -477,17 +475,14 @@ def iterate_tau(alg: GroupAlgebra, exps: Digits, N: int, cutoff: int) -> TauTran
             residual_weight = w0
             break
         level = hit[nu_w[hit] == w0]
-        for idx in level:
+        for idx, coeff in zip(level, residual[level].tolist()):
             k = alg.model.digits_of(int(idx))
-            coeff = int(mono[idx])
             chunk, frac = tau_exponents(alg, k, N)
-            dense = tau_rewrite(alg, k, N, verify=True)
             cw = alg.nu_prime(chunk) // (alg.p**N)
             terms.append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=k,
                                  src_weight=w0, chunk_weight=cw))
-            residual = (residual - coeff * dense) % alg.p
-        mono = alg.to_monomial(residual)
-        hit = np.nonzero(mono)[0]
+            residual = (residual - coeff * tau_rewrite(alg, k, N)) % alg.p
+        hit = np.flatnonzero(residual)
         if hit.size and int(nu_w[hit].min()) <= w0:
             raise ContractViolation(
                 f"pass {passes} on {exps} failed to raise the weight past {w0}", exps)
@@ -521,21 +516,20 @@ def chunk_weight_bound(alg: GroupAlgebra, src_weight: int, N: int) -> int:
 
 
 def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
-                   samples: int = 200, mono_samples: int = 50,
-                   cutoff: int | None = None) -> dict:
+                   samples: int = 200, mono_samples: int = 50) -> dict:
     """Both inclusions of the filtration sandwich at index k.
 
     First: products (element of the k-th subring filtration step) x (random
     ring element) keep weight >= k p^N.  Second: iterated rewriting of random
     monomials of weight >= k p^N expresses each as a combination of terms
     whose subring chunk has weight >= k - 4f, plus a residual beyond the
-    cutoff; every transcript is re-expanded and checked exactly."""
+    cutoff p^M - 1, the faithful bound; every transcript is re-expanded and
+    checked exactly."""
     model = alg.model
     p, n, q = alg.p, alg.n, alg.p**N
     if model.M <= N:
         raise ConfigError("need N < M")
-    if cutoff is None:
-        cutoff = alg.pM - 1
+    cutoff = alg.pM - 1
     if k * q > cutoff:
         raise CutoffBeyondFaithful(f"k p^N = {k * q} exceeds the cutoff {cutoff}")
     weights = alg.nu_weights
@@ -606,11 +600,10 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
 
 
 def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
-                       samples: int = 50, cutoff: int | None = None) -> dict:
+                       samples: int = 50) -> dict:
     """The rewriting preserves the weight and perturbs only above it, on
-    every monomial touched by full iterated runs."""
-    if cutoff is None:
-        cutoff = alg.pM - 1
+    every monomial touched by full iterated runs up to the faithful bound."""
+    cutoff = alg.pM - 1
     n = alg.n
     checked = 0
     done = 0

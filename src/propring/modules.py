@@ -482,10 +482,10 @@ def _min_exponent(chain, pivots, lifts, ring_ops, field: GF, bound: int,
 
 
 def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
-                             source=None, bound: int | None = None) -> AnnihilatorReport:
+                             source=None) -> AnnihilatorReport:
     """Smallest ell such that every ell-fold product of ideal generators
     kills every graded piece.  Graded Nakayama caps the answer at dim + 1,
-    the default bound; exceeding it raises.
+    the search bound; exceeding it raises.
 
     source defaults to the module the grading was built from; pass the
     restriction matrices instead to force the restriction-only data path."""
@@ -512,10 +512,8 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
             ring_ops = list(zip(_aug_ops(source.gen_action, field), group_model(cfg).two_omega))
         else:
             raise ConfigError("the full grading needs the full module action")
-    if bound is None:
-        bound = gm.dim + 1
     name = f"{spec.base.name}^[{spec.N}]" if isinstance(spec, IdealSpecN) else spec.name
-    return _min_exponent(gm.chain, gm.pivots, shifts, ring_ops, field, bound,
+    return _min_exponent(gm.chain, gm.pivots, shifts, ring_ops, field, gm.dim + 1,
                          name, gm.kind, gm.N)
 
 

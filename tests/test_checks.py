@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from propring import checks, graded, modules
+from propring.algebra import group_algebra
 from propring.checks import CHECKS, parse_scenario, report_bytes, report_csv, run_scenario, sub_rng
-from propring.errors import ConfigError
+from propring.config import PrimeConfig
+from propring.errors import ConfigError, ContractViolation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,3 +176,20 @@ def test_broken_tau_contract_fails(monkeypatch):
     [entry] = report["checks"]
     assert entry["name"] == "tau-contract" and entry["status"] == "fail"
     assert "rewriting" in entry["witness"]
+
+
+def test_tau_word_missing_last_factor_fails(monkeypatch):
+    # a word that loses its last factor lowers the weight of the image: the
+    # rewriting raises with the monomial as witness, and the whole quick
+    # scenario reports tau-contract as fail and exits 1
+    word = graded.tau_word
+    monkeypatch.setattr(graded, "tau_word", lambda alg, exps, N: word(alg, exps, N)[:-1])
+    alg = group_algebra(PrimeConfig(5, 1, 2, "GL2", N=1))
+    with pytest.raises(ContractViolation) as err:
+        graded.tau_rewrite(alg, (7, 6, 1), 1)
+    assert err.value.witness == (7, 6, 1)
+    report, code = run_scenario(json.loads((ROOT / "scenarios" / "quick_gl2.json").read_text()))
+    assert code == 1
+    status = {entry["name"]: entry["status"] for entry in report["checks"]}
+    assert status.pop("tau-contract") == "fail"
+    assert set(status.values()) == {"pass"}
