@@ -104,7 +104,7 @@ class GroupAlgebra:
         self.nu_weights = tuple(model.two_omega)
         self._pair = _pascal_pair(self.p)  # (P, Q), applied per base-p digit
         # P[x, k] = binom(x, k) and its inverse for x, k < p^M, the row
-        # tables of monomial and binomial_expansion (Lucas' theorem)
+        # tables of monomial, binomial_expansion and zmul (Lucas' theorem)
         self._P, self._Q = (
             (functools.reduce(np.kron, [m] * model.M) % self.p).astype(np.int16)
             for m in self._pair
@@ -123,36 +123,47 @@ class GroupAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def zmul(self, a: np.ndarray, i: int, e: int = 1) -> np.ndarray:
-        """Right multiplication by (g_i - 1)^e.  In characteristic p,
-        (g - 1)^(p^k) = g^(p^k) - 1, so over the base-p digits e_k of e
+    def zmul(self, idx: np.ndarray, coeffs: np.ndarray, i: int,
+             e: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Right multiplication by (g_i - 1)^e of the element sum_t
+        coeffs[t] [idx[t]], on its support only, so the cost follows the
+        size of the support rather than the order of the group.  By
 
-            (g_i - 1)^e = prod_k (g_i^(p^k) - 1)^(e_k),
+            (g_i - 1)^e = sum_s (-1)^(e-s) binom(e, s) g_i^s,
 
-        one pass per unit of digit sum, each through the permutation
-        power_tables()[i, p^k]; the units digit reads the generator table,
-        so e < p never builds the power tables.  Since g_i^(p^M) = 1,
-        e >= p^M gives zero."""
+        with binom(e, s) mod p read from the Lucas table _P and the zero
+        terms skipped, term s walks the support s steps through
+        right_mul_table(g_i).  Repeated indices are merged and zero
+        coefficients dropped, so the result is the support pair of the
+        product, sorted by index.  Since g_i^(p^M) = 1, (g_i - 1)^(p^M) =
+        g_i^(p^M) - 1 = 0 and e >= p^M gives the empty support."""
         if e >= self.pM:
-            return np.zeros_like(a)
+            return idx[:0], coeffs[:0]
         perm = self.model.right_mul_table(self.model.generator(i))
-        k = 0
-        while e:
-            e, digit = divmod(e, self.p)
-            for _ in range(digit):
-                b = np.empty_like(a)
-                b[perm] = a
-                a = (b - a) % self.p
-            k += 1
-            if e:
-                perm = self.model.power_tables()[i, self.p**k]
-        return a
+        walk, terms, weights = idx, [], []
+        for s, c in enumerate(self._P[e, :e + 1].tolist()):
+            if s:
+                walk = perm[walk]
+            if c:
+                terms.append(walk)
+                weights.append(coeffs * (-c if (e - s) % 2 else c))
+        flat, where = np.unique(np.concatenate(terms), return_inverse=True)
+        # exact: each bin sums at most e + 1 terms below p^2 in size
+        acc = np.bincount(where, np.concatenate(weights), flat.size).astype(np.int64) % self.p
+        keep = np.flatnonzero(acc)
+        return flat[keep], acc[keep]
 
     def word_mul(self, a: np.ndarray, word) -> np.ndarray:
-        """Right multiplication by an ordered word of (i, e) z-chunks."""
+        """Right multiplication by an ordered word of (i, e) z-chunks: the
+        support of a is read once, carried through zmul factor by factor,
+        and written back to a dense vector once."""
+        idx = np.flatnonzero(a)
+        coeffs = a[idx].astype(np.int64)
         for i, e in word:
-            a = self.zmul(a, i, e)
-        return a
+            idx, coeffs = self.zmul(idx, coeffs, i, e)
+        out = np.zeros_like(a)
+        out[idx] = coeffs
+        return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """General product, summed over the support pairs (x, h) of a and b:

@@ -11,6 +11,7 @@ from propring.errors import ConfigError
 from propring.modules import FiniteModule
 
 from span_oracle import monomial_columns
+from zmul_oracle import zmul
 
 
 def weight_quotient_module(cfg, jcut):
@@ -36,7 +37,7 @@ def mult_matrix(gr, side, gi, d):
 
     def op(mono):
         if side == "right":
-            return alg.zmul(mono, gi, 1)
+            return zmul(alg, mono, gi, 1)
         return (alg.mul(gen_dense, mono) - mono) % gr.p
 
     nu_w = alg.nu_weight_array

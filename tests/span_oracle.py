@@ -11,6 +11,8 @@ from propring import gf as gflib
 from propring.errors import CutoffBeyondFaithful
 from propring.gf import gf, rref
 
+from zmul_oracle import zmul
+
 
 def monomial_columns(alg, ks, rows, op):
     """Column t: the monomial coordinates, at the flat indices rows, of
@@ -42,7 +44,7 @@ def primal_ideal_power_spans(alg, jmax: int) -> dict:
     weights = nu_w[sel]
 
     # right multiplication by z_i on quotient coordinates
-    zmats = [monomial_columns(alg, sel, sel, lambda mono, i=i: alg.zmul(mono, i, 1))
+    zmats = [monomial_columns(alg, sel, sel, lambda mono, i=i: zmul(alg, mono, i, 1))
              for i in range(alg.n)]
 
     # m itself: every [x] - [1], accumulated incrementally

@@ -20,6 +20,7 @@ from pair_oracle import random_element, right_mul_table
 from span_oracle import primal_ideal_power_spans
 import tau_oracle
 from transform_oracle import expand_group_sparse, transforms
+import zmul_oracle
 
 
 def rand_sparse(alg, rng, support=12):
@@ -121,12 +122,9 @@ def test_product_weights_superadditive(alg, rng):
 
 
 def zmul_chain(alg, k):
-    """z^k as the ordered chain of right multiplications by the z_i, from
-    the identity: the reference for the closed-form monomial."""
-    m = alg.of_group(alg.model.identity)
-    for i, e in enumerate(k):
-        m = alg.zmul(m, i, e)
-    return m
+    """z^k as the ordered chain of dense right multiplications by the z_i,
+    from the identity: the reference for the closed-form monomial."""
+    return zmul_oracle.word_mul(alg, alg.of_group(alg.model.identity), enumerate(k))
 
 
 def test_monomial_closed_form_matches_zmul_chain(alg):
@@ -138,8 +136,10 @@ def test_monomial_closed_form_matches_zmul_chain(alg):
 
 
 def zmul_loop(alg, a, i, e):
-    """Right multiplication by (g_i - 1)^e as e passes through the generator
-    table: the loop that the digit-wise GroupAlgebra.zmul replaced."""
+    """Right multiplication by (g_i - 1)^e as e dense passes through the
+    generator table: the reference for the digit-wise dense oracle
+    zmul_oracle.zmul, which reads the digits above the units from the power
+    tables."""
     perm = alg.model.right_mul_table(alg.model.generator(i))
     for _ in range(e):
         b = np.empty_like(a)
@@ -158,10 +158,41 @@ def test_zmul_digits_match_pass_loop(pfm, case):
     for i in range(alg.n):
         want = a
         for e in range(alg.pM + 1):
-            got = alg.zmul(a, i, e)
+            got = zmul_oracle.zmul(alg, a, i, e)
             assert got.dtype == want.dtype and np.array_equal(got, want), (i, e)
             want = zmul_loop(alg, want, i, 1)
-        assert not alg.zmul(a, i, alg.pM).any()
+        assert not zmul_oracle.zmul(alg, a, i, alg.pM).any()
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (5, 2, 1), (7, 1, 2)], ids=str)
+def test_support_zmul_matches_dense_oracle(pfm, case):
+    # supports of 1 and 300 entries, every generator and every e up to p^M;
+    # one full support at (5, 1, 2), the smallest of the groups
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    rng = np.random.default_rng(sum(pfm) + len(case))
+    for size in [1, 300] + ([alg.order] if pfm == (5, 1, 2) else []):
+        a = alg.zero()
+        a[rng.choice(alg.order, size=size, replace=False)] = rng.integers(1, alg.p, size)
+        idx = np.flatnonzero(a)
+        coeffs = a[idx].astype(np.int64)
+        for i in range(alg.n):
+            for e in range(alg.pM + 1):
+                want = zmul_oracle.zmul(alg, a, i, e)
+                got_idx, got_coeffs = alg.zmul(idx, coeffs, i, e)
+                assert np.array_equal(got_idx, np.flatnonzero(want)), (size, i, e)
+                assert np.array_equal(got_coeffs, want[got_idx]), (size, i, e)
+            got_idx, got_coeffs = alg.zmul(idx, coeffs, i, 0)
+            assert np.array_equal(got_idx, idx) and np.array_equal(got_coeffs, coeffs)
+        word = [(int(i), int(e)) for i, e in zip(rng.integers(0, alg.n, 4),
+                                                 rng.integers(0, alg.pM, 4))]
+        got = alg.word_mul(a, word)
+        assert got.dtype == a.dtype
+        assert np.array_equal(got, zmul_oracle.word_mul(alg, a, word)), word
+    empty = np.zeros(0, dtype=np.int64)
+    for i in range(alg.n):
+        for e in range(alg.pM + 1):
+            assert alg.zmul(empty, empty, i, e)[0].size == 0
 
 
 def test_monomial_returns_a_fresh_array(alg):

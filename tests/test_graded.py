@@ -4,10 +4,11 @@ spans, the p^N-twist, and the chunk rewriting."""
 import numpy as np
 import pytest
 
-from propring.algebra import group_algebra
+from propring.algebra import GroupAlgebra, group_algebra
 from propring.config import PrimeConfig
 from propring.errors import CutoffBeyondFaithful, NonHomogeneousInput
 from propring.gf import gf, residue
+from propring.groups import GL2Model, QuatModel
 from propring.graded import (
     GradedRing,
     IdealTables,
@@ -252,3 +253,20 @@ def test_mult_matrix_matches_unit_class_products(gr):
             right = np.array([gr.mul(u, g).coords for u in units], dtype=np.int16).T
             assert np.array_equal(gr.mult_matrix("left", gi, d), left), (gi, d)
             assert np.array_equal(gr.mult_matrix("right", gi, d), right), (gi, d)
+
+
+@pytest.mark.parametrize("model_cls", [GL2Model, QuatModel], ids=["GL2", "QUAT"])
+def test_tau_path_builds_no_power_tables(model_cls):
+    # on a fresh model, not the cached one the oracles fill: the rewriting
+    # reads the generator tables only
+    alg = GroupAlgebra(model_cls(7, 1, 2))
+    rng = np.random.default_rng(7)
+    assert check_tau_contract(alg, 1, rng, samples=5)["ok"]
+    done = 0
+    while done < 10:
+        x = tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n))
+        if not any(x) or alg.nu_prime(x) > alg.pM - 1:
+            continue
+        assert verify_transcript(alg, iterate_tau(alg, x, 1, alg.pM - 1))
+        done += 1
+    assert alg.model._powers is None
