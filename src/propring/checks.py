@@ -9,7 +9,6 @@ canonical form and only attached on request)."""
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -51,16 +50,12 @@ def sub_rng(seed: int, name: str) -> np.random.Generator:
 
 class Run:
     """The config of one scenario run and the structures its checks share,
-    each built on first use and dropped with the run: the graded ring, and
-    the module corpora by (count, start_seed)."""
+    each built on first use and dropped with the run: the module corpora by
+    (count, start_seed)."""
 
     def __init__(self, cfg: PrimeConfig):
         self.cfg = cfg
         self._corpora: dict[tuple[int, int], list] = {}
-
-    @functools.cached_property
-    def ring(self) -> GradedRing:
-        return GradedRing(group_algebra(self.cfg))
 
     def corpus(self, count: int, start_seed: int) -> list:
         key = (count, start_seed)
@@ -96,11 +91,11 @@ def _chk_quaternion_commutator(run: Run, rng, level: int) -> dict:
 
 
 def _chk_central_power_classes(run: Run, rng, N: int) -> dict:
-    return check_central_power_classes(run.ring, N)
+    return check_central_power_classes(group_model(run.cfg), N)
 
 
 def _chk_hilbert(run: Run, rng, tmax: int) -> dict:
-    return check_hilbert(run.ring, tmax)
+    return check_hilbert(GradedRing(group_algebra(run.cfg)), tmax)
 
 
 def _chk_sandwich(run: Run, rng, N: int, kmax: int, samples: int,

@@ -1,7 +1,8 @@
 """Associated graded ring of the truncated group ring, and the ring-level
-checks built on it: centrality of p-th power classes, Hilbert data, ideal
-specifications with their p^N-twists, the chunk-and-remainder rewriting of
-monomials, and the filtration sandwich.
+checks: centrality of p-th power classes (read off group brackets, with no
+dense product), Hilbert data, ideal specifications with their p^N-twists,
+the chunk-and-remainder rewriting of monomials, and the filtration
+sandwich.
 
 By the certified description of the maximal ideal powers (the reported
 check ideal-power-spans, algebra.check_maximal_ideal_powers), the degree-j
@@ -37,7 +38,7 @@ from .errors import (
     NonHomogeneousInput,
 )
 from .gf import GF, gf, rref
-from .groups import Digits
+from .groups import Digits, GroupModel
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,9 +86,6 @@ class GradedRing:
 
     # -- construction --------------------------------------------------------
 
-    def one(self) -> GradedClass:
-        return GradedClass(0, (1,))
-
     def unit_class(self, exps: Digits) -> GradedClass:
         """Class of the single monomial z^exps."""
         j = self.alg.nu_prime(exps)
@@ -115,20 +113,6 @@ class GradedRing:
 
     def ring_generator_classes(self) -> list[GradedClass]:
         return self.degree_one_classes() + [self.c(i) for i in range(self.f)]
-
-    # -- linear structure ----------------------------------------------------
-
-    def add(self, x: GradedClass, y: GradedClass) -> GradedClass:
-        assert x.degree == y.degree
-        s = self.field.add[np.array(x.coords, dtype=np.int16), np.array(y.coords, dtype=np.int16)]
-        return GradedClass(x.degree, tuple(int(c) for c in s))
-
-    def scale(self, coeff: int, x: GradedClass) -> GradedClass:
-        s = self.field.mul[coeff % self.field.q, np.array(x.coords, dtype=np.int16)]
-        return GradedClass(x.degree, tuple(int(c) for c in s))
-
-    def sub(self, x: GradedClass, y: GradedClass) -> GradedClass:
-        return self.add(x, self.scale(int(self.field.neg[1]), y))
 
     # -- multiplication ------------------------------------------------------
 
@@ -162,16 +146,6 @@ class GradedRing:
                 comp = self._mul_fp(x.degree, xc, y.degree, yc)
                 out = F.add[out, F.mul[unit, comp]]
         return GradedClass(degree, tuple(int(c) for c in out))
-
-    def power(self, x: GradedClass, e: int) -> GradedClass:
-        self._gate(x.degree * e)
-        out = self.one()
-        for _ in range(e):
-            out = self.mul(out, x)
-        return out
-
-    def commutator(self, x: GradedClass, y: GradedClass) -> GradedClass:
-        return self.sub(self.mul(x, y), self.mul(y, x))
 
     # -- multiplication matrices (generators only) ----------------------------
 
@@ -372,29 +346,25 @@ def check_hilbert(gr: GradedRing, T: int) -> dict:
     }
 
 
-def check_central_power_classes(gr: GradedRing, N: int) -> dict:
-    """The p^N-th power classes a_i^(p^N), b_i^(p^N), c_i^(p^N) commute with
-    every degree-one generator and with each other, exactly (all degrees
-    involved stay below the faithful bound)."""
-    q = gr.p**N
-    powers = (
-        [("a", i, gr.power(gr.a(i), q)) for i in range(gr.f)]
-        + [("b", i, gr.power(gr.b(i), q)) for i in range(gr.f)]
-        + [("c", i, gr.power(gr.c(i), q)) for i in range(gr.f)]
-    )
-    failures = []
-    for kind, i, cls in powers:
-        for t, g in enumerate(gr.degree_one_classes()):
-            if not gr.commutator(cls, g).is_zero():
-                failures.append({"power": f"{kind}{i}", "against": f"gen{t}"})
-    for s in range(len(powers)):
-        for t in range(s + 1, len(powers)):
-            if not gr.commutator(powers[s][2], powers[t][2]).is_zero():
-                failures.append(
-                    {"power": f"{powers[s][0]}{powers[s][1]}", "against": f"{powers[t][0]}{powers[t][1]}"}
-                )
-    return {"N": N, "pairs_checked": len(powers) * (2 * gr.f) + len(powers) * (len(powers) - 1) // 2,
-            "failures": failures, "ok": not failures}
+def check_central_power_classes(model: GroupModel, N: int) -> dict:
+    """The p^N-th power classes a_i^(p^N), b_i^(p^N), c_i^(p^N) commute in gr
+    with every degree-one generator and with each other, exactly: each
+    graded commutator is read off two point products by
+    GroupModel.bracket_terms, and any term up to its degree is a failure.
+    A degree from p^M on is not faithful and raises CutoffBeyondFaithful."""
+    q, w, n, f = model.p**N, model.two_omega, model.n, model.f
+    names = [f"{'abc'[g // f]}{g % f}" for g in range(n)] + [f"gen{t}" for t in range(2 * f)]
+    elts = [tuple(q * c for c in model.generator(g)) for g in range(n)] + [
+        model.generator(t) for t in range(2 * f)]
+    degrees = [q * wg for wg in w] + list(w[:2 * f])
+    pairs = [(s, n + t) for s in range(n) for t in range(2 * f)] + [
+        (s, t) for s in range(n) for t in range(s + 1, n)]
+    for d in degrees[:n] + [degrees[s] + degrees[t] for s, t in pairs]:
+        if d >= model.pM:
+            raise CutoffBeyondFaithful(f"degree {d} reaches the unfaithful range (p^M = {model.pM})")
+    failures = [{"power": names[s], "against": names[t]} for s, t in pairs
+                if model.bracket_terms(elts[s], elts[t], degrees[s] + degrees[t])]
+    return {"N": N, "pairs_checked": len(pairs), "failures": failures, "ok": not failures}
 
 
 # -- chunk-and-remainder rewriting ----------------------------------------------

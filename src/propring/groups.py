@@ -47,6 +47,7 @@ GroupModel.two_omega_of returns twice this value.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -85,6 +86,7 @@ class GroupModel:
         self._powers: np.ndarray | None = None
         self._pc: tuple | None = None
         self._straight: set[int] = set()  # levels N certified by certify_straightening
+        self._normal = False  # set by certify_normal_ideals
         self._strides = tuple(self.pM ** (self.n - 1 - i) for i in range(self.n))
 
     # -- digit bookkeeping -------------------------------------------------
@@ -310,6 +312,65 @@ class GroupModel:
                         f"u_{s}, u_{t} at N = {N} do not straighten: W = {list(x)}",
                         witness={"s": s, "t": t, "N": N, "w": x})
         self._straight.add(N)
+
+    def bracket_terms(self, x: Digits, y: Digits, w: int) -> dict[Digits, int]:
+        """The monomial coefficients at weight nu'(k) <= w of [x y] - [y x]
+        in F_p[G], as {k: nonzero coefficient mod p}, from two point
+        products and one decompose: no table and no dense vector.  By
+        Lucas' theorem the coefficient of z^k in [g] is prod_i binom(g_i,
+        k_i) mod p, nonzero exactly on the base-p down-set of the digits of
+        g, which is where the two products are read.
+
+        For x = g_s^q, y = g_t^r and q, r powers of p, (g - 1)^q = g^q - 1
+        in characteristic p, so z_s^q z_t^r - z_t^r z_s^q = [x y] - [y x]
+        exactly.  It lies in m^(q w_s + r w_t), w = two_omega, and its part
+        at that weight is the graded commutator of the two classes."""
+        X, Y = self.realize_array([self.check_digits(x), self.check_digits(y)])
+        out: dict[Digits, int] = {}
+        for g, sign in zip(self.decompose(np.stack([self._mul_array(X, Y),
+                                                    self._mul_array(Y, X)])), (1, -1)):
+            terms = [((), sign, 0)]  # (prefix of k, coefficient, weight)
+            for gi, wi in zip(g.tolist(), self.two_omega):
+                col = [(k, c) for k in range(min(gi, w // wi) + 1) if (c := math.comb(gi, k) % self.p)]
+                terms = [(pre + (k,), cf * c, wt + wi * k)
+                         for pre, cf, wt in terms for k, c in col if wt + wi * k <= w]
+            for k, c, _ in terms:
+                out[k] = (out.get(k, 0) + c) % self.p
+        return {k: c for k, c in out.items() if c}
+
+    def certify_normal_ideals(self) -> None:
+        """Certify, memoized, that every ideal the module layer can express
+        is normal in the graded ring gr of F_p[G], so that its annihilator
+        search needs no closure under the ring: for each generator pair
+        s < t, [z_s, z_t] (bracket_terms) vanishes below weight w_s + w_t,
+        and at that weight lies on the z_c for two degree-one generators
+        and vanishes when either is a C.  Raises ContractViolation naming
+        the pair.
+
+        Proof.  gr is generated by the classes a_i, b_i, c_i of the z_i,
+        so the checks make c central and gr/(c) commutative.  As an IdealSpec
+        generator f is a polynomial in the a_i, b_i, x f lies in
+        f gr + sum_k c_k gr for every x in gr.  For the p^N-twist, each
+        bracket of generators is central, so [x, y^p] = p y^(p-1) [x, y] = 0:
+        a_i^p and b_i^p, hence their p^(N-1)-th powers, are central, and so
+        is every twisted generator and every c_k^(p^N).  Hence sum_f f S is
+        gr-stable whenever S is (f over the ideal's generators, the implicit
+        c-part included): x f S lies in f S + sum_k c_k S.  By induction,
+        J^ell applied to gr M is gr-stable, and the closure adds nothing."""
+        if self._normal:
+            return
+        f, w = self.f, self.two_omega
+        for s in range(self.n):
+            for t in range(s + 1, self.n):
+                terms = self.bracket_terms(self.generator(s), self.generator(t), w[s] + w[t])
+                on_c = ({self.generator(2 * f + i) for i in range(f)}
+                        if w[s] + w[t] == 2 else set())
+                bad = {k: c for k, c in terms.items() if k not in on_c}
+                if bad:
+                    raise ContractViolation(
+                        f"[z_{s}, z_{t}] has terms off the central line: {bad}",
+                        witness={"s": s, "t": t, "terms": bad})
+        self._normal = True
 
     def central_witness(self, i: int) -> tuple[Digits, Digits, Digits]:
         """(x, y, w) with C_i = [x, y] * w^p holding exactly in the

@@ -14,6 +14,9 @@ Ideal generators act through ring lifts.  A twisted generator (all exponents
 divisible by p^N) is a polynomial in the p^N-th power actions rho(g)^(p^N):
 in characteristic p, (rho(g) - 1)^(p^N k) = (rho(g)^(p^N) - 1)^k.  So every
 computation tagged "restriction" genuinely reads only the subgroup matrices.
+The annihilator search spans each ideal power by generator products alone,
+with no closure under the ambient graded ring: every ideal it takes is
+normal there, which GroupModel.certify_normal_ideals proves once per config.
 """
 
 from __future__ import annotations
@@ -408,37 +411,42 @@ def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
     return out
 
 
-def _close(spaces, ring_ops, field: GF):
-    """Close the graded pieces, each (echelon basis, pivots), under the
-    ambient ring operators (operator, weight shift) in one ascending sweep;
-    ring_ops None leaves them as they are.  Every ring operator raises the
-    piece index by its two_omega >= 1, so each image landing in piece j
-    comes from a piece below j, and piece j is final when the sweep reaches
-    it: its queued images are inserted into its basis at once, and its own
-    images are queued for the pieces above."""
-    if ring_ops is None:
-        return spaces
-    npieces = len(spaces)
-    queued: list[list[np.ndarray]] = [[] for _ in range(npieces)]
-    for j in range(npieces):
-        if queued[j]:
-            spaces[j] = gflib.rref_insert(*spaces[j], np.concatenate(queued[j]), field)
-        basis = spaces[j][0]
-        if basis.shape[0] == 0:
-            continue
-        for op, w in ring_ops:
-            if j + w < npieces:
-                queued[j + w].append(gflib.matmul(basis, op.T, field))
-    return spaces
+def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
+                             source=None) -> AnnihilatorReport:
+    """Smallest ell such that every ell-fold product of ideal generators
+    kills every graded piece.  Graded Nakayama caps the answer at dim + 1,
+    the search bound; exceeding it raises.
 
+    The search tracks the graded pieces of the ideal powers applied to the
+    graded module, each piece held as a row space above the chain tail.
+    Generator products alone span each ideal power, so no step is closed
+    under the ambient graded ring: on "int" and "res" that ring (of the
+    subring) is commutative, and on "gr" every ideal is normal in it, as
+    GroupModel.certify_normal_ideals proves once per config (its failure
+    raises ContractViolation).
 
-def _min_exponent(chain, pivots, lifts, ring_ops, field: GF, bound: int,
-                  ideal: str, kind: str, N: int | None) -> AnnihilatorReport:
-    """Core search: track the graded pieces of the ideal powers applied to
-    the graded module, each piece held as a row space above the chain tail.
-    ring_ops (operator, weight shift) closes each step under the ambient
-    ring generators; pass None when the ambient graded ring is commutative,
-    where generator products alone span the ideal power."""
+    source defaults to the module the grading was built from; pass the
+    restriction matrices instead to force the restriction-only data path
+    (twisted specs on "int" and "res" only)."""
+    cfg = gm.cfg
+    field = gm.field
+    if source is None:
+        if gm.module is None:
+            raise ConfigError("grading carries no module; pass the action source")
+        source = gm.module
+    lifts = ideal_operator_lifts(source, spec, field, cfg.f, cfg.p)
+    if gm.kind in ("int", "res"):
+        unit = cfg.p**gm.N
+        for _, deg in lifts:
+            if deg % unit:
+                raise ConfigError(f"ambient weight {deg} does not move the {gm.kind} grading")
+        lifts = [(op, deg // unit) for op, deg in lifts]
+    elif isinstance(source, FiniteModule):
+        group_model(cfg).certify_normal_ideals()
+    else:
+        raise ConfigError("the full grading needs the full module action")
+    name = f"{spec.base.name}^[{spec.N}]" if isinstance(spec, IdealSpecN) else spec.name
+    chain, pivots, bound = gm.chain, gm.pivots, gm.dim + 1
     npieces = len(chain) - 1
     tails = [chain[j + 1] for j in range(npieces)]
     tail_dims = [t.shape[0] for t in tails]
@@ -446,13 +454,13 @@ def _min_exponent(chain, pivots, lifts, ring_ops, field: GF, bound: int,
     def excess(spaces):
         return sum(spaces[j][0].shape[0] - tail_dims[j] for j in range(npieces))
 
-    spaces = _close([(chain[j], pivots[j]) for j in range(npieces)], ring_ops, field)
+    spaces = [(chain[j], pivots[j]) for j in range(npieces)]
     history = [excess(spaces)]
     ell = 0
     while excess(spaces) > 0:
         ell += 1
         if ell > bound:
-            raise BoundExceeded(f"no annihilating power of {ideal} up to {bound}")
+            raise BoundExceeded(f"no annihilating power of {name} up to {bound}")
         new_rows: list[list[np.ndarray]] = [[] for _ in range(npieces)]
         for op, s in lifts:
             for j in range(npieces):
@@ -476,45 +484,8 @@ def _min_exponent(chain, pivots, lifts, ring_ops, field: GF, bound: int,
                                                 np.concatenate(new_rows[j]), field))
             else:
                 spaces.append((tails[j], pivots[j + 1]))
-        spaces = _close(spaces, ring_ops, field)
         history.append(excess(spaces))
-    return AnnihilatorReport(ideal, kind, N, ell, bound, history)
-
-
-def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
-                             source=None) -> AnnihilatorReport:
-    """Smallest ell such that every ell-fold product of ideal generators
-    kills every graded piece.  Graded Nakayama caps the answer at dim + 1,
-    the search bound; exceeding it raises.
-
-    source defaults to the module the grading was built from; pass the
-    restriction matrices instead to force the restriction-only data path."""
-    cfg = gm.cfg
-    field = gm.field
-    if source is None:
-        if gm.module is None:
-            raise ConfigError("grading carries no module; pass the action source")
-        source = gm.module
-    lifts = ideal_operator_lifts(source, spec, field, cfg.f, cfg.p)
-    if gm.kind in ("int", "res"):
-        unit = cfg.p**gm.N
-        shifts = []
-        for op, deg in lifts:
-            if deg % unit:
-                raise ConfigError(
-                    f"ambient weight {deg} does not move the {gm.kind} grading"
-                )
-            shifts.append((op, deg // unit))
-        ring_ops = None  # ambient graded ring of the subring is commutative
-    else:
-        shifts = list(lifts)
-        if isinstance(source, FiniteModule):
-            ring_ops = list(zip(_aug_ops(source.gen_action, field), group_model(cfg).two_omega))
-        else:
-            raise ConfigError("the full grading needs the full module action")
-    name = f"{spec.base.name}^[{spec.N}]" if isinstance(spec, IdealSpecN) else spec.name
-    return _min_exponent(gm.chain, gm.pivots, shifts, ring_ops, field, gm.dim + 1,
-                         name, gm.kind, gm.N)
+    return AnnihilatorReport(name, gm.kind, gm.N, ell, bound, history)
 
 
 # -- transfer and determinism checks ----------------------------------------------

@@ -1,11 +1,14 @@
-"""The replaced module kernels, kept as test oracles: the fixpoint closure of
-graded pieces, the restriction chain over itertools.product, the int64
-prime-field matmul, the plain basis change, the full rref of a stacked
-basis, the one-vector-at-a-time residue and the stable closure that maps
-its whole basis every round.
+"""The replaced module kernels, kept as test oracles: the annihilator search
+with a fixpoint closure of its graded pieces, the restriction chain over
+itertools.product, the int64 prime-field matmul, the plain basis change,
+the full rref of a stacked basis, the one-vector-at-a-time residue and the
+stable closure that maps its whole basis every round.
 
-close repeats one rref per (piece, operator) until nothing changes, where
-modules._close makes one ascending sweep with one rref per receiving piece.
+min_annihilator_exponent closes every step of the search under the ambient
+ring operators rho(g_i) - 1 on "gr", repeating one rref per (piece,
+operator) in close until nothing changes; modules.min_annihilator_exponent
+adds no closure, since GroupModel.certify_normal_ideals proves every ideal
+it takes normal in the graded ring, so each step is stable already.
 restriction_chain enumerates all top^(3f) ordered products
 Z^y = Z_0^(y_0) ... Z_(3f-1)^(y_(3f-1)), Z_t = rho(g_t)^(p^N) - 1, and
 spans their images by weight wt(y) = sum_t w_t y_t, one product per
@@ -33,8 +36,9 @@ import numpy as np
 
 from propring.errors import BoundExceeded
 from propring.gf import gf, mat_inverse, rref
+from propring.graded import IdealSpecN
 from propring.groups import group_model
-from propring.modules import FiniteModule, GradedModule
+from propring.modules import AnnihilatorReport, FiniteModule, GradedModule, ideal_operator_lifts
 
 
 def matmul(a, b, field):
@@ -50,11 +54,15 @@ def matmul(a, b, field):
     return out
 
 
+def aug_ops(mats, field):
+    """The operators m - 1, one per matrix m."""
+    neg_eye = field.mul[int(field.neg[1]), np.eye(mats[0].shape[0], dtype=np.int16)]
+    return [field.add[m, neg_eye] for m in mats]
+
+
 def close(spaces, ring_ops, field):
-    """Close the graded pieces under the ring operators by fixpoint
-    iteration; the signature of modules._close."""
-    if ring_ops is None:
-        return spaces
+    """Close the graded pieces, each (echelon basis, pivots), under the ring
+    operators (operator, weight shift) by fixpoint iteration."""
     npieces = len(spaces)
     changed = True
     while changed:
@@ -76,13 +84,44 @@ def close(spaces, ring_ops, field):
     return spaces
 
 
+def min_annihilator_exponent(gm, spec, source=None):
+    """The annihilator search with every step closed under the ambient ring
+    by close: rho(g_i) - 1 with weight shift two_omega_i on "gr", none on
+    "int" and "res"; the signature of modules.min_annihilator_exponent."""
+    cfg, field = gm.cfg, gm.field
+    source = gm.module if source is None else source
+    lifts = ideal_operator_lifts(source, spec, field, cfg.f, cfg.p)
+    if gm.kind == "gr":
+        ring_ops = list(zip(aug_ops(source.gen_action, field), group_model(cfg).two_omega))
+    else:
+        ring_ops = []
+        lifts = [(op, deg // cfg.p**gm.N) for op, deg in lifts]
+    npieces = len(gm.chain) - 1
+    tails = gm.chain[1:]
+
+    def excess(spaces):
+        return sum(s[0].shape[0] - t.shape[0] for s, t in zip(spaces, tails))
+
+    spaces = close([(gm.chain[j], gm.pivots[j]) for j in range(npieces)], ring_ops, field)
+    history = [excess(spaces)]
+    while history[-1] > 0:
+        if len(history) > gm.dim + 1:
+            raise BoundExceeded("no annihilating power up to the bound")
+        spaces = [rref(np.concatenate([tails[j]] + [
+            matmul(spaces[j - s][0], op.T, field) for op, s in lifts if 0 <= j - s]), field)
+            for j in range(npieces)]
+        spaces = close(spaces, ring_ops, field)
+        history.append(excess(spaces))
+    name = f"{spec.base.name}^[{spec.N}]" if isinstance(spec, IdealSpecN) else spec.name
+    return AnnihilatorReport(name, gm.kind, gm.N, len(history) - 1, gm.dim + 1, history)
+
+
 def restriction_chain(qmats, field, top, weights):
     """The subring filtration, one ordered product per exponent vector y in
     [0, top)^len(qmats): (chain, pivots), the step i spanned by the images
     of the products of weight >= i."""
     dim = qmats[0].shape[0]
-    neg_eye = field.mul[int(field.neg[1]), np.eye(dim, dtype=np.int16)]
-    zops = [field.add[q, neg_eye] for q in qmats]
+    zops = aug_ops(qmats, field)
     pow_cache = []
     for z in zops:
         col = [np.eye(dim, dtype=np.int16)]

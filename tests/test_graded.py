@@ -4,6 +4,7 @@ spans, the p^N-twist, and the chunk rewriting."""
 import numpy as np
 import pytest
 
+from propring import checks
 from propring.algebra import GroupAlgebra, group_algebra
 from propring.config import PrimeConfig
 from propring.errors import CutoffBeyondFaithful, NonHomogeneousInput
@@ -26,8 +27,10 @@ from propring.graded import (
     tau_rewrite,
     verify_transcript,
 )
+import graded_oracle
 import monomial_oracle
 import tau_oracle
+from graded_oracle import DenseGradedRing
 from span_oracle import primal_ideal_power_spans
 
 F5 = gf(5, 1)
@@ -35,7 +38,7 @@ F5 = gf(5, 1)
 
 @pytest.fixture(scope="session")
 def gr(alg):
-    return GradedRing(alg)
+    return DenseGradedRing(alg)
 
 
 @pytest.fixture(scope="session")
@@ -91,8 +94,8 @@ def test_hilbert_check(gr):
     assert out["ok"]
 
 
-def test_central_power_classes(gr):
-    out = check_central_power_classes(gr, 1)
+def test_central_power_classes(model):
+    out = check_central_power_classes(model, 1)
     assert out["ok"]
     assert out["failures"] == []
     assert out["pairs_checked"] > 0
@@ -270,3 +273,60 @@ def test_tau_path_builds_no_power_tables(model_cls):
         assert verify_transcript(alg, iterate_tau(alg, x, 1, alg.pM - 1))
         done += 1
     assert alg.model._powers is None
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_bracket_terms_match_dense_commutators(pfm, case):
+    # every generator pair, every (power, generator) pair and every (power,
+    # power) pair at N = 1: the terms read off two point products against
+    # the dense commutator of the lifted classes, and the power-class check
+    # against the dense one
+    gr = DenseGradedRing(group_algebra(PrimeConfig(*pfm, case)))
+    model, q = gr.model, gr.p
+    gens = [(model.generator(i), gr.unit_class(model.generator(i))) for i in range(gr.n)]
+    powers = [(tuple(q * c for c in x), gr.power(cls, q)) for x, cls in gens]
+    pairs = ([(u, v) for u in gens for v in gens] + [(u, v) for u in powers for v in gens]
+             + [(u, v) for u in powers for v in powers])
+    nonzero = 0
+    for (x, cx), (y, cy) in pairs:
+        want = gr.commutator(cx, cy)
+        terms = model.bracket_terms(x, y, want.degree)
+        got = np.zeros(gr.dim(want.degree), dtype=np.int64)
+        for k, c in terms.items():
+            assert gr.alg.nu_prime(k) == want.degree, (x, y, k)
+            got[np.searchsorted(gr.weight_index(want.degree), model.index_of(k))] = c
+        assert tuple(int(c) for c in got) == want.coords, (x, y)
+        nonzero += bool(terms)
+    assert len(pairs) == 27 and nonzero == 2  # [a, b] and [b, a]
+    assert check_central_power_classes(model, 1) == graded_oracle.check_central_power_classes(gr, 1)
+    # N = M: the first power already reaches the unfaithful range
+    errors = []
+    for check, ring in ((check_central_power_classes, model),
+                        (graded_oracle.check_central_power_classes, gr)):
+        with pytest.raises(CutoffBeyondFaithful) as err:
+            check(ring, 2)
+        errors.append(str(err.value))
+    assert errors == [f"degree {gr.faithful} reaches the unfaithful range (p^M = {gr.faithful})"] * 2
+
+
+def test_planted_power_bracket_fails_the_check(monkeypatch):
+    # a nonzero [a^5, b^5] on a fresh model: the check and the scenario
+    # entry report that pair and no other
+    bad = GL2Model(5, 1, 2)
+    real = bad.bracket_terms
+
+    def planted(x, y, w):
+        out = real(x, y, w)
+        return {**out, (5, 5, 0): 1} if (x, y) == ((5, 0, 0), (0, 5, 0)) else out
+
+    monkeypatch.setattr(bad, "bracket_terms", planted)
+    out = check_central_power_classes(bad, 1)
+    assert not out["ok"] and out["failures"] == [{"power": "a0", "against": "b0"}]
+    monkeypatch.setattr(checks, "group_model", lambda cfg: bad)
+    report, code = checks.run_scenario({
+        "name": "planted", "config": {"p": 5, "f": 1, "M": 2, "case": "GL2", "N": 1},
+        "checks": ["central-power-classes"]})
+    entry, = report["checks"]
+    assert code == 1 and entry["status"] == "fail"
+    assert entry["detail"]["failures"] == [{"power": "a0", "against": "b0"}]

@@ -2,12 +2,13 @@
 minimal annihilator exponents, and the restriction-only reconstruction."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from propring import algebra
+from propring import algebra, cli
 from propring import gf as gflib
 from propring import modules
 from propring.config import PrimeConfig
@@ -19,8 +20,9 @@ from propring.errors import (
     RelationCheckFailed,
 )
 from propring.gf import gf, matmul, rref
-from propring.graded import build_JN, default_ideals
-from propring.groups import group_model
+from propring.graded import build_JN, check_central_power_classes, default_ideals, ideal_spec
+from propring.groups import GL2Model, QuatModel, group_model
+from propring.jsonio import module_to_json
 from propring.modules import (
     FiniteModule,
     _conjugate_dual,
@@ -302,9 +304,10 @@ def test_planted_faults_rejected_by_relations_and_pairs(case):
         assert first_unpaired(bad) is not None, name
 
 
-def _gradings_and_exponents(cfg):
+def _gradings_and_exponents(cfg, exponent=min_annihilator_exponent):
     """Chains, pivots and (ell, excess_dims) of every default ideal on the
-    three gradings at N = 1, for a count-4 corpus and the duals."""
+    three gradings at N = 1, for a count-4 corpus and the duals, with the
+    exponent search given."""
     out = []
     for mod in module_corpus(cfg, count=4):
         for m in (mod, dualize(mod)):
@@ -313,7 +316,7 @@ def _gradings_and_exponents(cfg):
                 specs = [build_JN(spec, 1, F5) for spec in IDEALS]
                 if kind == "gr":
                     specs += IDEALS
-                reps = [min_annihilator_exponent(gm, spec) for spec in specs]
+                reps = [exponent(gm, spec) for spec in specs]
                 out.append((m.provenance, [g.tobytes() for g in m.gen_action], kind,
                             gm.chain, gm.pivots, [(r.ell, r.excess_dims) for r in reps]))
     return out
@@ -321,15 +324,15 @@ def _gradings_and_exponents(cfg):
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
 def test_sweep_and_prefix_kernels_match_oracles(case, monkeypatch):
-    # the one-sweep closure, the recursive restriction grading, the BLAS
-    # matmul, the echelon insertion, the batched residue, the frontier
-    # closure and the generator kernel against the fixpoint closure, the
-    # enumerated restriction grading, the int64 matmul, the full rref, the
-    # row-by-row residue, the whole-basis closure and the per-monomial
-    # weight quotient they replaced, all swapped in together
+    # the certified search without closure, the recursive restriction
+    # grading, the BLAS matmul, the echelon insertion, the batched residue,
+    # the frontier closure and the generator kernel against the search with
+    # the fixpoint closure, the enumerated restriction grading, the int64
+    # matmul, the full rref, the row-by-row residue, the whole-basis closure
+    # and the per-monomial weight quotient they replaced, all swapped in
+    # together
     cfg = PrimeConfig(5, 1, 2, case, N=1)
     got = _gradings_and_exponents(cfg)
-    monkeypatch.setattr(modules, "_close", module_oracle.close)
     monkeypatch.setattr(modules, "grade_res_from_restriction",
                         module_oracle.grade_res_from_restriction)
     monkeypatch.setattr(modules, "weight_quotient_module", monomial_oracle.weight_quotient_module)
@@ -337,7 +340,7 @@ def test_sweep_and_prefix_kernels_match_oracles(case, monkeypatch):
     monkeypatch.setattr(gflib, "matmul", module_oracle.matmul)
     monkeypatch.setattr(gflib, "rref_insert", module_oracle.rref_insert)
     monkeypatch.setattr(gflib, "residue", module_oracle.residue)
-    want = _gradings_and_exponents(cfg)
+    want = _gradings_and_exponents(cfg, module_oracle.min_annihilator_exponent)
     assert len(got) == len(want) == 36
     for (name, mats, kind, chain, piv, reps), (name2, mats2, _, chain2, piv2, reps2) in zip(
             got, want):
@@ -463,24 +466,6 @@ def test_restriction_grading_is_bounded_at_level_4(monkeypatch):
     assert min_annihilator_exponent(gm, build_JN(IDEALS[0], 1, F5)).ell == 1
 
 
-def test_close_sweep_matches_fixpoint_on_random_pieces():
-    # rank-2 operators, so the closure grows the pieces without filling them
-    rng = np.random.default_rng(6)
-    grew = 0
-    for _ in range(20):
-        dim = 10
-        spaces = [rref(rng.integers(0, 5, (int(rng.integers(0, 4)), dim)), F5)
-                  for _ in range(7)]
-        ring_ops = [(matmul(rng.integers(0, 5, (dim, 2)), rng.integers(0, 5, (2, dim)), F5), w)
-                    for w in (1, 1, 2)]
-        got = modules._close(list(spaces), ring_ops, F5)
-        want = module_oracle.close(list(spaces), ring_ops, F5)
-        assert [s[1] for s in got] == [s[1] for s in want]
-        assert [s[0].tobytes() for s in got] == [s[0].tobytes() for s in want]
-        grew += sum(g[0].shape[0] > s[0].shape[0] for g, s in zip(got, spaces))
-    assert grew >= 20
-
-
 def test_stable_closure_matches_oracle_on_random_generators():
     # unipotent generators grow a random start over several rounds, so the
     # frontier rounds are exercised beyond the first
@@ -494,3 +479,93 @@ def test_stable_closure_matches_oracle_on_random_generators():
         assert got[1] == want[1] and got[0].tobytes() == want[0].tobytes()
         grew += got[0].shape[0] > rref(rows, F5)[0].shape[0]
     assert grew >= 10
+
+
+def _random_ideals(field, rng, count=4):
+    """Seeded user ideals at f = 1: one or two generators, each a random
+    homogeneous polynomial of degree one or two in a and b."""
+    out = []
+    for r in range(count):
+        gens = []
+        for _ in range(int(rng.integers(1, 3))):
+            d = int(rng.integers(1, 3))
+            gens.append([((m,), (d - m,), int(rng.integers(1, field.q)))
+                         for m in range(d + 1) if rng.integers(0, 2)])
+        out.append(ideal_spec(gens, 1, name=f"random{r}"))
+    return out
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_exponent_search_matches_closure_oracle(pfm, case):
+    # the search without closure against the search closed under the ring
+    # at every step: corpus modules and duals, the default ideals, seeded
+    # user ideals and the twists of both, on the three gradings; a count-2
+    # corpus at p = 7, where the oracle's fixpoint closure is slow
+    cfg = PrimeConfig(*pfm, case)
+    count = 4 if cfg.p == 5 else 2
+    field = gf(cfg.p, 1)
+    specs = default_ideals(1, field) + _random_ideals(field, np.random.default_rng(sum(pfm)))
+    twists = [build_JN(spec, 1, field) for spec in specs]
+    compared = 0
+    for mod in module_corpus(cfg, count=count):
+        for m in (mod, dualize(mod)):
+            for kind, ideals in (("gr", specs + twists), ("int", twists), ("res", twists)):
+                gm = grade(m, kind, None if kind == "gr" else 1)
+                for spec in ideals:
+                    got = min_annihilator_exponent(gm, spec)
+                    want = module_oracle.min_annihilator_exponent(gm, spec)
+                    assert (got.ell, got.excess_dims) == (want.ell, want.excess_dims), (
+                        m.provenance, kind, got.ideal)
+                    compared += 1
+    assert compared == (count + 2) * 2 * 4 * len(specs)
+
+
+def test_planted_bracket_fails_normal_ideal_certificate(monkeypatch, tmp_path, capsys):
+    # a nonzero [a, c] on a fresh model: the gr search refuses, from the
+    # library and from the console, while int and res still answer
+    cfg = PrimeConfig(5, 1, 2, "GL2")
+    bad = GL2Model(5, 1, 2)
+    real = bad.bracket_terms
+
+    def planted(x, y, w):
+        out = real(x, y, w)
+        return {**out, (1, 0, 1): 1} if (x, y) == ((1, 0, 0), (0, 0, 1)) else out
+
+    monkeypatch.setattr(bad, "bracket_terms", planted)
+    monkeypatch.setattr(modules, "group_model", lambda c: bad)
+    mod = build_module(cfg, "trivial")
+    with pytest.raises(ContractViolation) as err:
+        min_annihilator_exponent(grade(mod, "gr"), IDEALS[0])
+    assert err.value.witness == {"s": 0, "t": 2, "terms": {(1, 0, 1): 1}}
+    for kind in ("int", "res"):
+        assert min_annihilator_exponent(grade(mod, kind, 1), build_JN(IDEALS[0], 1, F5)).ell == 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(module_to_json(mod)))
+    for argv, code in ((["--grading", "gr"], 1), (["--grading", "int", "--level-n", "1"], 0),
+                       (["--grading", "res", "--level-n", "1"], 0)):
+        assert cli.main(["module-exponent", "--in", str(path)] + argv) == code, argv
+    assert "[z_0, z_2]" in capsys.readouterr().err
+    assert not bad._normal
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_certified_paths_build_no_power_tables(case, monkeypatch):
+    # a fresh, uncached model at (7, 1, 2) behind the module layer: the
+    # power-class check, the certificate and the exponent search on all
+    # three gradings read point products and generator tables only
+    fresh = {"GL2": GL2Model, "QUAT": QuatModel}[case](7, 1, 2)
+    alg = algebra.GroupAlgebra(fresh)
+    monkeypatch.setattr(modules, "group_model", lambda c: fresh)
+    monkeypatch.setattr(modules, "group_algebra", lambda c: alg)
+    assert check_central_power_classes(fresh, 1)["ok"]
+    cfg = PrimeConfig(7, 1, 2, case)
+    field = gf(7, 1)
+    specs = default_ideals(1, field)
+    for mod in module_corpus(cfg, count=1):
+        for kind in ("gr", "int", "res"):
+            gm = grade(mod, kind, None if kind == "gr" else 1)
+            for spec in specs:
+                min_annihilator_exponent(gm, spec if kind == "gr" else build_JN(spec, 1, field))
+    assert fresh._normal
+    assert fresh._powers is None
