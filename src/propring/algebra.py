@@ -32,7 +32,11 @@ A generator acting on low monomials needs no vector of the group's order:
 z^k = sum_(x <= k) Q[k, x] [x] and the coordinate k' of [y] is
 prod_i binom(y_i, k'_i), so the coordinates of g_i z^k (or z^k g_i) at a
 set of monomials are one product Q[ks, X] E[g_i X, rows] mod p over the
-down-set X of weights up to those of ks (generator_columns).
+down-set X of weights up to those of ks (generator_columns).  Its left
+products g_i x and the support pairs x h of the general product (mul) go
+through one index-level right action, GroupModel.right_act: it walks x
+through the n M tables of the pc generators g_i^(p^k), at most p - 1 steps
+per base-p digit of h.
 
 The weight of a monomial index is nu'(k) = sum_i w_i k_i with w = 1 for the
 A and B positions and w = 2 for the C positions (doubled generator
@@ -153,36 +157,29 @@ class GroupAlgebra:
         keep = np.flatnonzero(acc)
         return flat[keep], acc[keep]
 
-    def word_mul(self, a: np.ndarray, word) -> np.ndarray:
-        """Right multiplication by an ordered word of (i, e) z-chunks: the
-        support of a is read once, carried through zmul factor by factor,
-        and written back to a dense vector once."""
-        idx = np.flatnonzero(a)
-        coeffs = a[idx].astype(np.int64)
+    def word_mul(self, word) -> np.ndarray:
+        """The dense vector of an ordered word of (i, e) z-chunks: the
+        identity's support is carried through zmul factor by factor and
+        written to a dense vector once."""
+        idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)  # the identity
         for i, e in word:
             idx, coeffs = self.zmul(idx, coeffs, i, e)
-        out = np.zeros_like(a)
+        out = self.zero()
         out[idx] = coeffs
         return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """General product, summed over the support pairs (x, h) of a and b:
-        the index of x h takes n gathers into the power tables, and the
-        coefficients a[x] b[h] are accumulated _PAIR_CHUNK pairs at a time."""
-        xs = np.flatnonzero(a)
-        hs = np.flatnonzero(b)
+        the index of x h is GroupModel.right_act, and the coefficients
+        a[x] b[h] are accumulated _PAIR_CHUNK pairs at a time."""
+        xs, hs = np.flatnonzero(a), np.flatnonzero(b)
+        av, bv = a[xs].astype(np.float64), b[hs].astype(np.float64)
         out = np.zeros(self.order, dtype=np.int64)
         pairs = xs.size * hs.size
-        powers = self.model.power_tables().reshape(self.n, -1)
-        hdig = np.stack(np.unravel_index(hs, (self.pM,) * self.n)) * self.order
-        av = a[xs].astype(np.float64)
-        bv = b[hs].astype(np.float64)
         for start in range(0, pairs, _PAIR_CHUNK):
             t = np.arange(start, min(start + _PAIR_CHUNK, pairs))
             xi, hi = np.divmod(t, hs.size)
-            idx = xs[xi]
-            for i in range(self.n):
-                idx = powers[i][hdig[i, hi] + idx]
+            idx = self.model.right_act(xs[xi], hs[hi])
             # exact: each bin sums at most _PAIR_CHUNK (p-1)^2 < 2^53
             acc = np.bincount(idx, weights=av[xi] * bv[hi], minlength=self.order)
             out = (out + acc.astype(np.int64)) % self.p
@@ -207,21 +204,15 @@ class GroupAlgebra:
         Q[ks, X] E[g_i X or X g_i, rows] mod p, where E[y, k'] =
         prod_i binom(y_i, k'_i) (binomial_expansion) and X = {x : nu'(x) <=
         max nu'(ks)}, a down-set and so holding every x <= k.  Right
-        products read right_mul_table(g_i); a left product g_i x walks the
-        digit word of x through the generator tables, so the power tables
-        are never built."""
+        products read right_mul_table(g_i); a left product g_i x is
+        GroupModel.right_act from g_i through the digits of x."""
         model, p = self.model, self.p
         nu_w = self.nu_weight_array
         xs = np.flatnonzero(nu_w <= nu_w[ks].max(initial=-1))
         if side == "right":
             gx = model.right_mul_table(model.generator(i))[xs]
         else:
-            gx = np.full(xs.size, model.index_of(model.generator(i)))
-            digits = np.unravel_index(xs, (self.pM,) * self.n)
-            for j, d in enumerate(digits):
-                table = model.right_mul_table(model.generator(j))
-                for e in range(int(d.max(initial=0))):
-                    gx = np.where(d > e, table[gx], gx)
+            gx = model.right_act(np.full(xs.size, model.index_of(model.generator(i))), xs)
         field = gf(p, 1)
         out = np.zeros((rows.size, ks.size), dtype=np.int16)
         # blocks Q[ks, X_s], E[g X_s, rows_r] and their product stay below

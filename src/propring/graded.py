@@ -410,8 +410,7 @@ def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> np.ndarray:
     order.  Verifies the contract nu(tau(x)) = nu(x) and tau(x) - x in
     m^(nu+1), raising ContractViolation with x as witness when it breaks."""
     exps = alg.model.check_digits(exps)
-    mono = alg.to_monomial(
-        alg.word_mul(alg.of_group(alg.model.identity), tau_word(alg, exps, N)))
+    mono = alg.to_monomial(alg.word_mul(tau_word(alg, exps, N)))
     nu_w = alg.nu_weight_array
     w, flat = alg.nu_prime(exps), alg.model.index_of(exps)
     hit = np.flatnonzero(mono)
@@ -469,7 +468,7 @@ def verify_transcript(alg: GroupAlgebra, tr: TauTranscript) -> bool:
     for t in tr.terms:
         word = [(i, e) for i, e in enumerate(t.chunk) if e]
         word += [(i, e) for i, e in enumerate(t.frac) if e]
-        total += t.coeff * alg.word_mul(alg.of_group(alg.model.identity), word)
+        total += t.coeff * alg.word_mul(word)
     residual = (alg.monomial(tr.start) - total) % alg.p
     residual = residual.astype(np.int16)
     v = alg.nu(residual)

@@ -82,8 +82,7 @@ class GroupModel:
         self.identity: Digits = (0,) * self.n
         # doubled valuations of the generators: 1 for A and B, 2 for C
         self.two_omega = tuple(1 if i < 2 * f else 2 for i in range(self.n))
-        self._tables: dict[Digits, np.ndarray] = {}  # generator tables only
-        self._powers: np.ndarray | None = None
+        self._tables: dict[Digits, np.ndarray] = {}  # pc-generator tables only
         self._pc: tuple | None = None
         self._straight: set[int] = set()  # levels N certified by certify_straightening
         self._normal = False  # set by certify_normal_ideals
@@ -97,8 +96,9 @@ class GroupModel:
             raise NotInGroup(f"digit vector must have {self.n} entries in [0, {self.pM})")
         return t
 
-    def generator(self, i: int) -> Digits:
-        return tuple(1 if j == i else 0 for j in range(self.n))
+    def generator(self, i: int, k: int = 0) -> Digits:
+        """The digits of g_i, or of the pc generator u_(i,k) = g_i^(p^k)."""
+        return tuple(self.p**k if j == i else 0 for j in range(self.n))
 
     def index_of(self, x: Digits) -> int:
         return sum(c * s for c, s in zip(x, self._strides))
@@ -237,31 +237,40 @@ class GroupModel:
 
     def right_mul_table(self, h: Digits) -> np.ndarray:
         """Permutation of element indices given by right multiplication by
-        a generator h = g_i, built in one batched pass (realize every
-        element, multiply by g_i, decompose) and memoized."""
+        a pc generator h = u_(i,k) = g_i^(p^k), k < M, memoized.  For k = 0
+        it is one batched pass (realize every element, multiply by g_i,
+        decompose); for k >= 1 it is the p-th power of the table of
+        u_(i,k-1), composed on indices with no group arithmetic."""
         h = self.check_digits(h)
-        if sum(h) != 1:
-            raise ValueError(f"right_mul_table takes a generator, got {h}")
-        t = self._tables.get(h)
-        if t is None:
-            xs = np.indices((self.pM,) * self.n).reshape(self.n, -1).T
-            ys = self._mul_array(self.realize_array(xs), self._gen_power_array[h.index(1), 1])
-            t = (self.decompose(ys) @ np.array(self._strides)).astype(np.int32)
+        if h not in self._tables:
+            i = next((i for i, c in enumerate(h) if c), 0)
+            k = next((k for k in range(self.M) if h == self.generator(i, k)), None)
+            if k is None:
+                raise ValueError(f"right_mul_table takes a pc generator g_i^(p^k), got {h}")
+            if k:
+                t = prev = self.right_mul_table(self.generator(i, k - 1))
+                for _ in range(self.p - 1):
+                    t = prev[t]
+            else:
+                xs = np.indices((self.pM,) * self.n).reshape(self.n, -1).T
+                ys = self._mul_array(self.realize_array(xs), self._gen_power_array[i, 1])
+                t = (self.decompose(ys) @ np.array(self._strides)).astype(np.int32)
             self._tables[h] = t
-        return t
+        return self._tables[h]
 
-    def power_tables(self) -> np.ndarray:
-        """R[i, e] = right_mul_table(g_i^e) for e < p^M: n * p^M index rows,
-        built once from the generator tables."""
-        if self._powers is None:
-            R = np.empty((self.n, self.pM, self.order), dtype=np.int32)
-            for i in range(self.n):
-                g = self.right_mul_table(self.generator(i))
-                R[i, 0] = np.arange(self.order, dtype=np.int32)
-                for e in range(1, self.pM):
-                    R[i, e] = g[R[i, e - 1]]
-            self._powers = R
-        return self._powers
+    def right_act(self, xs: np.ndarray, hs: np.ndarray) -> np.ndarray:
+        """Indices of the products x h for element indices x = xs[t], h =
+        hs[t].  The base-p digits of a flat index are those of its exponents
+        h_i, and each digit d of h_i is d <= p - 1 steps through the table of
+        the pc generator u_(i,k) = g_i^(p^k); the u_(i,k) of one i commute."""
+        for i, stride in enumerate(self._strides):
+            for k in range(self.M):
+                d = hs // (stride * self.p**k) % self.p
+                steps = range(int(d.max(initial=0)))
+                table = self.right_mul_table(self.generator(i, k)) if steps else None
+                for s in steps:
+                    xs = np.where(d > s, table[xs], xs)
+        return xs
 
     def pc_relations(self) -> tuple[tuple[tuple[int, int], tuple[int, int], Digits], ...]:
         """Conjugation relations of a polycyclic presentation from Lazard's
@@ -276,7 +285,7 @@ class GroupModel:
                           key=lambda g: (self.two_omega[g[0]] + 2 * g[1], g))
             # one array pass: realize every u, both products of every pair,
             # one inverse and one decompose
-            U = self.realize_array([[p**k * (j == i) for j in range(self.n)] for i, k in gens])
+            U = self.realize_array([self.generator(i, k) for i, k in gens])
             ra, rb = np.triu_indices(len(gens), 1)
             W = self.decompose(self._mul_array(
                 self._inv_array(self._mul_array(U[ra], U[rb])), self._mul_array(U[rb], U[ra])))

@@ -532,7 +532,7 @@ def check_exponent_transfer(mod: FiniteModule, specs, N: int) -> list[dict]:
     return out
 
 
-def _central_order_p_twist(mod: FiniteModule, N: int):
+def _central_order_p_twist(mod: FiniteModule):
     """A companion action differing from mod only on the first generator:
     rho'(A_0) = rho(A_0) rho(z) for the central element z = C_0^(p^(M-1)).
     The first-layer digit of A_0 is additive modulo p and vanishes on all
@@ -582,7 +582,7 @@ def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
         for q in mod.restriction_matrices(N)
     ]
     gm = grade_res_from_restriction(qmats, mod.cfg, N)
-    twisted = _central_order_p_twist(mod, N)
+    twisted = _central_order_p_twist(mod)
     same_restriction = True
     if twisted is not None:
         check_multiplicative(twisted)

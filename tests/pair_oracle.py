@@ -16,6 +16,8 @@ from propring import gf as gflib
 from propring.groups import group_model
 from propring.modules import FiniteModule
 
+from power_oracle import right_mul_table
+
 
 def elements(model):
     """All digit vectors in index order."""
@@ -24,18 +26,6 @@ def elements(model):
 
 def random_element(model, rng):
     return tuple(int(rng.integers(model.pM)) for _ in range(model.n))
-
-
-def right_mul_table(model, h):
-    """Right multiplication by any element h, composed from the power
-    tables along its digit word: x h = ((x g_1^(h_1)) g_2^(h_2)) ...
-    matches the basis order."""
-    powers = model.power_tables()
-    t = np.arange(model.order, dtype=np.int32)
-    for i, e in enumerate(h):
-        if e:
-            t = powers[i, e][t]
-    return t
 
 
 def regular_module(cfg):

@@ -16,7 +16,9 @@ from propring.errors import ConfigError, CutoffBeyondFaithful
 from propring.graded import hilbert_oracle
 from propring.groups import GroupModel
 from propring.padic import _is_prime
-from pair_oracle import random_element, right_mul_table
+from pair_oracle import random_element
+import power_oracle
+from power_oracle import right_mul_table
 from span_oracle import primal_ideal_power_spans
 import tau_oracle
 from transform_oracle import expand_group_sparse, transforms
@@ -75,7 +77,29 @@ def test_mul_across_pair_chunks(alg, rng, monkeypatch):
         ref += cb * shifted.astype(np.int64)
     assert np.count_nonzero(a) * np.count_nonzero(b) > 2 * 1000
     assert np.array_equal(alg.mul(a, b), ref % alg.p)
-    assert len(alg.model._tables) <= alg.n
+    assert set(alg.model._tables) <= power_oracle.pc_generators(alg.model)
+
+
+MUL_CASES = [(pfm, case) for pfm in ((5, 1, 2), (7, 1, 2), (5, 2, 1)) for case in ("GL2", "QUAT")]
+
+
+@pytest.mark.parametrize("pfm,case", MUL_CASES, ids=str)
+def test_mul_matches_power_table_oracle(pfm, case):
+    # sparse x sparse, full x point (the point at the top digits p^M - 1
+    # and at random) and zero inputs, against the product gathered from
+    # the exponent-indexed power tables
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    rng = np.random.default_rng(sum(pfm) + len(case))
+    full = rng.integers(1, alg.p, alg.order).astype(np.int16)
+    top = alg.of_group((alg.pM - 1,) * alg.n)
+    point = 3 * alg.of_group(random_element(alg.model, rng))
+    zero = alg.zero()
+    pairs = [(rand_sparse(alg, rng, 40), rand_sparse(alg, rng, 30)) for _ in range(3)]
+    pairs += [(full, top), (full, point), (zero, full), (full, zero), (zero, zero)]
+    for a, b in pairs:
+        got = alg.mul(a, b)
+        assert got.dtype == np.int16
+        assert np.array_equal(got, power_oracle.mul(alg, a, b))
 
 
 def test_mul_associative_and_distributive(alg, rng):
@@ -186,9 +210,10 @@ def test_support_zmul_matches_dense_oracle(pfm, case):
             assert np.array_equal(got_idx, idx) and np.array_equal(got_coeffs, coeffs)
         word = [(int(i), int(e)) for i, e in zip(rng.integers(0, alg.n, 4),
                                                  rng.integers(0, alg.pM, 4))]
-        got = alg.word_mul(a, word)
+        got = alg.word_mul(word)
         assert got.dtype == a.dtype
-        assert np.array_equal(got, zmul_oracle.word_mul(alg, a, word)), word
+        assert np.array_equal(
+            got, zmul_oracle.word_mul(alg, alg.of_group(alg.model.identity), word)), word
     empty = np.zeros(0, dtype=np.int64)
     for i in range(alg.n):
         for e in range(alg.pM + 1):
@@ -377,8 +402,9 @@ def faulty_algebra(model, gen, swap):
     faulty = copy.copy(model)
     table = model.right_mul_table(model.generator(gen)).copy()
     table[list(swap)] = table[list(swap[::-1])]
-    faulty._tables = {**model._tables, model.generator(gen): table}
-    faulty._powers = None
+    # the tables of g_gen^(p^k), k >= 1, are derived from the planted one
+    faulty._tables = {h: t for h, t in model._tables.items() if not h[gen]}
+    faulty._tables[model.generator(gen)] = table
     return algebra.GroupAlgebra(faulty)
 
 

@@ -29,6 +29,7 @@ from propring.graded import (
 )
 import graded_oracle
 import monomial_oracle
+import power_oracle
 import tau_oracle
 from graded_oracle import DenseGradedRing
 from span_oracle import primal_ideal_power_spans
@@ -261,7 +262,7 @@ def test_mult_matrix_matches_unit_class_products(gr):
 @pytest.mark.parametrize("model_cls", [GL2Model, QuatModel], ids=["GL2", "QUAT"])
 def test_tau_path_builds_no_power_tables(model_cls):
     # on a fresh model, not the cached one the oracles fill: the rewriting
-    # reads the generator tables only
+    # reads the generator tables g_i only, never a table of g_i^(p^k), k >= 1
     alg = GroupAlgebra(model_cls(7, 1, 2))
     rng = np.random.default_rng(7)
     assert check_tau_contract(alg, 1, rng, samples=5)["ok"]
@@ -272,7 +273,20 @@ def test_tau_path_builds_no_power_tables(model_cls):
             continue
         assert verify_transcript(alg, iterate_tau(alg, x, 1, alg.pM - 1))
         done += 1
-    assert alg.model._powers is None
+    tables = set(alg.model._tables)
+    assert tables <= power_oracle.pc_generators(alg.model) and len(tables) <= alg.n
+
+
+def test_sandwich_holds_pc_generator_tables_only():
+    # the dense products of the first inclusion walk the base-p digits of
+    # their right factors: on a fresh model the tables are the n M pc
+    # generators at most, where exponent-indexed tables would be n p^M
+    alg = GroupAlgebra(GL2Model(7, 1, 2))
+    res = check_sandwich(alg, 1, 1, np.random.default_rng(7), samples=3, mono_samples=2)
+    assert res["first_inclusion"]["ok"] and res["first_inclusion"]["samples"] == 3
+    tables = set(alg.model._tables)
+    assert tables <= power_oracle.pc_generators(alg.model)
+    assert alg.n < len(tables) <= alg.n * alg.model.M
 
 
 @pytest.mark.parametrize("case", ["GL2", "QUAT"])

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from propring.config import PrimeConfig
 from propring.errors import ConfigError, NotInGroup
 from propring.groups import QuatModel, group_model, quaternion_commutator_congruence
-from pair_oracle import random_element, right_mul_table
+from pair_oracle import random_element
+import power_oracle
+from power_oracle import right_mul_table
 import table_oracle as oracle
 from table_oracle import scalar_rows
 
@@ -117,10 +119,38 @@ def test_right_mul_table_consistent(model, rng):
     assert np.array_equal(np.sort(t), np.arange(model.order))
     for _ in range(25):
         x = random_element(model, rng)
-        assert t[model.index_of(x)] == model.index_of(model.mul(x, h))
-    # the library builds generator tables only
-    with pytest.raises(ValueError):
-        model.right_mul_table(model.identity)
+        xh = model.index_of(model.mul(x, h))
+        assert t[model.index_of(x)] == xh
+        assert model.right_act(np.array([model.index_of(x)]), np.array([model.index_of(h)])) == xh
+    # the library builds pc-generator tables only
+    g0, g1 = model.generator(0), model.generator(1)
+    for h in (model.identity, (2,) + g0[1:], tuple(a + b for a, b in zip(g0, g1))):
+        with pytest.raises(ValueError):
+            model.right_mul_table(h)
+
+
+PC_CASES = [(pfm, case) for pfm in ((5, 1, 2), (7, 1, 2), (5, 2, 1)) for case in ("GL2", "QUAT")]
+
+
+@pytest.mark.parametrize("pfm,case", PC_CASES, ids=str)
+def test_pc_tables_and_right_act_match_oracle(pfm, case):
+    # every pc-generator table against p^k steps through the generator
+    # table, and the digit walk against one generator step at a time, on
+    # random exponents with rows and columns of p^M - 1
+    model = group_model(PrimeConfig(*pfm, case))
+    for i in range(model.n):
+        for k in range(model.M):
+            got = model.right_mul_table(model.generator(i, k))
+            assert np.array_equal(got, power_oracle.pc_row(model, i, k)), (i, k)
+    rng = np.random.default_rng(sum(pfm) + len(case))
+    xs = rng.integers(0, model.order, 3000)
+    digits = rng.integers(0, model.pM, (model.n, xs.size))
+    digits[:, :100] = model.pM - 1
+    digits[int(rng.integers(model.n)), 100:200] = model.pM - 1
+    hs = np.ravel_multi_index(tuple(digits), (model.pM,) * model.n)
+    assert np.array_equal(model.right_act(xs, hs), power_oracle.walk(model, xs, digits))
+    assert np.array_equal(model.right_act(xs, np.zeros_like(hs)), xs)
+    assert set(model._tables) == power_oracle.pc_generators(model)
 
 
 def test_central_witness(model):
@@ -383,10 +413,12 @@ def test_batch_decompose_planted_fault(case, fault, message):
 
 
 def test_model_state_bounded(model):
-    # after every generator table is built, only per-generator state remains
+    # after every pc-generator table is built, only per-generator state
+    # remains, and the tables are keyed by the pc generators alone
     for i in range(model.n):
-        model.right_mul_table(model.generator(i))
-    model.power_tables()
+        for k in range(model.M):
+            model.right_mul_table(model.generator(i, k))
+    assert set(model._tables) == power_oracle.pc_generators(model)
     for name, v in vars(model).items():
         if isinstance(v, (dict, list, tuple)):
             assert len(v) <= model.n * model.pM, name

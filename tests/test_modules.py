@@ -42,6 +42,7 @@ from propring.modules import (
 
 import module_oracle
 import monomial_oracle
+import power_oracle
 from pair_oracle import first_unpaired, regular_module
 
 F5 = gf(5, 1)
@@ -553,7 +554,7 @@ def test_planted_bracket_fails_normal_ideal_certificate(monkeypatch, tmp_path, c
 def test_certified_paths_build_no_power_tables(case, monkeypatch):
     # a fresh, uncached model at (7, 1, 2) behind the module layer: the
     # power-class check, the certificate and the exponent search on all
-    # three gradings read point products and generator tables only
+    # three gradings read point products and pc-generator tables only
     fresh = {"GL2": GL2Model, "QUAT": QuatModel}[case](7, 1, 2)
     alg = algebra.GroupAlgebra(fresh)
     monkeypatch.setattr(modules, "group_model", lambda c: fresh)
@@ -568,4 +569,4 @@ def test_certified_paths_build_no_power_tables(case, monkeypatch):
             for spec in specs:
                 min_annihilator_exponent(gm, spec if kind == "gr" else build_JN(spec, 1, field))
     assert fresh._normal
-    assert fresh._powers is None
+    assert set(fresh._tables) <= power_oracle.pc_generators(fresh)

@@ -2,11 +2,14 @@
 support-walking GroupAlgebra.zmul and GroupAlgebra.word_mul.
 
 It makes one pass over the whole group per unit of digit sum of the
-exponent and reads the digits above the units from the power tables,
-where the library walks only the support of the element through the
-generator table; the two share only the group model's tables."""
+exponent and reads the digits above the units from the oracle rows of
+g_i^(p^k) (power_oracle.pc_row), where the library walks only the support
+of the element through the generator table; the two share only the group
+model's generator tables."""
 
 import numpy as np
+
+from power_oracle import pc_row
 
 
 def zmul(alg, a, i, e=1):
@@ -17,7 +20,7 @@ def zmul(alg, a, i, e=1):
         (g_i - 1)^e = prod_k (g_i^(p^k) - 1)^(e_k),
 
     one pass per unit of digit sum, each through the permutation
-    power_tables()[i, p^k]; the units digit reads the generator table.
+    pc_row(model, i, k); the units digit reads the generator table.
     Since g_i^(p^M) = 1, e >= p^M gives zero."""
     if e >= alg.pM:
         return np.zeros_like(a)
@@ -31,7 +34,7 @@ def zmul(alg, a, i, e=1):
             a = (b - a) % alg.p
         k += 1
         if e:
-            perm = alg.model.power_tables()[i, alg.p**k]
+            perm = pc_row(alg.model, i, k)
     return a
 
 
