@@ -33,8 +33,9 @@ z^k = sum_(x <= k) Q[k, x] [x] and the coordinate k' of [y] is
 prod_i binom(y_i, k'_i), so the coordinates of g_i z^k (or z^k g_i) at a
 set of monomials are one product Q[ks, X] E[g_i X, rows] mod p over the
 down-set X of weights up to those of ks (generator_columns).  Its left
-products g_i x and the support pairs x h of the general product (mul) go
-through one index-level right action, GroupModel.right_act: it walks x
+products g_i x and the support pairs x h of the general product
+(mul_rows, which mul calls on a batch of one) go through one index-level
+right action, GroupModel.right_act: it walks x
 through the n M tables of the pc generators g_i^(p^k), at most p - 1 steps
 per base-p digit of h.
 
@@ -72,9 +73,11 @@ from .gf import rref  # noqa: F401  bench/test_bench.py reaches rref through thi
 from .groups import Digits, GroupModel, group_model
 
 
-# support pairs per accumulation step of GroupAlgebra.mul; bounds its
-# transient memory to a few tens of MB
-_PAIR_CHUNK = 1 << 18
+# support pairs per right_act walk of GroupAlgebra.mul_rows; bounds its
+# transient index arrays to a few MB
+_PAIR_CHUNK = 1 << 14
+# support entries the word_mul memo holds, about 1 MB
+_WORD_MEMO = 1 << 16
 # entries of the expansion block per step of GroupAlgebra.generator_columns
 _KERNEL_CHUNK = 1 << 16
 # witness entries a failed certificate reports
@@ -114,6 +117,9 @@ class GroupAlgebra:
             for m in self._pair
         )
         self._nu_w: np.ndarray | None = None
+        # word_mul memo: word -> support pair, and its stored entries
+        self._words: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._word_entries = 0
 
     # -- dense vectors -------------------------------------------------------
 
@@ -126,6 +132,15 @@ class GroupAlgebra:
         return a
 
     # -- multiplication ------------------------------------------------------
+
+    def collect(self, idx: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Support pair of sum_t weights[t] [idx[t]] mod p: repeated indices
+        merged, zero coefficients dropped, sorted by index.  Exact while
+        every index's sum of |weights| stays below 2^53."""
+        flat, where = np.unique(idx, return_inverse=True)
+        acc = np.bincount(where, weights, flat.size).astype(np.int64) % self.p
+        keep = np.flatnonzero(acc)
+        return flat[keep], acc[keep]
 
     def zmul(self, idx: np.ndarray, coeffs: np.ndarray, i: int,
              e: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -151,48 +166,108 @@ class GroupAlgebra:
             if c:
                 terms.append(walk)
                 weights.append(coeffs * (-c if (e - s) % 2 else c))
-        flat, where = np.unique(np.concatenate(terms), return_inverse=True)
-        # exact: each bin sums at most e + 1 terms below p^2 in size
-        acc = np.bincount(where, np.concatenate(weights), flat.size).astype(np.int64) % self.p
-        keep = np.flatnonzero(acc)
-        return flat[keep], acc[keep]
+        # exact: each index sums at most e + 1 terms below p^2 in size
+        return self.collect(np.concatenate(terms), np.concatenate(weights))
 
     def word_mul(self, word) -> np.ndarray:
-        """The dense vector of an ordered word of (i, e) z-chunks: the
-        identity's support is carried through zmul factor by factor and
-        written to a dense vector once."""
-        idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)  # the identity
-        for i, e in word:
-            idx, coeffs = self.zmul(idx, coeffs, i, e)
+        """The dense vector of an ordered word of (i, e) z-chunks, a fresh
+        array: the identity's support is carried through zmul factor by
+        factor and written to a dense vector once.  The support pairs are
+        memoized by the word, least recently used first out once the memo
+        holds more than _WORD_MEMO entries, since the rewriting and the
+        re-expansion of its transcripts ask for the same words."""
+        key = tuple(word)
+        pair = self._words.pop(key, None)  # put back below as the most recent
+        if pair is None:
+            idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)  # the identity
+            for i, e in key:
+                idx, coeffs = self.zmul(idx, coeffs, i, e)
+            pair = idx, coeffs
+            self._word_entries += idx.size
+        self._words[key] = pair
+        while self._word_entries > _WORD_MEMO:
+            self._word_entries -= self._words.pop(next(iter(self._words)))[0].size
+        out = self.zero()
+        out[pair[0]] = pair[1]
+        return out
+
+    def mul_rows(self, a, b, rows: int):
+        """Row-batched product on support pairs.  a and b are (row, index,
+        coefficient) arrays sorted by row, every row below rows; yields,
+        for r = 0, ..., rows - 1 in order, the support pair (index,
+        coefficient), sorted by index, of (row r of a) (row r of b).
+
+        The support pairs (x, h) of a group of whole rows, _PAIR_CHUNK at
+        most, go through one GroupModel.right_act, and the group's products
+        are merged by collect on the key (row, index of x h).  A row with
+        more pairs than that is walked in slices of _PAIR_CHUNK into one
+        dense accumulator of the group's order.  So the transient memory is
+        a few arrays of _PAIR_CHUNK entries whatever the batch, and a
+        caller that stops early skips the groups after it."""
+        (ar, ax, ac), (br, bx, bc) = a, b
+        a0 = np.searchsorted(ar, np.arange(rows + 1))
+        b0 = np.searchsorted(br, np.arange(rows + 1))
+        nb = np.diff(b0)
+        pairs = np.diff(a0) * nb
+        ends = np.cumsum(pairs)  # pairs are numbered row by row
+
+        def products(start: int, stop: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+            # pairs start, ..., stop - 1, keyed by (row - r) order + index of
+            # x h; exact: each key sums at most _PAIR_CHUNK terms below p^2
+            t = np.arange(start, stop)
+            own = np.searchsorted(ends, t, side="right")
+            xi, hi = np.divmod(t - ends[own] + pairs[own], nb[own])
+            xi += a0[own]
+            hi += b0[own]
+            key = (own - r) * self.order + self.model.right_act(ax[xi], bx[hi])
+            return self.collect(key, np.multiply(ac[xi], bc[hi], dtype=np.float64))
+
+        r = 0
+        while r < rows:
+            lo = int(ends[r] - pairs[r])
+            if pairs[r] > _PAIR_CHUNK:
+                end = r + 1
+                dense = self.zero()
+                for start in range(lo, int(ends[r]), _PAIR_CHUNK):
+                    idx, acc = products(start, min(start + _PAIR_CHUNK, int(ends[r])), r)
+                    dense[idx] = (dense[idx] + acc) % self.p
+                key = np.flatnonzero(dense)
+                acc = dense[key].astype(np.int64)
+            else:
+                end = int(np.searchsorted(ends, lo + _PAIR_CHUNK, side="right"))
+                key, acc = products(lo, int(ends[end - 1]), r)
+            cut = np.searchsorted(key, np.arange(end - r + 1) * self.order)
+            for j in range(end - r):
+                yield key[cut[j]:cut[j + 1]] - j * self.order, acc[cut[j]:cut[j + 1]]
+            r = end
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """General product of dense vectors: mul_rows on a batch of one."""
+        xs, hs = np.flatnonzero(a), np.flatnonzero(b)
+        (idx, coeffs), = self.mul_rows((np.zeros_like(xs), xs, a[xs]),
+                                       (np.zeros_like(hs), hs, b[hs]), 1)
         out = self.zero()
         out[idx] = coeffs
         return out
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """General product, summed over the support pairs (x, h) of a and b:
-        the index of x h is GroupModel.right_act, and the coefficients
-        a[x] b[h] are accumulated _PAIR_CHUNK pairs at a time."""
-        xs, hs = np.flatnonzero(a), np.flatnonzero(b)
-        av, bv = a[xs].astype(np.float64), b[hs].astype(np.float64)
-        out = np.zeros(self.order, dtype=np.int64)
-        pairs = xs.size * hs.size
-        for start in range(0, pairs, _PAIR_CHUNK):
-            t = np.arange(start, min(start + _PAIR_CHUNK, pairs))
-            xi, hi = np.divmod(t, hs.size)
-            idx = self.model.right_act(xs[xi], hs[hi])
-            # exact: each bin sums at most _PAIR_CHUNK (p-1)^2 < 2^53
-            acc = np.bincount(idx, weights=av[xi] * bv[hi], minlength=self.order)
-            out = (out + acc.astype(np.int64)) % self.p
-        return out.astype(np.int16)
+    def monomial_support(self, k: Digits) -> tuple[np.ndarray, np.ndarray]:
+        """Support pair of z^k, sorted by index: the tensor product of the
+        nonzero entries of the rows Q[k_i, .] of the inverse binomial
+        matrix, those x <= k digit by digit (Lucas)."""
+        idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        for ki in self.model.check_digits(k):
+            row = self._Q[ki]
+            nz = np.flatnonzero(row)
+            idx = np.add.outer(idx * self.pM, nz).ravel()
+            coeffs = np.multiply.outer(coeffs, row[nz]).ravel() % self.p
+        return idx, coeffs
 
     def monomial(self, k: Digits) -> np.ndarray:
-        """Dense vector of z^k, a fresh array: its group coordinates are the
-        tensor product of the rows Q[k_i, .] of the inverse binomial matrix."""
-        k = self.model.check_digits(k)
-        m = self._Q[k[0]]
-        for ki in k[1:]:
-            m = np.multiply.outer(m, self._Q[ki]) % self.p
-        return m.ravel()
+        """Dense vector of z^k, a fresh array."""
+        idx, coeffs = self.monomial_support(k)
+        out = self.zero()
+        out[idx] = coeffs
+        return out
 
     def generator_columns(self, i: int, side: str, ks: np.ndarray,
                           rows: np.ndarray) -> np.ndarray:
@@ -259,6 +334,16 @@ class GroupAlgebra:
         """Coordinates of a functional (values on the group basis) over the
         coefficient functionals e_k."""
         return self._digit_apply(self._pair[1], phi)
+
+    def coefficient_functional(self, k: int) -> np.ndarray:
+        """Values on the group basis of the coefficient functional e_k of
+        the flat index k, e_k[x] = prod_i binom(x_i, k_i) mod p: the tensor
+        product of the Pascal columns P[., k_i], as monomial_support builds
+        z^k from the rows Q[k_i, .]."""
+        e_k = np.ones(1, dtype=np.int16)
+        for ki in self.model.digits_of(k):
+            e_k = np.multiply.outer(e_k, self._P[:, ki]).ravel() % self.p
+        return e_k
 
     # -- expansion without dense arrays --------------------------------------
 
@@ -345,10 +430,9 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
     # slower (112 against 81 ms at (5, 1, 2), jmax = 6), and its float64
     # transients raise the peak memory by about 0.4 MB per row
     perms = [model.right_mul_table(model.generator(i)) for i in range(alg.n)]
-    group = np.arange(alg.order)
     sel = np.flatnonzero(nu_w <= jmax)
     for k in sel:
-        e_k = alg.binomial_expansion(group, k[None])[:, 0]  # values on the group basis
+        e_k = alg.coefficient_functional(int(k))
         for i, perm in enumerate(perms):
             coords = alg.dual_to_monomial((e_k[perm] - e_k) % p)
             hits = np.flatnonzero((coords != 0) & (nu_w >= nu_w[k]))

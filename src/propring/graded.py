@@ -461,9 +461,11 @@ def iterate_tau(alg: GroupAlgebra, exps: Digits, N: int, cutoff: int) -> TauTran
 
 
 def verify_transcript(alg: GroupAlgebra, tr: TauTranscript) -> bool:
-    """Re-expand every emitted word independently and confirm the exact
-    identity start = sum of terms + residual, with the residual supported
-    beyond the cutoff."""
+    """Build every emitted word again from its term's chunk and remainder,
+    expand it, and confirm the exact identity start = sum of terms +
+    residual, with the residual supported beyond the cutoff.  A word equal
+    to the one tau_word built reuses word_mul's memoized expansion, which
+    is deterministic; a word that differs misses the memo."""
     total = alg.zero().astype(np.int64)
     for t in tr.terms:
         word = [(i, e) for i, e in enumerate(t.chunk) if e]
@@ -482,6 +484,15 @@ def chunk_weight_bound(alg: GroupAlgebra, src_weight: int, N: int) -> int:
     given weight: p^N * m >= weight - 4f(p^N - 1)."""
     q = alg.p**N
     return math.ceil((src_weight - 4 * alg.model.f * (q - 1)) / q)
+
+
+def _stack_rows(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """The (row, index, coefficient) arrays of GroupAlgebra.mul_rows holding
+    the r-th support pair as row r."""
+    empty = np.zeros(0, dtype=np.int64)
+    return (np.repeat(np.arange(len(pairs)), [idx.size for idx, _ in pairs]),
+            np.concatenate([empty] + [idx for idx, _ in pairs]),
+            np.concatenate([empty] + [c for _, c in pairs]))
 
 
 def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
@@ -510,22 +521,34 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
             if sum(w * v for w, v in zip(weights, y)) >= k:
                 return tuple(q * v for v in y)
 
-    first_checked = 0
-    first_ok = True
+    # the draws of a sample at a time, u a sum of 1-3 subring monomials and
+    # v a random 30-term element, as support pairs; the generator's state
+    # after each sample is kept, so that a failure at sample j can leave it
+    # where the draws of sample j left it
+    us, vs, states = [], [], []
     for _ in range(samples):
-        u = alg.zero().astype(np.int64)
+        idx, c = [], []
         for _ in range(int(rng.integers(1, 4))):
             coeff = int(rng.integers(1, p))
-            u += coeff * alg.monomial(sample_subring_exps())
-        u = (u % p).astype(np.int16)
-        v = alg.zero()
+            mono_idx, mono_c = alg.monomial_support(sample_subring_exps())
+            idx.append(mono_idx)
+            c.append(coeff * mono_c)
+        us.append(alg.collect(np.concatenate(idx), np.concatenate(c)))
         support = rng.choice(alg.order, size=30, replace=False)
-        v[support] = rng.integers(0, p, size=30)
-        w = alg.mul(u, v)
-        val = alg.nu(w)
+        c = rng.integers(0, p, size=30)
+        vs.append((support[c != 0], c[c != 0]))
+        states.append(rng.bit_generator.state)
+
+    first_checked = 0
+    first_ok = True
+    for idx, c in alg.mul_rows(_stack_rows(us), _stack_rows(vs), samples):
+        w = alg.zero()
+        w[idx] = c
+        val = alg.nu(w)  # one row at a time: stacked transforms measured slower
         first_checked += 1
         if val is not None and val < k * q:
             first_ok = False
+            rng.bit_generator.state = states[first_checked - 1]
             break
 
     second_ok = True

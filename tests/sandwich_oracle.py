@@ -1,0 +1,64 @@
+"""The dense product and the first inclusion of the filtration sandwich, one
+sample at a time: the test oracles for the row-batched
+GroupAlgebra.mul_rows and for graded.check_sandwich, which draws all
+samples of an index first and walks their support pairs in row groups.
+
+mul accumulates one dense product over the support pairs of its factors,
+PAIR_CHUNK pairs per GroupModel.right_act and one bincount of the group's
+order per chunk; first_inclusion draws a sample, builds u from dense
+monomials, multiplies by mul and reads nu before it draws the next.  They
+share with the library the right action, monomial and nu."""
+
+import numpy as np
+
+# support pairs per accumulation step
+PAIR_CHUNK = 1 << 18
+
+
+def mul(alg, a, b) -> np.ndarray:
+    """General product, summed over the support pairs (x, h) of a and b:
+    the index of x h is GroupModel.right_act, and the coefficients a[x]
+    b[h] are accumulated PAIR_CHUNK pairs at a time."""
+    xs, hs = np.flatnonzero(a), np.flatnonzero(b)
+    av, bv = a[xs].astype(np.float64), b[hs].astype(np.float64)
+    out = np.zeros(alg.order, dtype=np.int64)
+    pairs = xs.size * hs.size
+    for start in range(0, pairs, PAIR_CHUNK):
+        t = np.arange(start, min(start + PAIR_CHUNK, pairs))
+        xi, hi = np.divmod(t, hs.size)
+        idx = alg.model.right_act(xs[xi], hs[hi])
+        # exact: each bin sums at most PAIR_CHUNK (p-1)^2 < 2^53
+        acc = np.bincount(idx, weights=av[xi] * bv[hi], minlength=alg.order)
+        out = (out + acc.astype(np.int64)) % alg.p
+    return out.astype(np.int16)
+
+
+def first_inclusion(alg, k: int, N: int, rng, samples: int) -> dict:
+    """The first inclusion of check_sandwich at index k, one sample at a
+    time, with the same draws: products (element of the k-th subring
+    filtration step) x (random ring element) keep weight >= k p^N; stops
+    at the first product that does not."""
+    p, n, q = alg.p, alg.n, alg.p**N
+    top = p ** (alg.model.M - N)
+
+    def sample_subring_exps():
+        while True:
+            y = tuple(int(v) for v in rng.integers(0, top, size=n))
+            if sum(w * v for w, v in zip(alg.nu_weights, y)) >= k:
+                return tuple(q * v for v in y)
+
+    checked = 0
+    for _ in range(samples):
+        u = alg.zero().astype(np.int64)
+        for _ in range(int(rng.integers(1, 4))):
+            coeff = int(rng.integers(1, p))
+            u += coeff * alg.monomial(sample_subring_exps())
+        u = (u % p).astype(np.int16)
+        v = alg.zero()
+        support = rng.choice(alg.order, size=30, replace=False)
+        v[support] = rng.integers(0, p, size=30)
+        val = alg.nu(mul(alg, u, v))
+        checked += 1
+        if val is not None and val < k * q:
+            return {"samples": checked, "ok": False}
+    return {"samples": checked, "ok": True}

@@ -18,6 +18,7 @@ from propring.groups import GroupModel
 from propring.padic import _is_prime
 from pair_oracle import random_element
 import power_oracle
+import sandwich_oracle
 from power_oracle import right_mul_table
 from span_oracle import primal_ideal_power_spans
 import tau_oracle
@@ -100,6 +101,65 @@ def test_mul_matches_power_table_oracle(pfm, case):
         got = alg.mul(a, b)
         assert got.dtype == np.int16
         assert np.array_equal(got, power_oracle.mul(alg, a, b))
+
+
+def rows_of(alg, vecs):
+    """The (row, index, coefficient) arrays of mul_rows holding vecs[r] as
+    row r."""
+    idx = [np.flatnonzero(v) for v in vecs]
+    return (np.repeat(np.arange(len(vecs)), [i.size for i in idx]),
+            np.concatenate([np.zeros(0, dtype=np.int64)] + idx),
+            np.concatenate([np.zeros(0, dtype=np.int16)] + [v[i] for v, i in zip(vecs, idx)]))
+
+
+@pytest.mark.parametrize("pfm,case", MUL_CASES, ids=str)
+def test_mul_rows_matches_oracles(pfm, case, monkeypatch):
+    # with a group bound of 1000 pairs: empty rows on either side, a batch
+    # whose rows straddle the bound (groups of several whole rows), one row
+    # beyond the bound (walked in slices) and a batch of one, each row
+    # against the power-table product and the dense pair-chunk product
+    monkeypatch.setattr(algebra, "_PAIR_CHUNK", 1000)
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    rng = np.random.default_rng(sum(pfm) + len(case))
+    zero = alg.zero()
+    small = [(rand_sparse(alg, rng, 20), rand_sparse(alg, rng, 15)) for _ in range(7)]
+    big = (rand_sparse(alg, rng, 120), rand_sparse(alg, rng, 30))
+    batches = [
+        small[:2] + [(zero, small[2][1]), (small[3][0], zero), (zero, zero)] + small[2:],
+        [big],
+        small[4:5] + [big, (zero, zero), big] + small[5:],
+        [(zero, zero)],
+    ]
+    pairs = [np.count_nonzero(a) * np.count_nonzero(b) for a, b in batches[0]]
+    assert max(pairs) <= 1000 < sum(pairs)  # one group cannot take the batch
+    assert np.count_nonzero(big[0]) * np.count_nonzero(big[1]) > 2 * 1000
+    for batch in batches:
+        got = list(alg.mul_rows(rows_of(alg, [a for a, _ in batch]),
+                                rows_of(alg, [b for _, b in batch]), len(batch)))
+        assert len(got) == len(batch)
+        for (idx, coeffs), (a, b) in zip(got, batch):
+            want = power_oracle.mul(alg, a, b)
+            assert np.array_equal(want, sandwich_oracle.mul(alg, a, b))
+            assert np.array_equal(idx, np.flatnonzero(want))
+            assert np.array_equal(coeffs, want[idx])
+
+
+def test_word_mul_memo_is_bounded_and_fresh(model, monkeypatch):
+    # a memo of 40 entries against words of up to a few hundred: every
+    # call, hit or miss, is a fresh array equal to the dense oracle, and
+    # the memo never holds more than its bound
+    monkeypatch.setattr(algebra, "_WORD_MEMO", 40)
+    alg = GroupAlgebra(model)
+    rng = np.random.default_rng(5)
+    words = [[(int(i), int(e)) for i, e in zip(rng.integers(0, alg.n, 3),
+                                               rng.integers(0, 8, 3))] for _ in range(6)]
+    for word in words + words[::-1] + words:
+        got = alg.word_mul(word)
+        assert np.array_equal(
+            got, zmul_oracle.word_mul(alg, alg.of_group(model.identity), word)), word
+        got[:] = 0
+        stored = sum(idx.size for idx, _ in alg._words.values())
+        assert stored == alg._word_entries <= 40
 
 
 def test_mul_associative_and_distributive(alg, rng):
@@ -369,6 +429,19 @@ def test_sparse_expansion_matches_dense(alg, rng):
             alg.model.digits_of(int(i)): int(dense[i]) for i in np.nonzero(dense)[0]
         }
         assert ref == got
+
+
+@pytest.mark.parametrize("pfm,case", MUL_CASES, ids=str)
+def test_coefficient_functionals_match_binomial_expansion(pfm, case):
+    # every functional the certificate reads at jmax = 8 (pM - 2 at (5, 2, 1))
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    group = np.arange(alg.order)
+    ks = np.flatnonzero(alg.nu_weight_array <= min(8, alg.pM - 2))
+    for k in ks:
+        got = alg.coefficient_functional(int(k))
+        want = alg.binomial_expansion(group, k[None])[:, 0]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+    assert ks.size == {(5, 1, 2): 95, (7, 1, 2): 95, (5, 2, 1): 45}[pfm]
 
 
 def test_maxideal_powers_certificate(alg):

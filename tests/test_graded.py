@@ -1,10 +1,12 @@
 """Associated graded ring: generator classes and their relations, ideal
 spans, the p^N-twist, and the chunk rewriting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from propring import checks
+from propring import algebra, checks
 from propring.algebra import GroupAlgebra, group_algebra
 from propring.config import PrimeConfig
 from propring.errors import CutoffBeyondFaithful, NonHomogeneousInput
@@ -30,6 +32,7 @@ from propring.graded import (
 import graded_oracle
 import monomial_oracle
 import power_oracle
+import sandwich_oracle
 import tau_oracle
 from graded_oracle import DenseGradedRing
 from span_oracle import primal_ideal_power_spans
@@ -220,6 +223,58 @@ def test_sandwich_gate(alg, rng):
     # k p^N = 25 passes the faithful cutoff p^M - 1 = 24
     with pytest.raises(CutoffBeyondFaithful):
         check_sandwich(alg, 5, 1, rng)
+
+
+@pytest.mark.parametrize("fail_at", [None, 0, 9])
+def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
+    # the batched first inclusion, in groups of 2000 pairs at most, against
+    # one sample at a time: the same products handed to nu in the same
+    # order, the same report and the generator in the same state after the
+    # second inclusion; nu answers 0 at call fail_at, below k p^N, and both
+    # stop at that sample
+    monkeypatch.setattr(algebra, "_PAIR_CHUNK", 2000)
+    real = alg.nu
+    runs = []
+    for batched in (True, False):
+        seen = []
+
+        def nu(a):
+            seen.append(a.tobytes())
+            return 0 if len(seen) - 1 == fail_at else real(a)
+
+        monkeypatch.setattr(alg, "nu", nu)
+        rng = np.random.default_rng(11)
+        if batched:
+            res = check_sandwich(alg, 2, 1, rng, samples=20, mono_samples=3)
+        else:
+            first = sandwich_oracle.first_inclusion(alg, 2, 1, rng, 20)
+            res = check_sandwich(alg, 2, 1, rng, samples=0, mono_samples=3)
+            res = {**res, "first_inclusion": first, "ok": first["ok"] and res["ok"]}
+        runs.append((res, seen, rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    res = runs[0][0]
+    if fail_at is None:
+        assert res["ok"] and res["first_inclusion"]["samples"] == 20
+    else:
+        assert res["first_inclusion"] == {"samples": fail_at + 1, "ok": False}
+    assert res["second_inclusion"]["transcripts"] == 3
+
+
+def test_first_inclusion_memory_is_bounded():
+    # one first inclusion of the bench's size, about 98k support pairs: the
+    # row groups of _PAIR_CHUNK pairs keep the traced peak near 2 MB, where
+    # walking all pairs in one pass peaks near 10 MB
+    alg = group_algebra(PrimeConfig(5, 1, 2, "GL2"))
+    check_sandwich(alg, 3, 1, np.random.default_rng(0), samples=5, mono_samples=0)
+    tracemalloc.start()
+    try:
+        res = check_sandwich(alg, 3, 1, np.random.default_rng(20250825), samples=100,
+                             mono_samples=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["first_inclusion"] == {"samples": 100, "ok": True}
+    assert peak < 4_000_000, peak
 
 
 def test_tau_contract_check(alg, rng):
