@@ -63,7 +63,6 @@ class GradedRing:
         self.field: GF = gf(self.p, self.f)
         self.faithful = self.p**alg.model.M  # weights below this are exact
         self._windex: dict[int, np.ndarray] = {}
-        self._mats: dict[tuple[str, int, int], np.ndarray] = {}
 
     # -- graded pieces -------------------------------------------------------
 
@@ -108,12 +107,6 @@ class GradedRing:
         e[pos] = 1
         return tuple(e)
 
-    def degree_one_classes(self) -> list[GradedClass]:
-        return [self.a(i) for i in range(self.f)] + [self.b(i) for i in range(self.f)]
-
-    def ring_generator_classes(self) -> list[GradedClass]:
-        return self.degree_one_classes() + [self.c(i) for i in range(self.f)]
-
     # -- multiplication ------------------------------------------------------
 
     def _dense_lift_fp(self, degree: int, comp: np.ndarray) -> np.ndarray:
@@ -151,27 +144,14 @@ class GradedRing:
 
     def mult_matrix(self, side: str, gi: int, d: int) -> np.ndarray:
         """Matrix of multiplication by ring generator class gi (left or
-        right) from degree d, columns indexed by the weight-d monomials.
-        Entries are prime-field structure constants."""
+        right) from degree d: columns indexed by the weight-d monomials,
+        rows by the weight-(d + w) ones.  Entries are prime-field structure
+        constants, the weight-(d + w) block of g z^k or z^k g; the z^k that
+        g - 1 subtracts sits at weight d and so is not in it."""
         w = 2 if gi >= 2 * self.f else 1
         self._gate(d + w)
-        key = (side, gi, d)
-        m = self._mats.get(key)
-        if m is not None:
-            return m
-        alg = self.alg
-        nu_w = alg.nu_weight_array
-        rows = np.nonzero(nu_w <= d + w)[0]
-        ks = self.weight_index(d)
-        # (g - 1) z^k or z^k (g - 1): the generator action less z^k itself
-        cols = alg.generator_columns(gi, side, ks, rows)
-        at_k = np.searchsorted(rows, ks), np.arange(ks.size)
-        cols[at_k] = (cols[at_k] - 1) % self.p
-        low = nu_w[rows] < d + w
-        assert not cols[low].any()
-        out = cols[~low]
-        self._mats[key] = out
-        return out
+        return self.alg.generator_columns(gi, side, self.weight_index(d),
+                                          self.weight_index(d + w))
 
 
 # -- ideal specifications ------------------------------------------------------
@@ -183,20 +163,13 @@ Term = tuple[tuple[int, ...], tuple[int, ...], int]  # (a-exponents, b-exponents
 class IdealSpec:
     """Two-sided homogeneous ideal of the graded ring: polynomial generators
     in the degree-one classes (list of (m, n, coeff) terms each), plus,
-    always implicitly, all the c_i."""
+    always implicitly, all the c_i.  At twist level N > 0 (build_JN) the
+    generators are p^N-twisted and the implicit c-part is the c_i^(p^N);
+    N = 0 is untwisted."""
 
     f_gens: tuple[tuple[Term, ...], ...]
     name: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
-class IdealSpecN:
-    """p^N-twist of an IdealSpec: coefficients raised to the p^N-th power,
-    exponents multiplied by p^N; the implicit c-part becomes c_i^(p^N)."""
-
-    base: IdealSpec
-    N: int
-    f_gens: tuple[tuple[Term, ...], ...]
+    N: int = 0
 
 
 def _term_degree(t: Term) -> int:
@@ -248,7 +221,9 @@ def default_ideals(f: int, field: GF) -> list[IdealSpec]:
     ]
 
 
-def build_JN(spec: IdealSpec, N: int, field: GF) -> IdealSpecN:
+def build_JN(spec: IdealSpec, N: int, field: GF) -> IdealSpec:
+    """p^N-twist of spec: coefficients raised to the p^N-th power,
+    exponents multiplied by p^N."""
     if N < 1:
         raise ConfigError("N must be positive")
     q = field.p**N
@@ -263,7 +238,7 @@ def build_JN(spec: IdealSpec, N: int, field: GF) -> IdealSpecN:
                 c = int(field.frob[c])
             terms.append((tuple(q * v for v in m), tuple(q * v for v in n), c))
         gens.append(tuple(terms))
-    return IdealSpecN(base=spec, N=N, f_gens=tuple(gens))
+    return IdealSpec(f_gens=tuple(gens), name=f"{spec.name}^[{N}]", N=spec.N + N)
 
 
 class IdealTables:
@@ -282,10 +257,9 @@ class IdealTables:
                 by_degree.setdefault(g.degree, []).append(
                     np.array(g.coords, dtype=np.int16)
                 )
-        ring_gens = gr.ring_generator_classes()
         for d in range(cutoff + 1):
             cand = list(by_degree.get(d, []))
-            for gi in range(len(ring_gens)):
+            for gi in range(gr.n):
                 w = 2 if gi >= 2 * gr.f else 1
                 prev = self.tables.get(d - w)
                 if prev is None or prev[0].shape[0] == 0:
@@ -553,7 +527,6 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
 
     second_ok = True
     transcripts = 0
-    terms_total = 0
     min_chunk_margin = None
     touched = 0
     for _ in range(mono_samples):
@@ -569,7 +542,6 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
             break
         for t in tr.terms:
             touched += 1
-            terms_total += 1
             if t.chunk_weight < chunk_weight_bound(alg, t.src_weight, N):
                 second_ok = False
             margin = t.chunk_weight - (k - 4 * model.f)
@@ -583,8 +555,7 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
         "k": k, "N": N, "cutoff": cutoff,
         "first_inclusion": {"samples": first_checked, "ok": first_ok},
         "second_inclusion": {
-            "transcripts": transcripts, "terms": terms_total,
-            "monomials_touched": touched,
+            "transcripts": transcripts, "monomials_touched": touched,
             "min_chunk_margin": min_chunk_margin, "ok": second_ok,
         },
         "ok": first_ok and second_ok,

@@ -35,7 +35,7 @@ from .errors import (
     RelationCheckFailed,
 )
 from .gf import GF, gf, rref
-from .graded import IdealSpec, IdealSpecN, build_JN
+from .graded import IdealSpec, build_JN
 from .groups import Digits, group_model
 
 
@@ -366,7 +366,7 @@ class AnnihilatorReport:
     excess_dims: list[int]  # dimension above the chain tails, per power
 
 
-def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
+def ideal_operator_lifts(source, spec: IdealSpec, field: GF,
                          f: int, p: int) -> list[tuple[np.ndarray, int]]:
     """(operator matrix, ambient weight) for every ideal generator,
     including the implicit central column generators.
@@ -374,10 +374,10 @@ def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
     source is either a FiniteModule or a list of p^N-th power generator
     matrices; the latter is accepted exactly when the spec is twisted, so
     the operators provably use restriction data only."""
-    unit = p**spec.N if isinstance(spec, IdealSpecN) else 1
+    unit = p**spec.N
     if isinstance(source, FiniteModule):
         mats = [source.power_of(i, unit) for i in range(len(source.gen_action))]
-    elif isinstance(spec, IdealSpecN):
+    elif spec.N:
         mats = list(source)
     else:
         raise ConfigError("restriction data can only act through a twisted spec")
@@ -411,7 +411,7 @@ def ideal_operator_lifts(source, spec: IdealSpec | IdealSpecN, field: GF,
     return out
 
 
-def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
+def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec,
                              source=None) -> AnnihilatorReport:
     """Smallest ell such that every ell-fold product of ideal generators
     kills every graded piece.  Graded Nakayama caps the answer at dim + 1,
@@ -445,7 +445,6 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
         group_model(cfg).certify_normal_ideals()
     else:
         raise ConfigError("the full grading needs the full module action")
-    name = f"{spec.base.name}^[{spec.N}]" if isinstance(spec, IdealSpecN) else spec.name
     chain, pivots, bound = gm.chain, gm.pivots, gm.dim + 1
     npieces = len(chain) - 1
     tails = [chain[j + 1] for j in range(npieces)]
@@ -485,7 +484,7 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec | IdealSpecN,
             else:
                 spaces.append((tails[j], pivots[j + 1]))
         history.append(excess(spaces))
-    return AnnihilatorReport(name, gm.kind, gm.N, ell, bound, history)
+    return AnnihilatorReport(spec.name, gm.kind, gm.N, ell, bound, history)
 
 
 # -- transfer and determinism checks ----------------------------------------------

@@ -4,7 +4,9 @@ GradedRing.mul, which lifts both classes to the dense ring, multiplies them
 over the support pairs (the power tables) and transforms the product back.
 check_central_power_classes is the check on top of it that
 graded.check_central_power_classes replaced; the library reads the same
-commutators off two point products in the group (GroupModel.bracket_terms)."""
+commutators off two point products in the group (GroupModel.bracket_terms).
+The lists of degree-one and ring generator classes live here too: only the
+tests iterate over classes, the library over generator indices."""
 
 import numpy as np
 
@@ -12,6 +14,12 @@ from propring.graded import GradedClass, GradedRing
 
 
 class DenseGradedRing(GradedRing):
+    def degree_one_classes(self) -> list[GradedClass]:
+        return [self.a(i) for i in range(self.f)] + [self.b(i) for i in range(self.f)]
+
+    def ring_generator_classes(self) -> list[GradedClass]:
+        return self.degree_one_classes() + [self.c(i) for i in range(self.f)]
+
     def one(self) -> GradedClass:
         return GradedClass(0, (1,))
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from propring.errors import BoundExceeded
 from propring.gf import gf, mat_inverse, rref
-from propring.graded import IdealSpecN
 from propring.groups import group_model
 from propring.modules import AnnihilatorReport, FiniteModule, GradedModule, ideal_operator_lifts
 
@@ -112,8 +111,7 @@ def min_annihilator_exponent(gm, spec, source=None):
             for j in range(npieces)]
         spaces = close(spaces, ring_ops, field)
         history.append(excess(spaces))
-    name = f"{spec.base.name}^[{spec.N}]" if isinstance(spec, IdealSpecN) else spec.name
-    return AnnihilatorReport(name, gm.kind, gm.N, len(history) - 1, gm.dim + 1, history)
+    return AnnihilatorReport(spec.name, gm.kind, gm.N, len(history) - 1, gm.dim + 1, history)
 
 
 def restriction_chain(qmats, field, top, weights):

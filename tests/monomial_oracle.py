@@ -2,7 +2,9 @@
 kept as test oracles: each column is one dense product (GroupAlgebra.mul
 for a left factor, zmul for a right one) and one transform to monomial
 coordinates, through span_oracle.monomial_columns.  They share with the
-kernel only the dense ring itself."""
+kernel only the dense ring itself.  all_rows_mult_matrix is the kernel's
+earlier use in GradedRing.mult_matrix, which read every row of weight up to
+the target and kept the target rows only."""
 
 import numpy as np
 
@@ -43,6 +45,23 @@ def mult_matrix(gr, side, gi, d):
     nu_w = alg.nu_weight_array
     rows = np.nonzero(nu_w <= d + w)[0]
     cols = monomial_columns(alg, gr.weight_index(d), rows, op)
+    low = nu_w[rows] < d + w
+    assert not cols[low].any()
+    return cols[~low]
+
+
+def all_rows_mult_matrix(gr, side, gi, d):
+    """GradedRing.mult_matrix through generator_columns over every row of
+    weight <= d + w: the identity subtracted at k, the rows below d + w
+    asserted zero, then the weight-(d + w) rows."""
+    w = 2 if gi >= 2 * gr.f else 1
+    gr._gate(d + w)
+    nu_w = gr.alg.nu_weight_array
+    rows = np.nonzero(nu_w <= d + w)[0]
+    ks = gr.weight_index(d)
+    cols = gr.alg.generator_columns(gi, side, ks, rows)
+    at_k = np.searchsorted(rows, ks), np.arange(ks.size)
+    cols[at_k] = (cols[at_k] - 1) % gr.p
     low = nu_w[rows] < d + w
     assert not cols[low].any()
     return cols[~low]

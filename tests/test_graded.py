@@ -128,7 +128,7 @@ def test_commutative_quotients(gr):
 
 def test_build_JN_scales_exponents(ideals):
     jn = build_JN(ideals[1], 1, F5)
-    assert jn.N == 1 and jn.base is ideals[1]
+    assert jn.N == 1 and jn.name == "a+c^[1]"
     assert jn.f_gens == ((((5,), (0,), 1),),)
 
 
@@ -299,6 +299,25 @@ def test_mult_matrix_matches_per_monomial_oracle(pfm, case):
                 assert got.tobytes() == want.tobytes(), (side, gi, d)
                 compared += 1
     assert compared >= 2 * gr.n * 3
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+def test_mult_matrix_matches_all_rows_kernel_over_faithful_range(case):
+    # the target-weight block against the kernel over every row of weight
+    # <= d + w with the identity subtracted, for every generator, side and
+    # degree up to the faithful bound
+    gr = GradedRing(group_algebra(PrimeConfig(5, 1, 2, case)))
+    compared = 0
+    for gi in range(gr.n):
+        w = 2 if gi >= 2 * gr.f else 1
+        for d in range(gr.faithful - w):
+            for side in ("left", "right"):
+                got = gr.mult_matrix(side, gi, d)
+                want = monomial_oracle.all_rows_mult_matrix(gr, side, gi, d)
+                assert got.dtype == want.dtype and got.shape == want.shape, (side, gi, d)
+                assert got.tobytes() == want.tobytes(), (side, gi, d)
+                compared += 1
+    assert compared == 2 * (2 * 24 + 23)
 
 
 def test_mult_matrix_matches_unit_class_products(gr):
