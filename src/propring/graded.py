@@ -470,7 +470,7 @@ def _stack_rows(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray,
 
 
 def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
-                   samples: int = 200, mono_samples: int = 50) -> dict:
+                   samples: int, mono_samples: int) -> dict:
     """Both inclusions of the filtration sandwich at index k.
 
     First: products (element of the k-th subring filtration step) x (random
@@ -563,7 +563,7 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
 
 
 def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
-                       samples: int = 50) -> dict:
+                       samples: int) -> dict:
     """The rewriting preserves the weight and perturbs only above it, on
     every monomial touched by full iterated runs up to the faithful bound."""
     cutoff = alg.pM - 1

@@ -40,23 +40,30 @@ from .groups import Digits, group_model
 
 
 def _mat_power(m: np.ndarray, e: int, field: GF) -> np.ndarray:
-    """m^e over the field by repeated squaring, at most 2 log2(e) products."""
-    out = np.eye(m.shape[0], dtype=np.int16)
+    """m^e over the field by repeated squaring, at most 2 log2(e) products;
+    m^1 is m itself."""
+    out = None
     while e:
         if e & 1:
-            out = gflib.matmul(out, m, field)
+            out = m if out is None else gflib.matmul(out, m, field)
         e >>= 1
         if e:
             m = gflib.matmul(m, m, field)
-    return out
+    return np.eye(m.shape[0], dtype=np.int16) if out is None else out
 
 
 @dataclasses.dataclass
 class FiniteModule:
+    """A module of the subgroup G_level = <g_i^(p^level)>: gen_action holds
+    rho(g_i^(p^level)), so level 0 is a module of G and level N > 0 is
+    restriction data, which serves only the specs twisted at least N deep."""
     cfg: PrimeConfig
     dim: int
     gen_action: tuple[np.ndarray, ...]  # 3f invertible matrices, field indices
     provenance: str = "constructed"
+    level: int = 0
+    _powers: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
 
     @property
     def field(self) -> GF:
@@ -68,10 +75,9 @@ class FiniteModule:
     def power_of(self, i: int, e: int) -> np.ndarray:
         """rho(g_i)^e by repeated squaring, memoized per (i, e): the
         callers ask for a few exponents up to p^M, never for all of them."""
-        memo = self.__dict__.setdefault("_powers", {})
-        if (i, e) not in memo:
-            memo[i, e] = _mat_power(self.gen_action[i], e, self.field)
-        return memo[i, e]
+        if (i, e) not in self._powers:
+            self._powers[i, e] = _mat_power(self.gen_action[i], e, self.field)
+        return self._powers[i, e]
 
     def element_action(self, x: Digits) -> np.ndarray:
         out = self.identity_matrix()
@@ -81,8 +87,10 @@ class FiniteModule:
         return out
 
     def restriction_matrices(self, N: int) -> list[np.ndarray]:
-        """The p^N-th power actions, the only data the subgroup sees."""
-        q = self.cfg.p**N
+        """The actions rho(g_i^(p^N)), the only data G_N sees."""
+        if N < self.level:
+            raise LevelTooDeep(f"restriction data at level {self.level} has no level {N}")
+        q = self.cfg.p ** (N - self.level)
         return [self.power_of(i, q) for i in range(len(self.gen_action))]
 
 
@@ -248,7 +256,7 @@ def dualize(mod: FiniteModule) -> FiniteModule:
     mats = tuple(
         np.ascontiguousarray(gflib.mat_inverse(g, field).T) for g in mod.gen_action
     )
-    return FiniteModule(mod.cfg, mod.dim, mats, f"dual({mod.provenance})")
+    return FiniteModule(mod.cfg, mod.dim, mats, f"dual({mod.provenance})", mod.level)
 
 
 # -- the three gradings ---------------------------------------------------------
@@ -258,12 +266,9 @@ def dualize(mod: FiniteModule) -> FiniteModule:
 class GradedModule:
     kind: str  # "gr" | "int" | "res"
     N: int | None
-    dim: int
-    field: GF
-    cfg: PrimeConfig
     chain: list[np.ndarray]  # rref row bases; chain[0] full, last entry empty
     pivots: list[list[int]]
-    module: FiniteModule | None = None
+    module: FiniteModule  # the action source of every exponent search
 
 
 def _aug_ops(mats, field: GF) -> list[np.ndarray]:
@@ -295,7 +300,7 @@ def _subsample(gr: GradedModule, N: int) -> GradedModule:
     """The "int" grading: the "gr" chain read at multiples of p^N, closed by
     its last step, the only zero one."""
     last = len(gr.chain) - 1
-    steps = [*range(0, last, gr.cfg.p**N), last]
+    steps = [*range(0, last, gr.module.cfg.p**N), last]
     return dataclasses.replace(gr, kind="int", N=N, chain=[gr.chain[j] for j in steps],
                                pivots=[gr.pivots[j] for j in steps])
 
@@ -304,24 +309,26 @@ def grade(mod: FiniteModule, kind: str, N: int | None = None) -> GradedModule:
     """The graded module of one of the three filtrations: "gr" steps by the
     maximal ideal, "int" subsamples that chain at multiples of p^N, and
     "res" filters by the subring ideal steps (restriction data only)."""
-    field = mod.field
     if kind == "gr":
+        if mod.level:
+            raise ConfigError("the full grading needs the full module action")
+        field = mod.field
         chain, piv = _weighted_chain(_aug_ops(mod.gen_action, field), (1,) * mod.cfg.dim, field)
-        return GradedModule("gr", None, mod.dim, field, mod.cfg, chain, piv, mod)
+        return GradedModule("gr", None, chain, piv, mod)
     if N is None or not (1 <= N < mod.cfg.M):
         raise LevelTooDeep(f"need 1 <= N < M, got N={N} at M={mod.cfg.M}")
     if kind == "int":
         return _subsample(grade(mod, "gr"), N)
     if kind == "res":
-        gm = grade_res_from_restriction(mod.restriction_matrices(N), mod.cfg, N)
-        return dataclasses.replace(gm, module=mod)
+        return grade_res_from_restriction(mod.restriction_matrices(N), mod.cfg, N)
     raise ConfigError(f"unknown grading kind {kind!r}")
 
 
 def grade_res_from_restriction(qmats, cfg: PrimeConfig, N: int) -> GradedModule:
-    """The "res" grading from qmats alone.  Contract: qmats are the p^N-th
-    power matrices rho(u_t), u_t = g_t^(p^N), of a representation rho of
-    the truncated group, as FiniteModule.restriction_matrices gives them.
+    """The "res" grading from qmats alone, carrying them as a module at
+    level N.  Contract: qmats are the p^N-th power matrices rho(u_t),
+    u_t = g_t^(p^N), of a representation rho of the truncated group, as
+    FiniteModule.restriction_matrices gives them.
 
     With Z_t = rho(u_t) - 1, w = two_omega and top = p^(M-N), step E_i is
     the span of the images of the ordered products Z^y = Z_0^(y_0) ...
@@ -350,7 +357,8 @@ def grade_res_from_restriction(qmats, cfg: PrimeConfig, N: int) -> GradedModule:
     model.certify_straightening(N)
     field = gf(cfg.p, cfg.f)
     chain, piv = _weighted_chain(_aug_ops(qmats, field), model.two_omega, field)
-    return GradedModule("res", N, qmats[0].shape[0], field, cfg, chain, piv, None)
+    restricted = FiniteModule(cfg, qmats[0].shape[0], tuple(qmats), "restriction", N)
+    return GradedModule("res", N, chain, piv, restricted)
 
 
 # -- annihilator exponents --------------------------------------------------------
@@ -366,22 +374,18 @@ class AnnihilatorReport:
     excess_dims: list[int]  # dimension above the chain tails, per power
 
 
-def ideal_operator_lifts(source, spec: IdealSpec, field: GF,
+def ideal_operator_lifts(mod: FiniteModule, spec: IdealSpec, field: GF,
                          f: int, p: int) -> list[tuple[np.ndarray, int]]:
     """(operator matrix, ambient weight) for every ideal generator,
-    including the implicit central column generators.
-
-    source is either a FiniteModule or a list of p^N-th power generator
-    matrices; the latter is accepted exactly when the spec is twisted, so
-    the operators provably use restriction data only."""
+    including the implicit central column generators.  The operators read
+    only mod.restriction_matrices(spec.N), so restriction data at level N
+    serves exactly the specs twisted at least N deep."""
+    if spec.N < mod.level:
+        raise ConfigError(f"restriction data at level {mod.level} can only act "
+                          f"through a spec twisted at least that deep")
     unit = p**spec.N
-    if isinstance(source, FiniteModule):
-        mats = [source.power_of(i, unit) for i in range(len(source.gen_action))]
-    elif spec.N:
-        mats = list(source)
-    else:
-        raise ConfigError("restriction data can only act through a twisted spec")
-    dim = mats[0].shape[0]
+    mats = mod.restriction_matrices(spec.N)
+    dim = mod.dim
     zs = _aug_ops(mats, field)
 
     def aug_power(i: int, e: int) -> np.ndarray:
@@ -411,8 +415,7 @@ def ideal_operator_lifts(source, spec: IdealSpec, field: GF,
     return out
 
 
-def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec,
-                             source=None) -> AnnihilatorReport:
+def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec) -> AnnihilatorReport:
     """Smallest ell such that every ell-fold product of ideal generators
     kills every graded piece.  Graded Nakayama caps the answer at dim + 1,
     the search bound; exceeding it raises.
@@ -423,29 +426,19 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec,
     under the ambient graded ring: on "int" and "res" that ring (of the
     subring) is commutative, and on "gr" every ideal is normal in it, as
     GroupModel.certify_normal_ideals proves once per config (its failure
-    raises ContractViolation).
-
-    source defaults to the module the grading was built from; pass the
-    restriction matrices instead to force the restriction-only data path
-    (twisted specs on "int" and "res" only)."""
-    cfg = gm.cfg
-    field = gm.field
-    if source is None:
-        if gm.module is None:
-            raise ConfigError("grading carries no module; pass the action source")
-        source = gm.module
-    lifts = ideal_operator_lifts(source, spec, field, cfg.f, cfg.p)
+    raises ContractViolation).  The generators act through gm.module, which
+    on "res" is restriction data alone."""
+    cfg, field = gm.module.cfg, gm.module.field
+    lifts = ideal_operator_lifts(gm.module, spec, field, cfg.f, cfg.p)
     if gm.kind in ("int", "res"):
         unit = cfg.p**gm.N
         for _, deg in lifts:
             if deg % unit:
                 raise ConfigError(f"ambient weight {deg} does not move the {gm.kind} grading")
         lifts = [(op, deg // unit) for op, deg in lifts]
-    elif isinstance(source, FiniteModule):
-        group_model(cfg).certify_normal_ideals()
     else:
-        raise ConfigError("the full grading needs the full module action")
-    chain, pivots, bound = gm.chain, gm.pivots, gm.dim + 1
+        group_model(cfg).certify_normal_ideals()
+    chain, pivots, bound = gm.chain, gm.pivots, gm.module.dim + 1
     npieces = len(chain) - 1
     tails = [chain[j + 1] for j in range(npieces)]
     tail_dims = [t.shape[0] for t in tails]
@@ -459,7 +452,7 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec,
     while excess(spaces) > 0:
         ell += 1
         if ell > bound:
-            raise BoundExceeded(f"no annihilating power of {name} up to {bound}")
+            raise BoundExceeded(f"no annihilating power of {spec.name} up to {bound}")
         new_rows: list[list[np.ndarray]] = [[] for _ in range(npieces)]
         for op, s in lifts:
             for j in range(npieces):
@@ -565,7 +558,7 @@ def _conjugate_dual(mod: FiniteModule, dual: FiniteModule, rng) -> FiniteModule:
 
 
 def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
-                            basis_changes: int = 5) -> list[dict]:
+                            basis_changes: int) -> list[dict]:
     """For each ideal in specs: the twisted-ideal exponent on the subring
     grading of the dual depends only on the p^N-th power matrices.  Checked
     three ways: the full-action path against the restriction-only path,
@@ -576,11 +569,9 @@ def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
     field = mod.field
     dual = dualize(mod)
     gdual = grade(dual, "res", N)
-    qmats = [
-        np.ascontiguousarray(gflib.mat_inverse(q, field).T)
-        for q in mod.restriction_matrices(N)
-    ]
-    gm = grade_res_from_restriction(qmats, mod.cfg, N)
+    restricted = FiniteModule(mod.cfg, mod.dim, tuple(mod.restriction_matrices(N)),
+                              f"res({mod.provenance})", N)
+    gm = grade(dualize(restricted), "res", N)
     twisted = _central_order_p_twist(mod)
     same_restriction = True
     if twisted is not None:
@@ -596,7 +587,7 @@ def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
     for spec in specs:
         specN = build_JN(spec, N, field)
         ell_full = min_annihilator_exponent(gdual, specN).ell
-        ell_restricted = min_annihilator_exponent(gm, specN, source=qmats).ell
+        ell_restricted = min_annihilator_exponent(gm, specN).ell
         conj_ells = [
             min_annihilator_exponent(grade(_conjugate_dual(mod, dual, rng), "res", N), specN).ell
             for _ in range(basis_changes)

@@ -83,15 +83,15 @@ def close(spaces, ring_ops, field):
     return spaces
 
 
-def min_annihilator_exponent(gm, spec, source=None):
+def min_annihilator_exponent(gm, spec):
     """The annihilator search with every step closed under the ambient ring
     by close: rho(g_i) - 1 with weight shift two_omega_i on "gr", none on
     "int" and "res"; the signature of modules.min_annihilator_exponent."""
-    cfg, field = gm.cfg, gm.field
-    source = gm.module if source is None else source
-    lifts = ideal_operator_lifts(source, spec, field, cfg.f, cfg.p)
+    mod = gm.module
+    cfg, field = mod.cfg, mod.field
+    lifts = ideal_operator_lifts(mod, spec, field, cfg.f, cfg.p)
     if gm.kind == "gr":
-        ring_ops = list(zip(aug_ops(source.gen_action, field), group_model(cfg).two_omega))
+        ring_ops = list(zip(aug_ops(mod.gen_action, field), group_model(cfg).two_omega))
     else:
         ring_ops = []
         lifts = [(op, deg // cfg.p**gm.N) for op, deg in lifts]
@@ -104,14 +104,14 @@ def min_annihilator_exponent(gm, spec, source=None):
     spaces = close([(gm.chain[j], gm.pivots[j]) for j in range(npieces)], ring_ops, field)
     history = [excess(spaces)]
     while history[-1] > 0:
-        if len(history) > gm.dim + 1:
+        if len(history) > mod.dim + 1:
             raise BoundExceeded("no annihilating power up to the bound")
         spaces = [rref(np.concatenate([tails[j]] + [
             matmul(spaces[j - s][0], op.T, field) for op, s in lifts if 0 <= j - s]), field)
             for j in range(npieces)]
         spaces = close(spaces, ring_ops, field)
         history.append(excess(spaces))
-    return AnnihilatorReport(spec.name, gm.kind, gm.N, len(history) - 1, gm.dim + 1, history)
+    return AnnihilatorReport(spec.name, gm.kind, gm.N, len(history) - 1, mod.dim + 1, history)
 
 
 def restriction_chain(qmats, field, top, weights):
@@ -165,7 +165,8 @@ def grade_res_from_restriction(qmats, cfg, N):
     field = gf(cfg.p, cfg.f)
     chain, piv = restriction_chain(list(qmats), field, cfg.p ** (cfg.M - N),
                                    group_model(cfg).two_omega)
-    return GradedModule("res", N, qmats[0].shape[0], field, cfg, chain, piv, None)
+    restricted = FiniteModule(cfg, qmats[0].shape[0], tuple(qmats), "restriction", N)
+    return GradedModule("res", N, chain, piv, restricted)
 
 
 def conjugate(mod, rng):

@@ -10,7 +10,8 @@ import pytest
 from propring.cli import main
 
 GL2 = {"p": 5, "f": 1, "M": 2, "case": "GL2"}
-QUICK = str(Path(__file__).resolve().parent.parent / "scenarios" / "quick_gl2.json")
+ROOT = Path(__file__).resolve().parent.parent
+QUICK = str(ROOT / "scenarios" / "quick_gl2.json")
 
 
 def write(tmp_path, name, obj):
@@ -119,6 +120,25 @@ def test_module_exponent_reports_grading_level(tmp_path, capsys):
         got = json.loads(out)
         assert (got["N"], got["ideal"], got["exponent"]) == (
             n, "c" if n is None else f"c^[{n}]", 1)
+
+
+def test_module_exponent_matches_pinned_bench_answers(tmp_path, capsys):
+    # every answer the queries workload checks: 12 pool modules, each with
+    # 3 ideals on 3 gradings, the int and res ones at N = 1
+    pool = json.loads((ROOT / "bench" / "data" / "modules.json").read_text())
+    checked = 0
+    for case, entries in sorted(pool.items()):
+        for entry in entries:
+            path = write(tmp_path, "m.json", entry["module"])
+            for key, want in entry["answers"].items():
+                ideal, grading = key.split()
+                level = [] if grading == "gr" else ["--level-n", "1"]
+                code, out = run(capsys, ["module-exponent", "--in", path, "--ideal", ideal,
+                                         "--grading", grading] + level)
+                got = json.loads(out)
+                assert code == 0 and {k: got[k] for k in want} == want, (case, entry["seed"], key)
+                checked += 1
+    assert checked == 108
 
 
 def test_verify_quick_scenario(tmp_path, capsys):

@@ -222,7 +222,7 @@ def test_sandwich_light(alg, rng):
 def test_sandwich_gate(alg, rng):
     # k p^N = 25 passes the faithful cutoff p^M - 1 = 24
     with pytest.raises(CutoffBeyondFaithful):
-        check_sandwich(alg, 5, 1, rng)
+        check_sandwich(alg, 5, 1, rng, samples=1, mono_samples=1)
 
 
 @pytest.mark.parametrize("fail_at", [None, 0, 9])

@@ -1,6 +1,7 @@
 """Finite modules over the truncated ring: builders, the three gradings,
 minimal annihilator exponents, and the restriction-only reconstruction."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -67,8 +68,7 @@ def test_trivial_module(cfg):
         assert piece_dims(gm) == [1]
         for spec in IDEALS:
             use = spec if kind == "gr" else build_JN(spec, 1, F5)
-            src = mod if kind == "gr" else None
-            rep = min_annihilator_exponent(gm, use, source=src)
+            rep = min_annihilator_exponent(gm, use)
             assert rep.ell == 1
 
 
@@ -91,7 +91,7 @@ def test_regular_module_c_exponent_matches_nilpotency():
         cur = matmul(cur, zc, field)
         e += 1
         assert e <= mod.dim + 1, "nilpotency bound blown"
-    rep = min_annihilator_exponent(grade(mod, "gr"), IDEALS[0], source=mod)
+    rep = min_annihilator_exponent(grade(mod, "gr"), IDEALS[0])
     assert rep.ell == e == 5
 
 
@@ -218,7 +218,31 @@ def test_grade_level_gate(deep):
 def test_twisted_exponent_needs_scaled_ideal(deep):
     gm = grade(deep, "int", 1)
     with pytest.raises(ConfigError):
-        min_annihilator_exponent(gm, IDEALS[1], source=deep)
+        min_annihilator_exponent(gm, IDEALS[1])
+
+
+def test_restriction_data_serves_deeper_twists_at_depth_3():
+    # restriction data at level 1 of the GL2 (5, 1, 3) weight quotient at
+    # cut 6 (dim 34): each J^[2] acts through the p-th powers of its
+    # matrices, with the exponent the full action gives on the same chain;
+    # an untwisted spec cannot act on it, nor can the full grading
+    cfg = PrimeConfig(5, 1, 3, "GL2")
+    mod = weight_quotient_module(cfg, 6)
+    restricted = modules.grade_res_from_restriction(mod.restriction_matrices(1), cfg, 1)
+    assert restricted.module.level == 1
+    full_action = dataclasses.replace(restricted, module=mod)
+    for spec in IDEALS:
+        specN = build_JN(spec, 2, F5)
+        want = min_annihilator_exponent(grade(mod, "res", 1), specN).ell
+        assert min_annihilator_exponent(restricted, specN).ell == want, spec.name
+        assert min_annihilator_exponent(full_action, specN).ell == want, spec.name
+        with pytest.raises(ConfigError):
+            min_annihilator_exponent(restricted, spec)
+    with pytest.raises(LevelTooDeep):
+        restricted.module.restriction_matrices(0)
+    with pytest.raises(ConfigError):
+        grade(restricted.module, "gr")
+    assert dualize(restricted.module).level == 1
 
 
 def test_exponent_transfer_on_quotients(cfg):
