@@ -10,11 +10,13 @@
 One-shot subcommands read JSON from --in or standard input and print JSON.
 Exit codes: 0 success / all checks pass, 1 any check failed or came back
 indeterminate, 2 configuration or input error.  PROPRING_OUT_DIR, if set,
-is the default directory for relative output paths."""
+is the default directory for relative output paths.  main may be called
+repeatedly in one process: the parser is built once."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,10 +42,8 @@ def _out_path(path: str) -> str:
 
 
 def _print(obj) -> None:
-    from .jsonio import to_jsonable
-
-    json.dump(to_jsonable(obj), sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Write one answer, already made of JSON-native values, in one write."""
+    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -158,7 +158,11 @@ def _cmd_module_exponent(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  Each subcommand names its
+    handler rather than holding it, so main looks the handler up at call
+    time."""
     ap = argparse.ArgumentParser(
         prog="propring",
         description="exact checks in truncated pro-p group rings",
@@ -171,20 +175,20 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--csv", help="write a one-line-per-check CSV summary here")
     v.add_argument("--timings", action="store_true",
                    help="attach wall-clock timings (report bytes then vary)")
-    v.set_defaults(fn=_cmd_verify)
+    v.set_defaults(handler="_cmd_verify")
 
     d = sub.add_parser("decompose", help="ordered-basis digits of a group element")
     d.add_argument("--in", dest="in", help="element JSON (default: stdin)")
-    d.set_defaults(fn=_cmd_decompose)
+    d.set_defaults(handler="_cmd_decompose")
 
     n = sub.add_parser("nu", help="valuation of a group-ring element")
     n.add_argument("--in", dest="in", help="element JSON (default: stdin)")
-    n.set_defaults(fn=_cmd_nu)
+    n.set_defaults(handler="_cmd_nu")
 
     e = sub.add_parser("expand", help="monomial expansion of a group-ring element")
     e.add_argument("--in", dest="in", help="element JSON (default: stdin)")
     e.add_argument("--cutoff", type=int, help="weight cutoff (default p^M - 1)")
-    e.set_defaults(fn=_cmd_expand)
+    e.set_defaults(handler="_cmd_expand")
 
     m = sub.add_parser("module-exponent",
                        help="minimal annihilator exponent of an ideal on a module")
@@ -195,15 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--level-n", type=int, help="rescaling depth N for int/res")
     m.add_argument("--case", choices=("GL2", "QUAT"),
                    help="group model when the module file omits it")
-    m.set_defaults(fn=_cmd_module_exponent)
+    m.set_defaults(handler="_cmd_module_exponent")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[args.handler](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

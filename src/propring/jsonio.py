@@ -6,6 +6,8 @@ object."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .algebra import GroupAlgebra
@@ -186,6 +188,14 @@ def module_to_json(mod) -> dict:
     }
 
 
+def _is_int_matrix(g, dim: int) -> bool:
+    """g is a dim x dim list of rows of plain integers (no bools), which
+    converts in one array call; anything else is parsed entry by entry."""
+    return (isinstance(g, list) and len(g) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in g)
+            and set(map(type, itertools.chain.from_iterable(g))) <= {int})
+
+
 def module_from_json(d: dict, case: str | None = None):
     from .modules import build_module
 
@@ -208,6 +218,13 @@ def module_from_json(d: dict, case: str | None = None):
         dim = json_int(d.get("dim", 0), "dim")
         mats = []
         for g in gens_in:
+            if _is_int_matrix(g, dim):
+                m = np.array(g, dtype=np.int64).reshape(dim, dim)
+                # checked before the cast, which would wrap 65537 to 1
+                if m.size and (m.min() < 0 or m.max() >= field.q):
+                    raise ConfigError("matrix entries must be field element indices")
+                mats.append(m.astype(np.int16))
+                continue
             m = np.zeros((dim, dim), dtype=np.int16)
             if len(g) != dim:
                 raise ConfigError("generator matrix size does not match dim")

@@ -104,7 +104,11 @@ def check_multiplicative(mod: FiniteModule) -> int:
     p, so the presented group has order at most p^(nM) = |G|; G satisfies
     the relations and is generated by the u's, so it is the presented
     group and element_action is a homomorphism.  Returns the number of
-    conjugation relations; raises with the failing one as witness."""
+    conjugation relations; raises with the failing one as witness.  The
+    relations are those of G, so restriction data (level > 0) is refused."""
+    if mod.level:
+        raise ConfigError(f"the relations of G do not hold for restriction data "
+                          f"at level {mod.level}")
     p, field = mod.cfg.p, mod.field
     for i in range(len(mod.gen_action)):
         if not np.array_equal(mod.power_of(i, p**mod.cfg.M), mod.identity_matrix()):
@@ -239,11 +243,13 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
                 raise ConfigError("generator matrices must be square, equal size")
             if (m < 0).any() or (m >= field.q).any():
                 raise ConfigError("matrix entries must be field element indices")
-            try:
-                gflib.mat_inverse(m, field)
-            except ValueError:
-                raise ConfigError("generator matrix is singular") from None
         mod = FiniteModule(cfg, dim, mats, "loaded")
+        # rho(g_i)^(p^M) = 1, which check_multiplicative proves, makes
+        # rho(g_i) invertible; a rank only names a singular generator
+        for i, m in enumerate(mats):
+            if (not np.array_equal(mod.power_of(i, cfg.p**cfg.M), mod.identity_matrix())
+                    and gflib.rank(m, field) < dim):
+                raise ConfigError("generator matrix is singular")
     else:
         raise ConfigError(f"unknown module source {source!r}")
     check_multiplicative(mod)
@@ -251,12 +257,19 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
 
 
 def dualize(mod: FiniteModule) -> FiniteModule:
-    """Contragredient action: inverse transpose on every generator."""
-    field = mod.field
-    mats = tuple(
-        np.ascontiguousarray(gflib.mat_inverse(g, field).T) for g in mod.gen_action
-    )
-    return FiniteModule(mod.cfg, mod.dim, mats, f"dual({mod.provenance})", mod.level)
+    """Contragredient action: inverse transpose on every generator.  At
+    level N each rho(g_i^(p^N)) has order dividing p^(M - N), so its inverse
+    is its (p^(M - N) - 1)-th power; one product checks it."""
+    field, one = mod.field, mod.identity_matrix()
+    e = mod.cfg.p ** (mod.cfg.M - mod.level) - 1
+    mats = []
+    for i, g in enumerate(mod.gen_action):
+        inv = mod.power_of(i, e)
+        if not np.array_equal(gflib.matmul(g, inv, field), one):
+            raise RelationCheckFailed(f"rho(g_{i}) has no inverse among its powers",
+                                      witness=i)
+        mats.append(np.ascontiguousarray(inv.T))
+    return FiniteModule(mod.cfg, mod.dim, tuple(mats), f"dual({mod.provenance})", mod.level)
 
 
 # -- the three gradings ---------------------------------------------------------

@@ -28,7 +28,9 @@ rref_insert re-reduces the whole stack, where gf.rref_insert reduces only
 the new rows; residue reduces one row at a time, one pivot at a time, where
 gf.residue takes one product for the whole stack.  stable_closure maps the
 whole basis through every generator each round, where
-modules._stable_closure maps only the rows the last round added."""
+modules._stable_closure maps only the rows the last round added.
+dualize inverts every generator by row reduction, where modules.dualize
+reads the inverse of rho(g_i^(p^N)) off its (p^(M - N) - 1)-th power."""
 
 import itertools
 
@@ -181,6 +183,13 @@ def conjugate(mod, rng):
             continue
     mats = tuple(matmul(t, matmul(g, tinv, field), field) for g in mod.gen_action)
     return FiniteModule(mod.cfg, mod.dim, mats, f"conj({mod.provenance})")
+
+
+def dualize(mod):
+    """Inverse transpose on every generator by row reduction; the signature
+    of modules.dualize."""
+    mats = tuple(np.ascontiguousarray(mat_inverse(g, mod.field).T) for g in mod.gen_action)
+    return FiniteModule(mod.cfg, mod.dim, mats, f"dual({mod.provenance})", mod.level)
 
 
 def rref_insert(basis, pivots, rows, field):

@@ -1,13 +1,19 @@
 """Command line surface: one-shot subcommands, the scenario runner, exit
 codes, and output routing."""
 
+import contextlib
+import io
 import json
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from propring import cli
 from propring.cli import main
+
+import json_oracle
 
 GL2 = {"p": 5, "f": 1, "M": 2, "case": "GL2"}
 ROOT = Path(__file__).resolve().parent.parent
@@ -139,6 +145,62 @@ def test_module_exponent_matches_pinned_bench_answers(tmp_path, capsys):
                 assert code == 0 and {k: got[k] for k in want} == want, (case, entry["seed"], key)
                 checked += 1
     assert checked == 108
+
+
+def test_print_matches_dump_oracle_on_every_subcommand(tmp_path, capsys, monkeypatch):
+    # every kind of answer the queries workload checks: the 12 pool modules
+    # with 3 ideals on 3 gradings, a round of decompose, nu and expand at
+    # each of the six point configs, and the largest expand; one json.dumps
+    # write equals the to_jsonable walk streamed through json.dump
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    pool = json.loads((ROOT / "bench" / "data" / "modules.json").read_text())
+    reqs = [(["module-exponent", "--ideal", ideal, "--grading", grading]
+             + ([] if grading == "gr" else ["--level-n", "1"]), entry["module"])
+            for case in sorted(pool) for entry in pool[case]
+            for ideal in workloads.IDEALS for grading in workloads.GRADINGS]
+    reqs += [(req["argv"], req["input"]) for req in next(workloads.rounds(1))
+             if req["kind"] != "module-exponent"]
+    reqs.append((workloads.LARGE_EXPAND["argv"], workloads.LARGE_EXPAND["input"]))
+    assert Counter(argv[0] for argv, _ in reqs) == {
+        "module-exponent": 108, "decompose": 6, "nu": 12, "expand": 7}
+    assert {(doc["p"], doc["f"], doc["M"], doc["case"]) for argv, doc in reqs
+            if argv[0] != "module-exponent"} == set(workloads.POINT_CONFIGS)
+    printed = []
+    new_print = cli._print
+
+    def both(obj):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            json_oracle.print_answer(obj)
+        printed.append(buf.getvalue())
+        new_print(obj)
+
+    monkeypatch.setattr(cli, "_print", both)
+    for argv, doc in reqs:
+        code, out = run(capsys, argv + ["--in", write(tmp_path, "r.json", doc)])
+        assert code == 0 and out == printed.pop(), argv
+    assert printed == []
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    path = write(tmp_path, "e.json", {**GL2, "digits": [1, 0, 0]})
+    code, out = run(capsys, ["expand", "--in", path, "--cutoff", "3"])
+    assert code == 0 and json.loads(out)["cutoff"] == 3
+    # the next call gets the default p^M - 1, not the last call's cutoff
+    code, out = run(capsys, ["expand", "--in", path])
+    assert code == 0 and json.loads(out)["cutoff"] == 24
+    with pytest.raises(SystemExit) as err:
+        main(["expand", "--in", path, "--cutoff", "x"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    code, out = run(capsys, ["expand", "--in", path])
+    assert code == 0 and json.loads(out)["cutoff"] == 24
+    # the handler is looked up at call time, so a patched one is called
+    monkeypatch.setattr(cli, "_cmd_nu", lambda args: 7)
+    assert main(["nu", "--in", path]) == 7
 
 
 def test_verify_quick_scenario(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """JSON forms of configs, elements, ideals, and modules."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from propring import jsonio
 from propring.algebra import group_algebra
 from propring.config import PrimeConfig
 from propring.errors import ConfigError
@@ -25,6 +27,8 @@ from propring.jsonio import (
     to_jsonable,
 )
 from propring.modules import quotient_module
+
+import json_oracle
 
 F5 = gf(5, 1)
 
@@ -146,6 +150,76 @@ def test_module_roundtrip():
     assert all(np.array_equal(a, b) for a, b in zip(back.gen_action, mod.gen_action))
     with pytest.raises(ConfigError):
         module_from_json({"dim": 2})
+
+
+ROOT = Path(__file__).resolve().parent.parent
+ONE = {"dim": 1, "field": {"p": 5, "f": 1}, "level": 2, "case": "GL2"}
+ONE_F2 = {"dim": 1, "field": {"p": 5, "f": 2}, "level": 1, "case": "GL2"}
+
+
+def _first(base, gen, count=3):
+    return {**base, "generators": [gen] + [[[1]]] * (count - 1)}
+
+
+LOADER_INPUTS = {
+    "plain": _first(ONE, [[1]]),
+    "coordinate list": _first(ONE, [[[1]]]),
+    "bool entry": _first(ONE, [[True]]),
+    "bool among ints": {**ONE, "dim": 2, "generators": [[[1, 0], [0, True]]] * 3},
+    "float entry": _first(ONE, [[1.0]]),
+    "string entry": _first(ONE, [["1"]]),
+    "nested list": _first(ONE, [[[[1]]]]),
+    "short row": {**ONE, "dim": 2, "generators": [[[1, 0], [0]]] + [[[1, 0], [0, 1]]] * 2},
+    "non-list row": _first(ONE, [1]),
+    "non-list generator": _first(ONE, 1),
+    "40000": _first(ONE, [[40000]]),
+    "65537": _first(ONE, [[65537]]),
+    "-1": _first(ONE, [[-1]]),
+    "beyond int64": _first(ONE, [[10**30]]),
+    "f = 2 coordinate lists": _first(ONE_F2, [[[1, 0]]], 6),
+    "f = 2 indices": _first(ONE_F2, [[1]], 6),
+    "f = 2 short coordinates": _first(ONE_F2, [[[1]]], 6),
+    "zero generator": _first(ONE, [[0]]),
+    "order not p^M": _first(ONE, [[2]]),
+}
+
+
+def _load(loader, doc):
+    try:
+        return [m.tobytes() for m in loader(doc).gen_action]
+    except ConfigError:
+        return ConfigError
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_INPUTS))
+def test_module_loader_matches_entrywise_oracle(name):
+    doc = LOADER_INPUTS[name]
+    assert _load(module_from_json, doc) == _load(json_oracle.module_from_json, doc)
+
+
+def test_module_loader_accepts_and_refuses_as_expected():
+    accepted = {name for name, doc in LOADER_INPUTS.items()
+                if _load(module_from_json, doc) is not ConfigError}
+    assert accepted == {"plain", "coordinate list", "f = 2 coordinate lists", "f = 2 indices"}
+
+
+def test_module_loader_converts_integer_matrices_whole(monkeypatch):
+    # the 12 modules of the bench pool load as the oracle loads them, with
+    # no per-entry assignment into a numpy array
+    pool = json.loads((ROOT / "bench" / "data" / "modules.json").read_text())
+    docs = [entry["module"] for case in sorted(pool) for entry in pool[case]]
+    want = [_load(json_oracle.module_from_json, doc) for doc in docs]
+
+    class NoZeros:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def zeros(self, *args, **kwargs):
+            raise AssertionError("entry-by-entry path taken")
+
+    monkeypatch.setattr(jsonio, "np", NoZeros())
+    assert [_load(module_from_json, doc) for doc in docs] == want
+    assert len(docs) == 12 and ConfigError not in want
 
 
 def test_to_jsonable():

@@ -196,16 +196,68 @@ def test_multiplicativity_catches_corruption():
         check_multiplicative(broken)
 
 
-def test_build_module_explicit_roundtrip(cfg, rng):
+def test_build_module_explicit_roundtrip(cfg, monkeypatch):
+    # rho(g_i)^(p^M) = 1 makes every generator invertible, so no inverse is
+    # taken; a rank only names a generator whose p^M-th power is not the
+    # identity as singular
+    def no_inverse(*args):
+        raise AssertionError("mat_inverse called")
+
+    ranks = []
+    real_rank = gflib.rank
+
+    def counting_rank(rows, field):
+        ranks.append(rows.shape)
+        return real_rank(rows, field)
+
+    monkeypatch.setattr(gflib, "mat_inverse", no_inverse)
+    monkeypatch.setattr(gflib, "rank", counting_rank)
     mod = quotient_module(cfg, seed=5)
     again = build_module(
         cfg, "explicit", matrices=[np.array(m) for m in mod.gen_action]
     )
     assert again.dim == mod.dim
+    assert ranks == []
     singular = [np.array(m) for m in mod.gen_action]
     singular[0] = np.zeros_like(singular[0])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="singular"):
         build_module(cfg, "explicit", matrices=singular)
+    assert len(ranks) == 1
+    # invertible of the wrong order: named by the relation check
+    doubled = [np.eye(mod.dim, dtype=np.int16) * 2] + singular[1:]
+    with pytest.raises(RelationCheckFailed, match="p\\^M"):
+        build_module(cfg, "explicit", matrices=doubled)
+    assert len(ranks) == 2
+
+
+def test_relation_check_refuses_restriction_data(deep):
+    # the relations of G are not those of G_1: on the GL2 deep line module
+    # they once failed spuriously at level 1
+    restricted = FiniteModule(deep.cfg, deep.dim, tuple(deep.restriction_matrices(1)),
+                              "r", 1)
+    with pytest.raises(ConfigError, match="level 1"):
+        check_multiplicative(restricted)
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_dualize_matches_inverse_oracle(case):
+    # the inverse read off the group order equals the row-reduced inverse,
+    # on the corpus and on its restriction data at level 1
+    cfg = PrimeConfig(5, 1, 2, case)
+    for mod in module_corpus(cfg, count=2):
+        for src in (mod, FiniteModule(cfg, mod.dim, tuple(mod.restriction_matrices(1)),
+                                      f"res({mod.provenance})", 1)):
+            got, want = dualize(src), module_oracle.dualize(src)
+            assert (got.provenance, got.level) == (want.provenance, want.level)
+            assert [g.dtype for g in got.gen_action] == [g.dtype for g in want.gen_action]
+            assert [g.tobytes() for g in got.gen_action] == \
+                [g.tobytes() for g in want.gen_action], src.provenance
+
+
+def test_dualize_refuses_a_generator_of_wrong_order(cfg):
+    mats = (np.zeros((1, 1), dtype=np.int16),) + (np.eye(1, dtype=np.int16),) * 2
+    with pytest.raises(RelationCheckFailed):
+        dualize(FiniteModule(cfg, 1, mats, "zero"))
 
 
 def test_grade_level_gate(deep):
