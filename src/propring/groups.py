@@ -17,7 +17,8 @@ elements are arrays of shape (batch, parts, deg) in the ring's dtype (int64,
 or Python-int objects at levels where int64 products would overflow, see
 padic.ZqRing.dtype), and decompose runs
 every check on a whole batch at once.  A generator table is one batch
-holding every element of the group; a single element is a batch of one,
+holding the p^(M(n-1)) elements with x_0 = 0 (right_mul_table reads the
+rest off the power relation of g_0); a single element is a batch of one,
 and mul, inv, power, commutator and the pc relations realize their inputs
 once, multiply concrete arrays and decompose once.  The ring and
 quaternion objects of padic remain the source of the generator powers.
@@ -142,7 +143,8 @@ class GroupModel:
     def _gen_power_array(self) -> np.ndarray:
         """g_i^e for e < p^M as one (n, p^M, parts, deg) array, one
         array product per base-p digit of e.  Built for batches of at least
-        p^M rows only (the generator tables), which hold that many already."""
+        p^M rows only (the p^(M(n-1)) suffixes of a generator table and the
+        decompose levels of that batch), which hold that many already."""
         D = np.array([[[self._key(c) for c in row] for row in rows]
                       for rows in self._digit_powers], dtype=self.dtype)
         out = D[:, 0]
@@ -165,9 +167,10 @@ class GroupModel:
 
     def realize_array(self, xs) -> np.ndarray:
         """realize on a (batch, n) digit array: a (batch, parts, deg) array.
-        A batch of at least p^M rows gathers each power from the p^M powers
-        of its generator; a smaller one is realized row by row from the
-        base-p digit powers, so a point query holds no table of p^M powers."""
+        A batch of at least p^M rows (the suffixes of a generator table, at
+        p^(M(n-1)) rows) gathers each power from the p^M powers of its
+        generator; a smaller one is realized row by row from the base-p
+        digit powers, so a point query holds no table of p^M powers."""
         if len(xs) >= self.pM:
             xs = np.asarray(xs, dtype=np.int64)
             P = self._gen_power_array
@@ -237,10 +240,22 @@ class GroupModel:
 
     def right_mul_table(self, h: Digits) -> np.ndarray:
         """Permutation of element indices given by right multiplication by
-        a pc generator h = u_(i,k) = g_i^(p^k), k < M, memoized.  For k = 0
-        it is one batched pass (realize every element, multiply by g_i,
-        decompose); for k >= 1 it is the p-th power of the table of
-        u_(i,k-1), composed on indices with no group arithmetic."""
+        a pc generator h = u_(i,k) = g_i^(p^k), k < M, memoized.  For k >= 1
+        it is the p-th power of the table of u_(i,k-1), composed on indices
+        with no group arithmetic.
+
+        For k = 0 only the p^(M(n-1)) suffixes t = g_1^(x_1) ... g_(n-1)^(x_(n-1))
+        are realized, multiplied by g_i and decomposed, in one batch, to
+        t g_i = g_0^(y_0) g_1^(y_1) ... g_(n-1)^(y_(n-1)).  Every element is
+        x = g_0^(x_0) t, and then
+            x g_i = g_0^((x_0 + y_0) mod p^M) g_1^(y_1) ... g_(n-1)^(y_(n-1)),
+        read off by broadcasting over x_0.  Proof: x g_i = g_0^(x_0) t g_i =
+        g_0^(x_0 + y_0) g_1^(y_1) ... g_(n-1)^(y_(n-1)), as g_0 comes first
+        in the order and so absorbs y_0.  g_0^(p^M) = 1 in G/G^(p^M) (the
+        power relation pc_relations and modules.check_multiplicative rest
+        on), so the first exponent may be taken mod p^M; the result is an
+        ordered product with digits in [0, p^M), and the ordered form of an
+        element is unique, so these are the digits of x g_i."""
         h = self.check_digits(h)
         if h not in self._tables:
             i = next((i for i, c in enumerate(h) if c), 0)
@@ -252,9 +267,11 @@ class GroupModel:
                 for _ in range(self.p - 1):
                     t = prev[t]
             else:
-                xs = np.indices((self.pM,) * self.n).reshape(self.n, -1).T
-                ys = self._mul_array(self.realize_array(xs), self._gen_power_array[i, 1])
-                t = (self.decompose(ys) @ np.array(self._strides)).astype(np.int32)
+                ts = np.indices((1,) + (self.pM,) * (self.n - 1)).reshape(self.n, -1).T
+                ys = self.decompose(self._mul_array(self.realize_array(ts),
+                                                    self._gen_power_array[i, 1]))
+                head = (np.arange(self.pM)[:, None] + ys[:, 0]) % self.pM * self._strides[0]
+                t = (head + ys[:, 1:] @ np.array(self._strides[1:])).astype(np.int32).ravel()
             self._tables[h] = t
         return self._tables[h]
 

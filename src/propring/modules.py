@@ -295,9 +295,10 @@ def _weighted_chain(ops, weights, field: GF):
     operators Z_t = ops[t] of weights w_t = weights[t] >= 1, as rref row
     bases down to zero.  By induction R_i lies in R_(i-1), so a step that
     does not shrink the space raises, and at most dim + 1 steps run, each
-    of len(ops) products and one row reduction."""
+    of len(ops) products and one row reduction (R_0 needs none)."""
     chain, pivots = [], []
-    cur, piv = rref(np.eye(ops[0].shape[0], dtype=np.int16), field)
+    dim = ops[0].shape[0]
+    cur, piv = np.eye(dim, dtype=np.int16), list(range(dim))  # rref of R_0 = M
     while True:
         chain.append(cur)
         pivots.append(piv)

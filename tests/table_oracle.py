@@ -9,10 +9,12 @@ it with the scalar products of realize, decomposing after every group
 operation; the model realizes each input once and decomposes once.
 
 scalar_rows builds generator table rows one concrete element at a time,
-where the batched builder realizes, multiplies and decomposes every element
-in one array pass; the two share only the generator digit powers.  One QUAT
-row costs about 0.4 ms, so full tables are for small configurations such as
-(5, 1, 1)."""
+where the model decomposes the products of the p^(M(n-1)) suffixes with
+x_0 = 0 and reads the rest off the power relation of g_0; the two share only
+the generator digit powers.  One QUAT row costs about 0.4 ms, so full tables
+are for small configurations such as (5, 1, 1).  whole_group_table is the
+reference for the suffix construction: it realizes, multiplies and
+decomposes every element of the group in one array pass."""
 
 import numpy as np
 
@@ -149,3 +151,11 @@ def scalar_rows(model, i, rows):
 
 def scalar_table(model, i):
     return scalar_rows(model, i, range(model.order))
+
+
+def whole_group_table(model, i):
+    """right_mul_table(g_i) from every element of the group: realize all
+    p^(Mn) of them, multiply by g_i and decompose, in one batch."""
+    xs = np.indices((model.pM,) * model.n).reshape(model.n, -1).T
+    ys = model._mul_array(model.realize_array(xs), model._gen_power_array[i, 1])
+    return (model.decompose(ys) @ np.array(model._strides)).astype(np.int32)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from propring.config import PrimeConfig
 from propring.errors import ConfigError, NotInGroup
-from propring.groups import QuatModel, group_model, quaternion_commutator_congruence
+from propring.groups import GL2Model, QuatModel, group_model, quaternion_commutator_congruence
 from pair_oracle import random_element
 import power_oracle
 from power_oracle import right_mul_table
@@ -380,6 +380,47 @@ def test_batched_tables_match_scalar_oracle(pfm, case, rows):
         for _ in range(model.pM):  # g_i^(p^M) acts as the identity
             idx = t[idx]
         assert np.array_equal(idx, np.arange(model.order))
+
+
+ORACLE_CONFIGS = ((5, 1, 1), (7, 1, 1), (5, 1, 2), (7, 1, 2), (5, 2, 1))
+
+
+@pytest.mark.parametrize("pfm,case", [(pfm, case) for pfm in ORACLE_CONFIGS
+                                      for case in ("GL2", "QUAT")], ids=str)
+def test_generator_tables_match_whole_group_oracle(pfm, case):
+    # the suffix construction against realizing, multiplying and decomposing
+    # every element of the group
+    model = group_model(PrimeConfig(*pfm, case))
+    for i in range(model.n):
+        got, want = model.right_mul_table(model.generator(i)), oracle.whole_group_table(model, i)
+        assert got.dtype == want.dtype == np.int32
+        assert np.array_equal(got, want), i
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_depth_3_generator_tables(case, monkeypatch):
+    # a fresh model, so its tables of 1.95M entries are freed after the
+    # test; each k = 0 table decomposes one batch of the p^(M(n-1))
+    # suffixes, so a return to the whole-group pass (p^(Mn) rows) fails here
+    model = (QuatModel if case == "QUAT" else GL2Model)(5, 1, 3)
+    sizes = []
+    decompose = model.decompose
+    monkeypatch.setattr(model, "decompose", lambda arr: sizes.append(len(arr)) or decompose(arr))
+    rng = np.random.default_rng(20261019)
+    for i in range(model.n):
+        t = model.right_mul_table(model.generator(i))
+        assert sizes == [model.pM ** (model.n - 1)], i
+        sizes.clear()
+        rows = rng.choice(model.order, 200, replace=False)
+        assert np.array_equal(t[rows], scalar_rows(model, i, rows)), i
+        assert np.array_equal(np.sort(t), np.arange(model.order))
+        power = t  # t^(p^M), as M p-th powers
+        for _ in range(model.M):
+            q = power
+            for _ in range(model.p - 1):
+                q = power[q]
+            power = q
+        assert np.array_equal(power, np.arange(model.order)), i
 
 
 @pytest.mark.parametrize("case,fault,message", [

@@ -184,6 +184,19 @@ def test_grading_chains_are_filtrations(deep):
     assert int_dims == [sub[t] - sub[t + 1] for t in range(len(sub) - 1)]
 
 
+def test_weighted_chain_reduces_once_per_step(deep, monkeypatch):
+    # R_0 = M is the identity with pivots 0..dim-1 as given: one rref per
+    # step after it, for the gr and the res chains
+    calls = []
+    monkeypatch.setattr(modules, "rref", lambda rows, field: calls.append(1) or rref(rows, field))
+    for args in (("gr",), ("res", 1)):
+        gm = grade(deep, *args)
+        assert np.array_equal(gm.chain[0], np.eye(deep.dim, dtype=np.int16))
+        assert gm.pivots[0] == list(range(deep.dim))
+        assert len(calls) == len(gm.chain) - 1
+        calls.clear()
+
+
 def test_multiplicativity_catches_corruption():
     mod = regular_module(PrimeConfig(5, 1, 1, "GL2"))
     broken = FiniteModule(
