@@ -39,6 +39,12 @@ right action, GroupModel.right_act: it walks x
 through the n M tables of the pc generators g_i^(p^k), at most p - 1 steps
 per base-p digit of h.
 
+A point query reads the same closed form on its support: the coefficients
+of sum_t c_t [x_t] at the monomials of weight up to a cutoff are
+contracted one exponent axis at a time over the support's distinct
+prefixes and the monomial suffixes inside the cutoff (support_expansion),
+so nu and expand make no vector of the group's order for a small support.
+
 The weight of a monomial index is nu'(k) = sum_i w_i k_i with w = 1 for the
 A and B positions and w = 2 for the C positions (doubled generator
 valuations).  The certified statement about the maximal ideal m (kernel of
@@ -126,21 +132,20 @@ class GroupAlgebra:
     def zero(self) -> np.ndarray:
         return np.zeros(self.order, dtype=np.int16)
 
-    def of_group(self, x: Digits) -> np.ndarray:
-        a = self.zero()
-        a[self.model.index_of(self.model.check_digits(x))] = 1
-        return a
-
     # -- multiplication ------------------------------------------------------
 
     def collect(self, idx: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Support pair of sum_t weights[t] [idx[t]] mod p: repeated indices
-        merged, zero coefficients dropped, sorted by index.  Exact while
-        every index's sum of |weights| stays below 2^53."""
+        merged, zero coefficients dropped, sorted by index.  weights[t] is
+        a scalar or a row of coordinates, such as the f coordinates of a
+        coefficient over F_p; a row is dropped when all of it is zero.
+        Exact while every index's sum of |weights| stays below 2^53."""
         flat, where = np.unique(idx, return_inverse=True)
-        acc = np.bincount(where, weights, flat.size).astype(np.int64) % self.p
-        keep = np.flatnonzero(acc)
-        return flat[keep], acc[keep]
+        f = math.prod(weights.shape[1:])
+        cells = (where[:, None] * f + np.arange(f)).ravel()
+        acc = np.bincount(cells, weights.reshape(-1), flat.size * f).astype(np.int64) % self.p
+        keep = np.flatnonzero(acc.reshape(flat.size, f).any(axis=1))
+        return flat[keep], acc.reshape(flat.shape + weights.shape[1:])[keep]
 
     def zmul(self, idx: np.ndarray, coeffs: np.ndarray, i: int,
              e: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -362,6 +367,71 @@ class GroupAlgebra:
         x = xs[s] and k = ks[t]: row s holds the monomial coordinates of the
         group element x at the monomials ks."""
         return self._tensor(self._P, xs, ks)
+
+    def support_expansion(self, idx: np.ndarray, coeffs: np.ndarray,
+                          cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The monomial terms of weight at most cutoff of the element
+        sum_t coeffs[t] [idx[t]], idx ascending and distinct and cutoff
+        >= 0, where coeffs[t] holds the f coordinates of a coefficient over
+        F_p: (ks, weights, c), the flat indices k ascending, their weights
+        nu'(k) and the (len, f) coordinates of the nonzero coefficients.
+
+        The coefficient of z^k is sum_t coeffs[t] prod_i binom(x_i, k_i),
+        so the expansion contracts the support one exponent axis at a
+        time, the last first, against the p^M x p^M table _P.  The block it
+        works on has a row per distinct exponent prefix (x_0 .. x_(i-1)) of
+        the support still to contract and a column per suffix (k_i ..
+        k_(n-1)) already contracted that carries a nonzero entry and has
+        weight at most cutoff.  Each step groups the rows by their prefix
+        less its last exponent x, contracts x against the rows of _P of
+        the exponents that occur, and keeps the new columns within the
+        cutoff: the axes left only add weight.  So the block never holds
+        more entries than the dense vector on the kept columns, one product
+        per axis does the arithmetic, and a support of a few terms keeps a
+        few rows and columns."""
+        p, pM, f = self.p, self.pM, coeffs.shape[1]
+        table = self._P.astype(np.float64)
+        ks = wt = np.zeros(1, dtype=np.int64)
+        rows, block = idx, coeffs.astype(np.float64)[:, None]  # (rows, columns, f)
+        for i, w in enumerate(reversed(self.nu_weights)):
+            if not ks.size:
+                break
+            # rows = x_prefix p^M + x; numpy's // by a scalar is fast, %
+            # and divmod are not
+            prefix = rows // pM
+            x = prefix * pM
+            np.subtract(rows, x, out=x)
+            rows = prefix
+            first = np.ones(rows.size, dtype=bool)
+            first[1:] = rows[1:] != rows[:-1]
+            rows = rows[first]
+            # the exponents x present, and each one's place among them
+            present = np.bincount(x, minlength=pM) > 0
+            xs, place = np.flatnonzero(present), np.cumsum(present) - 1
+            width = ks.size * f
+            if rows.size * xs.size == x.size:  # each prefix has every x
+                spread = block.reshape(rows.size, xs.size, width)
+            else:
+                spread = np.zeros((rows.size * xs.size, width))
+                spread[(np.cumsum(first) - 1) * xs.size + place[x]] = block.reshape(-1, width)
+                spread = spread.reshape(rows.size, xs.size, width)
+            top = min(pM - 1, (cutoff - int(wt.min())) // w) + 1
+            sub = table[xs, :top]
+            # exact: entries stay below (p-1) ((p-1) p^M)^n, inside the
+            # transform bound that __init__ checks
+            if width == 1:  # one product, not one per row
+                out = (spread[:, :, 0] @ sub)[:, :, None]
+            else:
+                out = (sub.T @ spread).reshape(rows.size, top * ks.size, f)
+            live = out.any(axis=0).any(axis=1) & (np.arange(top)[:, None] <= (cutoff - wt) // w).ravel()
+            block = np.compress(live, out, axis=1)
+            r = np.flatnonzero(live)
+            k = r // ks.size
+            r -= k * ks.size
+            ks, wt = ks[r] + k * pM ** i, wt[r] + w * k
+        c = (block.reshape(ks.size, f) % p).astype(np.int64)
+        keep = np.flatnonzero(c.any(axis=1))
+        return ks[keep], wt[keep], c[keep]
 
     # -- weights and nu --------------------------------------------------------
 

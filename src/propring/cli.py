@@ -76,7 +76,31 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _print_terms(out: dict, exps, coeffs) -> None:
+    """Write out with the term list {"exps": exps[t], "coeff": coeffs[t]}
+    in the bytes _print would write, through one row template: json.dumps
+    renders the answer with one probe term whose entries are all -1, and
+    the probe's text, with %d for each -1, is filled once for all terms."""
+    import numpy as np
+
+    if not len(exps):
+        _print({**out, "terms": []})
+        return
+    probe = {"coeff": [-1] * coeffs.shape[1], "exps": [-1] * exps.shape[1]}
+    # an item of the term list sits two levels, four spaces, deep
+    row = "\n    " + json.dumps(probe, indent=2, sort_keys=True).replace("\n", "\n    ")
+    head, _, tail = json.dumps({**out, "terms": [probe]}, indent=2,
+                               sort_keys=True).partition(row)
+    body = ",".join([row.replace("-1", "%d")] * len(exps)) % tuple(
+        np.hstack([coeffs, exps]).ravel().tolist())
+    sys.stdout.write(head + body + tail + "\n")
+
+
 def _element_from_input(data):
+    """Config, algebra and support pair of the element in a nu or expand
+    request; the algebra refuses a config beyond its exact bound."""
+    import numpy as np
+
     from .algebra import group_algebra
     from .jsonio import algebra_element_from_json, config_from_json, digits_from_json
 
@@ -85,9 +109,8 @@ def _element_from_input(data):
     if "support" in data:
         return cfg, alg, algebra_element_from_json(alg, data["support"])
     if "digits" in data:
-        comps = [alg.of_group(digits_from_json(data, cfg))]
-        comps += [alg.zero() for _ in range(cfg.f - 1)]
-        return cfg, alg, comps
+        idx = np.array([alg.model.index_of(digits_from_json(data, cfg))])
+        return cfg, alg, (idx, np.eye(1, cfg.f, dtype=np.int64))
     raise ConfigError("element needs either a support list or digits")
 
 
@@ -95,26 +118,25 @@ def _cmd_nu(args) -> int:
     from .jsonio import element_nu
 
     data = _read_json(getattr(args, "in"))
-    cfg, alg, comps = _element_from_input(data)
-    v = element_nu(alg, comps)
+    cfg, alg, support = _element_from_input(data)
+    v = element_nu(alg, support)
     out = dict(cfg.header())
-    if v is None or v >= alg.pM:
+    if v is None:
         out.update({"nu": None, "at_least": alg.pM})
     else:
-        out["nu"] = int(v)
+        out["nu"] = v
     _print(out)
     return 0
 
 
 def _cmd_expand(args) -> int:
-    from .jsonio import monomial_expansion_to_json
+    from .jsonio import monomial_expansion
 
     data = _read_json(getattr(args, "in"))
-    cfg, alg, comps = _element_from_input(data)
+    cfg, alg, support = _element_from_input(data)
     cutoff = args.cutoff if args.cutoff is not None else alg.pM - 1
-    out = monomial_expansion_to_json(alg, comps, cutoff)
-    out.update(cfg.header())
-    _print(out)
+    exps, coeffs = monomial_expansion(alg, support, cutoff)
+    _print_terms({"cutoff": cutoff, **cfg.header()}, exps, coeffs)
     return 0
 
 

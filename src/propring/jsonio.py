@@ -105,46 +105,47 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
         raise ConfigError(f"element is not in the group: {e}") from None
 
 
-def algebra_element_from_json(alg: GroupAlgebra, items) -> list[np.ndarray]:
+def algebra_element_from_json(alg: GroupAlgebra, items) -> tuple[np.ndarray, np.ndarray]:
+    """Support pair of the element sum_t coeff_t [digits_t]: the flat
+    indices ascending and the (len, f) coordinates of their coefficients
+    over F_p, repeated digits merged mod p and zero terms dropped."""
     if not isinstance(items, list):
         raise ConfigError("algebra element must be a list of {digits, coeff}")
     f = alg.model.f
     field = gf(alg.p, f)
-    comps = [alg.zero() for _ in range(f)]
     pM = alg.pM
+    flat, coords = [], []
     for item in items:
         if not isinstance(item, dict):
             raise ConfigError("each support item must be an object {digits, coeff}")
         x = _as_int_list(item.get("digits"), "digits")
         if len(x) != alg.n or any(not 0 <= v < pM for v in x):
             raise ConfigError("support digits must be n values in [0, p^M)")
-        coords = field.coords(coeff_from_json(field, item.get("coeff")))
-        flat = alg.model.index_of(tuple(x))
-        for e in range(f):
-            comps[e][flat] = (int(comps[e][flat]) + coords[e]) % alg.p
-    return comps
+        coords.append(field.coords(coeff_from_json(field, item.get("coeff"))))
+        flat.append(alg.model.index_of(tuple(x)))
+    return alg.collect(np.array(flat, dtype=np.int64),
+                       np.array(coords, dtype=np.int64).reshape(-1, f))
 
 
-def element_nu(alg: GroupAlgebra, comps: list[np.ndarray]) -> int | None:
-    """Valuation of a component-form element: the coefficient field is free
-    over its prime field, so nu is the minimum over the components."""
-    vals = [alg.nu(c) for c in comps if c.any()]
-    return min(vals) if vals else None
+def element_nu(alg: GroupAlgebra, support: tuple[np.ndarray, np.ndarray]) -> int | None:
+    """Valuation of the element of a support pair: the least weight of its
+    monomial support, the minimum over the coordinates since the
+    coefficient field is free over its prime field.  None when no term
+    lies below p^M, where the truncation stops being faithful."""
+    _, weights, _ = alg.support_expansion(*support, alg.pM - 1)
+    return int(weights.min()) if weights.size else None
 
 
-def monomial_expansion_to_json(alg: GroupAlgebra, comps: list[np.ndarray],
-                               cutoff: int) -> dict:
-    """Monomial form of a component-form element, truncated at the weight
-    cutoff, terms in lexicographic exponent order."""
+def monomial_expansion(alg: GroupAlgebra, support: tuple[np.ndarray, np.ndarray],
+                       cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial form of the element of a support pair, truncated at the
+    weight cutoff: the (terms, n) exponents in lexicographic order and the
+    (terms, f) coefficient coordinates."""
     if not 0 <= cutoff < alg.pM:
         raise ConfigError("cutoff must stay below the faithful weight bound")
-    monos = alg.to_monomial(np.stack(comps))
+    ks, _, coeffs = alg.support_expansion(*support, cutoff)
     # flat indices ascend in lexicographic exponent order
-    hits = np.flatnonzero(monos.any(axis=0) & (alg.nu_weight_array <= cutoff))
-    exps = np.stack(np.unravel_index(hits, (alg.pM,) * alg.n), axis=1)
-    terms = [{"exps": e, "coeff": c}
-             for e, c in zip(exps.tolist(), monos[:, hits].T.tolist())]
-    return {"cutoff": cutoff, "terms": terms}
+    return np.stack(np.unravel_index(ks, (alg.pM,) * alg.n), axis=1), coeffs
 
 
 def ideal_spec_from_json(d: dict, f: int, field: GF) -> IdealSpec:

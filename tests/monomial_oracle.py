@@ -13,6 +13,7 @@ from propring.errors import ConfigError
 from propring.modules import FiniteModule
 
 from span_oracle import monomial_columns
+from transform_oracle import of_group
 from zmul_oracle import zmul
 
 
@@ -24,7 +25,7 @@ def weight_quotient_module(cfg, jcut):
     sel = np.nonzero(alg.nu_weight_array < jcut)[0]
     mats = []
     for i in range(cfg.dim):
-        gd = alg.of_group(alg.model.generator(i))
+        gd = of_group(alg, alg.model.generator(i))
         mats.append(monomial_columns(alg, sel, sel, lambda mono: alg.mul(gd, mono)))
     return FiniteModule(cfg, int(sel.size), tuple(mats), f"weight-quotient<{jcut}")
 
@@ -35,7 +36,7 @@ def mult_matrix(gr, side, gi, d):
     w = 2 if gi >= 2 * gr.f else 1
     gr._gate(d + w)
     alg = gr.alg
-    gen_dense = alg.of_group(gr.model.generator(gi))
+    gen_dense = of_group(alg, gr.model.generator(gi))
 
     def op(mono):
         if side == "right":

@@ -14,6 +14,7 @@ import numpy as np
 from propring.errors import ContractViolation
 from propring.graded import TauTerm, TauTranscript, tau_exponents, tau_word
 
+from transform_oracle import of_group
 from zmul_oracle import word_mul
 
 
@@ -29,7 +30,7 @@ def tau_rewrite(alg, exps, N, verify=True):
     with verify, the contract nu(tau(x)) = nu(x) and tau(x) - x in
     m^(nu+1), raising ContractViolation with x as witness."""
     exps = alg.model.check_digits(exps)
-    dense = word_mul(alg, alg.of_group(alg.model.identity), tau_word(alg, exps, N))
+    dense = word_mul(alg, of_group(alg, alg.model.identity), tau_word(alg, exps, N))
     if verify:
         w = alg.nu_prime(exps)
         if alg.nu(dense) != w:

@@ -39,6 +39,7 @@ from propring.padic import zq_ring
 import module_oracle
 from span_oracle import primal_ideal_power_spans
 import tau_oracle
+from transform_oracle import of_group
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 CASES = ("GL2", "QUAT")
@@ -55,7 +56,7 @@ def bracket(alg, x, y):
 
 
 def nth_power(alg, x, e):
-    out = alg.of_group(alg.model.identity)
+    out = of_group(alg, alg.model.identity)
     for _ in range(e):
         out = alg.mul(out, x)
     return out

@@ -22,7 +22,7 @@ import sandwich_oracle
 from power_oracle import right_mul_table
 from span_oracle import primal_ideal_power_spans
 import tau_oracle
-from transform_oracle import expand_group_sparse, transforms
+from transform_oracle import expand_group_sparse, of_group, transforms
 import zmul_oracle
 
 
@@ -37,8 +37,8 @@ def test_group_embedding_multiplicative(alg, rng):
     m = alg.model
     for _ in range(50):
         x, y = random_element(m, rng), random_element(m, rng)
-        lhs = alg.mul(alg.of_group(x), alg.of_group(y))
-        assert np.array_equal(lhs, alg.of_group(m.mul(x, y)))
+        lhs = alg.mul(of_group(alg, x), of_group(alg, y))
+        assert np.array_equal(lhs, of_group(alg, m.mul(x, y)))
 
 
 def to_dict(alg, a):
@@ -92,8 +92,8 @@ def test_mul_matches_power_table_oracle(pfm, case):
     alg = group_algebra(PrimeConfig(*pfm, case))
     rng = np.random.default_rng(sum(pfm) + len(case))
     full = rng.integers(1, alg.p, alg.order).astype(np.int16)
-    top = alg.of_group((alg.pM - 1,) * alg.n)
-    point = 3 * alg.of_group(random_element(alg.model, rng))
+    top = of_group(alg, (alg.pM - 1,) * alg.n)
+    point = 3 * of_group(alg, random_element(alg.model, rng))
     zero = alg.zero()
     pairs = [(rand_sparse(alg, rng, 40), rand_sparse(alg, rng, 30)) for _ in range(3)]
     pairs += [(full, top), (full, point), (zero, full), (full, zero), (zero, zero)]
@@ -156,7 +156,7 @@ def test_word_mul_memo_is_bounded_and_fresh(model, monkeypatch):
     for word in words + words[::-1] + words:
         got = alg.word_mul(word)
         assert np.array_equal(
-            got, zmul_oracle.word_mul(alg, alg.of_group(model.identity), word)), word
+            got, zmul_oracle.word_mul(alg, of_group(alg, model.identity), word)), word
         got[:] = 0
         stored = sum(idx.size for idx, _ in alg._words.values())
         assert stored == alg._word_entries <= 40
@@ -188,9 +188,9 @@ def test_monomial_weight_is_nu(alg, rng):
 
 def test_augmentation_generator_weights(alg):
     m = alg.model
-    one = alg.of_group(m.identity)
+    one = of_group(alg, m.identity)
     for i in range(m.n):
-        zi = (alg.of_group(m.generator(i)) - one) % alg.p
+        zi = (of_group(alg, m.generator(i)) - one) % alg.p
         assert alg.nu(zi) == m.two_omega[i]
         assert np.array_equal(zi, alg.monomial(m.generator(i)))
 
@@ -208,7 +208,7 @@ def test_product_weights_superadditive(alg, rng):
 def zmul_chain(alg, k):
     """z^k as the ordered chain of dense right multiplications by the z_i,
     from the identity: the reference for the closed-form monomial."""
-    return zmul_oracle.word_mul(alg, alg.of_group(alg.model.identity), enumerate(k))
+    return zmul_oracle.word_mul(alg, of_group(alg, alg.model.identity), enumerate(k))
 
 
 def test_monomial_closed_form_matches_zmul_chain(alg):
@@ -273,7 +273,7 @@ def test_support_zmul_matches_dense_oracle(pfm, case):
         got = alg.word_mul(word)
         assert got.dtype == a.dtype
         assert np.array_equal(
-            got, zmul_oracle.word_mul(alg, alg.of_group(alg.model.identity), word)), word
+            got, zmul_oracle.word_mul(alg, of_group(alg, alg.model.identity), word)), word
     empty = np.zeros(0, dtype=np.int64)
     for i in range(alg.n):
         for e in range(alg.pM + 1):
@@ -293,10 +293,58 @@ def test_binomial_expansion_matches_transform(alg, rng):
     part = alg.binomial_expansion(xs, ks)
     for s, x in enumerate(xs):
         g = alg.model.digits_of(int(x))
-        assert np.array_equal(full[s], alg.to_monomial(alg.of_group(g)))
+        assert np.array_equal(full[s], alg.to_monomial(of_group(alg, g)))
         assert np.array_equal(part[s], full[s, ks])
         sparse = {alg.model.index_of(k): c for k, c in expand_group_sparse(alg, g).items()}
         assert {int(t): int(full[s, t]) for t in np.nonzero(full[s])[0]} == sparse
+
+
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (5, 2, 1), (7, 1, 2)], ids=str)
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+def test_support_expansion_matches_transform_on_large_supports(pfm, case):
+    # supports far beyond a point query's: the whole group (every exponent
+    # of every prefix present), half of it and a thin slice, some
+    # coefficient rows zero, against one to_monomial of the dense vectors
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    rng = np.random.default_rng(sum(pfm) + len(case))
+    f, nu_w = alg.model.f, alg.nu_weight_array
+    supports = [np.arange(alg.order),
+                np.sort(rng.choice(alg.order, alg.order // 2, replace=False)),
+                np.sort(rng.choice(alg.order, 300, replace=False))]
+    for idx in supports:
+        coeffs = rng.integers(0, alg.p, size=(idx.size, f))
+        comps = np.zeros((f, alg.order), dtype=np.int16)
+        comps[:, idx] = coeffs.T
+        monos = alg.to_monomial(comps)
+        for cutoff in (0, 1, int(rng.integers(2, alg.pM)), alg.pM - 1, int(nu_w.max())):
+            ks, ws, c = alg.support_expansion(idx, coeffs, cutoff)
+            hits = np.flatnonzero(monos.any(axis=0) & (nu_w <= cutoff))
+            assert np.array_equal(ks, hits), (idx.size, cutoff)
+            assert np.array_equal(ws, nu_w[hits])
+            assert c.dtype == np.int64 and np.array_equal(c, monos[:, hits].T)
+    # all of the group at coefficient 1 is the top monomial alone
+    ks, ws, c = alg.support_expansion(np.arange(alg.order), np.ones((alg.order, 1), dtype=np.int64),
+                                      int(nu_w.max()))
+    assert ks.tolist() == [alg.order - 1] and c.tolist() == [[1]]
+
+
+def test_collect_merges_coordinate_rows(alg, rng):
+    idx = rng.integers(0, 40, size=200)
+    rows = rng.integers(-50, 50, size=(200, 2))
+    flat, acc = alg.collect(idx, rows)
+    assert acc.shape == (flat.size, 2) and acc.dtype == np.int64
+    want = {}
+    for i, r in zip(idx.tolist(), rows.tolist()):
+        want[i] = [(a + b) % alg.p for a, b in zip(want.get(i, [0, 0]), r)]
+    want = {i: v for i, v in want.items() if any(v)}
+    assert flat.tolist() == sorted(want) and acc.tolist() == [want[i] for i in sorted(want)]
+    # a scalar weight per index reads as before
+    for e in range(2):
+        one, col = alg.collect(idx, rows[:, e])
+        assert np.array_equal(col, acc[:, e][np.isin(flat, one)])
+        assert set(one.tolist()) == {i for i, v in want.items() if v[e]}
+    empty = alg.collect(idx[:0], rows[:0])
+    assert empty[0].size == 0 and empty[1].shape == (0, 2)
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
@@ -353,7 +401,7 @@ def test_to_monomial_matches_comb_product(wide_alg, rng):
         for xi in x:
             col = np.array([comb(xi, k) % alg.p for k in range(alg.pM)])
             ref = np.multiply.outer(ref, col).ravel() % alg.p
-        assert np.array_equal(alg.to_monomial(alg.of_group(x)), ref)
+        assert np.array_equal(alg.to_monomial(of_group(alg, x)), ref)
 
 
 def test_transforms_invert_at_wide_configs(wide_alg, rng):
@@ -423,7 +471,7 @@ def test_sparse_expansion_matches_dense(alg, rng):
     for _ in range(10):
         g = random_element(alg.model, rng)
         sparse = expand_group_sparse(alg, g)
-        dense = alg.to_monomial(alg.of_group(g))
+        dense = alg.to_monomial(of_group(alg, g))
         ref = {k: int(v) for k, v in sparse.items() if v}
         got = {
             alg.model.digits_of(int(i)): int(dense[i]) for i in np.nonzero(dense)[0]

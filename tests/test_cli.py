@@ -11,9 +11,12 @@ from pathlib import Path
 import pytest
 
 from propring import cli
+from propring.algebra import group_algebra
 from propring.cli import main
+from propring.jsonio import config_from_json
 
 import json_oracle
+import transform_oracle
 
 GL2 = {"p": 5, "f": 1, "M": 2, "case": "GL2"}
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,8 +153,10 @@ def test_module_exponent_matches_pinned_bench_answers(tmp_path, capsys):
 def test_print_matches_dump_oracle_on_every_subcommand(tmp_path, capsys, monkeypatch):
     # every kind of answer the queries workload checks: the 12 pool modules
     # with 3 ideals on 3 gradings, a round of decompose, nu and expand at
-    # each of the six point configs, and the largest expand; one json.dumps
-    # write equals the to_jsonable walk streamed through json.dump
+    # each of the six point configs, the largest expand, and expands with
+    # no terms at f = 2 and with a negative seed in the header; one
+    # json.dumps write, or expand's row template, equals the to_jsonable
+    # walk streamed through json.dump
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import workloads
 
@@ -163,24 +168,45 @@ def test_print_matches_dump_oracle_on_every_subcommand(tmp_path, capsys, monkeyp
     reqs += [(req["argv"], req["input"]) for req in next(workloads.rounds(1))
              if req["kind"] != "module-exponent"]
     reqs.append((workloads.LARGE_EXPAND["argv"], workloads.LARGE_EXPAND["input"]))
+    reqs.append((["expand", "--cutoff", "3"],
+                 {"p": 5, "f": 2, "M": 1, "case": "QUAT", "support": []}))
+    reqs.append((["expand"], {**GL2, "N": 1, "seed": -3, "support": [
+        {"digits": [1, 2, 3], "coeff": 2}, {"digits": [0, 0, 0], "coeff": 3}]}))
     assert Counter(argv[0] for argv, _ in reqs) == {
-        "module-exponent": 108, "decompose": 6, "nu": 12, "expand": 7}
+        "module-exponent": 108, "decompose": 6, "nu": 12, "expand": 9}
     assert {(doc["p"], doc["f"], doc["M"], doc["case"]) for argv, doc in reqs
             if argv[0] != "module-exponent"} == set(workloads.POINT_CONFIGS)
     printed = []
     new_print = cli._print
 
-    def both(obj):
+    def oracle_print(obj):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             json_oracle.print_answer(obj)
-        printed.append(buf.getvalue())
+        return buf.getvalue()
+
+    def both(obj):
+        printed.append(oracle_print(obj))
         new_print(obj)
 
     monkeypatch.setattr(cli, "_print", both)
     for argv, doc in reqs:
         code, out = run(capsys, argv + ["--in", write(tmp_path, "r.json", doc)])
-        assert code == 0 and out == printed.pop(), argv
+        if argv[0] == "expand":
+            # written through the row template, and _print only when there
+            # are no terms: the oracle's print of the answer out parses to,
+            # whose terms are the dense path's
+            printed.clear()
+            got = json.loads(out)
+            assert code == 0 and out == oracle_print(got), argv
+            alg = group_algebra(config_from_json(doc))
+            items = doc["support"] if "support" in doc else [
+                {"digits": doc["digits"], "coeff": [1] + [0] * (doc["f"] - 1)}]
+            want = transform_oracle.dense_expansion(
+                alg, transform_oracle.dense_element(alg, items), got["cutoff"])
+            assert got["terms"] == want["terms"], argv
+        else:
+            assert code == 0 and out == printed.pop(), argv
     assert printed == []
 
 
@@ -378,6 +404,32 @@ def test_point_queries_at_depth_8_stay_small(tmp_path, capsys):
         assert code == 0
         assert json.loads(capsys.readouterr().out)[key] == want
         assert peak < 16 * 2**20, (argv, peak)
+
+
+def test_point_queries_at_depth_3_stay_small(tmp_path, capsys):
+    # nu and expand read the element's support, not the group: at (5, 1, 3),
+    # order 5^9, no request holds a float64 vector of the group's order.
+    # [g^5] - 1 = (g - 1)^5 and 2 [C^25] + 3 = 2 (C - 1)^25 mod 5 (Lucas)
+    gl2 = write(tmp_path, "g.json", {"p": 5, "f": 1, "M": 3, "case": "GL2", "support": [
+        {"digits": [5, 0, 0], "coeff": 1}, {"digits": [0, 0, 0], "coeff": 4}]})
+    quat = write(tmp_path, "q.json", {"p": 5, "f": 1, "M": 3, "case": "QUAT", "support": [
+        {"digits": [0, 0, 25], "coeff": 2}, {"digits": [0, 0, 0], "coeff": 3}]})
+    for argv, want in ((["nu", "--in", gl2], {"nu": 5}),
+                       (["expand", "--in", gl2, "--cutoff", "5"],
+                        {"terms": [{"exps": [5, 0, 0], "coeff": [1]}]}),
+                       (["nu", "--in", quat], {"nu": 50}),
+                       (["expand", "--in", quat],
+                        {"terms": [{"exps": [0, 0, 25], "coeff": [2]}]})):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        got = json.loads(capsys.readouterr().out)
+        assert {k: got[k] for k in want} == want, argv
+        assert peak < 5**9 * 8, (argv, peak)
 
 
 def test_verify_indeterminate_exit(tmp_path, capsys):

@@ -23,12 +23,13 @@ from propring.jsonio import (
     ideal_spec_from_json,
     module_from_json,
     module_to_json,
-    monomial_expansion_to_json,
+    monomial_expansion,
     to_jsonable,
 )
 from propring.modules import quotient_module
 
 import json_oracle
+import transform_oracle
 
 F5 = gf(5, 1)
 
@@ -64,22 +65,31 @@ def test_group_element_dispatch():
     assert digits2 == (21, 6, 24)
 
 
+def expansion_json(alg, support, cutoff):
+    """The {cutoff, terms} answer of the support pair's expansion."""
+    exps, coeffs = monomial_expansion(alg, support, cutoff)
+    return {"cutoff": cutoff, "terms": [{"exps": e, "coeff": c}
+                                        for e, c in zip(exps.tolist(), coeffs.tolist())]}
+
+
 def test_algebra_element_roundtrip():
     alg = group_algebra(PrimeConfig(5, 1, 2, "GL2"))
     items = [
         {"digits": [0, 0, 1], "coeff": 1},
         {"digits": [0, 0, 0], "coeff": [4]},
     ]
-    comps = algebra_element_from_json(alg, items)
-    assert len(comps) == 1
-    assert element_nu(alg, comps) == 2
-    want = alg.zero()
-    want[alg.model.index_of((0, 0, 1))], want[0] = 1, 4
-    assert np.array_equal(comps[0], want)
-    # repeated support items add up
+    idx, coeffs = algebra_element_from_json(alg, items)
+    assert idx.tolist() == [0, alg.model.index_of((0, 0, 1))]
+    assert coeffs.tolist() == [[4], [1]]
+    assert element_nu(alg, (idx, coeffs)) == 2
+    # repeated support items add up, and a sum of 0 mod p drops the term
     again = algebra_element_from_json(alg, items + [{"digits": [0, 0, 0], "coeff": 2}])
-    want[0] = 1
-    assert np.array_equal(again[0], want)
+    assert [a.tolist() for a in again] == [[0, 1], [[1], [1]]]
+    gone = algebra_element_from_json(alg, items + [{"digits": [0, 0, 1], "coeff": 4}])
+    assert [a.tolist() for a in gone] == [[0], [[4]]]
+    empty = algebra_element_from_json(alg, [])
+    assert empty[0].size == 0 and empty[1].shape == (0, 1)
+    assert element_nu(alg, empty) is None
 
 
 def test_algebra_element_components_f2():
@@ -88,17 +98,16 @@ def test_algebra_element_components_f2():
         {"digits": [1, 0, 0, 0, 0, 0], "coeff": [0, 1]},
         {"digits": [0, 0, 0, 0, 0, 0], "coeff": [0, 4]},
     ]
-    comps = algebra_element_from_json(alg, items)
-    assert len(comps) == 2
-    assert not comps[0].any()
-    assert element_nu(alg, comps) == 1
-    exp = monomial_expansion_to_json(alg, comps, 2)
+    support = algebra_element_from_json(alg, items)
+    assert support[1].tolist() == [[0, 4], [0, 1]]
+    assert element_nu(alg, support) == 1
+    exp = expansion_json(alg, support, 2)
     assert exp["terms"] == [{"exps": [1, 0, 0, 0, 0, 0], "coeff": [0, 1]}]
 
 
 def loop_expansion(alg, comps, cutoff):
-    """The scan over every flat index that monomial_expansion_to_json
-    replaced by one mask."""
+    """The scan over every flat index that the dense expansion replaced by
+    one mask."""
     monos = [alg.to_monomial(c) for c in comps]
     terms = []
     for flat in range(alg.order):
@@ -114,21 +123,76 @@ def loop_expansion(alg, comps, cutoff):
 def test_monomial_expansion_matches_loop(pfm):
     alg = group_algebra(PrimeConfig(*pfm, "GL2"))
     rng = np.random.default_rng(20250825)
+    idx = np.sort(rng.choice(alg.order, size=6, replace=False))
+    coeffs = rng.integers(0, alg.p, size=(6, alg.model.f))
+    coeffs[:, 0] = rng.integers(1, alg.p, size=6)
     comps = [alg.zero() for _ in range(alg.model.f)]
-    for c in comps:
-        idx = rng.choice(alg.order, size=6, replace=False)
-        c[idx] = rng.integers(1, alg.p, size=6)
+    for e, c in enumerate(comps):
+        c[idx] = coeffs[:, e]
     for cutoff in (0, 1, 4, alg.pM // 2, alg.pM - 1):
-        got = monomial_expansion_to_json(alg, comps, cutoff)
+        got = expansion_json(alg, (idx, coeffs), cutoff)
         assert got == loop_expansion(alg, comps, cutoff), cutoff
         assert json.dumps(got) == json.dumps(loop_expansion(alg, comps, cutoff))
 
 
 def test_monomial_expansion_cutoff_gate():
     alg = group_algebra(PrimeConfig(5, 1, 2, "GL2"))
-    comps = algebra_element_from_json(alg, [{"digits": [0, 0, 1], "coeff": 1}])
-    with pytest.raises(ConfigError):
-        monomial_expansion_to_json(alg, comps, 25)
+    support = algebra_element_from_json(alg, [{"digits": [0, 0, 1], "coeff": 1}])
+    for cutoff in (-1, 25):
+        with pytest.raises(ConfigError):
+            monomial_expansion(alg, support, cutoff)
+
+
+def random_items(rng, alg, terms):
+    """A support list of terms items: digits repeated about a third of the
+    time, a cancelling copy (coefficient negated) now and then, and f = 2
+    coefficients as coordinate lists, a scalar or a list at f = 1."""
+    p, f, pM = alg.p, alg.model.f, alg.pM
+    items = []
+    for _ in range(terms):
+        if items and rng.random() < 0.35:
+            digits = list(items[rng.integers(len(items))]["digits"])
+        else:
+            digits = rng.integers(0, pM, size=alg.n).tolist()
+        coords = rng.integers(0, p, size=f).tolist()
+        items.append({"digits": digits,
+                      "coeff": coords if f > 1 or rng.random() < 0.5 else coords[0]})
+        if rng.random() < 0.2:
+            negated = [(-c) % p for c in coords]
+            items.append({"digits": list(digits), "coeff": negated})
+    return items
+
+
+# the benchmark's POINT_CONFIGS and the depth-3 configs of the CLI tests
+POINT_CONFIGS = [(p, f, M, case) for (p, f, M) in ((5, 1, 2), (5, 2, 1), (7, 1, 2), (5, 1, 3))
+                 for case in ("GL2", "QUAT")]
+
+
+@pytest.mark.parametrize("config", POINT_CONFIGS, ids=str)
+def test_point_queries_match_dense_oracle(config):
+    # nu and the expansion of random supports against the dense path they
+    # replaced: f dense vectors of the group's order, one to_monomial each
+    alg = group_algebra(PrimeConfig(*config))
+    rng = np.random.default_rng(20250825 + POINT_CONFIGS.index(config))
+    supports = [[]] + [random_items(rng, alg, int(t))
+                       for t in rng.integers(1, 7, size=4 if alg.model.M < 3 else 2)]
+    supports.append([{"digits": [0] * alg.n, "coeff": [1] + [0] * (alg.model.f - 1)},
+                     {"digits": [0] * alg.n, "coeff": [alg.p - 1] + [0] * (alg.model.f - 1)}])
+    for items in supports:
+        support = algebra_element_from_json(alg, items)
+        comps = transform_oracle.dense_element(alg, items)
+        want = transform_oracle.dense_nu(alg, comps)
+        assert element_nu(alg, support) == (None if want is None or want >= alg.pM else want)
+        for cutoff in (0, 1, int(rng.integers(2, alg.pM - 1)), alg.pM - 1):
+            assert expansion_json(alg, support, cutoff) == \
+                transform_oracle.dense_expansion(alg, comps, cutoff), (items, cutoff)
+
+
+def test_point_configs_cover_the_benchmark(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    assert set(workloads.POINT_CONFIGS) < set(POINT_CONFIGS)
 
 
 def test_ideal_spec_roundtrip():

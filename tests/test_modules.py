@@ -45,6 +45,7 @@ import module_oracle
 import monomial_oracle
 import power_oracle
 from pair_oracle import first_unpaired, regular_module
+from transform_oracle import of_group
 
 F5 = gf(5, 1)
 IDEALS = default_ideals(1, F5)
@@ -516,7 +517,7 @@ def test_subring_monomials_straighten_in_dense_algebra(case):
     ks = np.indices((alg.pM,) * 3).reshape(3, -1).T  # the flat index order
     wt = np.where((ks % p == 0).all(axis=1), ks // p @ w, -1)
     for t in range(3):
-        ut = alg.of_group(tuple(p * c for c in alg.model.generator(t)))
+        ut = of_group(alg, tuple(p * c for c in alg.model.generator(t)))
         for y in itertools.product(range(p), repeat=3):
             z = alg.monomial(tuple(p * c for c in y))
             coords = alg.to_monomial((alg.mul(ut, z) - z) % p)

@@ -6,12 +6,20 @@ int64 and reduces mod p after every axis, so no intermediate exceeds
 p (p-1)^2 and any int16 input is exact.  The library kernel instead sums
 in float64 and reduces once at the end; the two share only the Pascal
 pair.  expand_group_sparse is the closed-form expansion of one group
-element with math.comb, for the binomial expansion and the transforms."""
+element with math.comb, for the binomial expansion and the transforms.
+
+dense_element, dense_nu and dense_expansion are the point-query path that
+GroupAlgebra.support_expansion replaced: the element as f dense vectors of
+the group's order, nu as the least per-component alg.nu, and the
+expansion as one stacked to_monomial, a scan of the weight array and one
+dict per term."""
 
 import itertools
 import math
 
 import numpy as np
+
+from propring.gf import gf
 
 
 def digit_apply(alg, mat, arr):
@@ -40,3 +48,43 @@ def expand_group_sparse(alg, x):
                 for xi in x]
     return {tuple(k for k, _ in combo): math.prod(c for _, c in combo) % alg.p
             for combo in itertools.product(*per_axis)}
+
+
+def of_group(alg, x):
+    """The dense vector of the group element with digits x."""
+    a = alg.zero()
+    a[alg.model.index_of(alg.model.check_digits(x))] = 1
+    return a
+
+
+def dense_element(alg, items):
+    """The support list {digits, coeff} as f dense component vectors, one
+    entry added mod p per item."""
+    field = gf(alg.p, alg.model.f)
+    comps = [alg.zero() for _ in range(alg.model.f)]
+    for item in items:
+        c = item["coeff"]
+        coords = field.coords(field.index(c) if isinstance(c, list) else c)
+        flat = alg.model.index_of(tuple(item["digits"]))
+        for e, comp in enumerate(comps):
+            comp[flat] = (int(comp[flat]) + coords[e]) % alg.p
+    return comps
+
+
+def dense_nu(alg, comps):
+    """The least nu over the nonzero components, None for zero; may reach
+    p^M, where the truncation is no longer faithful."""
+    vals = [alg.nu(c) for c in comps if c.any()]
+    return min(vals) if vals else None
+
+
+def dense_expansion(alg, comps, cutoff):
+    """{cutoff, terms} of the components at the weight cutoff, terms
+    {exps, coeff} in lexicographic exponent order."""
+    monos = alg.to_monomial(np.stack(comps))
+    # flat indices ascend in lexicographic exponent order
+    hits = np.flatnonzero(monos.any(axis=0) & (alg.nu_weight_array <= cutoff))
+    exps = np.stack(np.unravel_index(hits, (alg.pM,) * alg.n), axis=1)
+    terms = [{"exps": e, "coeff": c}
+             for e, c in zip(exps.tolist(), monos[:, hits].T.tolist())]
+    return {"cutoff": cutoff, "terms": terms}
