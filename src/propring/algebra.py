@@ -39,11 +39,12 @@ right action, GroupModel.right_act: it walks x
 through the n M tables of the pc generators g_i^(p^k), at most p - 1 steps
 per base-p digit of h.
 
-A point query reads the same closed form on its support: the coefficients
-of sum_t c_t [x_t] at the monomials of weight up to a cutoff are
-contracted one exponent axis at a time over the support's distinct
-prefixes and the monomial suffixes inside the cutoff (support_expansion),
-so nu and expand make no vector of the group's order for a small support.
+A sparse element is a support pair and is read through the same closed
+form: the coefficients of sum_t c_t [x_t] at the monomials of weight up to
+a cutoff are contracted one exponent axis at a time over the support's
+distinct prefixes and the monomial suffixes inside the cutoff
+(support_expansion, and element_nu below p^M).  So point queries, the
+rewriting and the sandwich's products make no vector of the group's order.
 
 The weight of a monomial index is nu'(k) = sum_i w_i k_i with w = 1 for the
 A and B positions and w = 2 for the C positions (doubled generator
@@ -174,27 +175,26 @@ class GroupAlgebra:
         # exact: each index sums at most e + 1 terms below p^2 in size
         return self.collect(np.concatenate(terms), np.concatenate(weights))
 
-    def word_mul(self, word) -> np.ndarray:
-        """The dense vector of an ordered word of (i, e) z-chunks, a fresh
-        array: the identity's support is carried through zmul factor by
-        factor and written to a dense vector once.  The support pairs are
-        memoized by the word, least recently used first out once the memo
-        holds more than _WORD_MEMO entries, since the rewriting and the
-        re-expansion of its transcripts ask for the same words."""
+    def word_mul(self, word) -> tuple[np.ndarray, np.ndarray]:
+        """Support pair of an ordered word of (i, e) z-chunks: the
+        identity's support carried through zmul factor by factor.  The
+        pairs are memoized by the word, read-only, least recently used
+        first out once the memo holds more than _WORD_MEMO entries, since
+        the rewriting and the re-expansion of its transcripts ask for the
+        same words."""
         key = tuple(word)
         pair = self._words.pop(key, None)  # put back below as the most recent
         if pair is None:
             idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)  # the identity
             for i, e in key:
                 idx, coeffs = self.zmul(idx, coeffs, i, e)
+            idx.flags.writeable = coeffs.flags.writeable = False
             pair = idx, coeffs
             self._word_entries += idx.size
         self._words[key] = pair
         while self._word_entries > _WORD_MEMO:
             self._word_entries -= self._words.pop(next(iter(self._words)))[0].size
-        out = self.zero()
-        out[pair[0]] = pair[1]
-        return out
+        return pair
 
     def mul_rows(self, a, b, rows: int):
         """Row-batched product on support pairs.  a and b are (row, index,
@@ -454,6 +454,15 @@ class GroupAlgebra:
         if hit.size == 0:
             return None
         return int(self.nu_weight_array[hit].min())
+
+    def element_nu(self, idx: np.ndarray, coeffs: np.ndarray) -> int | None:
+        """nu of the element sum_t coeffs[t] [idx[t]], read on its support
+        by support_expansion: the least weight of a monomial term, over
+        all f coordinates, as the coefficient field is free over F_p.
+        None when no term lies below p^M, where the truncation stops
+        being faithful."""
+        _, weights, _ = self.support_expansion(idx, coeffs, self.pM - 1)
+        return int(weights.min()) if weights.size else None
 
 
 def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:

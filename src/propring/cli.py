@@ -115,11 +115,9 @@ def _element_from_input(data):
 
 
 def _cmd_nu(args) -> int:
-    from .jsonio import element_nu
-
     data = _read_json(getattr(args, "in"))
     cfg, alg, support = _element_from_input(data)
-    v = element_nu(alg, support)
+    v = alg.element_nu(*support)
     out = dict(cfg.header())
     if v is None:
         out.update({"nu": None, "at_least": alg.pM})

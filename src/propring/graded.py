@@ -41,6 +41,11 @@ from .gf import GF, gf, rref
 from .groups import Digits, GroupModel
 
 
+# word entries verify_transcript merges at a time, which bounds its
+# transients to a few MB however long the transcript
+_MERGE = 1 << 16
+
+
 @dataclasses.dataclass(frozen=True)
 class GradedClass:
     """Homogeneous element of the graded ring: coefficients (field indices)
@@ -360,7 +365,8 @@ class TauTranscript:
     N: int
     cutoff: int
     terms: list[TauTerm]
-    residual_weight: int | None  # None when the rewriting terminated exactly
+    # least weight below p^M left over; None when nothing below p^M is left
+    residual_weight: int | None
     passes: int
 
 
@@ -378,79 +384,80 @@ def tau_word(alg: GroupAlgebra, exps: Digits, N: int) -> list[tuple[int, int]]:
     return word
 
 
-def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> np.ndarray:
-    """Monomial coordinates of the monomial under the rewriting: all chunk
-    factors (multiples of p^N) in basis order, then all remainders in basis
-    order.  Verifies the contract nu(tau(x)) = nu(x) and tau(x) - x in
-    m^(nu+1), raising ContractViolation with x as witness when it breaks."""
+def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial support pair below p^M of the monomial under the rewriting:
+    all chunk factors (multiples of p^N) in basis order, then all
+    remainders in basis order.  Verifies the contract nu(tau(x)) = nu(x)
+    and tau(x) - x in m^(nu+1), raising ContractViolation with x as
+    witness when it breaks."""
     exps = alg.model.check_digits(exps)
-    mono = alg.to_monomial(alg.word_mul(tau_word(alg, exps, N)))
-    nu_w = alg.nu_weight_array
     w, flat = alg.nu_prime(exps), alg.model.index_of(exps)
-    hit = np.flatnonzero(mono)
-    if hit.size == 0 or nu_w[hit].min() != w:
+    if w >= alg.pM:
+        raise CutoffBeyondFaithful(f"weight {w} of {exps} reaches the unfaithful range")
+    idx, coeffs = alg.word_mul(tau_word(alg, exps, N))
+    ks, weights, c = alg.support_expansion(idx, coeffs[:, None], alg.pM - 1)
+    if not ks.size or weights.min() != w:
         raise ContractViolation(f"rewriting changed the weight of {exps}", exps)
     # less the unit vector at x, nothing may remain at weight w
-    if hit[nu_w[hit] == w].tolist() != [flat] or mono[flat] != 1:
+    at_w = weights == w
+    if ks[at_w].tolist() != [flat] or c[at_w, 0].tolist() != [1]:
         raise ContractViolation(f"rewriting perturbed {exps} at its own weight", exps)
-    return mono
+    return ks, c[:, 0]
 
 
 def iterate_tau(alg: GroupAlgebra, exps: Digits, N: int, cutoff: int) -> TauTranscript:
     """Rewrite the monomial and keep rewriting every surviving lowest-weight
-    monomial until the residual vanishes or leaves the cutoff range.  The
-    minimal weight must rise strictly with every pass.  The residual is kept
-    in monomial coordinates throughout, as tau_rewrite returns them."""
+    monomial until no term below p^M is left or the least one lies beyond
+    the cutoff.  The minimal weight must rise strictly with every pass.
+    The residual is a monomial support pair, as tau_rewrite returns them,
+    merged by collect."""
     exps = alg.model.check_digits(exps)
     nu_w = alg.nu_weight_array
-    residual = alg.zero()
-    residual[alg.model.index_of(exps)] = 1
+    idx, coeffs = np.array([alg.model.index_of(exps)]), np.ones(1, dtype=np.int64)
     terms: list[TauTerm] = []
     passes = 0
-    residual_weight: int | None = None
     while True:
-        hit = np.flatnonzero(residual)
-        if hit.size == 0:
-            residual_weight = None
+        w0 = int(nu_w[idx].min()) if idx.size else None
+        if w0 is None or w0 > cutoff:
             break
-        w0 = int(nu_w[hit].min())
-        if w0 > cutoff:
-            residual_weight = w0
-            break
-        level = hit[nu_w[hit] == w0]
-        for idx, coeff in zip(level, residual[level].tolist()):
-            k = alg.model.digits_of(int(idx))
+        parts = [(idx, coeffs)]
+        level = nu_w[idx] == w0
+        for flat, coeff in zip(idx[level].tolist(), coeffs[level].tolist()):
+            k = alg.model.digits_of(flat)
             chunk, frac = tau_exponents(alg, k, N)
             cw = alg.nu_prime(chunk) // (alg.p**N)
             terms.append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=k,
                                  src_weight=w0, chunk_weight=cw))
-            residual = (residual - coeff * tau_rewrite(alg, k, N)) % alg.p
-        hit = np.flatnonzero(residual)
-        if hit.size and int(nu_w[hit].min()) <= w0:
+            ks, c = tau_rewrite(alg, k, N)
+            parts.append((ks, -coeff * c))
+        idx, coeffs = alg.collect(*map(np.concatenate, zip(*parts)))
+        if idx.size and int(nu_w[idx].min()) <= w0:
             raise ContractViolation(
                 f"pass {passes} on {exps} failed to raise the weight past {w0}", exps)
         passes += 1
     return TauTranscript(start=exps, N=N, cutoff=cutoff, terms=terms,
-                         residual_weight=residual_weight, passes=passes)
+                         residual_weight=w0, passes=passes)
 
 
 def verify_transcript(alg: GroupAlgebra, tr: TauTranscript) -> bool:
     """Build every emitted word again from its term's chunk and remainder,
-    expand it, and confirm the exact identity start = sum of terms +
-    residual, with the residual supported beyond the cutoff.  A word equal
-    to the one tau_word built reuses word_mul's memoized expansion, which
-    is deterministic; a word that differs misses the memo."""
-    total = alg.zero().astype(np.int64)
+    and confirm the exact identity start = sum of terms + residual in group
+    coordinates, with the residual's nu (element_nu, read below p^M) the
+    transcript's residual weight and beyond the cutoff.  A word equal to
+    the one tau_word built reuses word_mul's memoized expansion, which is
+    deterministic; a word that differs misses the memo."""
+    parts, pending = [alg.monomial_support(tr.start)], 0
     for t in tr.terms:
         word = [(i, e) for i, e in enumerate(t.chunk) if e]
         word += [(i, e) for i, e in enumerate(t.frac) if e]
-        total += t.coeff * alg.word_mul(word)
-    residual = (alg.monomial(tr.start) - total) % alg.p
-    residual = residual.astype(np.int16)
-    v = alg.nu(residual)
-    if tr.residual_weight is None:
-        return v is None
-    return v == tr.residual_weight and v > tr.cutoff
+        idx, coeffs = alg.word_mul(word)
+        parts.append((idx, -t.coeff * coeffs))
+        pending += idx.size
+        if pending > _MERGE:
+            parts, pending = [alg.collect(*map(np.concatenate, zip(*parts)))], 0
+    idx, coeffs = alg.collect(*map(np.concatenate, zip(*parts)))
+    v = alg.element_nu(idx, coeffs[:, None])
+    return v == tr.residual_weight and (v is None or v > tr.cutoff)
 
 
 def chunk_weight_bound(alg: GroupAlgebra, src_weight: int, N: int) -> int:
@@ -516,11 +523,9 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
     first_checked = 0
     first_ok = True
     for idx, c in alg.mul_rows(_stack_rows(us), _stack_rows(vs), samples):
-        w = alg.zero()
-        w[idx] = c
-        val = alg.nu(w)  # one row at a time: stacked transforms measured slower
         first_checked += 1
-        if val is not None and val < k * q:
+        # a monomial term below k p^N puts the product outside m^(k p^N)
+        if alg.support_expansion(idx, c[:, None], k * q - 1)[0].size:
             first_ok = False
             rng.bit_generator.state = states[first_checked - 1]
             break

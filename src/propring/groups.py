@@ -319,7 +319,7 @@ class GroupModel:
 
     def certify_straightening(self, N: int) -> None:
         """Certify, memoized per level N, the straightening condition that
-        modules.grade_res_from_restriction rests on: for each pair s < t of
+        modules.grade (its "res" grading) rests on: for each pair s < t of
         u_t = g_t^(p^N), the pc relation W = (u_s u_t)^(-1) u_t u_s (u_(s,N)
         comes first, as two_omega never decreases) has every digit d_i
         divisible by p^N and subring weight min_i w_i p^(v_p(d_i) - N) above

@@ -127,15 +127,6 @@ def algebra_element_from_json(alg: GroupAlgebra, items) -> tuple[np.ndarray, np.
                        np.array(coords, dtype=np.int64).reshape(-1, f))
 
 
-def element_nu(alg: GroupAlgebra, support: tuple[np.ndarray, np.ndarray]) -> int | None:
-    """Valuation of the element of a support pair: the least weight of its
-    monomial support, the minimum over the coordinates since the
-    coefficient field is free over its prime field.  None when no term
-    lies below p^M, where the truncation stops being faithful."""
-    _, weights, _ = alg.support_expansion(*support, alg.pM - 1)
-    return int(weights.min()) if weights.size else None
-
-
 def monomial_expansion(alg: GroupAlgebra, support: tuple[np.ndarray, np.ndarray],
                        cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomial form of the element of a support pair, truncated at the

@@ -86,12 +86,16 @@ class FiniteModule:
                 out = gflib.matmul(out, self.power_of(i, int(e)), self.field)
         return out
 
-    def restriction_matrices(self, N: int) -> list[np.ndarray]:
-        """The actions rho(g_i^(p^N)), the only data G_N sees."""
+    def restrict(self, N: int) -> FiniteModule:
+        """The module at level N, acting by rho(g_i^(p^N)), the only data
+        G_N sees; the module itself at its own level."""
         if N < self.level:
             raise LevelTooDeep(f"restriction data at level {self.level} has no level {N}")
+        if N == self.level:
+            return self
         q = self.cfg.p ** (N - self.level)
-        return [self.power_of(i, q) for i in range(len(self.gen_action))]
+        mats = tuple(self.power_of(i, q) for i in range(len(self.gen_action)))
+        return FiniteModule(self.cfg, self.dim, mats, f"res({self.provenance})", N)
 
 
 def check_multiplicative(mod: FiniteModule) -> int:
@@ -322,27 +326,9 @@ def _subsample(gr: GradedModule, N: int) -> GradedModule:
 def grade(mod: FiniteModule, kind: str, N: int | None = None) -> GradedModule:
     """The graded module of one of the three filtrations: "gr" steps by the
     maximal ideal, "int" subsamples that chain at multiples of p^N, and
-    "res" filters by the subring ideal steps (restriction data only)."""
-    if kind == "gr":
-        if mod.level:
-            raise ConfigError("the full grading needs the full module action")
-        field = mod.field
-        chain, piv = _weighted_chain(_aug_ops(mod.gen_action, field), (1,) * mod.cfg.dim, field)
-        return GradedModule("gr", None, chain, piv, mod)
-    if N is None or not (1 <= N < mod.cfg.M):
-        raise LevelTooDeep(f"need 1 <= N < M, got N={N} at M={mod.cfg.M}")
-    if kind == "int":
-        return _subsample(grade(mod, "gr"), N)
-    if kind == "res":
-        return grade_res_from_restriction(mod.restriction_matrices(N), mod.cfg, N)
-    raise ConfigError(f"unknown grading kind {kind!r}")
-
-
-def grade_res_from_restriction(qmats, cfg: PrimeConfig, N: int) -> GradedModule:
-    """The "res" grading from qmats alone, carrying them as a module at
-    level N.  Contract: qmats are the p^N-th power matrices rho(u_t),
-    u_t = g_t^(p^N), of a representation rho of the truncated group, as
-    FiniteModule.restriction_matrices gives them.
+    "res" filters by the subring ideal steps, read off mod.restrict(N)
+    alone, the actions rho(u_t) of u_t = g_t^(p^N), which it carries as
+    the action source.
 
     With Z_t = rho(u_t) - 1, w = two_omega and top = p^(M-N), step E_i is
     the span of the images of the ordered products Z^y = Z_0^(y_0) ...
@@ -365,14 +351,23 @@ def grade_res_from_restriction(qmats, cfg: PrimeConfig, N: int) -> GradedModule:
     with w_i p^(v_p(c_i)) > w_s + w_t whenever c_i != 0; as (1 + Z)^c =
     (1 + Z^(p^v))^(c / p^v) for v = v_p(c), rho(W) - 1 lies in
     I_(w_s + w_t + 1), so the second term lies in J_(m+1), within I_(m+1)."""
-    if not 1 <= N < cfg.M:
-        raise LevelTooDeep(f"need 1 <= N < M, got N={N} at M={cfg.M}")
-    model = group_model(cfg)
-    model.certify_straightening(N)
-    field = gf(cfg.p, cfg.f)
-    chain, piv = _weighted_chain(_aug_ops(qmats, field), model.two_omega, field)
-    restricted = FiniteModule(cfg, qmats[0].shape[0], tuple(qmats), "restriction", N)
-    return GradedModule("res", N, chain, piv, restricted)
+    field = mod.field
+    if kind == "gr":
+        if mod.level:
+            raise ConfigError("the full grading needs the full module action")
+        chain, piv = _weighted_chain(_aug_ops(mod.gen_action, field), (1,) * mod.cfg.dim, field)
+        return GradedModule("gr", None, chain, piv, mod)
+    if N is None or not (1 <= N < mod.cfg.M):
+        raise LevelTooDeep(f"need 1 <= N < M, got N={N} at M={mod.cfg.M}")
+    if kind == "int":
+        return _subsample(grade(mod, "gr"), N)
+    if kind == "res":
+        res = mod.restrict(N)
+        model = group_model(mod.cfg)
+        model.certify_straightening(N)
+        chain, piv = _weighted_chain(_aug_ops(res.gen_action, field), model.two_omega, field)
+        return GradedModule("res", N, chain, piv, res)
+    raise ConfigError(f"unknown grading kind {kind!r}")
 
 
 # -- annihilator exponents --------------------------------------------------------
@@ -388,19 +383,17 @@ class AnnihilatorReport:
     excess_dims: list[int]  # dimension above the chain tails, per power
 
 
-def ideal_operator_lifts(mod: FiniteModule, spec: IdealSpec, field: GF,
-                         f: int, p: int) -> list[tuple[np.ndarray, int]]:
+def ideal_operator_lifts(mod: FiniteModule, spec: IdealSpec) -> list[tuple[np.ndarray, int]]:
     """(operator matrix, ambient weight) for every ideal generator,
     including the implicit central column generators.  The operators read
-    only mod.restriction_matrices(spec.N), so restriction data at level N
-    serves exactly the specs twisted at least N deep."""
+    only mod.restrict(spec.N), so restriction data at level N serves
+    exactly the specs twisted at least N deep."""
     if spec.N < mod.level:
         raise ConfigError(f"restriction data at level {mod.level} can only act "
                           f"through a spec twisted at least that deep")
+    field, f, p, dim = mod.field, mod.cfg.f, mod.cfg.p, mod.dim
     unit = p**spec.N
-    mats = mod.restriction_matrices(spec.N)
-    dim = mod.dim
-    zs = _aug_ops(mats, field)
+    zs = _aug_ops(mod.restrict(spec.N).gen_action, field)
 
     def aug_power(i: int, e: int) -> np.ndarray:
         # (rho(g_i) - 1)^e computed as (rho(g_i)^unit - 1)^(e/unit)
@@ -443,7 +436,7 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec) -> AnnihilatorRe
     raises ContractViolation).  The generators act through gm.module, which
     on "res" is restriction data alone."""
     cfg, field = gm.module.cfg, gm.module.field
-    lifts = ideal_operator_lifts(gm.module, spec, field, cfg.f, cfg.p)
+    lifts = ideal_operator_lifts(gm.module, spec)
     if gm.kind in ("int", "res"):
         unit = cfg.p**gm.N
         for _, deg in lifts:
@@ -583,19 +576,14 @@ def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
     field = mod.field
     dual = dualize(mod)
     gdual = grade(dual, "res", N)
-    restricted = FiniteModule(mod.cfg, mod.dim, tuple(mod.restriction_matrices(N)),
-                              f"res({mod.provenance})", N)
+    restricted = mod.restrict(N)
     gm = grade(dualize(restricted), "res", N)
     twisted = _central_order_p_twist(mod)
     same_restriction = True
     if twisted is not None:
         check_multiplicative(twisted)
-        same_restriction = all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                twisted.restriction_matrices(N), mod.restriction_matrices(N)
-            )
-        )
+        same_restriction = all(map(np.array_equal, twisted.restrict(N).gen_action,
+                                   restricted.gen_action))
         gtwisted = grade(dualize(twisted), "res", N)
     out = []
     for spec in specs:

@@ -12,13 +12,13 @@ it takes normal in the graded ring, so each step is stable already.
 restriction_chain enumerates all top^(3f) ordered products
 Z^y = Z_0^(y_0) ... Z_(3f-1)^(y_(3f-1)), Z_t = rho(g_t)^(p^N) - 1, and
 spans their images by weight wt(y) = sum_t w_t y_t, one product per
-factor.  modules.grade_res_from_restriction computes the same filtration
-as the recursion R_i = sum_t Z_t R_max(i - w_t, 0): at most dim + 1 steps,
-each of 3f products and one row reduction.  The recursion always contains
-the enumerated steps, and equals them once GroupModel.certify_straightening
+factor.  modules.grade(mod, "res", N) computes the same filtration as the
+recursion R_i = sum_t Z_t R_max(i - w_t, 0): at most dim + 1 steps, each
+of 3f products and one row reduction.  The recursion always contains the
+enumerated steps, and equals them once GroupModel.certify_straightening
 has shown that every commutator of two subgroup generators lies deeper than
 their weights add up to; grade_res_from_restriction below is the
-enumerated grading in the library's signature.  matmul reduces an int64
+enumerated grading of mod.restrict(N).  matmul reduces an int64
 product mod p, where gf.matmul sums in float64 through BLAS.  The first two
 multiply through the oracle matmul, so all three share with the library
 only rref and the field tables.
@@ -37,7 +37,7 @@ import itertools
 import numpy as np
 
 from propring.errors import BoundExceeded
-from propring.gf import gf, mat_inverse, rref
+from propring.gf import mat_inverse, rref
 from propring.groups import group_model
 from propring.modules import AnnihilatorReport, FiniteModule, GradedModule, ideal_operator_lifts
 
@@ -91,7 +91,7 @@ def min_annihilator_exponent(gm, spec):
     "int" and "res"; the signature of modules.min_annihilator_exponent."""
     mod = gm.module
     cfg, field = mod.cfg, mod.field
-    lifts = ideal_operator_lifts(mod, spec, field, cfg.f, cfg.p)
+    lifts = ideal_operator_lifts(mod, spec)
     if gm.kind == "gr":
         ring_ops = list(zip(aug_ops(mod.gen_action, field), group_model(cfg).two_omega))
     else:
@@ -161,13 +161,12 @@ def restriction_chain(qmats, field, top, weights):
     return chain, pivots
 
 
-def grade_res_from_restriction(qmats, cfg, N):
-    """The "res" grading through restriction_chain; the signature of
-    modules.grade_res_from_restriction."""
-    field = gf(cfg.p, cfg.f)
-    chain, piv = restriction_chain(list(qmats), field, cfg.p ** (cfg.M - N),
-                                   group_model(cfg).two_omega)
-    restricted = FiniteModule(cfg, qmats[0].shape[0], tuple(qmats), "restriction", N)
+def grade_res_from_restriction(mod, N):
+    """The "res" grading of mod.restrict(N) through restriction_chain; what
+    modules.grade(mod, "res", N) returns."""
+    restricted, cfg = mod.restrict(N), mod.cfg
+    chain, piv = restriction_chain(list(restricted.gen_action), mod.field,
+                                   cfg.p ** (cfg.M - N), group_model(cfg).two_omega)
     return GradedModule("res", N, chain, piv, restricted)
 
 

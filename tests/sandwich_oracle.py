@@ -6,8 +6,10 @@ samples of an index first and walks their support pairs in row groups.
 mul accumulates one dense product over the support pairs of its factors,
 PAIR_CHUNK pairs per GroupModel.right_act and one bincount of the group's
 order per chunk; first_inclusion draws a sample, builds u from dense
-monomials, multiplies by mul and reads nu before it draws the next.  They
-share with the library the right action, monomial and nu."""
+monomials, multiplies by mul and reads the dense nu before it draws the
+next, where the library reads each product's support pair at the window
+k p^N - 1 by support_expansion.  They share with the library the right
+action."""
 
 import numpy as np
 

@@ -5,9 +5,13 @@ tau_rewrite returns the dense image of the rewritten word and checks the
 contract by transforming that image and its difference from the dense
 monomial; iterate_tau keeps its residual as a dense group-coordinate
 vector and transforms it back to monomial coordinates twice per pass.
-The library keeps everything in monomial coordinates and transforms each
-rewritten word once; both share only the word (graded.tau_word) and the
-transcript types."""
+The library keeps support pairs throughout and reads each rewritten word
+below p^M only, by GroupAlgebra.support_expansion; both share only the
+word (graded.tau_word) and the transcript types.  below_faithful and
+read_residual read the oracle's answers on the weights below p^M, as the
+library gives them."""
+
+import dataclasses
 
 import numpy as np
 
@@ -23,6 +27,21 @@ def in_filtration(alg, a, j):
     (= m^j once certified)."""
     c = alg.to_monomial(a)
     return not c[alg.nu_weight_array < j].any()
+
+
+def below_faithful(alg, dense):
+    """Monomial coordinates of the dense vector, zero from weight p^M on."""
+    c = alg.to_monomial(dense)
+    c[alg.nu_weight_array >= alg.pM] = 0
+    return c
+
+
+def read_residual(alg, tr):
+    """The transcript with a residual weight of p^M or more read as None:
+    nothing is left below p^M."""
+    if tr.residual_weight is not None and tr.residual_weight >= alg.pM:
+        return dataclasses.replace(tr, residual_weight=None)
+    return tr
 
 
 def tau_rewrite(alg, exps, N, verify=True):

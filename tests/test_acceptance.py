@@ -31,7 +31,7 @@ from propring.jsonio import to_jsonable
 from propring import modules
 from propring.modules import (
     check_exponent_transfer,
-    grade_res_from_restriction,
+    grade,
     module_corpus,
     restriction_determinism,
 )
@@ -258,19 +258,20 @@ def test_criterion_10_reports_are_byte_identical(monkeypatch):
     # the enumerated oracle, byte for byte in chains and pivots
     graded = []
 
-    def compared(qmats, cfg, N):
-        got = grade_res_from_restriction(qmats, cfg, N)
-        want = module_oracle.grade_res_from_restriction(qmats, cfg, N)
-        assert got.pivots == want.pivots
-        assert [c.tobytes() for c in got.chain] == [c.tobytes() for c in want.chain]
-        graded.append(cfg.case)
+    def compared(mod, kind, N=None):
+        got = grade(mod, kind, N)
+        if kind == "res":
+            want = module_oracle.grade_res_from_restriction(mod, N)
+            assert got.pivots == want.pivots
+            assert [c.tobytes() for c in got.chain] == [c.tobytes() for c in want.chain]
+            graded.append(mod.cfg.case)
         return got
 
     for name in ("acceptance_gl2.json", "acceptance_quat.json"):
         data = json.loads((SCENARIOS / name).read_text())
         r1, code1 = run_scenario(data)
         with monkeypatch.context() as m:
-            m.setattr(modules, "grade_res_from_restriction", compared)
+            m.setattr(modules, "grade", compared)
             r2, code2 = run_scenario(data)
         assert code1 == code2 == 0, (name, [c["status"] for c in r1["checks"]])
         assert report_bytes(r1) == report_bytes(r2), name

@@ -22,7 +22,7 @@ import sandwich_oracle
 from power_oracle import right_mul_table
 from span_oracle import primal_ideal_power_spans
 import tau_oracle
-from transform_oracle import expand_group_sparse, of_group, transforms
+from transform_oracle import expand_group_sparse, of_group, of_support, transforms
 import zmul_oracle
 
 
@@ -144,10 +144,10 @@ def test_mul_rows_matches_oracles(pfm, case, monkeypatch):
             assert np.array_equal(coeffs, want[idx])
 
 
-def test_word_mul_memo_is_bounded_and_fresh(model, monkeypatch):
+def test_word_mul_memo_is_bounded_and_read_only(model, monkeypatch):
     # a memo of 40 entries against words of up to a few hundred: every
-    # call, hit or miss, is a fresh array equal to the dense oracle, and
-    # the memo never holds more than its bound
+    # call, hit or miss, is a read-only support pair equal to the dense
+    # oracle, and the memo never holds more than its bound
     monkeypatch.setattr(algebra, "_WORD_MEMO", 40)
     alg = GroupAlgebra(model)
     rng = np.random.default_rng(5)
@@ -155,9 +155,11 @@ def test_word_mul_memo_is_bounded_and_fresh(model, monkeypatch):
                                                rng.integers(0, 8, 3))] for _ in range(6)]
     for word in words + words[::-1] + words:
         got = alg.word_mul(word)
-        assert np.array_equal(
-            got, zmul_oracle.word_mul(alg, of_group(alg, model.identity), word)), word
-        got[:] = 0
+        assert np.array_equal(of_support(alg, got), zmul_oracle.word_mul(
+            alg, of_group(alg, model.identity), word)), word
+        for a in got:
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = 0
         stored = sum(idx.size for idx, _ in alg._words.values())
         assert stored == alg._word_entries <= 40
 
@@ -270,8 +272,7 @@ def test_support_zmul_matches_dense_oracle(pfm, case):
             assert np.array_equal(got_idx, idx) and np.array_equal(got_coeffs, coeffs)
         word = [(int(i), int(e)) for i, e in zip(rng.integers(0, alg.n, 4),
                                                  rng.integers(0, alg.pM, 4))]
-        got = alg.word_mul(word)
-        assert got.dtype == a.dtype
+        got = of_support(alg, alg.word_mul(word))
         assert np.array_equal(
             got, zmul_oracle.word_mul(alg, of_group(alg, alg.model.identity), word)), word
     empty = np.zeros(0, dtype=np.int64)

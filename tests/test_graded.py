@@ -36,6 +36,7 @@ import sandwich_oracle
 import tau_oracle
 from graded_oracle import DenseGradedRing
 from span_oracle import primal_ideal_power_spans
+from transform_oracle import of_support
 
 F5 = gf(5, 1)
 
@@ -157,14 +158,13 @@ def test_faithful_gate(gr):
 
 def test_tau_fixes_pure_inputs(alg):
     # no chunk part, or nothing but chunk: the word is already ordered, so
-    # the image is the monomial itself, the unit vector in monomial
+    # the image is the monomial itself, the one term x in monomial
     # coordinates
     for x in ((3, 2, 1), (5, 10, 0)):
         assert np.array_equal(tau_oracle.tau_rewrite(alg, x, 1, verify=False),
                               alg.monomial(x))
-        unit = alg.zero()
-        unit[alg.model.index_of(x)] = 1
-        assert np.array_equal(tau_rewrite(alg, x, 1), unit)
+        ks, c = tau_rewrite(alg, x, 1)
+        assert ks.tolist() == [alg.model.index_of(x)] and c.tolist() == [1]
 
 
 def test_tau_contract_on_mixed_monomial(alg):
@@ -174,29 +174,45 @@ def test_tau_contract_on_mixed_monomial(alg):
     assert alg.nu(dense) == w
     diff = (dense - alg.monomial(x)) % alg.p
     assert diff.any() and tau_oracle.in_filtration(alg, diff, w + 1)
-    assert np.array_equal(tau_rewrite(alg, x, 1), alg.to_monomial(dense))
+    assert np.array_equal(of_support(alg, tau_rewrite(alg, x, 1)),
+                          tau_oracle.below_faithful(alg, dense))
+
+
+def assert_tau_matches_oracle(alg, x):
+    """The support-pair rewriting of x against the dense one: the same
+    image below p^M, the same transcript once the oracle's residual weight
+    from p^M on is read as None; returns the number of passes."""
+    cutoff = alg.pM - 1
+    assert np.array_equal(of_support(alg, tau_rewrite(alg, x, 1)), tau_oracle.below_faithful(
+        alg, tau_oracle.tau_rewrite(alg, x, 1))), x
+    tr = iterate_tau(alg, x, 1, cutoff)
+    assert tr == tau_oracle.read_residual(alg, tau_oracle.iterate_tau(alg, x, 1, cutoff)), x
+    assert tr.residual_weight is None  # the cutoff p^M - 1 leaves nothing below p^M
+    return tr.passes
 
 
 @pytest.mark.parametrize("case", ["GL2", "QUAT"])
 @pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
 def test_tau_matches_group_coordinate_oracle(pfm, case):
-    # the monomial-coordinate rewriting against the dense one: same image
-    # of every rewritten monomial, same transcript of every iterated run
     alg = group_algebra(PrimeConfig(*pfm, case, N=1))
     rng = np.random.default_rng(sum(pfm) + len(case))
-    cutoff = alg.pM - 1
     done = multi_pass = 0
     while done < 20:
         x = tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n))
-        if not any(x) or alg.nu_prime(x) > cutoff:
+        if not any(x) or alg.nu_prime(x) > alg.pM - 1:
             continue
-        assert np.array_equal(tau_rewrite(alg, x, 1),
-                              alg.to_monomial(tau_oracle.tau_rewrite(alg, x, 1))), x
-        tr = iterate_tau(alg, x, 1, cutoff)
-        assert tr == tau_oracle.iterate_tau(alg, x, 1, cutoff), x
-        multi_pass += tr.passes > 1
+        multi_pass += assert_tau_matches_oracle(alg, x) > 1
         done += 1
     assert multi_pass > 0
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+def test_tau_matches_group_coordinate_oracle_at_depth_3(case):
+    # a few monomials at (5, 1, 3), where the oracle transforms vectors of
+    # 1.95 M entries, 2-3 s per monomial
+    alg = group_algebra(PrimeConfig(5, 1, 3, case, N=1))
+    passes = [assert_tau_matches_oracle(alg, x) for x in ((12, 3, 2), (30, 4, 38), (69, 6, 22))]
+    assert max(passes) > 1
 
 
 def test_iterate_tau_transcripts(alg, rng):
@@ -223,26 +239,40 @@ def test_sandwich_gate(alg, rng):
     # k p^N = 25 passes the faithful cutoff p^M - 1 = 24
     with pytest.raises(CutoffBeyondFaithful):
         check_sandwich(alg, 5, 1, rng, samples=1, mono_samples=1)
+    # the rewriting reads its contract below p^M only
+    with pytest.raises(CutoffBeyondFaithful):
+        tau_rewrite(alg, (20, 5, 0), 1)
 
 
 @pytest.mark.parametrize("fail_at", [None, 0, 9])
 def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
     # the batched first inclusion, in groups of 2000 pairs at most, against
-    # one sample at a time: the same products handed to nu in the same
-    # order, the same report and the generator in the same state after the
-    # second inclusion; nu answers 0 at call fail_at, below k p^N, and both
-    # stop at that sample
+    # one sample at a time: the same products read in the same order, the
+    # same report and the generator in the same state after the second
+    # inclusion.  The library reads each product by support_expansion at
+    # the window k p^N - 1 = 9, the oracle by the dense nu; at call fail_at
+    # each answers with a term below k p^N, and both stop at that sample
     monkeypatch.setattr(algebra, "_PAIR_CHUNK", 2000)
-    real = alg.nu
+    real_nu, real_expansion = alg.nu, alg.support_expansion
+    one = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)  # [1], of weight 0
     runs = []
     for batched in (True, False):
         seen = []
 
+        def failing(dense):
+            seen.append(dense.tobytes())
+            return len(seen) - 1 == fail_at
+
         def nu(a):
-            seen.append(a.tobytes())
-            return 0 if len(seen) - 1 == fail_at else real(a)
+            return 0 if failing(a) else real_nu(a)
+
+        def support_expansion(idx, coeffs, cutoff):
+            if cutoff == 2 * 5 - 1 and failing(of_support(alg, (idx, coeffs[:, 0]))):
+                idx, coeffs = one
+            return real_expansion(idx, coeffs, cutoff)
 
         monkeypatch.setattr(alg, "nu", nu)
+        monkeypatch.setattr(alg, "support_expansion", support_expansion)
         rng = np.random.default_rng(11)
         if batched:
             res = check_sandwich(alg, 2, 1, rng, samples=20, mono_samples=3)
@@ -255,9 +285,34 @@ def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
     res = runs[0][0]
     if fail_at is None:
         assert res["ok"] and res["first_inclusion"]["samples"] == 20
+        assert len(runs[0][1]) == 20
     else:
         assert res["first_inclusion"] == {"samples": fail_at + 1, "ok": False}
     assert res["second_inclusion"]["transcripts"] == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_first_inclusion_window_matches_dense_nu(alg, k):
+    # random products u v with u a sum of subring monomials z^(p y) of
+    # small y, many below step k: a term of the product at the window
+    # k p^N - 1 is exactly a dense nu below k p^N
+    rng = np.random.default_rng(k)
+    q = 5
+    verdicts = []
+    for _ in range(30):
+        u = alg.zero()
+        for _ in range(int(rng.integers(1, 4))):
+            y = rng.integers(0, 3, size=alg.n)
+            u = (u + int(rng.integers(1, alg.p)) * alg.monomial(tuple(q * y))) % alg.p
+        v = alg.zero()
+        v[rng.choice(alg.order, size=30, replace=False)] = rng.integers(0, alg.p, size=30)
+        uv = alg.mul(u, v)
+        idx = np.flatnonzero(uv)
+        windowed = alg.support_expansion(idx, uv[idx, None].astype(np.int64), k * q - 1)[0].size > 0
+        val = alg.nu(uv)
+        assert windowed == (val is not None and val < k * q)
+        verdicts.append(windowed)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_first_inclusion_memory_is_bounded():
@@ -275,6 +330,25 @@ def test_first_inclusion_memory_is_bounded():
         tracemalloc.stop()
     assert res["first_inclusion"] == {"samples": 100, "ok": True}
     assert peak < 4_000_000, peak
+
+
+def test_transcripts_at_depth_3_stay_below_one_vector():
+    # QUAT (5, 1, 3): four transcripts and their re-expansion hold support
+    # pairs only, so the traced peak stays below one float64 vector of the
+    # group's order, 15.6 MB; the dense round trip traced about 51 MB.  The
+    # tables and the weight array are built first, once per algebra
+    alg = group_algebra(PrimeConfig(5, 1, 3, "QUAT", N=1))
+    for i in range(alg.n):
+        alg.model.right_mul_table(alg.model.generator(i))
+    alg.nu_weight_array
+    tracemalloc.start()
+    try:
+        for x in ((76, 14, 5), (55, 4, 17), (2, 32, 31), (46, 38, 15)):
+            assert verify_transcript(alg, iterate_tau(alg, x, 1, alg.pM - 1)), x
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * alg.order, peak
 
 
 def test_tau_contract_check(alg, rng):

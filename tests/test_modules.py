@@ -247,10 +247,8 @@ def test_build_module_explicit_roundtrip(cfg, monkeypatch):
 def test_relation_check_refuses_restriction_data(deep):
     # the relations of G are not those of G_1: on the GL2 deep line module
     # they once failed spuriously at level 1
-    restricted = FiniteModule(deep.cfg, deep.dim, tuple(deep.restriction_matrices(1)),
-                              "r", 1)
     with pytest.raises(ConfigError, match="level 1"):
-        check_multiplicative(restricted)
+        check_multiplicative(deep.restrict(1))
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
@@ -259,8 +257,7 @@ def test_dualize_matches_inverse_oracle(case):
     # on the corpus and on its restriction data at level 1
     cfg = PrimeConfig(5, 1, 2, case)
     for mod in module_corpus(cfg, count=2):
-        for src in (mod, FiniteModule(cfg, mod.dim, tuple(mod.restriction_matrices(1)),
-                                      f"res({mod.provenance})", 1)):
+        for src in (mod, mod.restrict(1)):
             got, want = dualize(src), module_oracle.dualize(src)
             assert (got.provenance, got.level) == (want.provenance, want.level)
             assert [g.dtype for g in got.gen_action] == [g.dtype for g in want.gen_action]
@@ -294,7 +291,7 @@ def test_restriction_data_serves_deeper_twists_at_depth_3():
     # an untwisted spec cannot act on it, nor can the full grading
     cfg = PrimeConfig(5, 1, 3, "GL2")
     mod = weight_quotient_module(cfg, 6)
-    restricted = modules.grade_res_from_restriction(mod.restriction_matrices(1), cfg, 1)
+    restricted = grade(mod.restrict(1), "res", 1)
     assert restricted.module.level == 1
     full_action = dataclasses.replace(restricted, module=mod)
     for spec in IDEALS:
@@ -305,7 +302,7 @@ def test_restriction_data_serves_deeper_twists_at_depth_3():
         with pytest.raises(ConfigError):
             min_annihilator_exponent(restricted, spec)
     with pytest.raises(LevelTooDeep):
-        restricted.module.restriction_matrices(0)
+        restricted.module.restrict(0)
     with pytest.raises(ConfigError):
         grade(restricted.module, "gr")
     assert dualize(restricted.module).level == 1
@@ -395,15 +392,15 @@ def test_planted_faults_rejected_by_relations_and_pairs(case):
         assert first_unpaired(bad) is not None, name
 
 
-def _gradings_and_exponents(cfg, exponent=min_annihilator_exponent):
+def _gradings_and_exponents(cfg, exponent=min_annihilator_exponent, graded=grade):
     """Chains, pivots and (ell, excess_dims) of every default ideal on the
     three gradings at N = 1, for a count-4 corpus and the duals, with the
-    exponent search given."""
+    exponent search and the grading given."""
     out = []
     for mod in module_corpus(cfg, count=4):
         for m in (mod, dualize(mod)):
             for kind in ("gr", "int", "res"):
-                gm = grade(m, kind, None if kind == "gr" else 1)
+                gm = graded(m, kind, None if kind == "gr" else 1)
                 specs = [build_JN(spec, 1, F5) for spec in IDEALS]
                 if kind == "gr":
                     specs += IDEALS
@@ -424,14 +421,15 @@ def test_sweep_and_prefix_kernels_match_oracles(case, monkeypatch):
     # together
     cfg = PrimeConfig(5, 1, 2, case, N=1)
     got = _gradings_and_exponents(cfg)
-    monkeypatch.setattr(modules, "grade_res_from_restriction",
-                        module_oracle.grade_res_from_restriction)
     monkeypatch.setattr(modules, "weight_quotient_module", monomial_oracle.weight_quotient_module)
     monkeypatch.setattr(modules, "_stable_closure", module_oracle.stable_closure)
     monkeypatch.setattr(gflib, "matmul", module_oracle.matmul)
     monkeypatch.setattr(gflib, "rref_insert", module_oracle.rref_insert)
     monkeypatch.setattr(gflib, "residue", module_oracle.residue)
-    want = _gradings_and_exponents(cfg, module_oracle.min_annihilator_exponent)
+    want = _gradings_and_exponents(
+        cfg, module_oracle.min_annihilator_exponent,
+        lambda m, kind, N: (module_oracle.grade_res_from_restriction(m, N) if kind == "res"
+                            else grade(m, kind, N)))
     assert len(got) == len(want) == 36
     for (name, mats, kind, chain, piv, reps), (name2, mats2, _, chain2, piv2, reps2) in zip(
             got, want):
@@ -499,9 +497,8 @@ def test_restriction_grading_matches_oracle_on_representations(pfm, case):
     for mod in module_corpus(cfg, count=4):
         dual = dualize(mod)
         for m in (mod, dual, _conjugate_dual(mod, dual, rng)):
-            qmats = m.restriction_matrices(1)
-            got = modules.grade_res_from_restriction(qmats, cfg, 1)
-            want = module_oracle.grade_res_from_restriction(qmats, cfg, 1)
+            got = grade(m, "res", 1)
+            want = module_oracle.grade_res_from_restriction(m, 1)
             assert got.pivots == want.pivots, m.provenance
             assert [c.tobytes() for c in got.chain] == [c.tobytes() for c in want.chain]
 
@@ -547,7 +544,7 @@ def test_restriction_grading_is_bounded_at_level_4(monkeypatch):
     # most 3f (dim + 1)
     cfg = PrimeConfig(5, 1, 4, "GL2")
     mod = build_module(cfg, "trivial")
-    mod.restriction_matrices(1)  # the powers, memoized outside the count
+    mod.restrict(1)  # the powers, memoized outside the count
     calls = []
     matmul_ = gflib.matmul
     monkeypatch.setattr(gflib, "matmul", lambda *a: calls.append(1) or matmul_(*a))

@@ -57,6 +57,14 @@ def of_group(alg, x):
     return a
 
 
+def of_support(alg, pair):
+    """The dense vector of a prime-field support pair (indices,
+    coefficients), in whichever coordinates the indices are."""
+    a = alg.zero()
+    a[pair[0]] = pair[1]
+    return a
+
+
 def dense_element(alg, items):
     """The support list {digits, coeff} as f dense component vectors, one
     entry added mod p per item."""
