@@ -73,7 +73,7 @@ import math
 
 import numpy as np
 
-from .config import PrimeConfig
+from .config import CACHED_CONFIGS, PrimeConfig
 from .errors import ConfigError, CutoffBeyondFaithful
 from .gf import gf, matmul
 from .gf import rref  # noqa: F401  bench/test_bench.py reaches rref through this module
@@ -530,7 +530,7 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
             "graded_dims": [int(v) for v in counts]}
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_CONFIGS)
 def _algebra(p: int, f: int, M: int, case: str) -> GroupAlgebra:
     return GroupAlgebra(group_model(PrimeConfig(p=p, f=f, M=M, case=case)))
 

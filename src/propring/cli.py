@@ -11,7 +11,8 @@ One-shot subcommands read JSON from --in or standard input and print JSON.
 Exit codes: 0 success / all checks pass, 1 any check failed or came back
 indeterminate, 2 configuration or input error.  PROPRING_OUT_DIR, if set,
 is the default directory for relative output paths.  main may be called
-repeatedly in one process: the parser is built once."""
+repeatedly in one process: the parser is built once, and a module asked
+about again is not validated again (modules.build_module)."""
 
 from __future__ import annotations
 

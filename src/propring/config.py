@@ -14,6 +14,9 @@ import dataclasses
 from .errors import ConfigError
 
 CASES = ("GL2", "QUAT")
+# entries each per-config cache (fields, rings, group models, algebras)
+# holds, least recently used first out; a run touches a handful
+CACHED_CONFIGS = 32
 
 
 @dataclasses.dataclass(frozen=True)

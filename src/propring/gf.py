@@ -19,6 +19,7 @@ import functools
 
 import numpy as np
 
+from .config import CACHED_CONFIGS
 from .errors import ConfigError
 
 # fixed compatible primitive lifts: key (p, deg), value monic coefficient
@@ -144,7 +145,7 @@ def _is_compatible(f, p, smaller):
     return True
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_CONFIGS)
 def irreducible_lift(p: int, deg: int) -> tuple[int, ...]:
     """Monic degree-deg polynomial over Z, irreducible and primitive mod p,
     norm-compatible with the smaller-degree choices.  Table lookup with a
@@ -244,7 +245,7 @@ class GF:
         return self.p  # index of the coordinate vector (0, 1, 0, ...)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_CONFIGS)
 def gf(p: int, f: int) -> GF:
     return GF(p, f)
 

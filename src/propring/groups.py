@@ -52,7 +52,7 @@ import math
 
 import numpy as np
 
-from .config import PrimeConfig
+from .config import CACHED_CONFIGS, PrimeConfig
 from .errors import ConfigError, ContractViolation, NonConvergent, NotInGroup
 from .padic import Quaternion, quat_context, zq_ring
 
@@ -700,7 +700,7 @@ def quaternion_commutator_congruence(p: int, f: int, level: int = 3) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_CONFIGS)
 def _model(p: int, f: int, M: int, case: str) -> GroupModel:
     if case == "GL2":
         return GL2Model(p, f, M)

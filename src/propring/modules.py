@@ -36,7 +36,7 @@ from .errors import (
 )
 from .gf import GF, gf, rref
 from .graded import IdealSpec, build_JN
-from .groups import Digits, group_model
+from .groups import group_model
 
 
 def _mat_power(m: np.ndarray, e: int, field: GF) -> np.ndarray:
@@ -52,17 +52,25 @@ def _mat_power(m: np.ndarray, e: int, field: GF) -> np.ndarray:
     return np.eye(m.shape[0], dtype=np.int16) if out is None else out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclasses.dataclass
 class FiniteModule:
     """A module of the subgroup G_level = <g_i^(p^level)>: gen_action holds
     rho(g_i^(p^level)), so level 0 is a module of G and level N > 0 is
-    restriction data, which serves only the specs twisted at least N deep."""
+    restriction data, which serves only the specs twisted at least N deep.
+    Its powers and gradings are memoized on it, read-only."""
     cfg: PrimeConfig
     dim: int
     gen_action: tuple[np.ndarray, ...]  # 3f invertible matrices, field indices
     provenance: str = "constructed"
     level: int = 0
     _powers: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
+    _graded: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
 
     @property
@@ -76,15 +84,8 @@ class FiniteModule:
         """rho(g_i)^e by repeated squaring, memoized per (i, e): the
         callers ask for a few exponents up to p^M, never for all of them."""
         if (i, e) not in self._powers:
-            self._powers[i, e] = _mat_power(self.gen_action[i], e, self.field)
+            self._powers[i, e] = _read_only(_mat_power(self.gen_action[i], e, self.field))
         return self._powers[i, e]
-
-    def element_action(self, x: Digits) -> np.ndarray:
-        out = self.identity_matrix()
-        for i, e in enumerate(x):
-            if e:
-                out = gflib.matmul(out, self.power_of(i, int(e)), self.field)
-        return out
 
     def restrict(self, N: int) -> FiniteModule:
         """The module at level N, acting by rho(g_i^(p^N)), the only data
@@ -107,20 +108,36 @@ def check_multiplicative(mod: FiniteModule) -> int:
     rho(u_a) rho(u_b) rho(W).  Exact: each generator adds at most a factor
     p, so the presented group has order at most p^(nM) = |G|; G satisfies
     the relations and is generated by the u's, so it is the presented
-    group and element_action is a homomorphism.  Returns the number of
-    conjugation relations; raises with the failing one as witness.  The
-    relations are those of G, so restriction data (level > 0) is refused."""
+    group and x -> rho(g_0)^(x_0) ... rho(g_(n-1))^(x_(n-1)) is a
+    homomorphism.  rho(W) is that ordered product read off the base-p
+    digits d < p of each W_i: the letters rho(u_(i,k))^d, each made once
+    per call, no factor an identity.  Returns the number of conjugation
+    relations; raises with the failing one as witness.  The relations are
+    those of G, so restriction data (level > 0) is refused."""
     if mod.level:
         raise ConfigError(f"the relations of G do not hold for restriction data "
                           f"at level {mod.level}")
-    p, field = mod.cfg.p, mod.field
+    p, M, field = mod.cfg.p, mod.cfg.M, mod.field
     for i in range(len(mod.gen_action)):
-        if not np.array_equal(mod.power_of(i, p**mod.cfg.M), mod.identity_matrix()):
+        if not np.array_equal(mod.power_of(i, p**M), mod.identity_matrix()):
             raise RelationCheckFailed(f"rho(g_{i})^(p^M) is not the identity", witness=i)
+    letters = {}
+
+    def letter(i: int, k: int, d: int) -> np.ndarray:
+        # rho(u_(i,k))^d, one product from the letter of d - 1
+        if (i, k, d) not in letters:
+            u = mod.power_of(i, p**k)
+            letters[i, k, d] = u if d == 1 else gflib.matmul(letter(i, k, d - 1), u, field)
+        return letters[i, k, d]
+
     rels = group_model(mod.cfg).pc_relations()
     for (i, k), (j, l), w in rels:
         ua, ub = mod.power_of(i, p**k), mod.power_of(j, p**l)
-        rhs = gflib.matmul(gflib.matmul(ua, ub, field), mod.element_action(w), field)
+        rhs = gflib.matmul(ua, ub, field)
+        for t, e in enumerate(w):
+            for s in range(M):
+                if d := e // p**s % p:
+                    rhs = gflib.matmul(rhs, letter(t, s, d), field)
         if not np.array_equal(gflib.matmul(ub, ua, field), rhs):
             raise RelationCheckFailed(
                 f"action violates u_b u_a = u_a u_b W for u_a = g_{i}^(p^{k}), "
@@ -223,11 +240,52 @@ def deep_line_module(cfg: PrimeConfig) -> FiniteModule:
     return _quotient_by_closure(base, closure, "deep-line")
 
 
+# generator entries the memo of validated explicit modules holds, 0.5 MB of
+# int16; a stored module also keeps the powers and gradings it was asked
+# for, about 6 times its generator entries on the bench pool's modules
+# with all three gradings
+_MODULE_MEMO = 1 << 18
+
+
+class _ValidatedModules:
+    """The explicit modules that passed validation, keyed by their exact
+    content (config, dim and the int16 bytes of every generator), least
+    recently used first out once they hold more than _MODULE_MEMO generator
+    entries.  A warm process is asked about the same module many times: a
+    hit skips validation, and the module's memoized powers and gradings
+    come with it.  A refused module is never stored."""
+
+    def __init__(self):
+        self.held: dict[tuple, FiniteModule] = {}
+        self.entries = 0
+
+    def get(self, key: tuple) -> FiniteModule | None:
+        mod = self.held.pop(key, None)  # put back below as the most recent
+        if mod is not None:
+            self.held[key] = mod
+        return mod
+
+    def put(self, key: tuple, mod: FiniteModule) -> None:
+        for m in mod.gen_action:
+            _read_only(m)
+        self.held[key] = mod
+        self.entries += mod.dim * mod.dim * len(mod.gen_action)
+        while self.entries > _MODULE_MEMO:
+            old = self.held.pop(next(iter(self.held)))
+            self.entries -= old.dim * old.dim * len(old.gen_action)
+
+
+_VALIDATED = _ValidatedModules()
+
+
 def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
                  matrices=None, jcut: int = 6,
                  base: FiniteModule | None = None) -> FiniteModule:
     """Construct a module and validate it with check_multiplicative, which
-    proves that it is a representation of the truncated group."""
+    proves that it is a representation of the truncated group.  An explicit
+    module is validated once per process: the same content again returns
+    the stored module."""
+    key = None
     if source == "trivial":
         mod = trivial_module(cfg)
     elif source == "quotient":
@@ -247,6 +305,9 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
                 raise ConfigError("generator matrices must be square, equal size")
             if (m < 0).any() or (m >= field.q).any():
                 raise ConfigError("matrix entries must be field element indices")
+        key = (cfg, dim, tuple(m.tobytes() for m in mats))
+        if (stored := _VALIDATED.get(key)) is not None:
+            return stored
         mod = FiniteModule(cfg, dim, mats, "loaded")
         # rho(g_i)^(p^M) = 1, which check_multiplicative proves, makes
         # rho(g_i) invertible; a rank only names a singular generator
@@ -257,6 +318,8 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
     else:
         raise ConfigError(f"unknown module source {source!r}")
     check_multiplicative(mod)
+    if key is not None:
+        _VALIDATED.put(key, mod)
     return mod
 
 
@@ -304,7 +367,7 @@ def _weighted_chain(ops, weights, field: GF):
     dim = ops[0].shape[0]
     cur, piv = np.eye(dim, dtype=np.int16), list(range(dim))  # rref of R_0 = M
     while True:
-        chain.append(cur)
+        chain.append(_read_only(cur))
         pivots.append(piv)
         if cur.shape[0] == 0:
             return chain, pivots
@@ -350,7 +413,17 @@ def grade(mod: FiniteModule, kind: str, N: int | None = None) -> GradedModule:
     inversions.  The certificate makes W = prod_i u_i^(c_i), c_i = d_i / p^N,
     with w_i p^(v_p(c_i)) > w_s + w_t whenever c_i != 0; as (1 + Z)^c =
     (1 + Z^(p^v))^(c / p^v) for v = v_p(c), rho(W) - 1 lies in
-    I_(w_s + w_t + 1), so the second term lies in J_(m+1), within I_(m+1)."""
+    I_(w_s + w_t + 1), so the second term lies in J_(m+1), within I_(m+1).
+
+    Each grading is memoized on mod, its row bases read-only, so asking
+    again, or for "int" after "gr", reads the stored chain."""
+    key = kind, None if kind == "gr" else N
+    if key not in mod._graded:
+        mod._graded[key] = _grade(mod, kind, N)
+    return mod._graded[key]
+
+
+def _grade(mod: FiniteModule, kind: str, N: int | None) -> GradedModule:
     field = mod.field
     if kind == "gr":
         if mod.level:

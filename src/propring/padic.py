@@ -36,6 +36,7 @@ import functools
 
 import numpy as np
 
+from .config import CACHED_CONFIGS
 from .errors import ConfigError, ConfigMismatch, InputNotUnitOne
 from .gf import gf, irreducible_lift
 
@@ -370,7 +371,7 @@ class FrobeniusMap:
         return ZqElement(ring, tuple(v % mod for v in out))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_CONFIGS)
 def zq_ring(p: int, deg: int, level: int) -> ZqRing:
     return ZqRing(p, deg, level)
 
@@ -453,6 +454,6 @@ class QuatContext:
         return self.ring.field.pow(self.ring.field.gen, self.p**self.f + 1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHED_CONFIGS)
 def quat_context(p: int, f: int, level: int) -> QuatContext:
     return QuatContext(p, f, level)

@@ -30,16 +30,22 @@ gf.residue takes one product for the whole stack.  stable_closure maps the
 whole basis through every generator each round, where
 modules._stable_closure maps only the rows the last round added.
 dualize inverts every generator by row reduction, where modules.dualize
-reads the inverse of rho(g_i^(p^N)) off its (p^(M - N) - 1)-th power."""
+reads the inverse of rho(g_i^(p^N)) off its (p^(M - N) - 1)-th power.
+check_multiplicative builds each relation's rho(W) as the ordered product
+of the generator powers rho(g_i)^(W_i), starting from the identity, where
+modules.check_multiplicative multiplies the base-p digit letters
+rho(u_(i,k))^d of W, each made once per call."""
 
 import itertools
 
 import numpy as np
 
-from propring.errors import BoundExceeded
+from propring.errors import BoundExceeded, ConfigError, RelationCheckFailed
 from propring.gf import mat_inverse, rref
 from propring.groups import group_model
 from propring.modules import AnnihilatorReport, FiniteModule, GradedModule, ideal_operator_lifts
+
+from pair_oracle import element_action
 
 
 def matmul(a, b, field):
@@ -220,3 +226,24 @@ def stable_closure(rows, gens, field):
             break
         cur, piv = nxt, npiv
     return cur, piv
+
+
+def check_multiplicative(mod):
+    if mod.level:
+        raise ConfigError(f"the relations of G do not hold for restriction data "
+                          f"at level {mod.level}")
+    p, field = mod.cfg.p, mod.field
+    for i in range(len(mod.gen_action)):
+        if not np.array_equal(mod.power_of(i, p**mod.cfg.M), mod.identity_matrix()):
+            raise RelationCheckFailed(f"rho(g_{i})^(p^M) is not the identity", witness=i)
+    rels = group_model(mod.cfg).pc_relations()
+    for (i, k), (j, l), w in rels:
+        ua, ub = mod.power_of(i, p**k), mod.power_of(j, p**l)
+        rhs = matmul(matmul(ua, ub, field), element_action(mod, w), field)
+        if not np.array_equal(matmul(ub, ua, field), rhs):
+            raise RelationCheckFailed(
+                f"action violates u_b u_a = u_a u_b W for u_a = g_{i}^(p^{k}), "
+                f"u_b = g_{j}^(p^{l}), W = {list(w)}",
+                witness={"a": (i, k), "b": (j, l), "w": w},
+            )
+    return len(rels)

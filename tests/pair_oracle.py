@@ -4,9 +4,9 @@ it and the group tests use.
 
 It tests rho(x) rho(y) = rho(x y) on all order^2 pairs of group elements,
 with products from the group model, where the relation check reads only
-the conjugation relations of a polycyclic presentation; the two share only
-FiniteModule.element_action and the model's multiplication.  Its cost
-grows with order^2, so it is for small configurations such as (5, 1, 1)."""
+the conjugation relations of a polycyclic presentation; the pair check
+acts through element_action below.  Its cost grows with order^2, so it is
+for small configurations such as (5, 1, 1)."""
 
 import itertools
 
@@ -22,6 +22,16 @@ from power_oracle import right_mul_table
 def elements(model):
     """All digit vectors in index order."""
     return itertools.product(range(model.pM), repeat=model.n)
+
+
+def element_action(mod, x):
+    """rho(x) = rho(g_0)^(x_0) ... rho(g_(n-1))^(x_(n-1)), the ordered
+    product of the module's memoized generator powers."""
+    out = mod.identity_matrix()
+    for i, e in enumerate(x):
+        if e:
+            out = gflib.matmul(out, mod.power_of(i, int(e)), mod.field)
+    return out
 
 
 def random_element(model, rng):
@@ -46,7 +56,7 @@ def first_unpaired(mod):
     or None when the action is multiplicative on every pair."""
     model = group_model(mod.cfg)
     elems = list(elements(model))
-    act = [mod.element_action(x) for x in elems]
+    act = [element_action(mod, x) for x in elems]
     # products[iy][ix] is the index of x y, from the model's table of y
     products = [right_mul_table(model, y) for y in elems]
     for ix, x in enumerate(elems):

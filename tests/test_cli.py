@@ -150,6 +150,46 @@ def test_module_exponent_matches_pinned_bench_answers(tmp_path, capsys):
     assert checked == 108
 
 
+def test_repeat_module_exponent_reads_the_stored_module(tmp_path, capsys, monkeypatch):
+    # one warm process validates a module once: each request asked again
+    # prints the same bytes, and only the first load runs the relation check
+    from propring import modules
+
+    monkeypatch.setattr(modules, "_VALIDATED", modules._ValidatedModules())
+    checked = []
+    real = modules.check_multiplicative
+    monkeypatch.setattr(modules, "check_multiplicative",
+                        lambda mod: checked.append(mod.dim) or real(mod))
+    pool = json.loads((ROOT / "bench" / "data" / "modules.json").read_text())
+    path = write(tmp_path, "m.json", pool["QUAT"][3]["module"])
+    for argv in (["--grading", "gr"], ["--grading", "int", "--level-n", "1"],
+                 ["--grading", "res", "--level-n", "1"]):
+        first, again = (run(capsys, ["module-exponent", "--in", path, "--ideal", "mixed"] + argv)
+                        for _ in range(2))
+        assert first[0] == 0 and first == again, argv
+    assert checked == [33]
+
+
+def test_refused_module_is_refused_again(tmp_path, capsys, monkeypatch):
+    # a module that fails validation is not stored: the same document is
+    # checked and refused again, with the same message
+    from propring import modules
+
+    memo = modules._ValidatedModules()
+    monkeypatch.setattr(modules, "_VALIDATED", memo)
+    path = write(tmp_path, "m.json", {
+        "dim": 2, "field": {"p": 5, "f": 1}, "level": 2, "case": "GL2",
+        "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 1]]]})
+    errs = []
+    for _ in range(2):
+        assert main(["module-exponent", "--in", path]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("config error: module is not a representation: ")
+    assert "W = [20, 5, 19]" in errs[0] and "Traceback" not in errs[0]
+    assert memo.held == {}
+
+
 def test_print_matches_dump_oracle_on_every_subcommand(tmp_path, capsys, monkeypatch):
     # every kind of answer the queries workload checks: the 12 pool modules
     # with 3 ideals on 3 gradings, a round of decompose, nu and expand at

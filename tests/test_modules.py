@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from propring.errors import (
 from propring.gf import gf, matmul, rref
 from propring.graded import build_JN, check_central_power_classes, default_ideals, ideal_spec
 from propring.groups import GL2Model, QuatModel, group_model
-from propring.jsonio import module_to_json
+from propring.jsonio import module_from_json, module_to_json
 from propring.modules import (
     FiniteModule,
     _conjugate_dual,
@@ -187,15 +188,35 @@ def test_grading_chains_are_filtrations(deep):
 
 def test_weighted_chain_reduces_once_per_step(deep, monkeypatch):
     # R_0 = M is the identity with pivots 0..dim-1 as given: one rref per
-    # step after it, for the gr and the res chains
+    # step after it, for the gr and the res chains of a copy of the deep
+    # module that holds no memoized grading yet
+    fresh = dataclasses.replace(deep)
     calls = []
     monkeypatch.setattr(modules, "rref", lambda rows, field: calls.append(1) or rref(rows, field))
     for args in (("gr",), ("res", 1)):
-        gm = grade(deep, *args)
+        gm = grade(fresh, *args)
         assert np.array_equal(gm.chain[0], np.eye(deep.dim, dtype=np.int16))
         assert gm.pivots[0] == list(range(deep.dim))
         assert len(calls) == len(gm.chain) - 1
         calls.clear()
+
+
+def test_int_after_gr_reads_the_stored_chain(deep, monkeypatch):
+    # each grading is memoized on its module: a repeat and the int grading
+    # after gr make no row reduction, and the int chain is the gr chain
+    # read at multiples of p^N
+    fresh = dataclasses.replace(deep)
+    gr = grade(fresh, "gr")
+    res = grade(fresh, "res", 1)
+    calls = []
+    monkeypatch.setattr(modules, "rref", lambda rows, field: calls.append(1) or rref(rows, field))
+    gint = grade(fresh, "int", 1)
+    assert grade(fresh, "gr") is gr and grade(fresh, "res", 1) is res
+    assert grade(fresh, "int", 1) is gint
+    assert calls == []
+    assert all(c is gr.chain[min(5 * t, len(gr.chain) - 1)] for t, c in enumerate(gint.chain))
+    assert [c.tobytes() for c in gint.chain] == \
+        [c.tobytes() for c in modules._subsample(grade(deep, "gr"), 1).chain]
 
 
 def test_multiplicativity_catches_corruption():
@@ -242,6 +263,123 @@ def test_build_module_explicit_roundtrip(cfg, monkeypatch):
     with pytest.raises(RelationCheckFailed, match="p\\^M"):
         build_module(cfg, "explicit", matrices=doubled)
     assert len(ranks) == 2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# GL2 (5, 1, 2) with rho(A) and rho(B) the unipotent shears and rho(C) = 1:
+# every generator has order p, and B A = A B W fails at W = [20, 5, 19],
+# whose rho(W) is four digit letters
+SHEARS = ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 1]])
+
+
+def _pool_modules():
+    pool = json.loads((ROOT / "bench" / "data" / "modules.json").read_text())
+    return [module_from_json(entry["module"]) for case in sorted(pool) for entry in pool[case]]
+
+
+def _unmemoized(mod, mats=None):
+    return FiniteModule(mod.cfg, mod.dim, mod.gen_action if mats is None else mats, "copy")
+
+
+def _relation_outcome(check, mod):
+    try:
+        return check(mod)
+    except RelationCheckFailed as e:
+        return str(e), e.witness
+
+
+def test_digit_letter_relation_check_matches_oracle():
+    # the 12 modules of the bench pool pass both checks, and planted faults
+    # (a generator conjugated alone, A and B swapped, the shears) fail both
+    # with the same message and witness; each check runs on its own copy,
+    # so neither reads powers the other memoized
+    mods = _pool_modules()
+    assert len(mods) == 12
+    compared = []
+    for mod in mods:
+        a, b, c = mod.gen_action
+        conj = module_oracle.conjugate(mod, np.random.default_rng(mod.dim)).gen_action
+        for mats in (None, (a, b, conj[2]), (a, conj[1], c), (b, a, c)):
+            got = _relation_outcome(check_multiplicative, _unmemoized(mod, mats))
+            want = _relation_outcome(module_oracle.check_multiplicative, _unmemoized(mod, mats))
+            assert got == want, (mod.cfg.case, mod.dim)
+            compared.append(got)
+    # 15 relations among the 6 pc generators u_(i,k) of (5, 1, 2)
+    assert [type(c) for c in compared] == [int, tuple, tuple, tuple] * 12
+    assert {c for c in compared if type(c) is int} == {15}
+    mats = tuple(np.array(g, dtype=np.int16) for g in SHEARS)
+    mod = FiniteModule(PrimeConfig(5, 1, 2, "GL2"), 2, mats, "shears")
+    got = _relation_outcome(check_multiplicative, mod)
+    assert got == _relation_outcome(module_oracle.check_multiplicative, _unmemoized(mod))
+    assert got[1]["w"] == (20, 5, 19) and "W = [20, 5, 19]" in got[0]
+
+
+def test_digit_letter_relation_check_takes_fewer_products(monkeypatch):
+    # the pool's relation checks with the generator powers built: 76 (GL2)
+    # and 77 (QUAT) products, where the ordered generator powers took 105
+    # and 117
+    mods = [_unmemoized(m) for m in _pool_modules()]
+    counts = []
+    real = gflib.matmul
+
+    def counting(*args):
+        counts[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(gflib, "matmul", counting)
+    for mod in mods:
+        counts.append(0)
+        check_multiplicative(mod)
+    assert counts == [76] * 6 + [77] * 6
+
+
+def _explicit(mod):
+    return build_module(mod.cfg, "explicit", matrices=[np.array(m) for m in mod.gen_action])
+
+
+def test_validated_modules_are_stored_once_and_evicted_least_recent_first(monkeypatch):
+    memo = modules._ValidatedModules()
+    monkeypatch.setattr(modules, "_VALIDATED", memo)
+    checked = []
+    real = modules.check_multiplicative
+    monkeypatch.setattr(modules, "check_multiplicative",
+                        lambda mod: checked.append(mod.dim) or real(mod))
+    cfg = PrimeConfig(5, 1, 2, "QUAT")
+    mods = [quotient_module(cfg, seed=s, max_dim=12) for s in (1, 2, 3)]
+    sizes = [3 * m.dim * m.dim for m in mods]
+    monkeypatch.setattr(modules, "_MODULE_MEMO", max(sizes[0] + sizes[1], sizes[0] + sizes[2]))
+    first = _explicit(mods[0])
+    _explicit(mods[1])
+    assert _explicit(mods[0]) is first  # now the most recent
+    assert len(checked) == 2
+    _explicit(mods[2])  # over the bound: mods[1], the least recent, goes
+    assert memo.entries == sizes[0] + sizes[2] <= modules._MODULE_MEMO
+    assert _explicit(mods[0]) is first and _explicit(mods[2]) is _explicit(mods[2])
+    assert len(checked) == 3
+    again = _explicit(mods[1])
+    assert len(checked) == 4 and again is not first
+    assert [m.tobytes() for m in again.gen_action] == [m.tobytes() for m in mods[1].gen_action]
+    # a module over the whole bound is validated, returned and not kept
+    memo = modules._ValidatedModules()
+    monkeypatch.setattr(modules, "_VALIDATED", memo)
+    monkeypatch.setattr(modules, "_MODULE_MEMO", min(sizes) - 1)
+    alone = _explicit(mods[2])
+    assert memo.held == {} and memo.entries == 0
+    assert _explicit(mods[2]) is not alone and len(checked) == 6
+
+
+def test_stored_arrays_are_read_only(monkeypatch):
+    # a stored module is shared by every later request: its generators,
+    # powers and graded row bases refuse writes
+    monkeypatch.setattr(modules, "_VALIDATED", modules._ValidatedModules())
+    mod = _explicit(quotient_module(PrimeConfig(5, 1, 2, "GL2"), seed=2, max_dim=12))
+    arrays = list(mod.gen_action) + [mod.power_of(1, 5), mod.power_of(2, 24)]
+    for kind, N in (("gr", None), ("int", 1), ("res", 1)):
+        gm = grade(mod, kind, N)
+        arrays += gm.chain + list(gm.module.gen_action)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 def test_relation_check_refuses_restriction_data(deep):

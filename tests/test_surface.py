@@ -60,3 +60,27 @@ def test_an_unreferenced_helper_is_reported():
     gf = ROOT / "src" / "propring" / "gf.py"
     trees[gf].body.append(ast.parse("def in_span(vec):\n    return in_span(vec)\n").body[0])
     assert [e.split()[1] for e in unreferenced(trees)] == ["in_span"]
+
+
+
+def test_every_cache_is_bounded():
+    # lru_cache(maxsize=None) and functools.cache grow without limit, so
+    # they may wrap only a function of no arguments, which holds one entry;
+    # the per-config caches hold more configs than the queries workload's 6
+    from propring import algebra, gf, groups, padic
+
+    cached = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in map(ast.unparse, node.decorator_list):
+                if dec == "functools.cache" or dec.startswith("functools.lru_cache"):
+                    cached.add(node.name)
+                    bounded = (dec.startswith("functools.lru_cache(maxsize=")
+                               and dec != "functools.lru_cache(maxsize=None)")
+                    assert bounded or not node.args.args, f"{path.name}:{node.lineno} {node.name}"
+    per_config = (algebra._algebra, groups._model, gf.gf, gf.irreducible_lift,
+                  padic.zq_ring, padic.quat_context)
+    assert {fn.__name__ for fn in per_config} < cached
+    assert all(fn.cache_parameters()["maxsize"] > 6 for fn in per_config)
