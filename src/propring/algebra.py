@@ -60,7 +60,9 @@ from a dual induction (the coefficient functionals e_k with nu'(k) < j
 kill m^j, checked through the operators phi -> phi(. z_i) which generate
 the step from m^j to m^(j+1)), and the reverse dimension bound comes from
 exhibited group witnesses C_i = [x,y] w^p which place every z^k inside
-m^(nu'(k)).
+m^(nu'(k)).  The induction reads each functional on the suffix group
+{g_1^(x_1) ... g_(n-1)^(x_(n-1))} of order p^(M(n-1)), the first axis split off
+by Lucas and Vandermonde (see check_maximal_ideal_powers).
 Truncation is faithful for nu below p^M: the kernel of the projection from
 the full completed ring is spanned by monomials with some k_i >= p^M, all
 of weight at least p^M.
@@ -310,19 +312,21 @@ class GroupAlgebra:
     # -- basis transforms ----------------------------------------------------
 
     def _digit_apply(self, mat: np.ndarray, arr: np.ndarray) -> np.ndarray:
-        """Contract the p x p matrix mat[k, x] against each of the nM base-p
-        digit axes of arr (most significant first, the flat C order); arr
-        may carry one leading batch axis.  Entries of arr must lie in
-        [0, p): the float64 sums are then exact (see __init__), and the
-        result is reduced mod p once.
+        """Contract the p x p matrix mat[k, x] against each base-p digit
+        axis of arr's trailing axis (most significant first, the flat C
+        order), whose length p^d gives the number of axes d: nM for a
+        vector of the group's order, (n - 1) M for one of the suffix
+        group.  arr may carry one leading batch axis.  Entries of arr must
+        lie in [0, p): the float64 sums are then exact (see __init__, d <=
+        nM), and the result is reduced mod p once.
 
         Each step contracts the leading digit axis and moves it last.  The
-        batch axis starts behind the digit axes, so after nM steps it is in
+        batch axis starts behind the digit axes, so after d steps it is in
         front again and the digit axes are back in order."""
-        p = self.p
-        a = arr.reshape(-1, self.order).T.astype(np.float64, order="C")
+        p, size = self.p, arr.shape[-1]
+        a = arr.reshape(-1, size).T.astype(np.float64, order="C")
         mt = mat.T.astype(np.float64)
-        for _ in range(self.n * self.model.M):
+        for _ in range(round(math.log(size, p))):
             a = a.reshape(p, -1).T @ mt
         a = a.astype(np.int64)
         a %= p  # in place, so no third array of the input's size
@@ -336,19 +340,9 @@ class GroupAlgebra:
         return self._digit_apply(self._pair[1].T, c)
 
     def dual_to_monomial(self, phi: np.ndarray) -> np.ndarray:
-        """Coordinates of a functional (values on the group basis) over the
-        coefficient functionals e_k."""
+        """Coordinates of a functional (values on the group basis, or on
+        the suffix group's) over the coefficient functionals e_k."""
         return self._digit_apply(self._pair[1], phi)
-
-    def coefficient_functional(self, k: int) -> np.ndarray:
-        """Values on the group basis of the coefficient functional e_k of
-        the flat index k, e_k[x] = prod_i binom(x_i, k_i) mod p: the tensor
-        product of the Pascal columns P[., k_i], as monomial_support builds
-        z^k from the rows Q[k_i, .]."""
-        e_k = np.ones(1, dtype=np.int16)
-        for ki in self.model.digits_of(k):
-            e_k = np.multiply.outer(e_k, self._P[:, ki]).ravel() % self.p
-        return e_k
 
     # -- expansion without dense arrays --------------------------------------
 
@@ -358,7 +352,7 @@ class GroupAlgebra:
         shape = (self.pM,) * self.n
         out = np.ones((len(xs), len(ks)), dtype=np.int16)
         for xd, kd in zip(np.unravel_index(xs, shape), np.unravel_index(ks, shape)):
-            out *= table[xd[:, None], kd[None, :]]
+            out *= table[:, kd][xd]  # the columns first: one small block, then a row gather
             out %= self.p
         return out
 
@@ -465,6 +459,20 @@ class GroupAlgebra:
         return int(weights.min()) if weights.size else None
 
 
+def _suffix_coordinates(alg: GroupAlgebra, perm: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Row r: the coordinates over the suffix group's functionals of the
+    restriction to x_0 = 0 of e_k o g - e_k, for the flat index k = ks[r]
+    and perm the right-multiplication table of g.  On a suffix t, e_k o g
+    is e_k(perm[t]), a binomial expansion of the table's first
+    p^(M(n-1)) entries, and e_k is zero unless k_0 = 0, where its
+    coordinates are the unit vector at k."""
+    suffixes = alg.order // alg.pM
+    coords = alg.dual_to_monomial(alg.binomial_expansion(perm[:suffixes], ks).T)
+    own = ks < suffixes
+    coords[own, ks[own]] = (coords[own, ks[own]] - 1) % alg.p
+    return coords
+
+
 def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
     """Certify m^j = span{z^k : nu'(k) >= j} for 0 <= j <= jmax + 1.
 
@@ -475,9 +483,7 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
       generated by the z_i on either side, m^(j+1) = sum_i m^j z_i, so the
       step needs exactly: e_k composed with right multiplication by z_i
       lies in span{e_k' : nu'(k') < nu'(k)}.  That membership is what the
-      sweep below verifies for every k with nu'(k) <= jmax, reading the
-      composed functional off the right-multiplication permutation and
-      taking its coordinates over the e_k'.
+      sweep below verifies for every k with nu'(k) <= jmax.
     * Dimension count.  The inclusion above caps dim ann(m^j); equality
       needs dim m^j >= #{nu' >= j}, which follows once z_i lies in m^(w_i).
       Weight one is the definition of m; weight two is certified by the
@@ -485,18 +491,42 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
       [x,y] - 1 = x^(-1)y^(-1)((x-1)(y-1) - (y-1)(x-1)) lands in m^2 and
       w^p - 1 = (w - 1)^p in characteristic p.
 
+    The sweep works on the suffix group T = {g_1^(x_1) ... g_(n-1)^(x_(n-1))}
+    of order p^(M(n-1)).  Write x = g_0^(x_0) t and t g_i = g_0^(y_0(t)) t'(t).
+    First each generator's whole table is compared with that broadcast
+    form, x g_i = g_0^((x_0 + y_0) mod p^M) t' (GroupModel.right_mul_table),
+    read off its first |T| entries.  Given the form, Lucas (binom(a, k)
+    mod p depends on a mod p^M only, for k < p^M) and Vandermonde give
+
+        e_k(x g_i) = sum_(j <= k_0) binom(x_0, j) binom(y_0, k_0 - j) E_k''(t'),
+
+    k = (k_0, k''), so the coordinate of e_k o g_i - e_k at the flat index
+    j |T| + c is that at c of the row of (k_0 - j, k'') (_suffix_coordinates),
+    and zero for j > k_0.  Its weight j + nu'(c) reaches nu'(k) exactly
+    when nu'(c) reaches the weight of (k_0 - j, k''), which again lies in
+    the sweep.  So every k holds once each row (k, i), one dual transform
+    over T, has no coordinate of weight nu'(k) or more.  The rows run
+    through dual_to_monomial in batches of p^M, each of the group's order
+    at most, and the dense sweep's n |sel| transforms of the group's order
+    become as many of order |T|.
+
     On success the report carries the dimensions this proves, inside the
     quotient by weights above jmax: power_dims[j-1] = dim m^j / m^(jmax+1)
     for j = 1..jmax+1, and graded_dims[j] = dim m^j / m^(j+1) for
-    j = 0..jmax.  On failure it carries a witness instead: the failing
-    central identities and the first violations {k, generator, lands_on}
-    (e_k composed with z_generator has a coordinate on e_lands_on, which is
-    not of lower weight), _WITNESSES entries at most.
+    j = 0..jmax.  On failure it carries a witness instead, _WITNESSES
+    entries at most: the failing central identities, then the first
+    violations {k, generator, lands_on} in the order k, generator, index
+    (e_k composed with z_generator has a coordinate on e_lands_on, which
+    is not of lower weight), then a {generator, breaks_at} for each table
+    that breaks the broadcast form, breaks_at its first element that does.
+    The violations are read off the suffix rows, so beside a broken table
+    those of j >= 1 describe its broadcast form.
     """
     if jmax + 1 > alg.pM:
         raise CutoffBeyondFaithful(f"jmax {jmax} reaches the unfaithful range")
     model = alg.model
-    p, nu_w = alg.p, alg.nu_weight_array
+    p, pM, nu_w = alg.p, alg.pM, alg.nu_weight_array
+    suffixes = alg.order // pM
 
     witness = []
     for i in range(model.f):
@@ -505,21 +535,37 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
         if model.mul(model.commutator(x, y), model.power(w, p)) != model.generator(gen):
             witness.append({"generator": gen, "x": x, "y": y, "w": w})
 
-    # one functional at a time: stacking the n generator rows measured
-    # slower (112 against 81 ms at (5, 1, 2), jmax = 6), and its float64
-    # transients raise the peak memory by about 0.4 MB per row
     perms = [model.right_mul_table(model.generator(i)) for i in range(alg.n)]
+    breaks = []
+    for i, perm in enumerate(perms):
+        y0, rest = np.divmod(perm[:suffixes], suffixes)
+        form = np.add.outer(np.arange(pM, dtype=perm.dtype), y0)
+        form %= pM
+        form *= suffixes
+        form += rest
+        off = np.flatnonzero(form.ravel() != perm)
+        if off.size:
+            breaks.append({"generator": i, "breaks_at": model.digits_of(int(off[0]))})
+
     sel = np.flatnonzero(nu_w <= jmax)
-    for k in sel:
-        e_k = alg.coefficient_functional(int(k))
-        for i, perm in enumerate(perms):
-            coords = alg.dual_to_monomial((e_k[perm] - e_k) % p)
-            hits = np.flatnonzero((coords != 0) & (nu_w >= nu_w[k]))
-            for c in hits[: _WITNESSES - len(witness)]:
-                witness.append({"k": model.digits_of(int(k)), "generator": i,
-                                "lands_on": model.digits_of(int(c))})
+    bad = {}  # (k, generator) -> the row's first violations c
+    for i, perm in enumerate(perms):
+        for s in range(0, sel.size, pM):
+            ks = sel[s:s + pM]
+            hit = (_suffix_coordinates(alg, perm, ks) != 0) & (nu_w[:suffixes] >= nu_w[ks][:, None])
+            for r in np.flatnonzero(hit.any(axis=1)):
+                bad[int(ks[r]), i] = np.flatnonzero(hit[r])[:_WITNESSES].tolist()
+    # the violations in the dense sweep's order: k, generator, index j |T| + c
+    for k in sel.tolist() if bad else ():
+        k0, rest = divmod(k, suffixes)
+        for i in range(alg.n):
+            for j in range(k0 + 1):
+                for c in bad.get(((k0 - j) * suffixes + rest, i), [])[: _WITNESSES - len(witness)]:
+                    witness.append({"k": model.digits_of(k), "generator": i,
+                                    "lands_on": model.digits_of(j * suffixes + c)})
         if len(witness) >= _WITNESSES:
             break
+    witness += breaks[: _WITNESSES - len(witness)]
 
     if witness:
         return {"ok": False, "jmax": jmax, "witness": witness}

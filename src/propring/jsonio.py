@@ -180,12 +180,18 @@ def module_to_json(mod) -> dict:
     }
 
 
-def _is_int_matrix(g, dim: int) -> bool:
-    """g is a dim x dim list of rows of plain integers (no bools), which
-    converts in one array call; anything else is parsed entry by entry."""
-    return (isinstance(g, list) and len(g) == dim
-            and all(isinstance(row, list) and len(row) == dim for row in g)
-            and set(map(type, itertools.chain.from_iterable(g))) <= {int})
+def _int_matrix(g, dim: int) -> np.ndarray | None:
+    """g as a dim x dim int64 array when it is a square list of rows of
+    plain integers (no bools, which numpy reads as 0 and 1), by one array
+    conversion and a scan of the entries' types; None for anything else,
+    which is parsed entry by entry for its message."""
+    try:
+        m = np.array(g, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if m.shape != (dim, dim) or not set(map(type, itertools.chain.from_iterable(g))) <= {int}:
+        return None
+    return m
 
 
 def module_from_json(d: dict, case: str | None = None):
@@ -210,8 +216,8 @@ def module_from_json(d: dict, case: str | None = None):
         dim = json_int(d.get("dim", 0), "dim")
         mats = []
         for g in gens_in:
-            if _is_int_matrix(g, dim):
-                m = np.array(g, dtype=np.int64).reshape(dim, dim)
+            m = _int_matrix(g, dim)
+            if m is not None:
                 # checked before the cast, which would wrap 65537 to 1
                 if m.size and (m.min() < 0 or m.max() >= field.q):
                     raise ConfigError("matrix entries must be field element indices")

@@ -1,13 +1,19 @@
-"""The primal span chain for the powers of the maximal ideal: the test
-oracle for the dual certificate algebra.check_maximal_ideal_powers.
+"""Two test oracles for the certificate algebra.check_maximal_ideal_powers.
 
-It builds the powers primally, as row-reduced spans, where the
-certificate runs a dual induction; the two share only the algebra's
-basic operations."""
+The primal span chain builds the powers of the maximal ideal as
+row-reduced spans, where the certificate runs a dual induction; the two
+share only the algebra's basic operations.
+
+The dense sweep is the dual induction as the certificate ran it before it
+moved to the suffix group: for every functional e_k of weight at most
+jmax and every generator g_i, the functional e_k o g_i - e_k as a vector of
+the group's order, read off the whole right-multiplication table, and its
+coordinates over the e_k' by one dual_to_monomial of the group's order."""
 
 import numpy as np
 
 from propring import gf as gflib
+from propring.algebra import _WITNESSES
 from propring.errors import CutoffBeyondFaithful
 from propring.gf import gf, rref
 
@@ -75,3 +81,57 @@ def primal_ideal_power_spans(alg, jmax: int) -> dict:
             cur, _ = rref(nxt, F)
     graded = [span_dims[j] - span_dims[j + 1] for j in range(jmax + 1)]
     return {"jmax": jmax, "powers": results, "graded_dims": graded, "ok": ok}
+
+
+def coefficient_functional(alg, k: int) -> np.ndarray:
+    """Values on the group basis of the coefficient functional e_k of
+    the flat index k, e_k[x] = prod_i binom(x_i, k_i) mod p: the tensor
+    product of the Pascal columns P[., k_i], as monomial_support builds
+    z^k from the rows Q[k_i, .]."""
+    e_k = np.ones(1, dtype=np.int16)
+    for ki in alg.model.digits_of(k):
+        e_k = np.multiply.outer(e_k, alg._P[:, ki]).ravel() % alg.p
+    return e_k
+
+
+def composed_coordinates(alg, e_k, perm) -> np.ndarray:
+    """Coordinates over the e_k' of e_k o g - e_k, perm the
+    right-multiplication table of g: one transform of the group's order."""
+    return alg.dual_to_monomial((e_k[perm] - e_k) % alg.p)
+
+
+def dense_ideal_power_certificate(alg, jmax: int) -> dict:
+    """The dense sweep: the same report as check_maximal_ideal_powers,
+    witnesses in the order k, generator, index."""
+    if jmax + 1 > alg.pM:
+        raise CutoffBeyondFaithful(f"jmax {jmax} reaches the unfaithful range")
+    model = alg.model
+    p, nu_w = alg.p, alg.nu_weight_array
+
+    witness = []
+    for i in range(model.f):
+        x, y, w = model.central_witness(i)
+        gen = 2 * model.f + i
+        if model.mul(model.commutator(x, y), model.power(w, p)) != model.generator(gen):
+            witness.append({"generator": gen, "x": x, "y": y, "w": w})
+
+    perms = [model.right_mul_table(model.generator(i)) for i in range(alg.n)]
+    sel = np.flatnonzero(nu_w <= jmax)
+    for k in sel:
+        e_k = coefficient_functional(alg, int(k))
+        for i, perm in enumerate(perms):
+            coords = composed_coordinates(alg, e_k, perm)
+            hits = np.flatnonzero((coords != 0) & (nu_w >= nu_w[k]))
+            for c in hits[: _WITNESSES - len(witness)]:
+                witness.append({"k": model.digits_of(int(k)), "generator": i,
+                                "lands_on": model.digits_of(int(c))})
+        if len(witness) >= _WITNESSES:
+            break
+
+    if witness:
+        return {"ok": False, "jmax": jmax, "witness": witness}
+    counts = np.bincount(nu_w[sel], minlength=jmax + 1)
+    above = counts[::-1].cumsum()[::-1]  # above[j] = #{k : j <= nu'(k) <= jmax}
+    return {"ok": True, "jmax": jmax,
+            "power_dims": [int(v) for v in above[1:]] + [0],
+            "graded_dims": [int(v) for v in counts]}

@@ -20,9 +20,10 @@ from pair_oracle import random_element
 import power_oracle
 import sandwich_oracle
 from power_oracle import right_mul_table
-from span_oracle import primal_ideal_power_spans
+import span_oracle
+from span_oracle import dense_ideal_power_certificate, primal_ideal_power_spans
 import tau_oracle
-from transform_oracle import expand_group_sparse, of_group, of_support, transforms
+from transform_oracle import digit_apply, expand_group_sparse, of_group, of_support, transforms
 import zmul_oracle
 
 
@@ -434,6 +435,21 @@ def test_transforms_match_per_axis_oracle(pfm, rng):
             assert np.array_equal(got, oracle(a)), (name, a.shape)
 
 
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (5, 2, 1), (7, 1, 2)], ids=str)
+def test_digit_apply_reads_its_axes_off_the_trailing_length(pfm, rng):
+    # every length p^d up to the group's order, the suffix group's among
+    # them, on the input with the largest sums and on a random batch
+    alg = group_algebra(PrimeConfig(*pfm, "GL2"))
+    Q = alg._pair[1]
+    for d in range(alg.n * alg.model.M + 1):
+        worst = np.full(alg.p**d, alg.p - 1, dtype=np.int16)
+        batch = rng.integers(0, alg.p, size=(3, alg.p**d)).astype(np.int16)
+        for a in (worst, batch):
+            got = alg._digit_apply(Q, a)
+            assert got.dtype == np.int16 and got.shape == a.shape
+            assert np.array_equal(got, digit_apply(alg, Q, a, d)), (d, a.shape)
+
+
 def test_exact_transform_bound_refuses_exactly_beyond_it():
     # GroupAlgebra refuses a config exactly when the largest float64 partial
     # sum, (p-1)(p(p-1))^(nM) for inputs in [0, p), reaches 2^53; the bare
@@ -482,12 +498,12 @@ def test_sparse_expansion_matches_dense(alg, rng):
 
 @pytest.mark.parametrize("pfm,case", MUL_CASES, ids=str)
 def test_coefficient_functionals_match_binomial_expansion(pfm, case):
-    # every functional the certificate reads at jmax = 8 (pM - 2 at (5, 2, 1))
+    # every functional the dense sweep reads at jmax = 8 (pM - 2 at (5, 2, 1))
     alg = group_algebra(PrimeConfig(*pfm, case))
     group = np.arange(alg.order)
     ks = np.flatnonzero(alg.nu_weight_array <= min(8, alg.pM - 2))
     for k in ks:
-        got = alg.coefficient_functional(int(k))
+        got = span_oracle.coefficient_functional(alg, int(k))
         want = alg.binomial_expansion(group, k[None])[:, 0]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
     assert ks.size == {(5, 1, 2): 95, (7, 1, 2): 95, (5, 2, 1): 45}[pfm]
@@ -517,17 +533,22 @@ def test_certificate_dims_match_primal_oracle(case, M, jmax):
     assert cert["graded_dims"] == primal["graded_dims"]
 
 
-def faulty_algebra(model, gen, swap):
+def planted_algebra(model, gen, table):
     """A fresh algebra over a copy of model whose right-multiplication table
-    of generator gen has the entries at the two indices of swap exchanged;
-    the cached model is left untouched."""
+    of generator gen is table; the cached model is left untouched."""
     faulty = copy.copy(model)
-    table = model.right_mul_table(model.generator(gen)).copy()
-    table[list(swap)] = table[list(swap[::-1])]
     # the tables of g_gen^(p^k), k >= 1, are derived from the planted one
     faulty._tables = {h: t for h, t in model._tables.items() if not h[gen]}
     faulty._tables[model.generator(gen)] = table
     return algebra.GroupAlgebra(faulty)
+
+
+def faulty_algebra(model, gen, swap):
+    """planted_algebra with the entries of generator gen's table at the two
+    indices of swap exchanged."""
+    table = model.right_mul_table(model.generator(gen)).copy()
+    table[list(swap)] = table[list(swap[::-1])]
+    return planted_algebra(model, gen, table)
 
 
 def test_certificate_catches_planted_table_fault(alg):
@@ -541,3 +562,70 @@ def test_certificate_catches_planted_table_fault(alg):
     assert cert["witness"][0] == {"k": (0, 0, 1), "generator": 2, "lands_on": (0, 0, 7)}
     assert primal_ideal_power_spans(bad, 8)["ok"]
     assert check_maximal_ideal_powers(alg, 8)["ok"]
+
+
+CERT_CASES = [((5, 1, 2), "GL2"), ((5, 1, 2), "QUAT"), ((7, 1, 2), "GL2"), ((7, 1, 2), "QUAT"),
+              ((5, 2, 1), "GL2")]
+
+
+@pytest.mark.parametrize("pfm,case", CERT_CASES, ids=str)
+def test_suffix_rows_match_dense_sweep(pfm, case):
+    # the coordinates of e_k o g_i - e_k over the whole group, one dense
+    # transform each, against the suffix rows of (k_0 - j, k'') stacked for
+    # j = 0..k_0 and zero beyond (Vandermonde); then the whole report
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    jmax = min(8, alg.pM - 1)
+    suffixes = alg.order // alg.pM
+    sel = np.flatnonzero(alg.nu_weight_array <= jmax)
+    place = {k: r for r, k in enumerate(sel.tolist())}
+    for i in range(alg.n):
+        perm = alg.model.right_mul_table(alg.model.generator(i))
+        rows = algebra._suffix_coordinates(alg, perm, sel)
+        for k in sel.tolist():
+            k0, rest = divmod(k, suffixes)
+            want = span_oracle.composed_coordinates(alg, span_oracle.coefficient_functional(alg, k), perm)
+            got = rows[[place[(k0 - j) * suffixes + rest] for j in range(k0 + 1)]].ravel()
+            assert np.array_equal(want[:got.size], got) and not want[got.size:].any(), (k, i)
+    cert = check_maximal_ideal_powers(alg, jmax)
+    assert cert["ok"] and cert == dense_ideal_power_certificate(alg, jmax)
+
+
+# swaps inside the suffix rows x_0 = 0, then across them
+SUFFIX_SWAPS = [((0, 1, 2), (0, 3, 4)), ((0, 2, 0), (0, 0, 3)),
+                ((0, 1, 2), (4, 4, 4)), ((0, 0, 1), (2, 0, 1))]
+
+
+@pytest.mark.parametrize("swap", SUFFIX_SWAPS, ids=str)
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_witnesses_match_dense_sweep_on_planted_swaps(case, pfm, swap):
+    model = group_algebra(PrimeConfig(*pfm, case)).model
+    for gen in range(model.n):
+        bad = faulty_algebra(model, gen, tuple(map(model.index_of, swap)))
+        cert = check_maximal_ideal_powers(bad, 8)
+        assert not cert["ok"] and len(cert["witness"]) == 10
+        assert cert == dense_ideal_power_certificate(bad, 8), gen
+
+
+def test_fault_outside_the_suffix_rows_breaks_the_table_form(alg):
+    # the suffix rows are intact, so every row of the sweep holds; the
+    # comparison of the whole table with its broadcast form catches the swap
+    m = alg.model
+    bad = faulty_algebra(m, 2, (m.index_of((3, 0, 7)), m.index_of((3, 0, 24))))
+    cert = check_maximal_ideal_powers(bad, 8)
+    assert cert == {"ok": False, "jmax": 8, "witness": [{"generator": 2, "breaks_at": (3, 0, 7)}]}
+    assert not dense_ideal_power_certificate(bad, 8)["ok"]
+
+
+def test_fault_in_the_g0_exponent_needs_the_vandermonde_sum(alg):
+    # add 1 to the g_0 exponent of x g_1 down the column of the suffix
+    # t = (1, 1): still a permutation of the broadcast form, and the rows of
+    # k_0 = 0 read E_k''(t') only, so only the terms j < k_0 see the fault
+    m = alg.model
+    suffixes = alg.order // alg.pM
+    table = m.right_mul_table(m.generator(1)).copy()
+    col = table[m.index_of((0, 1, 1))::suffixes]
+    table[m.index_of((0, 1, 1))::suffixes] = (col // suffixes + 1) % alg.pM * suffixes + col % suffixes
+    bad = planted_algebra(m, 1, table)
+    cert = check_maximal_ideal_powers(bad, 8)
+    assert not cert["ok"] and cert == dense_ideal_power_certificate(bad, 8)
+    assert all("lands_on" in w and w["k"][0] >= 1 for w in cert["witness"])

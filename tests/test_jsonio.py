@@ -1,6 +1,7 @@
 """JSON forms of configs, elements, ideals, and modules."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,21 @@ def test_module_loader_accepts_and_refuses_as_expected():
     accepted = {name for name, doc in LOADER_INPUTS.items()
                 if _load(module_from_json, doc) is not ConfigError}
     assert accepted == {"plain", "coordinate list", "f = 2 coordinate lists", "f = 2 indices"}
+
+
+@pytest.mark.parametrize("name,message", [
+    ("-1", "matrix entries must be field element indices"),
+    ("65537", "matrix entries must be field element indices"),
+    ("short row", "generator matrix size does not match dim"),
+    ("bool entry", "matrix entry must be an integer, got True"),
+    ("bool among ints", "matrix entry must be an integer, got True"),
+    ("float entry", "matrix entry must be an integer, got 1.0"),
+], ids=str)
+def test_module_loader_keeps_its_messages(name, message):
+    # numpy reads [[1, True]] as int64 and [["1"]] as 1, so the one array
+    # conversion alone cannot refuse them
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        module_from_json(LOADER_INPUTS[name])
 
 
 def test_module_loader_converts_integer_matrices_whole(monkeypatch):

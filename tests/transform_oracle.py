@@ -22,11 +22,12 @@ import numpy as np
 from propring.gf import gf
 
 
-def digit_apply(alg, mat, arr):
-    """mat[k, x] contracted against each of the nM digit axes of arr (one
-    optional leading batch axis), reduced mod p after every axis."""
+def digit_apply(alg, mat, arr, axes=None):
+    """mat[k, x] contracted against each of the digit axes of arr (one
+    optional leading batch axis), nM unless given, reduced mod p after
+    every axis."""
     a = arr.astype(np.int64)
-    axes = alg.n * alg.model.M
+    axes = alg.n * alg.model.M if axes is None else axes
     for j in range(axes):
         a = mat @ a.reshape(-1, alg.p, alg.p ** (axes - 1 - j)) % alg.p
     return a.astype(np.int16).reshape(arr.shape)
