@@ -10,7 +10,6 @@ from .errors import (
     CutoffBeyondFaithful,
     InputNotUnitOne,
     LevelTooDeep,
-    NonConvergent,
     NonHomogeneousInput,
     NotInGroup,
     PropringError,
@@ -28,7 +27,6 @@ __all__ = [
     "LevelTooDeep",
     "CutoffBeyondFaithful",
     "NonHomogeneousInput",
-    "NonConvergent",
     "RelationCheckFailed",
     "BoundExceeded",
 ]

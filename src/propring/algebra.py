@@ -59,10 +59,11 @@ ideal-power-spans.  It is non-circular: the inclusion m^j <= span comes
 from a dual induction (the coefficient functionals e_k with nu'(k) < j
 kill m^j, checked through the operators phi -> phi(. z_i) which generate
 the step from m^j to m^(j+1)), and the reverse dimension bound comes from
-exhibited group witnesses C_i = [x,y] w^p which place every z^k inside
-m^(nu'(k)).  The induction reads each functional on the suffix group
-{g_1^(x_1) ... g_(n-1)^(x_(n-1))} of order p^(M(n-1)), the first axis split off
-by Lucas and Vandermonde (see check_maximal_ideal_powers).
+the pc relations, whose commutators place each C_i in the Frattini
+subgroup G^p [G, G] and so every z^k inside m^(nu'(k)).  The induction
+reads each functional on the suffix group {g_1^(x_1) ... g_(n-1)^(x_(n-1))}
+of order p^(M(n-1)), the first axis split off by Lucas and Vandermonde
+(see check_maximal_ideal_powers).
 Truncation is faithful for nu below p^M: the kernel of the projection from
 the full completed ring is spanned by monomials with some k_i >= p^M, all
 of weight at least p^M.
@@ -77,8 +78,7 @@ import numpy as np
 
 from .config import CACHED_CONFIGS, PrimeConfig
 from .errors import ConfigError, CutoffBeyondFaithful
-from .gf import gf, matmul
-from .gf import rref  # noqa: F401  bench/test_bench.py reaches rref through this module
+from .gf import gf, matmul, rref
 from .groups import Digits, GroupModel, group_model
 
 
@@ -473,6 +473,26 @@ def _suffix_coordinates(alg: GroupAlgebra, perm: np.ndarray, ks: np.ndarray) -> 
     return coords
 
 
+def frattini_witness(model: GroupModel) -> list[dict]:
+    """The C generators that the pc relations do not place in the Frattini
+    subgroup Phi(G) = G^p [G, G], as {generator, relations_rank} with the
+    rank over F_p of the relations' digit vectors mod p; empty when every
+    C_i lies in Phi(G).
+
+    Each relation W = (u_a u_b)^(-1) u_b u_a is the commutator [u_b, u_a],
+    so it maps to 0 in the elementary abelian G/Phi(G), where the ordered
+    product with digits w maps to sum_i (w_i mod p) times the image of g_i.  Every vector of
+    the span of these digit vectors mod p is thus a linear relation among
+    the images of the g_i, and C = g_c lies in Phi(G) once the unit vector
+    e_c is in that span.  The span's reduced row echelon form holds e_c
+    exactly when it has e_c as the row of pivot c."""
+    rows = np.array([w for _, _, w in model.pc_relations()], dtype=np.int64) % model.p
+    basis, pivots = rref(rows, gf(model.p, 1))
+    units = {c for c, row in zip(pivots, basis) if np.count_nonzero(row) == 1}
+    return [{"generator": c, "relations_rank": len(pivots)}
+            for c in range(2 * model.f, model.n) if c not in units]
+
+
 def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
     """Certify m^j = span{z^k : nu'(k) >= j} for 0 <= j <= jmax + 1.
 
@@ -486,10 +506,11 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
       sweep below verifies for every k with nu'(k) <= jmax.
     * Dimension count.  The inclusion above caps dim ann(m^j); equality
       needs dim m^j >= #{nu' >= j}, which follows once z_i lies in m^(w_i).
-      Weight one is the definition of m; weight two is certified by the
-      group identity C_i = [x, y] w^p (checked exactly), because
-      [x,y] - 1 = x^(-1)y^(-1)((x-1)(y-1) - (y-1)(x-1)) lands in m^2 and
-      w^p - 1 = (w - 1)^p in characteristic p.
+      Weight one is the definition of m; weight two follows from C_i in
+      the Frattini subgroup Phi(G) = G^p [G, G] (frattini_witness), because
+      [x,y] - 1 = x^(-1)y^(-1)((x-1)(y-1) - (y-1)(x-1)) and
+      w^p - 1 = (w - 1)^p (characteristic p) land in m^2, and
+      gh - 1 = (g-1)(h-1) + (g-1) + (h-1) keeps m^2 closed under products.
 
     The sweep works on the suffix group T = {g_1^(x_1) ... g_(n-1)^(x_(n-1))}
     of order p^(M(n-1)).  Write x = g_0^(x_0) t and t g_i = g_0^(y_0(t)) t'(t).
@@ -514,7 +535,8 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
     quotient by weights above jmax: power_dims[j-1] = dim m^j / m^(jmax+1)
     for j = 1..jmax+1, and graded_dims[j] = dim m^j / m^(j+1) for
     j = 0..jmax.  On failure it carries a witness instead, _WITNESSES
-    entries at most: the failing central identities, then the first
+    entries at most: a {generator, relations_rank} for each C outside
+    the span of the relations (frattini_witness), then the first
     violations {k, generator, lands_on} in the order k, generator, index
     (e_k composed with z_generator has a coordinate on e_lands_on, which
     is not of lower weight), then a {generator, breaks_at} for each table
@@ -525,16 +547,10 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
     if jmax + 1 > alg.pM:
         raise CutoffBeyondFaithful(f"jmax {jmax} reaches the unfaithful range")
     model = alg.model
-    p, pM, nu_w = alg.p, alg.pM, alg.nu_weight_array
+    pM, nu_w = alg.pM, alg.nu_weight_array
     suffixes = alg.order // pM
 
-    witness = []
-    for i in range(model.f):
-        x, y, w = model.central_witness(i)
-        gen = 2 * model.f + i
-        if model.mul(model.commutator(x, y), model.power(w, p)) != model.generator(gen):
-            witness.append({"generator": gen, "x": x, "y": y, "w": w})
-
+    witness = frattini_witness(model)
     perms = [model.right_mul_table(model.generator(i)) for i in range(alg.n)]
     breaks = []
     for i, perm in enumerate(perms):

@@ -18,12 +18,7 @@ import numpy as np
 from . import __version__
 from .algebra import check_maximal_ideal_powers, group_algebra
 from .config import CASES, PrimeConfig
-from .errors import (
-    ConfigError,
-    CutoffBeyondFaithful,
-    NonConvergent,
-    PropringError,
-)
+from .errors import ConfigError, CutoffBeyondFaithful, PropringError
 from .gf import gf
 from .graded import (
     GradedRing,
@@ -258,7 +253,7 @@ def run_scenario(data: dict, include_timings: bool = False) -> tuple[dict, int]:
             detail = CHECKS[cname](run, sub_rng(seed, cname), **kwargs)
             entry["status"] = "pass" if detail.pop("ok") else "fail"
             entry["detail"] = to_jsonable(detail)
-        except (CutoffBeyondFaithful, NonConvergent) as e:
+        except CutoffBeyondFaithful as e:
             entry["status"] = "indeterminate"
             entry["witness"] = str(e)
         except PropringError as e:

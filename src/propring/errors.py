@@ -33,10 +33,6 @@ class NonHomogeneousInput(PropringError):
     """Ideal generator is not homogeneous."""
 
 
-class NonConvergent(PropringError):
-    """An iterative rewriting failed to make progress (internal soundness guard)."""
-
-
 class ContractViolation(PropringError):
     """A rewriting broke its weight contract; carries the monomial as witness."""
 

@@ -153,7 +153,7 @@ class GradedRing:
         rows by the weight-(d + w) ones.  Entries are prime-field structure
         constants, the weight-(d + w) block of g z^k or z^k g; the z^k that
         g - 1 subtracts sits at weight d and so is not in it."""
-        w = 2 if gi >= 2 * self.f else 1
+        w = self.alg.nu_weights[gi]
         self._gate(d + w)
         return self.alg.generator_columns(gi, side, self.weight_index(d),
                                           self.weight_index(d + w))
@@ -265,7 +265,7 @@ class IdealTables:
         for d in range(cutoff + 1):
             cand = list(by_degree.get(d, []))
             for gi in range(gr.n):
-                w = 2 if gi >= 2 * gr.f else 1
+                w = gr.alg.nu_weights[gi]
                 prev = self.tables.get(d - w)
                 if prev is None or prev[0].shape[0] == 0:
                     continue
@@ -377,11 +377,14 @@ def tau_exponents(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[Digits, Digi
     return chunk, frac
 
 
+def term_word(chunk: Digits, frac: Digits) -> list[tuple[int, int]]:
+    """The word of a rewriting term: the chunk factors in basis order, then
+    the remainders in basis order."""
+    return [(i, e) for i, e in enumerate(chunk) if e] + [(i, e) for i, e in enumerate(frac) if e]
+
+
 def tau_word(alg: GroupAlgebra, exps: Digits, N: int) -> list[tuple[int, int]]:
-    chunk, frac = tau_exponents(alg, exps, N)
-    word = [(i, e) for i, e in enumerate(chunk) if e]
-    word += [(i, e) for i, e in enumerate(frac) if e]
-    return word
+    return term_word(*tau_exponents(alg, exps, N))
 
 
 def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -448,9 +451,7 @@ def verify_transcript(alg: GroupAlgebra, tr: TauTranscript) -> bool:
     deterministic; a word that differs misses the memo."""
     parts, pending = [alg.monomial_support(tr.start)], 0
     for t in tr.terms:
-        word = [(i, e) for i, e in enumerate(t.chunk) if e]
-        word += [(i, e) for i, e in enumerate(t.frac) if e]
-        idx, coeffs = alg.word_mul(word)
+        idx, coeffs = alg.word_mul(term_word(t.chunk, t.frac))
         parts.append((idx, -t.coeff * coeffs))
         pending += idx.size
         if pending > _MERGE:

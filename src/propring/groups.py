@@ -19,9 +19,9 @@ padic.ZqRing.dtype), and decompose runs
 every check on a whole batch at once.  A generator table is one batch
 holding the p^(M(n-1)) elements with x_0 = 0 (right_mul_table reads the
 rest off the power relation of g_0); a single element is a batch of one,
-and mul, inv, power, commutator and the pc relations realize their inputs
-once, multiply concrete arrays and decompose once.  The ring and
-quaternion objects of padic remain the source of the generator powers.
+and mul and the pc relations realize their inputs once, multiply concrete
+arrays and decompose once.  The ring and quaternion objects of padic
+remain the source of the generator powers.
 
 Case GL2: upper-triangular-unipotent-mod-p matrices over the unramified
 degree-f ring, taken modulo the center.  Canonical coset representatives
@@ -39,10 +39,6 @@ half-integer level the b-part layer is solved in the residue-field basis
 {a^i, a^i z}, at an integer level the a-part layer lands in the anti-fixed
 line spanned by {a^i eta}, eta = (z - sigma(z))/2, because the norm-one
 constraint kills the fixed part.
-
-The valuation of a digit vector is  min_i ( omega(g_i) + v_p(x_i) )  over
-the nonzero digits, a value in (1/2)Z; the identity gets None.
-GroupModel.two_omega_of returns twice this value.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ import math
 import numpy as np
 
 from .config import CACHED_CONFIGS, PrimeConfig
-from .errors import ConfigError, ContractViolation, NonConvergent, NotInGroup
+from .errors import ConfigError, ContractViolation, NotInGroup
 from .padic import Quaternion, quat_context, zq_ring
 
 Digits = tuple[int, ...]
@@ -110,16 +106,6 @@ class GroupModel:
             out.append(idx // s)
             idx %= s
         return tuple(out)
-
-    def two_omega_of(self, x: Digits) -> int | None:
-        """Doubled valuation of the element, or None for the identity."""
-        best = None
-        for c, w in zip(x, self.two_omega):
-            if c:
-                v = w + 2 * _vp(c, self.p, self.M)
-                if best is None or v < best:
-                    best = v
-        return best
 
     # -- group operations --------------------------------------------------
 
@@ -194,48 +180,6 @@ class GroupModel:
         X, Y = self.realize_array([x, y])
         return self._decompose_one(self._mul_array(X, Y))
 
-    def inv(self, x: Digits) -> Digits:
-        return self._decompose_one(self._inv_array(self.realize_array([x])[0]))
-
-    def _power_array(self, a: np.ndarray, e: int) -> np.ndarray:
-        """a^e for a concrete element and e >= 0, by repeated squaring."""
-        acc = None
-        while e:
-            if e & 1:
-                acc = a if acc is None else self._mul_array(acc, a)
-            e >>= 1
-            if e:
-                a = self._mul_array(a, a)
-        return np.array(self._key(self._one), dtype=self.dtype) if acc is None else acc
-
-    def power(self, x: Digits, e: int) -> Digits:
-        a = self.realize_array([x])[0]
-        if e < 0:
-            a, e = self._inv_array(a), -e
-        return self._decompose_one(self._power_array(a, e))
-
-    def commutator(self, x: Digits, y: Digits) -> Digits:
-        """x^-1 y^-1 x y."""
-        X, Y = self.realize_array([x, y])
-        inv_yx = self._inv_array(self._mul_array(Y, X))
-        return self._decompose_one(self._mul_array(inv_yx, self._mul_array(X, Y)))
-
-    def pth_root(self, x: Digits) -> Digits:
-        """The p-th root of an element of valuation > p/(p-1), by digit
-        refinement; exact by construction, verified before returning."""
-        X = self.realize_array([x])[0]
-        y = self.identity
-        for _ in range(2 * self.M + 3):
-            Y = self.realize_array([y])[0]
-            d = self._decompose_one(
-                self._mul_array(self._inv_array(self._power_array(Y, self.p)), X))
-            if d == self.identity:
-                return y
-            if any(c % self.p for c in d):
-                raise NonConvergent("element has no p-th root at this depth")
-            y = self.mul(y, tuple(c // self.p for c in d))
-        raise NonConvergent("p-th root refinement did not stabilize")
-
     # -- derived structure -------------------------------------------------
 
     def right_mul_table(self, h: Digits) -> np.ndarray:
@@ -295,7 +239,8 @@ class GroupModel:
         k < M, ordered by (omega(g_i) + k, i, k).  The entry ((i, k), (j, l),
         W) for u_a = u_(i,k) before u_b = u_(j,l) reads u_b u_a = u_a u_b W,
         and every letter of W (each (i', k') whose base-p digit k' of W_i' is
-        nonzero) comes after u_b."""
+        nonzero) comes after u_b; a W that breaks this order raises
+        ContractViolation naming the pair."""
         if self._pc is None:
             p, M = self.p, self.M
             gens = sorted(((i, k) for i in range(self.n) for k in range(M)),
@@ -311,8 +256,8 @@ class GroupModel:
                 a, b, w = gens[r], gens[s], tuple(int(c) for c in w)
                 letters = {(i, k) for i, c in enumerate(w) for k in range(M) if c // p**k % p}
                 if not letters <= set(gens[s + 1:]):
-                    # raised, not asserted: exact module validation rests on it
-                    raise AssertionError(f"pc condition fails for {a}, {b}: W = {w}")
+                    raise ContractViolation(f"pc condition fails for {a}, {b}: W = {list(w)}",
+                                            witness={"a": a, "b": b, "w": w})
                 rels.append((a, b, w))
             self._pc = tuple(rels)
         return self._pc
@@ -398,22 +343,6 @@ class GroupModel:
                         witness={"s": s, "t": t, "terms": bad})
         self._normal = True
 
-    def central_witness(self, i: int) -> tuple[Digits, Digits, Digits]:
-        """(x, y, w) with C_i = [x, y] * w^p holding exactly in the
-        truncated group; certifies that the C generators are commutators
-        up to p-th powers."""
-        target = self.generator(2 * self.f + i)
-        a, b = self._witness_pair(i)
-        for x, y in ((a, b), (b, a)):
-            c = self.commutator(x, y)
-            r = self.mul(self.inv(c), target)
-            t = self.two_omega_of(r)
-            if t is None or t >= 3:
-                w = self.pth_root(r)
-                assert self.mul(c, self.power(w, self.p)) == target
-                return x, y, w
-        raise NonConvergent("no commutator witness with small enough residual")
-
     # -- to be provided per case: _one and _gens (concrete identity and
     # generators), dtype (the ring's array dtype), and the methods below ---
 
@@ -431,9 +360,6 @@ class GroupModel:
 
     def _key(self, concrete):
         """The coordinate tuples of a concrete element, parts by deg."""
-        raise NotImplementedError
-
-    def _witness_pair(self, i: int) -> tuple[Digits, Digits]:
         raise NotImplementedError
 
 
@@ -529,10 +455,6 @@ class GL2Model(GroupModel):
         m = np.array(self._key((a * s, b * s, c * s, d * s)), dtype=self.dtype)
         return self._decompose_one(m)
 
-    def _witness_pair(self, i):
-        # an upper element with entry [a^i] against the first lower generator
-        return self.generator(i), self.generator(self.f)
-
 
 class QuatModel(GroupModel):
     def __init__(self, p: int, f: int, M: int):
@@ -556,7 +478,6 @@ class QuatModel(GroupModel):
         # residue-field solves for the two layer types, as lookup tables
         ap = [F.pow(alpha, i) for i in range(f)]
         eta = F.mul[F.add[zeta, F.neg[sig[zeta]]], F.inv[2]]
-        self._eta = int(eta)
         self._half_sol = self._solve_table([F.coords(e) for e in ap]
                                            + [F.coords(F.mul[e, zeta]) for e in ap])
         self._int_sol = self._solve_table([F.coords(F.mul[e, eta]) for e in ap])
@@ -633,14 +554,6 @@ class QuatModel(GroupModel):
         if (q.a - R.one).vp() < 1:
             raise NotInGroup("scalar part must be congruent to 1 mod p")
         return self._decompose_one(np.array(self._key(self._norm_one(q)), dtype=self.dtype))
-
-    def _witness_pair(self, i):
-        # b-part gamma with gamma - sigma(gamma) = a^i eta, i.e. a^i eta / 2
-        F = self.ctx.ring.field
-        alpha = self.ctx.alpha_residue()
-        gamma = F.mul[F.mul[F.pow(alpha, i), self._eta], F.inv[2]]
-        sol = self._half_sol[gamma]  # A then B digits
-        return tuple(int(c) for c in sol) + (0,) * self.f, self.generator(0)
 
 
 def quaternion_commutator_congruence(p: int, f: int, level: int = 3) -> dict:

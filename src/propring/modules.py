@@ -572,7 +572,7 @@ def check_exponent_transfer(mod: FiniteModule, specs, N: int) -> list[dict]:
     q = mod.cfg.p**N
     gres = grade(mod, "res", N)  # refuses N outside [1, M)
     gr = grade(mod, "gr")
-    gint = _subsample(gr, N)
+    gint = grade(mod, "int", N)
     out = []
     for spec in specs:
         specN = build_JN(spec, N, field)

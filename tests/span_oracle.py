@@ -13,7 +13,7 @@ coordinates over the e_k' by one dual_to_monomial of the group's order."""
 import numpy as np
 
 from propring import gf as gflib
-from propring.algebra import _WITNESSES
+from propring.algebra import _WITNESSES, frattini_witness
 from propring.errors import CutoffBeyondFaithful
 from propring.gf import gf, rref
 
@@ -102,19 +102,14 @@ def composed_coordinates(alg, e_k, perm) -> np.ndarray:
 
 def dense_ideal_power_certificate(alg, jmax: int) -> dict:
     """The dense sweep: the same report as check_maximal_ideal_powers,
-    witnesses in the order k, generator, index."""
+    witnesses in the order k, generator, index, after the central step
+    frattini_witness that both share."""
     if jmax + 1 > alg.pM:
         raise CutoffBeyondFaithful(f"jmax {jmax} reaches the unfaithful range")
     model = alg.model
-    p, nu_w = alg.p, alg.nu_weight_array
+    nu_w = alg.nu_weight_array
 
-    witness = []
-    for i in range(model.f):
-        x, y, w = model.central_witness(i)
-        gen = 2 * model.f + i
-        if model.mul(model.commutator(x, y), model.power(w, p)) != model.generator(gen):
-            witness.append({"generator": gen, "x": x, "y": y, "w": w})
-
+    witness = frattini_witness(model)
     perms = [model.right_mul_table(model.generator(i)) for i in range(alg.n)]
     sel = np.flatnonzero(nu_w <= jmax)
     for k in sel:

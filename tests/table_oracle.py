@@ -6,7 +6,12 @@ QUAT).  It makes the checks of the batched GroupModel.decompose in the
 same order and raises the same NotInGroup messages, one element at a time
 and with no array code.  mul, inv, power, commutator and pth_root compose
 it with the scalar products of realize, decomposing after every group
-operation; the model realizes each input once and decomposes once.
+operation; the model realizes each input once and decomposes once, and has
+mul alone of these.  two_omega_of is the doubled valuation of an element.
+
+central_witness is the explicit form of algebra.frattini_witness: an
+identity C_i = [x, y] w^p, found by a commutator of a fixed pair and the
+p-th root of the residual, which places C_i in the Frattini subgroup.
 
 scalar_rows builds generator table rows one concrete element at a time,
 where the model decomposes the products of the p^(M(n-1)) suffixes with
@@ -18,8 +23,12 @@ decomposes every element of the group in one array pass."""
 
 import numpy as np
 
-from propring.errors import NonConvergent, NotInGroup
-from propring.groups import QuatModel
+from propring.errors import NotInGroup
+from propring.groups import QuatModel, _vp
+
+
+class NonConvergent(Exception):
+    """pth_root or central_witness found no root at this depth."""
 
 
 def decompose_gl2(model, m):
@@ -139,6 +148,44 @@ def pth_root(model, x):
             raise NonConvergent("element has no p-th root at this depth")
         y = mul(model, y, tuple(c // model.p for c in d))
     raise NonConvergent("p-th root refinement did not stabilize")
+
+
+def two_omega_of(model, x):
+    """Doubled valuation min_i (two_omega_i + 2 v_p(x_i)) over the nonzero
+    digits, a value in Z; None for the identity."""
+    return min((w + 2 * _vp(c, model.p, model.M) for c, w in zip(x, model.two_omega) if c),
+               default=None)
+
+
+def witness_pair(model, i):
+    """GL2: the upper generator [a^i] against the first lower one.  QUAT: the
+    b-part gamma = a^i eta / 2, so that gamma - sigma(gamma) = a^i eta,
+    eta = (z - sigma(z)) / 2, against the first A generator."""
+    if not isinstance(model, QuatModel):
+        return model.generator(i), model.generator(model.f)
+    F = model.ctx.ring.field
+    sig = F.frob.copy()
+    for _ in range(model.f - 1):
+        sig = F.frob[sig]
+    eta = F.mul[F.add[F.gen, F.neg[sig[F.gen]]], F.inv[2]]
+    gamma = F.mul[F.mul[F.pow(model.ctx.alpha_residue(), i), eta], F.inv[2]]
+    sol = model._half_sol[gamma]  # A then B digits
+    return tuple(int(c) for c in sol) + (0,) * model.f, model.generator(0)
+
+
+def central_witness(model, i):
+    """(x, y, w) with C_i = [x, y] w^p exactly in the truncated group."""
+    target = model.generator(2 * model.f + i)
+    a, b = witness_pair(model, i)
+    for x, y in ((a, b), (b, a)):
+        c = commutator(model, x, y)
+        r = mul(model, inv(model, c), target)
+        t = two_omega_of(model, r)
+        if t is None or t >= 3:
+            w = pth_root(model, r)
+            assert mul(model, c, power(model, w, model.p)) == target
+            return x, y, w
+    raise NonConvergent("no commutator witness with small enough residual")
 
 
 def scalar_rows(model, i, rows):

@@ -10,17 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propring import algebra
-from propring.algebra import GroupAlgebra, check_maximal_ideal_powers, group_algebra
+from propring.algebra import (GroupAlgebra, check_maximal_ideal_powers, frattini_witness,
+                              group_algebra)
 from propring.config import PrimeConfig
 from propring.errors import ConfigError, CutoffBeyondFaithful
 from propring.graded import hilbert_oracle
-from propring.groups import GroupModel
+from propring.groups import GroupModel, group_model
 from propring.padic import _is_prime
 from pair_oracle import random_element
 import power_oracle
 import sandwich_oracle
 from power_oracle import right_mul_table
 import span_oracle
+import table_oracle
 from span_oracle import dense_ideal_power_certificate, primal_ideal_power_spans
 import tau_oracle
 from transform_oracle import digit_apply, expand_group_sparse, of_group, of_support, transforms
@@ -531,6 +533,42 @@ def test_certificate_dims_match_primal_oracle(case, M, jmax):
     assert cert["ok"] and primal["ok"]
     assert cert["power_dims"] == [r["dim"] for r in primal["powers"]]
     assert cert["graded_dims"] == primal["graded_dims"]
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", ((5, 1, 1), (5, 1, 2), (7, 1, 2), (5, 2, 1), (5, 2, 2), (5, 1, 3)),
+                         ids=str)
+def test_frattini_certificate_matches_commutator_identity(case, pfm):
+    # the relations place every C_i in Phi(G), and so does the explicit
+    # identity C_i = [x, y] w^p of the scalar oracle (at (5, 1, 2) the
+    # former test_central_witness of test_groups); the certificate reads
+    # only pc_relations, so it also runs at (5, 2, 2), where GroupAlgebra
+    # refuses the config
+    model = group_model(PrimeConfig(*pfm, case))
+    assert frattini_witness(model) == []
+    for i in range(model.f):
+        x, y, w = table_oracle.central_witness(model, i)
+        lhs = table_oracle.mul(model, table_oracle.commutator(model, x, y),
+                               table_oracle.power(model, w, model.p))
+        assert lhs == model.generator(2 * model.f + i), i
+
+
+@pytest.mark.parametrize("pfm,jmax", [((5, 1, 2), 8), ((5, 2, 1), 4)], ids=str)
+def test_certificate_reports_c_outside_the_relations_span(case, pfm, jmax):
+    # every relation with its C digits zeroed mod p: the relations then
+    # span nothing, and each C is a {generator, relations_rank} witness
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    model = alg.model
+    faulty = copy.copy(model)
+    c0, p = 2 * model.f, model.p
+    faulty._pc = tuple((a, b, tuple(d - d % p if i >= c0 else d for i, d in enumerate(w)))
+                       for a, b, w in model.pc_relations())
+    bad = algebra.GroupAlgebra(faulty)
+    cert = check_maximal_ideal_powers(bad, jmax)
+    want = [{"generator": c0 + i, "relations_rank": 0} for i in range(model.f)]
+    assert cert == {"ok": False, "jmax": jmax, "witness": want}
+    assert cert == dense_ideal_power_certificate(bad, jmax)
+    assert check_maximal_ideal_powers(alg, jmax)["ok"]
 
 
 def planted_algebra(model, gen, table):

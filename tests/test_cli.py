@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from propring import cli
-from propring.algebra import group_algebra
+from propring import checks, cli
+from propring.algebra import GroupAlgebra, group_algebra
 from propring.cli import main
+from propring.errors import ContractViolation
+from propring.groups import GL2Model
 from propring.jsonio import config_from_json
 
 import json_oracle
@@ -494,3 +496,24 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, ["verify", QUICK, "--out", "routed.json"])
     assert code == 0
     assert rep.exists()
+
+
+def test_verify_pc_letter_order_fault_fails(tmp_path, capsys, monkeypatch):
+    # C ranked before A and B: W = [B_0, A_0] then has a letter C_0 that
+    # comes before B_0, so pc_relations raises ContractViolation naming the
+    # pair, and verify reports ideal-power-spans as fail with no traceback
+    faulty = GL2Model(5, 1, 2)
+    faulty.two_omega = (2, 2, 1)
+    with pytest.raises(ContractViolation) as err:
+        faulty.pc_relations()
+    assert err.value.witness["a"] == (0, 0) and err.value.witness["b"] == (1, 0)
+    monkeypatch.setattr(checks, "group_algebra", lambda cfg: GroupAlgebra(faulty))
+    path = write(tmp_path, "pc.json", {
+        "name": "pc", "seed": 1, "config": {**GL2, "N": 1},
+        "checks": [{"check": "ideal-power-spans", "params": {"jmax": 8}}],
+    })
+    out = tmp_path / "r.json"
+    assert main(["verify", path, "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    [entry] = json.loads(out.read_text())["checks"]
+    assert entry["status"] == "fail" and "pc condition fails" in entry["witness"]

@@ -466,18 +466,21 @@ def test_restriction_determinism(deep, rng):
 def test_corpus_checks_grade_each_module_once(deep, monkeypatch):
     # the ideal loop runs inside both checks: with 3 ideals, the module's
     # own gradings and its dual's res grading are built once, and only the
-    # random basis changes are graded per ideal
+    # random basis changes are graded per ideal; every grading goes through
+    # grade's memo, so each build is one call of _grade, counted on a copy
+    # of the module with empty memos
+    deep = dataclasses.replace(deep)
     calls = []
-    real = modules.grade
+    real = modules._grade
 
     def counting(mod, kind, N=None):
         calls.append((mod.provenance, kind))
         return real(mod, kind, N)
 
-    monkeypatch.setattr(modules, "grade", counting)
+    monkeypatch.setattr(modules, "_grade", counting)
     assert len(IDEALS) == 3
     check_exponent_transfer(deep, IDEALS, 1)
-    assert sorted(calls) == [(deep.provenance, "gr"), (deep.provenance, "res")]
+    assert sorted(calls) == [(deep.provenance, k) for k in ("gr", "int", "res")]
     calls.clear()
     reps = restriction_determinism(deep, IDEALS, 1, np.random.default_rng(5), basis_changes=2)
     assert [r["ideal"] for r in reps] == [spec.name for spec in IDEALS]
