@@ -87,12 +87,36 @@ from .groups import Digits, GroupModel, group_model
 _PAIR_CHUNK = 1 << 14
 # support entries the word_mul memo holds, about 1 MB
 _WORD_MEMO = 1 << 16
+# support entries the monomial_support memo holds, about 1 MB
+_MONOMIAL_MEMO = 1 << 16
 # entries of the expansion block per step of GroupAlgebra.generator_columns
 _KERNEL_CHUNK = 1 << 16
 # witness entries a failed certificate reports
 _WITNESSES = 10
 # float64 represents every integer below this exactly
 _EXACT = 2**53
+
+
+class _SupportMemo(dict):
+    """Support pairs by key, read-only, least recently used out first once
+    the pairs hold more than limit index entries."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+        self.entries = 0
+
+    def get_or_build(self, key, build) -> tuple[np.ndarray, np.ndarray]:
+        pair = self.pop(key, None)  # put back below as the most recent
+        if pair is None:
+            pair = build()
+            for a in pair:
+                a.flags.writeable = False
+            self.entries += pair[0].size
+        self[key] = pair
+        while self.entries > self.limit:
+            self.entries -= self.pop(next(iter(self)))[0].size
+        return pair
 
 
 def _pascal_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,10 +149,12 @@ class GroupAlgebra:
             (functools.reduce(np.kron, [m] * model.M) % self.p).astype(np.int16)
             for m in self._pair
         )
+        # the float64 copy of _P that support_expansion contracts against
+        self._Pf = self._P.astype(np.float64)
         self._nu_w: np.ndarray | None = None
-        # word_mul memo: word -> support pair, and its stored entries
-        self._words: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-        self._word_entries = 0
+        # support pairs by word (word_mul) and by exponents (monomial_support)
+        self._words = _SupportMemo(_WORD_MEMO)
+        self._monomials = _SupportMemo(_MONOMIAL_MEMO)
 
     # -- dense vectors -------------------------------------------------------
 
@@ -185,18 +211,14 @@ class GroupAlgebra:
         the rewriting and the re-expansion of its transcripts ask for the
         same words."""
         key = tuple(word)
-        pair = self._words.pop(key, None)  # put back below as the most recent
-        if pair is None:
+
+        def build():
             idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)  # the identity
             for i, e in key:
                 idx, coeffs = self.zmul(idx, coeffs, i, e)
-            idx.flags.writeable = coeffs.flags.writeable = False
-            pair = idx, coeffs
-            self._word_entries += idx.size
-        self._words[key] = pair
-        while self._word_entries > _WORD_MEMO:
-            self._word_entries -= self._words.pop(next(iter(self._words)))[0].size
-        return pair
+            return idx, coeffs
+
+        return self._words.get_or_build(key, build)
 
     def mul_rows(self, a, b, rows: int):
         """Row-batched product on support pairs.  a and b are (row, index,
@@ -260,14 +282,22 @@ class GroupAlgebra:
     def monomial_support(self, k: Digits) -> tuple[np.ndarray, np.ndarray]:
         """Support pair of z^k, sorted by index: the tensor product of the
         nonzero entries of the rows Q[k_i, .] of the inverse binomial
-        matrix, those x <= k digit by digit (Lucas)."""
-        idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-        for ki in self.model.check_digits(k):
-            row = self._Q[ki]
-            nz = np.flatnonzero(row)
-            idx = np.add.outer(idx * self.pM, nz).ravel()
-            coeffs = np.multiply.outer(coeffs, row[nz]).ravel() % self.p
-        return idx, coeffs
+        matrix, those x <= k digit by digit (Lucas).  The pairs are
+        memoized by k like word_mul's, read-only, _MONOMIAL_MEMO entries at
+        most, since the sandwich's first inclusion draws the same subring
+        monomials many times."""
+        key = self.model.check_digits(k)
+
+        def build():
+            idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+            for ki in key:
+                row = self._Q[ki]
+                nz = np.flatnonzero(row)
+                idx = np.add.outer(idx * self.pM, nz).ravel()
+                coeffs = np.multiply.outer(coeffs, row[nz]).ravel() % self.p
+            return idx, coeffs
+
+        return self._monomials.get_or_build(key, build)
 
     def monomial(self, k: Digits) -> np.ndarray:
         """Dense vector of z^k, a fresh array."""
@@ -372,19 +402,19 @@ class GroupAlgebra:
 
         The coefficient of z^k is sum_t coeffs[t] prod_i binom(x_i, k_i),
         so the expansion contracts the support one exponent axis at a
-        time, the last first, against the p^M x p^M table _P.  The block it
-        works on has a row per distinct exponent prefix (x_0 .. x_(i-1)) of
-        the support still to contract and a column per suffix (k_i ..
-        k_(n-1)) already contracted that carries a nonzero entry and has
-        weight at most cutoff.  Each step groups the rows by their prefix
-        less its last exponent x, contracts x against the rows of _P of
-        the exponents that occur, and keeps the new columns within the
-        cutoff: the axes left only add weight.  So the block never holds
-        more entries than the dense vector on the kept columns, one product
-        per axis does the arithmetic, and a support of a few terms keeps a
-        few rows and columns."""
+        time, the last first, against the p^M x p^M table _P (its float64
+        copy _Pf).  The block it works on has a row per distinct exponent
+        prefix (x_0 .. x_(i-1)) of the support still to contract and a
+        column per suffix (k_i .. k_(n-1)) already contracted that carries
+        a nonzero entry and has weight at most cutoff.  Each step groups
+        the rows by their prefix less its last exponent x, contracts x
+        against the rows of _P of the exponents that occur, and keeps the
+        new columns, built with their weights as two outer sums, that are
+        nonzero and within the cutoff: the axes left only add weight.  So
+        the block never holds more entries than the dense vector on the
+        kept columns, one product per axis does the arithmetic, and a
+        support of a few terms keeps a few rows and columns."""
         p, pM, f = self.p, self.pM, coeffs.shape[1]
-        table = self._P.astype(np.float64)
         ks = wt = np.zeros(1, dtype=np.int64)
         rows, block = idx, coeffs.astype(np.float64)[:, None]  # (rows, columns, f)
         for i, w in enumerate(reversed(self.nu_weights)):
@@ -399,30 +429,33 @@ class GroupAlgebra:
             first = np.ones(rows.size, dtype=bool)
             first[1:] = rows[1:] != rows[:-1]
             rows = rows[first]
-            # the exponents x present, and each one's place among them
+            # the exponents x present
             present = np.bincount(x, minlength=pM) > 0
-            xs, place = np.flatnonzero(present), np.cumsum(present) - 1
+            xs = np.flatnonzero(present)
             width = ks.size * f
             if rows.size * xs.size == x.size:  # each prefix has every x
                 spread = block.reshape(rows.size, xs.size, width)
-            else:
+            else:  # each term to its prefix's row, at its x's place among xs
+                place = np.cumsum(present) - 1
                 spread = np.zeros((rows.size * xs.size, width))
                 spread[(np.cumsum(first) - 1) * xs.size + place[x]] = block.reshape(-1, width)
                 spread = spread.reshape(rows.size, xs.size, width)
             top = min(pM - 1, (cutoff - int(wt.min())) // w) + 1
-            sub = table[xs, :top]
+            sub = self._Pf[xs, :top]
             # exact: entries stay below (p-1) ((p-1) p^M)^n, inside the
             # transform bound that __init__ checks
             if width == 1:  # one product, not one per row
                 out = (spread[:, :, 0] @ sub)[:, :, None]
             else:
                 out = (sub.T @ spread).reshape(rows.size, top * ks.size, f)
-            live = out.any(axis=0).any(axis=1) & (np.arange(top)[:, None] <= (cutoff - wt) // w).ravel()
-            block = np.compress(live, out, axis=1)
-            r = np.flatnonzero(live)
-            k = r // ks.size
-            r -= k * ks.size
-            ks, wt = ks[r] + k * pM ** i, wt[r] + w * k
+            # the new columns, exponent k of this axis major: k p^(M i) + ks
+            # of weight w k + wt
+            cand = np.arange(top)
+            cand_ks = np.add.outer(cand * pM ** i, ks).ravel()
+            cand_wt = np.add.outer(cand * w, wt).ravel()
+            live = out.any(axis=(0, 2)) & (cand_wt <= cutoff)
+            block = out.compress(live, axis=1)
+            ks, wt = cand_ks[live], cand_wt[live]
         c = (block.reshape(ks.size, f) % p).astype(np.int64)
         keep = np.flatnonzero(c.any(axis=1))
         return ks[keep], wt[keep], c[keep]

@@ -259,6 +259,9 @@ def run_scenario(data: dict, include_timings: bool = False) -> tuple[dict, int]:
         except PropringError as e:
             entry["status"] = "fail"
             entry["witness"] = str(e)
+            # ContractViolation and RelationCheckFailed name what broke
+            if getattr(e, "witness", None) is not None:
+                entry["witness_data"] = to_jsonable(e.witness)
         if include_timings:
             entry["elapsed_s"] = round(time.monotonic() - t0, 3)
         results.append(entry)

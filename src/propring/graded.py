@@ -44,6 +44,10 @@ from .groups import Digits, GroupModel
 # word entries verify_transcript merges at a time, which bounds its
 # transients to a few MB however long the transcript
 _MERGE = 1 << 16
+# rows of the first block draw_row draws; a block with no accepted row
+# doubles the next, up to _DRAW_MAX rows
+_DRAW_FIRST = 64
+_DRAW_MAX = 1 << 12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -468,6 +472,30 @@ def chunk_weight_bound(alg: GroupAlgebra, src_weight: int, N: int) -> int:
     return math.ceil((src_weight - 4 * alg.model.f * (q - 1)) / q)
 
 
+def draw_row(rng: np.random.Generator, high: int, n: int, accept) -> Digits:
+    """The first of the rows rng.integers(0, high, size=n), drawn one after
+    another, that accept takes, with the generator left where those draws
+    leave it.  accept maps a (B, n) block of rows to B booleans.
+
+    Each entry is one bounded draw on the bit generator's stream (Lemire's
+    method), so a (B, n) block holds the next B rows of n; the block is
+    drawn at once, and a block with no accepted row has left the generator
+    as its B rows would.  At the first accepted row j the state from before
+    the block is put back and rows 0..j drawn again, which leaves the
+    generator as the row-by-row loop (tests/sandwich_oracle.py) does."""
+    size = _DRAW_FIRST
+    while True:
+        state = rng.bit_generator.state
+        rows = rng.integers(0, high, size=(size, n))
+        hit = np.flatnonzero(accept(rows))
+        if hit.size:
+            j = int(hit[0])
+            rng.bit_generator.state = state
+            rng.integers(0, high, size=(j + 1, n))
+            return tuple(rows[j].tolist())
+        size = min(2 * size, _DRAW_MAX)
+
+
 def _stack_rows(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
     """The (row, index, coefficient) arrays of GroupAlgebra.mul_rows holding
     the r-th support pair as row r."""
@@ -486,7 +514,14 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
     monomials of weight >= k p^N expresses each as a combination of terms
     whose subring chunk has weight >= k - 4f, plus a residual beyond the
     cutoff p^M - 1, the faithful bound; every transcript is re-expanded and
-    checked exactly."""
+    checked exactly.
+
+    The first inclusion draws its subring monomials one row at a time
+    (nearly every row is accepted) and reads their support pairs through
+    the monomial_support memo.  The second inclusion's monomials, whose
+    weight window accepts a few percent of the rows at most, come from
+    draw_row, which draws rows in blocks and leaves the generator as the
+    row-by-row loop does."""
     model = alg.model
     p, n, q = alg.p, alg.n, alg.p**N
     if model.M <= N:
@@ -535,12 +570,15 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
     transcripts = 0
     min_chunk_margin = None
     touched = 0
+    w = np.array(weights)
+    hi = min(cutoff, k * q + 10)
+
+    def in_window(rows: np.ndarray) -> np.ndarray:
+        wx = rows @ w
+        return (k * q <= wx) & (wx <= hi)
+
     for _ in range(mono_samples):
-        while True:
-            x = tuple(int(v) for v in rng.integers(0, alg.pM, size=n))
-            wx = alg.nu_prime(x)
-            if k * q <= wx <= min(cutoff, k * q + 10):
-                break
+        x = draw_row(rng, alg.pM, n, in_window)
         tr = iterate_tau(alg, x, N, cutoff)
         transcripts += 1
         if not verify_transcript(alg, tr):
@@ -571,16 +609,16 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
 def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
                        samples: int) -> dict:
     """The rewriting preserves the weight and perturbs only above it, on
-    every monomial touched by full iterated runs up to the faithful bound."""
+    every monomial touched by full iterated runs up to the faithful bound.
+    The start monomials, rows other than the identity of weight below p^M,
+    come from draw_row, with the draws and the generator's final state of
+    the row-by-row loop."""
     cutoff = alg.pM - 1
-    n = alg.n
+    w = np.array(alg.nu_weights)
     checked = 0
-    done = 0
-    while done < samples:
-        x = tuple(int(v) for v in rng.integers(0, alg.pM, size=n))
-        if not any(x) or alg.nu_prime(x) > cutoff:
-            continue
+    for _ in range(samples):
+        x = draw_row(rng, alg.pM, alg.n,
+                     lambda rows: rows.any(axis=1) & (rows @ w <= cutoff))
         tr = iterate_tau(alg, x, N, cutoff)  # rewrites verify per call
         checked += len(tr.terms)
-        done += 1
     return {"N": N, "monomials_checked": checked, "ok": True}

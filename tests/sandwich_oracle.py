@@ -2,6 +2,9 @@
 sample at a time: the test oracles for the row-batched
 GroupAlgebra.mul_rows and for graded.check_sandwich, which draws all
 samples of an index first and walks their support pairs in row groups.
+window_monomial and tau_monomial are the row-by-row rejection loops of the
+second inclusion and of check_tau_contract, the oracles for
+graded.draw_row, which draws its rows in blocks.
 
 mul accumulates one dense product over the support pairs of its factors,
 PAIR_CHUNK pairs per GroupModel.right_act and one bincount of the group's
@@ -64,3 +67,23 @@ def first_inclusion(alg, k: int, N: int, rng, samples: int) -> dict:
         if val is not None and val < k * q:
             return {"samples": checked, "ok": False}
     return {"samples": checked, "ok": True}
+
+
+def window_monomial(alg, k: int, N: int, rng) -> tuple[int, ...]:
+    """A monomial of the second inclusion at index k: rows of exponents
+    below p^M drawn one at a time until one has weight in [k p^N,
+    min(p^M - 1, k p^N + 10)]."""
+    q = alg.p**N
+    while True:
+        x = tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n))
+        if k * q <= alg.nu_prime(x) <= min(alg.pM - 1, k * q + 10):
+            return x
+
+
+def tau_monomial(alg, rng) -> tuple[int, ...]:
+    """A monomial of check_tau_contract: rows drawn one at a time until one
+    is not the identity and has weight below p^M."""
+    while True:
+        x = tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n))
+        if any(x) and alg.nu_prime(x) <= alg.pM - 1:
+            return x

@@ -25,7 +25,8 @@ import span_oracle
 import table_oracle
 from span_oracle import dense_ideal_power_certificate, primal_ideal_power_spans
 import tau_oracle
-from transform_oracle import digit_apply, expand_group_sparse, of_group, of_support, transforms
+from transform_oracle import (axis_expansion, digit_apply, expand_group_sparse, of_group,
+                              of_support, transforms)
 import zmul_oracle
 
 
@@ -164,7 +165,7 @@ def test_word_mul_memo_is_bounded_and_read_only(model, monkeypatch):
             with pytest.raises(ValueError, match="read-only"):
                 a[:] = 0
         stored = sum(idx.size for idx, _ in alg._words.values())
-        assert stored == alg._word_entries <= 40
+        assert stored == alg._words.entries <= 40
 
 
 def test_mul_associative_and_distributive(alg, rng):
@@ -290,6 +291,25 @@ def test_monomial_returns_a_fresh_array(alg):
     assert np.array_equal(alg.monomial(k), zmul_chain(alg, k))
 
 
+def test_monomial_memo_is_bounded_and_read_only(model, monkeypatch):
+    # a memo of 300 entries against monomials of up to 125: every call,
+    # hit or miss, is a read-only support pair equal to the ordered chain
+    # of dense products, and the memo never holds more than its bound
+    monkeypatch.setattr(algebra, "_MONOMIAL_MEMO", 300)
+    alg = GroupAlgebra(model)
+    rng = np.random.default_rng(6)
+    ks = [tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n)) for _ in range(8)]
+    for k in ks + ks[::-1] + ks:
+        got = alg.monomial_support(k)
+        assert np.array_equal(of_support(alg, got), zmul_chain(alg, k)), k
+        for a in got:
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = 0
+        stored = sum(idx.size for idx, _ in alg._monomials.values())
+        assert stored == alg._monomials.entries <= 300
+    assert alg._monomials
+
+
 def test_binomial_expansion_matches_transform(alg, rng):
     xs = rng.choice(alg.order, size=8, replace=False)
     ks = np.sort(rng.choice(alg.order, size=200, replace=False))
@@ -330,6 +350,30 @@ def test_support_expansion_matches_transform_on_large_supports(pfm, case):
     ks, ws, c = alg.support_expansion(np.arange(alg.order), np.ones((alg.order, 1), dtype=np.int64),
                                       int(nu_w.max()))
     assert ks.tolist() == [alg.order - 1] and c.tolist() == [[1]]
+
+
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (5, 2, 1), (7, 1, 2), (5, 1, 3)], ids=str)
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+def test_support_expansion_matches_axis_oracle(pfm, case):
+    # the step that builds its new columns as outer sums against the body
+    # that divided the kept positions back into exponent and column, on
+    # random supports of 1 to 2,000 terms, some coefficient rows zero, at
+    # cutoffs from 0 past the faithful bound: the same arrays and dtypes
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    rng = np.random.default_rng(sum(pfm) + 2 * len(case))
+    f, top = alg.model.f, sum(alg.nu_weights) * (alg.pM - 1)
+    compared = 0
+    for size in (1, 2, 7, 30, 300, 2000):
+        for _ in range(3):
+            idx = np.sort(rng.choice(alg.order, size, replace=False))
+            coeffs = rng.integers(0, alg.p, size=(size, f))
+            for cutoff in (0, 1, int(rng.integers(2, alg.pM)), alg.pM - 1, top):
+                got = alg.support_expansion(idx, coeffs, cutoff)
+                want = axis_expansion(alg, idx, coeffs, cutoff)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w), (size, cutoff)
+                compared += got[0].size > 0
+    assert compared > 50
 
 
 def test_collect_merges_coordinate_rows(alg, rng):

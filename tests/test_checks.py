@@ -176,6 +176,9 @@ def test_broken_tau_contract_fails(monkeypatch):
     [entry] = report["checks"]
     assert entry["name"] == "tau-contract" and entry["status"] == "fail"
     assert "rewriting" in entry["witness"]
+    # the monomial itself, as a JSON list of its exponents
+    x = entry["witness_data"]
+    assert isinstance(x, list) and len(x) == 3 and str(tuple(x)) in entry["witness"]
 
 
 def test_tau_word_missing_last_factor_fails(monkeypatch):

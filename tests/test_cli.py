@@ -517,3 +517,6 @@ def test_verify_pc_letter_order_fault_fails(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
     [entry] = json.loads(out.read_text())["checks"]
     assert entry["status"] == "fail" and "pc condition fails" in entry["witness"]
+    # the exception's structured witness, as JSON, beside its message
+    assert set(entry["witness_data"]) == {"a", "b", "w"}
+    assert entry["witness_data"]["a"] == [0, 0] and entry["witness_data"]["b"] == [1, 0]

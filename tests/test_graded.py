@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from propring import algebra, checks
+from propring import algebra, checks, graded
 from propring.algebra import GroupAlgebra, group_algebra
 from propring.config import PrimeConfig
 from propring.errors import CutoffBeyondFaithful, NonHomogeneousInput
@@ -22,11 +22,13 @@ from propring.graded import (
     check_tau_contract,
     chunk_weight_bound,
     default_ideals,
+    draw_row,
     hilbert_dims,
     hilbert_oracle,
     ideal_spec,
     iterate_tau,
     tau_rewrite,
+    TauTranscript,
     verify_transcript,
 )
 import graded_oracle
@@ -313,6 +315,82 @@ def test_first_inclusion_window_matches_dense_nu(alg, k):
         assert windowed == (val is not None and val < k * q)
         verdicts.append(windowed)
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("p,M", [(5, 2), (5, 3), (7, 2), (7, 3)])
+def test_numpy_block_draws_continue_the_row_stream(p, M, n):
+    # draw_row rests on numpy's bounded draws (Lemire's method on the bit
+    # generator's one stream): a (B, n) block is B successive draws of n
+    # rows, and putting the state back and drawing rows 0..j again leaves
+    # the generator as the j + 1 successive draws do.  At highs p^(M - N)
+    # and p^M, N = 1, the subring and the monomial exponents
+    for high in (p ** (M - 1), p**M):
+        seq, block = np.random.default_rng(high + n), np.random.default_rng(high + n)
+        rows = [seq.integers(0, high, size=n) for _ in range(50)]
+        state = block.bit_generator.state
+        assert np.array_equal(block.integers(0, high, size=(50, n)), np.array(rows))
+        assert block.bit_generator.state == seq.bit_generator.state
+        for j in (0, 17, 49):
+            block.bit_generator.state = state
+            again = np.random.default_rng(high + n)
+            for _ in range(j + 1):
+                again.integers(0, high, size=n)
+            block.integers(0, high, size=(j + 1, n))
+            assert block.bit_generator.state == again.bit_generator.state
+            assert np.array_equal(block.integers(0, high, size=n), again.integers(0, high, size=n))
+
+
+def _record_draws(monkeypatch):
+    """Stub out the rewriting in check_sandwich and check_tau_contract; the
+    list returned collects the monomials they draw."""
+    drawn = []
+
+    def iterate_tau(alg, x, N, cutoff):
+        drawn.append(x)
+        return TauTranscript(start=x, N=N, cutoff=cutoff, terms=[], residual_weight=None,
+                             passes=0)
+
+    monkeypatch.setattr(graded, "iterate_tau", iterate_tau)
+    monkeypatch.setattr(graded, "verify_transcript", lambda alg, tr: True)
+    return drawn
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2), (5, 1, 3)], ids=str)
+def test_block_draws_match_sequential_oracle(pfm, case, monkeypatch):
+    # the second inclusion's monomials at k = 1..3 (acceptance about 3% at
+    # (5, 1, 2) and 0.02% at (5, 1, 3), k = 3) and tau-contract's, drawn in
+    # blocks by draw_row, against the row-by-row loops: the same monomials
+    # in the same order and the generator in the same state after them
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    drawn = _record_draws(monkeypatch)
+    for k in (1, 2, 3):
+        rng, seq = np.random.default_rng(k), np.random.default_rng(k)
+        res = check_sandwich(alg, k, 1, rng, samples=0, mono_samples=30)
+        assert res["second_inclusion"]["transcripts"] == 30
+        assert drawn == [sandwich_oracle.window_monomial(alg, k, 1, seq) for _ in range(30)]
+        assert rng.bit_generator.state == seq.bit_generator.state
+        drawn.clear()
+    rng, seq = np.random.default_rng(4), np.random.default_rng(4)
+    assert check_tau_contract(alg, 1, rng, samples=20)["ok"]
+    assert drawn == [sandwich_oracle.tau_monomial(alg, seq) for _ in range(20)]
+    assert rng.bit_generator.state == seq.bit_generator.state
+
+
+def test_draw_row_crosses_blocks(monkeypatch):
+    # first blocks of 2 rows, then 4 and 8 at most: an accepted row deep
+    # in a later block, and one at the head of the first
+    monkeypatch.setattr(graded, "_DRAW_FIRST", 2)
+    monkeypatch.setattr(graded, "_DRAW_MAX", 8)
+    for accept in (lambda r: r.sum(axis=1) >= 12, lambda r: r.sum(axis=1) >= 0):
+        rng, seq = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(20):
+            want = seq.integers(0, 5, size=(1, 3))
+            while not accept(want)[0]:
+                want = seq.integers(0, 5, size=(1, 3))
+            assert draw_row(rng, 5, 3, accept) == tuple(want[0].tolist())
+        assert rng.bit_generator.state == seq.bit_generator.state
 
 
 def test_first_inclusion_memory_is_bounded():

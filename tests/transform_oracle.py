@@ -12,7 +12,9 @@ dense_element, dense_nu and dense_expansion are the point-query path that
 GroupAlgebra.support_expansion replaced: the element as f dense vectors of
 the group's order, nu as the least per-component alg.nu, and the
 expansion as one stacked to_monomial, a scan of the weight array and one
-dict per term."""
+dict per term.  axis_expansion is the earlier body of support_expansion,
+which builds each step's new columns by dividing the kept positions back
+into exponent and column and casts the float table on every call."""
 
 import itertools
 import math
@@ -97,3 +99,46 @@ def dense_expansion(alg, comps, cutoff):
     terms = [{"exps": e, "coeff": c}
              for e, c in zip(exps.tolist(), monos[:, hits].T.tolist())]
     return {"cutoff": cutoff, "terms": terms}
+
+
+def axis_expansion(alg, idx, coeffs, cutoff):
+    """support_expansion as it was before its step built the new columns
+    as outer sums: the same (ks, weights, c)."""
+    p, pM, f = alg.p, alg.pM, coeffs.shape[1]
+    table = alg._P.astype(np.float64)
+    ks = wt = np.zeros(1, dtype=np.int64)
+    rows, block = idx, coeffs.astype(np.float64)[:, None]  # (rows, columns, f)
+    for i, w in enumerate(reversed(alg.nu_weights)):
+        if not ks.size:
+            break
+        prefix = rows // pM
+        x = prefix * pM
+        np.subtract(rows, x, out=x)
+        rows = prefix
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        rows = rows[first]
+        present = np.bincount(x, minlength=pM) > 0
+        xs, place = np.flatnonzero(present), np.cumsum(present) - 1
+        width = ks.size * f
+        if rows.size * xs.size == x.size:
+            spread = block.reshape(rows.size, xs.size, width)
+        else:
+            spread = np.zeros((rows.size * xs.size, width))
+            spread[(np.cumsum(first) - 1) * xs.size + place[x]] = block.reshape(-1, width)
+            spread = spread.reshape(rows.size, xs.size, width)
+        top = min(pM - 1, (cutoff - int(wt.min())) // w) + 1
+        sub = table[xs, :top]
+        if width == 1:
+            out = (spread[:, :, 0] @ sub)[:, :, None]
+        else:
+            out = (sub.T @ spread).reshape(rows.size, top * ks.size, f)
+        live = out.any(axis=0).any(axis=1) & (np.arange(top)[:, None] <= (cutoff - wt) // w).ravel()
+        block = np.compress(live, out, axis=1)
+        r = np.flatnonzero(live)
+        k = r // ks.size
+        r -= k * ks.size
+        ks, wt = ks[r] + k * pM ** i, wt[r] + w * k
+    c = (block.reshape(ks.size, f) % p).astype(np.int64)
+    keep = np.flatnonzero(c.any(axis=1))
+    return ks[keep], wt[keep], c[keep]
