@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from propring.algebra import group_algebra
 from propring.checks import report_bytes, run_scenario, sub_rng
@@ -277,3 +278,52 @@ def test_criterion_10_reports_are_byte_identical(monkeypatch):
         assert report_bytes(r1) == report_bytes(r2), name
         assert entry_digests(r1) == GOLDEN_ENTRIES[name], name
     assert set(graded) == {"GL2", "QUAT"}
+
+
+# the two acceptance suites with only p changed to 7, recorded with the
+# column-at-a-time table rref, so that every kernel change is held to byte
+# identity at a second prime as well
+PRIME_GOLDEN_ENTRIES = {
+    "primes_gl2_7.json": {
+        "arithmetic-oracles":
+            "9453074da16b56b987ce6369a04b0a64d33ead89968a3a092b274e838dd23acf",
+        "central-power-classes":
+            "3beb0f657445312c50e7c25f0a381f931a2d44094bc37d74879b7fa1e2fcd3f1",
+        "exponent-transfer":
+            "771318b066ee4eaae89bd590308ee17cd9be8ad314e346bb996c89a20feaeba9",
+        "hilbert-series":
+            "f3392896816353a3593d4aed6c65eb035d751205d4a8d465356b98b6c1e01c45",
+        "ideal-power-spans":
+            "fbce2708acde9c4b9a7dd6b4c3a5e25ebe3deafeb57b6bcacd7375b08805ecd2",
+        "restriction-determinism":
+            "1de93f93b092ec546e941c175821319ddbd6a216b68a51adbc2b5a919f2b2680",
+        "sandwich":
+            "a48fc0c7b86218a51260960facf99cf2a9b49b8772818e4ec306b8eda85f59d5",
+        "tau-contract":
+            "39bf48245a4e4598b92bc4fe879fb24c37f67c3803a224915433738aff49c312",
+    },
+    "primes_quat_7.json": {
+        "arithmetic-oracles":
+            "9453074da16b56b987ce6369a04b0a64d33ead89968a3a092b274e838dd23acf",
+        "central-power-classes":
+            "3beb0f657445312c50e7c25f0a381f931a2d44094bc37d74879b7fa1e2fcd3f1",
+        "exponent-transfer":
+            "771318b066ee4eaae89bd590308ee17cd9be8ad314e346bb996c89a20feaeba9",
+        "hilbert-series":
+            "f3392896816353a3593d4aed6c65eb035d751205d4a8d465356b98b6c1e01c45",
+        "ideal-power-spans":
+            "fbce2708acde9c4b9a7dd6b4c3a5e25ebe3deafeb57b6bcacd7375b08805ecd2",
+        "quaternion-commutator":
+            "94ccf78f78d04306984e145f9569b4244d0269beff138046a563e40eef7ef77b",
+        "restriction-determinism":
+            "1de93f93b092ec546e941c175821319ddbd6a216b68a51adbc2b5a919f2b2680",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIME_GOLDEN_ENTRIES))
+def test_prime_7_reports_match_golden(name):
+    data = json.loads((SCENARIOS / name).read_text())
+    report, code = run_scenario(data)
+    assert code == 0, (name, [c["status"] for c in report["checks"]])
+    assert entry_digests(report) == PRIME_GOLDEN_ENTRIES[name], name
