@@ -1,11 +1,19 @@
-"""Table-based arithmetic for the small finite fields F_{p^f}.
+"""Exact arithmetic and linear algebra over the small finite fields F_{p^f}.
 
 Field elements are encoded as integers in [0, q) with q = p^f: the element
 with polynomial-basis coordinates (c_0, ..., c_{f-1}) gets the index
-sum(c_i * p^i).  For f = 1 the index is the residue itself.  All linear
-algebra in the package (row reduction, rank, solving) runs over these index
-arrays with numpy fancy-indexing into the q x q operation tables, which keeps
-every computation exact.
+sum(c_i * p^i).  For f = 1 the index is the residue itself.  The linear
+algebra of the package (row reduction, rank, inverse, products) runs over
+these index arrays in one of two ways, by field kind:
+
+* over F_p, by integer arithmetic mod p on whole rows: rref drops the zero
+  columns, eliminates one pivot at a time with a rank-one update, and above
+  a size threshold updates the columns right of each 64-column panel by
+  two matrix products; matmul is one float64 BLAS product reduced mod p;
+* over F_{p^f}, f > 1, by numpy fancy-indexing into the q x q operation
+  tables, one column or one shared axis at a time.
+
+Both are exact.
 
 A space that grows by a few rows at a time is held as its reduced row
 echelon basis and extended with rref_insert, which reduces only the new rows
@@ -250,12 +258,152 @@ def gf(p: int, f: int) -> GF:
     return GF(p, f)
 
 
+# the prime-field elimination reduces a matrix panel by panel (see _panel)
+# when it has more than PANEL nonzero columns and at least PANEL_CELLS
+# entries on them.  The two break even near 2^17 entries (F_5 and F_13, one
+# BLAS thread: 256 x 512 in 16.5-17.8 ms either way); below, each panel's
+# inverse and products cost more than they save (400 x 256: 16 ms against
+# 13); above, the panels win (676 x 1352: 0.14-0.16 s against 0.23 s)
+PANEL = 64
+PANEL_CELLS = 2**17
+
+
 def rref(rows: np.ndarray, field: GF) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q.  Returns (reduced nonzero rows,
-    pivot column list).  Input is not modified."""
+    pivot column list).  Input is not modified.
+
+    Over F_p the all-zero columns are dropped first: such a column never
+    holds a pivot and stays zero under row operations, so the rest is
+    reduced on its own and scattered back.  Extension fields run one
+    column at a time through the operation tables."""
     a = np.array(rows, dtype=np.int16)
     if a.ndim != 2:
         raise ValueError("rref expects a matrix")
+    if field.f > 1:
+        return _rref_tables(a, field)
+    keep = np.flatnonzero(a.any(axis=0))
+    if keep.size == a.shape[1]:
+        return _rref_prime(a, field)
+    red, piv = _rref_prime(a[:, keep], field)
+    out = np.zeros((red.shape[0], a.shape[1]), dtype=np.int16)
+    out[:, keep] = red
+    return out, keep[piv].tolist()
+
+
+def _rref_prime(a: np.ndarray, field: GF) -> tuple[np.ndarray, list[int]]:
+    """rref over F_p by arithmetic mod p on whole rows, in place: int16
+    while (p - 1)^2 < 2^15, that is up to p = 181, int32 above."""
+    p = field.p
+    a = a.astype(np.int16 if (p - 1) ** 2 < 2**15 else np.int32, copy=False)
+    nrows, ncols = a.shape
+    pivots: list[int] = []
+    if ncols <= PANEL or nrows * ncols < PANEL_CELLS:
+        _eliminate(a, 0, ncols, pivots, field)
+    else:
+        for c0 in range(0, ncols, PANEL):
+            if len(pivots) == nrows:
+                break
+            _panel(a, c0, min(c0 + PANEL, ncols), pivots, field)
+    return a[: len(pivots)].astype(np.int16, copy=False), pivots
+
+
+def _eliminate(a: np.ndarray, c0: int, c1: int, pivots: list[int], field: GF,
+               perm: np.ndarray | None = None) -> None:
+    """Reduce the columns c0..c1-1 of a in place, one pivot at a time, and
+    append the pivot columns to pivots.  The pivot row of column c is the
+    first row at or below len(pivots) that is nonzero there mod p.  One
+    rank-one update both scales it to 1 and clears c in every other row:
+    with s the inverse of its entry, row h loses s a[h, c] times it and the
+    pivot row itself 1 - s times it.  The update touches only the columns
+    c..c1-1, since left of c both rows of a swap and the pivot row vanish.
+    A swap is recorded in perm, if given.
+
+    Entries are reduced mod p lazily.  Factors and the pivot row are
+    reduced before each update, so an update keeps an entry below p and
+    lowers it by at most (p - 1)^2; the block is reduced after room
+    updates, before it could leave the dtype, and the slice on return."""
+    p, nrows = field.p, a.shape[0]
+    room = 2 ** (8 * a.itemsize - 1) // (p - 1) ** 2  # updates between reductions
+    steps = 0
+    r = r0 = len(pivots)
+    for c in range(c0, c1):
+        if r == nrows:
+            break
+        factors = a[:, c] % p
+        nz = factors[r:].nonzero()[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            row = a[r, c:c1].copy()
+            a[r, c:c1] = a[i, c:c1]
+            a[i, c:c1] = row
+            factors[[r, i]] = factors[[i, r]]
+            if perm is not None:
+                perm[r], perm[i] = perm[i], perm[r]
+        pivot = a[r, c:c1] % p
+        s = int(field.inv[factors[r]])
+        if s != 1:
+            factors *= s
+            factors %= p
+        factors[r] = (1 - s) % p
+        block = a[:, c:c1]
+        block -= factors[:, None] * pivot
+        pivots.append(c)
+        r += 1
+        steps += 1
+        if steps == room:
+            _mod(block, p)
+            steps = 0
+    if pivots[r0:]:
+        _mod(a[:, c0:c1], p)
+
+
+def _mod(x: np.ndarray, p: int) -> None:
+    """x mod p in place, as x - p floor(x / p): numpy divides integers by a
+    scalar in SIMD, where its % runs an order of magnitude slower."""
+    x -= p * (x // p)
+
+
+def _panel(a: np.ndarray, c0: int, c1: int, pivots: list[int], field: GF) -> None:
+    """Eliminate the columns c0..c1-1 of a, then apply the same row
+    operations to the columns right of them by two products.
+
+    Let P be the rows that take the panel's pivots, Q the pivot columns, O
+    every other row, and B = a[P, Q], C = a[O, Q] at the start of the
+    panel.  The elimination multiplies a on the left by
+    G = [[B^-1, 0], [-C B^-1, I]] (rows P, then O): it clears the Q columns
+    of O with the rows P only and leaves the identity on P, and G is the
+    one such transform.  So the right columns R become B^-1 R[P] on P and
+    R[O] - C (B^-1 R[P]) on O.  Left of c0 the rows that can take a pivot
+    are zero, so G leaves those columns as they are."""
+    p = field.p
+    r0 = len(pivots)
+    start = a[:, c0:c1].copy()
+    perm = np.arange(a.shape[0])
+    _eliminate(a, c0, c1, pivots, field, perm)
+    r1 = len(pivots)
+    if r1 == r0 or c1 == a.shape[1]:
+        return
+    q = np.array(pivots[r0:]) - c0
+    prow, orow = perm[r0:r1], np.concatenate([perm[:r0], perm[r1:]])
+    b = start[prow][:, q]
+    k = b.shape[0]
+    aug = np.concatenate([b, np.eye(k, dtype=b.dtype)], axis=1)
+    _eliminate(aug, 0, 2 * k, [], field)
+    right = a[:, c1:]
+    top = matmul(aug[:, k:], right[prow], field)
+    rest = right[orow]
+    rest -= matmul(start[orow][:, q], top, field)
+    _mod(rest, p)
+    a[r0:r1, c1:] = top
+    a[:r0, c1:] = rest[:r0]
+    a[r1:, c1:] = rest[r0:]
+
+
+def _rref_tables(a: np.ndarray, field: GF) -> tuple[np.ndarray, list[int]]:
+    """rref over an extension field in place, one column at a time through
+    the q x q operation tables."""
     nrows, ncols = a.shape
     add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
     pivots: list[int] = []
@@ -289,13 +437,21 @@ def rank(rows: np.ndarray, field: GF) -> int:
     return rref(rows, field)[0].shape[0]
 
 
+def _sub(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
+    """a - b entrywise over F_q: mod p for a prime field, through the
+    tables for an extension."""
+    if field.f == 1:
+        return (a - b) % field.p
+    return field.add[a, field.neg[b]]
+
+
 def residue(rows: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) -> np.ndarray:
     """Reduce each row of a 2-D stack against an rref basis B with pivots P
     in one product: rows - rows[:, P] B.  Every row of B vanishes at the
     other pivots, so this equals subtracting v[c] times the row of pivot c
     one pivot at a time; a zero result row means membership."""
     rows = np.asarray(rows, dtype=np.int16)
-    return field.add[rows, field.neg[matmul(rows[:, pivots], basis, field)]]
+    return _sub(rows, matmul(rows[:, pivots], basis, field), field)
 
 
 def rref_insert(basis: np.ndarray, pivots: list[int], rows: np.ndarray,
@@ -320,7 +476,7 @@ def rref_insert(basis: np.ndarray, pivots: list[int], rows: np.ndarray,
     if res.shape[0] == 0:
         return basis, pivots
     new, qpiv = rref(res, field)
-    basis = field.add[basis, field.neg[matmul(basis[:, qpiv], new, field)]]
+    basis = _sub(basis, matmul(basis[:, qpiv], new, field), field)
     piv = pivots + qpiv
     order = sorted(range(len(piv)), key=piv.__getitem__)
     return np.concatenate([basis, new])[order], [piv[t] for t in order]

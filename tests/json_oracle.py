@@ -16,9 +16,11 @@ import numpy as np
 
 from propring.config import PrimeConfig
 from propring.errors import ConfigError, RelationCheckFailed
-from propring.gf import gf, mat_inverse
+from propring.gf import gf
 from propring.jsonio import coeff_from_json, json_int, to_jsonable
 from propring.modules import FiniteModule, check_multiplicative
+
+from rref_oracle import mat_inverse
 
 
 def print_answer(obj) -> None:

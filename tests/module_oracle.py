@@ -20,8 +20,9 @@ has shown that every commutator of two subgroup generators lies deeper than
 their weights add up to; grade_res_from_restriction below is the
 enumerated grading of mod.restrict(N).  matmul reduces an int64
 product mod p, where gf.matmul sums in float64 through BLAS.  The first two
-multiply through the oracle matmul, so all three share with the library
-only rref and the field tables.
+multiply through the oracle matmul and every oracle here row-reduces
+through rref_oracle's table loop, so all three share with the library only
+the field tables.
 conjugate draws T as modules._conjugate_dual does and returns T rho T^-1,
 whose dualize is what _conjugate_dual reads off the dual with one inverse.
 rref_insert re-reduces the whole stack, where gf.rref_insert reduces only
@@ -41,11 +42,11 @@ import itertools
 import numpy as np
 
 from propring.errors import BoundExceeded, ConfigError, RelationCheckFailed
-from propring.gf import mat_inverse, rref
 from propring.groups import group_model
 from propring.modules import AnnihilatorReport, FiniteModule, GradedModule, ideal_operator_lifts
 
 from pair_oracle import element_action
+from rref_oracle import mat_inverse, rref
 
 
 def matmul(a, b, field):

@@ -15,8 +15,9 @@ import numpy as np
 from propring import gf as gflib
 from propring.algebra import _WITNESSES, frattini_witness
 from propring.errors import CutoffBeyondFaithful
-from propring.gf import gf, rref
+from propring.gf import gf
 
+from rref_oracle import rref
 from zmul_oracle import zmul
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from propring import gf as gflib
 
 import module_oracle
+import rref_oracle
 
 
 def polynomial_tables(p, f):
@@ -134,3 +135,123 @@ def test_batched_residue_matches_row_by_row(q):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         inside = gflib.matmul(rows[:, : basis.shape[0]], basis, field)
         assert not gflib.residue(inside, basis, piv, field).any()
+
+
+def _low_rank(field, nrows, ncols, rank, zero_share, rng):
+    """A random nrows x ncols matrix of rank at most rank, with about
+    zero_share of its columns set to zero."""
+    left = rng.integers(0, field.q, (nrows, rank))
+    right = rng.integers(0, field.q, (rank, ncols))
+    m = gflib.matmul(left, right, field) if rank else np.zeros((nrows, ncols), dtype=np.int16)
+    m[:, rng.random(ncols) < zero_share] = 0
+    return m
+
+
+def _same_rref(got, want):
+    assert got[1] == want[1]
+    assert got[0].dtype == want[0].dtype == np.int16
+    assert got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(q=st.sampled_from([5, 7, 13, 31, 197, 25]), nrows=st.integers(0, 24),
+       ncols=st.integers(0, 24), rank=st.integers(0, 24),
+       zero_share=st.sampled_from([0.0, 0.3, 0.7]), seed=st.integers(0, 2**32 - 1))
+@example(q=5, nrows=0, ncols=7, rank=0, zero_share=0.0, seed=1)     # no rows
+@example(q=13, nrows=6, ncols=0, rank=3, zero_share=0.0, seed=2)    # no columns
+@example(q=7, nrows=5, ncols=9, rank=0, zero_share=0.0, seed=3)     # all zero
+@example(q=197, nrows=12, ncols=12, rank=12, zero_share=0.0, seed=4)  # full rank, int32
+@example(q=31, nrows=10, ncols=14, rank=4, zero_share=0.3, seed=5)  # rank-deficient
+def test_prime_kernel_matches_table_oracle(q, nrows, ncols, rank, zero_share, seed):
+    # rref, rank, mat_inverse, residue and rref_insert against the
+    # column-at-a-time table loop they replaced over F_p (and still run
+    # over F_25), in dtype, shape, bytes and pivots
+    field = gflib.gf(*{25: (5, 2)}.get(q, (q, 1)))
+    rng = np.random.default_rng(seed)
+    m = _low_rank(field, nrows, ncols, rank, zero_share, rng)
+    _same_rref(gflib.rref(m, field), rref_oracle.rref(m, field))
+    assert gflib.rank(m, field) == rref_oracle.rank(m, field)
+    square = m[: min(nrows, ncols), : min(nrows, ncols)]
+    try:
+        want = rref_oracle.mat_inverse(square, field)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            gflib.mat_inverse(square, field)
+    else:
+        got = gflib.mat_inverse(square, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    half = nrows // 2
+    basis, piv = gflib.rref(m[:half], field)
+    rows = m[half:]
+    got = gflib.residue(rows, basis, piv, field)
+    want = module_oracle.residue(rows, basis, piv, field)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    _same_rref(gflib.rref_insert(basis, piv, rows, field),
+               module_oracle.rref_insert(basis, piv, rows, field))
+
+
+@pytest.mark.parametrize("p", [5, 13, 197])
+@pytest.mark.parametrize("ncols,rank", [(63, 63), (64, 40), (65, 65), (129, 100), (129, 30)])
+def test_rref_on_both_sides_of_the_panel_threshold(p, ncols, rank):
+    # just enough rows for the panel path when there are more than PANEL
+    # columns: 63 and 64 columns are eliminated one pivot at a time, 65 in
+    # a full panel and one column, 129 in two full panels and one column;
+    # rank 30 leaves the later panels without a pivot
+    field = gflib.gf(p, 1)
+    rng = np.random.default_rng(ncols * rank + p)
+    nrows = -(-gflib.PANEL_CELLS // ncols)
+    m = _low_rank(field, nrows, ncols, rank, 0.0, rng)
+    _same_rref(gflib.rref(m, field), rref_oracle.rref(m, field))
+
+
+@pytest.mark.parametrize("p", [5, 13, 197])
+def test_panels_with_rows_above_and_zero_columns(p):
+    # many panels, each with earlier pivot rows above it, a rank below the
+    # row count and zero columns between the panels
+    field = gflib.gf(p, 1)
+    rng = np.random.default_rng(p)
+    m = _low_rank(field, 300, 1200, 230, 0.2, rng)
+    assert (m != 0).any(axis=0).sum() * 300 >= gflib.PANEL_CELLS
+    _same_rref(gflib.rref(m, field), rref_oracle.rref(m, field))
+
+
+@pytest.mark.parametrize("p", [31, 181])
+def test_lazy_reduction_up_to_the_int16_bound(p):
+    # one pivot at a time, entries are reduced mod p only every
+    # 2^15 // (p - 1)^2 updates: 36 at p = 31, 1 at p = 181, the largest
+    # prime in int16; 150 pivots pass that count at both
+    field = gflib.gf(p, 1)
+    m = np.random.default_rng(p).integers(0, p, (150, 170)).astype(np.int16)
+    assert m.size < gflib.PANEL_CELLS
+    _same_rref(gflib.rref(m, field), rref_oracle.rref(m, field))
+
+
+@pytest.mark.parametrize("p", [191, 197])
+def test_primes_past_the_int16_bound(p):
+    # (p - 1)^2 >= 2^15: a product of two residues leaves int16, so the
+    # kernel reduces in int32; the all-(p - 1) rows give the largest terms
+    field = gflib.gf(p, 1)
+    rng = np.random.default_rng(p)
+    worst = np.full((6, 9), p - 1, dtype=np.int16)
+    worst[np.arange(6), np.arange(6)] = 1
+    for m in (worst, rng.integers(0, p, (30, 40)).astype(np.int16)):
+        _same_rref(gflib.rref(m, field), rref_oracle.rref(m, field))
+    a = rng.integers(0, p, (20, 20)).astype(np.int16)
+    inv = gflib.mat_inverse(a, field)
+    assert inv.tobytes() == rref_oracle.mat_inverse(a, field).tobytes()
+    assert (gflib.matmul(a, inv, field) == np.eye(20, dtype=np.int16)).all()
+
+
+def test_mat_inverse_at_depth_3_size():
+    # 676 is the dimension of the depth-3 deep module; the augmented
+    # 676 x 1352 system is reduced panel by panel
+    field = gflib.gf(5, 1)
+    a = np.random.default_rng(676).integers(0, 5, (676, 676)).astype(np.int16)
+    inv = gflib.mat_inverse(a, field)
+    assert inv.dtype == np.int16
+    assert (gflib.matmul(a, inv, field) == np.eye(676, dtype=np.int16)).all()
+    singular = a.copy()
+    singular[400] = gflib.matmul(np.array([[2, 3]]), a[[17, 300]], field)[0]
+    with pytest.raises(ValueError, match="singular"):
+        gflib.mat_inverse(singular, field)
