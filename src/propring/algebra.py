@@ -76,7 +76,7 @@ import math
 
 import numpy as np
 
-from .config import CACHED_CONFIGS, PrimeConfig
+from .config import CACHED_CONFIGS, BoundedMemo, PrimeConfig
 from .errors import ConfigError, CutoffBeyondFaithful
 from .gf import gf, matmul, rref
 from .groups import Digits, GroupModel, group_model
@@ -95,28 +95,6 @@ _KERNEL_CHUNK = 1 << 16
 _WITNESSES = 10
 # float64 represents every integer below this exactly
 _EXACT = 2**53
-
-
-class _SupportMemo(dict):
-    """Support pairs by key, read-only, least recently used out first once
-    the pairs hold more than limit index entries."""
-
-    def __init__(self, limit: int):
-        super().__init__()
-        self.limit = limit
-        self.entries = 0
-
-    def get_or_build(self, key, build) -> tuple[np.ndarray, np.ndarray]:
-        pair = self.pop(key, None)  # put back below as the most recent
-        if pair is None:
-            pair = build()
-            for a in pair:
-                a.flags.writeable = False
-            self.entries += pair[0].size
-        self[key] = pair
-        while self.entries > self.limit:
-            self.entries -= self.pop(next(iter(self)))[0].size
-        return pair
 
 
 def _pascal_pair(p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +130,10 @@ class GroupAlgebra:
         # the float64 copy of _P that support_expansion contracts against
         self._Pf = self._P.astype(np.float64)
         self._nu_w: np.ndarray | None = None
-        # support pairs by word (word_mul) and by exponents (monomial_support)
-        self._words = _SupportMemo(_WORD_MEMO)
-        self._monomials = _SupportMemo(_MONOMIAL_MEMO)
+        # support pairs by word (word_mul) and by exponents
+        # (monomial_support), sized by their index entries
+        self._words = BoundedMemo(_WORD_MEMO, lambda pair: pair[0].size)
+        self._monomials = BoundedMemo(_MONOMIAL_MEMO, lambda pair: pair[0].size)
 
     # -- dense vectors -------------------------------------------------------
 
@@ -216,6 +195,7 @@ class GroupAlgebra:
             idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)  # the identity
             for i, e in key:
                 idx, coeffs = self.zmul(idx, coeffs, i, e)
+            idx.flags.writeable = coeffs.flags.writeable = False
             return idx, coeffs
 
         return self._words.get_or_build(key, build)
@@ -295,6 +275,7 @@ class GroupAlgebra:
                 nz = np.flatnonzero(row)
                 idx = np.add.outer(idx * self.pM, nz).ravel()
                 coeffs = np.multiply.outer(coeffs, row[nz]).ravel() % self.p
+            idx.flags.writeable = coeffs.flags.writeable = False
             return idx, coeffs
 
         return self._monomials.get_or_build(key, build)

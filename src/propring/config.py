@@ -19,6 +19,29 @@ CASES = ("GL2", "QUAT")
 CACHED_CONFIGS = 32
 
 
+class BoundedMemo(dict):
+    """Values by key, least recently used first out once their sizes,
+    size(value) each, sum to more than limit; a value larger than limit
+    alone is returned and not kept.  get_or_build stores what build
+    returns, so a build that raises stores nothing."""
+
+    def __init__(self, limit: int, size):
+        super().__init__()
+        self.limit = limit
+        self.size = size
+        self.entries = 0
+
+    def get_or_build(self, key, build):
+        value = self.pop(key, None)  # put back below as the most recent
+        if value is None:
+            value = build()
+            self.entries += self.size(value)
+        self[key] = value
+        while self.entries > self.limit:
+            self.entries -= self.size(self.pop(next(iter(self))))
+        return value
+
+
 @dataclasses.dataclass(frozen=True)
 class PrimeConfig:
     p: int

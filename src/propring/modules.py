@@ -27,7 +27,7 @@ import numpy as np
 
 from . import gf as gflib
 from .algebra import group_algebra
-from .config import PrimeConfig
+from .config import BoundedMemo, PrimeConfig
 from .errors import (
     BoundExceeded,
     ConfigError,
@@ -188,8 +188,6 @@ def _quotient_by_closure(base: FiniteModule, closure, provenance: str):
     sub, piv = closure
     pivset = set(piv)
     keep = [c for c in range(base.dim) if c not in pivset]
-    if not keep:
-        raise ConfigError("closure swallowed the whole module")
     mats = tuple(
         np.ascontiguousarray(gflib.residue(g[:, keep].T, sub, piv, field)[:, keep].T)
         for g in base.gen_action
@@ -223,21 +221,31 @@ def quotient_module(cfg: PrimeConfig, seed: int, jcut: int = 6, max_dim: int = 4
 
 
 def deep_line_module(cfg: PrimeConfig) -> FiniteModule:
-    """Quotient of a deep weight quotient by the left ideal generated by
-    the first a-generator augmentation.  The surviving pure b,c-monomials
-    keep the filtration depth at 4(p^M - 1) - 2, so the central element
-    C_0^(p^(M-1)) acts nontrivially; this is the corpus member that gives
-    the restriction-twist comparison real work to do."""
-    alg = group_algebra(cfg)
+    """D = F_p[G] / (F_p[G] z_a + m^jcut) for a = g_0, z_a = a - 1 and
+    jcut = 2 p^(M-1) + 1 (p^M at most), on its own basis.  The surviving
+    pure b,c-monomials keep the filtration depth at 4(p^M - 1) - 2, so the
+    central element C_0^(p^(M-1)) acts nontrivially; this is the corpus
+    member that gives the restriction-twist comparison real work to do.
+
+    g -> g^(-1) fixes m^jcut and sends F_p[G] z_a to a^(-1) z_a F_p[G] =
+    z_a F_p[G], so D is the right module F_p[G] / (z_a F_p[G] + m^jcut)
+    with g acting by w -> w g^(-1).  z_a z^k = z^(k + e_0), z_a being the
+    leftmost factor of z^k, so z_a F_p[G] is the span of the z^k with k_0
+    > 0, and m^jcut that of the z^k with nu'(k) >= jcut (the certificate
+    of check_maximal_ideal_powers).  So the suffix monomials B (k_0 = 0)
+    of weight < jcut, (p^(M-1) + 1)^2 of them at f = 1, are a basis, and
+    generator_columns(i, "right", B, B) is the matrix R_i of w -> w g_i on
+    it.  (Its Q[B, X] is nonzero only at x <= k digit by digit, so x_0 =
+    0, and on the rows of B binom(y_0, 0) = 1: the g_0^(y_0) part of each
+    t g_i drops out, as in the permutation module on the cosets <a> t.)
+    w -> w g is a right action, so rho(g_i) = R_i^(-1) in the column
+    convention of gen_action."""
+    alg, field = group_algebra(cfg), gf(cfg.p, 1)
     jcut = min(2 * cfg.p ** (cfg.M - 1) + 1, alg.pM)
-    base = weight_quotient_module(cfg, jcut)
-    sel = np.nonzero(alg.nu_weight_array < jcut)[0]
-    pos = {int(k): t for t, k in enumerate(sel)}
-    za = (1,) + (0,) * (cfg.dim - 1)
-    rows = np.zeros((1, base.dim), dtype=np.int16)
-    rows[0, pos[alg.model.index_of(za)]] = 1
-    closure = _stable_closure(rows, base.gen_action, base.field)
-    return _quotient_by_closure(base, closure, "deep-line")
+    basis = np.flatnonzero(alg.nu_weight_array[:alg.order // alg.pM] < jcut)  # k_0 = 0
+    mats = tuple(gflib.mat_inverse(alg.generator_columns(i, "right", basis, basis), field)
+                 for i in range(cfg.dim))
+    return FiniteModule(cfg, int(basis.size), mats, "deep-line")
 
 
 # generator entries the memo of validated explicit modules holds, 0.5 MB of
@@ -246,36 +254,11 @@ def deep_line_module(cfg: PrimeConfig) -> FiniteModule:
 # with all three gradings
 _MODULE_MEMO = 1 << 18
 
-
-class _ValidatedModules:
-    """The explicit modules that passed validation, keyed by their exact
-    content (config, dim and the int16 bytes of every generator), least
-    recently used first out once they hold more than _MODULE_MEMO generator
-    entries.  A warm process is asked about the same module many times: a
-    hit skips validation, and the module's memoized powers and gradings
-    come with it.  A refused module is never stored."""
-
-    def __init__(self):
-        self.held: dict[tuple, FiniteModule] = {}
-        self.entries = 0
-
-    def get(self, key: tuple) -> FiniteModule | None:
-        mod = self.held.pop(key, None)  # put back below as the most recent
-        if mod is not None:
-            self.held[key] = mod
-        return mod
-
-    def put(self, key: tuple, mod: FiniteModule) -> None:
-        for m in mod.gen_action:
-            _read_only(m)
-        self.held[key] = mod
-        self.entries += mod.dim * mod.dim * len(mod.gen_action)
-        while self.entries > _MODULE_MEMO:
-            old = self.held.pop(next(iter(self.held)))
-            self.entries -= old.dim * old.dim * len(old.gen_action)
-
-
-_VALIDATED = _ValidatedModules()
+# the explicit modules that passed validation, keyed by their exact content
+# (config, dim and the int16 bytes of every generator): a warm process is
+# asked about the same module many times, and a hit skips validation and
+# brings the module's memoized powers and gradings with it
+_VALIDATED = BoundedMemo(_MODULE_MEMO, lambda mod: mod.dim * mod.dim * len(mod.gen_action))
 
 
 def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
@@ -284,8 +267,7 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
     """Construct a module and validate it with check_multiplicative, which
     proves that it is a representation of the truncated group.  An explicit
     module is validated once per process: the same content again returns
-    the stored module."""
-    key = None
+    the stored module, and a refused one is never stored."""
     if source == "trivial":
         mod = trivial_module(cfg)
     elif source == "quotient":
@@ -305,21 +287,23 @@ def build_module(cfg: PrimeConfig, source: str = "quotient", seed: int = 0,
                 raise ConfigError("generator matrices must be square, equal size")
             if (m < 0).any() or (m >= field.q).any():
                 raise ConfigError("matrix entries must be field element indices")
+
+        def validated() -> FiniteModule:
+            mod = FiniteModule(cfg, dim, tuple(map(_read_only, mats)), "loaded")
+            # rho(g_i)^(p^M) = 1, which check_multiplicative proves, makes
+            # rho(g_i) invertible; a rank only names a singular generator
+            for i, m in enumerate(mats):
+                if (not np.array_equal(mod.power_of(i, cfg.p**cfg.M), mod.identity_matrix())
+                        and gflib.rank(m, field) < dim):
+                    raise ConfigError("generator matrix is singular")
+            check_multiplicative(mod)
+            return mod
+
         key = (cfg, dim, tuple(m.tobytes() for m in mats))
-        if (stored := _VALIDATED.get(key)) is not None:
-            return stored
-        mod = FiniteModule(cfg, dim, mats, "loaded")
-        # rho(g_i)^(p^M) = 1, which check_multiplicative proves, makes
-        # rho(g_i) invertible; a rank only names a singular generator
-        for i, m in enumerate(mats):
-            if (not np.array_equal(mod.power_of(i, cfg.p**cfg.M), mod.identity_matrix())
-                    and gflib.rank(m, field) < dim):
-                raise ConfigError("generator matrix is singular")
+        return _VALIDATED.get_or_build(key, validated)
     else:
         raise ConfigError(f"unknown module source {source!r}")
     check_multiplicative(mod)
-    if key is not None:
-        _VALIDATED.put(key, mod)
     return mod
 
 
@@ -693,7 +677,7 @@ def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
 def module_corpus(cfg: PrimeConfig, count: int = 20, start_seed: int = 0,
                   jcuts=(5, 6)) -> list[FiniteModule]:
     """A deterministic family of validated modules: the trivial module, the
-    deep line quotient, and seeded quotients of weight quotients of the
+    deep-line module, and seeded quotients of weight quotients of the
     regular module; the seeded quotients share one weight quotient per cut."""
     out = [build_module(cfg, "trivial"), build_module(cfg, "deep")]
     bases = {}

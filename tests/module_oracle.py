@@ -30,6 +30,10 @@ the new rows; residue reduces one row at a time, one pivot at a time, where
 gf.residue takes one product for the whole stack.  stable_closure maps the
 whole basis through every generator each round, where
 modules._stable_closure maps only the rows the last round added.
+deep_line_closure builds the deep-line module as a quotient of the weight
+quotient at jcut by the stable closure of z_a, where
+modules.deep_line_module reads the right action off the suffix monomials;
+the two are isomorphic, not equal.
 dualize inverts every generator by row reduction, where modules.dualize
 reads the inverse of rho(g_i^(p^N)) off its (p^(M - N) - 1)-th power.
 check_multiplicative builds each relation's rho(W) as the ordered product
@@ -41,6 +45,8 @@ import itertools
 
 import numpy as np
 
+from propring import modules
+from propring.algebra import group_algebra
 from propring.errors import BoundExceeded, ConfigError, RelationCheckFailed
 from propring.groups import group_model
 from propring.modules import AnnihilatorReport, FiniteModule, GradedModule, ideal_operator_lifts
@@ -227,6 +233,23 @@ def stable_closure(rows, gens, field):
             break
         cur, piv = nxt, npiv
     return cur, piv
+
+
+def deep_line_closure(cfg):
+    """Quotient of the weight quotient at jcut = 2 p^(M-1) + 1 (p^M at
+    most) by the left ideal generated by the first a-generator
+    augmentation, its stable closure; the signature of
+    modules.deep_line_module."""
+    alg = group_algebra(cfg)
+    jcut = min(2 * cfg.p ** (cfg.M - 1) + 1, alg.pM)
+    base = modules.weight_quotient_module(cfg, jcut)
+    sel = np.nonzero(alg.nu_weight_array < jcut)[0]
+    pos = {int(k): t for t, k in enumerate(sel)}
+    za = (1,) + (0,) * (cfg.dim - 1)
+    rows = np.zeros((1, base.dim), dtype=np.int16)
+    rows[0, pos[alg.model.index_of(za)]] = 1
+    closure = modules._stable_closure(rows, base.gen_action, base.field)
+    return modules._quotient_by_closure(base, closure, "deep-line")
 
 
 def check_multiplicative(mod):

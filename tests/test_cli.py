@@ -13,6 +13,7 @@ import pytest
 from propring import checks, cli
 from propring.algebra import GroupAlgebra, group_algebra
 from propring.cli import main
+from propring.config import BoundedMemo
 from propring.errors import ContractViolation
 from propring.groups import GL2Model
 from propring.jsonio import config_from_json
@@ -157,7 +158,8 @@ def test_repeat_module_exponent_reads_the_stored_module(tmp_path, capsys, monkey
     # prints the same bytes, and only the first load runs the relation check
     from propring import modules
 
-    monkeypatch.setattr(modules, "_VALIDATED", modules._ValidatedModules())
+    monkeypatch.setattr(modules, "_VALIDATED",
+                        BoundedMemo(modules._MODULE_MEMO, modules._VALIDATED.size))
     checked = []
     real = modules.check_multiplicative
     monkeypatch.setattr(modules, "check_multiplicative",
@@ -177,7 +179,7 @@ def test_refused_module_is_refused_again(tmp_path, capsys, monkeypatch):
     # checked and refused again, with the same message
     from propring import modules
 
-    memo = modules._ValidatedModules()
+    memo = BoundedMemo(modules._MODULE_MEMO, modules._VALIDATED.size)
     monkeypatch.setattr(modules, "_VALIDATED", memo)
     path = write(tmp_path, "m.json", {
         "dim": 2, "field": {"p": 5, "f": 1}, "level": 2, "case": "GL2",
@@ -189,7 +191,7 @@ def test_refused_module_is_refused_again(tmp_path, capsys, monkeypatch):
     assert errs[0] == errs[1]
     assert errs[0].startswith("config error: module is not a representation: ")
     assert "W = [20, 5, 19]" in errs[0] and "Traceback" not in errs[0]
-    assert memo.held == {}
+    assert memo == {}
 
 
 def test_print_matches_dump_oracle_on_every_subcommand(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from propring import algebra, cli
 from propring import gf as gflib
 from propring import modules
-from propring.config import PrimeConfig
+from propring.config import BoundedMemo, PrimeConfig
 from propring.errors import (
     BoundExceeded,
     ConfigError,
@@ -106,8 +106,8 @@ def test_weight_quotient_dims(cfg):
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
 @pytest.mark.parametrize("pfm", [(5, 1, 1), (5, 1, 2), (7, 1, 2), (5, 2, 1)], ids=str)
 def test_weight_quotient_matches_per_monomial_oracle(pfm, case):
-    # every shipped cut (the corpus cuts 5 and 6 and the deep-line cut
-    # 2 p^(M-1) + 1) inside the faithful range, and every cut at (5, 1, 1);
+    # the corpus cuts 5 and 6 and the cut 2 p^(M-1) + 1 of the deep-line
+    # closure oracle inside the faithful range, and every cut at (5, 1, 1);
     # the oracle builds each column with one dense product and transform
     p, f, M = pfm
     cfg = PrimeConfig(p, f, M, case)
@@ -122,12 +122,17 @@ def test_weight_quotient_matches_per_monomial_oracle(pfm, case):
 
 
 def test_generator_kernel_memory_is_chunked():
-    # the deep-line cut at (7, 1, 2): 372 monomials, so one unchunked
-    # expansion block E[g X, rows] holds 138,384 entries; each block of the
-    # kernel stays below _KERNEL_CHUNK entries, so the traced peak stays
-    # below the result plus a few float64 blocks
+    # the cut 15 at (7, 1, 2), that of the deep-line closure oracle: 372
+    # monomials, so one unchunked expansion block E[g X, rows] holds
+    # 138,384 entries; each block of the kernel stays below _KERNEL_CHUNK
+    # entries, so the traced peak stays below the result plus a few float64
+    # blocks
     cfg = PrimeConfig(7, 1, 2, "GL2")
-    weight_quotient_module(cfg, 2)  # builds the generator tables outside the trace
+    # the weights and every pc generator table, built outside the trace
+    weight_quotient_module(cfg, 2)
+    model = group_model(cfg)
+    for i, k in itertools.product(range(cfg.dim), range(cfg.M)):
+        model.right_mul_table(model.generator(i, k))
     tracemalloc.start()
     try:
         mod = weight_quotient_module(cfg, 15)
@@ -154,6 +159,66 @@ def test_deep_module_frozen_exponents(deep):
             "int_twist": 2,
             "res_twist": 2,
         }
+
+
+def _intertwiner_space(old, new):
+    """A basis, as columns, of Hom_G(old, new): the X with X A_i = B_i X
+    for every generator, the nullspace of the stacked A_i^T (x) I - I (x)
+    B_i acting on X read column by column."""
+    field, eye = old.field, old.identity_matrix()
+    stack = np.concatenate([
+        field.add[np.kron(a.T, eye), field.neg[np.kron(eye, b)]]
+        for a, b in zip(old.gen_action, new.gen_action, strict=True)])
+    red, piv = rref(stack, field)
+    free = [c for c in range(stack.shape[1]) if c not in set(piv)]
+    basis = np.zeros((stack.shape[1], len(free)), dtype=np.int16)
+    basis[free, range(len(free))] = 1
+    basis[piv] = field.neg[red[:, free]]
+    return basis
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_deep_line_module_is_isomorphic_to_closure_oracle(case):
+    # an invertible element of Hom_G(closure quotient, suffix-basis module),
+    # drawn from the intertwiner space, certifies the two isomorphic
+    cfg = PrimeConfig(5, 1, 2, case)
+    old, new = module_oracle.deep_line_closure(cfg), deep_line_module(cfg)
+    assert old.dim == new.dim == 36
+    field = new.field
+    basis = _intertwiner_space(old, new)
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        coeffs = rng.integers(0, field.q, size=(basis.shape[1], 1)).astype(np.int16)
+        x = matmul(basis, coeffs, field).reshape(new.dim, new.dim, order="F")
+        try:
+            gflib.mat_inverse(x, field)
+            break
+        except ValueError:
+            continue
+    else:
+        pytest.fail("no invertible intertwiner in 20 draws")
+    for a, b in zip(old.gen_action, new.gen_action):
+        assert np.array_equal(matmul(x, a, field), matmul(b, x, field))
+
+
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_deep_line_module_exponents_match_closure_oracle(pfm, case):
+    # (p^(M-1) + 1)^2 suffix monomials, and the same exponents and excess
+    # dimensions as the closure quotient for every default ideal, and its
+    # twist, on every grading
+    cfg = PrimeConfig(*pfm, case)
+    old, new = module_oracle.deep_line_closure(cfg), deep_line_module(cfg)
+    assert old.dim == new.dim == (cfg.p ** (cfg.M - 1) + 1) ** 2
+    field = new.field
+    specs = default_ideals(1, field)
+    twists = [build_JN(spec, 1, field) for spec in specs]
+    for kind, ideals in (("gr", specs + twists), ("int", twists), ("res", twists)):
+        N = None if kind == "gr" else 1
+        for spec in ideals:
+            got = min_annihilator_exponent(grade(new, kind, N), spec)
+            want = min_annihilator_exponent(grade(old, kind, N), spec)
+            assert (got.ell, got.excess_dims) == (want.ell, want.excess_dims), (kind, spec.name)
 
 
 def test_quotient_corpus(cfg):
@@ -337,9 +402,13 @@ def _explicit(mod):
     return build_module(mod.cfg, "explicit", matrices=[np.array(m) for m in mod.gen_action])
 
 
+def _module_memo(limit):
+    """A memo of validated modules with its own limit, sized as the
+    library's."""
+    return BoundedMemo(limit, modules._VALIDATED.size)
+
+
 def test_validated_modules_are_stored_once_and_evicted_least_recent_first(monkeypatch):
-    memo = modules._ValidatedModules()
-    monkeypatch.setattr(modules, "_VALIDATED", memo)
     checked = []
     real = modules.check_multiplicative
     monkeypatch.setattr(modules, "check_multiplicative",
@@ -347,31 +416,31 @@ def test_validated_modules_are_stored_once_and_evicted_least_recent_first(monkey
     cfg = PrimeConfig(5, 1, 2, "QUAT")
     mods = [quotient_module(cfg, seed=s, max_dim=12) for s in (1, 2, 3)]
     sizes = [3 * m.dim * m.dim for m in mods]
-    monkeypatch.setattr(modules, "_MODULE_MEMO", max(sizes[0] + sizes[1], sizes[0] + sizes[2]))
+    memo = _module_memo(max(sizes[0] + sizes[1], sizes[0] + sizes[2]))
+    monkeypatch.setattr(modules, "_VALIDATED", memo)
     first = _explicit(mods[0])
     _explicit(mods[1])
     assert _explicit(mods[0]) is first  # now the most recent
     assert len(checked) == 2
     _explicit(mods[2])  # over the bound: mods[1], the least recent, goes
-    assert memo.entries == sizes[0] + sizes[2] <= modules._MODULE_MEMO
+    assert memo.entries == sizes[0] + sizes[2] <= memo.limit
     assert _explicit(mods[0]) is first and _explicit(mods[2]) is _explicit(mods[2])
     assert len(checked) == 3
     again = _explicit(mods[1])
     assert len(checked) == 4 and again is not first
     assert [m.tobytes() for m in again.gen_action] == [m.tobytes() for m in mods[1].gen_action]
     # a module over the whole bound is validated, returned and not kept
-    memo = modules._ValidatedModules()
+    memo = _module_memo(min(sizes) - 1)
     monkeypatch.setattr(modules, "_VALIDATED", memo)
-    monkeypatch.setattr(modules, "_MODULE_MEMO", min(sizes) - 1)
     alone = _explicit(mods[2])
-    assert memo.held == {} and memo.entries == 0
+    assert memo == {} and memo.entries == 0
     assert _explicit(mods[2]) is not alone and len(checked) == 6
 
 
 def test_stored_arrays_are_read_only(monkeypatch):
     # a stored module is shared by every later request: its generators,
     # powers and graded row bases refuse writes
-    monkeypatch.setattr(modules, "_VALIDATED", modules._ValidatedModules())
+    monkeypatch.setattr(modules, "_VALIDATED", _module_memo(modules._MODULE_MEMO))
     mod = _explicit(quotient_module(PrimeConfig(5, 1, 2, "GL2"), seed=2, max_dim=12))
     arrays = list(mod.gen_action) + [mod.power_of(1, 5), mod.power_of(2, 24)]
     for kind, N in (("gr", None), ("int", 1), ("res", 1)):
