@@ -31,7 +31,7 @@ def _read_json(path: str | None):
             with open(path, "r", encoding="utf-8") as fh:
                 return json.load(fh)
         return json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read input: {e}") from None
 
 

@@ -54,10 +54,16 @@ class PrimeConfig:
     def __post_init__(self):
         from .padic import _is_prime
 
-        if not _is_prime(self.p) or self.p <= 3:
-            raise ConfigError(f"p must be a prime > 3, got {self.p}")
         if self.f < 1:
             raise ConfigError("f must be >= 1")
+        # field elements are int16 indices (gf.GF).  Refused before the trial
+        # division, which at p near 2^61 runs for hours, and before any size
+        # of the group is formed; f >= 15 alone reaches the bound
+        if self.f >= 15 or self.p**self.f >= 2**15:
+            raise ConfigError(f"q = p^f must be below 2^15 (field elements are "
+                              f"int16 indices), got p = {self.p}, f = {self.f}")
+        if not _is_prime(self.p) or self.p <= 3:
+            raise ConfigError(f"p must be a prime > 3, got {self.p}")
         if self.M < 1:
             raise ConfigError("M must be >= 1")
         if self.case not in CASES:

@@ -2,16 +2,18 @@
 
 Field elements are encoded as integers in [0, q) with q = p^f: the element
 with polynomial-basis coordinates (c_0, ..., c_{f-1}) gets the index
-sum(c_i * p^i).  For f = 1 the index is the residue itself.  The linear
-algebra of the package (row reduction, rank, inverse, products) runs over
-these index arrays in one of two ways, by field kind:
+sum(c_i * p^i).  For f = 1 the index is the residue itself.  Indices are
+int16, so q stays below 2^15.  The linear algebra of the package (row
+reduction, rank, inverse, products) runs over these index arrays.  rref is
+one elimination for every field: it drops the zero columns, eliminates one
+pivot at a time with a rank-one update, and above a size threshold updates
+the columns right of each 64-column panel by two matrix products.  Only the
+arithmetic depends on the field kind:
 
-* over F_p, by integer arithmetic mod p on whole rows: rref drops the zero
-  columns, eliminates one pivot at a time with a rank-one update, and above
-  a size threshold updates the columns right of each 64-column panel by
-  two matrix products; matmul is one float64 BLAS product reduced mod p;
-* over F_{p^f}, f > 1, by numpy fancy-indexing into the q x q operation
-  tables, one column or one shared axis at a time.
+* over F_p, integer arithmetic mod p on whole rows; matmul is one float64
+  BLAS product reduced mod p;
+* over F_{p^f}, f > 1, numpy fancy-indexing into the q x q operation
+  tables; matmul contracts one shared axis at a time.
 
 Both are exact.
 
@@ -188,6 +190,10 @@ class GF:
     multiplicative tables are read off its discrete-log table."""
 
     def __init__(self, p: int, f: int):
+        # f >= 15 reaches the bound for every p, and keeps p**f small
+        if f >= 15 or p**f >= 2**15:
+            raise ConfigError(f"q = {p}^{f} must be below 2^15: field elements "
+                              f"are int16 indices")
         self.p = p
         self.f = f
         self.q = q = p**f
@@ -272,29 +278,17 @@ def rref(rows: np.ndarray, field: GF) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over F_q.  Returns (reduced nonzero rows,
     pivot column list).  Input is not modified.
 
-    Over F_p the all-zero columns are dropped first: such a column never
-    holds a pivot and stays zero under row operations, so the rest is
-    reduced on its own and scattered back.  Extension fields run one
-    column at a time through the operation tables."""
-    a = np.array(rows, dtype=np.int16)
+    The all-zero columns are dropped first: such a column never holds a
+    pivot and stays zero under row operations, so the rest is reduced on
+    its own and scattered back.  Entries are held in int16 while
+    (p - 1)^2 < 2^15, that is up to p = 181 and for every extension field
+    (q = p^f < 2^15), int32 above."""
+    a = np.asarray(rows, dtype=np.int16)
     if a.ndim != 2:
         raise ValueError("rref expects a matrix")
-    if field.f > 1:
-        return _rref_tables(a, field)
+    width = a.shape[1]
     keep = np.flatnonzero(a.any(axis=0))
-    if keep.size == a.shape[1]:
-        return _rref_prime(a, field)
-    red, piv = _rref_prime(a[:, keep], field)
-    out = np.zeros((red.shape[0], a.shape[1]), dtype=np.int16)
-    out[:, keep] = red
-    return out, keep[piv].tolist()
-
-
-def _rref_prime(a: np.ndarray, field: GF) -> tuple[np.ndarray, list[int]]:
-    """rref over F_p by arithmetic mod p on whole rows, in place: int16
-    while (p - 1)^2 < 2^15, that is up to p = 181, int32 above."""
-    p = field.p
-    a = a.astype(np.int16 if (p - 1) ** 2 < 2**15 else np.int32, copy=False)
+    a = a[:, keep].astype(np.int16 if (field.p - 1) ** 2 < 2**15 else np.int32, copy=False)
     nrows, ncols = a.shape
     pivots: list[int] = []
     if ncols <= PANEL or nrows * ncols < PANEL_CELLS:
@@ -304,32 +298,37 @@ def _rref_prime(a: np.ndarray, field: GF) -> tuple[np.ndarray, list[int]]:
             if len(pivots) == nrows:
                 break
             _panel(a, c0, min(c0 + PANEL, ncols), pivots, field)
-    return a[: len(pivots)].astype(np.int16, copy=False), pivots
+    out = np.zeros((len(pivots), width), dtype=np.int16)
+    out[:, keep] = a[: len(pivots)]
+    return out, keep[pivots].tolist()
 
 
 def _eliminate(a: np.ndarray, c0: int, c1: int, pivots: list[int], field: GF,
                perm: np.ndarray | None = None) -> None:
     """Reduce the columns c0..c1-1 of a in place, one pivot at a time, and
     append the pivot columns to pivots.  The pivot row of column c is the
-    first row at or below len(pivots) that is nonzero there mod p.  One
-    rank-one update both scales it to 1 and clears c in every other row:
-    with s the inverse of its entry, row h loses s a[h, c] times it and the
-    pivot row itself 1 - s times it.  The update touches only the columns
-    c..c1-1, since left of c both rows of a swap and the pivot row vanish.
-    A swap is recorded in perm, if given.
+    first row at or below len(pivots) that is nonzero there.  One rank-one
+    update both scales it to 1 and clears c in every other row: with s the
+    inverse of its entry, row h loses s a[h, c] times it and the pivot row
+    itself 1 - s times it.  The update touches only the columns c..c1-1,
+    since left of c both rows of a swap and the pivot row vanish.  A swap
+    is recorded in perm, if given.
 
-    Entries are reduced mod p lazily.  Factors and the pivot row are
-    reduced before each update, so an update keeps an entry below p and
-    lowers it by at most (p - 1)^2; the block is reduced after room
-    updates, before it could leave the dtype, and the slice on return."""
-    p, nrows = field.p, a.shape[0]
+    Over F_p the update is integer arithmetic on the block, and entries
+    are reduced mod p lazily.  Factors and the pivot row are reduced
+    before each update, so an update keeps an entry below p and lowers it
+    by at most (p - 1)^2; the block is reduced after room updates, before
+    it could leave the dtype, and the slice on return.  Over F_{p^f} the
+    entries are table indices in [0, q), never reduced, and the update is
+    one lookup add[block, mul[-factors, pivot row]]."""
+    p, q, nrows = field.p, field.q, a.shape[0]
     room = 2 ** (8 * a.itemsize - 1) // (p - 1) ** 2  # updates between reductions
     steps = 0
     r = r0 = len(pivots)
     for c in range(c0, c1):
         if r == nrows:
             break
-        factors = a[:, c] % p
+        factors = a[:, c] % q  # reduces lazy F_p entries, keeps F_{p^f} indices
         nz = factors[r:].nonzero()[0]
         if nz.size == 0:
             continue
@@ -341,21 +340,26 @@ def _eliminate(a: np.ndarray, c0: int, c1: int, pivots: list[int], field: GF,
             factors[[r, i]] = factors[[i, r]]
             if perm is not None:
                 perm[r], perm[i] = perm[i], perm[r]
-        pivot = a[r, c:c1] % p
+        pivot = a[r, c:c1] % q
         s = int(field.inv[factors[r]])
-        if s != 1:
-            factors *= s
-            factors %= p
-        factors[r] = (1 - s) % p
         block = a[:, c:c1]
-        block -= factors[:, None] * pivot
+        if field.f > 1:
+            factors = field.neg[field.mul[s, factors]]
+            factors[r] = field.add[s, field.neg[1]]
+            block[:] = field.add[block, field.mul[factors[:, None], pivot]]
+        else:
+            if s != 1:
+                factors *= s
+                factors %= p
+            factors[r] = (1 - s) % p
+            block -= factors[:, None] * pivot
+            steps += 1
+            if steps == room:
+                _mod(block, p)
+                steps = 0
         pivots.append(c)
         r += 1
-        steps += 1
-        if steps == room:
-            _mod(block, p)
-            steps = 0
-    if pivots[r0:]:
+    if pivots[r0:] and field.f == 1:
         _mod(a[:, c0:c1], p)
 
 
@@ -377,7 +381,6 @@ def _panel(a: np.ndarray, c0: int, c1: int, pivots: list[int], field: GF) -> Non
     one such transform.  So the right columns R become B^-1 R[P] on P and
     R[O] - C (B^-1 R[P]) on O.  Left of c0 the rows that can take a pivot
     are zero, so G leaves those columns as they are."""
-    p = field.p
     r0 = len(pivots)
     start = a[:, c0:c1].copy()
     perm = np.arange(a.shape[0])
@@ -393,42 +396,10 @@ def _panel(a: np.ndarray, c0: int, c1: int, pivots: list[int], field: GF) -> Non
     _eliminate(aug, 0, 2 * k, [], field)
     right = a[:, c1:]
     top = matmul(aug[:, k:], right[prow], field)
-    rest = right[orow]
-    rest -= matmul(start[orow][:, q], top, field)
-    _mod(rest, p)
+    rest = _sub(right[orow], matmul(start[orow][:, q], top, field), field)
     a[r0:r1, c1:] = top
     a[:r0, c1:] = rest[:r0]
     a[r1:, c1:] = rest[r0:]
-
-
-def _rref_tables(a: np.ndarray, field: GF) -> tuple[np.ndarray, list[int]]:
-    """rref over an extension field in place, one column at a time through
-    the q x q operation tables."""
-    nrows, ncols = a.shape
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        s = inv[a[r, c]]
-        a[r] = mul[s, a[r]]
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            # subtract col[hit] * a[r] from each hit row
-            factors = neg[col[hit]]
-            a[hit] = add[a[hit], mul[factors.reshape(-1, 1), a[r].reshape(1, -1)]]
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
 
 
 def rank(rows: np.ndarray, field: GF) -> int:
@@ -441,7 +412,9 @@ def _sub(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     """a - b entrywise over F_q: mod p for a prime field, through the
     tables for an extension."""
     if field.f == 1:
-        return (a - b) % field.p
+        out = a - b
+        _mod(out, field.p)
+        return out
     return field.add[a, field.neg[b]]
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .config import CACHED_CONFIGS
 from .errors import ConfigError, ConfigMismatch, InputNotUnitOne
-from .gf import gf, irreducible_lift
+from .gf import gf
 
 
 def _is_prime(n: int) -> bool:
@@ -128,8 +128,8 @@ class ZqRing:
         self.deg = deg
         self.level = level
         self.modulus = p**level
-        self.poly = irreducible_lift(p, deg)
-        self.field = gf(p, deg)
+        self.field = gf(p, deg)  # refuses q = p^deg >= 2^15 before the lift search
+        self.poly = self.field.poly
         self.zero = ZqElement(self, (0,) * deg)
         self.one = ZqElement(self, (1,) + (0,) * (deg - 1))
         self.x = ZqElement(self, tuple(1 if i == 1 else 0 for i in range(deg))) if deg > 1 else self.one

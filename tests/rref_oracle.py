@@ -3,10 +3,11 @@
 rref here is the column-at-a-time loop over the q x q operation tables that
 gf.rref ran for every field: it visits every column, swaps rows by fancy
 indexing and updates every hit row through add[a, mul[-factor, row]].
-gf.rref keeps this loop only for extension fields; over F_p it drops the
-zero columns, eliminates whole rows by arithmetic mod p and updates the
-columns right of each 64-column panel by two matrix products.  Reduced row
-echelon form is unique for a row space, so the two agree byte for byte.
+gf.rref no longer runs this loop for any field: it drops the zero columns,
+eliminates one pivot at a time by a rank-one update (arithmetic mod p over
+F_p, one table lookup over F_{p^f}) and updates the columns right of each
+64-column panel by two matrix products.  Reduced row echelon form is unique
+for a row space, so the two agree byte for byte.
 rank and mat_inverse are gf's, built on this rref; the other oracles read
 them from here, so that no oracle shares the kernel it checks."""
 

@@ -4,6 +4,7 @@ codes, and output routing."""
 import contextlib
 import io
 import json
+import time
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -409,6 +410,37 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("config error:"), captured.err
         assert "2^53" in captured.err, captured.err
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "ff.json"
+    path.write_bytes(b"\xff")
+    for argv in (["verify", str(path)], ["decompose", "--in", str(path)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot read input"), captured.err
+
+
+def test_fields_past_int16_indices_are_refused_at_once(tmp_path, capsys):
+    # field elements are int16 indices, so q = p^f stays below 2^15: GL2 at
+    # p = 32771 and QUAT at p = 191, whose ring lives over F_{191^2}, are
+    # refused before any table is built, p = 2^61 - 1 before a trial
+    # division that would run for hours, and f = 10^9 before the group's
+    # order is formed
+    gl2 = write(tmp_path, "g.json", {**GL2, "p": 32771, "matrix": [[1, 0], [0, 1]]})
+    quat = write(tmp_path, "q.json", {**GL2, "p": 191, "case": "QUAT", "a": [1, 0], "b": [0, 0]})
+    mersenne = write(tmp_path, "m.json", {**GL2, "p": 2**61 - 1, "digits": [1, 0, 0]})
+    wide = write(tmp_path, "w.json", {**GL2, "f": 10**9, "digits": [1, 0, 0]})
+    for argv in (["decompose", "--in", gl2], ["decompose", "--in", quat],
+                 ["nu", "--in", mersenne], ["nu", "--in", wide]):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:"), captured.err
+        assert "2^15" in captured.err, captured.err
 
 
 def test_huge_ideal_exponent_answers_as_at_p_to_the_M(tmp_path, capsys):

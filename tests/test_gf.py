@@ -1,6 +1,7 @@
 """The finite-field tables against the polynomial construction they replace,
-matmul against the int64 product it replaced, and the echelon insertion and
-batched residue against the full rref and the row-by-row residue."""
+matmul against the int64 product it replaced, the row reduction over F_p and
+F_{p^f} against the column-at-a-time table loop, and the echelon insertion
+and batched residue against the full rref and the row-by-row residue."""
 
 import numpy as np
 import pytest
@@ -84,11 +85,16 @@ def test_extension_matmul_bytes_unchanged(p, f):
         assert got.tobytes() == module_oracle.matmul(a, b, field).tobytes(), k
 
 
+def _field(q):
+    """F_q for a prime q or for q in {25, 49}."""
+    return gflib.gf(*{25: (5, 2), 49: (7, 2)}.get(q, (q, 1)))
+
+
 def _insertion_case(q, ncols, rank, nrows, kind, seed):
     """(basis, pivots, new rows): an rref basis of at most the given rank,
     and new rows drawn at random, from the basis span, or as the missing
     unit rows plus span noise, which complete the space to full rank."""
-    field = gflib.gf(*{5: (5, 1), 7: (7, 1), 25: (5, 2)}[q])
+    field = _field(q)
     rng = np.random.default_rng(seed)
     basis, piv = gflib.rref(rng.integers(0, q, (rank, ncols)), field)
     if kind == "random":
@@ -155,7 +161,7 @@ def _same_rref(got, want):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(q=st.sampled_from([5, 7, 13, 31, 197, 25]), nrows=st.integers(0, 24),
+@given(q=st.sampled_from([5, 7, 13, 31, 197, 25, 49]), nrows=st.integers(0, 24),
        ncols=st.integers(0, 24), rank=st.integers(0, 24),
        zero_share=st.sampled_from([0.0, 0.3, 0.7]), seed=st.integers(0, 2**32 - 1))
 @example(q=5, nrows=0, ncols=7, rank=0, zero_share=0.0, seed=1)     # no rows
@@ -163,11 +169,12 @@ def _same_rref(got, want):
 @example(q=7, nrows=5, ncols=9, rank=0, zero_share=0.0, seed=3)     # all zero
 @example(q=197, nrows=12, ncols=12, rank=12, zero_share=0.0, seed=4)  # full rank, int32
 @example(q=31, nrows=10, ncols=14, rank=4, zero_share=0.3, seed=5)  # rank-deficient
-def test_prime_kernel_matches_table_oracle(q, nrows, ncols, rank, zero_share, seed):
+@example(q=49, nrows=12, ncols=16, rank=9, zero_share=0.3, seed=6)  # extension field
+def test_rref_matches_table_oracle(q, nrows, ncols, rank, zero_share, seed):
     # rref, rank, mat_inverse, residue and rref_insert against the
-    # column-at-a-time table loop they replaced over F_p (and still run
-    # over F_25), in dtype, shape, bytes and pivots
-    field = gflib.gf(*{25: (5, 2)}.get(q, (q, 1)))
+    # column-at-a-time table loop they replaced, in dtype, shape, bytes
+    # and pivots
+    field = _field(q)
     rng = np.random.default_rng(seed)
     m = _low_rank(field, nrows, ncols, rank, zero_share, rng)
     _same_rref(gflib.rref(m, field), rref_oracle.rref(m, field))
@@ -191,15 +198,15 @@ def test_prime_kernel_matches_table_oracle(q, nrows, ncols, rank, zero_share, se
                module_oracle.rref_insert(basis, piv, rows, field))
 
 
-@pytest.mark.parametrize("p", [5, 13, 197])
+@pytest.mark.parametrize("q", [5, 13, 197, 25, 49])
 @pytest.mark.parametrize("ncols,rank", [(63, 63), (64, 40), (65, 65), (129, 100), (129, 30)])
-def test_rref_on_both_sides_of_the_panel_threshold(p, ncols, rank):
+def test_rref_on_both_sides_of_the_panel_threshold(q, ncols, rank):
     # just enough rows for the panel path when there are more than PANEL
     # columns: 63 and 64 columns are eliminated one pivot at a time, 65 in
     # a full panel and one column, 129 in two full panels and one column;
     # rank 30 leaves the later panels without a pivot
-    field = gflib.gf(p, 1)
-    rng = np.random.default_rng(ncols * rank + p)
+    field = _field(q)
+    rng = np.random.default_rng(ncols * rank + q)
     nrows = -(-gflib.PANEL_CELLS // ncols)
     m = _low_rank(field, nrows, ncols, rank, 0.0, rng)
     _same_rref(gflib.rref(m, field), rref_oracle.rref(m, field))
@@ -241,6 +248,42 @@ def test_primes_past_the_int16_bound(p):
     inv = gflib.mat_inverse(a, field)
     assert inv.tobytes() == rref_oracle.mat_inverse(a, field).tobytes()
     assert (gflib.matmul(a, inv, field) == np.eye(20, dtype=np.int16)).all()
+
+
+def test_extension_field_through_zero_columns_and_panels():
+    # over F_25 the rref, the residue and the insertion's reduction of it
+    # each drop zero columns and leave enough entries on the rest for the
+    # panel updates
+    field = _field(25)
+    rng = np.random.default_rng(25)
+    m = _low_rank(field, 360, 720, 300, 0.2, rng)
+    nonzero = (m != 0).any(axis=0)
+    assert 0 < nonzero.sum() < 720 and nonzero.sum() * 360 >= gflib.PANEL_CELLS
+    _same_rref(gflib.rref(m, field), rref_oracle.rref(m, field))
+    basis, piv = gflib.rref(m[:60], field)
+    rows = m[60:]
+    res = gflib.residue(rows, basis, piv, field)
+    want = module_oracle.residue(rows, basis, piv, field)
+    assert res.dtype == want.dtype and res.tobytes() == want.tobytes()
+    res = res[res.any(axis=1)]
+    assert (res != 0).any(axis=0).sum() * res.shape[0] >= gflib.PANEL_CELLS
+    _same_rref(gflib.rref_insert(basis, piv, rows, field),
+               module_oracle.rref_insert(basis, piv, rows, field))
+
+
+def test_extension_field_mat_inverse():
+    field = _field(25)
+    a = np.random.default_rng(100).integers(0, 25, (100, 100)).astype(np.int16)
+    inv = gflib.mat_inverse(a, field)
+    assert inv.dtype == np.int16
+    assert inv.tobytes() == rref_oracle.mat_inverse(a, field).tobytes()
+    assert (gflib.matmul(a, inv, field) == np.eye(100, dtype=np.int16)).all()
+    singular = a.copy()
+    singular[70] = gflib.matmul(np.array([[7, 19]]), a[[3, 55]], field)[0]
+    with pytest.raises(ValueError, match="singular"):
+        gflib.mat_inverse(singular, field)
+    with pytest.raises(ValueError, match="singular"):
+        rref_oracle.mat_inverse(singular, field)
 
 
 def test_mat_inverse_at_depth_3_size():
