@@ -19,6 +19,22 @@ CASES = ("GL2", "QUAT")
 CACHED_CONFIGS = 32
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending, by trial division; [] for
+    n < 2, so n is prime exactly when this is [n]."""
+    fs = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            fs.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        fs.append(n)
+    return fs
+
+
 class BoundedMemo(dict):
     """Values by key, least recently used first out once their sizes,
     size(value) each, sum to more than limit; a value larger than limit
@@ -52,8 +68,6 @@ class PrimeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        from .padic import _is_prime
-
         if self.f < 1:
             raise ConfigError("f must be >= 1")
         # field elements are int16 indices (gf.GF).  Refused before the trial
@@ -62,7 +76,7 @@ class PrimeConfig:
         if self.f >= 15 or self.p**self.f >= 2**15:
             raise ConfigError(f"q = p^f must be below 2^15 (field elements are "
                               f"int16 indices), got p = {self.p}, f = {self.f}")
-        if not _is_prime(self.p) or self.p <= 3:
+        if prime_factors(self.p) != [self.p] or self.p <= 3:
             raise ConfigError(f"p must be a prime > 3, got {self.p}")
         if self.M < 1:
             raise ConfigError("M must be >= 1")

@@ -1,7 +1,7 @@
 """Exact arithmetic in truncated unramified extensions of the p-adic integers.
 
-A ring here is (Z/p^level)[x]/(phi) where phi is the fixed monic irreducible
-lift recorded in gf.IRREDUCIBLE_LIFTS for (p, deg).  Elements are coordinate
+A ring here is (Z/p^level)[x]/(phi) where phi = gf.irreducible_lift(p, deg),
+the fixed monic lift of a primitive polynomial mod p.  Elements are coordinate
 tuples (c_0, ..., c_{deg-1}) with entries reduced mod p^level, relative to
 the power basis 1, x, ..., x^{deg-1}.  The residue field of the degree-deg
 ring is F_{p^deg} in the same polynomial coding, so gf.GF(p, deg) indices and
@@ -36,20 +36,9 @@ import functools
 
 import numpy as np
 
-from .config import CACHED_CONFIGS
+from .config import CACHED_CONFIGS, prime_factors
 from .errors import ConfigError, ConfigMismatch, InputNotUnitOne
 from .gf import gf
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class ZqElement:
@@ -120,7 +109,7 @@ class ZqElement:
 
 class ZqRing:
     def __init__(self, p: int, deg: int, level: int):
-        if not _is_prime(p) or p <= 3:
+        if prime_factors(p) != [p] or p <= 3:
             raise ConfigError(f"p must be a prime > 3, got {p}")
         if deg < 1 or level < 1:
             raise ConfigError("degree and level must be positive")

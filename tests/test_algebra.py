@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from propring import algebra
 from propring.algebra import (GroupAlgebra, check_maximal_ideal_powers, frattini_witness,
                               group_algebra)
-from propring.config import PrimeConfig
+from propring.config import PrimeConfig, prime_factors
 from propring.errors import ConfigError, CutoffBeyondFaithful
 from propring.graded import hilbert_oracle
 from propring.groups import GroupModel, group_model
-from propring.padic import _is_prime
 from pair_oracle import random_element
 import power_oracle
 import sandwich_oracle
@@ -500,7 +499,7 @@ def test_exact_transform_bound_refuses_exactly_beyond_it():
     # GroupAlgebra refuses a config exactly when the largest float64 partial
     # sum, (p-1)(p(p-1))^(nM) for inputs in [0, p), reaches 2^53; the bare
     # GroupModel allocates nothing of the group's order
-    for p in filter(_is_prime, range(5, 32)):
+    for p in (p for p in range(5, 32) if prime_factors(p) == [p]):
         for f, M in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (1, 4)):
             model = GroupModel(p, f, M)
             exact = (p - 1) * (p * (p - 1)) ** (3 * f * M) < 2**53

@@ -1,4 +1,5 @@
-"""The finite-field tables against the polynomial construction they replace,
+"""The field lifts against the one-candidate-at-a-time search they replace,
+the finite-field tables against the polynomial construction they replace,
 matmul against the int64 product it replaced, the row reduction over F_p and
 F_{p^f} against the column-at-a-time table loop, and the echelon insertion
 and batched residue against the full rref and the row-by-row residue."""
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from propring import gf as gflib
 
+import lift_oracle
 import module_oracle
 import rref_oracle
 
@@ -27,7 +29,7 @@ def polynomial_tables(p, f):
     for a in range(q):
         for b in range(a, q):
             add[a, b] = add[b, a] = field.index((x + y) % p for x, y in zip(coords[a], coords[b]))
-            m = gflib._polmod(gflib._polmul(list(coords[a]), list(coords[b]), p), poly, p)
+            m = lift_oracle._polmod(lift_oracle._polmul(list(coords[a]), list(coords[b]), p), poly, p)
             mul[a, b] = mul[b, a] = field.index(m + [0] * (f - len(m)))
     neg = np.array([field.index((-c) % p for c in coords[a]) for a in range(q)], dtype=np.int16)
     inv = np.zeros(q, dtype=np.int16)
@@ -48,6 +50,48 @@ def test_tables_match_polynomial_construction(p, f):
             assert got == want
         else:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.fixture
+def searched_lift(monkeypatch):
+    """gf.irreducible_lift with IRREDUCIBLE_LIFTS bypassed for every degree,
+    its cache emptied before and after, so no lift outlives the test."""
+    monkeypatch.setattr(gflib, "IRREDUCIBLE_LIFTS", {})
+    gflib.irreducible_lift.cache_clear()
+    yield gflib.irreducible_lift
+    gflib.irreducible_lift.cache_clear()
+
+
+def test_lift_table_is_the_search_cache(searched_lift):
+    table = dict(gflib.IRREDUCIBLE_LIFTS)
+    for (p, deg), lift in table.items():
+        assert p**deg < 2**15, (p, deg)  # GF refuses the field otherwise
+        assert searched_lift(p, deg) == lift, (p, deg)
+
+
+@pytest.mark.parametrize("p,deg", [(17, 1), (17, 2), (19, 2), (23, 2), (5, 5), (29, 3)])
+def test_lift_search_matches_oracle(searched_lift, p, deg):
+    assert searched_lift(p, deg) == lift_oracle.irreducible_lift(p, deg)
+
+
+@pytest.mark.parametrize("p,deg,lift", [(101, 2, (99, 6, 1)), (181, 2, (179, 3, 1))])
+def test_lift_search_at_large_p(searched_lift, p, deg, lift):
+    # values of the oracle's search, which takes 3 and 11 s here
+    assert searched_lift(p, deg) == lift
+
+
+@pytest.mark.parametrize("p,m,n", [(5, 1, 2), (5, 2, 4), (7, 1, 2), (7, 2, 4), (11, 1, 2),
+                                   (13, 1, 2)])
+def test_smaller_lift_vanishes_at_the_norm_of_gen(p, m, n):
+    # QuatContext.alpha_residue embeds the generator of F_(p^f) in F_(p^(2f))
+    # as zeta^(p^f + 1) = zeta^((p^n - 1)/(p^m - 1)): the degree-m lift must
+    # vanish there, with its coefficients in F_p as indices
+    field = gflib.gf(p, n)
+    root = field.pow(field.gen, (p**n - 1) // (p**m - 1))
+    value = 0
+    for c in reversed(gflib.irreducible_lift(p, m)):
+        value = int(field.add[field.mul[value, root], c])
+    assert value == 0
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
