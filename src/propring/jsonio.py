@@ -223,12 +223,12 @@ def module_from_json(d: dict, case: str | None = None):
                     raise ConfigError("matrix entries must be field element indices")
                 mats.append(m.astype(np.int16))
                 continue
-            m = np.zeros((dim, dim), dtype=np.int16)
-            if len(g) != dim:
+            # the shape is checked before the allocation, which then holds
+            # no more entries than the input does
+            if len(g) != dim or any(len(row) != dim for row in g):
                 raise ConfigError("generator matrix size does not match dim")
+            m = np.zeros((dim, dim), dtype=np.int16)
             for i, row in enumerate(g):
-                if len(row) != dim:
-                    raise ConfigError("generator matrix size does not match dim")
                 for j, v in enumerate(row):
                     m[i, j] = (coeff_from_json(field, v) if isinstance(v, (list, tuple))
                                else json_int(v, "matrix entry"))

@@ -485,7 +485,13 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec) -> AnnihilatorRe
     the search bound; exceeding it raises.
 
     The search tracks the graded pieces of the ideal powers applied to the
-    graded module, each piece held as a row space above the chain tail.
+    graded module, piece j held as rref rows modulo its chain tail
+    R_(j+1).  A lift of weight s maps R_(j+1) into R_(j+1+s), the tail of
+    piece j + s, so the tail's images add nothing: each round multiplies
+    the piece rows alone and reduces the images against the target's tail.
+    The escape check past the chain end sees all of R_j, which the
+    first round's pieces j, j + 1, ... span.
+
     Generator products alone span each ideal power, so no step is closed
     under the ambient graded ring: on "int" and "res" that ring (of the
     subring) is commutative, and on "gr" every ideal is normal in it, as
@@ -504,23 +510,17 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec) -> AnnihilatorRe
         group_model(cfg).certify_normal_ideals()
     chain, pivots, bound = gm.chain, gm.pivots, gm.module.dim + 1
     npieces = len(chain) - 1
-    tails = [chain[j + 1] for j in range(npieces)]
-    tail_dims = [t.shape[0] for t in tails]
-
-    def excess(spaces):
-        return sum(spaces[j][0].shape[0] - tail_dims[j] for j in range(npieces))
-
-    spaces = [(chain[j], pivots[j]) for j in range(npieces)]
-    history = [excess(spaces)]
+    # the rows of R_j off the tail's pivots vanish at them: R_j mod R_(j+1)
+    pieces = [chain[j][np.isin(pivots[j], pivots[j + 1], invert=True)] for j in range(npieces)]
+    history = [sum(b.shape[0] for b in pieces)]
     ell = 0
-    while excess(spaces) > 0:
+    while history[-1] > 0:
         ell += 1
         if ell > bound:
             raise BoundExceeded(f"no annihilating power of {spec.name} up to {bound}")
         new_rows: list[list[np.ndarray]] = [[] for _ in range(npieces)]
         for op, s in lifts:
-            for j in range(npieces):
-                basis = spaces[j][0]
+            for j, basis in enumerate(pieces):
                 if basis.shape[0] == 0:
                     continue
                 img = gflib.matmul(basis, op.T, field)
@@ -533,14 +533,9 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec) -> AnnihilatorRe
                     raise RelationCheckFailed(
                         "generator image escaped the filtration", witness=(j, s)
                     )
-        spaces = []
-        for j in range(npieces):
-            if new_rows[j]:
-                spaces.append(gflib.rref_insert(tails[j], pivots[j + 1],
-                                                np.concatenate(new_rows[j]), field))
-            else:
-                spaces.append((tails[j], pivots[j + 1]))
-        history.append(excess(spaces))
+        pieces = [rref(gflib.residue(np.concatenate(rows), chain[j + 1], pivots[j + 1], field),
+                       field)[0] if rows else chain[-1] for j, rows in enumerate(new_rows)]
+        history.append(sum(b.shape[0] for b in pieces))
     return AnnihilatorReport(spec.name, gm.kind, gm.N, ell, bound, history)
 
 

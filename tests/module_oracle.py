@@ -9,6 +9,14 @@ ring operators rho(g_i) - 1 on "gr", repeating one rref per (piece,
 operator) in close until nothing changes; modules.min_annihilator_exponent
 adds no closure, since GroupModel.certify_normal_ideals proves every ideal
 it takes normal in the graded ring, so each step is stable already.
+tail_merging_exponent holds each piece of the search as the whole space
+above its chain tail R_(j+1), multiplies every row of it by every lift and
+merges the images into the target's tail with gf.rref_insert, where
+modules.min_annihilator_exponent holds each piece modulo its tail and
+multiplies no tail row: a lift of weight s maps R_(j+1) into R_(j+1+s),
+the next tail.  On the depth-3 deep-line module of dim 676 at GL2
+(5, 1, 3) its three "gr" searches took 32.2, 56.4 and 65.8 CPU s, the
+library's 0.95, 1.52 and 2.36 s.
 restriction_chain enumerates all top^(3f) ordered products
 Z^y = Z_0^(y_0) ... Z_(3f-1)^(y_(3f-1)), Z_t = rho(g_t)^(p^N) - 1, and
 spans their images by weight wt(y) = sum_t w_t y_t, one product per
@@ -45,6 +53,7 @@ import itertools
 
 import numpy as np
 
+from propring import gf as gflib
 from propring import modules
 from propring.algebra import group_algebra
 from propring.errors import BoundExceeded, ConfigError, RelationCheckFailed
@@ -127,6 +136,63 @@ def min_annihilator_exponent(gm, spec):
         spaces = close(spaces, ring_ops, field)
         history.append(excess(spaces))
     return AnnihilatorReport(spec.name, gm.kind, gm.N, len(history) - 1, mod.dim + 1, history)
+
+
+def tail_merging_exponent(gm, spec):
+    """The annihilator search with each piece held as the whole space
+    above its chain tail: every round multiplies every row of every piece,
+    tail rows included, by every lift and merges the images back into the
+    target's tail with gf.rref_insert; the signature of
+    modules.min_annihilator_exponent."""
+    mod = gm.module
+    cfg, field = mod.cfg, mod.field
+    lifts = ideal_operator_lifts(mod, spec)
+    if gm.kind in ("int", "res"):
+        unit = cfg.p**gm.N
+        for _, deg in lifts:
+            if deg % unit:
+                raise ConfigError(f"ambient weight {deg} does not move the {gm.kind} grading")
+        lifts = [(op, deg // unit) for op, deg in lifts]
+    else:
+        group_model(cfg).certify_normal_ideals()
+    chain, pivots, bound = gm.chain, gm.pivots, mod.dim + 1
+    npieces = len(chain) - 1
+    tails = [chain[j + 1] for j in range(npieces)]
+    tail_dims = [t.shape[0] for t in tails]
+
+    def excess(spaces):
+        return sum(spaces[j][0].shape[0] - tail_dims[j] for j in range(npieces))
+
+    spaces = [(chain[j], pivots[j]) for j in range(npieces)]
+    history = [excess(spaces)]
+    ell = 0
+    while excess(spaces) > 0:
+        ell += 1
+        if ell > bound:
+            raise BoundExceeded(f"no annihilating power of {spec.name} up to {bound}")
+        new_rows = [[] for _ in range(npieces)]
+        for op, s in lifts:
+            for j in range(npieces):
+                basis = spaces[j][0]
+                if basis.shape[0] == 0:
+                    continue
+                img = gflib.matmul(basis, op.T, field)
+                j2 = j + s
+                if j2 < npieces:
+                    new_rows[j2].append(img)
+                elif img.any():
+                    raise RelationCheckFailed(
+                        "generator image escaped the filtration", witness=(j, s)
+                    )
+        spaces = []
+        for j in range(npieces):
+            if new_rows[j]:
+                spaces.append(gflib.rref_insert(tails[j], pivots[j + 1],
+                                                np.concatenate(new_rows[j]), field))
+            else:
+                spaces.append((tails[j], pivots[j + 1]))
+        history.append(excess(spaces))
+    return AnnihilatorReport(spec.name, gm.kind, gm.N, ell, bound, history)
 
 
 def restriction_chain(qmats, field, top, weights):

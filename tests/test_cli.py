@@ -375,6 +375,11 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     unipotent = dict(module, field={"p": 5, "f": 1}, dim=2,
                      generators=[[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0, 1]]])
     no_rep = write(tmp_path, "v.json", unipotent)
+    # a dim far beyond the rows given, and 100,000 empty rows per generator:
+    # the shape is refused before a dim x dim array (18.6 GiB) is allocated
+    wide = write(tmp_path, "a.json", dict(module, field={"p": 5, "f": 1}, dim=100000))
+    empty_rows = write(tmp_path, "c.json", dict(module, field={"p": 5, "f": 1}, dim=100000,
+                                                generators=[[[]] * 100000] * 3))
     # order 5^12 = 2.4e8, beyond the exact transform bound
     oversize = write(tmp_path, "w.json", {"p": 5, "f": 2, "M": 2, "case": "GL2",
                                           "digits": [1, 0, 0, 0, 0, 0]})
@@ -392,7 +397,8 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["module-exponent", "--in", good, "--ideal", str(torn_ideal)],
                  ["module-exponent", "--in", good, "--grading", "int", "--level-n", "5"],
                  ["decompose", "--in", gl2_outside], ["decompose", "--in", quat_outside],
-                 ["module-exponent", "--in", no_rep]):
+                 ["module-exponent", "--in", no_rep], ["module-exponent", "--in", wide],
+                 ["module-exponent", "--in", empty_rows]):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -794,29 +794,52 @@ def _random_ideals(field, rng, count=4):
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
-@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2), (11, 1, 2)], ids=str)
 def test_exponent_search_matches_closure_oracle(pfm, case):
-    # the search without closure against the search closed under the ring
-    # at every step: corpus modules and duals, the default ideals, seeded
-    # user ideals and the twists of both, on the three gradings; a count-2
-    # corpus at p = 7, where the oracle's fixpoint closure is slow
+    # the search on pieces modulo their tails against the search that
+    # merges every tail row's image back into the tail, and against the
+    # search closed under the ring at every step: corpus modules and duals,
+    # the default ideals, seeded user ideals and the twists of both, on the
+    # three gradings; a count-2 corpus at p = 7, where the oracle's fixpoint
+    # closure is slow, and at p = 11 the deep-line module alone, default
+    # ideals and twists, against the tail-merging search only
     cfg = PrimeConfig(*pfm, case)
-    count = 4 if cfg.p == 5 else 2
     field = gf(cfg.p, 1)
-    specs = default_ideals(1, field) + _random_ideals(field, np.random.default_rng(sum(pfm)))
+    if cfg.p == 11:
+        specs = default_ideals(1, field)
+        mods, oracles = [deep_line_module(cfg)], (module_oracle.tail_merging_exponent,)
+    else:
+        count = 4 if cfg.p == 5 else 2
+        specs = default_ideals(1, field) + _random_ideals(field, np.random.default_rng(sum(pfm)))
+        mods = [m for mod in module_corpus(cfg, count=count) for m in (mod, dualize(mod))]
+        oracles = (module_oracle.tail_merging_exponent, module_oracle.min_annihilator_exponent)
     twists = [build_JN(spec, 1, field) for spec in specs]
     compared = 0
-    for mod in module_corpus(cfg, count=count):
-        for m in (mod, dualize(mod)):
-            for kind, ideals in (("gr", specs + twists), ("int", twists), ("res", twists)):
-                gm = grade(m, kind, None if kind == "gr" else 1)
-                for spec in ideals:
-                    got = min_annihilator_exponent(gm, spec)
-                    want = module_oracle.min_annihilator_exponent(gm, spec)
+    for m in mods:
+        for kind, ideals in (("gr", specs + twists), ("int", twists), ("res", twists)):
+            gm = grade(m, kind, None if kind == "gr" else 1)
+            for spec in ideals:
+                got = min_annihilator_exponent(gm, spec)
+                for oracle in oracles:
+                    want = oracle(gm, spec)
                     assert (got.ell, got.excess_dims) == (want.ell, want.excess_dims), (
-                        m.provenance, kind, got.ideal)
-                    compared += 1
-    assert compared == (count + 2) * 2 * 4 * len(specs)
+                        m.provenance, kind, got.ideal, oracle.__name__)
+                compared += 1
+    assert compared == len(mods) * 4 * len(specs)
+
+
+def test_lift_past_the_chain_end_escapes_the_filtration(deep, monkeypatch):
+    # an identity lift of weight npieces - 1 keeps piece 0 inside the chain
+    # and sends the nonzero piece 1 past its end
+    gm = grade(deep, "gr")
+    npieces = len(gm.chain) - 1
+    assert piece_dims(gm)[1] > 0
+    s = npieces - 1
+    monkeypatch.setattr(modules, "ideal_operator_lifts",
+                        lambda mod, spec: [(mod.identity_matrix(), s)])
+    with pytest.raises(RelationCheckFailed, match="escaped the filtration") as err:
+        min_annihilator_exponent(gm, IDEALS[0])
+    assert err.value.witness == (1, s)
 
 
 def test_planted_bracket_fails_normal_ideal_certificate(monkeypatch, tmp_path, capsys):
