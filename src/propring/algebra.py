@@ -35,16 +35,20 @@ set of monomials are one product Q[ks, X] E[g_i X, rows] mod p over the
 down-set X of weights up to those of ks (generator_columns).  Its left
 products g_i x and the support pairs x h of the general product
 (mul_rows, which mul calls on a batch of one) go through one index-level
-right action, GroupModel.right_act: it walks x
-through the n M tables of the pc generators g_i^(p^k), at most p - 1 steps
-per base-p digit of h.
+right action, GroupModel.right_act: it walks x through the n M tables of
+the pc generators g_i^(p^k), at most p - 1 steps per base-p digit of h.
 
 A sparse element is a support pair and is read through the same closed
 form: the coefficients of sum_t c_t [x_t] at the monomials of weight up to
 a cutoff are contracted one exponent axis at a time over the support's
 distinct prefixes and the monomial suffixes inside the cutoff
-(support_expansion, and element_nu below p^M).  So point queries, the
-rewriting and the sandwich's products make no vector of the group's order.
+(support_expansion, and element_nu below p^M).  Many elements go through
+one call as a row-keyed support pair, keys row order + index: the row is
+the part of the key above the n exponent axes, so the contraction leaves
+it uncontracted, and each row's monomial terms come back keyed row order
++ k.  A single element is row 0, its keys its indices.  So point queries,
+the rewriting and the sandwich's products make no vector of the group's
+order, and a batch of them costs one call, not one per element.
 
 The weight of a monomial index is nu'(k) = sum_i w_i k_i with w = 1 for the
 A and B positions and w = 2 for the C positions (doubled generator
@@ -203,16 +207,17 @@ class GroupAlgebra:
     def mul_rows(self, a, b, rows: int):
         """Row-batched product on support pairs.  a and b are (row, index,
         coefficient) arrays sorted by row, every row below rows; yields,
-        for r = 0, ..., rows - 1 in order, the support pair (index,
-        coefficient), sorted by index, of (row r of a) (row r of b).
+        for groups of whole rows r, ..., end - 1 in order, (r, end, key,
+        coefficient) with key = (row - r) order + index ascending: the
+        row-keyed support pair of the products (row of a) (row of b).
 
-        The support pairs (x, h) of a group of whole rows, _PAIR_CHUNK at
-        most, go through one GroupModel.right_act, and the group's products
-        are merged by collect on the key (row, index of x h).  A row with
-        more pairs than that is walked in slices of _PAIR_CHUNK into one
-        dense accumulator of the group's order.  So the transient memory is
-        a few arrays of _PAIR_CHUNK entries whatever the batch, and a
-        caller that stops early skips the groups after it."""
+        The support pairs (x, h) of a group, _PAIR_CHUNK at most, go
+        through one GroupModel.right_act, and the group's products are
+        merged by collect on the key.  A row with more pairs than that is a
+        group of its own, walked in slices of _PAIR_CHUNK into one dense
+        accumulator of the group's order.  So the transient memory is a few
+        arrays of _PAIR_CHUNK entries whatever the batch, and a caller that
+        stops early skips the groups after it."""
         (ar, ax, ac), (br, bx, bc) = a, b
         a0 = np.searchsorted(ar, np.arange(rows + 1))
         b0 = np.searchsorted(br, np.arange(rows + 1))
@@ -245,16 +250,14 @@ class GroupAlgebra:
             else:
                 end = int(np.searchsorted(ends, lo + _PAIR_CHUNK, side="right"))
                 key, acc = products(lo, int(ends[end - 1]), r)
-            cut = np.searchsorted(key, np.arange(end - r + 1) * self.order)
-            for j in range(end - r):
-                yield key[cut[j]:cut[j + 1]] - j * self.order, acc[cut[j]:cut[j + 1]]
+            yield r, end, key, acc
             r = end
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """General product of dense vectors: mul_rows on a batch of one."""
         xs, hs = np.flatnonzero(a), np.flatnonzero(b)
-        (idx, coeffs), = self.mul_rows((np.zeros_like(xs), xs, a[xs]),
-                                       (np.zeros_like(hs), hs, b[hs]), 1)
+        (_, _, idx, coeffs), = self.mul_rows((np.zeros_like(xs), xs, a[xs]),
+                                             (np.zeros_like(hs), hs, b[hs]), 1)
         out = self.zero()
         out[idx] = coeffs
         return out
@@ -375,11 +378,13 @@ class GroupAlgebra:
 
     def support_expansion(self, idx: np.ndarray, coeffs: np.ndarray,
                           cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The monomial terms of weight at most cutoff of the element
-        sum_t coeffs[t] [idx[t]], idx ascending and distinct and cutoff
-        >= 0, where coeffs[t] holds the f coordinates of a coefficient over
-        F_p: (ks, weights, c), the flat indices k ascending, their weights
-        nu'(k) and the (len, f) coordinates of the nonzero coefficients.
+        """The monomial terms of weight at most cutoff of the elements
+        sum_t coeffs[t] [x_t], one per row, given as keys idx[t] = row
+        order + x_t ascending and distinct, cutoff >= 0, where coeffs[t]
+        holds the f coordinates of a coefficient over F_p: (ks, weights,
+        c), the keys row order + k ascending, the weights nu'(k) and the
+        (len, f) coordinates of the nonzero coefficients.  One element is
+        row 0, its keys the flat indices x_t and k.
 
         The coefficient of z^k is sum_t coeffs[t] prod_i binom(x_i, k_i),
         so the expansion contracts the support one exponent axis at a
@@ -394,7 +399,10 @@ class GroupAlgebra:
         nonzero and within the cutoff: the axes left only add weight.  So
         the block never holds more entries than the dense vector on the
         kept columns, one product per axis does the arithmetic, and a
-        support of a few terms keeps a few rows and columns."""
+        support of a few terms keeps a few rows and columns.  After the n
+        axes the block's rows are the elements' rows, which share the
+        columns: a batch's block has a row per element and a column per
+        monomial live in any of them."""
         p, pM, f = self.p, self.pM, coeffs.shape[1]
         ks = wt = np.zeros(1, dtype=np.int64)
         rows, block = idx, coeffs.astype(np.float64)[:, None]  # (rows, columns, f)
@@ -437,9 +445,11 @@ class GroupAlgebra:
             live = out.any(axis=(0, 2)) & (cand_wt <= cutoff)
             block = out.compress(live, axis=1)
             ks, wt = cand_ks[live], cand_wt[live]
-        c = (block.reshape(ks.size, f) % p).astype(np.int64)
+        # rows is now key // order, the row of each block row
+        c = (block.reshape(-1, f) % p).astype(np.int64)
         keep = np.flatnonzero(c.any(axis=1))
-        return ks[keep], wt[keep], c[keep]
+        r, col = np.divmod(keep, ks.size)
+        return rows[r] * self.order + ks[col], wt[col], c[keep]
 
     # -- weights and nu --------------------------------------------------------
 
@@ -465,8 +475,8 @@ class GroupAlgebra:
 
     def element_nu(self, idx: np.ndarray, coeffs: np.ndarray) -> int | None:
         """nu of the element sum_t coeffs[t] [idx[t]], read on its support
-        by support_expansion: the least weight of a monomial term, over
-        all f coordinates, as the coefficient field is free over F_p.
+        by support_expansion as row 0: the least weight of a monomial term,
+        over all f coordinates, as the coefficient field is free over F_p.
         None when no term lies below p^M, where the truncation stops
         being faithful."""
         _, weights, _ = self.support_expansion(idx, coeffs, self.pM - 1)

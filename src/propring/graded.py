@@ -41,8 +41,9 @@ from .gf import GF, gf, rref
 from .groups import Digits, GroupModel
 
 
-# word entries verify_transcript merges at a time, which bounds its
-# transients to a few MB however long the transcript
+# word entries verify_transcripts merges at a time, and entries of the
+# block of one row-keyed expansion (_expand), which bound their transients
+# to a few MB however long the transcripts
 _MERGE = 1 << 16
 # rows of the first block draw_row draws; a block with no accepted row
 # doubles the next, up to _DRAW_MAX rows
@@ -391,78 +392,206 @@ def tau_word(alg: GroupAlgebra, exps: Digits, N: int) -> list[tuple[int, int]]:
     return term_word(*tau_exponents(alg, exps, N))
 
 
+def _row_minima(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """The least of values on each row 0, ..., count - 1, rows ascending;
+    -1 on a row that has none."""
+    out = np.full(count, -1, dtype=np.int64)
+    if rows.size:
+        first = np.ones(rows.size, dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        out[rows[first]] = np.minimum.reduceat(values, first)
+    return out
+
+
+def _suffix_block(alg: GroupAlgebra, cutoff: int) -> int:
+    """The columns the last step of an expansion at the cutoff forms for
+    one row: one for every exponent of the first axis and every suffix
+    monomial (k_0 = 0, the first order / p^M flat indices) of weight up to
+    the cutoff, so p^M times their number."""
+    return alg.pM * int(np.count_nonzero(alg.nu_weight_array[:alg.order // alg.pM] <= cutoff))
+
+
+def _row_pairs(alg: GroupAlgebra, keys: np.ndarray, coeffs: np.ndarray, rows: int):
+    """Rows 0, ..., rows - 1 of a row-keyed support pair, keys ascending,
+    each as its own row-keyed pair."""
+    cut = np.searchsorted(keys, np.arange(rows + 1) * alg.order).tolist()
+    return ((keys[lo:hi], coeffs[lo:hi]) for lo, hi in zip(cut, cut[1:]))
+
+
+def _expand(alg: GroupAlgebra, pieces, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """support_expansion at the cutoff of row-keyed support pairs (keys
+    row order + index, coefficients over F_p), one row each, rows
+    ascending, joined into calls whose blocks stay within about _MERGE
+    entries.  The rows of a call share its columns; a row costs p^M per
+    term, which its first step spreads over the exponents present, and at
+    least _suffix_block, its last step.  A row over the budget goes
+    alone."""
+    floor = _suffix_block(alg, cutoff)
+    out, batch, cost = [], [], 0
+
+    def flush():
+        keys, coeffs = map(np.concatenate, zip(*batch))
+        out.append(alg.support_expansion(keys, coeffs[:, None], cutoff))
+
+    for keys, coeffs in pieces:
+        size = max(alg.pM * keys.size, floor)
+        if batch and cost + size > _MERGE:
+            flush()
+            batch, cost = [], 0
+        batch.append((keys, coeffs))
+        cost += size
+    flush()
+    return tuple(map(np.concatenate, zip(*out)))
+
+
+def _rewrite_rows(alg: GroupAlgebra, exps: list[Digits],
+                  N: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ContractViolation] | None]:
+    """The rewriting of the monomials exps, each of weight below p^M, as
+    rows 0, 1, ..., expanded by _expand: the monomial terms below p^M of
+    their words as one row-keyed pair (row order + k, coefficient), and
+    the first row that breaks the contract nu(tau(x)) = nu(x) and
+    tau(x) - x in m^(nu+1), with its ContractViolation, or None."""
+    order = alg.order
+    flats = np.array([alg.model.index_of(x) for x in exps], dtype=np.int64)
+    words = (alg.word_mul(tau_word(alg, x, N)) for x in exps)
+    keys, weights, c = _expand(alg, ((r * order + idx, coeffs)
+                                     for r, (idx, coeffs) in enumerate(words)), alg.pM - 1)
+    c = c[:, 0]
+    row = keys // order
+    w = alg.nu_weight_array[flats]
+    # the terms up to weight nu'(x) are x alone, of coefficient 1: its
+    # weight is kept and nothing else remains at it
+    low = weights <= w[row]
+    units = np.arange(len(exps)) * order + flats
+    if keys[low].size == len(exps) and (keys[low] == units).all() and (c[low] == 1).all():
+        return keys, c, None
+    for r, x in enumerate(exps):
+        mine = row == r
+        if keys[mine & low].tolist() != [units[r]] or c[mine & low].tolist() != [1]:
+            if weights[mine].min(initial=w[r] + 1) != w[r]:
+                return keys, c, (r, ContractViolation(f"rewriting changed the weight of {x}", x))
+            return keys, c, (r, ContractViolation(f"rewriting perturbed {x} at its own weight", x))
+    return keys, c, None
+
+
 def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Monomial support pair below p^M of the monomial under the rewriting:
     all chunk factors (multiples of p^N) in basis order, then all
     remainders in basis order.  Verifies the contract nu(tau(x)) = nu(x)
     and tau(x) - x in m^(nu+1), raising ContractViolation with x as
-    witness when it breaks."""
+    witness when it breaks.  A batch of one of the rewriting that
+    iterate_taus makes for a whole pass."""
     exps = alg.model.check_digits(exps)
-    w, flat = alg.nu_prime(exps), alg.model.index_of(exps)
+    w = alg.nu_prime(exps)
     if w >= alg.pM:
         raise CutoffBeyondFaithful(f"weight {w} of {exps} reaches the unfaithful range")
-    idx, coeffs = alg.word_mul(tau_word(alg, exps, N))
-    ks, weights, c = alg.support_expansion(idx, coeffs[:, None], alg.pM - 1)
-    if not ks.size or weights.min() != w:
-        raise ContractViolation(f"rewriting changed the weight of {exps}", exps)
-    # less the unit vector at x, nothing may remain at weight w
-    at_w = weights == w
-    if ks[at_w].tolist() != [flat] or c[at_w, 0].tolist() != [1]:
-        raise ContractViolation(f"rewriting perturbed {exps} at its own weight", exps)
-    return ks, c[:, 0]
+    ks, c, broken = _rewrite_rows(alg, [exps], N)
+    if broken:
+        raise broken[1]
+    return ks, c
 
 
-def iterate_tau(alg: GroupAlgebra, exps: Digits, N: int, cutoff: int) -> TauTranscript:
-    """Rewrite the monomial and keep rewriting every surviving lowest-weight
-    monomial until no term below p^M is left or the least one lies beyond
-    the cutoff.  The minimal weight must rise strictly with every pass.
-    The residual is a monomial support pair, as tau_rewrite returns them,
-    merged by collect."""
-    exps = alg.model.check_digits(exps)
-    nu_w = alg.nu_weight_array
-    idx, coeffs = np.array([alg.model.index_of(exps)]), np.ones(1, dtype=np.int64)
-    terms: list[TauTerm] = []
-    passes = 0
-    while True:
-        w0 = int(nu_w[idx].min()) if idx.size else None
-        if w0 is None or w0 > cutoff:
+def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
+                 cutoff: int) -> tuple[list[TauTranscript], ContractViolation | None]:
+    """Rewrite each start monomial and keep rewriting every surviving
+    lowest-weight monomial until no term below p^M is left or the least
+    one lies beyond the cutoff.  The minimal weight must rise strictly
+    with every pass.  Each residual is a monomial support pair, as
+    tau_rewrite returns them, merged by collect.
+
+    All transcripts run in lockstep: the residuals are one support pair
+    keyed by transcript order + index, and a pass rewrites the
+    lowest-weight monomials of every transcript as the rows of one
+    _rewrite_rows and merges them by one collect.  Returns the transcripts
+    of the starts before the first whose rewriting breaks, and that
+    break, or None: what rewriting the starts one after another gives
+    before it raises.  So a transcript that breaks drops those after it,
+    and one before it may still break at a later pass.  One monomial is a
+    batch of one."""
+    if cutoff >= alg.pM:  # the rewriting reads its contract below p^M only
+        raise CutoffBeyondFaithful(f"cutoff {cutoff} reaches the unfaithful range")
+    starts = [alg.model.check_digits(x) for x in starts]
+    order, nu_w, q = alg.order, alg.nu_weight_array, alg.p**N
+    err = None
+    keys = np.array([t * order + alg.model.index_of(x) for t, x in enumerate(starts)],
+                    dtype=np.int64)
+    coeffs = np.ones(keys.size, dtype=np.int64)
+    terms: list[list[TauTerm]] = [[] for _ in starts]
+    residual: list[int | None] = [None] * len(starts)
+    passes = np.zeros(len(starts), dtype=np.int64)
+    rewrote = np.full(len(starts), -1)  # the weight of each transcript's last pass
+    while keys.size:
+        t = keys // order
+        w = nu_w[keys - t * order]
+        w0 = _row_minima(t, w, len(starts))  # -1 where nothing is left
+        stuck = np.flatnonzero((w0 >= 0) & (w0 <= rewrote))
+        if stuck.size:  # the last pass did not raise the least weight
+            last = int(stuck[0])
+            err = ContractViolation(f"pass {passes[last] - 1} on {starts[last]} failed to raise "
+                                    f"the weight past {rewrote[last]}", starts[last])
+            keep = t < last
+            keys, coeffs, t, w = keys[keep], coeffs[keep], t[keep], w[keep]
+            starts, w0 = starts[:last], w0[:last]
+        for tt in np.flatnonzero(w0 > cutoff).tolist():
+            residual[tt] = int(w0[tt])
+        least = w0[t]
+        level = np.flatnonzero((w == least) & (least <= cutoff))
+        if not level.size:
             break
-        parts = [(idx, coeffs)]
-        level = nu_w[idx] == w0
-        for flat, coeff in zip(idx[level].tolist(), coeffs[level].tolist()):
-            k = alg.model.digits_of(flat)
-            chunk, frac = tau_exponents(alg, k, N)
-            cw = alg.nu_prime(chunk) // (alg.p**N)
-            terms.append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=k,
-                                 src_weight=w0, chunk_weight=cw))
-            ks, c = tau_rewrite(alg, k, N)
-            parts.append((ks, -coeff * c))
-        idx, coeffs = alg.collect(*map(np.concatenate, zip(*parts)))
-        if idx.size and int(nu_w[idx].min()) <= w0:
-            raise ContractViolation(
-                f"pass {passes} on {exps} failed to raise the weight past {w0}", exps)
-        passes += 1
-    return TauTranscript(start=exps, N=N, cutoff=cutoff, terms=terms,
-                         residual_weight=w0, passes=passes)
+        src_t, level_c = t[level], coeffs[level]
+        exps = [alg.model.digits_of(flat) for flat in (keys[level] - src_t * order).tolist()]
+        for tt, x, coeff in zip(src_t.tolist(), exps, level_c.tolist()):
+            chunk, frac = tau_exponents(alg, x, N)
+            terms[tt].append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=x,
+                                     src_weight=int(w0[tt]),
+                                     chunk_weight=alg.nu_prime(chunk) // q))
+        ks, c, broken = _rewrite_rows(alg, exps, N)
+        keep = least <= cutoff
+        if broken:  # rows ascend with the transcript, then the index
+            row, err = broken
+            starts = starts[:int(src_t[row])]
+            keep &= t < len(starts)
+            kept = src_t[ks // order] < len(starts)
+            ks, c = ks[kept], c[kept]
+        rt = ks // order  # the row, whose transcript is src_t[rt]
+        keys, coeffs = alg.collect(np.concatenate([keys[keep], ks + (src_t[rt] - rt) * order]),
+                                   np.concatenate([coeffs[keep], -level_c[rt] * c]))
+        rewrote = np.where(w0 <= cutoff, w0, -1)[:len(starts)]
+        passes = passes[:len(starts)] + (rewrote >= 0)
+    return [TauTranscript(start=x, N=N, cutoff=cutoff, terms=terms[t],
+                          residual_weight=residual[t], passes=int(passes[t]))
+            for t, x in enumerate(starts)], err
 
 
-def verify_transcript(alg: GroupAlgebra, tr: TauTranscript) -> bool:
+def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool]:
     """Build every emitted word again from its term's chunk and remainder,
-    and confirm the exact identity start = sum of terms + residual in group
-    coordinates, with the residual's nu (element_nu, read below p^M) the
-    transcript's residual weight and beyond the cutoff.  A word equal to
-    the one tau_word built reuses word_mul's memoized expansion, which is
+    and confirm for each transcript the exact identity start = sum of
+    terms + residual in group coordinates, with the residual's nu (read
+    below p^M, as element_nu does) the transcript's residual weight and
+    beyond the cutoff.  The residuals of all transcripts are one support
+    pair keyed by transcript order + index, merged by collect (_MERGE word
+    entries at a time) and read by _expand.  A word equal to the one
+    tau_word built reuses word_mul's memoized expansion, which is
     deterministic; a word that differs misses the memo."""
-    parts, pending = [alg.monomial_support(tr.start)], 0
-    for t in tr.terms:
-        idx, coeffs = alg.word_mul(term_word(t.chunk, t.frac))
-        parts.append((idx, -t.coeff * coeffs))
-        pending += idx.size
-        if pending > _MERGE:
-            parts, pending = [alg.collect(*map(np.concatenate, zip(*parts)))], 0
-    idx, coeffs = alg.collect(*map(np.concatenate, zip(*parts)))
-    v = alg.element_nu(idx, coeffs[:, None])
-    return v == tr.residual_weight and (v is None or v > tr.cutoff)
+    if not trs:
+        return []
+    order = alg.order
+    parts, pending = [], 0
+    for t, tr in enumerate(trs):
+        idx, coeffs = alg.monomial_support(tr.start)
+        parts.append((t * order + idx, coeffs))
+        for term in tr.terms:
+            idx, coeffs = alg.word_mul(term_word(term.chunk, term.frac))
+            parts.append((t * order + idx, -term.coeff * coeffs))
+            pending += idx.size
+            if pending > _MERGE:
+                parts, pending = [alg.collect(*map(np.concatenate, zip(*parts)))], 0
+    keys, coeffs = alg.collect(*map(np.concatenate, zip(*parts)))
+    keys, weights, _ = _expand(alg, _row_pairs(alg, keys, coeffs, len(trs)), alg.pM - 1)
+    lowest = _row_minima(keys // order, weights, len(trs)).tolist()
+    return [(None if v < 0 else v) == tr.residual_weight and (v < 0 or v > tr.cutoff)
+            for v, tr in zip(lowest, trs)]
 
 
 def chunk_weight_bound(alg: GroupAlgebra, src_weight: int, N: int) -> int:
@@ -496,6 +625,37 @@ def draw_row(rng: np.random.Generator, high: int, n: int, accept) -> Digits:
         size = min(2 * size, _DRAW_MAX)
 
 
+def _draw_rows(rng: np.random.Generator, count: int, high: int, n: int,
+               accept) -> tuple[list[Digits], list[dict]]:
+    """count rows from draw_row and the generator's state after each, so
+    that a caller that stops at row j can leave the generator where the
+    draws up to row j leave it."""
+    rows, states = [], []
+    for _ in range(count):
+        rows.append(draw_row(rng, high, n, accept))
+        states.append(rng.bit_generator.state)
+    return rows, states
+
+
+def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, verify: bool):
+    """(transcript, verified) for each start in order, the starts rewritten
+    in lockstep batches and each batch verified by verify_transcripts when
+    verify is set (True otherwise), with the rewriting's break raised
+    where rewriting one start after another raises it.  A caller that
+    stops early skips the batches after it.
+
+    A batch holds as many transcripts as _expand joins rows into one
+    expansion at p^M - 1: 15 at (5, 1, 2), 2 at (7, 1, 2), one from p = 11
+    and at depth 3.  Larger batches would lose word_mul's memo between the
+    rewriting and the re-expansion once their words pass its bound."""
+    size = max(1, _MERGE // _suffix_block(alg, alg.pM - 1))
+    for lo in range(0, len(starts), size):
+        trs, err = iterate_taus(alg, starts[lo:lo + size], N, cutoff)
+        yield from zip(trs, verify_transcripts(alg, trs) if verify else [True] * len(trs))
+        if err is not None:
+            raise err
+
+
 def _stack_rows(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
     """The (row, index, coefficient) arrays of GroupAlgebra.mul_rows holding
     the r-th support pair as row r."""
@@ -518,10 +678,16 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
 
     The first inclusion draws its subring monomials one row at a time
     (nearly every row is accepted) and reads their support pairs through
-    the monomial_support memo.  The second inclusion's monomials, whose
-    weight window accepts a few percent of the rows at most, come from
-    draw_row, which draws rows in blocks and leaves the generator as the
-    row-by-row loop does."""
+    the monomial_support memo; each row group of products from
+    GroupAlgebra.mul_rows is read at the window k p^N - 1 by
+    _expand, a few row-keyed expansions per group.  The second inclusion's
+    monomials, whose weight window accepts a few percent of the rows at
+    most, come from draw_row, which draws rows in blocks and leaves the
+    generator as the row-by-row loop does.  They are all drawn first, with
+    the generator's state kept after each, and rewritten in lockstep
+    batches (_transcripts); where the loop over one monomial at a time
+    stops or raises, at a transcript that fails or breaks, the generator
+    is put back to its state after that monomial's draw."""
     model = alg.model
     p, n, q = alg.p, alg.n, alg.p**N
     if model.M <= N:
@@ -558,13 +724,16 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
 
     first_checked = 0
     first_ok = True
-    for idx, c in alg.mul_rows(_stack_rows(us), _stack_rows(vs), samples):
-        first_checked += 1
-        # a monomial term below k p^N puts the product outside m^(k p^N)
-        if alg.support_expansion(idx, c[:, None], k * q - 1)[0].size:
+    for r, end, key, c in alg.mul_rows(_stack_rows(us), _stack_rows(vs), samples):
+        # a monomial term below k p^N puts a product outside m^(k p^N);
+        # the first such key is in the first product that has one
+        low = _expand(alg, _row_pairs(alg, key, c, end - r), k * q - 1)[0]
+        if low.size:
+            first_checked = r + int(low[0]) // alg.order + 1
             first_ok = False
             rng.bit_generator.state = states[first_checked - 1]
             break
+        first_checked = end
 
     second_ok = True
     transcripts = 0
@@ -577,24 +746,26 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
         wx = rows @ w
         return (k * q <= wx) & (wx <= hi)
 
-    for _ in range(mono_samples):
-        x = draw_row(rng, alg.pM, n, in_window)
-        tr = iterate_tau(alg, x, N, cutoff)
-        transcripts += 1
-        if not verify_transcript(alg, tr):
-            second_ok = False
-            break
-        for t in tr.terms:
-            touched += 1
-            if t.chunk_weight < chunk_weight_bound(alg, t.src_weight, N):
-                second_ok = False
-            margin = t.chunk_weight - (k - 4 * model.f)
-            if margin < 0:
-                second_ok = False
-            if min_chunk_margin is None or margin < min_chunk_margin:
-                min_chunk_margin = margin
-        if not second_ok:
-            break
+    starts, after = _draw_rows(rng, mono_samples, alg.pM, n, in_window)
+    try:
+        for tr, verified in _transcripts(alg, starts, N, cutoff, verify=True):
+            transcripts += 1
+            second_ok = verified
+            for t in tr.terms if verified else ():
+                touched += 1
+                if t.chunk_weight < chunk_weight_bound(alg, t.src_weight, N):
+                    second_ok = False
+                margin = t.chunk_weight - (k - 4 * model.f)
+                if margin < 0:
+                    second_ok = False
+                if min_chunk_margin is None or margin < min_chunk_margin:
+                    min_chunk_margin = margin
+            if not second_ok:  # the transcript-at-a-time loop draws no more
+                rng.bit_generator.state = after[transcripts - 1]
+                break
+    except ContractViolation:  # a broken rewriting, raised after its start's draws
+        rng.bit_generator.state = after[transcripts]
+        raise
     return {
         "k": k, "N": N, "cutoff": cutoff,
         "first_inclusion": {"samples": first_checked, "ok": first_ok},
@@ -612,13 +783,18 @@ def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
     every monomial touched by full iterated runs up to the faithful bound.
     The start monomials, rows other than the identity of weight below p^M,
     come from draw_row, with the draws and the generator's final state of
-    the row-by-row loop."""
+    the row-by-row loop; they are rewritten in lockstep batches, and a
+    broken rewriting raises with the generator after its start's draw."""
     cutoff = alg.pM - 1
     w = np.array(alg.nu_weights)
-    checked = 0
-    for _ in range(samples):
-        x = draw_row(rng, alg.pM, alg.n,
-                     lambda rows: rows.any(axis=1) & (rows @ w <= cutoff))
-        tr = iterate_tau(alg, x, N, cutoff)  # rewrites verify per call
-        checked += len(tr.terms)
+    starts, after = _draw_rows(rng, samples, alg.pM, alg.n,
+                               lambda rows: rows.any(axis=1) & (rows @ w <= cutoff))
+    checked = done = 0
+    try:
+        for tr, _ in _transcripts(alg, starts, N, cutoff, verify=False):  # the rewrites verify
+            checked += len(tr.terms)
+            done += 1
+    except ContractViolation:  # a broken rewriting, raised after its start's draws
+        rng.bit_generator.state = after[done]
+        raise
     return {"N": N, "monomials_checked": checked, "ok": True}

@@ -25,7 +25,6 @@ from propring.graded import (
     default_ideals,
     hilbert_dims,
     hilbert_oracle,
-    iterate_tau,
 )
 from propring.groups import group_model, quaternion_commutator_congruence
 from propring.jsonio import to_jsonable
@@ -38,6 +37,7 @@ from propring.modules import (
 )
 from propring.padic import zq_ring
 import module_oracle
+from batch_of_one import iterate_tau
 from span_oracle import primal_ideal_power_spans
 import tau_oracle
 from transform_oracle import of_group

@@ -137,8 +137,13 @@ def test_mul_rows_matches_oracles(pfm, case, monkeypatch):
     assert max(pairs) <= 1000 < sum(pairs)  # one group cannot take the batch
     assert np.count_nonzero(big[0]) * np.count_nonzero(big[1]) > 2 * 1000
     for batch in batches:
-        got = list(alg.mul_rows(rows_of(alg, [a for a, _ in batch]),
-                                rows_of(alg, [b for _, b in batch]), len(batch)))
+        got = []  # the groups' row-keyed products, row by row
+        for r, end, key, acc in alg.mul_rows(rows_of(alg, [a for a, _ in batch]),
+                                             rows_of(alg, [b for _, b in batch]), len(batch)):
+            assert r == len(got) and (key.size == 0 or key[-1] < (end - r) * alg.order)
+            cut = np.searchsorted(key, np.arange(end - r + 1) * alg.order)
+            got += [(key[lo:hi] - j * alg.order, acc[lo:hi])
+                    for j, (lo, hi) in enumerate(zip(cut, cut[1:]))]
         assert len(got) == len(batch)
         for (idx, coeffs), (a, b) in zip(got, batch):
             want = power_oracle.mul(alg, a, b)

@@ -117,6 +117,19 @@ def test_parse_scenario_rejects_non_integer_params():
         parse_scenario(dict(TINY, checks=[{"check": "sandwich", "param": {"N": 1}}]))
 
 
+def test_quaternion_commutator_level_is_bounded():
+    # a level whose p-adic arithmetic would run for minutes is refused by
+    # the registry's bound, before the check runs; the bound itself parses
+    quat = dict(TINY, config=dict(TINY["config"], case="QUAT"))
+    for level, ok in ((256, True), (257, False), (100_000, False)):
+        data = dict(quat, checks=[{"check": "quaternion-commutator", "params": {"level": level}}])
+        if ok:
+            assert parse_scenario(data)[3][0][2] == {"level": level}
+        else:
+            with pytest.raises(ConfigError, match=r"'quaternion-commutator' needs 2 <= level <= 256"):
+                parse_scenario(data)
+
+
 SHIPPED = sorted((ROOT / "scenarios").glob("*.json")) + [
     ROOT / "bench" / "data" / "verify-gl2.json",
     ROOT / "bench" / "data" / "verify-quat.json",

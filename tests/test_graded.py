@@ -9,7 +9,7 @@ import pytest
 from propring import algebra, checks, graded
 from propring.algebra import GroupAlgebra, group_algebra
 from propring.config import PrimeConfig
-from propring.errors import CutoffBeyondFaithful, NonHomogeneousInput
+from propring.errors import ContractViolation, CutoffBeyondFaithful, NonHomogeneousInput
 from propring.gf import gf, residue
 from propring.groups import GL2Model, QuatModel
 from propring.graded import (
@@ -26,16 +26,17 @@ from propring.graded import (
     hilbert_dims,
     hilbert_oracle,
     ideal_spec,
-    iterate_tau,
     tau_rewrite,
+    tau_word,
     TauTranscript,
-    verify_transcript,
 )
 import graded_oracle
+from batch_of_one import iterate_tau, verify_transcript
 import monomial_oracle
 import power_oracle
 import sandwich_oracle
 import tau_oracle
+import transcript_oracle
 from graded_oracle import DenseGradedRing
 from span_oracle import primal_ideal_power_spans
 from transform_oracle import of_support
@@ -251,12 +252,12 @@ def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
     # the batched first inclusion, in groups of 2000 pairs at most, against
     # one sample at a time: the same products read in the same order, the
     # same report and the generator in the same state after the second
-    # inclusion.  The library reads each product by support_expansion at
-    # the window k p^N - 1 = 9, the oracle by the dense nu; at call fail_at
-    # each answers with a term below k p^N, and both stop at that sample
+    # inclusion.  The library reads each row group of products by one
+    # row-keyed support_expansion at the window k p^N - 1 = 9, the oracle
+    # each product by the dense nu; at product fail_at each answers with a
+    # term below k p^N, and both stop at that sample
     monkeypatch.setattr(algebra, "_PAIR_CHUNK", 2000)
     real_nu, real_expansion = alg.nu, alg.support_expansion
-    one = np.zeros(1, dtype=np.int64), np.ones((1, 1), dtype=np.int64)  # [1], of weight 0
     runs = []
     for batched in (True, False):
         seen = []
@@ -268,10 +269,18 @@ def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
         def nu(a):
             return 0 if failing(a) else real_nu(a)
 
-        def support_expansion(idx, coeffs, cutoff):
-            if cutoff == 2 * 5 - 1 and failing(of_support(alg, (idx, coeffs[:, 0]))):
-                idx, coeffs = one
-            return real_expansion(idx, coeffs, cutoff)
+        def support_expansion(keys, coeffs, cutoff):
+            # the group's products row by row, keys row order + index, up
+            # to the first that fails, whose row becomes [1], of weight 0
+            if cutoff == 2 * 5 - 1 and keys.size:
+                rows = keys // alg.order
+                for r in range(int(rows[-1]) + 1):
+                    mine = rows == r
+                    if failing(of_support(alg, (keys[mine] - r * alg.order, coeffs[mine, 0]))):
+                        keys = np.concatenate([keys[rows < r], [r * alg.order], keys[rows > r]])
+                        coeffs = np.concatenate([coeffs[rows < r], [[1]], coeffs[rows > r]])
+                        break
+            return real_expansion(keys, coeffs, cutoff)
 
         monkeypatch.setattr(alg, "nu", nu)
         monkeypatch.setattr(alg, "support_expansion", support_expansion)
@@ -346,13 +355,13 @@ def _record_draws(monkeypatch):
     list returned collects the monomials they draw."""
     drawn = []
 
-    def iterate_tau(alg, x, N, cutoff):
-        drawn.append(x)
-        return TauTranscript(start=x, N=N, cutoff=cutoff, terms=[], residual_weight=None,
-                             passes=0)
+    def iterate_taus(alg, starts, N, cutoff):
+        drawn.extend(starts)
+        return [TauTranscript(start=x, N=N, cutoff=cutoff, terms=[], residual_weight=None,
+                              passes=0) for x in starts], None
 
-    monkeypatch.setattr(graded, "iterate_tau", iterate_tau)
-    monkeypatch.setattr(graded, "verify_transcript", lambda alg, tr: True)
+    monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
+    monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [True] * len(trs))
     return drawn
 
 
@@ -426,6 +435,125 @@ def test_transcripts_at_depth_3_stay_below_one_vector():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 8 * alg.order, peak
+
+
+def _window_starts(alg, k, rng, count):
+    """count start monomials of the second inclusion at index k, N = 1."""
+    return [sandwich_oracle.window_monomial(alg, k, 1, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_lockstep_matches_per_transcript_oracle(pfm, case):
+    # 30 transcripts per k in one lockstep batch, against the rewriting of
+    # one monomial at a time: the same transcripts and verdicts; then the
+    # checks in their lockstep batches (15 transcripts at (5, 1, 2), 2 at
+    # (7, 1, 2)) against the loops that draw and rewrite one at a time:
+    # the same reports and the generator in the same state
+    alg = group_algebra(PrimeConfig(*pfm, case, N=1))
+    cutoff = alg.pM - 1
+    multi = 0
+    for k in (1, 2, 3):
+        starts = _window_starts(alg, k, np.random.default_rng(k), 30)
+        trs, err = graded.iterate_taus(alg, starts, 1, cutoff)
+        want = [transcript_oracle.iterate_tau(alg, x, 1, cutoff) for x in starts]
+        assert err is None and trs == want
+        assert graded.verify_transcripts(alg, trs) == [
+            transcript_oracle.verify_transcript(alg, tr) for tr in want] == [True] * 30
+        multi += sum(tr.passes > 1 for tr in trs)
+        rng, seq = np.random.default_rng(10 + k), np.random.default_rng(10 + k)
+        res = check_sandwich(alg, k, 1, rng, samples=0, mono_samples=30)
+        assert res["second_inclusion"] == transcript_oracle.second_inclusion(alg, k, 1, seq, 30)
+        assert rng.bit_generator.state == seq.bit_generator.state
+    assert multi > 0
+    rng, seq = np.random.default_rng(4), np.random.default_rng(4)
+    assert check_tau_contract(alg, 1, rng, 30) == transcript_oracle.tau_contract(alg, 1, seq, 30)
+    assert rng.bit_generator.state == seq.bit_generator.state
+
+
+def _first_passes(alg, trs):
+    """{monomial: (transcript, pass)} of the first rewrite of each monomial
+    in the order of one transcript after another; a transcript's passes
+    are its terms' distinct source weights in order."""
+    first = {}
+    for t, tr in enumerate(trs):
+        weights = sorted({term.src_weight for term in tr.terms})
+        for term in tr.terms:
+            first.setdefault(term.src, (t, weights.index(term.src_weight)))
+    return first
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeypatch):
+    # two broken words, planted through word_mul: one first rewritten at
+    # pass P >= 1 of transcript T (its coefficients doubled, so the
+    # rewriting perturbs it), and one first rewritten by a later
+    # transcript T2 at an earlier pass (its support emptied, so the
+    # rewriting changes its weight).  The lockstep reaches T2's break
+    # first; like the loop over one transcript at a time it must raise
+    # T's, return T's predecessors, and leave the generator after T's draw
+    alg = group_algebra(PrimeConfig(*pfm, case, N=1))
+    cutoff, k = alg.pM - 1, 2
+    starts = _window_starts(alg, k, np.random.default_rng(31), 30)
+    clean = [transcript_oracle.iterate_tau(alg, x, 1, cutoff) for x in starts]
+    first = _first_passes(alg, clean)
+    late = min((tp, x) for x, tp in first.items() if tp[1] >= 1)
+    (T, P), x = late
+    early = min((tp, y) for y, tp in first.items() if tp[0] > T and tp[1] < P)
+    (T2, P2), y = early
+    broken = {tuple(tau_word(alg, x, 1)): "double", tuple(tau_word(alg, y, 1)): "empty"}
+    real = alg.word_mul
+
+    def word_mul(word):
+        idx, coeffs = real(word)
+        how = broken.get(tuple(word))
+        if how == "double":
+            return idx, 2 * coeffs % alg.p
+        if how == "empty":
+            return idx[:0], coeffs[:0]
+        return idx, coeffs
+
+    monkeypatch.setattr(alg, "word_mul", word_mul)
+    trs, err = graded.iterate_taus(alg, starts, 1, cutoff)
+    with pytest.raises(ContractViolation) as want:
+        [transcript_oracle.iterate_tau(alg, s, 1, cutoff) for s in starts]
+    assert str(err) == str(want.value) == f"rewriting perturbed {x} at its own weight"
+    assert err.witness == want.value.witness == x
+    assert trs == clean[:T]
+    rng, seq = np.random.default_rng(31), np.random.default_rng(31)
+    with pytest.raises(ContractViolation) as got:
+        check_sandwich(alg, k, 1, rng, samples=0, mono_samples=30)
+    with pytest.raises(ContractViolation) as want:
+        transcript_oracle.second_inclusion(alg, k, 1, seq, 30)
+    assert str(got.value) == str(want.value) and got.value.witness == want.value.witness == x
+    assert rng.bit_generator.state == seq.bit_generator.state
+    # with T's word mended, T2's break is the first
+    del broken[tuple(tau_word(alg, x, 1))]
+    trs, err = graded.iterate_taus(alg, starts, 1, cutoff)
+    assert str(err) == f"rewriting changed the weight of {y}" and trs == clean[:T2]
+
+
+def test_lockstep_batch_at_depth_3_stays_below_one_vector():
+    # QUAT (5, 1, 3): the 20 start monomials of the CI's tau-contract
+    # scenario rewritten as one lockstep batch hold support pairs only, so
+    # the traced peak stays below one float64 vector of the group's order.
+    # The tables and the weight array are built first, once per algebra
+    alg = group_algebra(PrimeConfig(5, 1, 3, "QUAT", N=1))
+    for i in range(alg.n):
+        alg.model.right_mul_table(alg.model.generator(i))
+    alg.nu_weight_array
+    w = np.array(alg.nu_weights)
+    starts, _ = graded._draw_rows(checks.sub_rng(7, "tau-contract"), 20, alg.pM, alg.n,
+                                  lambda rows: rows.any(axis=1) & (rows @ w <= alg.pM - 1))
+    tracemalloc.start()
+    try:
+        trs, err = graded.iterate_taus(alg, starts, 1, alg.pM - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err is None and len(trs) == 20
     assert peak < 8 * alg.order, peak
 
 
