@@ -411,9 +411,29 @@ def matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     return out
 
 
-def mat_inverse(a: np.ndarray, field: GF) -> np.ndarray:
-    """Inverse of a square matrix over F_q; raises ValueError if singular."""
+def mat_inverse(a: np.ndarray, field: GF):
+    """Inverse of a square matrix over F_q; raises ValueError if singular.
+
+    A stack of matrices (B, n, n) returns (inverses, invertible): the
+    inverse of every member, zero for a singular one, and the mask of the
+    invertible members.  Over F_p a stack of B > 1 whose n x 2n systems
+    stay below PANEL_CELLS entries is eliminated at once (_invert_stack);
+    any other stack goes member by member through rref, as does a single
+    matrix: a large system takes its panels, and an extension field its
+    table lookups."""
     a = np.asarray(a, dtype=np.int16)
+    if a.ndim == 3:
+        n = a.shape[-1]
+        if a.shape[0] > 1 and field.f == 1 and 2 * n * n < PANEL_CELLS:
+            return _invert_stack(a, field)
+        out, ok = np.zeros_like(a), np.zeros(a.shape[0], dtype=bool)
+        for b, m in enumerate(a):
+            try:
+                out[b] = mat_inverse(m, field)
+                ok[b] = True
+            except ValueError:
+                pass
+        return out, ok
     n = a.shape[0]
     aug = np.zeros((n, 2 * n), dtype=np.int16)
     aug[:, :n] = a
@@ -422,3 +442,52 @@ def mat_inverse(a: np.ndarray, field: GF) -> np.ndarray:
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
     return red[:, n:].copy()
+
+
+def _invert_stack(a: np.ndarray, field: GF) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan on the systems [A | I] of a prime-field stack (B, n,
+    n), every member in the same numpy calls.  Column c takes in each
+    member its first row at or below c that is nonzero there as the pivot
+    row, swaps it into row c and clears the column by _eliminate's
+    rank-one update, with the same lazy reduction mod p.  A member with no
+    such row is singular: its inverse of the pivot entry is 0, so its
+    update zeroes the pivot row and leaves the rest, and it is masked out.
+    On the invertible members the right half ends as the inverse, which is
+    unique, so it is byte for byte what rref makes of each system."""
+    p = field.p
+    nb, n, _ = a.shape
+    aug = np.zeros((nb, n, 2 * n), dtype=np.int16 if (p - 1) ** 2 < 2**15 else np.int32)
+    aug[:, :, :n] = a
+    aug[:, np.arange(n), n + np.arange(n)] = 1
+    ok = np.ones(nb, dtype=bool)
+    members = np.arange(nb)
+    room = 2 ** (8 * aug.itemsize - 1) // (p - 1) ** 2  # updates between reductions
+    steps = 0
+    for c in range(n):
+        factors = aug[:, :, c] % p
+        nz = factors[:, c:] != 0
+        ok &= nz.any(axis=1)
+        i = c + nz.argmax(axis=1)
+        if (i != c).any():
+            row = aug[members, i]
+            aug[members, i] = aug[:, c]
+            aug[:, c] = row
+            fi = factors[members, i]
+            factors[members, i] = factors[:, c]
+            factors[:, c] = fi
+        block = aug[:, :, c:]
+        pivot = block[:, c] % p
+        s = field.inv[factors[:, c]].astype(aug.dtype)
+        factors *= s[:, None]
+        factors %= p
+        factors[:, c] = (1 - s) % p
+        block -= factors[:, :, None] * pivot[:, None, :]
+        steps += 1
+        if steps == room:
+            _mod(block, p)
+            steps = 0
+    out = aug[:, :, n:]
+    _mod(out, p)
+    out = out.astype(np.int16)
+    out[~ok] = 0
+    return out, ok

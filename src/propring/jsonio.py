@@ -194,6 +194,15 @@ def _int_matrix(g, dim: int) -> np.ndarray | None:
     return m
 
 
+# the largest truncation level a module file may give.  Its relation check
+# runs over the (3fM)(3fM - 1)/2 pc relations of the group model at that
+# level, built first, whose cost grows faster than the level: a dim-1 module
+# at level 8 loaded in 0.3-0.5 CPU s at f = 1 (p = 5 and 13, both cases)
+# and 2.1 s for QUAT at f = 2; past it QUAT f = 1 took 2.4 s at level 16 and
+# 32 s at 32, and GL2 6 s at 64 (2 vCPUs, one BLAS thread)
+MODULE_LEVEL_MAX = 8
+
+
 def module_from_json(d: dict, case: str | None = None):
     from .modules import build_module
 
@@ -202,11 +211,15 @@ def module_from_json(d: dict, case: str | None = None):
     fld = d.get("field")
     if not isinstance(fld, dict):
         raise ConfigError("module needs a field header {p, f}")
+    level = json_int(d.get("level", 1), "level")
+    if level > MODULE_LEVEL_MAX:
+        raise ConfigError(f"module level {level} is above {MODULE_LEVEL_MAX}: the relation "
+                          f"check's cost grows faster than the level")
     try:
         cfg = PrimeConfig(
             p=json_int(fld["p"], "field.p"),
             f=json_int(fld["f"], "field.f"),
-            M=json_int(d.get("level", 1), "level"),
+            M=level,
             case=case or str(d.get("case", "GL2")),
         )
         field = gf(cfg.p, cfg.f)

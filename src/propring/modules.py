@@ -511,7 +511,10 @@ def min_annihilator_exponent(gm: GradedModule, spec: IdealSpec) -> AnnihilatorRe
     chain, pivots, bound = gm.chain, gm.pivots, gm.module.dim + 1
     npieces = len(chain) - 1
     # the rows of R_j off the tail's pivots vanish at them: R_j mod R_(j+1)
-    pieces = [chain[j][np.isin(pivots[j], pivots[j + 1], invert=True)] for j in range(npieces)]
+    pieces = []
+    for j in range(npieces):
+        tail = set(pivots[j + 1])
+        pieces.append(chain[j][[t for t, c in enumerate(pivots[j]) if c not in tail]])
     history = [sum(b.shape[0] for b in pieces)]
     ell = 0
     while history[-1] > 0:
@@ -598,22 +601,32 @@ def _central_order_p_twist(mod: FiniteModule):
     return FiniteModule(cfg, mod.dim, tuple(mats), f"twist({mod.provenance})")
 
 
-def _conjugate_dual(mod: FiniteModule, dual: FiniteModule, rng) -> FiniteModule:
-    """The dual of mod conjugated by a random basis change T, read off
-    dual = dualize(mod) with the one inverse of T:
-    dual(T rho T^-1) = S rho* S^-1 for S = (T^-1)^T and S^-1 = T^T."""
+def _basis_changes(field: GF, dim: int, rng, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """count random invertible dim x dim matrices T with their inverses:
+    the first count invertible draws of one rng.integers call each, the
+    stream of a loop that draws until T inverts.  Every round draws the
+    shortfall, one matrix per call, and inverts the round as one stack, so
+    no draw is made past the count-th invertible one."""
+    out = []
+    while len(out) < count:
+        draws = np.stack([rng.integers(0, field.q, size=(dim, dim)).astype(np.int16)
+                          for _ in range(count - len(out))])
+        inv, ok = gflib.mat_inverse(draws, field)
+        out.extend(zip(draws[ok], inv[ok]))
+    return out
+
+
+def _conjugate_dual(mod: FiniteModule, dual_res: FiniteModule, t: np.ndarray,
+                    tinv: np.ndarray) -> FiniteModule:
+    """The dual of mod conjugated by the basis change T, at the level N of
+    dual_res = dualize(mod).restrict(N), whose matrices are the A_i =
+    rho*(g_i)^(p^N): dual(T rho T^-1) = S rho* S^-1 for S = (T^-1)^T and
+    S^-1 = T^T, and (S A S^-1)^q = S A^q S^-1, so the S A_i S^-1 are its
+    restriction data, exactly."""
     field = mod.field
-    while True:
-        t = rng.integers(0, field.q, size=(mod.dim, mod.dim)).astype(np.int16)
-        try:
-            tinv = gflib.mat_inverse(t, field)
-            break
-        except ValueError:
-            continue
-    mats = tuple(
-        gflib.matmul(tinv.T, gflib.matmul(g, t.T, field), field) for g in dual.gen_action
-    )
-    return FiniteModule(mod.cfg, mod.dim, mats, f"dual(conj({mod.provenance}))")
+    mats = tuple(gflib.matmul(tinv.T, gflib.matmul(g, t.T, field), field)
+                 for g in dual_res.gen_action)
+    return FiniteModule(mod.cfg, mod.dim, mats, f"dual(conj({mod.provenance}))", dual_res.level)
 
 
 def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
@@ -623,30 +636,52 @@ def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
     three ways: the full-action path against the restriction-only path,
     invariance under random basis changes, and invariance under a twist
     that changes a generator matrix while fixing every restriction matrix.
-    What does not depend on the ideal is built once; the basis changes are
-    drawn per ideal, in order."""
+
+    Built once per module: the dual, its level-N matrices A_i and their
+    "res" grading; the level-N data of the restriction-only path,
+    dualize(mod.restrict(N)), and of the twist's dual; and all
+    basis_changes x len(specs) basis changes, drawn as the per-ideal loop
+    draws them and inverted as one stack (_basis_changes).  Per basis
+    change: the conjugate S A_i S^-1, built at level N, its grading and
+    its exponent searches.
+
+    The "res" grading and every search on it read nothing but the level-N
+    matrices, and both are deterministic.  So a path whose level-N
+    matrices equal the A_i byte for byte has the chain and the exponents
+    of the dual's, and it reuses them: the comparison is exact, and what
+    it skips would recompute the same bytes from the same input.  A path
+    that differs in any byte is graded and searched on its own."""
     field = mod.field
     dual = dualize(mod)
     gdual = grade(dual, "res", N)
+    dual_res = gdual.module
+
+    def graded(path: FiniteModule) -> GradedModule:
+        same = all(map(np.array_equal, path.restrict(N).gen_action, dual_res.gen_action))
+        return gdual if same else grade(path, "res", N)
+
     restricted = mod.restrict(N)
-    gm = grade(dualize(restricted), "res", N)
+    gm = graded(dualize(restricted))
     twisted = _central_order_p_twist(mod)
-    same_restriction = True
+    same_restriction, gtwisted = True, gdual  # with no twist, nothing to compare
     if twisted is not None:
         check_multiplicative(twisted)
         same_restriction = all(map(np.array_equal, twisted.restrict(N).gen_action,
                                    restricted.gen_action))
-        gtwisted = grade(dualize(twisted), "res", N)
+        gtwisted = graded(dualize(twisted))
+    changes = iter(_basis_changes(field, mod.dim, rng, basis_changes * len(specs)))
     out = []
     for spec in specs:
         specN = build_JN(spec, N, field)
         ell_full = min_annihilator_exponent(gdual, specN).ell
-        ell_restricted = min_annihilator_exponent(gm, specN).ell
+        ell_restricted = (ell_full if gm is gdual
+                          else min_annihilator_exponent(gm, specN).ell)
         conj_ells = [
-            min_annihilator_exponent(grade(_conjugate_dual(mod, dual, rng), "res", N), specN).ell
+            min_annihilator_exponent(
+                grade(_conjugate_dual(mod, dual_res, *next(changes)), "res", N), specN).ell
             for _ in range(basis_changes)
         ]
-        ell_twisted = (ell_full if twisted is None
+        ell_twisted = (ell_full if gtwisted is gdual
                        else min_annihilator_exponent(gtwisted, specN).ell)
         ok = (
             ell_restricted == ell_full

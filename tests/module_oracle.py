@@ -31,8 +31,16 @@ product mod p, where gf.matmul sums in float64 through BLAS.  The first two
 multiply through the oracle matmul and every oracle here row-reduces
 through rref_oracle's table loop, so all three share with the library only
 the field tables.
-conjugate draws T as modules._conjugate_dual does and returns T rho T^-1,
-whose dualize is what _conjugate_dual reads off the dual with one inverse.
+basis_change draws one T at a time until a draw inverts, where
+modules._basis_changes draws every basis change of a module before its
+searches and inverts them as one stack; conjugate returns T rho T^-1, whose
+dualize conjugate_dual reads off the dual with one inverse at level 0,
+where modules._conjugate_dual conjugates the dual's level-N matrices.
+restriction_determinism is the check as it was before: one loop per ideal
+that grades and searches every path on its own and draws each basis
+change inside it, where modules.restriction_determinism reuses the dual's
+grading and exponents for a path whose level-N matrices are the dual's,
+byte for byte.
 rref_insert re-reduces the whole stack, where gf.rref_insert reduces only
 the new rows; residue reduces one row at a time, one pivot at a time, where
 gf.residue takes one product for the whole stack.  stable_closure maps the
@@ -57,6 +65,7 @@ from propring import gf as gflib
 from propring import modules
 from propring.algebra import group_algebra
 from propring.errors import BoundExceeded, ConfigError, RelationCheckFailed
+from propring.graded import build_JN
 from propring.groups import group_model
 from propring.modules import AnnihilatorReport, FiniteModule, GradedModule, ideal_operator_lifts
 
@@ -249,18 +258,71 @@ def grade_res_from_restriction(mod, N):
     return GradedModule("res", N, chain, piv, restricted)
 
 
+def basis_change(field, dim, rng):
+    """One random invertible T with its inverse, drawn one matrix at a time
+    until a draw inverts."""
+    while True:
+        t = rng.integers(0, field.q, size=(dim, dim)).astype(np.int16)
+        try:
+            return t, mat_inverse(t, field)
+        except ValueError:
+            continue
+
+
 def conjugate(mod, rng):
     """mod conjugated by a random basis change T: T rho T^-1."""
     field = mod.field
-    while True:
-        t = rng.integers(0, field.q, size=(mod.dim, mod.dim)).astype(np.int16)
-        try:
-            tinv = mat_inverse(t, field)
-            break
-        except ValueError:
-            continue
+    t, tinv = basis_change(field, mod.dim, rng)
     mats = tuple(matmul(t, matmul(g, tinv, field), field) for g in mod.gen_action)
     return FiniteModule(mod.cfg, mod.dim, mats, f"conj({mod.provenance})")
+
+
+def conjugate_dual(mod, dual, rng):
+    """The dual of mod conjugated by one random basis change T, drawn as
+    basis_change draws it, read off dual = dualize(mod) at level 0 with the
+    one inverse of T: dual(T rho T^-1) = S rho* S^-1 for S = (T^-1)^T and
+    S^-1 = T^T; the level-N data is its restrict(N)."""
+    field = mod.field
+    t, tinv = basis_change(field, mod.dim, rng)
+    mats = tuple(gflib.matmul(tinv.T, gflib.matmul(g, t.T, field), field)
+                 for g in dual.gen_action)
+    return FiniteModule(mod.cfg, mod.dim, mats, f"dual(conj({mod.provenance}))")
+
+
+def restriction_determinism(mod, specs, N, rng, basis_changes):
+    """The check as one loop per ideal: every path graded and searched on
+    its own, the basis changes drawn one at a time inside the loop and
+    conjugated at level 0; the signature and the entries of
+    modules.restriction_determinism."""
+    field = mod.field
+    dual = modules.dualize(mod)
+    gdual = modules.grade(dual, "res", N)
+    restricted = mod.restrict(N)
+    gm = modules.grade(modules.dualize(restricted), "res", N)
+    twisted = modules._central_order_p_twist(mod)
+    same_restriction = True
+    if twisted is not None:
+        modules.check_multiplicative(twisted)
+        same_restriction = all(map(np.array_equal, twisted.restrict(N).gen_action,
+                                   restricted.gen_action))
+        gtwisted = modules.grade(modules.dualize(twisted), "res", N)
+    out = []
+    for spec in specs:
+        specN = build_JN(spec, N, field)
+        ell_full = modules.min_annihilator_exponent(gdual, specN).ell
+        ell_restricted = modules.min_annihilator_exponent(gm, specN).ell
+        conj_ells = [modules.min_annihilator_exponent(
+            modules.grade(conjugate_dual(mod, dual, rng), "res", N), specN).ell
+            for _ in range(basis_changes)]
+        ell_twisted = (ell_full if twisted is None
+                       else modules.min_annihilator_exponent(gtwisted, specN).ell)
+        ok = (ell_restricted == ell_full and all(e == ell_full for e in conj_ells)
+              and same_restriction and ell_twisted == ell_full)
+        out.append({"module": mod.provenance, "dim": mod.dim, "ideal": spec.name, "N": N,
+                    "exponent": ell_full, "restricted_path": ell_restricted,
+                    "basis_change_exponents": conj_ells, "twist_present": twisted is not None,
+                    "twist_exponent": ell_twisted, "ok": ok})
+    return out
 
 
 def dualize(mod):

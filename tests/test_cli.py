@@ -354,6 +354,9 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     bool_digit = write(tmp_path, "d.json", {**GL2, "digits": [True, 0, 0]})
     bool_level = write(tmp_path, "l.json", dict(module, field={"p": 5, "f": 1},
                                                 level=True))
+    # past jsonio.MODULE_LEVEL_MAX: level 128 ran past 10 s before the bound
+    deep_level = write(tmp_path, "e.json", dict(module, field={"p": 5, "f": 1}, dim=1,
+                                                level=128, generators=[[[1]]] * 3))
     bool_seed = write(tmp_path, "t.json", {
         "name": "bad", "seed": True,
         "config": {"p": 5, "f": 1, "M": 2, "N": 1, "case": "GL2"},
@@ -394,6 +397,7 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["nu", "--in", float_p], ["nu", "--in", str_p_bool_f],
                  ["nu", "--in", bool_digit],
                  ["module-exponent", "--in", bool_level], ["verify", bool_seed],
+                 ["module-exponent", "--in", deep_level],
                  ["module-exponent", "--in", good, "--ideal", str(torn_ideal)],
                  ["module-exponent", "--in", good, "--grading", "int", "--level-n", "5"],
                  ["decompose", "--in", gl2_outside], ["decompose", "--in", quat_outside],

@@ -342,3 +342,70 @@ def test_mat_inverse_at_depth_3_size():
     singular[400] = gflib.matmul(np.array([[2, 3]]), a[[17, 300]], field)[0]
     with pytest.raises(ValueError, match="singular"):
         gflib.mat_inverse(singular, field)
+
+
+def _stack_with_singular_members(field, nb, n, rng):
+    """nb random n x n matrices over field, one of them zero and one with
+    a row repeated, so at least two are singular."""
+    a = rng.integers(0, field.q, (nb, n, n)).astype(np.int16)
+    a[1] = 0
+    if n > 1:
+        a[nb - 2, -1] = a[nb - 2, 0]
+    return a
+
+
+def _same_as_each_member(stack, field, want_inverse):
+    """mat_inverse of the stack against want_inverse of each member: the
+    same inverse bytes, zero for a singular member, and the mask."""
+    inv, ok = gflib.mat_inverse(stack, field)
+    assert inv.dtype == np.int16 and inv.shape == stack.shape and ok.dtype == bool
+    for b, m in enumerate(stack):
+        try:
+            want = want_inverse(m, field)
+        except ValueError:
+            assert not ok[b] and not inv[b].any(), b
+        else:
+            assert ok[b] and inv[b].tobytes() == want.tobytes(), b
+    return ok
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 181, 197])
+def test_stacked_inverse_matches_each_member(p, monkeypatch):
+    # one elimination over the stack axis, lazy mod p up to p = 181 and in
+    # int32 past it, against the table loop's inverse of each member
+    field = gflib.gf(p, 1)
+    rng = np.random.default_rng(p)
+    calls = []
+    stacked = gflib._invert_stack
+    monkeypatch.setattr(gflib, "_invert_stack", lambda a, f: calls.append(a.shape) or stacked(a, f))
+    for n in (1, 2, 9, 36):
+        a = _stack_with_singular_members(field, 12, n, rng)
+        ok = _same_as_each_member(a, field, rref_oracle.mat_inverse)
+        assert (~ok).sum() >= 1 + (n > 1) and ok.sum() >= 6
+    assert calls == [(12, n, n) for n in (1, 2, 9, 36)]
+
+
+def test_stacked_inverse_routes_per_member(monkeypatch):
+    # a stack of one, a stack whose n x 2n systems reach PANEL_CELLS and a
+    # stack over F_25 go member by member through rref, as a single matrix
+    # does; a stack just below the threshold is eliminated at once
+    calls = []
+    stacked = gflib._invert_stack
+    monkeypatch.setattr(gflib, "_invert_stack", lambda a, f: calls.append(a.shape) or stacked(a, f))
+    f5, f25 = gflib.gf(5, 1), gflib.gf(5, 2)
+    rng = np.random.default_rng(400)
+    assert 2 * 256 * 256 == gflib.PANEL_CELLS
+    for field, nb, n in ((f5, 1, 30), (f5, 2, 256), (f5, 2, 400), (f25, 6, 12)):
+        a = _stack_with_singular_members(field, nb, n, rng) if nb > 2 else \
+            rng.integers(0, field.q, (nb, n, n)).astype(np.int16)
+        want = rref_oracle.mat_inverse if n < 100 else gflib.mat_inverse
+        _same_as_each_member(a, field, want)
+        assert calls == [], (field.q, nb, n)
+    big = rng.integers(0, 5, (2, 400, 400)).astype(np.int16)
+    inv, ok = gflib.mat_inverse(big, f5)
+    assert ok.any()
+    for b in np.flatnonzero(ok):
+        assert (gflib.matmul(big[b], inv[b], f5) == np.eye(400, dtype=np.int16)).all()
+    a = _stack_with_singular_members(f5, 2, 255, rng)
+    _same_as_each_member(a, f5, gflib.mat_inverse)
+    assert calls == [(2, 255, 255)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from propring import jsonio
+from propring import jsonio, modules
 from propring.algebra import group_algebra
 from propring.config import PrimeConfig
 from propring.errors import ConfigError
@@ -304,3 +304,20 @@ def test_module_loader_converts_integer_matrices_whole(monkeypatch):
 def test_to_jsonable():
     out = to_jsonable({"a": np.int64(3), "b": (np.int16(1), 2), "c": [np.array([1, 2])]})
     assert out == {"a": 3, "b": [1, 2], "c": [[1, 2]]}
+
+
+def test_module_level_past_the_bound_is_refused_before_any_build(monkeypatch):
+    # the level is checked before the config, the field or a group model
+    # exists: a dim-1 GL2 module at level 64 took 6 CPU s, and 128 did not
+    # finish in 10 s
+    def no_build(*args):
+        raise AssertionError("built")
+
+    for name in ("PrimeConfig", "gf"):
+        monkeypatch.setattr(jsonio, name, no_build)
+    monkeypatch.setattr(modules, "group_model", no_build)
+    for level in (jsonio.MODULE_LEVEL_MAX + 1, 128, 10**30):
+        doc = {**ONE, "level": level, "generators": [[[1]]] * 3}
+        with pytest.raises(ConfigError, match=f"module level {level} is above 8"):
+            module_from_json(doc)
+    assert jsonio.MODULE_LEVEL_MAX == 8

@@ -27,7 +27,6 @@ from propring.groups import GL2Model, QuatModel, group_model
 from propring.jsonio import module_from_json, module_to_json
 from propring.modules import (
     FiniteModule,
-    _conjugate_dual,
     build_module,
     check_exponent_transfer,
     check_multiplicative,
@@ -535,7 +534,8 @@ def test_restriction_determinism(deep, rng):
 def test_corpus_checks_grade_each_module_once(deep, monkeypatch):
     # the ideal loop runs inside both checks: with 3 ideals, the module's
     # own gradings and its dual's res grading are built once, and only the
-    # random basis changes are graded per ideal; every grading goes through
+    # random basis changes are graded per ideal; the restriction-only path
+    # and the twist are not graded at all; every grading goes through
     # grade's memo, so each build is one call of _grade, counted on a copy
     # of the module with empty memos
     deep = dataclasses.replace(deep)
@@ -554,8 +554,12 @@ def test_corpus_checks_grade_each_module_once(deep, monkeypatch):
     reps = restriction_determinism(deep, IDEALS, 1, np.random.default_rng(5), basis_changes=2)
     assert [r["ideal"] for r in reps] == [spec.name for spec in IDEALS]
     assert calls.count((f"dual({deep.provenance})", "res")) == 1
-    assert calls.count((f"dual(twist({deep.provenance}))", "res")) == 1
+    # the restriction-only path and the twist's dual have the dual's level-N
+    # matrices byte for byte, so they reuse its grading
+    assert calls.count((f"dual(res({deep.provenance}))", "res")) == 0
+    assert calls.count((f"dual(twist({deep.provenance}))", "res")) == 0
     assert calls.count((f"dual(conj({deep.provenance}))", "res")) == 3 * 2
+    assert len(calls) == 1 + 3 * 2
 
 
 def test_dual_of_dual_is_isomorphic(cfg):
@@ -658,7 +662,7 @@ def test_conjugate_dual_matches_dual_of_conjugate(deep):
     dual = dualize(deep)
     rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(3):
-        got = _conjugate_dual(deep, dual, rng_a)
+        got = module_oracle.conjugate_dual(deep, dual, rng_a)
         want = dualize(module_oracle.conjugate(deep, rng_b))
         assert got.provenance == want.provenance
         for a, b in zip(got.gen_action, want.gen_action, strict=True):
@@ -706,11 +710,128 @@ def test_restriction_grading_matches_oracle_on_representations(pfm, case):
     rng = np.random.default_rng(9)
     for mod in module_corpus(cfg, count=4):
         dual = dualize(mod)
-        for m in (mod, dual, _conjugate_dual(mod, dual, rng)):
+        for m in (mod, dual, module_oracle.conjugate_dual(mod, dual, rng)):
             got = grade(m, "res", 1)
             want = module_oracle.grade_res_from_restriction(m, 1)
             assert got.pivots == want.pivots, m.provenance
             assert [c.tobytes() for c in got.chain] == [c.tobytes() for c in want.chain]
+
+
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_basis_changes_draw_the_stream_of_the_loop(pfm, case):
+    # the stacked draws keep the loop's stream: the same T and inverses,
+    # the same conjugates at level N, the same generator state after each
+    # module, with singular draws refused in at least two modules
+    cfg = PrimeConfig(*pfm, case)
+    rng_a, rng_b, rng_c = (np.random.default_rng(13) for _ in range(3))
+    count, singular = 15, 0
+    for mod in module_corpus(cfg, count=2):
+        field, dual = mod.field, dualize(mod)
+        plain = np.random.default_rng()  # count draws, none of them refused
+        plain.bit_generator.state = rng_a.bit_generator.state
+        for _ in range(count):
+            plain.integers(0, field.q, size=(mod.dim, mod.dim))
+        got = modules._basis_changes(field, mod.dim, rng_a, count)
+        want = [module_oracle.basis_change(field, mod.dim, rng_b) for _ in range(count)]
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state, mod.provenance
+        for (t, tinv), (t2, tinv2) in zip(got, want, strict=True):
+            assert t.dtype == t2.dtype and t.tobytes() == t2.tobytes()
+            assert tinv.dtype == tinv2.dtype and tinv.tobytes() == tinv2.tobytes()
+            conj = modules._conjugate_dual(mod, dual.restrict(1), t, tinv)
+            old = module_oracle.conjugate_dual(mod, dual, rng_c).restrict(1)
+            assert conj.level == old.level == 1
+            assert conj.provenance == f"dual(conj({mod.provenance}))"
+            for a, b in zip(conj.gen_action, old.gen_action, strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        singular += plain.bit_generator.state != rng_a.bit_generator.state
+    assert rng_a.bit_generator.state == rng_c.bit_generator.state
+    assert singular >= 2, singular
+
+
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
+def test_restriction_determinism_matches_the_sequential_loop(pfm, case):
+    # every entry, basis_change_exponents included, and the generator state
+    # after each module, against the loop that grades every path and draws
+    # each basis change inside the ideal loop
+    cfg = PrimeConfig(*pfm, case)
+    specs = default_ideals(1, gf(cfg.p, 1))
+    rng_a, rng_b = np.random.default_rng(17), np.random.default_rng(17)
+    for mod in module_corpus(cfg, count=2):
+        got = restriction_determinism(mod, specs, 1, rng_a, 5)
+        want = module_oracle.restriction_determinism(mod, specs, 1, rng_b, 5)
+        assert got == want, mod.provenance
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state, mod.provenance
+
+
+def _action_bytes(gm):
+    return b"".join(g.tobytes() for g in gm.module.gen_action)
+
+
+@pytest.mark.parametrize("error", (BoundExceeded, RelationCheckFailed))
+@pytest.mark.parametrize("k", (0, 6, 11))
+def test_planted_fault_in_a_basis_change_raises_as_the_loop(deep, error, k, monkeypatch):
+    # the basis changes are all drawn before the searches, which still run
+    # in the loop's order: a fault planted in the search of the k-th
+    # conjugate and in that of the last raises the message that the loop,
+    # which draws each basis change inside it, raises first
+    real = modules.min_annihilator_exponent
+    seen = []
+
+    def recording(gm, spec):
+        if "conj(" in gm.module.provenance:
+            seen.append(_action_bytes(gm))
+        return real(gm, spec)
+
+    monkeypatch.setattr(modules, "min_annihilator_exponent", recording)
+    module_oracle.restriction_determinism(deep, IDEALS, 1, np.random.default_rng(3), 4)
+    assert len(seen) == len(set(seen)) == 3 * 4
+    planted = {seen[-1]: len(seen) - 1, seen[k]: k}
+
+    def faulty(gm, spec):
+        if "conj(" in gm.module.provenance and _action_bytes(gm) in planted:
+            raise error(f"planted in {spec.name} at basis change {planted[_action_bytes(gm)]}")
+        return real(gm, spec)
+
+    monkeypatch.setattr(modules, "min_annihilator_exponent", faulty)
+    for check in (module_oracle.restriction_determinism, restriction_determinism):
+        with pytest.raises(error) as err:
+            check(deep, IDEALS, 1, np.random.default_rng(3), 4)
+        name = build_JN(IDEALS[k // 4], 1, F5).name
+        assert str(err.value) == f"planted in {name} at basis change {k}"
+
+
+@pytest.mark.parametrize("perturb", ("permuted", "trivial"))
+def test_restricted_path_that_differs_is_graded_and_searched(deep, perturb, monkeypatch):
+    # the restriction-only path's level-N action, perturbed: its bytes
+    # differ from the dual's, so it is graded and searched on its own, and
+    # ok follows the exponents.  A permutation of the basis is the same
+    # module, the identity action another one, whose exponents are all 1
+    real_dualize, real_grade = modules.dualize, modules._grade
+    perm = np.roll(np.eye(deep.dim, dtype=np.int16), 1, axis=0)
+
+    def perturbed(mod):
+        out = real_dualize(mod)
+        if mod.level == 1:
+            mats = tuple(matmul(perm, matmul(g, perm.T, F5), F5) if perturb == "permuted"
+                         else np.eye(mod.dim, dtype=np.int16) for g in out.gen_action)
+            out = FiniteModule(out.cfg, out.dim, mats, out.provenance, out.level)
+        return out
+
+    graded = []
+    monkeypatch.setattr(modules, "dualize", perturbed)
+    monkeypatch.setattr(modules, "_grade", lambda mod, kind, N=None:
+                        graded.append(mod.provenance) or real_grade(mod, kind, N))
+    fresh = dataclasses.replace(deep)
+    got = restriction_determinism(fresh, IDEALS, 1, np.random.default_rng(5), 1)
+    assert graded.count(f"dual(res({deep.provenance}))") == 1
+    assert graded.count(f"dual(twist({deep.provenance}))") == 0
+    want = module_oracle.restriction_determinism(fresh, IDEALS, 1, np.random.default_rng(5), 1)
+    assert got == want
+    for out in got:
+        if perturb == "permuted":
+            assert out["restricted_path"] == out["exponent"] and out["ok"], out
+        else:
+            assert out["restricted_path"] == 1 < out["exponent"] and not out["ok"], out
 
 
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
