@@ -89,8 +89,6 @@ from .groups import Digits, GroupModel, group_model
 # support pairs per right_act walk of GroupAlgebra.mul_rows; bounds its
 # transient index arrays to a few MB
 _PAIR_CHUNK = 1 << 14
-# support entries the word_mul memo holds, about 1 MB
-_WORD_MEMO = 1 << 16
 # support entries the monomial_support memo holds, about 1 MB
 _MONOMIAL_MEMO = 1 << 16
 # entries of the expansion block per step of GroupAlgebra.generator_columns
@@ -126,17 +124,24 @@ class GroupAlgebra:
         self.nu_weights = tuple(model.two_omega)
         self._pair = _pascal_pair(self.p)  # (P, Q), applied per base-p digit
         # P[x, k] = binom(x, k) and its inverse for x, k < p^M, the row
-        # tables of monomial, binomial_expansion and zmul (Lucas' theorem)
+        # tables of binomial_expansion and zmul (Lucas' theorem)
         self._P, self._Q = (
             (functools.reduce(np.kron, [m] * model.M) % self.p).astype(np.int16)
             for m in self._pair
         )
         # the float64 copy of _P that support_expansion contracts against
         self._Pf = self._P.astype(np.float64)
+        # the nonzero entries of Q row by row (_lucas_rows): those of row e
+        # at _q_ptr[e] .. _q_ptr[e + 1] - 1, so lucas_terms[e] of them, the
+        # support of z^e on one axis
+        nz = self._Q != 0
+        self.lucas_terms = np.count_nonzero(nz, axis=1)
+        self._q_ptr = np.concatenate([[0], np.cumsum(self.lucas_terms)])
+        self._q_col = np.nonzero(nz)[1].astype(np.int64)
+        self._q_val = self._Q[nz].astype(np.int64)
         self._nu_w: np.ndarray | None = None
-        # support pairs by word (word_mul) and by exponents
-        # (monomial_support), sized by their index entries
-        self._words = BoundedMemo(_WORD_MEMO, lambda pair: pair[0].size)
+        # support pairs by exponents (monomial_support), sized by their
+        # index entries
         self._monomials = BoundedMemo(_MONOMIAL_MEMO, lambda pair: pair[0].size)
 
     # -- dense vectors -------------------------------------------------------
@@ -159,50 +164,49 @@ class GroupAlgebra:
         keep = np.flatnonzero(acc.reshape(flat.size, f).any(axis=1))
         return flat[keep], acc.reshape(flat.shape + weights.shape[1:])[keep]
 
-    def zmul(self, idx: np.ndarray, coeffs: np.ndarray, i: int,
-             e: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Right multiplication by (g_i - 1)^e of the element sum_t
-        coeffs[t] [idx[t]], on its support only, so the cost follows the
-        size of the support rather than the order of the group.  By
+    def zmul(self, chunks: np.ndarray, fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Support pair of the words z^(chunks[r]) (g_0 - 1)^(fracs[r, 0])
+        ... (g_(n-1) - 1)^(fracs[r, n-1]) of the rows r of two (rows, n)
+        arrays of exponents below p^M, as one row-keyed pair: keys r order
+        + index ascending, zero coefficients dropped.  The cost follows the
+        words' supports, not the order of the group.
+
+        The chunk half is the ordered monomial z^chunk, built in closed
+        form (_lucas_rows).  Then axis i right-multiplies every row's
+        support by (g_i - 1)^e, e = fracs[r, i], through
 
             (g_i - 1)^e = sum_s (-1)^(e-s) binom(e, s) g_i^s,
 
-        with binom(e, s) mod p read from the Lucas table _P and the zero
-        terms skipped, term s walks the support s steps through
-        right_mul_table(g_i).  Repeated indices are merged and zero
-        coefficients dropped, so the result is the support pair of the
-        product, sorted by index.  Since g_i^(p^M) = 1, (g_i - 1)^(p^M) =
-        g_i^(p^M) - 1 = 0 and e >= p^M gives the empty support."""
-        if e >= self.pM:
-            return idx[:0], coeffs[:0]
-        perm = self.model.right_mul_table(self.model.generator(i))
-        walk, terms, weights = idx, [], []
-        for s, c in enumerate(self._P[e, :e + 1].tolist()):
-            if s:
-                walk = perm[walk]
-            if c:
-                terms.append(walk)
-                weights.append(coeffs * (-c if (e - s) % 2 else c))
-        # exact: each index sums at most e + 1 terms below p^2 in size
-        return self.collect(np.concatenate(terms), np.concatenate(weights))
-
-    def word_mul(self, word) -> tuple[np.ndarray, np.ndarray]:
-        """Support pair of an ordered word of (i, e) z-chunks: the
-        identity's support carried through zmul factor by factor.  The
-        pairs are memoized by the word, read-only, least recently used
-        first out once the memo holds more than _WORD_MEMO entries, since
-        the rewriting and the re-expansion of its transcripts ask for the
-        same words."""
-        key = tuple(word)
-
-        def build():
-            idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)  # the identity
-            for i, e in key:
-                idx, coeffs = self.zmul(idx, coeffs, i, e)
-            idx.flags.writeable = coeffs.flags.writeable = False
-            return idx, coeffs
-
-        return self._words.get_or_build(key, build)
+        binom(e, s) mod p read per row from the Lucas table _P: term s
+        walks the entries of the rows with e >= s s steps through
+        right_mul_table(g_i), and one collect merges the terms of all
+        rows.  An axis on which every exponent is 0 is skipped.  A row's
+        support holds at most prod_i lucas_terms[chunks[r, i]] prod_i
+        (fracs[r, i] + 1) entries on the way, the bound callers size their
+        batches by."""
+        order = self.order
+        row, idx, coeffs = self._lucas_rows(chunks)
+        for i in range(self.n):
+            e = fracs[row, i]
+            if not e.any():
+                continue
+            perm = self.model.right_mul_table(self.model.generator(i))
+            live = np.arange(e.size)  # the entries with e >= s
+            walk, keys, weights = idx, [], []
+            for s in range(int(e.max()) + 1):
+                if s:
+                    more = e[live] >= s
+                    live, walk = live[more], perm[walk[more]]
+                el = e[live]
+                c = self._P[el, s].astype(np.int64)
+                c[(el - s) % 2 == 1] *= -1
+                keys.append(row[live] * order + walk)
+                weights.append(coeffs[live] * c)
+            # exact: each key sums at most p^M terms below p^2 in size
+            merged, coeffs = self.collect(np.concatenate(keys), np.concatenate(weights))
+            row = merged // order
+            idx = merged - row * order
+        return row * order + idx, coeffs
 
     def mul_rows(self, a, b, rows: int):
         """Row-batched product on support pairs.  a and b are (row, index,
@@ -263,25 +267,42 @@ class GroupAlgebra:
         return out
 
     def monomial_support(self, k: Digits) -> tuple[np.ndarray, np.ndarray]:
-        """Support pair of z^k, sorted by index: the tensor product of the
-        nonzero entries of the rows Q[k_i, .] of the inverse binomial
-        matrix, those x <= k digit by digit (Lucas).  The pairs are
-        memoized by k like word_mul's, read-only, _MONOMIAL_MEMO entries at
-        most, since the sandwich's first inclusion draws the same subring
-        monomials many times."""
+        """Support pair of z^k, sorted by index (_lucas_rows on one row).
+        The pairs are memoized by k, read-only, least recently used first
+        out once the memo holds more than _MONOMIAL_MEMO entries, since the
+        sandwich's first inclusion draws the same subring monomials many
+        times."""
         key = self.model.check_digits(k)
 
         def build():
-            idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-            for ki in key:
-                row = self._Q[ki]
-                nz = np.flatnonzero(row)
-                idx = np.add.outer(idx * self.pM, nz).ravel()
-                coeffs = np.multiply.outer(coeffs, row[nz]).ravel() % self.p
+            _, idx, coeffs = self._lucas_rows(np.array([key]))
             idx.flags.writeable = coeffs.flags.writeable = False
             return idx, coeffs
 
         return self._monomials.get_or_build(key, build)
+
+    def _lucas_rows(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, index, coefficient) arrays of the monomials z^(exps[r]) of
+        the rows r of a (rows, n) array, rows ascending and each row's
+        indices ascending: row r is the tensor product of the nonzero
+        entries of the rows Q[exps[r, i], .] of the inverse binomial
+        matrix, those x <= exps[r, i] digit by digit (Lucas), one axis at a
+        time, most significant first."""
+        pM, p = self.pM, self.p
+        row = np.arange(len(exps))
+        idx = np.zeros(row.size, dtype=np.int64)
+        coeffs = np.ones(row.size, dtype=np.int64)
+        for i in range(self.n):
+            e = exps[row, i]
+            lo, count = self._q_ptr[e], self.lucas_terms[e]
+            rep = np.repeat(np.arange(row.size), count)
+            # the place of each new entry among Q's nonzeros: the start lo
+            # of its source's row of Q plus its rank among that row's count
+            at = np.arange(rep.size) + np.repeat(lo - np.cumsum(count) + count, count)
+            row = row[rep]
+            idx = idx[rep] * pM + self._q_col[at]
+            coeffs = coeffs[rep] * self._q_val[at] % p
+        return row, idx, coeffs
 
     def monomial(self, k: Digits) -> np.ndarray:
         """Dense vector of z^k, a fresh array."""

@@ -76,6 +76,13 @@ class PrimeConfig:
         if self.f >= 15 or self.p**self.f >= 2**15:
             raise ConfigError(f"q = p^f must be below 2^15 (field elements are "
                               f"int16 indices), got p = {self.p}, f = {self.f}")
+        # the quaternion ring lives over F_(p^(2f)); refused here, before a
+        # module's field F_(p^f) builds its q x q tables (2 GB each near
+        # the bound)
+        if self.case == "QUAT" and self.p ** (2 * self.f) >= 2**15:
+            raise ConfigError(f"q = p^(2f) must be below 2^15 for QUAT, whose quaternion ring "
+                              f"lives over F_(p^(2f)) (field elements are int16 indices), "
+                              f"got p = {self.p}, f = {self.f}")
         if prime_factors(self.p) != [self.p] or self.p <= 3:
             raise ConfigError(f"p must be a prime > 3, got {self.p}")
         if self.M < 1:

@@ -41,10 +41,14 @@ from .gf import GF, gf, rref
 from .groups import Digits, GroupModel
 
 
-# word entries verify_transcripts merges at a time, and entries of the
-# block of one row-keyed expansion (_expand), which bound their transients
-# to a few MB however long the transcripts
+# word entries verify_transcripts merges at a time, and the bound on the
+# entries of one word build (_word_groups) and of the block of one
+# row-keyed expansion (_expand), which keep their transients to a few MB
+# however long the transcripts
 _MERGE = 1 << 16
+# a lockstep batch holds order / _HELD_SHARE residual entries at most
+# (_transcripts), a share of one float64 vector of the group's order
+_HELD_SHARE = 256
 # rows of the first block draw_row draws; a block with no accepted row
 # doubles the next, up to _DRAW_MAX rows
 _DRAW_FIRST = 64
@@ -373,6 +377,9 @@ class TauTranscript:
     # least weight below p^M left over; None when nothing below p^M is left
     residual_weight: int | None
     passes: int
+    # the most residual entries the transcript held after a pass, which
+    # sizes the next lockstep batch (_transcripts); not part of its value
+    held: int = dataclasses.field(default=0, compare=False)
 
 
 def tau_exponents(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[Digits, Digits]:
@@ -412,51 +419,103 @@ def _suffix_block(alg: GroupAlgebra, cutoff: int) -> int:
     return alg.pM * int(np.count_nonzero(alg.nu_weight_array[:alg.order // alg.pM] <= cutoff))
 
 
-def _row_pairs(alg: GroupAlgebra, keys: np.ndarray, coeffs: np.ndarray, rows: int):
-    """Rows 0, ..., rows - 1 of a row-keyed support pair, keys ascending,
-    each as its own row-keyed pair."""
-    cut = np.searchsorted(keys, np.arange(rows + 1) * alg.order).tolist()
-    return ((keys[lo:hi], coeffs[lo:hi]) for lo, hi in zip(cut, cut[1:]))
+def _groups(sizes: list[int]) -> list[int]:
+    """Cut points 0 = c_0 < c_1 < ... < c_m = len(sizes) that split the
+    sizes into consecutive groups, taken greedily, each summing to _MERGE
+    at most or holding one size alone."""
+    cuts, total = [0], 0
+    for j, size in enumerate(sizes):
+        if total + size > _MERGE and j > cuts[-1]:
+            cuts.append(j)
+            total = 0
+        total += size
+    return cuts + [len(sizes)] if sizes else cuts
+
+
+def _word_groups(alg: GroupAlgebra, chunks: np.ndarray, fracs: np.ndarray):
+    """The words z^(chunks[r]) (g_0 - 1)^(fracs[r, 0]) ... of the rows r of
+    two (rows, n) exponent arrays, as row-keyed support pairs (keys r order
+    + index ascending), one GroupAlgebra.zmul per group of consecutive rows.
+    A row's support holds at most prod_i lucas_terms[chunks[r, i]] prod_i
+    (fracs[r, i] + 1) entries on the way, and a group's bounds sum to
+    _MERGE at most, or it is one row alone."""
+    sizes = np.prod(alg.lucas_terms[chunks], axis=1) * np.prod(fracs + 1, axis=1)
+    cuts = _groups(sizes.tolist())
+    for lo, hi in zip(cuts, cuts[1:]):
+        keys, coeffs = alg.zmul(chunks[lo:hi], fracs[lo:hi])
+        keys += lo * alg.order
+        yield keys, coeffs
+
+
+def _row_cuts(alg: GroupAlgebra, keys: np.ndarray, floor: int) -> list[int]:
+    """The places in the row-keyed keys, ascending, where _expand cuts
+    them into calls: whole rows, grouped by _groups on the cost of each
+    row, p^M times its distinct prefixes (key // p^M) and floor at least."""
+    if not keys.size:
+        return []
+    new = np.ones(keys.size, dtype=bool)  # at the first key of each prefix
+    prefix = keys // alg.pM
+    np.not_equal(prefix[1:], prefix[:-1], out=new[1:])
+    row = prefix // (alg.order // alg.pM)
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(row[1:], row[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    sizes = np.maximum(alg.pM * np.add.reduceat(new, starts, dtype=np.int64), floor)
+    return np.append(starts, keys.size)[_groups(sizes.tolist())].tolist()
 
 
 def _expand(alg: GroupAlgebra, pieces, cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """support_expansion at the cutoff of row-keyed support pairs (keys
-    row order + index, coefficients over F_p), one row each, rows
-    ascending, joined into calls whose blocks stay within about _MERGE
-    entries.  The rows of a call share its columns; a row costs p^M per
-    term, which its first step spreads over the exponents present, and at
-    least _suffix_block, its last step.  A row over the budget goes
-    alone."""
+    row order + index ascending, coefficients over F_p), each piece whole
+    rows, rows ascending from piece to piece: the rows of a piece are
+    joined into calls whose blocks stay within about _MERGE entries, and
+    the rows of a call share its columns.  A row costs the block its
+    first step spreads it over, p^M entries at most per distinct prefix
+    (key // p^M), and at least _suffix_block, the columns of its last
+    step.  A row over the budget goes alone."""
     floor = _suffix_block(alg, cutoff)
-    out, batch, cost = [], [], 0
-
-    def flush():
-        keys, coeffs = map(np.concatenate, zip(*batch))
-        out.append(alg.support_expansion(keys, coeffs[:, None], cutoff))
-
+    out = []
     for keys, coeffs in pieces:
-        size = max(alg.pM * keys.size, floor)
-        if batch and cost + size > _MERGE:
-            flush()
-            batch, cost = [], 0
-        batch.append((keys, coeffs))
-        cost += size
-    flush()
+        cuts = _row_cuts(alg, keys, floor)
+        for lo, hi in zip(cuts, cuts[1:]):
+            out.append(alg.support_expansion(keys[lo:hi], coeffs[lo:hi, None], cutoff))
+    if not out:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty[:, None]
     return tuple(map(np.concatenate, zip(*out)))
+
+
+def _word_exponents(n: int, words) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, n) exponent arrays (chunks, fracs) of the words, each a
+    run of factors (i, e) in basis order, the chunk monomial, then a second
+    run, one remainder per axis, as tau_word and term_word make them: a
+    factor whose generator does not come after the one before it starts
+    the second run."""
+    rows = [[0] * (2 * n) for _ in words]
+    for row, word in zip(rows, words):
+        last, half = -1, 0
+        for i, e in word:
+            if i <= last:
+                if half:
+                    raise ValueError(f"the word {word} has more than two runs")
+                half = n
+            row[half + i], last = e, i
+    out = np.array(rows, dtype=np.int64).reshape(len(words), 2 * n)
+    return out[:, :n], out[:, n:]
 
 
 def _rewrite_rows(alg: GroupAlgebra, exps: list[Digits],
                   N: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ContractViolation] | None]:
     """The rewriting of the monomials exps, each of weight below p^M, as
-    rows 0, 1, ..., expanded by _expand: the monomial terms below p^M of
-    their words as one row-keyed pair (row order + k, coefficient), and
-    the first row that breaks the contract nu(tau(x)) = nu(x) and
-    tau(x) - x in m^(nu+1), with its ContractViolation, or None."""
+    rows 0, 1, ...: their words tau_word built by _word_groups and
+    expanded by _expand, the monomial terms below p^M as one row-keyed
+    pair (row order + k, coefficient), and the first row that breaks the
+    contract nu(tau(x)) = nu(x) and tau(x) - x in m^(nu+1), with its
+    ContractViolation, or None."""
     order = alg.order
     flats = np.array([alg.model.index_of(x) for x in exps], dtype=np.int64)
-    words = (alg.word_mul(tau_word(alg, x, N)) for x in exps)
-    keys, weights, c = _expand(alg, ((r * order + idx, coeffs)
-                                     for r, (idx, coeffs) in enumerate(words)), alg.pM - 1)
+    chunks, fracs = _word_exponents(alg.n, [tau_word(alg, x, N) for x in exps])
+    keys, weights, c = _expand(alg, _word_groups(alg, chunks, fracs), alg.pM - 1)
     c = c[:, 0]
     row = keys // order
     w = alg.nu_weight_array[flats]
@@ -520,6 +579,7 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
     terms: list[list[TauTerm]] = [[] for _ in starts]
     residual: list[int | None] = [None] * len(starts)
     passes = np.zeros(len(starts), dtype=np.int64)
+    held = np.ones(len(starts), dtype=np.int64)
     rewrote = np.full(len(starts), -1)  # the weight of each transcript's last pass
     while keys.size:
         t = keys // order
@@ -557,10 +617,11 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
         rt = ks // order  # the row, whose transcript is src_t[rt]
         keys, coeffs = alg.collect(np.concatenate([keys[keep], ks + (src_t[rt] - rt) * order]),
                                    np.concatenate([coeffs[keep], -level_c[rt] * c]))
+        held = np.maximum(held[:len(starts)], np.bincount(keys // order, minlength=len(starts)))
         rewrote = np.where(w0 <= cutoff, w0, -1)[:len(starts)]
         passes = passes[:len(starts)] + (rewrote >= 0)
     return [TauTranscript(start=x, N=N, cutoff=cutoff, terms=terms[t],
-                          residual_weight=residual[t], passes=int(passes[t]))
+                          residual_weight=residual[t], passes=int(passes[t]), held=int(held[t]))
             for t, x in enumerate(starts)], err
 
 
@@ -569,26 +630,27 @@ def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool
     and confirm for each transcript the exact identity start = sum of
     terms + residual in group coordinates, with the residual's nu (read
     below p^M, as element_nu does) the transcript's residual weight and
-    beyond the cutoff.  The residuals of all transcripts are one support
-    pair keyed by transcript order + index, merged by collect (_MERGE word
-    entries at a time) and read by _expand.  A word equal to the one
-    tau_word built reuses word_mul's memoized expansion, which is
-    deterministic; a word that differs misses the memo."""
+    beyond the cutoff.  The starts z^start and the words of all terms are
+    the rows of one word build (_word_groups), so nothing the rewriting
+    built is read again; the residuals are one support pair keyed by
+    transcript order + index, merged by collect (_MERGE word entries at a
+    time) and read by _expand."""
     if not trs:
         return []
     order = alg.order
+    rows = [row for t, tr in enumerate(trs)
+            for row in [(t, tr.start, (0,) * alg.n, 1)]
+            + [(t, term.chunk, term.frac, -term.coeff) for term in tr.terms]]
+    owner, chunks, fracs, sign = (np.array(v, dtype=np.int64) for v in zip(*rows))
     parts, pending = [], 0
-    for t, tr in enumerate(trs):
-        idx, coeffs = alg.monomial_support(tr.start)
-        parts.append((t * order + idx, coeffs))
-        for term in tr.terms:
-            idx, coeffs = alg.word_mul(term_word(term.chunk, term.frac))
-            parts.append((t * order + idx, -term.coeff * coeffs))
-            pending += idx.size
-            if pending > _MERGE:
-                parts, pending = [alg.collect(*map(np.concatenate, zip(*parts)))], 0
+    for keys, coeffs in _word_groups(alg, chunks, fracs):
+        r = keys // order
+        parts.append((keys + (owner[r] - r) * order, sign[r] * coeffs))
+        pending += keys.size
+        if pending > _MERGE:
+            parts, pending = [alg.collect(*map(np.concatenate, zip(*parts)))], 0
     keys, coeffs = alg.collect(*map(np.concatenate, zip(*parts)))
-    keys, weights, _ = _expand(alg, _row_pairs(alg, keys, coeffs, len(trs)), alg.pM - 1)
+    keys, weights, _ = _expand(alg, [(keys, coeffs)], alg.pM - 1)
     lowest = _row_minima(keys // order, weights, len(trs)).tolist()
     return [(None if v < 0 else v) == tr.residual_weight and (v < 0 or v > tr.cutoff)
             for v, tr in zip(lowest, trs)]
@@ -644,16 +706,25 @@ def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, v
     where rewriting one start after another raises it.  A caller that
     stops early skips the batches after it.
 
-    A batch holds as many transcripts as _expand joins rows into one
-    expansion at p^M - 1: 15 at (5, 1, 2), 2 at (7, 1, 2), one from p = 11
-    and at depth 3.  Larger batches would lose word_mul's memo between the
-    rewriting and the re-expansion once their words pass its bound."""
-    size = max(1, _MERGE // _suffix_block(alg, alg.pM - 1))
-    for lo in range(0, len(starts), size):
+    The first batch holds as many transcripts as _expand joins rows into
+    one expansion at p^M - 1: 15 at (5, 1, 2), 2 at (7, 1, 2), one from
+    p = 11 and at depth 3.  Each later batch holds as many as keep the
+    residual entries the last batch held per transcript (TauTranscript.held)
+    within order / _HELD_SHARE.  A residual entry comes with about one term
+    (a few hundred bytes as Python objects) and, re-expanded, a few dozen
+    words' entries in group coordinates: 3,705 entries, 3,549 terms and
+    154k re-expanded entries for 50 starts at QUAT (5, 1, 3).  So a batch
+    holds a few times order bytes at most, below one float64 vector of the
+    group's order, and the largest block of the pass, one row's expansion,
+    comes on top of it."""
+    size, lo = max(1, _MERGE // _suffix_block(alg, alg.pM - 1)), 0
+    while lo < len(starts):
         trs, err = iterate_taus(alg, starts[lo:lo + size], N, cutoff)
         yield from zip(trs, verify_transcripts(alg, trs) if verify else [True] * len(trs))
         if err is not None:
             raise err
+        lo += size
+        size = max(1, alg.order // _HELD_SHARE * len(trs) // max(1, sum(tr.held for tr in trs)))
 
 
 def _stack_rows(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
@@ -677,8 +748,9 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
     checked exactly.
 
     The first inclusion draws its subring monomials one row at a time
-    (nearly every row is accepted) and reads their support pairs through
-    the monomial_support memo; each row group of products from
+    (nearly every row is accepted), reads their support pairs through the
+    monomial_support memo and merges them into the u's by one collect
+    keyed by sample; each row group of products from
     GroupAlgebra.mul_rows is read at the window k p^N - 1 by
     _expand, a few row-keyed expansions per group.  The second inclusion's
     monomials, whose weight window accepts a few percent of the rows at
@@ -707,27 +779,28 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
     # the draws of a sample at a time, u a sum of 1-3 subring monomials and
     # v a random 30-term element, as support pairs; the generator's state
     # after each sample is kept, so that a failure at sample j can leave it
-    # where the draws of sample j left it
-    us, vs, states = [], [], []
-    for _ in range(samples):
-        idx, c = [], []
+    # where the draws of sample j left it.  The monomials of all u's are
+    # keyed by their sample and merged by one collect
+    monos, vs, states = [(np.zeros(0, dtype=np.int64),) * 2], [], []
+    for r in range(samples):
         for _ in range(int(rng.integers(1, 4))):
             coeff = int(rng.integers(1, p))
             mono_idx, mono_c = alg.monomial_support(sample_subring_exps())
-            idx.append(mono_idx)
-            c.append(coeff * mono_c)
-        us.append(alg.collect(np.concatenate(idx), np.concatenate(c)))
+            monos.append((r * alg.order + mono_idx, coeff * mono_c))
         support = rng.choice(alg.order, size=30, replace=False)
         c = rng.integers(0, p, size=30)
         vs.append((support[c != 0], c[c != 0]))
         states.append(rng.bit_generator.state)
+    ukeys, uc = alg.collect(*map(np.concatenate, zip(*monos)))
+    urows = ukeys // alg.order
 
     first_checked = 0
     first_ok = True
-    for r, end, key, c in alg.mul_rows(_stack_rows(us), _stack_rows(vs), samples):
+    for r, end, key, c in alg.mul_rows((urows, ukeys - urows * alg.order, uc),
+                                       _stack_rows(vs), samples):
         # a monomial term below k p^N puts a product outside m^(k p^N);
         # the first such key is in the first product that has one
-        low = _expand(alg, _row_pairs(alg, key, c, end - r), k * q - 1)[0]
+        low = _expand(alg, [(key, c)], k * q - 1)[0]
         if low.size:
             first_checked = r + int(low[0]) // alg.order + 1
             first_ok = False

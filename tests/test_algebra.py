@@ -14,7 +14,7 @@ from propring.algebra import (GroupAlgebra, check_maximal_ideal_powers, frattini
                               group_algebra)
 from propring.config import PrimeConfig, prime_factors
 from propring.errors import ConfigError, CutoffBeyondFaithful
-from propring.graded import hilbert_oracle
+from propring.graded import hilbert_oracle, term_word
 from propring.groups import GroupModel, group_model
 from pair_oracle import random_element
 import power_oracle
@@ -152,26 +152,6 @@ def test_mul_rows_matches_oracles(pfm, case, monkeypatch):
             assert np.array_equal(coeffs, want[idx])
 
 
-def test_word_mul_memo_is_bounded_and_read_only(model, monkeypatch):
-    # a memo of 40 entries against words of up to a few hundred: every
-    # call, hit or miss, is a read-only support pair equal to the dense
-    # oracle, and the memo never holds more than its bound
-    monkeypatch.setattr(algebra, "_WORD_MEMO", 40)
-    alg = GroupAlgebra(model)
-    rng = np.random.default_rng(5)
-    words = [[(int(i), int(e)) for i, e in zip(rng.integers(0, alg.n, 3),
-                                               rng.integers(0, 8, 3))] for _ in range(6)]
-    for word in words + words[::-1] + words:
-        got = alg.word_mul(word)
-        assert np.array_equal(of_support(alg, got), zmul_oracle.word_mul(
-            alg, of_group(alg, model.identity), word)), word
-        for a in got:
-            with pytest.raises(ValueError, match="read-only"):
-                a[:] = 0
-        stored = sum(idx.size for idx, _ in alg._words.values())
-        assert stored == alg._words.entries <= 40
-
-
 def test_mul_associative_and_distributive(alg, rng):
     for _ in range(15):
         a, b, c = (rand_sparse(alg, rng) for _ in range(3))
@@ -261,8 +241,10 @@ def test_zmul_digits_match_pass_loop(pfm, case):
 @pytest.mark.parametrize("case", ["GL2", "QUAT"])
 @pytest.mark.parametrize("pfm", [(5, 1, 2), (5, 2, 1), (7, 1, 2)], ids=str)
 def test_support_zmul_matches_dense_oracle(pfm, case):
-    # supports of 1 and 300 entries, every generator and every e up to p^M;
-    # one full support at (5, 1, 2), the smallest of the groups
+    # the support-walking oracle that the word builder is held to, against
+    # the dense one: supports of 1 and 300 entries, every generator and
+    # every e up to p^M; one full support at (5, 1, 2), the smallest of the
+    # groups
     alg = group_algebra(PrimeConfig(*pfm, case))
     rng = np.random.default_rng(sum(pfm) + len(case))
     for size in [1, 300] + ([alg.order] if pfm == (5, 1, 2) else []):
@@ -273,20 +255,70 @@ def test_support_zmul_matches_dense_oracle(pfm, case):
         for i in range(alg.n):
             for e in range(alg.pM + 1):
                 want = zmul_oracle.zmul(alg, a, i, e)
-                got_idx, got_coeffs = alg.zmul(idx, coeffs, i, e)
+                got_idx, got_coeffs = zmul_oracle.support_zmul(alg, idx, coeffs, i, e)
                 assert np.array_equal(got_idx, np.flatnonzero(want)), (size, i, e)
                 assert np.array_equal(got_coeffs, want[got_idx]), (size, i, e)
-            got_idx, got_coeffs = alg.zmul(idx, coeffs, i, 0)
+            got_idx, got_coeffs = zmul_oracle.support_zmul(alg, idx, coeffs, i, 0)
             assert np.array_equal(got_idx, idx) and np.array_equal(got_coeffs, coeffs)
         word = [(int(i), int(e)) for i, e in zip(rng.integers(0, alg.n, 4),
                                                  rng.integers(0, alg.pM, 4))]
-        got = of_support(alg, alg.word_mul(word))
+        got = of_support(alg, zmul_oracle.support_word_mul(alg, word))
         assert np.array_equal(
             got, zmul_oracle.word_mul(alg, of_group(alg, alg.model.identity), word)), word
     empty = np.zeros(0, dtype=np.int64)
     for i in range(alg.n):
         for e in range(alg.pM + 1):
-            assert alg.zmul(empty, empty, i, e)[0].size == 0
+            assert zmul_oracle.support_zmul(alg, empty, empty, i, e)[0].size == 0
+
+
+def word_rows(alg, rows):
+    """The words of the (chunk, frac) rows, built by GroupAlgebra.zmul as
+    one row-keyed pair and split back into one support pair per row."""
+    chunks = np.array([c for c, _ in rows], dtype=np.int64).reshape(-1, alg.n)
+    fracs = np.array([f for _, f in rows], dtype=np.int64).reshape(-1, alg.n)
+    keys, coeffs = alg.zmul(chunks, fracs)
+    assert np.all(np.diff(keys) > 0) and np.all(coeffs % alg.p != 0)
+    assert keys.dtype == coeffs.dtype == np.int64
+    cut = np.searchsorted(keys, np.arange(len(rows) + 1) * alg.order)
+    return [(keys[lo:hi] - r * alg.order, coeffs[lo:hi])
+            for r, (lo, hi) in enumerate(zip(cut, cut[1:]))]
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+@pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2), (5, 1, 3)], ids=str)
+def test_word_builder_matches_oracles(pfm, case):
+    # the words of N = 1 rewritings of monomials below p^M (chunk exponents
+    # multiples of p, the remainders below p) and of small unrestricted
+    # exponents, with the identity word, an empty chunk and an empty
+    # remainder among them, built as the rows of one call: each row
+    # against the support-walking oracle, and the first rows against the
+    # dense one (a vector of the group's order per pass, 1.95 M entries at
+    # (5, 1, 3))
+    alg = group_algebra(PrimeConfig(*pfm, case))
+    rng = np.random.default_rng(sum(pfm) + len(case))
+    zero = (0,) * alg.n
+    rows = [(zero, zero), (zero, (1, 2, 3)), ((alg.p, 0, 2 * alg.p), zero)]
+    while len(rows) < 9:
+        e = rng.integers(0, alg.pM, size=alg.n)
+        if alg.nu_prime(e) < alg.pM:
+            rows.append((tuple((e // alg.p * alg.p).tolist()), tuple((e % alg.p).tolist())))
+    small = rng.integers(0, 8, size=(6, alg.n)).tolist()
+    rows += [(tuple(c), tuple(f)) for c, f in zip(small[:3], small[3:])]
+    got = word_rows(alg, rows)
+    assert got[0][0].tolist() == [0] and got[0][1].tolist() == [1]  # the identity
+    for r, ((chunk, frac), pair) in enumerate(zip(rows, got)):
+        idx, coeffs = zmul_oracle.support_word_mul(alg, term_word(chunk, frac))
+        assert np.array_equal(pair[0], idx) and np.array_equal(pair[1], coeffs), (r, chunk, frac)
+        if r < (3 if pfm == (5, 1, 3) else len(rows)):
+            dense = zmul_oracle.word_mul(alg, of_group(alg, alg.model.identity),
+                                         term_word(chunk, frac))
+            assert np.array_equal(of_support(alg, pair), dense), (r, chunk, frac)
+    # no rows, and rows built one call each
+    assert all(a.size == 0 for a in alg.zmul(np.zeros((0, alg.n), dtype=np.int64),
+                                             np.zeros((0, alg.n), dtype=np.int64)))
+    for row, pair in zip(rows[:4], got):
+        one, = word_rows(alg, [row])
+        assert np.array_equal(one[0], pair[0]) and np.array_equal(one[1], pair[1])
 
 
 def test_monomial_returns_a_fresh_array(alg):

@@ -453,6 +453,36 @@ def test_fields_past_int16_indices_are_refused_at_once(tmp_path, capsys):
         assert "2^15" in captured.err, captured.err
 
 
+def test_quat_field_past_int16_indices_is_refused_before_any_table(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the quaternion ring lives over F_(p^(2f)): a dim-1 QUAT module at
+    # p = 181, f = 2 is refused by its config, before its own field
+    # F_(181^2) builds two 32,761 x 32,761 tables (54 CPU s and 4.1 GB
+    # when the refusal came from the quaternion field's own build); GL2
+    # at (181, 2) and QUAT at (181, 1), whose ring is over F_(181^2), are
+    # admitted
+    from propring import gf as gflib
+    from propring.config import PrimeConfig
+    from propring.errors import ConfigError
+
+    def no_table(*args):
+        raise AssertionError("a field table was built")
+
+    monkeypatch.setattr(gflib.GF, "__init__", no_table)
+    with pytest.raises(ConfigError, match=r"p\^\(2f\) must be below 2\^15 for QUAT"):
+        PrimeConfig(181, 2, 2, "QUAT")
+    assert PrimeConfig(181, 2, 2, "GL2").case == "GL2"
+    assert PrimeConfig(181, 1, 2, "QUAT").case == "QUAT"
+    module = write(tmp_path, "m.json", {"dim": 1, "field": {"p": 181, "f": 2}, "level": 8,
+                                        "case": "QUAT", "generators": [[[1]]] * 6})
+    start = time.perf_counter()
+    assert main(["module-exponent", "--in", module]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("config error: q = p^(2f) must be below 2^15"), captured.err
+
+
 def test_huge_ideal_exponent_answers_as_at_p_to_the_M(tmp_path, capsys):
     # (rho(g) - 1)^e = 0 once e >= p^M, so an exponent of 10^8 acts as 25
     from propring.config import PrimeConfig

@@ -28,6 +28,7 @@ from propring.graded import (
     ideal_spec,
     tau_rewrite,
     tau_word,
+    term_word,
     TauTranscript,
 )
 import graded_oracle
@@ -448,8 +449,9 @@ def _window_starts(alg, k, rng, count):
 def test_lockstep_matches_per_transcript_oracle(pfm, case):
     # 30 transcripts per k in one lockstep batch, against the rewriting of
     # one monomial at a time: the same transcripts and verdicts; then the
-    # checks in their lockstep batches (15 transcripts at (5, 1, 2), 2 at
-    # (7, 1, 2)) against the loops that draw and rewrite one at a time:
+    # checks in their lockstep batches (a first batch of 15 transcripts at
+    # (5, 1, 2) and of 2 at (7, 1, 2), then batches sized by their
+    # residual) against the loops that draw and rewrite one at a time:
     # the same reports and the generator in the same state
     alg = group_algebra(PrimeConfig(*pfm, case, N=1))
     cutoff = alg.pM - 1
@@ -487,13 +489,14 @@ def _first_passes(alg, trs):
 @pytest.mark.parametrize("case", ["GL2", "QUAT"])
 @pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
 def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeypatch):
-    # two broken words, planted through word_mul: one first rewritten at
-    # pass P >= 1 of transcript T (its coefficients doubled, so the
-    # rewriting perturbs it), and one first rewritten by a later
-    # transcript T2 at an earlier pass (its support emptied, so the
-    # rewriting changes its weight).  The lockstep reaches T2's break
-    # first; like the loop over one transcript at a time it must raise
-    # T's, return T's predecessors, and leave the generator after T's draw
+    # two broken words, planted in the library's word builder and in the
+    # oracle's: one first rewritten at pass P >= 1 of transcript T (its
+    # coefficients doubled, so the rewriting perturbs it), and one first
+    # rewritten by a later transcript T2 at an earlier pass (its support
+    # emptied, so the rewriting changes its weight).  The lockstep reaches
+    # T2's break first; like the loop over one transcript at a time it
+    # must raise T's, return T's predecessors, and leave the generator
+    # after T's draw
     alg = group_algebra(PrimeConfig(*pfm, case, N=1))
     cutoff, k = alg.pM - 1, 2
     starts = _window_starts(alg, k, np.random.default_rng(31), 30)
@@ -504,10 +507,10 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
     early = min((tp, y) for y, tp in first.items() if tp[0] > T and tp[1] < P)
     (T2, P2), y = early
     broken = {tuple(tau_word(alg, x, 1)): "double", tuple(tau_word(alg, y, 1)): "empty"}
-    real = alg.word_mul
+    real, real_word = alg.zmul, transcript_oracle.support_word_mul
 
-    def word_mul(word):
-        idx, coeffs = real(word)
+    def support_word_mul(alg, word):
+        idx, coeffs = real_word(alg, word)
         how = broken.get(tuple(word))
         if how == "double":
             return idx, 2 * coeffs % alg.p
@@ -515,7 +518,19 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
             return idx[:0], coeffs[:0]
         return idx, coeffs
 
-    monkeypatch.setattr(alg, "word_mul", word_mul)
+    def zmul(chunks, fracs):
+        keys, coeffs = real(chunks, fracs)
+        row = keys // alg.order
+        for r, (chunk, frac) in enumerate(zip(chunks.tolist(), fracs.tolist())):
+            how = broken.get(tuple(term_word(chunk, frac)))
+            if how == "double":
+                coeffs = np.where(row == r, 2 * coeffs % alg.p, coeffs)
+            elif how == "empty":
+                keys, coeffs, row = keys[row != r], coeffs[row != r], row[row != r]
+        return keys, coeffs
+
+    monkeypatch.setattr(alg, "zmul", zmul)
+    monkeypatch.setattr(transcript_oracle, "support_word_mul", support_word_mul)
     trs, err = graded.iterate_taus(alg, starts, 1, cutoff)
     with pytest.raises(ContractViolation) as want:
         [transcript_oracle.iterate_tau(alg, s, 1, cutoff) for s in starts]
@@ -555,6 +570,116 @@ def test_lockstep_batch_at_depth_3_stays_below_one_vector():
         tracemalloc.stop()
     assert err is None and len(trs) == 20
     assert peak < 8 * alg.order, peak
+
+
+def test_tau_contract_at_depth_3_stays_below_one_vector():
+    # QUAT (5, 1, 3), 50 samples: after a first batch of one, the other 49
+    # starts fit the residual budget and run as one lockstep batch; the
+    # traced peak, most of it one row's expansion block, stays below one
+    # float64 vector of the group's order.  The tables and the weight
+    # array are built first, once per algebra
+    alg = group_algebra(PrimeConfig(5, 1, 3, "QUAT", N=1))
+    for i in range(alg.n):
+        alg.model.right_mul_table(alg.model.generator(i))
+    alg.nu_weight_array
+    tracemalloc.start()
+    try:
+        res = check_tau_contract(alg, 1, checks.sub_rng(7, "tau-contract"), 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["ok"] and res["monomials_checked"] > 0
+    assert peak < 8 * alg.order, peak
+
+
+def test_word_groups_split_at_the_merge_bound(monkeypatch):
+    # the words of 40 rewritten monomials in groups whose closed-form
+    # bounds sum to _MERGE = 300 at most, a row over it alone: joined, the
+    # same row-keyed pair as one call for all rows, and no group's words
+    # hold more than its bound
+    monkeypatch.setattr(graded, "_MERGE", 300)
+    alg = group_algebra(PrimeConfig(5, 1, 2, "GL2", N=1))
+    rng = np.random.default_rng(3)
+    exps = rng.integers(0, alg.pM, size=(2000, alg.n))
+    exps = exps[exps @ np.array(alg.nu_weights) < alg.pM][:40]
+    fracs = exps % alg.p
+    chunks = exps - fracs
+    bounds = np.prod(alg.lucas_terms[chunks], axis=1) * np.prod(fracs + 1, axis=1)
+    groups = list(graded._word_groups(alg, chunks, fracs))
+    assert len(groups) > 2 and bounds.max() > 300
+    keys, coeffs = alg.zmul(chunks, fracs)
+    assert np.array_equal(np.concatenate([k for k, _ in groups]), keys)
+    assert np.array_equal(np.concatenate([c for _, c in groups]), coeffs)
+    for k, _ in groups:
+        rows = np.unique(k // alg.order)
+        assert rows.size == 1 or bounds[rows].sum() <= 300, rows
+        for r in rows:
+            assert np.count_nonzero(k // alg.order == r) <= bounds[r]
+
+
+def test_word_exponents_read_the_two_runs(alg):
+    # tau_word's chunk run and remainder run back as exponent rows, words
+    # with one run or none among them; a third run is refused
+    xs = [(7, 6, 1), (5, 10, 0), (3, 2, 1), (0, 0, 0), (0, 5, 3)]
+    chunks, fracs = graded._word_exponents(alg.n, [tau_word(alg, x, 1) for x in xs])
+    for x, chunk, frac in zip(xs, chunks.tolist(), fracs.tolist()):
+        c, f = graded.tau_exponents(alg, x, 1)
+        # a word of one run reads as a chunk alone: the same product
+        assert (tuple(chunk), tuple(frac)) in ((c, f), (tuple(np.add(c, f)), (0,) * alg.n)), x
+    with pytest.raises(ValueError, match="more than two runs"):
+        graded._word_exponents(alg.n, [[(1, 5), (0, 1), (0, 2)]])
+
+
+def test_expand_first_step_stays_within_merge(monkeypatch):
+    # every support_expansion call of the sandwich and of tau-contract at
+    # (5, 1, 2) and (7, 1, 2): the block its first step spreads the terms
+    # over, (distinct prefixes) x (exponents present), stays within _MERGE
+    # entries unless the call holds one row; many calls hold several
+    for pfm in ((5, 1, 2), (7, 1, 2)):
+        alg = group_algebra(PrimeConfig(*pfm, "GL2", N=1))
+        real, calls = alg.support_expansion, []
+
+        def support_expansion(keys, coeffs, cutoff):
+            prefixes, x = np.unique(keys // alg.pM).size, np.unique(keys % alg.pM).size
+            spread = 0 if prefixes * x == keys.size else prefixes * x
+            calls.append((np.unique(keys // alg.order).size, spread))
+            return real(keys, coeffs, cutoff)
+
+        monkeypatch.setattr(alg, "support_expansion", support_expansion)
+        rng = np.random.default_rng(5)
+        assert check_sandwich(alg, 2, 1, rng, samples=40, mono_samples=20)["ok"]
+        assert check_tau_contract(alg, 1, rng, samples=20)["ok"]
+        assert all(rows == 1 or spread <= graded._MERGE for rows, spread in calls), calls
+        assert sum(rows > 1 for rows, _ in calls) > len(calls) // 4, calls
+
+
+def test_lockstep_batches_are_sized_by_their_residual(monkeypatch):
+    # the first batch holds _MERGE // _suffix_block transcripts, each later
+    # one order / _HELD_SHARE residual entries by the last batch's count per
+    # transcript; a budget 20 times smaller makes more, smaller batches and
+    # the same report
+    alg = group_algebra(PrimeConfig(5, 1, 2, "QUAT", N=1))
+    real = graded.iterate_taus
+    reports = []
+    for share in (graded._HELD_SHARE, 20 * graded._HELD_SHARE):
+        monkeypatch.setattr(graded, "_HELD_SHARE", share)
+        batches = []
+
+        def iterate_taus(alg, starts, N, cutoff):
+            trs, err = real(alg, starts, N, cutoff)
+            batches.append((len(starts), sum(tr.held for tr in trs)))
+            return trs, err
+
+        monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
+        reports.append(check_tau_contract(alg, 1, np.random.default_rng(8), samples=60))
+        assert batches[0][0] == graded._MERGE // graded._suffix_block(alg, alg.pM - 1) == 15
+        done = 0
+        for (size, held), (nxt, _) in zip(batches, batches[1:]):
+            done += size
+            assert nxt == min(max(1, alg.order // share * size // held), 60 - done), batches
+        assert sum(size for size, _ in batches) == 60
+        reports.append(len(batches))
+    assert reports[0] == reports[2] and reports[1] < reports[3], reports
 
 
 def test_tau_contract_check(alg, rng):

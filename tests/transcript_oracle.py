@@ -9,9 +9,11 @@ tau_rewrite expands one word per call, iterate_tau keeps one residual and
 verify_transcript re-expands one transcript; second_inclusion and
 tau_contract are the loops of graded.check_sandwich's second inclusion and
 of graded.check_tau_contract that draw a monomial, rewrite it and check it
-before they draw the next.  They share with the library the word
-(graded.tau_word, graded.term_word), word_mul, support_expansion on
-batches of one, collect and draw_row."""
+before they draw the next.  Each word is built alone, by the
+support-walking zmul_oracle.support_word_mul, where the library builds the
+words of a pass or of a batch at once (GroupAlgebra.zmul).  They share
+with the library the word (graded.tau_word, graded.term_word),
+support_expansion on batches of one, collect and draw_row."""
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from propring.graded import (
     term_word,
 )
 
+from zmul_oracle import support_word_mul
+
 # word entries verify_transcript merges at a time
 MERGE = 1 << 16
 
@@ -37,7 +41,7 @@ def tau_rewrite(alg, exps, N):
     w, flat = alg.nu_prime(exps), alg.model.index_of(exps)
     if w >= alg.pM:
         raise CutoffBeyondFaithful(f"weight {w} of {exps} reaches the unfaithful range")
-    idx, coeffs = alg.word_mul(tau_word(alg, exps, N))
+    idx, coeffs = support_word_mul(alg, tau_word(alg, exps, N))
     ks, weights, c = alg.support_expansion(idx, coeffs[:, None], alg.pM - 1)
     if not ks.size or weights.min() != w:
         raise ContractViolation(f"rewriting changed the weight of {exps}", exps)
@@ -83,7 +87,7 @@ def verify_transcript(alg, tr):
     read by element_nu."""
     parts, pending = [alg.monomial_support(tr.start)], 0
     for t in tr.terms:
-        idx, coeffs = alg.word_mul(term_word(t.chunk, t.frac))
+        idx, coeffs = support_word_mul(alg, term_word(t.chunk, t.frac))
         parts.append((idx, -t.coeff * coeffs))
         pending += idx.size
         if pending > MERGE:

@@ -1,11 +1,18 @@
-"""Dense right multiplication by tau words: the test oracle for the
-support-walking GroupAlgebra.zmul and GroupAlgebra.word_mul.
+"""Right multiplication by tau words: the test oracles for the batched
+word builder GroupAlgebra.zmul.
 
-It makes one pass over the whole group per unit of digit sum of the
-exponent and reads the digits above the units from the oracle rows of
-g_i^(p^k) (power_oracle.pc_row), where the library walks only the support
-of the element through the generator table; the two share only the group
-model's generator tables."""
+zmul and word_mul are dense: one pass over the whole group per unit of
+digit sum of the exponent, the digits above the units read from the
+oracle rows of g_i^(p^k) (power_oracle.pc_row), where the library walks
+only the support of the element through the generator table; the two
+share only the group model's generator tables.
+
+support_zmul and support_word_mul walk one word's support at a time,
+factor by factor from the identity, the chunk factors included, with one
+collect per factor: the word builder the library had before it built the
+words of many rows at once and the chunk half in closed form."""
+
+import math
 
 import numpy as np
 
@@ -44,3 +51,31 @@ def word_mul(alg, a, word):
     for i, e in word:
         a = zmul(alg, a, i, e)
     return a
+
+
+def support_zmul(alg, idx, coeffs, i, e=1):
+    """Right multiplication by (g_i - 1)^e of the element sum_t coeffs[t]
+    [idx[t]] on its support: by (g_i - 1)^e = sum_s (-1)^(e-s) binom(e, s)
+    g_i^s, term s walks the support s steps through the generator table,
+    and collect merges the terms.  e >= p^M gives the empty support."""
+    if e >= alg.pM:
+        return idx[:0], coeffs[:0]
+    perm = alg.model.right_mul_table(alg.model.generator(i))
+    walk, terms, weights = idx, [], []
+    for s in range(e + 1):
+        if s:
+            walk = perm[walk]
+        c = math.comb(e, s) % alg.p
+        if c:
+            terms.append(walk)
+            weights.append(coeffs * (-c if (e - s) % 2 else c))
+    return alg.collect(np.concatenate(terms), np.concatenate(weights))
+
+
+def support_word_mul(alg, word):
+    """Support pair of an ordered word of (i, e) z-chunks: the identity's
+    support carried through support_zmul factor by factor."""
+    idx, coeffs = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for i, e in word:
+        idx, coeffs = support_zmul(alg, idx, coeffs, i, e)
+    return idx, coeffs
