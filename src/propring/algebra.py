@@ -80,7 +80,7 @@ import math
 
 import numpy as np
 
-from .config import CACHED_CONFIGS, BoundedMemo, PrimeConfig
+from .config import CACHED_CONFIGS, PrimeConfig
 from .errors import ConfigError, CutoffBeyondFaithful
 from .gf import gf, matmul, rref
 from .groups import Digits, GroupModel, group_model
@@ -89,8 +89,6 @@ from .groups import Digits, GroupModel, group_model
 # support pairs per right_act walk of GroupAlgebra.mul_rows; bounds its
 # transient index arrays to a few MB
 _PAIR_CHUNK = 1 << 14
-# support entries the monomial_support memo holds, about 1 MB
-_MONOMIAL_MEMO = 1 << 16
 # entries of the expansion block per step of GroupAlgebra.generator_columns
 _KERNEL_CHUNK = 1 << 16
 # witness entries a failed certificate reports
@@ -140,9 +138,6 @@ class GroupAlgebra:
         self._q_col = np.nonzero(nz)[1].astype(np.int64)
         self._q_val = self._Q[nz].astype(np.int64)
         self._nu_w: np.ndarray | None = None
-        # support pairs by exponents (monomial_support), sized by their
-        # index entries
-        self._monomials = BoundedMemo(_MONOMIAL_MEMO, lambda pair: pair[0].size)
 
     # -- dense vectors -------------------------------------------------------
 
@@ -218,10 +213,10 @@ class GroupAlgebra:
         The support pairs (x, h) of a group, _PAIR_CHUNK at most, go
         through one GroupModel.right_act, and the group's products are
         merged by collect on the key.  A row with more pairs than that is a
-        group of its own, walked in slices of _PAIR_CHUNK into one dense
-        accumulator of the group's order.  So the transient memory is a few
-        arrays of _PAIR_CHUNK entries whatever the batch, and a caller that
-        stops early skips the groups after it."""
+        group of its own, walked in slices of _PAIR_CHUNK, each merged into
+        the row's running pair by collect.  So the transient memory is a few
+        arrays of _PAIR_CHUNK entries beside the products, whatever the
+        batch, and a caller that stops early skips the groups after it."""
         (ar, ax, ac), (br, bx, bc) = a, b
         a0 = np.searchsorted(ar, np.arange(rows + 1))
         b0 = np.searchsorted(br, np.arange(rows + 1))
@@ -243,17 +238,13 @@ class GroupAlgebra:
         r = 0
         while r < rows:
             lo = int(ends[r] - pairs[r])
-            if pairs[r] > _PAIR_CHUNK:
-                end = r + 1
-                dense = self.zero()
-                for start in range(lo, int(ends[r]), _PAIR_CHUNK):
-                    idx, acc = products(start, min(start + _PAIR_CHUNK, int(ends[r])), r)
-                    dense[idx] = (dense[idx] + acc) % self.p
-                key = np.flatnonzero(dense)
-                acc = dense[key].astype(np.int64)
-            else:
-                end = int(np.searchsorted(ends, lo + _PAIR_CHUNK, side="right"))
-                key, acc = products(lo, int(ends[end - 1]), r)
+            # whole rows of _PAIR_CHUNK pairs at most, or one row alone
+            end = max(r + 1, int(np.searchsorted(ends, lo + _PAIR_CHUNK, side="right")))
+            stop = int(ends[end - 1])
+            key, acc = products(lo, min(lo + _PAIR_CHUNK, stop), r)
+            for start in range(lo + _PAIR_CHUNK, stop, _PAIR_CHUNK):
+                more = products(start, min(start + _PAIR_CHUNK, stop), r)
+                key, acc = self.collect(*map(np.concatenate, zip((key, acc), more)))
             yield r, end, key, acc
             r = end
 
@@ -265,21 +256,6 @@ class GroupAlgebra:
         out = self.zero()
         out[idx] = coeffs
         return out
-
-    def monomial_support(self, k: Digits) -> tuple[np.ndarray, np.ndarray]:
-        """Support pair of z^k, sorted by index (_lucas_rows on one row).
-        The pairs are memoized by k, read-only, least recently used first
-        out once the memo holds more than _MONOMIAL_MEMO entries, since the
-        sandwich's first inclusion draws the same subring monomials many
-        times."""
-        key = self.model.check_digits(k)
-
-        def build():
-            _, idx, coeffs = self._lucas_rows(np.array([key]))
-            idx.flags.writeable = coeffs.flags.writeable = False
-            return idx, coeffs
-
-        return self._monomials.get_or_build(key, build)
 
     def _lucas_rows(self, exps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, index, coefficient) arrays of the monomials z^(exps[r]) of
@@ -305,8 +281,8 @@ class GroupAlgebra:
         return row, idx, coeffs
 
     def monomial(self, k: Digits) -> np.ndarray:
-        """Dense vector of z^k, a fresh array."""
-        idx, coeffs = self.monomial_support(k)
+        """Dense vector of z^k, a fresh array (_lucas_rows on one row)."""
+        _, idx, coeffs = self._lucas_rows(np.array([self.model.check_digits(k)]))
         out = self.zero()
         out[idx] = coeffs
         return out

@@ -179,8 +179,12 @@ REGISTRY = {
     # the level: level 256 took 0.04 CPU s at p = 5 and 1.0 s at p = 23 on
     # a 2-vCPU machine, level 2048 at p = 5 about 5 s
     "quaternion-commutator": (_chk_quaternion_commutator, ("QUAT",), {"level": (3, 2, 256)}),
+    # all T and T^-1 of a module's basis changes are held at once: corpus
+    # count 1 at GL2 (5, 1, 2) peaked at 36, 37 and 82 MB RSS with 5, 16 and
+    # 1,000 of them, the 676-dim deep-line module at (5, 1, 3) alone at 161,
+    # 232 and 449 MB (78 CPU s) with 1, 4 and 16, on a 2-vCPU machine
     "restriction-determinism": (_chk_restriction_determinism, CASES,
-                                {"N": _N, **_CORPUS, "basis_changes": (5, 1, None)}),
+                                {"N": _N, **_CORPUS, "basis_changes": (5, 1, 16)}),
     "sandwich": (_chk_sandwich, CASES, {"N": _N, "kmax": (3, 1, None),
                                         "samples": (200, 1, None),
                                         "mono_samples": (50, 1, None)}),

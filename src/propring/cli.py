@@ -9,10 +9,12 @@
 
 One-shot subcommands read JSON from --in or standard input and print JSON.
 Exit codes: 0 success / all checks pass, 1 any check failed or came back
-indeterminate, 2 configuration or input error.  PROPRING_OUT_DIR, if set,
-is the default directory for relative output paths.  main may be called
-repeatedly in one process: the parser is built once, and a module asked
-about again is not validated again (modules.build_module)."""
+indeterminate, 2 configuration or input error, an output path whose
+directory does not exist among them (refused before any check runs).
+PROPRING_OUT_DIR, if set, is the default directory for relative output
+paths.  main may be called repeatedly in one process: the parser is built
+once, and a module asked about again is not validated again
+(modules.build_module)."""
 
 from __future__ import annotations
 
@@ -36,10 +38,23 @@ def _read_json(path: str | None):
 
 
 def _out_path(path: str) -> str:
+    """The output path, under PROPRING_OUT_DIR when that is set and path
+    is relative; refused when its directory does not exist."""
     base = os.environ.get("PROPRING_OUT_DIR")
     if base and not os.path.isabs(path):
-        return os.path.join(base, path)
+        path = os.path.join(base, path)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path}: no directory {folder}")
     return path
+
+
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _print(obj) -> None:
@@ -51,19 +66,18 @@ def _cmd_verify(args) -> int:
     from .checks import report_bytes, report_csv, run_scenario
 
     data = _read_json(args.scenario)
+    out, csv = (_out_path(path) if path else None for path in (args.out, args.csv))
     report, code = run_scenario(data, include_timings=args.timings)
     for entry in report["checks"]:
         print(f"{entry['name']}: {entry['status']}")
     s = report["summary"]
     print(f"summary: {s['pass']} pass, {s['fail']} fail, "
           f"{s['indeterminate']} indeterminate")
-    if args.out:
-        with open(_out_path(args.out), "wb") as fh:
-            fh.write(report_bytes(report) if not args.timings
-                     else (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
-    if args.csv:
-        with open(_out_path(args.csv), "w", encoding="utf-8") as fh:
-            fh.write(report_csv(report))
+    if out:
+        _write(out, report_bytes(report) if not args.timings
+               else (json.dumps(report, sort_keys=True, indent=2) + "\n").encode())
+    if csv:
+        _write(csv, report_csv(report).encode())
     return code
 
 

@@ -382,21 +382,11 @@ class TauTranscript:
     held: int = dataclasses.field(default=0, compare=False)
 
 
-def tau_exponents(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[Digits, Digits]:
-    q = alg.p**N
-    chunk = tuple((e // q) * q for e in exps)
-    frac = tuple(e % q for e in exps)
-    return chunk, frac
-
-
-def term_word(chunk: Digits, frac: Digits) -> list[tuple[int, int]]:
-    """The word of a rewriting term: the chunk factors in basis order, then
-    the remainders in basis order."""
-    return [(i, e) for i, e in enumerate(chunk) if e] + [(i, e) for i, e in enumerate(frac) if e]
-
-
-def tau_word(alg: GroupAlgebra, exps: Digits, N: int) -> list[tuple[int, int]]:
-    return term_word(*tau_exponents(alg, exps, N))
+def tau_exponents(alg: GroupAlgebra, exps: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk and remainder exponents of the rows of a (rows, n)
+    exponent array X: X - X % p^N, multiples of p^N, and X % p^N."""
+    frac = exps % alg.p**N
+    return exps - frac, frac
 
 
 def _row_minima(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
@@ -485,37 +475,18 @@ def _expand(alg: GroupAlgebra, pieces, cutoff: int) -> tuple[np.ndarray, np.ndar
     return tuple(map(np.concatenate, zip(*out)))
 
 
-def _word_exponents(n: int, words) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, n) exponent arrays (chunks, fracs) of the words, each a
-    run of factors (i, e) in basis order, the chunk monomial, then a second
-    run, one remainder per axis, as tau_word and term_word make them: a
-    factor whose generator does not come after the one before it starts
-    the second run."""
-    rows = [[0] * (2 * n) for _ in words]
-    for row, word in zip(rows, words):
-        last, half = -1, 0
-        for i, e in word:
-            if i <= last:
-                if half:
-                    raise ValueError(f"the word {word} has more than two runs")
-                half = n
-            row[half + i], last = e, i
-    out = np.array(rows, dtype=np.int64).reshape(len(words), 2 * n)
-    return out[:, :n], out[:, n:]
-
-
-def _rewrite_rows(alg: GroupAlgebra, exps: list[Digits],
+def _rewrite_rows(alg: GroupAlgebra, exps: np.ndarray,
                   N: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ContractViolation] | None]:
-    """The rewriting of the monomials exps, each of weight below p^M, as
-    rows 0, 1, ...: their words tau_word built by _word_groups and
-    expanded by _expand, the monomial terms below p^M as one row-keyed
-    pair (row order + k, coefficient), and the first row that breaks the
-    contract nu(tau(x)) = nu(x) and tau(x) - x in m^(nu+1), with its
-    ContractViolation, or None."""
+    """The rewriting of the monomials z^x, x the rows of a (rows, n) array
+    of weight below p^M, as rows 0, 1, ...: their words, split by
+    tau_exponents, built by _word_groups and expanded by _expand, the
+    monomial terms below p^M as one row-keyed pair (row order + k,
+    coefficient), and the first row that breaks the contract nu(tau(x)) =
+    nu(x) and tau(x) - x in m^(nu+1), with its ContractViolation, or None."""
     order = alg.order
-    flats = np.array([alg.model.index_of(x) for x in exps], dtype=np.int64)
-    chunks, fracs = _word_exponents(alg.n, [tau_word(alg, x, N) for x in exps])
-    keys, weights, c = _expand(alg, _word_groups(alg, chunks, fracs), alg.pM - 1)
+    flats = np.ravel_multi_index(exps.T, (alg.pM,) * alg.n)
+    keys, weights, c = _expand(alg, _word_groups(alg, *tau_exponents(alg, exps, N)),
+                               alg.pM - 1)
     c = c[:, 0]
     row = keys // order
     w = alg.nu_weight_array[flats]
@@ -525,7 +496,7 @@ def _rewrite_rows(alg: GroupAlgebra, exps: list[Digits],
     units = np.arange(len(exps)) * order + flats
     if keys[low].size == len(exps) and (keys[low] == units).all() and (c[low] == 1).all():
         return keys, c, None
-    for r, x in enumerate(exps):
+    for r, x in enumerate(map(tuple, exps.tolist())):
         mine = row == r
         if keys[mine & low].tolist() != [units[r]] or c[mine & low].tolist() != [1]:
             if weights[mine].min(initial=w[r] + 1) != w[r]:
@@ -545,7 +516,7 @@ def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[np.ndarray, np
     w = alg.nu_prime(exps)
     if w >= alg.pM:
         raise CutoffBeyondFaithful(f"weight {w} of {exps} reaches the unfaithful range")
-    ks, c, broken = _rewrite_rows(alg, [exps], N)
+    ks, c, broken = _rewrite_rows(alg, np.array([exps]), N)
     if broken:
         raise broken[1]
     return ks, c
@@ -600,12 +571,13 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
         if not level.size:
             break
         src_t, level_c = t[level], coeffs[level]
-        exps = [alg.model.digits_of(flat) for flat in (keys[level] - src_t * order).tolist()]
-        for tt, x, coeff in zip(src_t.tolist(), exps, level_c.tolist()):
-            chunk, frac = tau_exponents(alg, x, N)
-            terms[tt].append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=x,
-                                     src_weight=int(w0[tt]),
-                                     chunk_weight=alg.nu_prime(chunk) // q))
+        exps = np.stack(np.unravel_index(keys[level] - src_t * order, (alg.pM,) * alg.n), axis=1)
+        chunks, fracs = tau_exponents(alg, exps, N)
+        for tt, x, chunk, frac, cw, coeff in zip(
+                src_t.tolist(), exps.tolist(), chunks.tolist(), fracs.tolist(),
+                (chunks @ alg.nu_weights // q).tolist(), level_c.tolist()):
+            terms[tt].append(TauTerm(coeff=coeff, chunk=tuple(chunk), frac=tuple(frac),
+                                     src=tuple(x), src_weight=int(w0[tt]), chunk_weight=cw))
         ks, c, broken = _rewrite_rows(alg, exps, N)
         keep = least <= cutoff
         if broken:  # rows ascend with the transcript, then the index
@@ -727,15 +699,6 @@ def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, v
         size = max(1, alg.order // _HELD_SHARE * len(trs) // max(1, sum(tr.held for tr in trs)))
 
 
-def _stack_rows(pairs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
-    """The (row, index, coefficient) arrays of GroupAlgebra.mul_rows holding
-    the r-th support pair as row r."""
-    empty = np.zeros(0, dtype=np.int64)
-    return (np.repeat(np.arange(len(pairs)), [idx.size for idx, _ in pairs]),
-            np.concatenate([empty] + [idx for idx, _ in pairs]),
-            np.concatenate([empty] + [c for _, c in pairs]))
-
-
 def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
                    samples: int, mono_samples: int) -> dict:
     """Both inclusions of the filtration sandwich at index k.
@@ -748,8 +711,8 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
     checked exactly.
 
     The first inclusion draws its subring monomials one row at a time
-    (nearly every row is accepted), reads their support pairs through the
-    monomial_support memo and merges them into the u's by one collect
+    (nearly every row is accepted), builds all of them by one
+    GroupAlgebra._lucas_rows and merges them into the u's by one collect
     keyed by sample; each row group of products from
     GroupAlgebra.mul_rows is read at the window k p^N - 1 by
     _expand, a few row-keyed expansions per group.  The second inclusion's
@@ -780,24 +743,26 @@ def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
     # v a random 30-term element, as support pairs; the generator's state
     # after each sample is kept, so that a failure at sample j can leave it
     # where the draws of sample j left it.  The monomials of all u's are
-    # keyed by their sample and merged by one collect
-    monos, vs, states = [(np.zeros(0, dtype=np.int64),) * 2], [], []
+    # built by one _lucas_rows, keyed by sample and merged by one collect
+    draws, vs, states = [], [], []  # rows (sample, coefficient, *exponents), (sample, x, c)
     for r in range(samples):
         for _ in range(int(rng.integers(1, 4))):
             coeff = int(rng.integers(1, p))
-            mono_idx, mono_c = alg.monomial_support(sample_subring_exps())
-            monos.append((r * alg.order + mono_idx, coeff * mono_c))
+            draws.append((r, coeff, *sample_subring_exps()))
         support = rng.choice(alg.order, size=30, replace=False)
-        c = rng.integers(0, p, size=30)
-        vs.append((support[c != 0], c[c != 0]))
+        vs.append((np.full(30, r), support, rng.integers(0, p, size=30)))
         states.append(rng.bit_generator.state)
-    ukeys, uc = alg.collect(*map(np.concatenate, zip(*monos)))
+    draws = np.array(draws, dtype=np.int64).reshape(-1, 2 + n)
+    row, idx, mono_c = alg._lucas_rows(draws[:, 2:])
+    ukeys, uc = alg.collect(draws[row, 0] * alg.order + idx, draws[row, 1] * mono_c)
     urows = ukeys // alg.order
+    # the v's as mul_rows' (row, index, coefficient) arrays, zeros dropped
+    vs = np.array(vs, dtype=np.int64).reshape(-1, 3, 30).transpose(1, 0, 2).reshape(3, -1)
 
     first_checked = 0
     first_ok = True
     for r, end, key, c in alg.mul_rows((urows, ukeys - urows * alg.order, uc),
-                                       _stack_rows(vs), samples):
+                                       tuple(vs[:, vs[2] != 0]), samples):
         # a monomial term below k p^N puts a product outside m^(k p^N);
         # the first such key is in the first product that has one
         low = _expand(alg, [(key, c)], k * q - 1)[0]

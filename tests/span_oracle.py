@@ -87,8 +87,8 @@ def primal_ideal_power_spans(alg, jmax: int) -> dict:
 def coefficient_functional(alg, k: int) -> np.ndarray:
     """Values on the group basis of the coefficient functional e_k of
     the flat index k, e_k[x] = prod_i binom(x_i, k_i) mod p: the tensor
-    product of the Pascal columns P[., k_i], as monomial_support builds
-    z^k from the rows Q[k_i, .]."""
+    product of the Pascal columns P[., k_i], as GroupAlgebra._lucas_rows
+    builds z^k from the rows Q[k_i, .]."""
     e_k = np.ones(1, dtype=np.int16)
     for ki in alg.model.digits_of(k):
         e_k = np.multiply.outer(e_k, alg._P[:, ki]).ravel() % alg.p

@@ -7,7 +7,7 @@ monomial; iterate_tau keeps its residual as a dense group-coordinate
 vector and transforms it back to monomial coordinates twice per pass.
 The library keeps support pairs throughout and reads each rewritten word
 below p^M only, by GroupAlgebra.support_expansion; both share only the
-word (graded.tau_word) and the transcript types.  below_faithful and
+transcript types.  The word is zmul_oracle.tau_word.  below_faithful and
 read_residual read the oracle's answers on the weights below p^M, as the
 library gives them."""
 
@@ -16,10 +16,10 @@ import dataclasses
 import numpy as np
 
 from propring.errors import ContractViolation
-from propring.graded import TauTerm, TauTranscript, tau_exponents, tau_word
+from propring.graded import TauTerm, TauTranscript
 
 from transform_oracle import of_group
-from zmul_oracle import word_mul
+from zmul_oracle import tau_split, tau_word, word_mul
 
 
 def in_filtration(alg, a, j):
@@ -81,7 +81,7 @@ def iterate_tau(alg, exps, N, cutoff):
         for idx in hit[nu_w[hit] == w0]:
             k = alg.model.digits_of(int(idx))
             coeff = int(mono[idx])
-            chunk, frac = tau_exponents(alg, k, N)
+            chunk, frac = tau_split(alg, k, N)
             dense = tau_rewrite(alg, k, N)
             cw = alg.nu_prime(chunk) // (alg.p**N)
             terms.append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=k,

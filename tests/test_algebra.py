@@ -14,7 +14,7 @@ from propring.algebra import (GroupAlgebra, check_maximal_ideal_powers, frattini
                               group_algebra)
 from propring.config import PrimeConfig, prime_factors
 from propring.errors import ConfigError, CutoffBeyondFaithful
-from propring.graded import hilbert_oracle, term_word
+from propring.graded import hilbert_oracle
 from propring.groups import GroupModel, group_model
 from pair_oracle import random_element
 import power_oracle
@@ -27,6 +27,7 @@ import tau_oracle
 from transform_oracle import (axis_expansion, digit_apply, expand_group_sparse, of_group,
                               of_support, transforms)
 import zmul_oracle
+from zmul_oracle import term_word
 
 
 def rand_sparse(alg, rng, support=12):
@@ -70,8 +71,9 @@ def test_mul_matches_group_oracle(alg, rng):
 
 
 def test_mul_across_pair_chunks(alg, rng, monkeypatch):
-    # a product of more support pairs than one accumulation step takes,
-    # against sum_h b[h] (a permuted by right multiplication by h)
+    # a product of more support pairs than one right_act walk takes, its
+    # slices merged into one keyed pair, against sum_h b[h] (a permuted by
+    # right multiplication by h)
     monkeypatch.setattr(algebra, "_PAIR_CHUNK", 1000)
     a, b = rand_sparse(alg, rng, 300), rand_sparse(alg, rng, 40)
     ref = np.zeros(alg.order, dtype=np.int64)
@@ -119,8 +121,10 @@ def rows_of(alg, vecs):
 def test_mul_rows_matches_oracles(pfm, case, monkeypatch):
     # with a group bound of 1000 pairs: empty rows on either side, a batch
     # whose rows straddle the bound (groups of several whole rows), one row
-    # beyond the bound (walked in slices) and a batch of one, each row
-    # against the power-table product and the dense pair-chunk product
+    # beyond the bound (walked in slices, each merged into the row's keyed
+    # pair by collect) and a batch of one, each row against the
+    # power-table product and the dense pair-chunk product: keys ascending,
+    # zeros dropped
     monkeypatch.setattr(algebra, "_PAIR_CHUNK", 1000)
     alg = group_algebra(PrimeConfig(*pfm, case))
     rng = np.random.default_rng(sum(pfm) + len(case))
@@ -327,23 +331,22 @@ def test_monomial_returns_a_fresh_array(alg):
     assert np.array_equal(alg.monomial(k), zmul_chain(alg, k))
 
 
-def test_monomial_memo_is_bounded_and_read_only(model, monkeypatch):
-    # a memo of 300 entries against monomials of up to 125: every call,
-    # hit or miss, is a read-only support pair equal to the ordered chain
-    # of dense products, and the memo never holds more than its bound
-    monkeypatch.setattr(algebra, "_MONOMIAL_MEMO", 300)
+def test_lucas_rows_match_the_ordered_chain(model):
+    # the monomials of a batch of exponent rows, repeated rows among them,
+    # as (row, index, coefficient) arrays: rows ascending, each row's
+    # indices ascending and its pair the ordered chain of dense products;
+    # no rows give empty arrays
     alg = GroupAlgebra(model)
     rng = np.random.default_rng(6)
-    ks = [tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n)) for _ in range(8)]
-    for k in ks + ks[::-1] + ks:
-        got = alg.monomial_support(k)
-        assert np.array_equal(of_support(alg, got), zmul_chain(alg, k)), k
-        for a in got:
-            with pytest.raises(ValueError, match="read-only"):
-                a[:] = 0
-        stored = sum(idx.size for idx, _ in alg._monomials.values())
-        assert stored == alg._monomials.entries <= 300
-    assert alg._monomials
+    exps = rng.integers(0, alg.pM, size=(8, alg.n))
+    exps = np.concatenate([exps, exps[::-1]])
+    row, idx, coeffs = alg._lucas_rows(exps)
+    assert np.all(np.diff(row) >= 0)
+    for r, k in enumerate(map(tuple, exps.tolist())):
+        mine = row == r
+        assert np.all(np.diff(idx[mine]) > 0)
+        assert np.array_equal(of_support(alg, (idx[mine], coeffs[mine])), zmul_chain(alg, k)), k
+    assert all(a.size == 0 for a in alg._lucas_rows(np.zeros((0, alg.n), dtype=np.int64)))
 
 
 def test_binomial_expansion_matches_transform(alg, rng):

@@ -3,11 +3,13 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from propring import checks, graded, modules
 from propring.algebra import group_algebra
 from propring.checks import CHECKS, parse_scenario, report_bytes, report_csv, run_scenario, sub_rng
+from propring.cli import main
 from propring.config import PrimeConfig
 from propring.errors import ConfigError, ContractViolation
 
@@ -130,6 +132,29 @@ def test_quaternion_commutator_level_is_bounded():
                 parse_scenario(data)
 
 
+def test_basis_changes_are_bounded(monkeypatch, tmp_path, capsys):
+    # every basis change of restriction-determinism is held at once, so a
+    # count past the registry's bound is refused: verify exits 2 with a
+    # config error before any check runs; the bound itself parses
+    ran = []
+    monkeypatch.setattr(checks, "CHECKS", {name: lambda *a, **k: ran.append(a)
+                                           for name in checks.CHECKS})
+    for count, ok in ((16, True), (17, False), (8000, False)):
+        params = {"N": 1, "count": 1, "basis_changes": count}
+        data = dict(TINY, checks=[{"check": "restriction-determinism", "params": params}])
+        if ok:
+            assert parse_scenario(data)[3][0][2]["basis_changes"] == count
+            continue
+        path = tmp_path / "bc.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error: 'restriction-determinism' needs 1 <= basis_changes <= 16"), captured.err
+    assert not ran
+
+
 SHIPPED = sorted((ROOT / "scenarios").glob("*.json")) + [
     ROOT / "bench" / "data" / "verify-gl2.json",
     ROOT / "bench" / "data" / "verify-quat.json",
@@ -181,11 +206,13 @@ def test_broken_tau_contract_fails(monkeypatch):
     data = json.loads(quick.read_text())
     data["checks"] = [c for c in data["checks"]
                       if isinstance(c, dict) and c["check"] == "tau-contract"]
-    def chunk_only(alg, exps, N):
-        chunk, _ = graded.tau_exponents(alg, exps, N)
-        return [(i, e) for i, e in enumerate(chunk) if e]
+    split = graded.tau_exponents
 
-    monkeypatch.setattr(graded, "tau_word", chunk_only)
+    def chunk_only(alg, exps, N):
+        chunks, _ = split(alg, exps, N)
+        return chunks, np.zeros_like(chunks)
+
+    monkeypatch.setattr(graded, "tau_exponents", chunk_only)
     report, code = run_scenario(data)
     assert code == 1
     [entry] = report["checks"]
@@ -197,11 +224,21 @@ def test_broken_tau_contract_fails(monkeypatch):
 
 
 def test_tau_word_missing_last_factor_fails(monkeypatch):
-    # a word that loses its last factor lowers the weight of the image: the
-    # rewriting raises with the monomial as witness, and the whole quick
-    # scenario reports tau-contract as fail and exits 1
-    word = graded.tau_word
-    monkeypatch.setattr(graded, "tau_word", lambda alg, exps, N: word(alg, exps, N)[:-1])
+    # a word that loses its last factor (the last nonzero remainder, or the
+    # last nonzero chunk exponent of a word without remainders) lowers the
+    # weight of the image: the rewriting raises with the monomial as
+    # witness, and the whole quick scenario reports tau-contract as fail
+    # and exits 1
+    split = graded.tau_exponents
+
+    def missing_last(alg, exps, N):
+        word = np.hstack(split(alg, exps, N))  # chunk exponents, then remainders
+        rows = np.flatnonzero(word.any(axis=1))
+        last = word.shape[1] - 1 - np.argmax(word[rows, ::-1] != 0, axis=1)
+        word[rows, last] = 0
+        return word[:, :alg.n], word[:, alg.n:]
+
+    monkeypatch.setattr(graded, "tau_exponents", missing_last)
     alg = group_algebra(PrimeConfig(5, 1, 2, "GL2", N=1))
     with pytest.raises(ContractViolation) as err:
         graded.tau_rewrite(alg, (7, 6, 1), 1)

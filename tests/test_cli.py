@@ -572,6 +572,34 @@ def test_out_dir_env(tmp_path, capsys, monkeypatch):
     assert rep.exists()
 
 
+def test_verify_output_into_a_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # --out, --csv, and a relative --out under a PROPRING_OUT_DIR that does
+    # not exist: exit 2 with a config error, before any check runs
+    ran = []
+    monkeypatch.setattr(checks, "run_scenario", lambda *a, **k: ran.append(a))
+    missing = tmp_path / "missing"
+    for argv, env in ((["--out", str(missing / "r.json")], None),
+                      (["--csv", str(missing / "s.csv")], None),
+                      (["--out", str(tmp_path / "r.json"), "--csv", str(missing / "s.csv")], None),
+                      (["--out", "r.json"], str(missing))):
+        if env:
+            monkeypatch.setenv("PROPRING_OUT_DIR", env)
+        assert main(["verify", QUICK] + argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write "), captured.err
+        assert str(missing) in captured.err, captured.err
+    assert not ran and not missing.exists() and not (tmp_path / "r.json").exists()
+
+
+def test_verify_output_that_cannot_be_opened_exits_2(tmp_path, capsys):
+    # an --out that names a directory: the checks run, and the write fails
+    # with a config error, not a traceback
+    assert main(["verify", QUICK, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: cannot write {tmp_path}"), captured.err
+
+
 def test_verify_pc_letter_order_fault_fails(tmp_path, capsys, monkeypatch):
     # C ranked before A and B: W = [B_0, A_0] then has a letter C_0 that
     # comes before B_0, so pc_relations raises ContractViolation naming the

@@ -27,8 +27,6 @@ from propring.graded import (
     hilbert_oracle,
     ideal_spec,
     tau_rewrite,
-    tau_word,
-    term_word,
     TauTranscript,
 )
 import graded_oracle
@@ -41,6 +39,7 @@ import transcript_oracle
 from graded_oracle import DenseGradedRing
 from span_oracle import primal_ideal_power_spans
 from transform_oracle import of_support
+from zmul_oracle import tau_word, term_word
 
 F5 = gf(5, 1)
 
@@ -250,8 +249,9 @@ def test_sandwich_gate(alg, rng):
 
 @pytest.mark.parametrize("fail_at", [None, 0, 9])
 def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
-    # the batched first inclusion, in groups of 2000 pairs at most, against
-    # one sample at a time: the same products read in the same order, the
+    # the batched first inclusion, in groups of 2000 pairs at most (a row
+    # beyond that in slices merged into one keyed pair), against one
+    # sample at a time: the same products read in the same order, the
     # same report and the generator in the same state after the second
     # inclusion.  The library reads each row group of products by one
     # row-keyed support_expansion at the window k p^N - 1 = 9, the oracle
@@ -615,19 +615,6 @@ def test_word_groups_split_at_the_merge_bound(monkeypatch):
         assert rows.size == 1 or bounds[rows].sum() <= 300, rows
         for r in rows:
             assert np.count_nonzero(k // alg.order == r) <= bounds[r]
-
-
-def test_word_exponents_read_the_two_runs(alg):
-    # tau_word's chunk run and remainder run back as exponent rows, words
-    # with one run or none among them; a third run is refused
-    xs = [(7, 6, 1), (5, 10, 0), (3, 2, 1), (0, 0, 0), (0, 5, 3)]
-    chunks, fracs = graded._word_exponents(alg.n, [tau_word(alg, x, 1) for x in xs])
-    for x, chunk, frac in zip(xs, chunks.tolist(), fracs.tolist()):
-        c, f = graded.tau_exponents(alg, x, 1)
-        # a word of one run reads as a chunk alone: the same product
-        assert (tuple(chunk), tuple(frac)) in ((c, f), (tuple(np.add(c, f)), (0,) * alg.n)), x
-    with pytest.raises(ValueError, match="more than two runs"):
-        graded._word_exponents(alg.n, [[(1, 5), (0, 1), (0, 2)]])
 
 
 def test_expand_first_step_stays_within_merge(monkeypatch):

@@ -9,11 +9,13 @@ tau_rewrite expands one word per call, iterate_tau keeps one residual and
 verify_transcript re-expands one transcript; second_inclusion and
 tau_contract are the loops of graded.check_sandwich's second inclusion and
 of graded.check_tau_contract that draw a monomial, rewrite it and check it
-before they draw the next.  Each word is built alone, by the
-support-walking zmul_oracle.support_word_mul, where the library builds the
+before they draw the next.  Each word, the start z^start among them, is
+built alone from its list of factors (zmul_oracle.tau_word, term_word) by
+the support-walking zmul_oracle.support_word_mul, where the library splits
+the exponents of a pass at once (graded.tau_exponents) and builds the
 words of a pass or of a batch at once (GroupAlgebra.zmul).  They share
-with the library the word (graded.tau_word, graded.term_word),
-support_expansion on batches of one, collect and draw_row."""
+with the library support_expansion on batches of one, collect and
+draw_row."""
 
 import numpy as np
 
@@ -23,12 +25,9 @@ from propring.graded import (
     TauTranscript,
     chunk_weight_bound,
     draw_row,
-    tau_exponents,
-    tau_word,
-    term_word,
 )
 
-from zmul_oracle import support_word_mul
+from zmul_oracle import support_word_mul, tau_split, tau_word, term_word
 
 # word entries verify_transcript merges at a time
 MERGE = 1 << 16
@@ -67,7 +66,7 @@ def iterate_tau(alg, exps, N, cutoff):
         level = nu_w[idx] == w0
         for flat, coeff in zip(idx[level].tolist(), coeffs[level].tolist()):
             k = alg.model.digits_of(flat)
-            chunk, frac = tau_exponents(alg, k, N)
+            chunk, frac = tau_split(alg, k, N)
             cw = alg.nu_prime(chunk) // (alg.p**N)
             terms.append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=k,
                                  src_weight=w0, chunk_weight=cw))
@@ -85,7 +84,7 @@ def iterate_tau(alg, exps, N, cutoff):
 def verify_transcript(alg, tr):
     """start = sum of terms + residual in group coordinates, the residual
     read by element_nu."""
-    parts, pending = [alg.monomial_support(tr.start)], 0
+    parts, pending = [support_word_mul(alg, term_word(tr.start, ()))], 0
     for t in tr.terms:
         idx, coeffs = support_word_mul(alg, term_word(t.chunk, t.frac))
         parts.append((idx, -t.coeff * coeffs))

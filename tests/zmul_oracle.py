@@ -10,13 +10,36 @@ share only the group model's generator tables.
 support_zmul and support_word_mul walk one word's support at a time,
 factor by factor from the identity, the chunk factors included, with one
 collect per factor: the word builder the library had before it built the
-words of many rows at once and the chunk half in closed form."""
+words of many rows at once and the chunk half in closed form.
+
+tau_word is the word of a rewritten monomial as a list of (i, e) factors,
+its chunk and remainder split one exponent at a time (tau_split), where
+the library splits the exponent rows of a whole pass at once
+(graded.tau_exponents) and builds the words from the two arrays."""
 
 import math
 
 import numpy as np
 
 from power_oracle import pc_row
+
+
+def tau_split(alg, exps, N):
+    """The chunk and the remainder of a monomial's exponents: the largest
+    multiple of p^N not above each, and the rest."""
+    q = alg.p**N
+    return tuple(e // q * q for e in exps), tuple(e % q for e in exps)
+
+
+def term_word(chunk, frac):
+    """The word of a rewriting term: the chunk factors in basis order, then
+    the remainders in basis order."""
+    return ([(i, int(e)) for i, e in enumerate(chunk) if e]
+            + [(i, int(e)) for i, e in enumerate(frac) if e])
+
+
+def tau_word(alg, exps, N):
+    return term_word(*tau_split(alg, exps, N))
 
 
 def zmul(alg, a, i, e=1):
