@@ -137,7 +137,6 @@ class GroupAlgebra:
         self._q_ptr = np.concatenate([[0], np.cumsum(self.lucas_terms)])
         self._q_col = np.nonzero(nz)[1].astype(np.int64)
         self._q_val = self._Q[nz].astype(np.int64)
-        self._nu_w: np.ndarray | None = None
 
     # -- dense vectors -------------------------------------------------------
 
@@ -296,12 +295,15 @@ class GroupAlgebra:
         z^k = sum_(x <= k) Q[k, x] [x], so the coordinates are the block
         Q[ks, X] E[g_i X or X g_i, rows] mod p, where E[y, k'] =
         prod_i binom(y_i, k'_i) (binomial_expansion) and X = {x : nu'(x) <=
-        max nu'(ks)}, a down-set and so holding every x <= k.  Right
-        products read right_mul_table(g_i); a left product g_i x is
-        GroupModel.right_act from g_i through the digits of x."""
+        max nu'(ks), x_0 <= max k_0}.  X holds every x <= k digit by digit:
+        nu' is a down-set weight, and flat indices are x_0-major, so X lies
+        in the prefix of the first (max k_0 + 1) |T| indices, |T| = order /
+        p^M.  Right products read right_mul_table(g_i); a left product g_i
+        x is GroupModel.right_act from g_i through the digits of x."""
         model, p = self.model, self.p
-        nu_w = self.nu_weight_array
-        xs = np.flatnonzero(nu_w <= nu_w[ks].max(initial=-1))
+        nu_w, suffixes = self.nu_weight_array, self.order // self.pM
+        prefix = nu_w[:(ks.max(initial=0) // suffixes + 1) * suffixes]
+        xs = np.flatnonzero(prefix <= nu_w[ks].max(initial=-1))
         if side == "right":
             gx = model.right_mul_table(model.generator(i))[xs]
         else:
@@ -453,14 +455,12 @@ class GroupAlgebra:
     def nu_prime(self, k) -> int:
         return sum(w * int(c) for w, c in zip(self.nu_weights, k))
 
-    @property
+    @functools.cached_property
     def nu_weight_array(self) -> np.ndarray:
-        if self._nu_w is None:
-            w = np.zeros(1, dtype=np.int32)
-            for wi in self.nu_weights:
-                w = np.add.outer(w, wi * np.arange(self.pM, dtype=np.int32)).ravel()
-            self._nu_w = w
-        return self._nu_w
+        w = np.zeros(1, dtype=np.int32)
+        for wi in self.nu_weights:
+            w = np.add.outer(w, wi * np.arange(self.pM, dtype=np.int32)).ravel()
+        return w
 
     def nu(self, a: np.ndarray) -> int | None:
         """min nu' over the monomial support; None for zero."""

@@ -164,7 +164,10 @@ def _chk_arithmetic_oracles(run: Run, rng) -> dict:
 
 # the rescaling depth: the config's N by default, 1 <= N < M
 _N = (lambda cfg: cfg.N, 1, lambda cfg: cfg.M - 1)
-_CORPUS = {"count": (20, 1, None), "start_seed": (0, 0, None)}
+# the corpus and every sample are held until the check reports; at GL2
+# (5, 1, 2) on a 2-vCPU machine count 20, 100 and 400 took 0.2, 0.6 and 2.4
+# CPU s (exponent-transfer) at 37, 39 and 46 MB peak RSS
+_CORPUS = {"count": (20, 1, 400), "start_seed": (0, 0, None)}
 
 # The check registry: name -> (check, cases it runs on, {param: (default,
 # low, high)}).  Bounds are inclusive, a high of None is unbounded, and a
@@ -185,10 +188,14 @@ REGISTRY = {
     # 232 and 449 MB (78 CPU s) with 1, 4 and 16, on a 2-vCPU machine
     "restriction-determinism": (_chk_restriction_determinism, CASES,
                                 {"N": _N, **_CORPUS, "basis_changes": (5, 1, 16)}),
+    # per k at GL2 (5, 1, 2), kmax 1: samples 200, 2,000 and 20,000 took
+    # 0.08, 0.6 and 6.2 CPU s at 40, 51 and 177 MB peak RSS; mono_samples
+    # 500, 2,000 and 5,000 0.16, 0.7 and 1.5 s at 38-41 MB, and so did
+    # tau-contract's samples (0.12, 0.43 and 1.0 s)
     "sandwich": (_chk_sandwich, CASES, {"N": _N, "kmax": (3, 1, None),
-                                        "samples": (200, 1, None),
-                                        "mono_samples": (50, 1, None)}),
-    "tau-contract": (_chk_tau_contract, CASES, {"N": _N, "samples": (50, 1, None)}),
+                                        "samples": (200, 1, 2000),
+                                        "mono_samples": (50, 1, 2000)}),
+    "tau-contract": (_chk_tau_contract, CASES, {"N": _N, "samples": (50, 1, 2000)}),
 }
 # run_scenario looks each check up here at call time, so a caller may wrap one
 CHECKS = {name: entry[0] for name, entry in REGISTRY.items()}

@@ -4,11 +4,13 @@ Field elements are encoded as integers in [0, q) with q = p^f: the element
 with polynomial-basis coordinates (c_0, ..., c_{f-1}) gets the index
 sum(c_i * p^i).  For f = 1 the index is the residue itself.  Indices are
 int16, so q stays below 2^15.  The linear algebra of the package (row
-reduction, rank, inverse, products) runs over these index arrays.  rref is
-one elimination for every field: it drops the zero columns, eliminates one
-pivot at a time with a rank-one update, and above a size threshold updates
-the columns right of each 64-column panel by two matrix products.  Only the
-arithmetic depends on the field kind:
+reduction, rank, inverse, residue, products) runs over these index arrays,
+and all of its elimination is here (padic lifts its one matrix inverse mod
+p^level from mat_inverse by Newton).  rref is one elimination for every
+field: it drops the zero columns, eliminates one pivot at a time with a
+rank-one update, and above a size threshold updates the columns right of
+each 64-column panel by two matrix products.  Only the arithmetic depends
+on the field kind:
 
 * over F_p, integer arithmetic mod p on whole rows; matmul is one float64
   BLAS product reduced mod p;
@@ -16,11 +18,6 @@ arithmetic depends on the field kind:
   tables; matmul contracts one shared axis at a time.
 
 Both are exact.
-
-A space that grows by a few rows at a time is held as its reduced row
-echelon basis and extended with rref_insert, which reduces only the new rows
-against it: reduced row echelon form is unique for a row space, so the
-extended basis is byte for byte the rref of all the rows stacked.
 """
 
 from __future__ import annotations
@@ -362,34 +359,6 @@ def residue(rows: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) -
     one pivot at a time; a zero result row means membership."""
     rows = np.asarray(rows, dtype=np.int16)
     return _sub(rows, matmul(rows[:, pivots], basis, field), field)
-
-
-def rref_insert(basis: np.ndarray, pivots: list[int], rows: np.ndarray,
-                field: GF) -> tuple[np.ndarray, list[int]]:
-    """rref(concat([basis, rows])) for a basis B that is already in reduced
-    row echelon form with pivots P, without re-reducing B:
-
-    * the new rows are reduced against B, V - V[:, P] B (residue);
-    * only the nonzero residue is row-reduced, to R with pivots Q, which
-      avoid P because the residue vanishes there;
-    * B is back-substituted, B - B[:, Q] R, which clears its Q columns and
-      leaves its P columns (R vanishes there);
-    * the rows of both are merged in pivot order.
-
-    The result spans the same space, has the echelon shape and the
-    identity at its pivots, and reduced row echelon form is unique, so it
-    is byte for byte the full rref of the stacked rows."""
-    if basis.shape[0] == 0:
-        return rref(rows, field)
-    res = residue(rows, basis, pivots, field)
-    res = res[res.any(axis=1)]
-    if res.shape[0] == 0:
-        return basis, pivots
-    new, qpiv = rref(res, field)
-    basis = _sub(basis, matmul(basis[:, qpiv], new, field), field)
-    piv = pivots + qpiv
-    order = sorted(range(len(piv)), key=piv.__getitem__)
-    return np.concatenate([basis, new])[order], [piv[t] for t in order]
 
 
 def matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:

@@ -166,16 +166,16 @@ def weight_quotient_module(cfg: PrimeConfig, jcut: int) -> FiniteModule:
 
 def _stable_closure(rows: np.ndarray, gens, field: GF):
     """Smallest row space containing rows and stable under every generator
-    (row vectors transform through the transposed matrices).  Each round
-    inserts the images of the rows the previous round added; the images of
-    the older rows are already in the space."""
+    (row vectors transform through the transposed matrices): the rref of
+    the space stacked with its images, repeated until a round adds no
+    dimension."""
     cur, piv = rref(np.array(rows, dtype=np.int16), field)
-    front = cur
-    while front.shape[0]:
-        images = np.concatenate([gflib.matmul(front, g.T, field) for g in gens])
-        old = set(piv)
-        cur, piv = gflib.rref_insert(cur, piv, images, field)
-        front = cur[[t for t, c in enumerate(piv) if c not in old]]
+    while cur.shape[0]:
+        nxt, npiv = rref(np.concatenate([cur] + [gflib.matmul(cur, g.T, field) for g in gens]),
+                         field)
+        if nxt.shape[0] == cur.shape[0]:
+            break
+        cur, piv = nxt, npiv
     return cur, piv
 
 

@@ -20,6 +20,9 @@ Distinguished elements and maps:
   residue-field generator: every element has unique coordinates over
   Z/p^level in this basis, which is what group-digit extraction uses.
 
+Every inverse is one mod p lifted by Newton's v <- v (2 - e v): of a unit
+in inv and inv_array, of the Teichmueller basis matrix in _teich_inverse.
+
 Quaternion elements over the quadratic ring are pairs u = a + b*P with
 P^2 = p and P*c = sigma(c)*P; reduced norm nrd(u) = a*sigma(a) - p*b*sigma(b).
 
@@ -38,7 +41,7 @@ import numpy as np
 
 from .config import CACHED_CONFIGS, prime_factors
 from .errors import ConfigError, ConfigMismatch, InputNotUnitOne
-from .gf import gf
+from .gf import gf, mat_inverse
 
 
 class ZqElement:
@@ -123,8 +126,6 @@ class ZqRing:
         self.one = ZqElement(self, (1,) + (0,) * (deg - 1))
         self.x = ZqElement(self, tuple(1 if i == 1 else 0 for i in range(deg))) if deg > 1 else self.one
         self._teich_cache: dict[int, ZqElement] = {}
-        self._teich_basis = None
-        self._teich_inverse = None
         self._sigma = {}
 
     def _check(self, other):
@@ -215,38 +216,29 @@ class ZqRing:
         assert s * s == u and s.residue_index == 1
         return s
 
-    @property
+    @functools.cached_property
     def teich_basis(self) -> list[ZqElement]:
         """Powers 1, [a], ..., [a]^(deg-1) of the Teichmueller lift of the
         residue-field generator; a Z/p^level-basis of the ring."""
-        if self._teich_basis is None:
-            t = self.teichmuller(self.field.gen) if self.deg > 1 else self.one
-            basis = [self.one]
-            for _ in range(1, self.deg):
-                basis.append(basis[-1] * t)
-            self._teich_basis = basis
-            if self.deg > 1:
-                self._teich_inverse = self._invert_basis(basis)
-        return self._teich_basis
+        t = self.teichmuller(self.field.gen) if self.deg > 1 else self.one
+        basis = [self.one]
+        for _ in range(1, self.deg):
+            basis.append(basis[-1] * t)
+        return basis
 
-    def _invert_basis(self, basis):
-        # inverse of the (deg x deg) matrix with columns basis[i].vec mod p^level
-        n, mod, p = self.deg, self.modulus, self.p
-        a = [[basis[j].vec[i] % mod for j in range(n)] for i in range(n)]
-        inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for c in range(n):
-            piv = next(r for r in range(c, n) if a[r][c] % p != 0)
-            a[c], a[piv] = a[piv], a[c]
-            inv[c], inv[piv] = inv[piv], inv[c]
-            s = pow(a[c][c], -1, mod)
-            a[c] = [(s * x) % mod for x in a[c]]
-            inv[c] = [(s * x) % mod for x in inv[c]]
-            for r in range(n):
-                if r != c and a[r][c]:
-                    t = a[r][c]
-                    a[r] = [(x - t * y) % mod for x, y in zip(a[r], a[c])]
-                    inv[r] = [(x - t * y) % mod for x, y in zip(inv[r], inv[c])]
-        return inv
+    @functools.cached_property
+    def _teich_inverse(self) -> np.ndarray:
+        """Inverse mod p^level of the matrix A with columns teich_basis: A^-1
+        mod p (its residues 1, a, ..., a^(deg-1) are a basis of the residue
+        field), lifted by Newton's X <- X (2 - A X) as in inv."""
+        a = np.array([b.vec for b in self.teich_basis], dtype=self.dtype).T
+        x = mat_inverse(a % self.p, gf(self.p, 1)).astype(self.dtype)
+        two = 2 * np.eye(self.deg, dtype=self.dtype)
+        prec = 1
+        while prec < self.level:
+            x = x @ ((two - a @ x) % self.modulus) % self.modulus
+            prec *= 2
+        return x
 
     def teich_coords(self, e: ZqElement) -> tuple[int, ...]:
         """Coordinates of e over the Teichmueller power basis."""
@@ -301,8 +293,7 @@ class ZqRing:
         array."""
         if self.deg == 1:
             return a
-        self.teich_basis
-        return a @ np.array(self._teich_inverse, dtype=self.dtype).T % self.modulus
+        return a @ self._teich_inverse.T % self.modulus
 
     def frobenius(self, f: int) -> "FrobeniusMap":
         """Order-two automorphism of the degree-2f ring lifting x -> x^(p^f)."""

@@ -1,8 +1,8 @@
 """The replaced module kernels, kept as test oracles: the annihilator search
 with a fixpoint closure of its graded pieces, the restriction chain over
 itertools.product, the int64 prime-field matmul, the plain basis change,
-the full rref of a stacked basis, the one-vector-at-a-time residue and the
-stable closure that maps its whole basis every round.
+the one-vector-at-a-time residue and the stable closure through the
+table-loop rref.
 
 min_annihilator_exponent closes every step of the search under the ambient
 ring operators rho(g_i) - 1 on "gr", repeating one rref per (piece,
@@ -11,7 +11,7 @@ adds no closure, since GroupModel.certify_normal_ideals proves every ideal
 it takes normal in the graded ring, so each step is stable already.
 tail_merging_exponent holds each piece of the search as the whole space
 above its chain tail R_(j+1), multiplies every row of it by every lift and
-merges the images into the target's tail with gf.rref_insert, where
+merges the images into the target's tail with rref_insert below, where
 modules.min_annihilator_exponent holds each piece modulo its tail and
 multiplies no tail row: a lift of weight s maps R_(j+1) into R_(j+1+s),
 the next tail.  On the depth-3 deep-line module of dim 676 at GL2
@@ -41,11 +41,11 @@ that grades and searches every path on its own and draws each basis
 change inside it, where modules.restriction_determinism reuses the dual's
 grading and exponents for a path whose level-N matrices are the dual's,
 byte for byte.
-rref_insert re-reduces the whole stack, where gf.rref_insert reduces only
-the new rows; residue reduces one row at a time, one pivot at a time, where
-gf.residue takes one product for the whole stack.  stable_closure maps the
-whole basis through every generator each round, where
-modules._stable_closure maps only the rows the last round added.
+rref_insert extends an echelon basis to the rref of it stacked with new
+rows.  residue reduces one row at a time, one pivot at a time, where
+gf.residue takes one product for the whole stack.  stable_closure is the
+fixed point of modules._stable_closure through rref_oracle's table loop and
+the int64 matmul here.
 deep_line_closure builds the deep-line module as a quotient of the weight
 quotient at jcut by the stable closure of z_a, where
 modules.deep_line_module reads the right action off the suffix monomials;
@@ -151,7 +151,7 @@ def tail_merging_exponent(gm, spec):
     """The annihilator search with each piece held as the whole space
     above its chain tail: every round multiplies every row of every piece,
     tail rows included, by every lift and merges the images back into the
-    target's tail with gf.rref_insert; the signature of
+    target's tail with rref_insert; the signature of
     modules.min_annihilator_exponent."""
     mod = gm.module
     cfg, field = mod.cfg, mod.field
@@ -196,8 +196,8 @@ def tail_merging_exponent(gm, spec):
         spaces = []
         for j in range(npieces):
             if new_rows[j]:
-                spaces.append(gflib.rref_insert(tails[j], pivots[j + 1],
-                                                np.concatenate(new_rows[j]), field))
+                spaces.append(rref_insert(tails[j], pivots[j + 1],
+                                          np.concatenate(new_rows[j]), field))
             else:
                 spaces.append((tails[j], pivots[j + 1]))
         history.append(excess(spaces))
@@ -333,8 +333,8 @@ def dualize(mod):
 
 
 def rref_insert(basis, pivots, rows, field):
-    """The extended echelon basis as the rref of the stacked rows; the
-    signature of gf.rref_insert."""
+    """rref(concat([basis, rows])) for a basis already in reduced row
+    echelon form with the given pivots."""
     return rref(np.concatenate([basis, rows]), field)
 
 

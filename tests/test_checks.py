@@ -155,6 +155,33 @@ def test_basis_changes_are_bounded(monkeypatch, tmp_path, capsys):
     assert not ran
 
 
+@pytest.mark.parametrize("check,key,bound", [
+    ("exponent-transfer", "count", 400),
+    ("restriction-determinism", "count", 400),
+    ("sandwich", "samples", 2000),
+    ("sandwich", "mono_samples", 2000),
+    ("tau-contract", "samples", 2000),
+])
+def test_size_params_are_bounded(check, key, bound, monkeypatch, tmp_path, capsys):
+    # the corpus and the samples are held until the check reports, so a
+    # size past the registry's bound is refused: verify exits 2 with a
+    # config error before any check runs; the bound itself parses
+    ran = []
+    monkeypatch.setattr(checks, "CHECKS", {name: lambda *a, **k: ran.append(a)
+                                           for name in checks.CHECKS})
+    data = dict(TINY, checks=[{"check": check, "params": {key: bound}}])
+    assert parse_scenario(data)[3][0][2][key] == bound
+    data["checks"][0]["params"][key] = bound + 1
+    path = tmp_path / "size.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"config error: {check!r} needs 1 <= {key} <= {bound}, got {bound + 1}"), captured.err
+    assert not ran
+
+
 SHIPPED = sorted((ROOT / "scenarios").glob("*.json")) + [
     ROOT / "bench" / "data" / "verify-gl2.json",
     ROOT / "bench" / "data" / "verify-quat.json",

@@ -220,6 +220,22 @@ def test_deep_line_module_exponents_match_closure_oracle(pfm, case):
             assert (got.ell, got.excess_dims) == (want.ell, want.excess_dims), (kind, spec.name)
 
 
+@pytest.mark.parametrize("case", ("GL2", "QUAT"))
+def test_deep_line_generator_columns_stay_on_the_suffix_group(case, monkeypatch):
+    # the deep-line basis has k_0 = 0, so every x <= k digit by digit is a
+    # suffix, x < |T|: generator_columns expands no element with x_0 > 0
+    cfg = PrimeConfig(7, 1, 2, case)
+    seen = []
+    tensor = algebra.GroupAlgebra._tensor
+    monkeypatch.setattr(algebra.GroupAlgebra, "_tensor",
+                        lambda self, table, ks, xs: seen.append(xs) or tensor(self, table, ks, xs))
+    mod = deep_line_module(cfg)
+    monkeypatch.undo()
+    alg = algebra.group_algebra(cfg)
+    assert mod.dim == 64 and seen
+    assert max(int(xs.max()) for xs in seen) < alg.order // alg.pM
+
+
 def test_quotient_corpus(cfg):
     mods = module_corpus(cfg, count=8)
     assert len(mods) == 10
@@ -627,18 +643,16 @@ def _gradings_and_exponents(cfg, exponent=min_annihilator_exponent, graded=grade
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
 def test_sweep_and_prefix_kernels_match_oracles(case, monkeypatch):
     # the certified search without closure, the recursive restriction
-    # grading, the BLAS matmul, the echelon insertion, the batched residue,
-    # the frontier closure and the generator kernel against the search with
-    # the fixpoint closure, the enumerated restriction grading, the int64
-    # matmul, the full rref, the row-by-row residue, the whole-basis closure
-    # and the per-monomial weight quotient they replaced, all swapped in
-    # together
+    # grading, the BLAS matmul, the batched residue, the closure through
+    # gf.rref and the generator kernel against the search with the fixpoint
+    # closure, the enumerated restriction grading, the int64 matmul, the
+    # row-by-row residue, the closure through the table loop and the
+    # per-monomial weight quotient they replaced, all swapped in together
     cfg = PrimeConfig(5, 1, 2, case, N=1)
     got = _gradings_and_exponents(cfg)
     monkeypatch.setattr(modules, "weight_quotient_module", monomial_oracle.weight_quotient_module)
     monkeypatch.setattr(modules, "_stable_closure", module_oracle.stable_closure)
     monkeypatch.setattr(gflib, "matmul", module_oracle.matmul)
-    monkeypatch.setattr(gflib, "rref_insert", module_oracle.rref_insert)
     monkeypatch.setattr(gflib, "residue", module_oracle.residue)
     want = _gradings_and_exponents(
         cfg, module_oracle.min_annihilator_exponent,
@@ -887,7 +901,7 @@ def test_restriction_grading_is_bounded_at_level_4(monkeypatch):
 
 def test_stable_closure_matches_oracle_on_random_generators():
     # unipotent generators grow a random start over several rounds, so the
-    # frontier rounds are exercised beyond the first
+    # fixed point is reached after more than one round
     rng = np.random.default_rng(8)
     grew = 0
     for _ in range(20):

@@ -2,10 +2,13 @@
 quaternion order: Teichmueller lifts, Hensel square roots, Frobenius,
 reduced norms."""
 
+import numpy as np
 import pytest
 
 from propring.errors import InputNotUnitOne
-from propring.padic import quat_context, zq_ring
+from propring.padic import ZqRing, quat_context, zq_ring
+
+import teich_oracle
 
 R25 = zq_ring(5, 1, 2)
 
@@ -77,6 +80,20 @@ def test_teich_coordinate_roundtrip():
         for c, b in zip(R.teich_coords(e), R.teich_basis, strict=True):
             back = back + int(c) * b
         assert back == e
+
+
+@pytest.mark.parametrize("p,deg", [(5, 2), (5, 4), (7, 2), (7, 4), (13, 2)])
+def test_teich_inverse_matches_gauss_jordan(p, deg):
+    # the residue inverse lifted by Newton against the Gauss-Jordan
+    # elimination mod p^level it replaced, in both dtypes of the ring
+    dtypes = set()
+    for level in range(2, 41):
+        R = ZqRing(p, deg, level)
+        got = R._teich_inverse
+        assert got.dtype == R.dtype and got.shape == (deg, deg)
+        assert got.tolist() == teich_oracle.invert_basis(R), level
+        dtypes.add(np.dtype(R.dtype))
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_quaternion_norm_frozen():
