@@ -209,19 +209,22 @@ class GroupAlgebra:
         coefficient) with key = (row - r) order + index ascending: the
         row-keyed support pair of the products (row of a) (row of b).
 
+        The base-p digits of b's indices are read once (index_digits).
         The support pairs (x, h) of a group, _PAIR_CHUNK at most, go
-        through one GroupModel.right_act, and the group's products are
-        merged by collect on the key.  A row with more pairs than that is a
-        group of its own, walked in slices of _PAIR_CHUNK, each merged into
-        the row's running pair by collect.  So the transient memory is a few
-        arrays of _PAIR_CHUNK entries beside the products, whatever the
-        batch, and a caller that stops early skips the groups after it."""
+        through one GroupModel.right_act on the digits of their h, and the
+        group's products are merged by collect on the key.  A row with
+        more pairs than that is a group of its own, walked in slices of
+        _PAIR_CHUNK, each merged into the row's running pair by collect.
+        So the transient memory is a few arrays of _PAIR_CHUNK entries
+        beside the products, whatever the batch, and a caller that stops
+        early skips the groups after it."""
         (ar, ax, ac), (br, bx, bc) = a, b
         a0 = np.searchsorted(ar, np.arange(rows + 1))
         b0 = np.searchsorted(br, np.arange(rows + 1))
         nb = np.diff(b0)
         pairs = np.diff(a0) * nb
         ends = np.cumsum(pairs)  # pairs are numbered row by row
+        digits = self.model.index_digits(bx)
 
         def products(start: int, stop: int, r: int) -> tuple[np.ndarray, np.ndarray]:
             # pairs start, ..., stop - 1, keyed by (row - r) order + index of
@@ -231,7 +234,10 @@ class GroupAlgebra:
             xi, hi = np.divmod(t - ends[own] + pairs[own], nb[own])
             xi += a0[own]
             hi += b0[own]
-            key = (own - r) * self.order + self.model.right_act(ax[xi], bx[hi])
+            # np.take gathers each digit row contiguous, which right_act
+            # walks row by row; digits[:, hi] would not
+            walked = self.model.right_act(ax[xi], np.take(digits, hi, axis=1))
+            key = (own - r) * self.order + walked
             return self.collect(key, np.multiply(ac[xi], bc[hi], dtype=np.float64))
 
         r = 0
@@ -307,7 +313,8 @@ class GroupAlgebra:
         if side == "right":
             gx = model.right_mul_table(model.generator(i))[xs]
         else:
-            gx = model.right_act(np.full(xs.size, model.index_of(model.generator(i))), xs)
+            gx = model.right_act(np.full(xs.size, model.index_of(model.generator(i))),
+                                 model.index_digits(xs))
         field = gf(p, 1)
         out = np.zeros((rows.size, ks.size), dtype=np.int16)
         # blocks Q[ks, X_s], E[g X_s, rows_r] and their product stay below
@@ -442,10 +449,11 @@ class GroupAlgebra:
             cand_ks = np.add.outer(cand * pM ** i, ks).ravel()
             cand_wt = np.add.outer(cand * w, wt).ravel()
             live = out.any(axis=(0, 2)) & (cand_wt <= cutoff)
-            block = out.compress(live, axis=1)
+            block = out[:, live]
             ks, wt = cand_ks[live], cand_wt[live]
         # rows is now key // order, the row of each block row
-        c = (block.reshape(-1, f) % p).astype(np.int64)
+        c = block.reshape(-1, f).astype(np.int64)  # exact: integers below 2^53
+        c %= p
         keep = np.flatnonzero(c.any(axis=1))
         r, col = np.divmod(keep, ks.size)
         return rows[r] * self.order + ks[col], wt[col], c[keep]

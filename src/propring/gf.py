@@ -119,9 +119,11 @@ def _powmod(a: np.ndarray, e: int, xs: np.ndarray, p: int) -> np.ndarray:
 
 
 class GF:
-    """F_{p^f} with precomputed operation tables on integer indices.  The
-    root of the primitive lift generates the multiplicative group, so the
-    multiplicative tables are read off its discrete-log table."""
+    """F_{p^f} with operation tables on integer indices.  The root of the
+    primitive lift generates the multiplicative group, so inverses, the
+    Frobenius and powers are read off its discrete-log table; the two
+    q x q tables add and mul are built on first use, as the p-adic rings
+    read only the log tables, and at q = 5^6 the two take 976 MB."""
 
     def __init__(self, p: int, f: int):
         # f >= 15 reaches the bound for every p, and keeps p**f small
@@ -132,7 +134,7 @@ class GF:
         self.f = f
         self.q = q = p**f
         self.poly = irreducible_lift(p, f)
-        weights = p ** np.arange(f)
+        self._weights = weights = p ** np.arange(f)
         digits = np.arange(q)[:, None] // weights % p  # digits[a, j]: coordinate j of a
         self.neg = (-digits % p @ weights).astype(np.int16)
         # antilog[k] = gen^k, stepping by x: shift up, reduce x^f by the monic poly
@@ -147,18 +149,31 @@ class GF:
             raise ConfigError(f"the root of the lift for p={p}, f={f} is not primitive")
         log = np.zeros(q, dtype=np.int64)
         log[antilog] = np.arange(q - 1)
-        # row by row: q x q temporaries, freed early, raised the peak RSS of later work
-        self.add = np.zeros((q, q), dtype=np.int16)
-        self.mul = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            self.add[a] = (digits[a] + digits) % p @ weights
-            if a:
-                self.mul[a, 1:] = antilog[(log[a] + log[1:]) % (q - 1)]
+        self._log, self._antilog = log, antilog
         nonzero = np.arange(1, q)
         self.inv = np.zeros(q, dtype=np.int16)
         self.inv[nonzero] = antilog[-log[nonzero] % (q - 1)]
         self.frob = np.zeros(q, dtype=np.int16)  # x -> x^p
         self.frob[nonzero] = antilog[p * log[nonzero] % (q - 1)]
+
+    # row by row: q x q temporaries, freed early, raised the peak RSS of
+    # later work
+    @functools.cached_property
+    def add(self) -> np.ndarray:
+        q, p = self.q, self.p
+        digits = np.arange(q)[:, None] // self._weights % p
+        out = np.zeros((q, q), dtype=np.int16)
+        for a in range(q):
+            out[a] = (digits[a] + digits) % p @ self._weights
+        return out
+
+    @functools.cached_property
+    def mul(self) -> np.ndarray:
+        q, log = self.q, self._log
+        out = np.zeros((q, q), dtype=np.int16)
+        for a in range(1, q):
+            out[a, 1:] = self._antilog[(log[a] + log[1:]) % (q - 1)]
+        return out
 
     def coords(self, idx: int) -> tuple[int, ...]:
         out = []
@@ -174,15 +189,10 @@ class GF:
         return out
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = int(self.inv[a]), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = int(self.mul[r, a])
-            a = int(self.mul[a, a])
-            e >>= 1
-        return r
+        """a^e, with 0^e = 0 for every e != 0."""
+        if not a:
+            return int(e == 0)
+        return int(self._antilog[self._log[a] * e % (self.q - 1)])
 
     # generator of the multiplicative group (root of the defining polynomial
     # for f > 1; for f = 1 the residue -poly[0] mod p)

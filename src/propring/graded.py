@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 
@@ -41,14 +42,12 @@ from .gf import GF, gf, rref
 from .groups import Digits, GroupModel
 
 
-# word entries verify_transcripts merges at a time, and the bound on the
+# word entries verify_transcripts merges at a time, the bound on the
 # entries of one word build (_word_groups) and of the block of one
 # row-keyed expansion (_expand), which keep their transients to a few MB
-# however long the transcripts
+# however long the transcripts, and on the residual entries of a lockstep
+# batch after its first (_transcripts)
 _MERGE = 1 << 16
-# a lockstep batch holds order / _HELD_SHARE residual entries at most
-# (_transcripts), a share of one float64 vector of the group's order
-_HELD_SHARE = 256
 # rows of the first block draw_row draws; a block with no accepted row
 # doubles the next, up to _DRAW_MAX rows
 _DRAW_FIRST = 64
@@ -682,13 +681,14 @@ def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, v
     one expansion at p^M - 1: 15 at (5, 1, 2), 2 at (7, 1, 2), one from
     p = 11 and at depth 3.  Each later batch holds as many as keep the
     residual entries the last batch held per transcript (TauTranscript.held)
-    within order / _HELD_SHARE.  A residual entry comes with about one term
-    (a few hundred bytes as Python objects) and, re-expanded, a few dozen
-    words' entries in group coordinates: 3,705 entries, 3,549 terms and
-    154k re-expanded entries for 50 starts at QUAT (5, 1, 3).  So a batch
-    holds a few times order bytes at most, below one float64 vector of the
-    group's order, and the largest block of the pass, one row's expansion,
-    comes on top of it."""
+    within _MERGE, whatever the group's order.  A residual entry comes with
+    about one term (a few hundred bytes as Python objects) and, re-expanded,
+    a few dozen words' entries, which verify_transcripts merges _MERGE at a
+    time: 3,705 entries, 3,549 terms and 154k re-expanded entries for 50
+    starts at QUAT (5, 1, 3).  So a batch holds a few tens of MB at most,
+    and the largest block of the pass, one row's expansion, comes on top of
+    it.  At (5, 1, 2) a transcript holds a few entries, so the 150 starts
+    of a sandwich with kmax 3 run in two batches."""
     size, lo = max(1, _MERGE // _suffix_block(alg, alg.pM - 1)), 0
     while lo < len(starts):
         trs, err = iterate_taus(alg, starts[lo:lo + size], N, cutoff)
@@ -696,123 +696,165 @@ def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, v
         if err is not None:
             raise err
         lo += size
-        size = max(1, alg.order // _HELD_SHARE * len(trs) // max(1, sum(tr.held for tr in trs)))
+        size = max(1, _MERGE * len(trs) // max(1, sum(tr.held for tr in trs)))
 
 
-def check_sandwich(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator,
-                   samples: int, mono_samples: int) -> dict:
-    """Both inclusions of the filtration sandwich at index k.
+def _first_draws(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator, samples: int):
+    """The draws of the first inclusion at index k, a sample at a time: u a
+    sum of 1-3 subring monomials of the k-th filtration step, drawn one row
+    at a time (nearly every row is accepted), and v a random 30-term
+    element.  Returns the u's as (sample, coefficient, *exponents) rows,
+    the v's as (sample, index, coefficient) arrays and the generator's
+    state after each sample, so that a failure at sample j can leave it
+    where the draws of sample j left it."""
+    p, n, q, w = alg.p, alg.n, alg.p**N, alg.nu_weights
+    top = p ** (alg.model.M - N)
 
-    First: products (element of the k-th subring filtration step) x (random
-    ring element) keep weight >= k p^N.  Second: iterated rewriting of random
-    monomials of weight >= k p^N expresses each as a combination of terms
-    whose subring chunk has weight >= k - 4f, plus a residual beyond the
-    cutoff p^M - 1, the faithful bound; every transcript is re-expanded and
-    checked exactly.
-
-    The first inclusion draws its subring monomials one row at a time
-    (nearly every row is accepted), builds all of them by one
-    GroupAlgebra._lucas_rows and merges them into the u's by one collect
-    keyed by sample; each row group of products from
-    GroupAlgebra.mul_rows is read at the window k p^N - 1 by
-    _expand, a few row-keyed expansions per group.  The second inclusion's
-    monomials, whose weight window accepts a few percent of the rows at
-    most, come from draw_row, which draws rows in blocks and leaves the
-    generator as the row-by-row loop does.  They are all drawn first, with
-    the generator's state kept after each, and rewritten in lockstep
-    batches (_transcripts); where the loop over one monomial at a time
-    stops or raises, at a transcript that fails or breaks, the generator
-    is put back to its state after that monomial's draw."""
-    model = alg.model
-    p, n, q = alg.p, alg.n, alg.p**N
-    if model.M <= N:
-        raise ConfigError("need N < M")
-    cutoff = alg.pM - 1
-    if k * q > cutoff:
-        raise CutoffBeyondFaithful(f"k p^N = {k * q} exceeds the cutoff {cutoff}")
-    weights = alg.nu_weights
-    top = p ** (model.M - N)
-
-    def sample_subring_exps() -> Digits:
+    def sample_subring_exps() -> list[int]:
         while True:
-            y = tuple(int(v) for v in rng.integers(0, top, size=n))
-            if sum(w * v for w, v in zip(weights, y)) >= k:
-                return tuple(q * v for v in y)
+            y = rng.integers(0, top, size=n).tolist()
+            if sum(map(operator.mul, w, y)) >= k:
+                return [q * v for v in y]
 
-    # the draws of a sample at a time, u a sum of 1-3 subring monomials and
-    # v a random 30-term element, as support pairs; the generator's state
-    # after each sample is kept, so that a failure at sample j can leave it
-    # where the draws of sample j left it.  The monomials of all u's are
-    # built by one _lucas_rows, keyed by sample and merged by one collect
-    draws, vs, states = [], [], []  # rows (sample, coefficient, *exponents), (sample, x, c)
+    draws, supports, values, states = [], [], [], []
     for r in range(samples):
         for _ in range(int(rng.integers(1, 4))):
             coeff = int(rng.integers(1, p))
-            draws.append((r, coeff, *sample_subring_exps()))
-        support = rng.choice(alg.order, size=30, replace=False)
-        vs.append((np.full(30, r), support, rng.integers(0, p, size=30)))
+            draws.append([r, coeff, *sample_subring_exps()])
+        supports.append(rng.choice(alg.order, size=30, replace=False))
+        values.append(rng.integers(0, p, size=30))
         states.append(rng.bit_generator.state)
     draws = np.array(draws, dtype=np.int64).reshape(-1, 2 + n)
-    row, idx, mono_c = alg._lucas_rows(draws[:, 2:])
-    ukeys, uc = alg.collect(draws[row, 0] * alg.order + idx, draws[row, 1] * mono_c)
-    urows = ukeys // alg.order
-    # the v's as mul_rows' (row, index, coefficient) arrays, zeros dropped
-    vs = np.array(vs, dtype=np.int64).reshape(-1, 3, 30).transpose(1, 0, 2).reshape(3, -1)
+    vs = np.array([np.repeat(np.arange(samples), 30), np.ravel(supports), np.ravel(values)],
+                  dtype=np.int64)
+    return draws, vs, states
 
-    first_checked = 0
-    first_ok = True
-    for r, end, key, c in alg.mul_rows((urows, ukeys - urows * alg.order, uc),
-                                       tuple(vs[:, vs[2] != 0]), samples):
+
+def _first_inclusion(alg: GroupAlgebra, k: int, N: int, drawn) -> tuple[dict, dict | None]:
+    """The first inclusion at index k on the draws of _first_draws: every
+    product u v keeps weight >= k p^N.  The monomials of all u's are built
+    by one GroupAlgebra._lucas_rows, keyed by sample and merged by one
+    collect; each row group of products from GroupAlgebra.mul_rows is read
+    at the window k p^N - 1 by _expand.  Returns the report, stopping at
+    the first product that fails, and the generator's state after that
+    product's sample, or None."""
+    draws, vs, states = drawn
+    order = alg.order
+    row, idx, mono_c = alg._lucas_rows(draws[:, 2:])
+    ukeys, uc = alg.collect(draws[row, 0] * order + idx, draws[row, 1] * mono_c)
+    urows = ukeys // order
+    # the v's, zero coefficients dropped
+    for r, end, key, c in alg.mul_rows((urows, ukeys - urows * order, uc),
+                                       tuple(vs[:, vs[2] != 0]), len(states)):
         # a monomial term below k p^N puts a product outside m^(k p^N);
         # the first such key is in the first product that has one
-        low = _expand(alg, [(key, c)], k * q - 1)[0]
+        low = _expand(alg, [(key, c)], k * alg.p**N - 1)[0]
         if low.size:
-            first_checked = r + int(low[0]) // alg.order + 1
-            first_ok = False
-            rng.bit_generator.state = states[first_checked - 1]
-            break
-        first_checked = end
+            checked = r + int(low[0]) // order + 1
+            return {"samples": checked, "ok": False}, states[checked - 1]
+    return {"samples": len(states), "ok": True}, None
 
-    second_ok = True
-    transcripts = 0
-    min_chunk_margin = None
-    touched = 0
-    w = np.array(weights)
-    hi = min(cutoff, k * q + 10)
 
-    def in_window(rows: np.ndarray) -> np.ndarray:
+def _in_window(alg: GroupAlgebra, k: int, N: int):
+    """draw_row's accept for the second inclusion's monomials at index k:
+    the rows of weight in [k p^N, min(p^M - 1, k p^N + 10)]."""
+    w, lo = np.array(alg.nu_weights), k * alg.p**N
+    hi = min(alg.pM - 1, lo + 10)
+
+    def accept(rows: np.ndarray) -> np.ndarray:
         wx = rows @ w
-        return (k * q <= wx) & (wx <= hi)
+        return (lo <= wx) & (wx <= hi)
+    return accept
 
-    starts, after = _draw_rows(rng, mono_samples, alg.pM, n, in_window)
-    try:
-        for tr, verified in _transcripts(alg, starts, N, cutoff, verify=True):
-            transcripts += 1
-            second_ok = verified
-            for t in tr.terms if verified else ():
-                touched += 1
-                if t.chunk_weight < chunk_weight_bound(alg, t.src_weight, N):
-                    second_ok = False
-                margin = t.chunk_weight - (k - 4 * model.f)
-                if margin < 0:
-                    second_ok = False
-                if min_chunk_margin is None or margin < min_chunk_margin:
-                    min_chunk_margin = margin
-            if not second_ok:  # the transcript-at-a-time loop draws no more
-                rng.bit_generator.state = after[transcripts - 1]
+
+def _tally(alg: GroupAlgebra, k: int, N: int, rep: dict, tr: TauTranscript,
+           verified: bool) -> bool:
+    """Count one transcript of the second inclusion at index k into its
+    report rep; False when the transcript fails."""
+    rep["transcripts"] += 1
+    rep["ok"] = verified
+    for t in tr.terms if verified else ():
+        rep["monomials_touched"] += 1
+        margin = t.chunk_weight - (k - 4 * alg.model.f)
+        if t.chunk_weight < chunk_weight_bound(alg, t.src_weight, N) or margin < 0:
+            rep["ok"] = False
+        if rep["min_chunk_margin"] is None or margin < rep["min_chunk_margin"]:
+            rep["min_chunk_margin"] = margin
+    return rep["ok"]
+
+
+def check_sandwich(alg: GroupAlgebra, ks, N: int, rng: np.random.Generator,
+                   samples: int, mono_samples: int) -> list[dict]:
+    """Both inclusions of the filtration sandwich at each index k of ks, one
+    report per k, in order.
+
+    First: products (element of the k-th subring filtration step) x (random
+    ring element) keep weight >= k p^N (_first_inclusion).  Second: iterated
+    rewriting of random monomials of weight >= k p^N expresses each as a
+    combination of terms whose subring chunk has weight >= k - 4f, plus a
+    residual beyond the cutoff p^M - 1, the faithful bound; every
+    transcript is re-expanded and checked exactly.  A k with k p^N beyond
+    the cutoff raises CutoffBeyondFaithful once the ks before it are done.
+
+    The reports, any raise and the generator's final state are those of
+    checking one k after another, each first inclusion before its second
+    (tests/sandwich_oracle.py), but all draws come first: every k's
+    first-inclusion samples and second-inclusion monomials, in that order,
+    with the generator's state kept after each.  The monomials, whose
+    weight window accepts a few percent of the rows at most, come from
+    draw_row.  Then the first inclusions run k by k, and the monomials of
+    all k are rewritten as one lockstep stream (_transcripts).  A first
+    inclusion that fails at a sample, or a transcript that fails, voids
+    the draws after it: the generator is put back to its state after that
+    draw, and what follows is drawn and checked again from there.  A
+    broken rewriting raises with the generator after its start's draw."""
+    if alg.model.M <= N:
+        raise ConfigError("need N < M")
+    cutoff = alg.pM - 1
+    ks = list(ks)
+    live = next((j for j, k in enumerate(ks) if k * alg.p**N > cutoff), len(ks))
+    reports: list[dict] = []
+    carried = None  # the first inclusion of ks[len(reports)], when run already
+    while len(reports) < live:
+        todo = ks[len(reports):live]
+        drawn, starts, after = [], [], []
+        for j, k in enumerate(todo):
+            drawn.append(None if j == 0 and carried else _first_draws(alg, k, N, rng, samples))
+            more, states = _draw_rows(rng, mono_samples, alg.pM, alg.n, _in_window(alg, k, N))
+            starts += more
+            after.append(states)
+        # the first inclusions up to one that fails, whose k's monomials
+        # and the draws after them are void
+        firsts, back = [], None
+        for k, d in zip(todo, drawn):
+            first, back = (carried, None) if d is None else _first_inclusion(alg, k, N, d)
+            firsts.append(first)
+            if back is not None:
                 break
-    except ContractViolation:  # a broken rewriting, raised after its start's draws
-        rng.bit_generator.state = after[transcripts]
-        raise
-    return {
-        "k": k, "N": N, "cutoff": cutoff,
-        "first_inclusion": {"samples": first_checked, "ok": first_ok},
-        "second_inclusion": {
-            "transcripts": transcripts, "monomials_touched": touched,
-            "min_chunk_margin": min_chunk_margin, "ok": second_ok,
-        },
-        "ok": first_ok and second_ok,
-    }
+        cut = len(firsts) - (back is not None)
+        carried = firsts[cut] if back is not None else None
+        seconds = [{"transcripts": 0, "monomials_touched": 0, "min_chunk_margin": None,
+                    "ok": True} for _ in todo[:cut]]
+        done = 0
+        try:
+            for tr, verified in _transcripts(alg, starts[:cut * mono_samples], N, cutoff,
+                                             verify=True):
+                t, s = divmod(done, mono_samples)
+                done += 1
+                if not _tally(alg, todo[t], N, seconds[t], tr, verified):
+                    cut, back, carried = t + 1, after[t][s], None
+                    break
+        except ContractViolation:  # a broken rewriting, raised after its start's draws
+            rng.bit_generator.state = after[done // mono_samples][done % mono_samples]
+            raise
+        reports += [{"k": k, "N": N, "cutoff": cutoff, "first_inclusion": first,
+                     "second_inclusion": second, "ok": first["ok"] and second["ok"]}
+                    for k, first, second in zip(todo, firsts, seconds[:cut])]
+        if back is not None:
+            rng.bit_generator.state = back
+    if live < len(ks):
+        raise CutoffBeyondFaithful(f"k p^N = {ks[live] * alg.p**N} exceeds the cutoff {cutoff}")
+    return reports
 
 
 def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,

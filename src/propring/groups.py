@@ -219,18 +219,27 @@ class GroupModel:
             self._tables[h] = t
         return self._tables[h]
 
-    def right_act(self, xs: np.ndarray, hs: np.ndarray) -> np.ndarray:
-        """Indices of the products x h for element indices x = xs[t], h =
-        hs[t].  The base-p digits of a flat index are those of its exponents
-        h_i, and each digit d of h_i is d <= p - 1 steps through the table of
-        the pc generator u_(i,k) = g_i^(p^k); the u_(i,k) of one i commute."""
+    def index_digits(self, hs: np.ndarray) -> np.ndarray:
+        """The base-p digits of the flat indices hs as an (n M, len(hs))
+        array of the least unsigned type that holds p - 1: row i M + k is
+        digit k of the exponent h_i."""
+        out = np.empty((self.n * self.M, len(hs)), dtype=np.min_scalar_type(self.p - 1))
         for i, stride in enumerate(self._strides):
             for k in range(self.M):
-                d = hs // (stride * self.p**k) % self.p
-                steps = range(int(d.max(initial=0)))
-                table = self.right_mul_table(self.generator(i, k)) if steps else None
-                for s in steps:
-                    xs = np.where(d > s, table[xs], xs)
+                out[i * self.M + k] = hs // (stride * self.p**k) % self.p
+        return out
+
+    def right_act(self, xs: np.ndarray, digits: np.ndarray) -> np.ndarray:
+        """Indices of the products x h for element indices x = xs[t] and
+        the elements h whose base-p digits are the columns digits[:, t]
+        (index_digits).  Each digit d of h_i is d <= p - 1 steps through
+        the table of the pc generator u_(i,k) = g_i^(p^k); the u_(i,k) of
+        one i commute."""
+        for row, d in enumerate(digits):
+            steps = range(int(d.max(initial=0)))
+            table = self.right_mul_table(self.generator(*divmod(row, self.M))) if steps else None
+            for s in steps:
+                xs = np.where(d > s, table[xs], xs)
         return xs
 
     def pc_relations(self) -> tuple[tuple[tuple[int, int], tuple[int, int], Digits], ...]:

@@ -606,13 +606,15 @@ def _basis_changes(field: GF, dim: int, rng, count: int) -> list[tuple[np.ndarra
     the first count invertible draws of one rng.integers call each, the
     stream of a loop that draws until T inverts.  Every round draws the
     shortfall, one matrix per call, and inverts the round as one stack, so
-    no draw is made past the count-th invertible one."""
+    no draw is made past the count-th invertible one.  The members are
+    views into the round's stacks, which are not copied."""
     out = []
     while len(out) < count:
-        draws = np.stack([rng.integers(0, field.q, size=(dim, dim)).astype(np.int16)
-                          for _ in range(count - len(out))])
+        draws = np.empty((count - len(out), dim, dim), dtype=np.int16)
+        for t in draws:
+            t[:] = rng.integers(0, field.q, size=(dim, dim))
         inv, ok = gflib.mat_inverse(draws, field)
-        out.extend(zip(draws[ok], inv[ok]))
+        out.extend((draws[j], inv[j]) for j in np.flatnonzero(ok))
     return out
 
 

@@ -4,7 +4,10 @@ GroupAlgebra.mul_rows and for graded.check_sandwich, which draws all
 samples of an index first and walks their support pairs in row groups.
 window_monomial and tau_monomial are the row-by-row rejection loops of the
 second inclusion and of check_tau_contract, the oracles for
-graded.draw_row, which draws its rows in blocks.
+graded.draw_row, which draws its rows in blocks.  chk_sandwich is the
+sandwich check one index k after another, the oracle for check_sandwich
+on all k at once, which draws every k first and rewrites the monomials
+of all k as one lockstep stream.
 
 mul accumulates one dense product over the support pairs of its factors,
 PAIR_CHUNK pairs per GroupModel.right_act and one bincount of the group's
@@ -15,6 +18,9 @@ k p^N - 1 by support_expansion.  They share with the library the right
 action."""
 
 import numpy as np
+
+from propring.algebra import group_algebra
+from propring.graded import check_sandwich
 
 # support pairs per accumulation step
 PAIR_CHUNK = 1 << 18
@@ -31,7 +37,7 @@ def mul(alg, a, b) -> np.ndarray:
     for start in range(0, pairs, PAIR_CHUNK):
         t = np.arange(start, min(start + PAIR_CHUNK, pairs))
         xi, hi = np.divmod(t, hs.size)
-        idx = alg.model.right_act(xs[xi], hs[hi])
+        idx = alg.model.right_act(xs[xi], alg.model.index_digits(hs[hi]))
         # exact: each bin sums at most PAIR_CHUNK (p-1)^2 < 2^53
         acc = np.bincount(idx, weights=av[xi] * bv[hi], minlength=alg.order)
         out = (out + acc.astype(np.int64)) % alg.p
@@ -87,3 +93,24 @@ def tau_monomial(alg, rng) -> tuple[int, ...]:
         x = tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n))
         if any(x) and alg.nu_prime(x) <= alg.pM - 1:
             return x
+
+
+def chk_sandwich(run, rng, N, kmax, samples, mono_samples) -> dict:
+    """checks' sandwich check one k after another: check_sandwich on each
+    index alone, so the draws of k + 1 follow the checks of k, where the
+    library draws every k first and rewrites the monomials of all k as one
+    lockstep stream."""
+    alg = group_algebra(run.cfg)
+    per_k = []
+    for k in range(1, kmax + 1):
+        res, = check_sandwich(alg, [k], N, rng, samples=samples, mono_samples=mono_samples)
+        per_k.append(
+            {
+                "k": k,
+                "ok": res["ok"],
+                "first_samples": res["first_inclusion"]["samples"],
+                **{key: res["second_inclusion"][key]
+                   for key in ("transcripts", "monomials_touched", "min_chunk_margin")},
+            }
+        )
+    return {"ok": all(r["ok"] for r in per_k), "N": N, "per_k": per_k}

@@ -121,8 +121,8 @@ def test_criterion_05_filtration_sandwich():
     t0 = time.monotonic()
     alg = group_algebra(cfg_for("GL2"))
     for k in (1, 2, 3):
-        out = check_sandwich(alg, k, 1, sub_rng(SEED, f"sandwich-{k}"),
-                             samples=200, mono_samples=50)
+        out, = check_sandwich(alg, [k], 1, sub_rng(SEED, f"sandwich-{k}"),
+                              samples=200, mono_samples=50)
         assert out["ok"], (k, out)
         assert out["first_inclusion"]["samples"] == 200
         assert out["second_inclusion"]["transcripts"] == 50

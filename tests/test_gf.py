@@ -16,6 +16,14 @@ import module_oracle
 import rref_oracle
 
 
+def _power(mul, a, e):
+    """a^e for e >= 0 by e products in the table mul."""
+    r = 1
+    for _ in range(e):
+        r = int(mul[r, a])
+    return r
+
+
 def polynomial_tables(p, f):
     """add, mul, neg, inv, frob and gen of F_{p^f}, one polynomial product
     and reduction per pair of elements."""
@@ -35,8 +43,7 @@ def polynomial_tables(p, f):
     inv = np.zeros(q, dtype=np.int16)
     for a in range(1, q):
         inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
-    field.mul = mul
-    frob = np.array([field.pow(a, p) for a in range(q)], dtype=np.int16)
+    frob = np.array([_power(mul, a, p) for a in range(q)], dtype=np.int16)
     gen = (-poly[0]) % p if f == 1 else p
     return {"add": add, "mul": mul, "neg": neg, "inv": inv, "frob": frob, "gen": gen}
 
@@ -50,6 +57,28 @@ def test_tables_match_polynomial_construction(p, f):
             assert got == want
         else:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("p,f", [(5, 1), (5, 2), (7, 2)])
+def test_pow_reads_the_log_table(p, f):
+    # a^e off the discrete-log table against e products in the polynomial
+    # tables, a^(-e) as the inverse's; 0^0 = 1 and 0^e = 0 otherwise
+    field, want = gflib.GF(p, f), polynomial_tables(p, f)
+    q = p**f
+    for a in range(q):
+        for e in (0, 1, 2, p, q - 1, q + 3):
+            assert field.pow(a, e) == _power(want["mul"], a, e), (a, e)
+            assert field.pow(a, -e) == _power(want["mul"], int(want["inv"][a]), e), (a, -e)
+
+
+def test_field_tables_are_built_on_first_use():
+    # F_(5^6) for the p-adic rings: its q x q tables would take 2 x 15,625^2
+    # x 2 bytes, and a fresh field builds neither until it is asked for one
+    field = gflib.GF(5, 6)
+    assert "add" not in vars(field) and "mul" not in vars(field)
+    small = gflib.GF(5, 2)
+    assert small.mul[small.gen, small.inv[small.gen]] == 1
+    assert "mul" in vars(small) and "add" not in vars(small)
 
 
 @pytest.fixture

@@ -232,7 +232,7 @@ def test_iterate_tau_transcripts(alg, rng):
 
 
 def test_sandwich_light(alg, rng):
-    out = check_sandwich(alg, 2, 1, rng, samples=20, mono_samples=5)
+    out, = check_sandwich(alg, [2], 1, rng, samples=20, mono_samples=5)
     assert out["ok"]
     assert out["first_inclusion"]["samples"] == 20
     assert out["second_inclusion"]["min_chunk_margin"] >= 0
@@ -241,7 +241,7 @@ def test_sandwich_light(alg, rng):
 def test_sandwich_gate(alg, rng):
     # k p^N = 25 passes the faithful cutoff p^M - 1 = 24
     with pytest.raises(CutoffBeyondFaithful):
-        check_sandwich(alg, 5, 1, rng, samples=1, mono_samples=1)
+        check_sandwich(alg, [5], 1, rng, samples=1, mono_samples=1)
     # the rewriting reads its contract below p^M only
     with pytest.raises(CutoffBeyondFaithful):
         tau_rewrite(alg, (20, 5, 0), 1)
@@ -287,10 +287,10 @@ def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
         monkeypatch.setattr(alg, "support_expansion", support_expansion)
         rng = np.random.default_rng(11)
         if batched:
-            res = check_sandwich(alg, 2, 1, rng, samples=20, mono_samples=3)
+            res, = check_sandwich(alg, [2], 1, rng, samples=20, mono_samples=3)
         else:
             first = sandwich_oracle.first_inclusion(alg, 2, 1, rng, 20)
-            res = check_sandwich(alg, 2, 1, rng, samples=0, mono_samples=3)
+            res, = check_sandwich(alg, [2], 1, rng, samples=0, mono_samples=3)
             res = {**res, "first_inclusion": first, "ok": first["ok"] and res["ok"]}
         runs.append((res, seen, rng.bit_generator.state))
     assert runs[0] == runs[1]
@@ -377,7 +377,7 @@ def test_block_draws_match_sequential_oracle(pfm, case, monkeypatch):
     drawn = _record_draws(monkeypatch)
     for k in (1, 2, 3):
         rng, seq = np.random.default_rng(k), np.random.default_rng(k)
-        res = check_sandwich(alg, k, 1, rng, samples=0, mono_samples=30)
+        res, = check_sandwich(alg, [k], 1, rng, samples=0, mono_samples=30)
         assert res["second_inclusion"]["transcripts"] == 30
         assert drawn == [sandwich_oracle.window_monomial(alg, k, 1, seq) for _ in range(30)]
         assert rng.bit_generator.state == seq.bit_generator.state
@@ -408,11 +408,11 @@ def test_first_inclusion_memory_is_bounded():
     # row groups of _PAIR_CHUNK pairs keep the traced peak near 2 MB, where
     # walking all pairs in one pass peaks near 10 MB
     alg = group_algebra(PrimeConfig(5, 1, 2, "GL2"))
-    check_sandwich(alg, 3, 1, np.random.default_rng(0), samples=5, mono_samples=0)
+    check_sandwich(alg, [3], 1, np.random.default_rng(0), samples=5, mono_samples=0)
     tracemalloc.start()
     try:
-        res = check_sandwich(alg, 3, 1, np.random.default_rng(20250825), samples=100,
-                             mono_samples=0)
+        res, = check_sandwich(alg, [3], 1, np.random.default_rng(20250825), samples=100,
+                              mono_samples=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,7 +465,7 @@ def test_lockstep_matches_per_transcript_oracle(pfm, case):
             transcript_oracle.verify_transcript(alg, tr) for tr in want] == [True] * 30
         multi += sum(tr.passes > 1 for tr in trs)
         rng, seq = np.random.default_rng(10 + k), np.random.default_rng(10 + k)
-        res = check_sandwich(alg, k, 1, rng, samples=0, mono_samples=30)
+        res, = check_sandwich(alg, [k], 1, rng, samples=0, mono_samples=30)
         assert res["second_inclusion"] == transcript_oracle.second_inclusion(alg, k, 1, seq, 30)
         assert rng.bit_generator.state == seq.bit_generator.state
     assert multi > 0
@@ -539,7 +539,7 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
     assert trs == clean[:T]
     rng, seq = np.random.default_rng(31), np.random.default_rng(31)
     with pytest.raises(ContractViolation) as got:
-        check_sandwich(alg, k, 1, rng, samples=0, mono_samples=30)
+        check_sandwich(alg, [k], 1, rng, samples=0, mono_samples=30)
     with pytest.raises(ContractViolation) as want:
         transcript_oracle.second_inclusion(alg, k, 1, seq, 30)
     assert str(got.value) == str(want.value) and got.value.witness == want.value.witness == x
@@ -634,7 +634,7 @@ def test_expand_first_step_stays_within_merge(monkeypatch):
 
         monkeypatch.setattr(alg, "support_expansion", support_expansion)
         rng = np.random.default_rng(5)
-        assert check_sandwich(alg, 2, 1, rng, samples=40, mono_samples=20)["ok"]
+        assert check_sandwich(alg, [2], 1, rng, samples=40, mono_samples=20)[0]["ok"]
         assert check_tau_contract(alg, 1, rng, samples=20)["ok"]
         assert all(rows == 1 or spread <= graded._MERGE for rows, spread in calls), calls
         assert sum(rows > 1 for rows, _ in calls) > len(calls) // 4, calls
@@ -642,14 +642,14 @@ def test_expand_first_step_stays_within_merge(monkeypatch):
 
 def test_lockstep_batches_are_sized_by_their_residual(monkeypatch):
     # the first batch holds _MERGE // _suffix_block transcripts, each later
-    # one order / _HELD_SHARE residual entries by the last batch's count per
-    # transcript; a budget 20 times smaller makes more, smaller batches and
-    # the same report
+    # one _MERGE residual entries by the last batch's count per transcript,
+    # whatever the group's order; a _MERGE of 40 makes more, smaller
+    # batches and the same report
     alg = group_algebra(PrimeConfig(5, 1, 2, "QUAT", N=1))
     real = graded.iterate_taus
     reports = []
-    for share in (graded._HELD_SHARE, 20 * graded._HELD_SHARE):
-        monkeypatch.setattr(graded, "_HELD_SHARE", share)
+    for merge in (graded._MERGE, 40):
+        monkeypatch.setattr(graded, "_MERGE", merge)
         batches = []
 
         def iterate_taus(alg, starts, N, cutoff):
@@ -659,14 +659,152 @@ def test_lockstep_batches_are_sized_by_their_residual(monkeypatch):
 
         monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
         reports.append(check_tau_contract(alg, 1, np.random.default_rng(8), samples=60))
-        assert batches[0][0] == graded._MERGE // graded._suffix_block(alg, alg.pM - 1) == 15
+        assert batches[0][0] == max(1, merge // graded._suffix_block(alg, alg.pM - 1)) == (
+            15 if merge == 1 << 16 else 1)
         done = 0
         for (size, held), (nxt, _) in zip(batches, batches[1:]):
             done += size
-            assert nxt == min(max(1, alg.order // share * size // held), 60 - done), batches
+            assert nxt == min(max(1, merge * size // held), 60 - done), batches
         assert sum(size for size, _ in batches) == 60
         reports.append(len(batches))
     assert reports[0] == reports[2] and reports[1] < reports[3], reports
+
+
+@pytest.mark.parametrize("case", ["GL2", "QUAT"])
+def test_bench_sandwich_starts_run_in_two_batches(case, monkeypatch):
+    # the sandwich of the verify-gl2 bench scenario at its committed seed
+    # (kmax 3, 50 monomials per k): the 150 starts of all k are rewritten
+    # in two lockstep batches, 15 and then the other 135
+    alg = group_algebra(PrimeConfig(5, 1, 2, case, N=1))
+    real, batches = graded.iterate_taus, []
+
+    def iterate_taus(alg, starts, N, cutoff):
+        batches.append(len(starts))
+        return real(alg, starts, N, cutoff)
+
+    monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
+    res = checks._chk_sandwich(checks.Run(PrimeConfig(5, 1, 2, case, N=1)),
+                               checks.sub_rng(20250817, "sandwich"), N=1, kmax=3,
+                               samples=100, mono_samples=50)
+    assert res["ok"] and [r["transcripts"] for r in res["per_k"]] == [50] * 3
+    assert batches == [15, 135], batches
+
+
+def _sandwich_runs(cfg, params, seed, reset=lambda: None):
+    """checks' sandwich check and the loop over one k at a time
+    (sandwich_oracle.chk_sandwich) on the same seed, reset called before
+    each: for each, its detail or the (type, message, witness) of what it
+    raised, and the generator's final state."""
+    runs = []
+    for fn in (checks._chk_sandwich, sandwich_oracle.chk_sandwich):
+        reset()
+        rng = np.random.default_rng(seed)
+        try:
+            out = fn(checks.Run(cfg), rng, **params)
+        except (ContractViolation, CutoffBeyondFaithful) as e:
+            out = (type(e), str(e), getattr(e, "witness", None))
+        runs.append((out, rng.bit_generator.state))
+    return runs
+
+
+def _plant(alg, monkeypatch, plant, starts, params):
+    """Plant one failure, the same for the library and the oracle, keyed by
+    what it reads: the fifth product of the first row group of the first
+    inclusion at k = 1 (the window k p^N - 1 = 4) answers with a term of
+    weight 0; the transcript of the third start at k = 2 of the clean run
+    fails its re-expansion; or the word of the first start at k = 3 of the
+    clean run that no transcript before it rewrites has its coefficients
+    doubled, so the rewriting perturbs it.  Returns that start, or None,
+    and the reset to call before each run."""
+    if plant == "first":
+        real, seen = alg.support_expansion, []
+
+        def support_expansion(keys, coeffs, cutoff):
+            if cutoff == 4 and not seen:
+                seen.append(cutoff)
+                return np.array([4 * alg.order]), np.zeros(1, dtype=np.int64), coeffs[:1]
+            return real(keys, coeffs, cutoff)
+
+        monkeypatch.setattr(alg, "support_expansion", support_expansion)
+        return None, seen.clear
+    mono = params["mono_samples"]
+    if plant == "transcript":
+        x = starts[mono + 2]
+        real_verify = graded.verify_transcripts
+        monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [
+            ok and tr.start != x for ok, tr in zip(real_verify(alg, trs), trs)])
+        return x, lambda: None
+    trs, _ = graded.iterate_taus(alg, starts, 1, alg.pM - 1)
+    before = set()
+    for t, tr in enumerate(trs):
+        if t >= 2 * mono and tr.start not in before:
+            x = tr.start
+            break
+        before |= {term.src for term in tr.terms}
+    real_zmul, word = alg.zmul, graded.tau_exponents(alg, np.array([x]), 1)
+
+    def zmul(chunks, fracs):
+        keys, coeffs = real_zmul(chunks, fracs)
+        row = keys // alg.order
+        for r in np.flatnonzero((chunks == word[0]).all(axis=1) & (fracs == word[1]).all(axis=1)):
+            coeffs = np.where(row == r, 2 * coeffs % alg.p, coeffs)
+        return keys, coeffs
+
+    monkeypatch.setattr(alg, "zmul", zmul)
+    return x, lambda: None
+
+
+@pytest.mark.parametrize("plant", [None, "first", "transcript", "break"])
+@pytest.mark.parametrize("pfm,case", [((5, 1, 2), "GL2"), ((5, 1, 2), "QUAT"),
+                                      ((5, 1, 3), "GL2")], ids=str)
+def test_sandwich_lockstep_matches_the_k_at_a_time_oracle(pfm, case, plant, monkeypatch):
+    # every k drawn first and the monomials of all k rewritten as one
+    # lockstep stream, against checking one k after another: with a
+    # failure planted in the first inclusion at k = 1, in a transcript at
+    # k = 2 or in the rewriting at k = 3, the same per-k results, the same
+    # witness and the generator in the same state
+    cfg = PrimeConfig(*pfm, case, N=1)
+    alg = group_algebra(cfg)
+    params = {"N": 1, "kmax": 3, "samples": 20 if pfm[2] == 2 else 6,
+              "mono_samples": 10 if pfm[2] == 2 else 4}
+    seed = 41
+    # the clean run's monomials: those drawn after each k's first inclusion
+    starts, real = [], graded._draw_rows
+
+    def draw_rows(*args):
+        rows, states = real(*args)
+        starts.extend(rows)
+        return rows, states
+
+    monkeypatch.setattr(graded, "_draw_rows", draw_rows)
+    clean = _sandwich_runs(cfg, params, seed)
+    assert clean[0] == clean[1] and clean[0][0]["ok"]
+    monkeypatch.setattr(graded, "_draw_rows", real)
+    if plant is None:
+        return
+    x, reset = _plant(alg, monkeypatch, plant, starts[:len(starts) // 2], params)
+    (got, state), want = _sandwich_runs(cfg, params, seed, reset)
+    assert (got, state) == want
+    if plant == "break":
+        assert got == (ContractViolation, f"rewriting perturbed {x} at its own weight", x)
+        return
+    assert not got["ok"] and [r["k"] for r in got["per_k"]] == [1, 2, 3]
+    failed = [r["k"] for r in got["per_k"] if not r["ok"]]
+    if plant == "first":
+        assert failed == [1] and got["per_k"][0]["first_samples"] == 5
+    else:
+        assert failed == [2] and got["per_k"][1]["transcripts"] == 3
+
+
+def test_sandwich_gate_raises_after_the_live_indices():
+    # kmax 5 at (5, 1, 2): k = 1..4 are checked, then k p^N = 25 passes the
+    # cutoff 24, with the generator where the loop over one k at a time
+    # leaves it
+    cfg = PrimeConfig(5, 1, 2, "GL2", N=1)
+    (got, state), want = _sandwich_runs(cfg, {"N": 1, "kmax": 5, "samples": 3,
+                                              "mono_samples": 2}, 5)
+    assert (got, state) == want
+    assert got == (CutoffBeyondFaithful, "k p^N = 25 exceeds the cutoff 24", None)
 
 
 def test_tau_contract_check(alg, rng):
@@ -748,7 +886,7 @@ def test_sandwich_holds_pc_generator_tables_only():
     # their right factors: on a fresh model the tables are the n M pc
     # generators at most, where exponent-indexed tables would be n p^M
     alg = GroupAlgebra(GL2Model(7, 1, 2))
-    res = check_sandwich(alg, 1, 1, np.random.default_rng(7), samples=3, mono_samples=2)
+    res, = check_sandwich(alg, [1], 1, np.random.default_rng(7), samples=3, mono_samples=2)
     assert res["first_inclusion"]["ok"] and res["first_inclusion"]["samples"] == 3
     tables = set(alg.model._tables)
     assert tables <= power_oracle.pc_generators(alg.model)

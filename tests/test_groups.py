@@ -124,7 +124,8 @@ def test_right_mul_table_consistent(model, rng):
         x = random_element(model, rng)
         xh = model.index_of(model.mul(x, h))
         assert t[model.index_of(x)] == xh
-        assert model.right_act(np.array([model.index_of(x)]), np.array([model.index_of(h)])) == xh
+        assert model.right_act(np.array([model.index_of(x)]),
+                               model.index_digits(np.array([model.index_of(h)]))) == xh
     # the library builds pc-generator tables only
     g0, g1 = model.generator(0), model.generator(1)
     for h in (model.identity, (2,) + g0[1:], tuple(a + b for a, b in zip(g0, g1))):
@@ -151,8 +152,13 @@ def test_pc_tables_and_right_act_match_oracle(pfm, case):
     digits[:, :100] = model.pM - 1
     digits[int(rng.integers(model.n)), 100:200] = model.pM - 1
     hs = np.ravel_multi_index(tuple(digits), (model.pM,) * model.n)
-    assert np.array_equal(model.right_act(xs, hs), power_oracle.walk(model, xs, digits))
-    assert np.array_equal(model.right_act(xs, np.zeros_like(hs)), xs)
+    # row i M + k of the index digits is digit k of the exponent h_i
+    want = [digits[i] // model.p**k % model.p for i in range(model.n) for k in range(model.M)]
+    assert np.array_equal(model.index_digits(hs), want)
+    assert model.index_digits(hs).dtype == np.uint8
+    assert np.array_equal(model.right_act(xs, model.index_digits(hs)),
+                          power_oracle.walk(model, xs, digits))
+    assert np.array_equal(model.right_act(xs, model.index_digits(np.zeros_like(hs))), xs)
     assert set(model._tables) == power_oracle.pc_generators(model)
 
 

@@ -731,6 +731,37 @@ def test_restriction_grading_matches_oracle_on_representations(pfm, case):
             assert [c.tobytes() for c in got.chain] == [c.tobytes() for c in want.chain]
 
 
+def test_basis_changes_peak_near_what_they_return():
+    # 24 basis changes of dim 300 over F_5, inverted member by member (2 x
+    # 300^2 entries reach the panel path): the members are views into the
+    # stacks of draws and inverses, so the traced peak is those stacks
+    # (what the function returns and the singular draws of each round)
+    # plus one inversion's transients and one draw, where copying the
+    # invertible members out of the stacks held twice what it returns
+    field, dim, count = gf(5, 1), 300, 24
+    rng = np.random.default_rng(3)
+    m = rng.integers(0, 5, size=(dim, dim)).astype(np.int16)
+    gflib.mat_inverse(m, field)
+    tracemalloc.start()
+    try:
+        gflib.mat_inverse(m, field)
+        one = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        out = modules._basis_changes(field, dim, rng, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(t.nbytes + tinv.nbytes for t, tinv in out)
+    stacks = sum({id(a.base): a.base.nbytes for pair in out for a in pair}.values())
+    assert len(out) == count and held == count * 2 * dim * dim * 2
+    assert held <= stacks < 1.5 * held
+    assert peak < stacks + one + 2 * dim * dim * 8, (peak, stacks, one)
+    assert peak < 2 * held, (peak, held)
+
+
 @pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2)], ids=str)
 def test_basis_changes_draw_the_stream_of_the_loop(pfm, case):
     # the stacked draws keep the loop's stream: the same T and inverses,

@@ -2,10 +2,14 @@
 quaternion order: Teichmueller lifts, Hensel square roots, Frobenius,
 reduced norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from propring import padic
 from propring.errors import InputNotUnitOne
+from propring.gf import GF
 from propring.padic import ZqRing, quat_context, zq_ring
 
 import teich_oracle
@@ -131,3 +135,23 @@ def test_quaternion_norm_multiplicative():
         assert (x * y).conj() == y.conj() * x.conj()
         xi = x.inv()
         assert x * xi == ctx.quat(R.from_int(1), R.from_int(0))
+
+
+def test_extension_ring_builds_no_field_tables(monkeypatch):
+    # zq_ring(5, 6, 3) reads the residue field F_(5^6) through its log
+    # tables only: its q x q add and mul tables, 2 x 15,625^2 x 2 bytes
+    # (976 MB), are never built.  The field is built fresh, outside gf's
+    # cache, so the traced peak holds all of it
+    monkeypatch.setattr(padic, "gf", GF)
+    tracemalloc.start()
+    try:
+        R = ZqRing(5, 6, 3)
+        t = R.teichmuller(R.field.gen)
+        u = R.one + R.x
+        checks = t**R.field.q == t and u * R.inv(u) == R.one
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checks
+    assert "add" not in vars(R.field) and "mul" not in vars(R.field)
+    assert peak < 8_000_000, peak
