@@ -255,8 +255,10 @@ def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, d
 
 def run_scenario(data: dict, include_timings: bool = False) -> tuple[dict, int]:
     """Run every check of a parsed scenario.  Returns (report, exit_code)
-    with exit 0 iff all checks pass; scenario validation errors raise
-    ConfigError and are the caller's exit-2 path."""
+    with exit 0 iff all checks pass.  Scenario validation errors, and a
+    configuration a check refuses as it runs (a ConfigError, such as the
+    exact transform bound), raise ConfigError and are the caller's exit-2
+    path: a refusal is not a violated claim."""
     name, cfg, seed, checks = parse_scenario(data)
     run = Run(cfg)
     results = []
@@ -271,6 +273,8 @@ def run_scenario(data: dict, include_timings: bool = False) -> tuple[dict, int]:
         except CutoffBeyondFaithful as e:
             entry["status"] = "indeterminate"
             entry["witness"] = str(e)
+        except ConfigError:
+            raise
         except PropringError as e:
             entry["status"] = "fail"
             entry["witness"] = str(e)

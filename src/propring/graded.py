@@ -474,14 +474,14 @@ def _expand(alg: GroupAlgebra, pieces, cutoff: int) -> tuple[np.ndarray, np.ndar
     return tuple(map(np.concatenate, zip(*out)))
 
 
-def _rewrite_rows(alg: GroupAlgebra, exps: np.ndarray,
-                  N: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ContractViolation] | None]:
+def _rewrite_rows(alg: GroupAlgebra, exps: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The rewriting of the monomials z^x, x the rows of a (rows, n) array
     of weight below p^M, as rows 0, 1, ...: their words, split by
     tau_exponents, built by _word_groups and expanded by _expand, the
     monomial terms below p^M as one row-keyed pair (row order + k,
-    coefficient), and the first row that breaks the contract nu(tau(x)) =
-    nu(x) and tau(x) - x in m^(nu+1), with its ContractViolation, or None."""
+    coefficient).  Raises ContractViolation, with x as witness, at the
+    first row that breaks the contract nu(tau(x)) = nu(x) and tau(x) - x
+    in m^(nu+1)."""
     order = alg.order
     flats = np.ravel_multi_index(exps.T, (alg.pM,) * alg.n)
     keys, weights, c = _expand(alg, _word_groups(alg, *tau_exponents(alg, exps, N)),
@@ -494,14 +494,14 @@ def _rewrite_rows(alg: GroupAlgebra, exps: np.ndarray,
     low = weights <= w[row]
     units = np.arange(len(exps)) * order + flats
     if keys[low].size == len(exps) and (keys[low] == units).all() and (c[low] == 1).all():
-        return keys, c, None
+        return keys, c
     for r, x in enumerate(map(tuple, exps.tolist())):
         mine = row == r
         if keys[mine & low].tolist() != [units[r]] or c[mine & low].tolist() != [1]:
             if weights[mine].min(initial=w[r] + 1) != w[r]:
-                return keys, c, (r, ContractViolation(f"rewriting changed the weight of {x}", x))
-            return keys, c, (r, ContractViolation(f"rewriting perturbed {x} at its own weight", x))
-    return keys, c, None
+                raise ContractViolation(f"rewriting changed the weight of {x}", x)
+            raise ContractViolation(f"rewriting perturbed {x} at its own weight", x)
+    return keys, c
 
 
 def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -515,14 +515,11 @@ def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[np.ndarray, np
     w = alg.nu_prime(exps)
     if w >= alg.pM:
         raise CutoffBeyondFaithful(f"weight {w} of {exps} reaches the unfaithful range")
-    ks, c, broken = _rewrite_rows(alg, np.array([exps]), N)
-    if broken:
-        raise broken[1]
-    return ks, c
+    return _rewrite_rows(alg, np.array([exps]), N)
 
 
 def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
-                 cutoff: int) -> tuple[list[TauTranscript], ContractViolation | None]:
+                 cutoff: int) -> list[TauTranscript]:
     """Rewrite each start monomial and keep rewriting every surviving
     lowest-weight monomial until no term below p^M is left or the least
     one lies beyond the cutoff.  The minimal weight must rise strictly
@@ -532,17 +529,16 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
     All transcripts run in lockstep: the residuals are one support pair
     keyed by transcript order + index, and a pass rewrites the
     lowest-weight monomials of every transcript as the rows of one
-    _rewrite_rows and merges them by one collect.  Returns the transcripts
-    of the starts before the first whose rewriting breaks, and that
-    break, or None: what rewriting the starts one after another gives
-    before it raises.  So a transcript that breaks drops those after it,
-    and one before it may still break at a later pass.  One monomial is a
-    batch of one."""
+    _rewrite_rows and merges them by one collect.  Returns the
+    transcripts, one per start; a break raises ContractViolation at the
+    first in lockstep order, the earliest pass and then the first row
+    (transcript, then index), which need not be the break that rewriting
+    the starts one after another meets first.  One monomial is a batch
+    of one."""
     if cutoff >= alg.pM:  # the rewriting reads its contract below p^M only
         raise CutoffBeyondFaithful(f"cutoff {cutoff} reaches the unfaithful range")
     starts = [alg.model.check_digits(x) for x in starts]
     order, nu_w, q = alg.order, alg.nu_weight_array, alg.p**N
-    err = None
     keys = np.array([t * order + alg.model.index_of(x) for t, x in enumerate(starts)],
                     dtype=np.int64)
     coeffs = np.ones(keys.size, dtype=np.int64)
@@ -557,12 +553,9 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
         w0 = _row_minima(t, w, len(starts))  # -1 where nothing is left
         stuck = np.flatnonzero((w0 >= 0) & (w0 <= rewrote))
         if stuck.size:  # the last pass did not raise the least weight
-            last = int(stuck[0])
-            err = ContractViolation(f"pass {passes[last] - 1} on {starts[last]} failed to raise "
-                                    f"the weight past {rewrote[last]}", starts[last])
-            keep = t < last
-            keys, coeffs, t, w = keys[keep], coeffs[keep], t[keep], w[keep]
-            starts, w0 = starts[:last], w0[:last]
+            s = int(stuck[0])
+            raise ContractViolation(f"pass {passes[s] - 1} on {starts[s]} failed to raise "
+                                    f"the weight past {rewrote[s]}", starts[s])
         for tt in np.flatnonzero(w0 > cutoff).tolist():
             residual[tt] = int(w0[tt])
         least = w0[t]
@@ -577,23 +570,17 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
                 (chunks @ alg.nu_weights // q).tolist(), level_c.tolist()):
             terms[tt].append(TauTerm(coeff=coeff, chunk=tuple(chunk), frac=tuple(frac),
                                      src=tuple(x), src_weight=int(w0[tt]), chunk_weight=cw))
-        ks, c, broken = _rewrite_rows(alg, exps, N)
-        keep = least <= cutoff
-        if broken:  # rows ascend with the transcript, then the index
-            row, err = broken
-            starts = starts[:int(src_t[row])]
-            keep &= t < len(starts)
-            kept = src_t[ks // order] < len(starts)
-            ks, c = ks[kept], c[kept]
+        ks, c = _rewrite_rows(alg, exps, N)  # rows ascend with the transcript, then the index
         rt = ks // order  # the row, whose transcript is src_t[rt]
+        keep = least <= cutoff
         keys, coeffs = alg.collect(np.concatenate([keys[keep], ks + (src_t[rt] - rt) * order]),
                                    np.concatenate([coeffs[keep], -level_c[rt] * c]))
-        held = np.maximum(held[:len(starts)], np.bincount(keys // order, minlength=len(starts)))
-        rewrote = np.where(w0 <= cutoff, w0, -1)[:len(starts)]
-        passes = passes[:len(starts)] + (rewrote >= 0)
+        held = np.maximum(held, np.bincount(keys // order, minlength=len(starts)))
+        rewrote = np.where(w0 <= cutoff, w0, -1)
+        passes += rewrote >= 0
     return [TauTranscript(start=x, N=N, cutoff=cutoff, terms=terms[t],
                           residual_weight=residual[t], passes=int(passes[t]), held=int(held[t]))
-            for t, x in enumerate(starts)], err
+            for t, x in enumerate(starts)]
 
 
 def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool]:
@@ -658,24 +645,11 @@ def draw_row(rng: np.random.Generator, high: int, n: int, accept) -> Digits:
         size = min(2 * size, _DRAW_MAX)
 
 
-def _draw_rows(rng: np.random.Generator, count: int, high: int, n: int,
-               accept) -> tuple[list[Digits], list[dict]]:
-    """count rows from draw_row and the generator's state after each, so
-    that a caller that stops at row j can leave the generator where the
-    draws up to row j leave it."""
-    rows, states = [], []
-    for _ in range(count):
-        rows.append(draw_row(rng, high, n, accept))
-        states.append(rng.bit_generator.state)
-    return rows, states
-
-
 def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, verify: bool):
-    """(transcript, verified) for each start in order, the starts rewritten
-    in lockstep batches and each batch verified by verify_transcripts when
-    verify is set (True otherwise), with the rewriting's break raised
-    where rewriting one start after another raises it.  A caller that
-    stops early skips the batches after it.
+    """(transcript, verified) for each start in order: the starts
+    rewritten in lockstep batches by iterate_taus, whose break raises, and
+    each batch verified by verify_transcripts when verify is set (True
+    otherwise).
 
     The first batch holds as many transcripts as _expand joins rows into
     one expansion at p^M - 1: 15 at (5, 1, 2), 2 at (7, 1, 2), one from
@@ -691,10 +665,8 @@ def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, v
     of a sandwich with kmax 3 run in two batches."""
     size, lo = max(1, _MERGE // _suffix_block(alg, alg.pM - 1)), 0
     while lo < len(starts):
-        trs, err = iterate_taus(alg, starts[lo:lo + size], N, cutoff)
+        trs = iterate_taus(alg, starts[lo:lo + size], N, cutoff)
         yield from zip(trs, verify_transcripts(alg, trs) if verify else [True] * len(trs))
-        if err is not None:
-            raise err
         lo += size
         size = max(1, _MERGE * len(trs) // max(1, sum(tr.held for tr in trs)))
 
@@ -703,10 +675,8 @@ def _first_draws(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator, sa
     """The draws of the first inclusion at index k, a sample at a time: u a
     sum of 1-3 subring monomials of the k-th filtration step, drawn one row
     at a time (nearly every row is accepted), and v a random 30-term
-    element.  Returns the u's as (sample, coefficient, *exponents) rows,
-    the v's as (sample, index, coefficient) arrays and the generator's
-    state after each sample, so that a failure at sample j can leave it
-    where the draws of sample j left it."""
+    element.  Returns the u's as (sample, coefficient, *exponents) rows and
+    the v's as (sample, index, coefficient) arrays."""
     p, n, q, w = alg.p, alg.n, alg.p**N, alg.nu_weights
     top = p ** (alg.model.M - N)
 
@@ -716,43 +686,40 @@ def _first_draws(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator, sa
             if sum(map(operator.mul, w, y)) >= k:
                 return [q * v for v in y]
 
-    draws, supports, values, states = [], [], [], []
+    draws, supports, values = [], [], []
     for r in range(samples):
         for _ in range(int(rng.integers(1, 4))):
             coeff = int(rng.integers(1, p))
             draws.append([r, coeff, *sample_subring_exps()])
         supports.append(rng.choice(alg.order, size=30, replace=False))
         values.append(rng.integers(0, p, size=30))
-        states.append(rng.bit_generator.state)
     draws = np.array(draws, dtype=np.int64).reshape(-1, 2 + n)
     vs = np.array([np.repeat(np.arange(samples), 30), np.ravel(supports), np.ravel(values)],
                   dtype=np.int64)
-    return draws, vs, states
+    return draws, vs
 
 
-def _first_inclusion(alg: GroupAlgebra, k: int, N: int, drawn) -> tuple[dict, dict | None]:
-    """The first inclusion at index k on the draws of _first_draws: every
-    product u v keeps weight >= k p^N.  The monomials of all u's are built
-    by one GroupAlgebra._lucas_rows, keyed by sample and merged by one
-    collect; each row group of products from GroupAlgebra.mul_rows is read
-    at the window k p^N - 1 by _expand.  Returns the report, stopping at
-    the first product that fails, and the generator's state after that
-    product's sample, or None."""
-    draws, vs, states = drawn
+def _first_inclusion(alg: GroupAlgebra, k: int, N: int, samples: int, drawn) -> dict:
+    """The first inclusion at index k on the draws of _first_draws, of
+    samples samples: every product u v keeps weight >= k p^N.  The monomials of all u's
+    are built by one GroupAlgebra._lucas_rows, keyed by sample and merged
+    by one collect; each row group of products from GroupAlgebra.mul_rows
+    is read at the window k p^N - 1 by _expand.  Returns the report,
+    stopping at the first product that fails."""
+    draws, vs = drawn
     order = alg.order
     row, idx, mono_c = alg._lucas_rows(draws[:, 2:])
     ukeys, uc = alg.collect(draws[row, 0] * order + idx, draws[row, 1] * mono_c)
     urows = ukeys // order
     # the v's, zero coefficients dropped
     for r, end, key, c in alg.mul_rows((urows, ukeys - urows * order, uc),
-                                       tuple(vs[:, vs[2] != 0]), len(states)):
+                                       tuple(vs[:, vs[2] != 0]), samples):
         # a monomial term below k p^N puts a product outside m^(k p^N);
         # the first such key is in the first product that has one
         low = _expand(alg, [(key, c)], k * alg.p**N - 1)[0]
         if low.size:
-            checked = r + int(low[0]) // order + 1
-            return {"samples": checked, "ok": False}, states[checked - 1]
-    return {"samples": len(states), "ok": True}, None
+            return {"samples": r + int(low[0]) // order + 1, "ok": False}
+    return {"samples": samples, "ok": True}
 
 
 def _in_window(alg: GroupAlgebra, k: int, N: int):
@@ -768,9 +735,9 @@ def _in_window(alg: GroupAlgebra, k: int, N: int):
 
 
 def _tally(alg: GroupAlgebra, k: int, N: int, rep: dict, tr: TauTranscript,
-           verified: bool) -> bool:
+           verified: bool) -> None:
     """Count one transcript of the second inclusion at index k into its
-    report rep; False when the transcript fails."""
+    report rep, which fails with the transcript when that fails."""
     rep["transcripts"] += 1
     rep["ok"] = verified
     for t in tr.terms if verified else ():
@@ -780,7 +747,6 @@ def _tally(alg: GroupAlgebra, k: int, N: int, rep: dict, tr: TauTranscript,
             rep["ok"] = False
         if rep["min_chunk_margin"] is None or margin < rep["min_chunk_margin"]:
             rep["min_chunk_margin"] = margin
-    return rep["ok"]
 
 
 def check_sandwich(alg: GroupAlgebra, ks, N: int, rng: np.random.Generator,
@@ -794,67 +760,42 @@ def check_sandwich(alg: GroupAlgebra, ks, N: int, rng: np.random.Generator,
     combination of terms whose subring chunk has weight >= k - 4f, plus a
     residual beyond the cutoff p^M - 1, the faithful bound; every
     transcript is re-expanded and checked exactly.  A k with k p^N beyond
-    the cutoff raises CutoffBeyondFaithful once the ks before it are done.
+    the cutoff raises CutoffBeyondFaithful before anything is drawn; ks is
+    read up to the first such k only.
 
-    The reports, any raise and the generator's final state are those of
-    checking one k after another, each first inclusion before its second
-    (tests/sandwich_oracle.py), but all draws come first: every k's
-    first-inclusion samples and second-inclusion monomials, in that order,
-    with the generator's state kept after each.  The monomials, whose
-    weight window accepts a few percent of the rows at most, come from
-    draw_row.  Then the first inclusions run k by k, and the monomials of
-    all k are rewritten as one lockstep stream (_transcripts).  A first
-    inclusion that fails at a sample, or a transcript that fails, voids
-    the draws after it: the generator is put back to its state after that
-    draw, and what follows is drawn and checked again from there.  A
-    broken rewriting raises with the generator after its start's draw."""
+    All draws come first, and a failure voids none of them: for every k
+    in order its first-inclusion samples, then its monomials from
+    draw_row (whose weight window accepts a few percent of the rows at
+    most).  So the draws, the generator's final state and the reports of
+    the other k do not depend on any k's verdict, and the reports are
+    those of checking one k after another (tests/sandwich_oracle.py).
+    Then each first inclusion runs up to its first failing product, and
+    the monomials of all k are rewritten as one lockstep stream
+    (_transcripts), each k's transcripts counted up to its first failing
+    one.  A broken rewriting raises at its first break in lockstep order."""
     if alg.model.M <= N:
         raise ConfigError("need N < M")
-    cutoff = alg.pM - 1
-    ks = list(ks)
-    live = next((j for j, k in enumerate(ks) if k * alg.p**N > cutoff), len(ks))
-    reports: list[dict] = []
-    carried = None  # the first inclusion of ks[len(reports)], when run already
-    while len(reports) < live:
-        todo = ks[len(reports):live]
-        drawn, starts, after = [], [], []
-        for j, k in enumerate(todo):
-            drawn.append(None if j == 0 and carried else _first_draws(alg, k, N, rng, samples))
-            more, states = _draw_rows(rng, mono_samples, alg.pM, alg.n, _in_window(alg, k, N))
-            starts += more
-            after.append(states)
-        # the first inclusions up to one that fails, whose k's monomials
-        # and the draws after them are void
-        firsts, back = [], None
-        for k, d in zip(todo, drawn):
-            first, back = (carried, None) if d is None else _first_inclusion(alg, k, N, d)
-            firsts.append(first)
-            if back is not None:
-                break
-        cut = len(firsts) - (back is not None)
-        carried = firsts[cut] if back is not None else None
-        seconds = [{"transcripts": 0, "monomials_touched": 0, "min_chunk_margin": None,
-                    "ok": True} for _ in todo[:cut]]
-        done = 0
-        try:
-            for tr, verified in _transcripts(alg, starts[:cut * mono_samples], N, cutoff,
-                                             verify=True):
-                t, s = divmod(done, mono_samples)
-                done += 1
-                if not _tally(alg, todo[t], N, seconds[t], tr, verified):
-                    cut, back, carried = t + 1, after[t][s], None
-                    break
-        except ContractViolation:  # a broken rewriting, raised after its start's draws
-            rng.bit_generator.state = after[done // mono_samples][done % mono_samples]
-            raise
-        reports += [{"k": k, "N": N, "cutoff": cutoff, "first_inclusion": first,
-                     "second_inclusion": second, "ok": first["ok"] and second["ok"]}
-                    for k, first, second in zip(todo, firsts, seconds[:cut])]
-        if back is not None:
-            rng.bit_generator.state = back
-    if live < len(ks):
-        raise CutoffBeyondFaithful(f"k p^N = {ks[live] * alg.p**N} exceeds the cutoff {cutoff}")
-    return reports
+    q, cutoff = alg.p**N, alg.pM - 1
+    live = []
+    for k in ks:
+        if k * q > cutoff:
+            raise CutoffBeyondFaithful(f"k p^N = {k * q} exceeds the cutoff {cutoff}")
+        live.append(k)
+    drawn, starts = [], []
+    for k in live:
+        drawn.append(_first_draws(alg, k, N, rng, samples))
+        accept = _in_window(alg, k, N)
+        starts += [draw_row(rng, alg.pM, alg.n, accept) for _ in range(mono_samples)]
+    firsts = [_first_inclusion(alg, k, N, samples, d) for k, d in zip(live, drawn)]
+    seconds = [{"transcripts": 0, "monomials_touched": 0, "min_chunk_margin": None,
+                "ok": True} for _ in live]
+    for i, (tr, verified) in enumerate(_transcripts(alg, starts, N, cutoff, verify=True)):
+        rep = seconds[i // mono_samples]
+        if rep["ok"]:
+            _tally(alg, live[i // mono_samples], N, rep, tr, verified)
+    return [{"k": k, "N": N, "cutoff": cutoff, "first_inclusion": first,
+             "second_inclusion": second, "ok": first["ok"] and second["ok"]}
+            for k, first, second in zip(live, firsts, seconds)]
 
 
 def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
@@ -862,19 +803,13 @@ def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
     """The rewriting preserves the weight and perturbs only above it, on
     every monomial touched by full iterated runs up to the faithful bound.
     The start monomials, rows other than the identity of weight below p^M,
-    come from draw_row, with the draws and the generator's final state of
-    the row-by-row loop; they are rewritten in lockstep batches, and a
-    broken rewriting raises with the generator after its start's draw."""
+    all come from draw_row first, as the row-by-row loop draws them; they
+    are rewritten in lockstep batches, and a broken rewriting raises at its
+    first break in lockstep order."""
     cutoff = alg.pM - 1
     w = np.array(alg.nu_weights)
-    starts, after = _draw_rows(rng, samples, alg.pM, alg.n,
-                               lambda rows: rows.any(axis=1) & (rows @ w <= cutoff))
-    checked = done = 0
-    try:
-        for tr, _ in _transcripts(alg, starts, N, cutoff, verify=False):  # the rewrites verify
-            checked += len(tr.terms)
-            done += 1
-    except ContractViolation:  # a broken rewriting, raised after its start's draws
-        rng.bit_generator.state = after[done]
-        raise
+    starts = [draw_row(rng, alg.pM, alg.n, lambda rows: rows.any(axis=1) & (rows @ w <= cutoff))
+              for _ in range(samples)]
+    # the rewrites verify
+    checked = sum(len(tr.terms) for tr, _ in _transcripts(alg, starts, N, cutoff, verify=False))
     return {"N": N, "monomials_checked": checked, "ok": True}

@@ -47,8 +47,9 @@ def mul(alg, a, b) -> np.ndarray:
 def first_inclusion(alg, k: int, N: int, rng, samples: int) -> dict:
     """The first inclusion of check_sandwich at index k, one sample at a
     time, with the same draws: products (element of the k-th subring
-    filtration step) x (random ring element) keep weight >= k p^N; stops
-    at the first product that does not."""
+    filtration step) x (random ring element) keep weight >= k p^N.  After
+    the first product that does not, the samples are drawn and not
+    multiplied, as the library draws every sample whatever the verdict."""
     p, n, q = alg.p, alg.n, alg.p**N
     top = p ** (alg.model.M - N)
 
@@ -58,7 +59,7 @@ def first_inclusion(alg, k: int, N: int, rng, samples: int) -> dict:
             if sum(w * v for w, v in zip(alg.nu_weights, y)) >= k:
                 return tuple(q * v for v in y)
 
-    checked = 0
+    checked, failed = 0, None
     for _ in range(samples):
         u = alg.zero().astype(np.int64)
         for _ in range(int(rng.integers(1, 4))):
@@ -68,11 +69,12 @@ def first_inclusion(alg, k: int, N: int, rng, samples: int) -> dict:
         v = alg.zero()
         support = rng.choice(alg.order, size=30, replace=False)
         v[support] = rng.integers(0, p, size=30)
-        val = alg.nu(mul(alg, u, v))
-        checked += 1
-        if val is not None and val < k * q:
-            return {"samples": checked, "ok": False}
-    return {"samples": checked, "ok": True}
+        if failed is None:
+            val = alg.nu(mul(alg, u, v))
+            checked += 1
+            if val is not None and val < k * q:
+                failed = {"samples": checked, "ok": False}
+    return failed or {"samples": checked, "ok": True}
 
 
 def window_monomial(alg, k: int, N: int, rng) -> tuple[int, ...]:
@@ -99,7 +101,8 @@ def chk_sandwich(run, rng, N, kmax, samples, mono_samples) -> dict:
     """checks' sandwich check one k after another: check_sandwich on each
     index alone, so the draws of k + 1 follow the checks of k, where the
     library draws every k first and rewrites the monomials of all k as one
-    lockstep stream."""
+    lockstep stream.  A k past the cutoff raises when its turn comes, after
+    the k before it are checked."""
     alg = group_algebra(run.cfg)
     per_k = []
     for k in range(1, kmax + 1):

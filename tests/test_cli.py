@@ -383,6 +383,14 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     wide = write(tmp_path, "a.json", dict(module, field={"p": 5, "f": 1}, dim=100000))
     empty_rows = write(tmp_path, "c.json", dict(module, field={"p": 5, "f": 1}, dim=100000,
                                                 generators=[[[]] * 100000] * 3))
+    # configurations a check refuses as it runs: GL2 p = 19 is past the
+    # exact transform bound of ideal-power-spans, and QUAT (5, 1, 4) past
+    # that of the dense ring hilbert-series builds
+    refused = [write(tmp_path, f"refused{i}.json", {
+        "name": "refused", "seed": 7, "config": {**cfg, "f": 1, "N": 1, "case": case},
+        "checks": [check]}) for i, (cfg, case, check) in enumerate(
+            [({"p": 19, "M": 2}, "GL2", "ideal-power-spans"),
+             ({"p": 5, "M": 4}, "QUAT", "hilbert-series")])]
     # order 5^12 = 2.4e8, beyond the exact transform bound
     oversize = write(tmp_path, "w.json", {"p": 5, "f": 2, "M": 2, "case": "GL2",
                                           "digits": [1, 0, 0, 0, 0, 0]})
@@ -402,7 +410,8 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["module-exponent", "--in", good, "--grading", "int", "--level-n", "5"],
                  ["decompose", "--in", gl2_outside], ["decompose", "--in", quat_outside],
                  ["module-exponent", "--in", no_rep], ["module-exponent", "--in", wide],
-                 ["module-exponent", "--in", empty_rows]):
+                 ["module-exponent", "--in", empty_rows],
+                 *(["verify", path] for path in refused)):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""

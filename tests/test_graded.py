@@ -256,8 +256,13 @@ def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
     # inclusion.  The library reads each row group of products by one
     # row-keyed support_expansion at the window k p^N - 1 = 9, the oracle
     # each product by the dense nu; at product fail_at each answers with a
-    # term below k p^N, and both stop at that sample
+    # term below k p^N, and both stop reading products at that sample.
+    # Every sample is drawn whatever the verdict, so the second inclusion
+    # and the generator's final state are those of the clean run
     monkeypatch.setattr(algebra, "_PAIR_CHUNK", 2000)
+    rng = np.random.default_rng(11)
+    clean, = check_sandwich(alg, [2], 1, rng, samples=20, mono_samples=3)
+    clean_state = rng.bit_generator.state
     real_nu, real_expansion = alg.nu, alg.support_expansion
     runs = []
     for batched in (True, False):
@@ -294,13 +299,16 @@ def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
             res = {**res, "first_inclusion": first, "ok": first["ok"] and res["ok"]}
         runs.append((res, seen, rng.bit_generator.state))
     assert runs[0] == runs[1]
-    res = runs[0][0]
+    res, seen, state = runs[0]
     if fail_at is None:
         assert res["ok"] and res["first_inclusion"]["samples"] == 20
-        assert len(runs[0][1]) == 20
+        assert len(seen) == 20
     else:
         assert res["first_inclusion"] == {"samples": fail_at + 1, "ok": False}
+        assert len(seen) == fail_at + 1
+    assert res["second_inclusion"] == clean["second_inclusion"]
     assert res["second_inclusion"]["transcripts"] == 3
+    assert state == clean_state
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -359,7 +367,7 @@ def _record_draws(monkeypatch):
     def iterate_taus(alg, starts, N, cutoff):
         drawn.extend(starts)
         return [TauTranscript(start=x, N=N, cutoff=cutoff, terms=[], residual_weight=None,
-                              passes=0) for x in starts], None
+                              passes=0) for x in starts]
 
     monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
     monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [True] * len(trs))
@@ -458,9 +466,9 @@ def test_lockstep_matches_per_transcript_oracle(pfm, case):
     multi = 0
     for k in (1, 2, 3):
         starts = _window_starts(alg, k, np.random.default_rng(k), 30)
-        trs, err = graded.iterate_taus(alg, starts, 1, cutoff)
+        trs = graded.iterate_taus(alg, starts, 1, cutoff)
         want = [transcript_oracle.iterate_tau(alg, x, 1, cutoff) for x in starts]
-        assert err is None and trs == want
+        assert trs == want
         assert graded.verify_transcripts(alg, trs) == [
             transcript_oracle.verify_transcript(alg, tr) for tr in want] == [True] * 30
         multi += sum(tr.passes > 1 for tr in trs)
@@ -493,10 +501,12 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
     # oracle's: one first rewritten at pass P >= 1 of transcript T (its
     # coefficients doubled, so the rewriting perturbs it), and one first
     # rewritten by a later transcript T2 at an earlier pass (its support
-    # emptied, so the rewriting changes its weight).  The lockstep reaches
-    # T2's break first; like the loop over one transcript at a time it
-    # must raise T's, return T's predecessors, and leave the generator
-    # after T's draw
+    # emptied, so the rewriting changes its weight).  The loop over one
+    # transcript at a time meets T's break first; the lockstep raises the
+    # first in its own order, T2's, at the earlier pass.  With T2's word
+    # mended, both raise T's.  The sandwich draws all its monomials first
+    # and raises the first break of the first batch that has one, with
+    # the generator after all the draws
     alg = group_algebra(PrimeConfig(*pfm, case, N=1))
     cutoff, k = alg.pM - 1, 2
     starts = _window_starts(alg, k, np.random.default_rng(31), 30)
@@ -531,23 +541,37 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
 
     monkeypatch.setattr(alg, "zmul", zmul)
     monkeypatch.setattr(transcript_oracle, "support_word_mul", support_word_mul)
-    trs, err = graded.iterate_taus(alg, starts, 1, cutoff)
+    perturbed, changed = (f"rewriting perturbed {x} at its own weight",
+                          f"rewriting changed the weight of {y}")
+    with pytest.raises(ContractViolation) as got:
+        graded.iterate_taus(alg, starts, 1, cutoff)
+    assert str(got.value) == changed and got.value.witness == y
     with pytest.raises(ContractViolation) as want:
         [transcript_oracle.iterate_tau(alg, s, 1, cutoff) for s in starts]
-    assert str(err) == str(want.value) == f"rewriting perturbed {x} at its own weight"
-    assert err.witness == want.value.witness == x
-    assert trs == clean[:T]
+    assert str(want.value) == perturbed and want.value.witness == x
+    batches, real_taus = [], graded.iterate_taus
+
+    def iterate_taus(alg, starts, N, cutoff):
+        batches.append(len(starts))
+        return real_taus(alg, starts, N, cutoff)
+
+    monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
     rng, seq = np.random.default_rng(31), np.random.default_rng(31)
     with pytest.raises(ContractViolation) as got:
         check_sandwich(alg, [k], 1, rng, samples=0, mono_samples=30)
-    with pytest.raises(ContractViolation) as want:
-        transcript_oracle.second_inclusion(alg, k, 1, seq, 30)
-    assert str(got.value) == str(want.value) and got.value.witness == want.value.witness == x
+    # the batch that raises is the last, and it holds T, since no
+    # transcript before T rewrites either word
+    assert sum(batches[:-1]) <= T < sum(batches)
+    assert str(got.value) == (changed if T2 < sum(batches) else perturbed)
+    _window_starts(alg, k, seq, 30)
     assert rng.bit_generator.state == seq.bit_generator.state
-    # with T's word mended, T2's break is the first
-    del broken[tuple(tau_word(alg, x, 1))]
-    trs, err = graded.iterate_taus(alg, starts, 1, cutoff)
-    assert str(err) == f"rewriting changed the weight of {y}" and trs == clean[:T2]
+    del broken[tuple(tau_word(alg, y, 1))]
+    with pytest.raises(ContractViolation) as got:
+        real_taus(alg, starts, 1, cutoff)
+    with pytest.raises(ContractViolation) as want:
+        [transcript_oracle.iterate_tau(alg, s, 1, cutoff) for s in starts]
+    assert str(got.value) == str(want.value) == perturbed
+    assert got.value.witness == want.value.witness == x
 
 
 def test_lockstep_batch_at_depth_3_stays_below_one_vector():
@@ -560,15 +584,16 @@ def test_lockstep_batch_at_depth_3_stays_below_one_vector():
         alg.model.right_mul_table(alg.model.generator(i))
     alg.nu_weight_array
     w = np.array(alg.nu_weights)
-    starts, _ = graded._draw_rows(checks.sub_rng(7, "tau-contract"), 20, alg.pM, alg.n,
-                                  lambda rows: rows.any(axis=1) & (rows @ w <= alg.pM - 1))
+    rng = checks.sub_rng(7, "tau-contract")
+    starts = [draw_row(rng, alg.pM, alg.n, lambda rows: rows.any(axis=1) & (rows @ w < alg.pM))
+              for _ in range(20)]
     tracemalloc.start()
     try:
-        trs, err = graded.iterate_taus(alg, starts, 1, alg.pM - 1)
+        trs = graded.iterate_taus(alg, starts, 1, alg.pM - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err is None and len(trs) == 20
+    assert len(trs) == 20
     assert peak < 8 * alg.order, peak
 
 
@@ -653,9 +678,9 @@ def test_lockstep_batches_are_sized_by_their_residual(monkeypatch):
         batches = []
 
         def iterate_taus(alg, starts, N, cutoff):
-            trs, err = real(alg, starts, N, cutoff)
+            trs = real(alg, starts, N, cutoff)
             batches.append((len(starts), sum(tr.held for tr in trs)))
-            return trs, err
+            return trs
 
         monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
         reports.append(check_tau_contract(alg, 1, np.random.default_rng(8), samples=60))
@@ -734,7 +759,7 @@ def _plant(alg, monkeypatch, plant, starts, params):
         monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [
             ok and tr.start != x for ok, tr in zip(real_verify(alg, trs), trs)])
         return x, lambda: None
-    trs, _ = graded.iterate_taus(alg, starts, 1, alg.pM - 1)
+    trs = graded.iterate_taus(alg, starts, 1, alg.pM - 1)
     before = set()
     for t, tr in enumerate(trs):
         if t >= 2 * mono and tr.start not in before:
@@ -762,49 +787,72 @@ def test_sandwich_lockstep_matches_the_k_at_a_time_oracle(pfm, case, plant, monk
     # lockstep stream, against checking one k after another: with a
     # failure planted in the first inclusion at k = 1, in a transcript at
     # k = 2 or in the rewriting at k = 3, the same per-k results, the same
-    # witness and the generator in the same state
+    # witness and the generator in the same state.  A failure voids no
+    # draw, so the failing k fails where it did before and every other
+    # k's entry, and the generator's final state, are the clean run's
     cfg = PrimeConfig(*pfm, case, N=1)
     alg = group_algebra(cfg)
     params = {"N": 1, "kmax": 3, "samples": 20 if pfm[2] == 2 else 6,
               "mono_samples": 10 if pfm[2] == 2 else 4}
     seed = 41
-    # the clean run's monomials: those drawn after each k's first inclusion
-    starts, real = [], graded._draw_rows
+    # the clean run's monomials, in the order they are drawn
+    starts, real = [], graded.draw_row
 
-    def draw_rows(*args):
-        rows, states = real(*args)
-        starts.extend(rows)
-        return rows, states
+    def draw_row(*args):
+        starts.append(real(*args))
+        return starts[-1]
 
-    monkeypatch.setattr(graded, "_draw_rows", draw_rows)
+    monkeypatch.setattr(graded, "draw_row", draw_row)
     clean = _sandwich_runs(cfg, params, seed)
     assert clean[0] == clean[1] and clean[0][0]["ok"]
-    monkeypatch.setattr(graded, "_draw_rows", real)
+    monkeypatch.setattr(graded, "draw_row", real)
     if plant is None:
         return
     x, reset = _plant(alg, monkeypatch, plant, starts[:len(starts) // 2], params)
     (got, state), want = _sandwich_runs(cfg, params, seed, reset)
     assert (got, state) == want
+    assert state == clean[0][1]
     if plant == "break":
         assert got == (ContractViolation, f"rewriting perturbed {x} at its own weight", x)
         return
     assert not got["ok"] and [r["k"] for r in got["per_k"]] == [1, 2, 3]
     failed = [r["k"] for r in got["per_k"] if not r["ok"]]
-    if plant == "first":
-        assert failed == [1] and got["per_k"][0]["first_samples"] == 5
-    else:
-        assert failed == [2] and got["per_k"][1]["transcripts"] == 3
+    assert failed == [1 if plant == "first" else 2]
+    for r, c in zip(got["per_k"], clean[0][0]["per_k"]):
+        if r["k"] != failed[0]:
+            assert r == c
+        elif plant == "first":
+            assert r == {**c, "ok": False, "first_samples": 5}
+        else:
+            assert r["transcripts"] == 3 and r["first_samples"] == c["first_samples"]
 
 
-def test_sandwich_gate_raises_after_the_live_indices():
-    # kmax 5 at (5, 1, 2): k = 1..4 are checked, then k p^N = 25 passes the
-    # cutoff 24, with the generator where the loop over one k at a time
-    # leaves it
+def test_sandwich_gate_raises_up_front():
+    # at (5, 1, 2) k = 5 has k p^N = 25 past the cutoff 24: kmax 5 raises
+    # before anything is drawn, and kmax 10^8 reads the indices up to k = 5
+    # only (listing them all ran out of memory), so the scenario reports
+    # indeterminate within a small traced peak
     cfg = PrimeConfig(5, 1, 2, "GL2", N=1)
-    (got, state), want = _sandwich_runs(cfg, {"N": 1, "kmax": 5, "samples": 3,
-                                              "mono_samples": 2}, 5)
-    assert (got, state) == want
-    assert got == (CutoffBeyondFaithful, "k p^N = 25 exceeds the cutoff 24", None)
+    for kmax in (5, 10**8):
+        rng = np.random.default_rng(5)
+        with pytest.raises(CutoffBeyondFaithful, match=r"^k p\^N = 25 exceeds the cutoff 24$"):
+            checks._chk_sandwich(checks.Run(cfg), rng, N=1, kmax=kmax, samples=3,
+                                 mono_samples=2)
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    params = {"kmax": 10**8}
+    tracemalloc.start()
+    try:
+        report, code = checks.run_scenario({
+            "name": "huge-kmax", "seed": 7,
+            "config": {"p": 5, "f": 1, "M": 2, "N": 1, "case": "GL2"},
+            "checks": [{"check": "sandwich", "params": params}]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and report["checks"] == [
+        {"name": "sandwich", "params": params, "status": "indeterminate",
+         "witness": "k p^N = 25 exceeds the cutoff 24"}]
+    assert peak < 2**22, peak
 
 
 def test_tau_contract_check(alg, rng):
