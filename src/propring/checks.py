@@ -190,9 +190,9 @@ REGISTRY = {
     # 0.08, 0.6 and 6.2 CPU s at 40, 51 and 177 MB peak RSS; mono_samples
     # 500, 2,000 and 5,000 0.16, 0.7 and 1.5 s at 38-41 MB, and so did
     # tau-contract's samples (0.12, 0.43 and 1.0 s).  The monomials of all k
-    # are rewritten in batches of 2^16 residual entries: at QUAT (5, 1, 2),
-    # kmax 4 and mono_samples 2,000 took 1.7 CPU s at 89 MB peak RSS (2.5 s
-    # at 44 MB one k at a time in batches of order / 256 entries)
+    # are rewritten in lockstep batches of 1,024: at QUAT (5, 1, 2), kmax 4
+    # and mono_samples 2,000 took 1.5-1.6 CPU s at 55 MB peak RSS (83-84 MB
+    # when all but a probe batch of 15 ran as one batch)
     "sandwich": (_chk_sandwich, CASES, {"N": _N, "kmax": (3, 1, None),
                                         "samples": (200, 1, 2000),
                                         "mono_samples": (50, 1, 2000)}),

@@ -25,7 +25,6 @@ check gates its cutoff there and raises CutoffBeyondFaithful otherwise.
 from __future__ import annotations
 
 import dataclasses
-import math
 import operator
 
 import numpy as np
@@ -45,9 +44,10 @@ from .groups import Digits, GroupModel
 # word entries verify_transcripts merges at a time, the bound on the
 # entries of one word build (_word_groups) and of the block of one
 # row-keyed expansion (_expand), which keep their transients to a few MB
-# however long the transcripts, and on the residual entries of a lockstep
-# batch after its first (_transcripts)
+# however long the transcripts
 _MERGE = 1 << 16
+# start monomials rewritten as one lockstep batch (_transcripts)
+_BATCH = 1 << 10
 # rows of the first block draw_row draws; a block with no accepted row
 # doubles the next, up to _DRAW_MAX rows
 _DRAW_FIRST = 64
@@ -357,28 +357,18 @@ def check_central_power_classes(model: GroupModel, N: int) -> dict:
 # -- chunk-and-remainder rewriting ----------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class TauTerm:
-    coeff: int
-    chunk: Digits  # exponents divisible by p^N; a monomial of the subring
-    frac: Digits  # exponents below p^N
-    src: Digits  # the monomial this term rewrites
-    src_weight: int
-    chunk_weight: int  # subring weight: nu'(chunk) / p^N
-
-
 @dataclasses.dataclass
 class TauTranscript:
     start: Digits
     N: int
     cutoff: int
-    terms: list[TauTerm]
+    # the terms in rewrite order (pass, then index): the (terms, n) array of
+    # the monomials rewritten, whose split and weights follow, and coefficients
+    srcs: np.ndarray
+    coeffs: np.ndarray
     # least weight below p^M left over; None when nothing below p^M is left
     residual_weight: int | None
     passes: int
-    # the most residual entries the transcript held after a pass, which
-    # sizes the next lockstep batch (_transcripts); not part of its value
-    held: int = dataclasses.field(default=0, compare=False)
 
 
 def tau_exponents(alg: GroupAlgebra, exps: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -398,14 +388,6 @@ def _row_minima(rows: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
         first = np.flatnonzero(first)
         out[rows[first]] = np.minimum.reduceat(values, first)
     return out
-
-
-def _suffix_block(alg: GroupAlgebra, cutoff: int) -> int:
-    """The columns the last step of an expansion at the cutoff forms for
-    one row: one for every exponent of the first axis and every suffix
-    monomial (k_0 = 0, the first order / p^M flat indices) of weight up to
-    the cutoff, so p^M times their number."""
-    return alg.pM * int(np.count_nonzero(alg.nu_weight_array[:alg.order // alg.pM] <= cutoff))
 
 
 def _groups(sizes: list[int]) -> list[int]:
@@ -460,9 +442,12 @@ def _expand(alg: GroupAlgebra, pieces, cutoff: int) -> tuple[np.ndarray, np.ndar
     joined into calls whose blocks stay within about _MERGE entries, and
     the rows of a call share its columns.  A row costs the block its
     first step spreads it over, p^M entries at most per distinct prefix
-    (key // p^M), and at least _suffix_block, the columns of its last
-    step.  A row over the budget goes alone."""
-    floor = _suffix_block(alg, cutoff)
+    (key // p^M), and at least the columns of its last step: one for
+    every exponent of the first axis and every suffix monomial (k_0 = 0,
+    the first order / p^M flat indices) of weight up to the cutoff.  A
+    row over the budget goes alone."""
+    suffixes = alg.nu_weight_array[:alg.order // alg.pM] <= cutoff
+    floor = alg.pM * int(np.count_nonzero(suffixes))
     out = []
     for keys, coeffs in pieces:
         cuts = _row_cuts(alg, keys, floor)
@@ -529,7 +514,8 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
     All transcripts run in lockstep: the residuals are one support pair
     keyed by transcript order + index, and a pass rewrites the
     lowest-weight monomials of every transcript as the rows of one
-    _rewrite_rows and merges them by one collect.  Returns the
+    _rewrite_rows and merges them by one collect, its terms kept as arrays
+    that one stable sort cuts into the transcripts.  Returns the
     transcripts, one per start; a break raises ContractViolation at the
     first in lockstep order, the earliest pass and then the first row
     (transcript, then index), which need not be the break that rewriting
@@ -538,14 +524,14 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
     if cutoff >= alg.pM:  # the rewriting reads its contract below p^M only
         raise CutoffBeyondFaithful(f"cutoff {cutoff} reaches the unfaithful range")
     starts = [alg.model.check_digits(x) for x in starts]
-    order, nu_w, q = alg.order, alg.nu_weight_array, alg.p**N
+    order, nu_w = alg.order, alg.nu_weight_array
     keys = np.array([t * order + alg.model.index_of(x) for t, x in enumerate(starts)],
                     dtype=np.int64)
     coeffs = np.ones(keys.size, dtype=np.int64)
-    terms: list[list[TauTerm]] = [[] for _ in starts]
+    # (transcript, monomial, coefficient) of the terms, a pass at a time
+    terms = [(keys[:0], np.zeros((0, alg.n), dtype=np.int64), coeffs[:0])]
     residual: list[int | None] = [None] * len(starts)
     passes = np.zeros(len(starts), dtype=np.int64)
-    held = np.ones(len(starts), dtype=np.int64)
     rewrote = np.full(len(starts), -1)  # the weight of each transcript's last pass
     while keys.size:
         t = keys // order
@@ -564,31 +550,28 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
             break
         src_t, level_c = t[level], coeffs[level]
         exps = np.stack(np.unravel_index(keys[level] - src_t * order, (alg.pM,) * alg.n), axis=1)
-        chunks, fracs = tau_exponents(alg, exps, N)
-        for tt, x, chunk, frac, cw, coeff in zip(
-                src_t.tolist(), exps.tolist(), chunks.tolist(), fracs.tolist(),
-                (chunks @ alg.nu_weights // q).tolist(), level_c.tolist()):
-            terms[tt].append(TauTerm(coeff=coeff, chunk=tuple(chunk), frac=tuple(frac),
-                                     src=tuple(x), src_weight=int(w0[tt]), chunk_weight=cw))
+        terms.append((src_t, exps, level_c))
         ks, c = _rewrite_rows(alg, exps, N)  # rows ascend with the transcript, then the index
         rt = ks // order  # the row, whose transcript is src_t[rt]
         keep = least <= cutoff
         keys, coeffs = alg.collect(np.concatenate([keys[keep], ks + (src_t[rt] - rt) * order]),
                                    np.concatenate([coeffs[keep], -level_c[rt] * c]))
-        held = np.maximum(held, np.bincount(keys // order, minlength=len(starts)))
         rewrote = np.where(w0 <= cutoff, w0, -1)
         passes += rewrote >= 0
-    return [TauTranscript(start=x, N=N, cutoff=cutoff, terms=terms[t],
-                          residual_weight=residual[t], passes=int(passes[t]), held=int(held[t]))
-            for t, x in enumerate(starts)]
+    owner, srcs, cs = map(np.concatenate, zip(*terms))
+    by = np.argsort(owner, kind="stable")
+    cuts = np.searchsorted(owner[by], np.arange(len(starts) + 1)).tolist()
+    return [TauTranscript(start=x, N=N, cutoff=cutoff, srcs=srcs[by[lo:hi]], coeffs=cs[by[lo:hi]],
+                          residual_weight=residual[t], passes=int(passes[t]))
+            for t, (x, lo, hi) in enumerate(zip(starts, cuts, cuts[1:]))]
 
 
 def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool]:
-    """Build every emitted word again from its term's chunk and remainder,
-    and confirm for each transcript the exact identity start = sum of
+    """Build every emitted word again from its term's monomial, and confirm
+    for each transcript (all of one N) the exact identity start = sum of
     terms + residual in group coordinates, with the residual's nu (read
     below p^M, as element_nu does) the transcript's residual weight and
-    beyond the cutoff.  The starts z^start and the words of all terms are
+    beyond the cutoff.  Each start z^start and then its terms' words are
     the rows of one word build (_word_groups), so nothing the rewriting
     built is read again; the residuals are one support pair keyed by
     transcript order + index, merged by collect (_MERGE word entries at a
@@ -596,10 +579,13 @@ def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool
     if not trs:
         return []
     order = alg.order
-    rows = [row for t, tr in enumerate(trs)
-            for row in [(t, tr.start, (0,) * alg.n, 1)]
-            + [(t, term.chunk, term.frac, -term.coeff) for term in tr.terms]]
-    owner, chunks, fracs, sign = (np.array(v, dtype=np.int64) for v in zip(*rows))
+    counts = np.array([len(tr.coeffs) for tr in trs])
+    at = np.cumsum(counts) - counts  # where each transcript's terms begin
+    chunks, fracs = tau_exponents(alg, np.concatenate([tr.srcs for tr in trs]), trs[0].N)
+    chunks = np.insert(chunks, at, [tr.start for tr in trs], axis=0)
+    fracs = np.insert(fracs, at, 0, axis=0)
+    sign = np.insert(-np.concatenate([tr.coeffs for tr in trs]), at, 1)
+    owner = np.repeat(np.arange(len(trs)), counts + 1)
     parts, pending = [], 0
     for keys, coeffs in _word_groups(alg, chunks, fracs):
         r = keys // order
@@ -614,11 +600,11 @@ def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool
             for v, tr in zip(lowest, trs)]
 
 
-def chunk_weight_bound(alg: GroupAlgebra, src_weight: int, N: int) -> int:
+def chunk_weight_bound(alg: GroupAlgebra, src_weight: int | np.ndarray, N: int):
     """Least possible subring weight of the chunk part of a monomial of the
-    given weight: p^N * m >= weight - 4f(p^N - 1)."""
+    given weight (an int or an array): p^N * m >= weight - 4f(p^N - 1)."""
     q = alg.p**N
-    return math.ceil((src_weight - 4 * alg.model.f * (q - 1)) / q)
+    return -((4 * alg.model.f * (q - 1) - src_weight) // q)
 
 
 def draw_row(rng: np.random.Generator, high: int, n: int, accept) -> Digits:
@@ -646,29 +632,15 @@ def draw_row(rng: np.random.Generator, high: int, n: int, accept) -> Digits:
 
 
 def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, verify: bool):
-    """(transcript, verified) for each start in order: the starts
-    rewritten in lockstep batches by iterate_taus, whose break raises, and
-    each batch verified by verify_transcripts when verify is set (True
-    otherwise).
-
-    The first batch holds as many transcripts as _expand joins rows into
-    one expansion at p^M - 1: 15 at (5, 1, 2), 2 at (7, 1, 2), one from
-    p = 11 and at depth 3.  Each later batch holds as many as keep the
-    residual entries the last batch held per transcript (TauTranscript.held)
-    within _MERGE, whatever the group's order.  A residual entry comes with
-    about one term (a few hundred bytes as Python objects) and, re-expanded,
-    a few dozen words' entries, which verify_transcripts merges _MERGE at a
-    time: 3,705 entries, 3,549 terms and 154k re-expanded entries for 50
-    starts at QUAT (5, 1, 3).  So a batch holds a few tens of MB at most,
-    and the largest block of the pass, one row's expansion, comes on top of
-    it.  At (5, 1, 2) a transcript holds a few entries, so the 150 starts
-    of a sandwich with kmax 3 run in two batches."""
-    size, lo = max(1, _MERGE // _suffix_block(alg, alg.pM - 1)), 0
-    while lo < len(starts):
-        trs = iterate_taus(alg, starts[lo:lo + size], N, cutoff)
-        yield from zip(trs, verify_transcripts(alg, trs) if verify else [True] * len(trs))
-        lo += size
-        size = max(1, _MERGE * len(trs) // max(1, sum(tr.held for tr in trs)))
+    """The starts rewritten in order by iterate_taus, whose break raises,
+    in lockstep batches of _BATCH starts: yields (lo, transcripts,
+    verdicts) for the batch starts[lo:lo + _BATCH], the verdicts from
+    verify_transcripts when verify is set (True otherwise).  A batch's
+    residuals, terms and the word sums verify_transcripts merges grow
+    with its count, whatever the group."""
+    for lo in range(0, len(starts), _BATCH):
+        trs = iterate_taus(alg, starts[lo:lo + _BATCH], N, cutoff)
+        yield lo, trs, verify_transcripts(alg, trs) if verify else [True] * len(trs)
 
 
 def _first_draws(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator, samples: int):
@@ -734,19 +706,29 @@ def _in_window(alg: GroupAlgebra, k: int, N: int):
     return accept
 
 
-def _tally(alg: GroupAlgebra, k: int, N: int, rep: dict, tr: TauTranscript,
-           verified: bool) -> None:
-    """Count one transcript of the second inclusion at index k into its
-    report rep, which fails with the transcript when that fails."""
-    rep["transcripts"] += 1
-    rep["ok"] = verified
-    for t in tr.terms if verified else ():
-        rep["monomials_touched"] += 1
-        margin = t.chunk_weight - (k - 4 * alg.model.f)
-        if t.chunk_weight < chunk_weight_bound(alg, t.src_weight, N) or margin < 0:
-            rep["ok"] = False
-        if rep["min_chunk_margin"] is None or margin < rep["min_chunk_margin"]:
-            rep["min_chunk_margin"] = margin
+def _tally(alg: GroupAlgebra, N: int, reps: list[tuple[int, dict]], trs: list[TauTranscript],
+           verified: list[bool]) -> None:
+    """Count a batch of transcripts of the second inclusion into their
+    reports: trs[i], with verdict verified[i], at the index k of reps[i] =
+    (k, report).  A report fails with its first failing transcript and
+    counts none after it.  All terms of the batch are read at once."""
+    q, w = alg.p**N, np.array(alg.nu_weights)
+    counts = np.array([len(tr.coeffs) for tr in trs])
+    owner = np.repeat(np.arange(len(trs)), counts)
+    srcs = np.concatenate([tr.srcs for tr in trs])
+    chunk_w = (srcs // q) @ w  # nu'(chunk) / p^N
+    margin = chunk_w - (np.array([k for k, _ in reps])[owner] - 4 * alg.model.f)
+    bad = (chunk_w < chunk_weight_bound(alg, srcs @ w, N)) | (margin < 0)
+    bad = np.bincount(owner[bad], minlength=len(trs)).tolist()
+    least = _row_minima(owner, margin, len(trs)).tolist()  # read only where n > 0
+    for (_, rep), n, m, b, ok in zip(reps, counts.tolist(), least, bad, verified):
+        if rep["ok"]:
+            rep["transcripts"] += 1
+            rep["ok"] = ok and not b
+            if ok and n:
+                rep["monomials_touched"] += n
+                old = rep["min_chunk_margin"]
+                rep["min_chunk_margin"] = m if old is None else min(old, m)
 
 
 def check_sandwich(alg: GroupAlgebra, ks, N: int, rng: np.random.Generator,
@@ -789,10 +771,9 @@ def check_sandwich(alg: GroupAlgebra, ks, N: int, rng: np.random.Generator,
     firsts = [_first_inclusion(alg, k, N, samples, d) for k, d in zip(live, drawn)]
     seconds = [{"transcripts": 0, "monomials_touched": 0, "min_chunk_margin": None,
                 "ok": True} for _ in live]
-    for i, (tr, verified) in enumerate(_transcripts(alg, starts, N, cutoff, verify=True)):
-        rep = seconds[i // mono_samples]
-        if rep["ok"]:
-            _tally(alg, live[i // mono_samples], N, rep, tr, verified)
+    reps = [(k, rep) for k, rep in zip(live, seconds) for _ in range(mono_samples)]
+    for lo, trs, verified in _transcripts(alg, starts, N, cutoff, verify=True):
+        _tally(alg, N, reps[lo:lo + len(trs)], trs, verified)
     return [{"k": k, "N": N, "cutoff": cutoff, "first_inclusion": first,
              "second_inclusion": second, "ok": first["ok"] and second["ok"]}
             for k, first, second in zip(live, firsts, seconds)]
@@ -810,6 +791,8 @@ def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
     w = np.array(alg.nu_weights)
     starts = [draw_row(rng, alg.pM, alg.n, lambda rows: rows.any(axis=1) & (rows @ w <= cutoff))
               for _ in range(samples)]
-    # the rewrites verify
-    checked = sum(len(tr.terms) for tr, _ in _transcripts(alg, starts, N, cutoff, verify=False))
+    # _rewrite_rows checks the contract on every rewrite and raises at the
+    # first break; nothing verifies the identity start = terms + residual
+    batches = _transcripts(alg, starts, N, cutoff, verify=False)
+    checked = sum(len(tr.coeffs) for _, trs, _ in batches for tr in trs)
     return {"N": N, "monomials_checked": checked, "ok": True}

@@ -16,10 +16,10 @@ import dataclasses
 import numpy as np
 
 from propring.errors import ContractViolation
-from propring.graded import TauTerm, TauTranscript
+from propring.graded import TauTranscript
 
 from transform_oracle import of_group
-from zmul_oracle import tau_split, tau_word, word_mul
+from zmul_oracle import tau_word, word_mul
 
 
 def in_filtration(alg, a, j):
@@ -66,7 +66,7 @@ def iterate_tau(alg, exps, N, cutoff):
     exps = alg.model.check_digits(exps)
     nu_w = alg.nu_weight_array
     residual = alg.monomial(exps)
-    terms = []
+    srcs, coeffs = [], []
     passes = 0
     while True:
         mono = alg.to_monomial(residual)
@@ -81,11 +81,9 @@ def iterate_tau(alg, exps, N, cutoff):
         for idx in hit[nu_w[hit] == w0]:
             k = alg.model.digits_of(int(idx))
             coeff = int(mono[idx])
-            chunk, frac = tau_split(alg, k, N)
             dense = tau_rewrite(alg, k, N)
-            cw = alg.nu_prime(chunk) // (alg.p**N)
-            terms.append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=k,
-                                 src_weight=w0, chunk_weight=cw))
+            srcs.append(k)
+            coeffs.append(coeff)
             residual = (residual - coeff * dense) % alg.p
         mono = alg.to_monomial(residual)
         hit = np.nonzero(mono)[0]
@@ -93,5 +91,7 @@ def iterate_tau(alg, exps, N, cutoff):
             raise ContractViolation(
                 f"pass {passes} on {exps} failed to raise the weight past {w0}", exps)
         passes += 1
-    return TauTranscript(start=exps, N=N, cutoff=cutoff, terms=terms,
+    return TauTranscript(start=exps, N=N, cutoff=cutoff,
+                         srcs=np.array(srcs, dtype=np.int64).reshape(-1, alg.n),
+                         coeffs=np.array(coeffs, dtype=np.int64),
                          residual_weight=residual_weight, passes=passes)

@@ -146,12 +146,12 @@ def test_criterion_06_tau_contract_on_touched_monomials():
                 if 5 * k <= wx <= min(cutoff, 5 * k + 10):
                     break
             tr = iterate_tau(alg, x, 1, cutoff)
-            for t in tr.terms:
-                dense = tau_oracle.tau_rewrite(alg, t.src, 1, verify=False)
-                w = alg.nu_prime(t.src)
-                assert alg.nu(dense) == w, t.src
-                diff = (dense - alg.monomial(t.src)) % alg.p
-                assert not diff.any() or tau_oracle.in_filtration(alg, diff, w + 1), t.src
+            for src in map(tuple, tr.srcs.tolist()):
+                dense = tau_oracle.tau_rewrite(alg, src, 1, verify=False)
+                w = alg.nu_prime(src)
+                assert alg.nu(dense) == w, src
+                diff = (dense - alg.monomial(src)) % alg.p
+                assert not diff.any() or tau_oracle.in_filtration(alg, diff, w + 1), src
                 touched += 1
     assert touched > 0
 

@@ -1,6 +1,7 @@
 """Associated graded ring: generator classes and their relations, ideal
 spans, the p^N-twist, and the chunk rewriting."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -181,6 +182,11 @@ def test_tau_contract_on_mixed_monomial(alg):
                           tau_oracle.below_faithful(alg, dense))
 
 
+def _value(tr):
+    """A transcript with its arrays as lists, to compare by ==."""
+    return {**vars(tr), "srcs": tr.srcs.tolist(), "coeffs": tr.coeffs.tolist()}
+
+
 def assert_tau_matches_oracle(alg, x):
     """The support-pair rewriting of x against the dense one: the same
     image below p^M, the same transcript once the oracle's residual weight
@@ -189,7 +195,8 @@ def assert_tau_matches_oracle(alg, x):
     assert np.array_equal(of_support(alg, tau_rewrite(alg, x, 1)), tau_oracle.below_faithful(
         alg, tau_oracle.tau_rewrite(alg, x, 1))), x
     tr = iterate_tau(alg, x, 1, cutoff)
-    assert tr == tau_oracle.read_residual(alg, tau_oracle.iterate_tau(alg, x, 1, cutoff)), x
+    want = tau_oracle.read_residual(alg, tau_oracle.iterate_tau(alg, x, 1, cutoff))
+    assert _value(tr) == _value(want), x
     assert tr.residual_weight is None  # the cutoff p^M - 1 leaves nothing below p^M
     return tr.passes
 
@@ -226,8 +233,12 @@ def test_iterate_tau_transcripts(alg, rng):
             continue
         tr = iterate_tau(alg, x, 1, alg.pM - 1)
         assert verify_transcript(alg, tr)
-        for t in tr.terms:
-            assert t.chunk_weight >= chunk_weight_bound(alg, t.src_weight, 1)
+        # the bound on a whole array, against the ceiling of each weight
+        w = np.array(alg.nu_weights)
+        bounds = chunk_weight_bound(alg, tr.srcs @ w, 1)
+        assert bounds.tolist() == [math.ceil((alg.nu_prime(src) - 4 * alg.model.f * (5 - 1)) / 5)
+                                   for src in tr.srcs.tolist()]
+        assert ((tr.srcs // 5) @ w >= bounds).all()
         done += 1
 
 
@@ -366,8 +377,9 @@ def _record_draws(monkeypatch):
 
     def iterate_taus(alg, starts, N, cutoff):
         drawn.extend(starts)
-        return [TauTranscript(start=x, N=N, cutoff=cutoff, terms=[], residual_weight=None,
-                              passes=0) for x in starts]
+        return [TauTranscript(start=x, N=N, cutoff=cutoff, srcs=np.zeros((0, alg.n), dtype=int),
+                              coeffs=np.zeros(0, dtype=int), residual_weight=None, passes=0)
+                for x in starts]
 
     monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
     monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [True] * len(trs))
@@ -447,6 +459,27 @@ def test_transcripts_at_depth_3_stay_below_one_vector():
     assert peak < 8 * alg.order, peak
 
 
+def test_sandwich_lockstep_memory_is_bounded_by_the_count():
+    # QUAT (5, 1, 2), k = 1..4 and 1,000 monomials per k: the 4,000
+    # starts run in batches of _BATCH, and the traced peak, most of it the
+    # word sums verify_transcripts merges for one batch, stays near 13 MB.
+    # Sizing later batches by residual entries ran the 3,985 after a probe
+    # of 15 as one batch, with a term object per term, and peaked at 24 MB.
+    # The tables are built first by a small run
+    alg = group_algebra(PrimeConfig(5, 1, 2, "QUAT", N=1))
+    check_sandwich(alg, range(1, 5), 1, np.random.default_rng(7), samples=2, mono_samples=2)
+    tracemalloc.start()
+    try:
+        res = check_sandwich(alg, range(1, 5), 1, np.random.default_rng(7), samples=20,
+                             mono_samples=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r["ok"] for r in res)
+    assert [r["second_inclusion"]["transcripts"] for r in res] == [1000] * 4
+    assert peak < 18_000_000, peak
+
+
 def _window_starts(alg, k, rng, count):
     """count start monomials of the second inclusion at index k, N = 1."""
     return [sandwich_oracle.window_monomial(alg, k, 1, rng) for _ in range(count)]
@@ -457,10 +490,9 @@ def _window_starts(alg, k, rng, count):
 def test_lockstep_matches_per_transcript_oracle(pfm, case):
     # 30 transcripts per k in one lockstep batch, against the rewriting of
     # one monomial at a time: the same transcripts and verdicts; then the
-    # checks in their lockstep batches (a first batch of 15 transcripts at
-    # (5, 1, 2) and of 2 at (7, 1, 2), then batches sized by their
-    # residual) against the loops that draw and rewrite one at a time:
-    # the same reports and the generator in the same state
+    # checks, whose starts run as one lockstep batch, against the loops
+    # that draw and rewrite one at a time: the same reports and the
+    # generator in the same state
     alg = group_algebra(PrimeConfig(*pfm, case, N=1))
     cutoff = alg.pM - 1
     multi = 0
@@ -468,7 +500,7 @@ def test_lockstep_matches_per_transcript_oracle(pfm, case):
         starts = _window_starts(alg, k, np.random.default_rng(k), 30)
         trs = graded.iterate_taus(alg, starts, 1, cutoff)
         want = [transcript_oracle.iterate_tau(alg, x, 1, cutoff) for x in starts]
-        assert trs == want
+        assert [_value(tr) for tr in trs] == [_value(tr) for tr in want]
         assert graded.verify_transcripts(alg, trs) == [
             transcript_oracle.verify_transcript(alg, tr) for tr in want] == [True] * 30
         multi += sum(tr.passes > 1 for tr in trs)
@@ -485,12 +517,13 @@ def test_lockstep_matches_per_transcript_oracle(pfm, case):
 def _first_passes(alg, trs):
     """{monomial: (transcript, pass)} of the first rewrite of each monomial
     in the order of one transcript after another; a transcript's passes
-    are its terms' distinct source weights in order."""
+    are the distinct weights of its terms' monomials in order."""
     first = {}
     for t, tr in enumerate(trs):
-        weights = sorted({term.src_weight for term in tr.terms})
-        for term in tr.terms:
-            first.setdefault(term.src, (t, weights.index(term.src_weight)))
+        srcs = list(map(tuple, tr.srcs.tolist()))
+        weights = sorted({alg.nu_prime(x) for x in srcs})
+        for x in srcs:
+            first.setdefault(x, (t, weights.index(alg.nu_prime(x))))
     return first
 
 
@@ -505,7 +538,7 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
     # transcript at a time meets T's break first; the lockstep raises the
     # first in its own order, T2's, at the earlier pass.  With T2's word
     # mended, both raise T's.  The sandwich draws all its monomials first
-    # and raises the first break of the first batch that has one, with
+    # and rewrites its 30 as one batch, so it raises T2's break too, with
     # the generator after all the draws
     alg = group_algebra(PrimeConfig(*pfm, case, N=1))
     cutoff, k = alg.pM - 1, 2
@@ -559,10 +592,8 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
     rng, seq = np.random.default_rng(31), np.random.default_rng(31)
     with pytest.raises(ContractViolation) as got:
         check_sandwich(alg, [k], 1, rng, samples=0, mono_samples=30)
-    # the batch that raises is the last, and it holds T, since no
-    # transcript before T rewrites either word
-    assert sum(batches[:-1]) <= T < sum(batches)
-    assert str(got.value) == (changed if T2 < sum(batches) else perturbed)
+    assert batches == [30]
+    assert str(got.value) == changed and got.value.witness == y
     _window_starts(alg, k, seq, 30)
     assert rng.bit_generator.state == seq.bit_generator.state
     del broken[tuple(tau_word(alg, y, 1))]
@@ -598,8 +629,7 @@ def test_lockstep_batch_at_depth_3_stays_below_one_vector():
 
 
 def test_tau_contract_at_depth_3_stays_below_one_vector():
-    # QUAT (5, 1, 3), 50 samples: after a first batch of one, the other 49
-    # starts fit the residual budget and run as one lockstep batch; the
+    # QUAT (5, 1, 3), 50 samples: the starts run as one lockstep batch; the
     # traced peak, most of it one row's expansion block, stays below one
     # float64 vector of the group's order.  The tables and the weight
     # array are built first, once per algebra
@@ -665,41 +695,49 @@ def test_expand_first_step_stays_within_merge(monkeypatch):
         assert sum(rows > 1 for rows, _ in calls) > len(calls) // 4, calls
 
 
-def test_lockstep_batches_are_sized_by_their_residual(monkeypatch):
-    # the first batch holds _MERGE // _suffix_block transcripts, each later
-    # one _MERGE residual entries by the last batch's count per transcript,
-    # whatever the group's order; a _MERGE of 40 makes more, smaller
-    # batches and the same report
+def test_lockstep_batches_hold_the_count(monkeypatch):
+    # with the count _BATCH at 1, 7 and its default, the same reports and
+    # batches of the count, the last the rest: a sandwich over k = 1..3 of
+    # 10 monomials each, whose batches of 7 straddle the indices, with the
+    # transcript of its 14th start failing (the fourth at k = 2), and 20
+    # tau-contract samples
     alg = group_algebra(PrimeConfig(5, 1, 2, "QUAT", N=1))
-    real = graded.iterate_taus
+    real, real_verify = graded.iterate_taus, graded.verify_transcripts
+    starts, batches = [], []
+
+    def iterate_taus(alg, xs, N, cutoff):
+        starts.extend(xs)
+        batches.append(len(xs))
+        return real(alg, xs, N, cutoff)
+
+    monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
+    check_sandwich(alg, [1, 2, 3], 1, np.random.default_rng(8), samples=0, mono_samples=10)
+    x = starts[13]
+    monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [
+        ok and tr.start != x for ok, tr in zip(real_verify(alg, trs), trs)])
     reports = []
-    for merge in (graded._MERGE, 40):
-        monkeypatch.setattr(graded, "_MERGE", merge)
-        batches = []
-
-        def iterate_taus(alg, starts, N, cutoff):
-            trs = real(alg, starts, N, cutoff)
-            batches.append((len(starts), sum(tr.held for tr in trs)))
-            return trs
-
-        monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
-        reports.append(check_tau_contract(alg, 1, np.random.default_rng(8), samples=60))
-        assert batches[0][0] == max(1, merge // graded._suffix_block(alg, alg.pM - 1)) == (
-            15 if merge == 1 << 16 else 1)
-        done = 0
-        for (size, held), (nxt, _) in zip(batches, batches[1:]):
-            done += size
-            assert nxt == min(max(1, merge * size // held), 60 - done), batches
-        assert sum(size for size, _ in batches) == 60
-        reports.append(len(batches))
-    assert reports[0] == reports[2] and reports[1] < reports[3], reports
+    for count in (1, 7, graded._BATCH):
+        monkeypatch.setattr(graded, "_BATCH", count)
+        batches.clear()
+        sandwich = check_sandwich(alg, [1, 2, 3], 1, np.random.default_rng(8), samples=0,
+                                  mono_samples=10)
+        sizes = batches[:]
+        batches.clear()
+        tau = check_tau_contract(alg, 1, np.random.default_rng(9), samples=20)
+        assert sizes == [count] * (30 // count) + [30 % count] * (30 % count > 0)
+        assert batches == [count] * (20 // count) + [20 % count] * (20 % count > 0)
+        reports.append((sandwich, tau))
+    assert reports[0] == reports[1] == reports[2]
+    second = [r["second_inclusion"] for r in reports[0][0]]
+    assert [r["ok"] for r in second] == [True, False, True]
+    assert second[1]["transcripts"] == 4 and second[0]["transcripts"] == 10
 
 
 @pytest.mark.parametrize("case", ["GL2", "QUAT"])
-def test_bench_sandwich_starts_run_in_two_batches(case, monkeypatch):
+def test_bench_sandwich_starts_run_in_one_batch(case, monkeypatch):
     # the sandwich of the verify-gl2 bench scenario at its committed seed
     # (kmax 3, 50 monomials per k): the 150 starts of all k are rewritten
-    # in two lockstep batches, 15 and then the other 135
+    # as one lockstep batch
     alg = group_algebra(PrimeConfig(5, 1, 2, case, N=1))
     real, batches = graded.iterate_taus, []
 
@@ -712,7 +750,7 @@ def test_bench_sandwich_starts_run_in_two_batches(case, monkeypatch):
                                checks.sub_rng(20250817, "sandwich"), N=1, kmax=3,
                                samples=100, mono_samples=50)
     assert res["ok"] and [r["transcripts"] for r in res["per_k"]] == [50] * 3
-    assert batches == [15, 135], batches
+    assert batches == [150], batches
 
 
 def _sandwich_runs(cfg, params, seed, reset=lambda: None):
@@ -765,7 +803,7 @@ def _plant(alg, monkeypatch, plant, starts, params):
         if t >= 2 * mono and tr.start not in before:
             x = tr.start
             break
-        before |= {term.src for term in tr.terms}
+        before |= set(map(tuple, tr.srcs.tolist()))
     real_zmul, word = alg.zmul, graded.tau_exponents(alg, np.array([x]), 1)
 
     def zmul(chunks, fracs):

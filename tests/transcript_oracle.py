@@ -20,12 +20,7 @@ draw_row."""
 import numpy as np
 
 from propring.errors import ContractViolation, CutoffBeyondFaithful
-from propring.graded import (
-    TauTerm,
-    TauTranscript,
-    chunk_weight_bound,
-    draw_row,
-)
+from propring.graded import TauTranscript, chunk_weight_bound, draw_row
 
 from zmul_oracle import support_word_mul, tau_split, tau_word, term_word
 
@@ -56,7 +51,7 @@ def iterate_tau(alg, exps, N, cutoff):
     exps = alg.model.check_digits(exps)
     nu_w = alg.nu_weight_array
     idx, coeffs = np.array([alg.model.index_of(exps)]), np.ones(1, dtype=np.int64)
-    terms = []
+    srcs, term_coeffs = [], []
     passes = 0
     while True:
         w0 = int(nu_w[idx].min()) if idx.size else None
@@ -66,10 +61,8 @@ def iterate_tau(alg, exps, N, cutoff):
         level = nu_w[idx] == w0
         for flat, coeff in zip(idx[level].tolist(), coeffs[level].tolist()):
             k = alg.model.digits_of(flat)
-            chunk, frac = tau_split(alg, k, N)
-            cw = alg.nu_prime(chunk) // (alg.p**N)
-            terms.append(TauTerm(coeff=coeff, chunk=chunk, frac=frac, src=k,
-                                 src_weight=w0, chunk_weight=cw))
+            srcs.append(k)
+            term_coeffs.append(coeff)
             ks, c = tau_rewrite(alg, k, N)
             parts.append((ks, -coeff * c))
         idx, coeffs = alg.collect(*map(np.concatenate, zip(*parts)))
@@ -77,17 +70,19 @@ def iterate_tau(alg, exps, N, cutoff):
             raise ContractViolation(
                 f"pass {passes} on {exps} failed to raise the weight past {w0}", exps)
         passes += 1
-    return TauTranscript(start=exps, N=N, cutoff=cutoff, terms=terms,
+    return TauTranscript(start=exps, N=N, cutoff=cutoff,
+                         srcs=np.array(srcs, dtype=np.int64).reshape(-1, alg.n),
+                         coeffs=np.array(term_coeffs, dtype=np.int64),
                          residual_weight=w0, passes=passes)
 
 
 def verify_transcript(alg, tr):
     """start = sum of terms + residual in group coordinates, the residual
-    read by element_nu."""
+    read by element_nu; each term's word split from its monomial."""
     parts, pending = [support_word_mul(alg, term_word(tr.start, ()))], 0
-    for t in tr.terms:
-        idx, coeffs = support_word_mul(alg, term_word(t.chunk, t.frac))
-        parts.append((idx, -t.coeff * coeffs))
+    for src, coeff in zip(tr.srcs.tolist(), tr.coeffs.tolist()):
+        idx, coeffs = support_word_mul(alg, tau_word(alg, src, tr.N))
+        parts.append((idx, -coeff * coeffs))
         pending += idx.size
         if pending > MERGE:
             parts, pending = [alg.collect(*map(np.concatenate, zip(*parts)))], 0
@@ -98,7 +93,8 @@ def verify_transcript(alg, tr):
 
 def second_inclusion(alg, k, N, rng, mono_samples):
     """check_sandwich's second inclusion at index k, one monomial at a
-    time: draw, rewrite, re-expand and check before the next draw."""
+    time: draw, rewrite, re-expand and check before the next draw, and
+    each term's chunk weight, bound and margin one term at a time."""
     q, cutoff = alg.p**N, alg.pM - 1
     w = np.array(alg.nu_weights)
     hi = min(cutoff, k * q + 10)
@@ -114,11 +110,12 @@ def second_inclusion(alg, k, N, rng, mono_samples):
         if not verify_transcript(alg, tr):
             ok = False
             break
-        for t in tr.terms:
+        for src in map(tuple, tr.srcs.tolist()):
             touched += 1
-            if t.chunk_weight < chunk_weight_bound(alg, t.src_weight, N):
+            chunk_weight = alg.nu_prime(tau_split(alg, src, N)[0]) // q
+            if chunk_weight < chunk_weight_bound(alg, alg.nu_prime(src), N):
                 ok = False
-            margin = t.chunk_weight - (k - 4 * alg.model.f)
+            margin = chunk_weight - (k - 4 * alg.model.f)
             if margin < 0:
                 ok = False
             if margin_min is None or margin < margin_min:
@@ -136,5 +133,5 @@ def tau_contract(alg, N, rng, samples):
     checked = 0
     for _ in range(samples):
         x = draw_row(rng, alg.pM, alg.n, lambda rows: rows.any(axis=1) & (rows @ w <= cutoff))
-        checked += len(iterate_tau(alg, x, N, cutoff).terms)
+        checked += len(iterate_tau(alg, x, N, cutoff).coeffs)
     return {"N": N, "monomials_checked": checked, "ok": True}
