@@ -159,7 +159,7 @@ def _cmd_module_exponent(args) -> int:
     from .jsonio import ideal_spec_from_json, module_from_json
     from .modules import grade, min_annihilator_exponent
 
-    mod = module_from_json(_read_json(getattr(args, "in")), case=args.case)
+    mod = module_from_json(_read_json(getattr(args, "in")))
     field = gf(mod.cfg.p, mod.cfg.f)
     shipped = {s.name: s for s in default_ideals(mod.cfg.f, field)}
     if args.ideal in shipped:
@@ -232,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shipped ideal name or path to an ideal JSON file")
     m.add_argument("--grading", choices=("gr", "int", "res"), default="gr")
     m.add_argument("--level-n", type=int, help="rescaling depth N for int/res")
-    m.add_argument("--case", choices=("GL2", "QUAT"),
-                   help="group model when the module file omits it")
     m.set_defaults(handler="_cmd_module_exponent")
     return ap
 

@@ -121,9 +121,9 @@ def _powmod(a: np.ndarray, e: int, xs: np.ndarray, p: int) -> np.ndarray:
 class GF:
     """F_{p^f} with operation tables on integer indices.  The root of the
     primitive lift generates the multiplicative group, so inverses, the
-    Frobenius and powers are read off its discrete-log table; the two
-    q x q tables add and mul are built on first use, as the p-adic rings
-    read only the log tables, and at q = 5^6 the two take 976 MB."""
+    Frobenius and powers are read off its discrete-log table.  The two
+    q x q tables add and mul, 976 MB at q = 5^6, are built on first use,
+    by this module's extension-field elimination and products only."""
 
     def __init__(self, p: int, f: int):
         # f >= 15 reaches the bound for every p, and keeps p**f small
@@ -340,7 +340,7 @@ def _panel(a: np.ndarray, c0: int, c1: int, pivots: list[int], field: GF) -> Non
     _eliminate(aug, 0, 2 * k, [], field)
     right = a[:, c1:]
     top = matmul(aug[:, k:], right[prow], field)
-    rest = _sub(right[orow], matmul(start[orow][:, q], top, field), field)
+    rest = sub(right[orow], matmul(start[orow][:, q], top, field), field)
     a[r0:r1, c1:] = top
     a[:r0, c1:] = rest[:r0]
     a[r1:, c1:] = rest[r0:]
@@ -352,7 +352,7 @@ def rank(rows: np.ndarray, field: GF) -> int:
     return rref(rows, field)[0].shape[0]
 
 
-def _sub(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
+def sub(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     """a - b entrywise over F_q: mod p for a prime field, through the
     tables for an extension."""
     if field.f == 1:
@@ -368,7 +368,7 @@ def residue(rows: np.ndarray, basis: np.ndarray, pivots: list[int], field: GF) -
     other pivots, so this equals subtracting v[c] times the row of pivot c
     one pivot at a time; a zero result row means membership."""
     rows = np.asarray(rows, dtype=np.int16)
-    return _sub(rows, matmul(rows[:, pivots], basis, field), field)
+    return sub(rows, matmul(rows[:, pivots], basis, field), field)
 
 
 def matmul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:

@@ -139,7 +139,8 @@ class GradedRing:
         xa = np.array(x.coords, dtype=np.int16)
         ya = np.array(y.coords, dtype=np.int16)
         F, p = self.field, self.p
-        out = np.zeros(self.dim(degree), dtype=np.int16)
+        # F_p coordinates of the product, comp times those of x^(e1+e2)
+        acc = np.zeros((self.dim(degree), self.f), dtype=np.int64)
         for e1 in range(self.f):
             xc = (xa // p**e1) % p
             if not xc.any():
@@ -148,9 +149,9 @@ class GradedRing:
                 yc = (ya // p**e2) % p
                 if not yc.any():
                     continue
-                unit = F.mul[p**e1, p**e2]  # index of the basis product x^(e1+e2)
                 comp = self._mul_fp(x.degree, xc, y.degree, yc)
-                out = F.add[out, F.mul[unit, comp]]
+                acc += np.outer(comp, F.coords(F.pow(F.gen, e1 + e2)))
+        out = acc % p @ p ** np.arange(self.f)
         return GradedClass(degree, tuple(int(c) for c in out))
 
     # -- multiplication matrices (generators only) ----------------------------

@@ -472,24 +472,19 @@ class QuatModel(GroupModel):
         R = self.ctx.ring
         self.dtype = R.dtype
         F = R.field
-        sig = F.frob.copy()
-        for _ in range(f - 1):
-            sig = F.frob[sig]
         alpha = self.ctx.alpha_residue()
-        zeta = F.gen
         at = [R.teichmuller(F.pow(alpha, i)) for i in range(f)]
-        zt = R.teichmuller(zeta)
+        zt = R.teichmuller(F.gen)
         quat = self.ctx.quat
         self._one = self.ctx.one
         self._gens = ([self._norm_one(quat(R.one, t)) for t in at]
                       + [self._norm_one(quat(R.one, t * zt)) for t in at]
                       + [self._norm_one(quat(R.one + p * (t * zt), R.zero)) for t in at])
-        # residue-field solves for the two layer types, as lookup tables
-        ap = [F.pow(alpha, i) for i in range(f)]
-        eta = F.mul[F.add[zeta, F.neg[sig[zeta]]], F.inv[2]]
-        self._half_sol = self._solve_table([F.coords(e) for e in ap]
-                                           + [F.coords(F.mul[e, zeta]) for e in ap])
-        self._int_sol = self._solve_table([F.coords(F.mul[e, eta]) for e in ap])
+        # residue-field solves for the two layer types, columns off ring residues
+        eta = (zt - self.ctx.sigma(zt)) * R.inv(R.from_int(2))
+        self._half_sol = self._solve_table([F.coords(t.residue_index) for t in at]
+                                           + [F.coords((t * zt).residue_index) for t in at])
+        self._int_sol = self._solve_table([F.coords((t * eta).residue_index) for t in at])
 
     def _solve_table(self, cols) -> np.ndarray:
         """Row r: the coefficients s in F_p^k with sum_j s_j cols_j equal to

@@ -203,7 +203,7 @@ def _int_matrix(g, dim: int) -> np.ndarray | None:
 MODULE_LEVEL_MAX = 8
 
 
-def module_from_json(d: dict, case: str | None = None):
+def module_from_json(d: dict):
     from .modules import build_module
 
     if not isinstance(d, dict):
@@ -220,7 +220,7 @@ def module_from_json(d: dict, case: str | None = None):
             p=json_int(fld["p"], "field.p"),
             f=json_int(fld["f"], "field.f"),
             M=level,
-            case=case or str(d.get("case", "GL2")),
+            case=str(d.get("case", "GL2")),
         )
         field = gf(cfg.p, cfg.f)
         gens_in = d.get("generators")

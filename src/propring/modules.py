@@ -337,8 +337,8 @@ class GradedModule:
 
 def _aug_ops(mats, field: GF) -> list[np.ndarray]:
     """The operators m - 1, one per matrix m."""
-    neg_eye = field.mul[int(field.neg[1]), np.eye(mats[0].shape[0], dtype=np.int16)]
-    return [field.add[m, neg_eye] for m in mats]
+    eye = np.eye(mats[0].shape[0], dtype=np.int16)
+    return [gflib.sub(m, eye, field) for m in mats]
 
 
 def _weighted_chain(ops, weights, field: GF):
@@ -463,17 +463,15 @@ def ideal_operator_lifts(mod: FiniteModule, spec: IdealSpec) -> list[tuple[np.nd
         degree = sum(gen[0][0]) + sum(gen[0][1])
         if degree == 0:
             raise ConfigError("ideal generator of degree zero")
-        acc = np.zeros((dim, dim), dtype=np.int16)
-        for m, n, coeff in gen:
+        terms = []
+        for m, n, _ in gen:
             cur = np.eye(dim, dtype=np.int16)
-            for i, e in enumerate(m):
+            for i, e in enumerate(m + n):
                 if e:
                     cur = gflib.matmul(cur, aug_power(i, e), field)
-            for i, e in enumerate(n):
-                if e:
-                    cur = gflib.matmul(cur, aug_power(f + i, e), field)
-            acc = field.add[acc, field.mul[coeff, cur]]
-        out.append((acc, degree))
+            terms.append(cur.ravel())
+        coeffs = np.array([[coeff for _, _, coeff in gen]])
+        out.append((gflib.matmul(coeffs, np.stack(terms), field).reshape(dim, dim), degree))
     for i in range(f):
         out.append((aug_power(2 * f + i, unit), 2 * unit))
     return out

@@ -48,7 +48,7 @@ def _build_explicit(cfg, matrices):
     return mod
 
 
-def module_from_json(d, case=None):
+def module_from_json(d):
     if not isinstance(d, dict):
         raise ConfigError("module must be an object")
     fld = d.get("field")
@@ -59,7 +59,7 @@ def module_from_json(d, case=None):
             p=json_int(fld["p"], "field.p"),
             f=json_int(fld["f"], "field.f"),
             M=json_int(d.get("level", 1), "level"),
-            case=case or str(d.get("case", "GL2")),
+            case=str(d.get("case", "GL2")),
         )
         field = gf(cfg.p, cfg.f)
         gens_in = d.get("generators")

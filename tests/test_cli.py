@@ -469,7 +469,8 @@ def test_quat_field_past_int16_indices_is_refused_before_any_table(tmp_path, cap
     # F_(181^2) builds two 32,761 x 32,761 tables (54 CPU s and 4.1 GB
     # when the refusal came from the quaternion field's own build); GL2
     # at (181, 2) and QUAT at (181, 1), whose ring is over F_(181^2), are
-    # admitted
+    # admitted; a QUAT model builds no table of its ring's field
+    # (test_groups.test_quat_model_builds_no_field_tables)
     from propring import gf as gflib
     from propring.config import PrimeConfig
     from propring.errors import ConfigError

@@ -4,18 +4,22 @@ laws and valuations are read through table_oracle's scalar inv, power,
 commutator and pth_root, which the model does not carry."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propring import groups, padic
 from propring.config import PrimeConfig
 from propring.errors import ConfigError, NotInGroup
+from propring.gf import GF
 from propring.groups import GL2Model, QuatModel, group_model, quaternion_commutator_congruence
 from pair_oracle import random_element
 import power_oracle
 from power_oracle import right_mul_table
+import solve_oracle
 import table_oracle as oracle
 from table_oracle import scalar_rows
 
@@ -455,3 +459,34 @@ def test_model_state_bounded(model):
     for name, v in vars(model).items():
         if isinstance(v, (dict, list, tuple)):
             assert len(v) <= model.n * model.pM, name
+
+
+@pytest.mark.parametrize("pf", ((5, 1), (5, 2), (7, 1), (23, 1), (61, 1)), ids=str)
+def test_solve_tables_match_the_field_table_oracle(pf):
+    # the model reads its solve columns off residues of quaternion-ring
+    # products, the oracle off the q x q operation tables of F_(p^(2f))
+    model = QuatModel(*pf, 1)
+    for got, want in zip((model._half_sol, model._int_sol), solve_oracle.solve_tables(model)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_quat_model_builds_no_field_tables(monkeypatch):
+    # QuatModel(101, 1, 2) lives over F_(101^2), whose two q x q tables,
+    # 2 x 10,201^2 x 2 bytes (416 MB, 4.6 CPU s), were built while the
+    # solve columns were products in them.  Fields, rings and the context
+    # are built fresh, outside the caches, so the traced peak holds all of
+    # them, as in test_padic's test_extension_ring_builds_no_field_tables
+    monkeypatch.setattr(padic, "gf", GF)
+    monkeypatch.setattr(padic, "zq_ring", padic.ZqRing)
+    monkeypatch.setattr(groups, "quat_context", padic.QuatContext)
+    tracemalloc.start()
+    try:
+        model = QuatModel(101, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = model.ctx.ring.field
+    assert field.q == 101**2
+    assert "add" not in vars(field) and "mul" not in vars(field)
+    assert peak < 20_000_000, peak

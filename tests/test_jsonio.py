@@ -195,6 +195,17 @@ def test_point_configs_cover_the_benchmark(monkeypatch):
     assert set(workloads.POINT_CONFIGS) < set(POINT_CONFIGS)
 
 
+def test_bench_decompose_pool_regenerates(monkeypatch):
+    # the pool generator realizes seeded digits through the scalar group
+    # arithmetic and reads them back through the CLI's normalize, on every
+    # point config of the benchmark; it is called, never its writer main
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import make_data
+
+    committed = (Path(make_data.__file__).parent / "data" / "decompose.json").read_text()
+    assert json.loads(json.dumps(make_data.decompose_pool())) == json.loads(committed)
+
+
 def test_ideal_spec_roundtrip():
     for spec in default_ideals(1, F5):
         d = {"name": spec.name,

@@ -62,6 +62,25 @@ def test_an_unreferenced_helper_is_reported():
     assert [e.split()[1] for e in unreferenced(trees)] == ["in_span"]
 
 
+def table_subscripts(trees: dict) -> list[str]:
+    """'file:line' of each subscript of an .add or .mul attribute, the
+    q x q operation tables of gf.GF, outside gf.py."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path, tree in trees.items() if path.name != "gf.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("add", "mul")]
+
+
+def test_only_gf_reads_the_field_tables():
+    # F_q arithmetic has one owner: elsewhere it goes through gf's kernels
+    # or the p-adic ring
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in CORPUS}
+    assert table_subscripts(trees) == []
+    modules = ROOT / "src" / "propring" / "modules.py"
+    trees[modules].body.append(ast.parse("x = field.add[a, field.neg[b]]").body[0])
+    assert table_subscripts(trees) == ["src/propring/modules.py:1"]
+
 
 def test_every_cache_is_bounded():
     # lru_cache(maxsize=None) and functools.cache grow without limit, so
