@@ -37,6 +37,9 @@ products g_i x and the support pairs x h of the general product
 (mul_rows, which mul calls on a batch of one) go through one index-level
 right action, GroupModel.right_act: it walks x through the n M tables of
 the pc generators g_i^(p^k), at most p - 1 steps per base-p digit of h.
+The rewriting's words z^chunk (g_0 - 1)^(frac_0) ... are ring products
+too: their remainder half is the ordered monomial z^frac, so zmul is
+mul_rows of two closed-form monomials.
 
 A sparse element is a support pair and is read through the same closed
 form: the coefficients of sum_t c_t [x_t] at the monomials of weight up to
@@ -122,7 +125,7 @@ class GroupAlgebra:
         self.nu_weights = tuple(model.two_omega)
         self._pair = _pascal_pair(self.p)  # (P, Q), applied per base-p digit
         # P[x, k] = binom(x, k) and its inverse for x, k < p^M, the row
-        # tables of binomial_expansion and zmul (Lucas' theorem)
+        # tables of binomial_expansion and _lucas_rows (Lucas' theorem)
         self._P, self._Q = (
             (functools.reduce(np.kron, [m] * model.M) % self.p).astype(np.int16)
             for m in self._pair
@@ -165,42 +168,17 @@ class GroupAlgebra:
         + index ascending, zero coefficients dropped.  The cost follows the
         words' supports, not the order of the group.
 
-        The chunk half is the ordered monomial z^chunk, built in closed
-        form (_lucas_rows).  Then axis i right-multiplies every row's
-        support by (g_i - 1)^e, e = fracs[r, i], through
-
-            (g_i - 1)^e = sum_s (-1)^(e-s) binom(e, s) g_i^s,
-
-        binom(e, s) mod p read per row from the Lucas table _P: term s
-        walks the entries of the rows with e >= s s steps through
-        right_mul_table(g_i), and one collect merges the terms of all
-        rows.  An axis on which every exponent is 0 is skipped.  A row's
-        support holds at most prod_i lucas_terms[chunks[r, i]] prod_i
-        (fracs[r, i] + 1) entries on the way, the bound callers size their
-        batches by."""
-        order = self.order
-        row, idx, coeffs = self._lucas_rows(chunks)
-        for i in range(self.n):
-            e = fracs[row, i]
-            if not e.any():
-                continue
-            perm = self.model.right_mul_table(self.model.generator(i))
-            live = np.arange(e.size)  # the entries with e >= s
-            walk, keys, weights = idx, [], []
-            for s in range(int(e.max()) + 1):
-                if s:
-                    more = e[live] >= s
-                    live, walk = live[more], perm[walk[more]]
-                el = e[live]
-                c = self._P[el, s].astype(np.int64)
-                c[(el - s) % 2 == 1] *= -1
-                keys.append(row[live] * order + walk)
-                weights.append(coeffs[live] * c)
-            # exact: each key sums at most p^M terms below p^2 in size
-            merged, coeffs = self.collect(np.concatenate(keys), np.concatenate(weights))
-            row = merged // order
-            idx = merged - row * order
-        return row * order + idx, coeffs
+        The remainder half is itself the ordered monomial z^frac, so a word
+        is the product z^chunk z^frac of two closed forms (_lucas_rows),
+        formed by mul_rows: prod_i lucas_terms[chunks[r, i]]
+        lucas_terms[fracs[r, i]] support pairs per row, the bound callers
+        size their batches by."""
+        groups = [(key + r * self.order, coeffs) for r, _, key, coeffs in
+                  self.mul_rows(self._lucas_rows(chunks), self._lucas_rows(fracs), len(chunks))]
+        if not groups:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty
+        return tuple(map(np.concatenate, zip(*groups)))
 
     def mul_rows(self, a, b, rows: int):
         """Row-batched product on support pairs.  a and b are (row, index,

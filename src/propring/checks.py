@@ -46,29 +46,28 @@ def sub_rng(seed: int, name: str) -> np.random.Generator:
 class Run:
     """The config of one scenario run and the structures its checks share,
     each built on first use and dropped with the run: the module corpora by
-    (count, start_seed)."""
+    count."""
 
     def __init__(self, cfg: PrimeConfig):
         self.cfg = cfg
-        self._corpora: dict[tuple[int, int], list] = {}
+        self._corpora: dict[int, list] = {}
 
-    def corpus(self, count: int, start_seed: int) -> list:
-        key = (count, start_seed)
-        if key not in self._corpora:
-            self._corpora[key] = module_corpus(self.cfg, count=count, start_seed=start_seed)
-        return self._corpora[key]
+    def corpus(self, count: int) -> list:
+        if count not in self._corpora:
+            self._corpora[count] = module_corpus(self.cfg, count=count)
+        return self._corpora[count]
 
 
 def _pick(d: dict, *keys: str) -> dict:
     return {k: d[k] for k in keys}
 
 
-def _over_corpus(run: Run, N: int, count: int, start_seed: int, fn, keys) -> tuple[dict, list]:
+def _over_corpus(run: Run, N: int, count: int, fn, keys) -> tuple[dict, list]:
     """fn(module, ideals) for every corpus module, with the default ideals;
     fn returns one result per ideal, in order.  Returns the detail both
     corpus checks report, with each result cut to keys as one row, and the
     full results."""
-    corpus = run.corpus(count, start_seed)
+    corpus = run.corpus(count)
     ideals = default_ideals(run.cfg.f, gf(run.cfg.p, run.cfg.f))
     reps = [rep for mod in corpus for rep in fn(mod, ideals)]
     rows = [_pick(r, *keys) for r in reps]
@@ -113,18 +112,18 @@ def _chk_tau_contract(run: Run, rng, N: int, samples: int) -> dict:
     return check_tau_contract(group_algebra(run.cfg), N, rng, samples=samples)
 
 
-def _chk_exponent_transfer(run: Run, rng, N: int, count: int, start_seed: int) -> dict:
+def _chk_exponent_transfer(run: Run, rng, N: int, count: int) -> dict:
     detail, _ = _over_corpus(
-        run, N, count, start_seed, lambda mod, specs: check_exponent_transfer(mod, specs, N),
+        run, N, count, lambda mod, specs: check_exponent_transfer(mod, specs, N),
         ("module", "dim", "ideal", "exponents", "implications", "ok"),
     )
     return detail
 
 
-def _chk_restriction_determinism(run: Run, rng, N: int, count: int, start_seed: int,
+def _chk_restriction_determinism(run: Run, rng, N: int, count: int,
                                  basis_changes: int) -> dict:
     detail, reps = _over_corpus(
-        run, N, count, start_seed,
+        run, N, count,
         lambda mod, specs: restriction_determinism(mod, specs, N, rng, basis_changes),
         ("module", "dim", "ideal", "exponent", "restricted_path", "basis_change_exponents",
          "twist_exponent", "ok"),
@@ -165,7 +164,7 @@ _N = (lambda cfg: cfg.N, 1, lambda cfg: cfg.M - 1)
 # the corpus and every sample are held until the check reports; at GL2
 # (5, 1, 2) on a 2-vCPU machine count 20, 100 and 400 took 0.2, 0.6 and 2.4
 # CPU s (exponent-transfer) at 37, 39 and 46 MB peak RSS
-_CORPUS = {"count": (20, 1, 400), "start_seed": (0, 0, None)}
+_CORPUS = {"count": (20, 1, 400)}
 
 # The check registry: name -> (check, cases it runs on, {param: (default,
 # low, high)}).  Bounds are inclusive, a high of None is unbounded, and a

@@ -42,7 +42,7 @@ from .groups import Digits, GroupModel
 
 
 # word entries verify_transcripts merges at a time, the bound on the
-# entries of one word build (_word_groups) and of the block of one
+# support pairs of one word build (_word_groups) and of the block of one
 # row-keyed expansion (_expand), which keep their transients to a few MB
 # however long the transcripts
 _MERGE = 1 << 16
@@ -408,10 +408,10 @@ def _word_groups(alg: GroupAlgebra, chunks: np.ndarray, fracs: np.ndarray):
     """The words z^(chunks[r]) (g_0 - 1)^(fracs[r, 0]) ... of the rows r of
     two (rows, n) exponent arrays, as row-keyed support pairs (keys r order
     + index ascending), one GroupAlgebra.zmul per group of consecutive rows.
-    A row's support holds at most prod_i lucas_terms[chunks[r, i]] prod_i
-    (fracs[r, i] + 1) entries on the way, and a group's bounds sum to
+    zmul forms a row's word from prod_i lucas_terms[chunks[r, i]]
+    lucas_terms[fracs[r, i]] support pairs, and a group's pairs sum to
     _MERGE at most, or it is one row alone."""
-    sizes = np.prod(alg.lucas_terms[chunks], axis=1) * np.prod(fracs + 1, axis=1)
+    sizes = np.prod(alg.lucas_terms[chunks] * alg.lucas_terms[fracs], axis=1)
     cuts = _groups(sizes.tolist())
     for lo, hi in zip(cuts, cuts[1:]):
         keys, coeffs = alg.zmul(chunks[lo:hi], fracs[lo:hi])

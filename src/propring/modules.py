@@ -704,15 +704,14 @@ def restriction_determinism(mod: FiniteModule, specs, N: int, rng,
     return out
 
 
-def module_corpus(cfg: PrimeConfig, count: int = 20, start_seed: int = 0,
-                  jcuts=(5, 6)) -> list[FiniteModule]:
+def module_corpus(cfg: PrimeConfig, count: int = 20, jcuts=(5, 6)) -> list[FiniteModule]:
     """A deterministic family of validated modules: the trivial module, the
     deep-line module, and seeded quotients of weight quotients of the
     regular module; the seeded quotients share one weight quotient per cut."""
     out = [build_module(cfg, "trivial"), build_module(cfg, "deep")]
     bases = {}
-    seed = start_seed
-    while len(out) < count + 2 and seed < start_seed + 20 * count:
+    seed = 0
+    while len(out) < count + 2 and seed < 20 * count:
         jcut = jcuts[seed % len(jcuts)]
         try:
             if jcut not in bases:

@@ -292,24 +292,33 @@ def word_rows(alg, rows):
 @pytest.mark.parametrize("pfm", [(5, 1, 2), (7, 1, 2), (5, 1, 3)], ids=str)
 def test_word_builder_matches_oracles(pfm, case):
     # the words of N = 1 rewritings of monomials below p^M (chunk exponents
-    # multiples of p, the remainders below p) and of small unrestricted
-    # exponents, with the identity word, an empty chunk and an empty
-    # remainder among them, built as the rows of one call: each row
-    # against the support-walking oracle, and the first rows against the
-    # dense one (a vector of the group's order per pass, 1.95 M entries at
-    # (5, 1, 3))
+    # multiples of p, the remainders below p), at (5, 1, 3) also of N = 2
+    # ones (remainders up to 24, two digit places per axis), and of small
+    # unrestricted exponents, with the identity word, an empty chunk and an
+    # empty remainder among them, built as the rows of one call: the call
+    # byte for byte against the table-walking builder, each row against
+    # the support-walking oracle, and the first rows against the dense one
+    # (a vector of the group's order per pass, 1.95 M entries at (5, 1, 3))
     alg = group_algebra(PrimeConfig(*pfm, case))
     rng = np.random.default_rng(sum(pfm) + len(case))
     zero = (0,) * alg.n
     rows = [(zero, zero), (zero, (1, 2, 3)), ((alg.p, 0, 2 * alg.p), zero)]
-    while len(rows) < 9:
-        e = rng.integers(0, alg.pM, size=alg.n)
-        if alg.nu_prime(e) < alg.pM:
-            rows.append((tuple((e // alg.p * alg.p).tolist()), tuple((e % alg.p).tolist())))
+    for N, count in ((1, 6), (2, 6 if alg.model.M == 3 else 0)):
+        q, drawn = alg.p**N, 0
+        while drawn < count:
+            e = rng.integers(0, alg.pM, size=alg.n)
+            if alg.nu_prime(e) < alg.pM:
+                rows.append((tuple((e // q * q).tolist()), tuple((e % q).tolist())))
+                drawn += 1
     small = rng.integers(0, 8, size=(6, alg.n)).tolist()
     rows += [(tuple(c), tuple(f)) for c, f in zip(small[:3], small[3:])]
     got = word_rows(alg, rows)
     assert got[0][0].tolist() == [0] and got[0][1].tolist() == [1]  # the identity
+    chunks, fracs = (np.array(half, dtype=np.int64) for half in zip(*rows))
+    for mine, want in zip(alg.zmul(chunks, fracs), zmul_oracle.table_zmul(alg, chunks, fracs)):
+        assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
+    if alg.model.M == 3:
+        assert max(max(f) for _, f in rows[9:15]) >= alg.p  # a second digit place
     for r, ((chunk, frac), pair) in enumerate(zip(rows, got)):
         idx, coeffs = zmul_oracle.support_word_mul(alg, term_word(chunk, frac))
         assert np.array_equal(pair[0], idx) and np.array_equal(pair[1], coeffs), (r, chunk, frac)

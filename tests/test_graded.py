@@ -648,10 +648,10 @@ def test_tau_contract_at_depth_3_stays_below_one_vector():
 
 
 def test_word_groups_split_at_the_merge_bound(monkeypatch):
-    # the words of 40 rewritten monomials in groups whose closed-form
-    # bounds sum to _MERGE = 300 at most, a row over it alone: joined, the
-    # same row-keyed pair as one call for all rows, and no group's words
-    # hold more than its bound
+    # the words of 40 rewritten monomials in groups whose support pairs
+    # sum to _MERGE = 300 at most, a row over it alone: joined, the same
+    # row-keyed pair as one call for all rows, and no group's words hold
+    # more than its pairs
     monkeypatch.setattr(graded, "_MERGE", 300)
     alg = group_algebra(PrimeConfig(5, 1, 2, "GL2", N=1))
     rng = np.random.default_rng(3)
@@ -659,7 +659,7 @@ def test_word_groups_split_at_the_merge_bound(monkeypatch):
     exps = exps[exps @ np.array(alg.nu_weights) < alg.pM][:40]
     fracs = exps % alg.p
     chunks = exps - fracs
-    bounds = np.prod(alg.lucas_terms[chunks], axis=1) * np.prod(fracs + 1, axis=1)
+    bounds = np.prod(alg.lucas_terms[chunks] * alg.lucas_terms[fracs], axis=1)
     groups = list(graded._word_groups(alg, chunks, fracs))
     assert len(groups) > 2 and bounds.max() > 300
     keys, coeffs = alg.zmul(chunks, fracs)

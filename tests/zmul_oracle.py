@@ -1,11 +1,17 @@
 """Right multiplication by tau words: the test oracles for the batched
-word builder GroupAlgebra.zmul.
+word builder GroupAlgebra.zmul, which forms each word as the ring product
+z^chunk z^frac of two closed-form monomials (GroupAlgebra.mul_rows).
 
 zmul and word_mul are dense: one pass over the whole group per unit of
 digit sum of the exponent, the digits above the units read from the
 oracle rows of g_i^(p^k) (power_oracle.pc_row), where the library walks
-only the support of the element through the generator table; the two
+only the support of the element through the pc generator tables; the two
 share only the group model's generator tables.
+
+table_zmul is the batched builder the library had before its words were
+ring products: the chunk half in closed form, then each remainder factor
+(g_i - 1)^e expanded by binomials and walked e steps through the table of
+g_i, with one collect per axis for all rows.
 
 support_zmul and support_word_mul walk one word's support at a time,
 factor by factor from the identity, the chunk factors included, with one
@@ -74,6 +80,44 @@ def word_mul(alg, a, word):
     for i, e in word:
         a = zmul(alg, a, i, e)
     return a
+
+
+def table_zmul(alg, chunks, fracs):
+    """GroupAlgebra.zmul by the generator tables: the words of the rows r
+    of two (rows, n) exponent arrays as one row-keyed support pair (keys r
+    order + index ascending).  The chunk half is z^chunk in closed form
+    (GroupAlgebra._lucas_rows); then axis i right-multiplies every row's
+    support by (g_i - 1)^e, e = fracs[r, i], through
+
+        (g_i - 1)^e = sum_s (-1)^(e-s) binom(e, s) g_i^s,
+
+    binom(e, s) mod p read per row from the Lucas table GroupAlgebra._P:
+    term s walks the entries of the rows with e >= s s steps through the
+    table of g_i, and one collect merges the terms of all rows.  An axis
+    on which every exponent is 0 is skipped."""
+    order = alg.order
+    row, idx, coeffs = alg._lucas_rows(chunks)
+    for i in range(alg.n):
+        e = fracs[row, i]
+        if not e.any():
+            continue
+        perm = alg.model.right_mul_table(alg.model.generator(i))
+        live = np.arange(e.size)  # the entries with e >= s
+        walk, keys, weights = idx, [], []
+        for s in range(int(e.max()) + 1):
+            if s:
+                more = e[live] >= s
+                live, walk = live[more], perm[walk[more]]
+            el = e[live]
+            c = alg._P[el, s].astype(np.int64)
+            c[(el - s) % 2 == 1] *= -1
+            keys.append(row[live] * order + walk)
+            weights.append(coeffs[live] * c)
+        # exact: each key sums at most p^M terms below p^2 in size
+        merged, coeffs = alg.collect(np.concatenate(keys), np.concatenate(weights))
+        row = merged // order
+        idx = merged - row * order
+    return row * order + idx, coeffs
 
 
 def support_zmul(alg, idx, coeffs, i, e=1):
