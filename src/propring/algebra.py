@@ -39,7 +39,7 @@ right action, GroupModel.right_act: it walks x through the n M tables of
 the pc generators g_i^(p^k), at most p - 1 steps per base-p digit of h.
 The rewriting's words z^chunk (g_0 - 1)^(frac_0) ... are ring products
 too: their remainder half is the ordered monomial z^frac, so zmul is
-mul_rows of two closed-form monomials.
+mul_rows of two closed-form monomials and hands on its row groups.
 
 A sparse element is a support pair and is read through the same closed
 form: the coefficients of sum_t c_t [x_t] at the monomials of weight up to
@@ -133,11 +133,9 @@ class GroupAlgebra:
         # the float64 copy of _P that support_expansion contracts against
         self._Pf = self._P.astype(np.float64)
         # the nonzero entries of Q row by row (_lucas_rows): those of row e
-        # at _q_ptr[e] .. _q_ptr[e + 1] - 1, so lucas_terms[e] of them, the
-        # support of z^e on one axis
+        # at _q_ptr[e] .. _q_ptr[e + 1] - 1, the support of z^e on one axis
         nz = self._Q != 0
-        self.lucas_terms = np.count_nonzero(nz, axis=1)
-        self._q_ptr = np.concatenate([[0], np.cumsum(self.lucas_terms)])
+        self._q_ptr = np.concatenate([[0], np.cumsum(np.count_nonzero(nz, axis=1))])
         self._q_col = np.nonzero(nz)[1].astype(np.int64)
         self._q_val = self._Q[nz].astype(np.int64)
 
@@ -161,31 +159,19 @@ class GroupAlgebra:
         keep = np.flatnonzero(acc.reshape(flat.size, f).any(axis=1))
         return flat[keep], acc.reshape(flat.shape + weights.shape[1:])[keep]
 
-    def zmul(self, chunks: np.ndarray, fracs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Support pair of the words z^(chunks[r]) (g_0 - 1)^(fracs[r, 0])
-        ... (g_(n-1) - 1)^(fracs[r, n-1]) of the rows r of two (rows, n)
-        arrays of exponents below p^M, as one row-keyed pair: keys r order
-        + index ascending, zero coefficients dropped.  The cost follows the
-        words' supports, not the order of the group.
-
-        The remainder half is itself the ordered monomial z^frac, so a word
-        is the product z^chunk z^frac of two closed forms (_lucas_rows),
-        formed by mul_rows: prod_i lucas_terms[chunks[r, i]]
-        lucas_terms[fracs[r, i]] support pairs per row, the bound callers
-        size their batches by."""
-        groups = [(key + r * self.order, coeffs) for r, _, key, coeffs in
-                  self.mul_rows(self._lucas_rows(chunks), self._lucas_rows(fracs), len(chunks))]
-        if not groups:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        return tuple(map(np.concatenate, zip(*groups)))
+    def zmul(self, chunks: np.ndarray, fracs: np.ndarray):
+        """The words z^(chunks[r]) (g_0 - 1)^(fracs[r, 0]) ... of the rows r
+        of two (rows, n) arrays of exponents below p^M, each the product
+        z^chunk z^frac of two closed forms (_lucas_rows), as mul_rows' row
+        groups keyed r order + index: the cost follows the words' supports."""
+        return self.mul_rows(self._lucas_rows(chunks), self._lucas_rows(fracs), len(chunks))
 
     def mul_rows(self, a, b, rows: int):
         """Row-batched product on support pairs.  a and b are (row, index,
         coefficient) arrays sorted by row, every row below rows; yields,
-        for groups of whole rows r, ..., end - 1 in order, (r, end, key,
-        coefficient) with key = (row - r) order + index ascending: the
-        row-keyed support pair of the products (row of a) (row of b).
+        for groups of whole rows in order, (key, coefficient) with key =
+        row order + index ascending: the row-keyed support pair of the
+        products (row of a) (row of b).
 
         The base-p digits of b's indices are read once (index_digits).
         The support pairs (x, h) of a group, _PAIR_CHUNK at most, go
@@ -204,9 +190,9 @@ class GroupAlgebra:
         ends = np.cumsum(pairs)  # pairs are numbered row by row
         digits = self.model.index_digits(bx)
 
-        def products(start: int, stop: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-            # pairs start, ..., stop - 1, keyed by (row - r) order + index of
-            # x h; exact: each key sums at most _PAIR_CHUNK terms below p^2
+        def products(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+            # pairs start, ..., stop - 1, keyed by row order + index of x h;
+            # exact: each key sums at most _PAIR_CHUNK terms below p^2
             t = np.arange(start, stop)
             own = np.searchsorted(ends, t, side="right")
             xi, hi = np.divmod(t - ends[own] + pairs[own], nb[own])
@@ -215,7 +201,7 @@ class GroupAlgebra:
             # np.take gathers each digit row contiguous, which right_act
             # walks row by row; digits[:, hi] would not
             walked = self.model.right_act(ax[xi], np.take(digits, hi, axis=1))
-            key = (own - r) * self.order + walked
+            key = own * self.order + walked
             return self.collect(key, np.multiply(ac[xi], bc[hi], dtype=np.float64))
 
         r = 0
@@ -224,18 +210,18 @@ class GroupAlgebra:
             # whole rows of _PAIR_CHUNK pairs at most, or one row alone
             end = max(r + 1, int(np.searchsorted(ends, lo + _PAIR_CHUNK, side="right")))
             stop = int(ends[end - 1])
-            key, acc = products(lo, min(lo + _PAIR_CHUNK, stop), r)
+            key, acc = products(lo, min(lo + _PAIR_CHUNK, stop))
             for start in range(lo + _PAIR_CHUNK, stop, _PAIR_CHUNK):
-                more = products(start, min(start + _PAIR_CHUNK, stop), r)
+                more = products(start, min(start + _PAIR_CHUNK, stop))
                 key, acc = self.collect(*map(np.concatenate, zip((key, acc), more)))
-            yield r, end, key, acc
+            yield key, acc
             r = end
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """General product of dense vectors: mul_rows on a batch of one."""
         xs, hs = np.flatnonzero(a), np.flatnonzero(b)
-        (_, _, idx, coeffs), = self.mul_rows((np.zeros_like(xs), xs, a[xs]),
-                                             (np.zeros_like(hs), hs, b[hs]), 1)
+        (idx, coeffs), = self.mul_rows((np.zeros_like(xs), xs, a[xs]),
+                                     (np.zeros_like(hs), hs, b[hs]), 1)
         out = self.zero()
         out[idx] = coeffs
         return out
@@ -253,7 +239,7 @@ class GroupAlgebra:
         coeffs = np.ones(row.size, dtype=np.int64)
         for i in range(self.n):
             e = exps[row, i]
-            lo, count = self._q_ptr[e], self.lucas_terms[e]
+            lo, count = self._q_ptr[e], np.diff(self._q_ptr)[e]
             rep = np.repeat(np.arange(row.size), count)
             # the place of each new entry among Q's nonzeros: the start lo
             # of its source's row of Q plus its rank among that row's count

@@ -226,10 +226,15 @@ def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, d
     Each check comes back as (name, params as given, keyword arguments)."""
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
+    if extra := set(data) - {"name", "config", "seed", "checks"}:
+        raise ConfigError(f"unknown scenario keys {sorted(extra)}")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario needs a name")
     cfg = config_from_json(data.get("config", {}))
+    # checked here: point-query documents share config_from_json and carry more keys
+    if extra := set(data.get("config", {})) - {"p", "f", "M", "case", "N", "seed"}:
+        raise ConfigError(f"unknown scenario config keys {sorted(extra)}")
     seed = json_int(data.get("seed", cfg.seed), "seed")
     raw = data.get("checks")
     if not isinstance(raw, list) or not raw:

@@ -41,10 +41,9 @@ from .gf import GF, gf, rref
 from .groups import Digits, GroupModel
 
 
-# word entries verify_transcripts merges at a time, the bound on the
-# support pairs of one word build (_word_groups) and of the block of one
-# row-keyed expansion (_expand), which keep their transients to a few MB
-# however long the transcripts
+# entries of the block of one row-keyed expansion (_expand) and word
+# entries verify_transcripts merges at a time, which keep their transients
+# to a few MB however long the transcripts
 _MERGE = 1 << 16
 # start monomials rewritten as one lockstep batch (_transcripts)
 _BATCH = 1 << 10
@@ -404,27 +403,10 @@ def _groups(sizes: list[int]) -> list[int]:
     return cuts + [len(sizes)] if sizes else cuts
 
 
-def _word_groups(alg: GroupAlgebra, chunks: np.ndarray, fracs: np.ndarray):
-    """The words z^(chunks[r]) (g_0 - 1)^(fracs[r, 0]) ... of the rows r of
-    two (rows, n) exponent arrays, as row-keyed support pairs (keys r order
-    + index ascending), one GroupAlgebra.zmul per group of consecutive rows.
-    zmul forms a row's word from prod_i lucas_terms[chunks[r, i]]
-    lucas_terms[fracs[r, i]] support pairs, and a group's pairs sum to
-    _MERGE at most, or it is one row alone."""
-    sizes = np.prod(alg.lucas_terms[chunks] * alg.lucas_terms[fracs], axis=1)
-    cuts = _groups(sizes.tolist())
-    for lo, hi in zip(cuts, cuts[1:]):
-        keys, coeffs = alg.zmul(chunks[lo:hi], fracs[lo:hi])
-        keys += lo * alg.order
-        yield keys, coeffs
-
-
 def _row_cuts(alg: GroupAlgebra, keys: np.ndarray, floor: int) -> list[int]:
     """The places in the row-keyed keys, ascending, where _expand cuts
     them into calls: whole rows, grouped by _groups on the cost of each
     row, p^M times its distinct prefixes (key // p^M) and floor at least."""
-    if not keys.size:
-        return []
     new = np.ones(keys.size, dtype=bool)  # at the first key of each prefix
     prefix = keys // alg.pM
     np.not_equal(prefix[1:], prefix[:-1], out=new[1:])
@@ -463,15 +445,14 @@ def _expand(alg: GroupAlgebra, pieces, cutoff: int) -> tuple[np.ndarray, np.ndar
 def _rewrite_rows(alg: GroupAlgebra, exps: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The rewriting of the monomials z^x, x the rows of a (rows, n) array
     of weight below p^M, as rows 0, 1, ...: their words, split by
-    tau_exponents, built by _word_groups and expanded by _expand, the
-    monomial terms below p^M as one row-keyed pair (row order + k,
-    coefficient).  Raises ContractViolation, with x as witness, at the
-    first row that breaks the contract nu(tau(x)) = nu(x) and tau(x) - x
-    in m^(nu+1)."""
+    tau_exponents, built by GroupAlgebra.zmul and expanded by _expand a
+    row group at a time, the monomial terms below p^M as one row-keyed
+    pair (row order + k, coefficient).  Raises ContractViolation, with x
+    as witness, at the first row that breaks the contract nu(tau(x)) =
+    nu(x) and tau(x) - x in m^(nu+1)."""
     order = alg.order
     flats = np.ravel_multi_index(exps.T, (alg.pM,) * alg.n)
-    keys, weights, c = _expand(alg, _word_groups(alg, *tau_exponents(alg, exps, N)),
-                               alg.pM - 1)
+    keys, weights, c = _expand(alg, alg.zmul(*tau_exponents(alg, exps, N)), alg.pM - 1)
     c = c[:, 0]
     row = keys // order
     w = alg.nu_weight_array[flats]
@@ -573,10 +554,10 @@ def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool
     terms + residual in group coordinates, with the residual's nu (read
     below p^M, as element_nu does) the transcript's residual weight and
     beyond the cutoff.  Each start z^start and then its terms' words are
-    the rows of one word build (_word_groups), so nothing the rewriting
-    built is read again; the residuals are one support pair keyed by
-    transcript order + index, merged by collect (_MERGE word entries at a
-    time) and read by _expand."""
+    the rows of one GroupAlgebra.zmul, so nothing the rewriting built is
+    read again; its row groups are rekeyed by transcript order + index
+    into the residuals, one support pair merged by collect (_MERGE word
+    entries at a time) and read by _expand."""
     if not trs:
         return []
     order = alg.order
@@ -588,7 +569,7 @@ def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool
     sign = np.insert(-np.concatenate([tr.coeffs for tr in trs]), at, 1)
     owner = np.repeat(np.arange(len(trs)), counts + 1)
     parts, pending = [], 0
-    for keys, coeffs in _word_groups(alg, chunks, fracs):
+    for keys, coeffs in alg.zmul(chunks, fracs):
         r = keys // order
         parts.append((keys + (owner[r] - r) * order, sign[r] * coeffs))
         pending += keys.size
@@ -685,13 +666,13 @@ def _first_inclusion(alg: GroupAlgebra, k: int, N: int, samples: int, drawn) -> 
     ukeys, uc = alg.collect(draws[row, 0] * order + idx, draws[row, 1] * mono_c)
     urows = ukeys // order
     # the v's, zero coefficients dropped
-    for r, end, key, c in alg.mul_rows((urows, ukeys - urows * order, uc),
-                                       tuple(vs[:, vs[2] != 0]), samples):
+    for key, c in alg.mul_rows((urows, ukeys - urows * order, uc),
+                               tuple(vs[:, vs[2] != 0]), samples):
         # a monomial term below k p^N puts a product outside m^(k p^N);
         # the first such key is in the first product that has one
         low = _expand(alg, [(key, c)], k * alg.p**N - 1)[0]
         if low.size:
-            return {"samples": r + int(low[0]) // order + 1, "ok": False}
+            return {"samples": int(low[0]) // order + 1, "ok": False}
     return {"samples": samples, "ok": True}
 
 

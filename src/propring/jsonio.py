@@ -84,6 +84,9 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
     from .groups import group_model
 
     cfg = config_from_json(d)
+    if cfg.M > ELEMENT_LEVEL_MAX:
+        raise ConfigError(f"element level M = {cfg.M} is above {ELEMENT_LEVEL_MAX}: the "
+                          f"decomposition's cost grows faster than the level")
     model = group_model(cfg)
     if "digits" in d:
         return cfg, digits_from_json(d, cfg)
@@ -201,6 +204,11 @@ def _int_matrix(g, dim: int) -> np.ndarray | None:
 # and 2.1 s for QUAT at f = 2; past it QUAT f = 1 took 2.4 s at level 16 and
 # 32 s at 32, and GL2 6 s at 64 (2 vCPUs, one BLAS thread)
 MODULE_LEVEL_MAX = 8
+# the largest level M a decompose request may give; the cost grows faster:
+# one GL2 (5, 1, M) element took 0.6, 2.1 and 14 CPU s at M = 128, 256 and
+# 512, GL2 (5, 2, M) 1.2 and 7.4 s at 128 and 256, QUAT (5, 1, M) 0.3 and
+# 1.3 s at 128 and 512 (2 vCPUs, one BLAS thread)
+ELEMENT_LEVEL_MAX = 128
 
 
 def module_from_json(d: dict):

@@ -117,6 +117,28 @@ def rows_of(alg, vecs):
             np.concatenate([np.zeros(0, dtype=np.int16)] + [v[i] for v, i in zip(vecs, idx)]))
 
 
+def joined(groups):
+    """The (key, coefficient) row groups of mul_rows joined into one
+    row-keyed pair; empty int64 arrays when there are none."""
+    groups = list(groups) or [(np.zeros(0, dtype=np.int64),) * 2]
+    return tuple(map(np.concatenate, zip(*groups)))
+
+
+def split_rows(alg, groups, rows):
+    """The row groups of mul_rows, checked to hold whole rows ascending
+    with keys ascending and no zero coefficient, split into one support
+    pair per row 0, ..., rows - 1."""
+    firsts = [int(k[0]) // alg.order for k, _ in groups if k.size]
+    lasts = [int(k[-1]) // alg.order for k, _ in groups if k.size]
+    assert all(a < b for a, b in zip(lasts, firsts[1:])), (firsts, lasts)
+    keys, coeffs = joined(groups)
+    assert np.all(np.diff(keys) > 0) and np.all(coeffs % alg.p != 0)
+    cut = np.searchsorted(keys, np.arange(rows + 1) * alg.order)
+    assert cut[-1] == keys.size
+    return [(keys[lo:hi] - r * alg.order, coeffs[lo:hi])
+            for r, (lo, hi) in enumerate(zip(cut, cut[1:]))]
+
+
 @pytest.mark.parametrize("pfm,case", MUL_CASES, ids=str)
 def test_mul_rows_matches_oracles(pfm, case, monkeypatch):
     # with a group bound of 1000 pairs: empty rows on either side, a batch
@@ -141,14 +163,9 @@ def test_mul_rows_matches_oracles(pfm, case, monkeypatch):
     assert max(pairs) <= 1000 < sum(pairs)  # one group cannot take the batch
     assert np.count_nonzero(big[0]) * np.count_nonzero(big[1]) > 2 * 1000
     for batch in batches:
-        got = []  # the groups' row-keyed products, row by row
-        for r, end, key, acc in alg.mul_rows(rows_of(alg, [a for a, _ in batch]),
-                                             rows_of(alg, [b for _, b in batch]), len(batch)):
-            assert r == len(got) and (key.size == 0 or key[-1] < (end - r) * alg.order)
-            cut = np.searchsorted(key, np.arange(end - r + 1) * alg.order)
-            got += [(key[lo:hi] - j * alg.order, acc[lo:hi])
-                    for j, (lo, hi) in enumerate(zip(cut, cut[1:]))]
-        assert len(got) == len(batch)
+        groups = list(alg.mul_rows(rows_of(alg, [a for a, _ in batch]),
+                                   rows_of(alg, [b for _, b in batch]), len(batch)))
+        got = split_rows(alg, groups, len(batch))
         for (idx, coeffs), (a, b) in zip(got, batch):
             want = power_oracle.mul(alg, a, b)
             assert np.array_equal(want, sandwich_oracle.mul(alg, a, b))
@@ -277,15 +294,12 @@ def test_support_zmul_matches_dense_oracle(pfm, case):
 
 def word_rows(alg, rows):
     """The words of the (chunk, frac) rows, built by GroupAlgebra.zmul as
-    one row-keyed pair and split back into one support pair per row."""
+    row groups and split back into one support pair per row."""
     chunks = np.array([c for c, _ in rows], dtype=np.int64).reshape(-1, alg.n)
     fracs = np.array([f for _, f in rows], dtype=np.int64).reshape(-1, alg.n)
-    keys, coeffs = alg.zmul(chunks, fracs)
-    assert np.all(np.diff(keys) > 0) and np.all(coeffs % alg.p != 0)
-    assert keys.dtype == coeffs.dtype == np.int64
-    cut = np.searchsorted(keys, np.arange(len(rows) + 1) * alg.order)
-    return [(keys[lo:hi] - r * alg.order, coeffs[lo:hi])
-            for r, (lo, hi) in enumerate(zip(cut, cut[1:]))]
+    groups = list(alg.zmul(chunks, fracs))
+    assert all(k.dtype == c.dtype == np.int64 for k, c in groups)
+    return split_rows(alg, groups, len(rows))
 
 
 @pytest.mark.parametrize("case", ["GL2", "QUAT"])
@@ -315,7 +329,8 @@ def test_word_builder_matches_oracles(pfm, case):
     got = word_rows(alg, rows)
     assert got[0][0].tolist() == [0] and got[0][1].tolist() == [1]  # the identity
     chunks, fracs = (np.array(half, dtype=np.int64) for half in zip(*rows))
-    for mine, want in zip(alg.zmul(chunks, fracs), zmul_oracle.table_zmul(alg, chunks, fracs)):
+    for mine, want in zip(joined(alg.zmul(chunks, fracs)),
+                          zmul_oracle.table_zmul(alg, chunks, fracs)):
         assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
     if alg.model.M == 3:
         assert max(max(f) for _, f in rows[9:15]) >= alg.p  # a second digit place
@@ -327,8 +342,8 @@ def test_word_builder_matches_oracles(pfm, case):
                                          term_word(chunk, frac))
             assert np.array_equal(of_support(alg, pair), dense), (r, chunk, frac)
     # no rows, and rows built one call each
-    assert all(a.size == 0 for a in alg.zmul(np.zeros((0, alg.n), dtype=np.int64),
-                                             np.zeros((0, alg.n), dtype=np.int64)))
+    assert not list(alg.zmul(np.zeros((0, alg.n), dtype=np.int64),
+                             np.zeros((0, alg.n), dtype=np.int64)))
     for row, pair in zip(rows[:4], got):
         one, = word_rows(alg, [row])
         assert np.array_equal(one[0], pair[0]) and np.array_equal(one[1], pair[1])

@@ -362,6 +362,14 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         "config": {"p": 5, "f": 1, "M": 2, "N": 1, "case": "GL2"},
         "checks": ["arithmetic-oracles"],
     })
+    # misspelled keys of a scenario and of its config, once ignored: the
+    # run took header seed 0
+    misspelled = [write(tmp_path, f"misspelled{i}.json", {
+        "name": "misspelled", "checks": ["arithmetic-oracles"], **doc}) for i, doc in enumerate(
+            [{"sead": 7, "config": {"p": 5, "f": 1, "M": 2, "case": "GL2"}},
+             {"config": {"p": 5, "f": 1, "M": 2, "case": "GL2", "sede": 3}}])]
+    # past jsonio.ELEMENT_LEVEL_MAX: GL2 (5, 1, 512) took 14 CPU s
+    deep_element = write(tmp_path, "p.json", {**GL2, "M": 512, "matrix": [[1, 5], [0, 1]]})
     support_int = write(tmp_path, "u.json", {**GL2, "support": [1]})
     str_entry = write(tmp_path, "x.json", {**GL2, "matrix": [[1, "x"], [0, 1]]})
     float_entry = write(tmp_path, "y.json", {**GL2, "matrix": [[1, 1.5], [0, 1]]})
@@ -410,8 +418,8 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["module-exponent", "--in", good, "--grading", "int", "--level-n", "5"],
                  ["decompose", "--in", gl2_outside], ["decompose", "--in", quat_outside],
                  ["module-exponent", "--in", no_rep], ["module-exponent", "--in", wide],
-                 ["module-exponent", "--in", empty_rows],
-                 *(["verify", path] for path in refused)):
+                 ["module-exponent", "--in", empty_rows], ["decompose", "--in", deep_element],
+                 *(["verify", path] for path in refused + misspelled)):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -40,7 +40,7 @@ import transcript_oracle
 from graded_oracle import DenseGradedRing
 from span_oracle import primal_ideal_power_spans
 from transform_oracle import of_support
-from zmul_oracle import tau_word, term_word
+from zmul_oracle import table_zmul, tau_word, term_word
 
 F5 = gf(5, 1)
 
@@ -291,7 +291,7 @@ def test_sandwich_matches_sequential_oracle(alg, monkeypatch, fail_at):
             # to the first that fails, whose row becomes [1], of weight 0
             if cutoff == 2 * 5 - 1 and keys.size:
                 rows = keys // alg.order
-                for r in range(int(rows[-1]) + 1):
+                for r in np.unique(rows).tolist():
                     mine = rows == r
                     if failing(of_support(alg, (keys[mine] - r * alg.order, coeffs[mine, 0]))):
                         keys = np.concatenate([keys[rows < r], [r * alg.order], keys[rows > r]])
@@ -562,15 +562,15 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
         return idx, coeffs
 
     def zmul(chunks, fracs):
-        keys, coeffs = real(chunks, fracs)
-        row = keys // alg.order
-        for r, (chunk, frac) in enumerate(zip(chunks.tolist(), fracs.tolist())):
-            how = broken.get(tuple(term_word(chunk, frac)))
-            if how == "double":
-                coeffs = np.where(row == r, 2 * coeffs % alg.p, coeffs)
-            elif how == "empty":
-                keys, coeffs, row = keys[row != r], coeffs[row != r], row[row != r]
-        return keys, coeffs
+        for keys, coeffs in real(chunks, fracs):
+            row = keys // alg.order
+            for r in np.unique(row).tolist():
+                how = broken.get(tuple(term_word(chunks[r].tolist(), fracs[r].tolist())))
+                if how == "double":
+                    coeffs = np.where(row == r, 2 * coeffs % alg.p, coeffs)
+                elif how == "empty":
+                    keys, coeffs, row = keys[row != r], coeffs[row != r], row[row != r]
+            yield keys, coeffs
 
     monkeypatch.setattr(alg, "zmul", zmul)
     monkeypatch.setattr(transcript_oracle, "support_word_mul", support_word_mul)
@@ -647,29 +647,31 @@ def test_tau_contract_at_depth_3_stays_below_one_vector():
     assert peak < 8 * alg.order, peak
 
 
-def test_word_groups_split_at_the_merge_bound(monkeypatch):
-    # the words of 40 rewritten monomials in groups whose support pairs
-    # sum to _MERGE = 300 at most, a row over it alone: joined, the same
-    # row-keyed pair as one call for all rows, and no group's words hold
-    # more than its pairs
-    monkeypatch.setattr(graded, "_MERGE", 300)
+def test_zmul_groups_hold_whole_rows_within_the_pair_chunk(monkeypatch):
+    # the words of 40 rewritten monomials, with _PAIR_CHUNK = 300: groups
+    # of whole rows, ascending, whose support pairs sum to 300 at most, a
+    # row over it alone, no row's word holding more terms than its pairs;
+    # joined, byte for byte the table-walking builder's row-keyed pair
+    monkeypatch.setattr(algebra, "_PAIR_CHUNK", 300)
     alg = group_algebra(PrimeConfig(5, 1, 2, "GL2", N=1))
     rng = np.random.default_rng(3)
     exps = rng.integers(0, alg.pM, size=(2000, alg.n))
     exps = exps[exps @ np.array(alg.nu_weights) < alg.pM][:40]
     fracs = exps % alg.p
     chunks = exps - fracs
-    bounds = np.prod(alg.lucas_terms[chunks] * alg.lucas_terms[fracs], axis=1)
-    groups = list(graded._word_groups(alg, chunks, fracs))
-    assert len(groups) > 2 and bounds.max() > 300
-    keys, coeffs = alg.zmul(chunks, fracs)
-    assert np.array_equal(np.concatenate([k for k, _ in groups]), keys)
-    assert np.array_equal(np.concatenate([c for _, c in groups]), coeffs)
-    for k, _ in groups:
-        rows = np.unique(k // alg.order)
-        assert rows.size == 1 or bounds[rows].sum() <= 300, rows
-        for r in rows:
-            assert np.count_nonzero(k // alg.order == r) <= bounds[r]
+    # a row's support pairs: the terms of z^chunk times those of z^frac
+    pairs = np.prod([np.bincount(alg._lucas_rows(e)[0], minlength=len(e))
+                     for e in (chunks, fracs)], axis=0)
+    groups = list(alg.zmul(chunks, fracs))
+    assert len(groups) > 2 and pairs.max() > 300
+    rows = [np.unique(k // alg.order) for k, _ in groups]
+    assert np.array_equal(np.concatenate(rows), np.arange(len(exps)))  # no word is zero
+    for (k, _), mine in zip(groups, rows):
+        assert mine.size == 1 or pairs[mine].sum() <= 300, mine
+        assert all(np.count_nonzero(k // alg.order == r) <= pairs[r] for r in mine)
+    for got, want in zip(map(np.concatenate, zip(*groups)),
+                         table_zmul(alg, chunks, fracs)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_expand_first_step_stays_within_merge(monkeypatch):
@@ -807,11 +809,9 @@ def _plant(alg, monkeypatch, plant, starts, params):
     real_zmul, word = alg.zmul, graded.tau_exponents(alg, np.array([x]), 1)
 
     def zmul(chunks, fracs):
-        keys, coeffs = real_zmul(chunks, fracs)
-        row = keys // alg.order
-        for r in np.flatnonzero((chunks == word[0]).all(axis=1) & (fracs == word[1]).all(axis=1)):
-            coeffs = np.where(row == r, 2 * coeffs % alg.p, coeffs)
-        return keys, coeffs
+        hit = np.flatnonzero((chunks == word[0]).all(axis=1) & (fracs == word[1]).all(axis=1))
+        for keys, coeffs in real_zmul(chunks, fracs):
+            yield keys, np.where(np.isin(keys // alg.order, hit), 2 * coeffs % alg.p, coeffs)
 
     monkeypatch.setattr(alg, "zmul", zmul)
     return x, lambda: None

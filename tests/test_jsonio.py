@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from propring import jsonio, modules
+from propring import groups, jsonio, modules
 from propring.algebra import group_algebra
 from propring.config import PrimeConfig
 from propring.errors import ConfigError
@@ -63,6 +63,24 @@ def test_group_element_dispatch():
         {"p": 5, "f": 1, "M": 2, "case": "GL2", "digits": [21, 6, 24]}
     )
     assert digits2 == (21, 6, 24)
+
+
+def test_element_level_past_the_bound_is_refused_before_any_build(monkeypatch):
+    # a QUAT element at the bound decomposes; past it the level is refused
+    # before a group model exists: GL2 (5, 1, M) took 2.1 CPU s at M = 256
+    # and 14 s at 512
+    cfg, digits = group_element_digits({"p": 5, "f": 1, "M": jsonio.ELEMENT_LEVEL_MAX,
+                                        "case": "QUAT", "a": [1, 0], "b": [1, 0]})
+    assert digits == (1, 0, 0)
+
+    def no_build(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(groups, "group_model", no_build)
+    for M in (jsonio.ELEMENT_LEVEL_MAX + 1, 512, 10**30):
+        with pytest.raises(ConfigError, match=f"element level M = {M} is above 128"):
+            group_element_digits({"p": 5, "f": 1, "M": M, "case": "GL2", "digits": [1, 0, 0]})
+    assert jsonio.ELEMENT_LEVEL_MAX == 128
 
 
 def expansion_json(alg, support, cutoff):

@@ -83,9 +83,9 @@ def word_mul(alg, a, word):
 
 
 def table_zmul(alg, chunks, fracs):
-    """GroupAlgebra.zmul by the generator tables: the words of the rows r
-    of two (rows, n) exponent arrays as one row-keyed support pair (keys r
-    order + index ascending).  The chunk half is z^chunk in closed form
+    """GroupAlgebra.zmul, its row groups joined, by the generator tables:
+    the words of the rows r of two (rows, n) exponent arrays as one
+    row-keyed support pair (keys r order + index ascending).  The chunk half is z^chunk in closed form
     (GroupAlgebra._lucas_rows); then axis i right-multiplies every row's
     support by (g_i - 1)^e, e = fracs[r, i], through
 
