@@ -29,7 +29,7 @@ from .graded import (
     default_ideals,
 )
 from .groups import group_model, quaternion_commutator_congruence
-from .jsonio import config_from_json, json_int, to_jsonable
+from .jsonio import CONFIG_KEYS, config_from_json, json_int, refuse_unknown_keys, to_jsonable
 from .modules import (
     check_exponent_transfer,
     module_corpus,
@@ -226,15 +226,12 @@ def parse_scenario(data: dict) -> tuple[str, PrimeConfig, int, list[tuple[str, d
     Each check comes back as (name, params as given, keyword arguments)."""
     if not isinstance(data, dict):
         raise ConfigError("scenario must be a JSON object")
-    if extra := set(data) - {"name", "config", "seed", "checks"}:
-        raise ConfigError(f"unknown scenario keys {sorted(extra)}")
+    refuse_unknown_keys(data, {"name", "config", "seed", "checks"}, "scenario")
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError("scenario needs a name")
     cfg = config_from_json(data.get("config", {}))
-    # checked here: point-query documents share config_from_json and carry more keys
-    if extra := set(data.get("config", {})) - {"p", "f", "M", "case", "N", "seed"}:
-        raise ConfigError(f"unknown scenario config keys {sorted(extra)}")
+    refuse_unknown_keys(data.get("config", {}), CONFIG_KEYS, "scenario config")
     seed = json_int(data.get("seed", cfg.seed), "seed")
     raw = data.get("checks")
     if not isinstance(raw, list) or not raw:

@@ -117,9 +117,11 @@ def _element_from_input(data):
     import numpy as np
 
     from .algebra import group_algebra
-    from .jsonio import algebra_element_from_json, config_from_json, digits_from_json
+    from .jsonio import (CONFIG_KEYS, algebra_element_from_json, config_from_json,
+                         digits_from_json, refuse_unknown_keys)
 
     cfg = config_from_json(data)
+    refuse_unknown_keys(data, CONFIG_KEYS | {"support", "digits"}, "element")
     alg = group_algebra(cfg)
     if "support" in data:
         return cfg, alg, algebra_element_from_json(alg, data["support"])

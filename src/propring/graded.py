@@ -45,7 +45,9 @@ from .groups import Digits, GroupModel
 # entries verify_transcripts merges at a time, which keep their transients
 # to a few MB however long the transcripts
 _MERGE = 1 << 16
-# start monomials rewritten as one lockstep batch (_transcripts)
+# start monomials the checks rewrite as one lockstep batch: its residuals,
+# terms and the word sums verify_transcripts merges grow with the count,
+# whatever the group
 _BATCH = 1 << 10
 # rows of the first block draw_row draws; a block with no accepted row
 # doubles the next, up to _DRAW_MAX rows
@@ -357,20 +359,6 @@ def check_central_power_classes(model: GroupModel, N: int) -> dict:
 # -- chunk-and-remainder rewriting ----------------------------------------------
 
 
-@dataclasses.dataclass
-class TauTranscript:
-    start: Digits
-    N: int
-    cutoff: int
-    # the terms in rewrite order (pass, then index): the (terms, n) array of
-    # the monomials rewritten, whose split and weights follow, and coefficients
-    srcs: np.ndarray
-    coeffs: np.ndarray
-    # least weight below p^M left over; None when nothing below p^M is left
-    residual_weight: int | None
-    passes: int
-
-
 def tau_exponents(alg: GroupAlgebra, exps: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The chunk and remainder exponents of the rows of a (rows, n)
     exponent array X: X - X % p^N, multiples of p^N, and X % p^N."""
@@ -485,35 +473,38 @@ def tau_rewrite(alg: GroupAlgebra, exps: Digits, N: int) -> tuple[np.ndarray, np
     return _rewrite_rows(alg, np.array([exps]), N)
 
 
-def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
-                 cutoff: int) -> list[TauTranscript]:
+def iterate_taus(alg: GroupAlgebra, starts: list[Digits],
+                 N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rewrite each start monomial and keep rewriting every surviving
-    lowest-weight monomial until no term below p^M is left or the least
-    one lies beyond the cutoff.  The minimal weight must rise strictly
-    with every pass.  Each residual is a monomial support pair, as
-    tau_rewrite returns them, merged by collect.
+    lowest-weight monomial until no term below p^M is left, the faithful
+    bound.  The minimal weight must rise strictly with every pass.  Each
+    residual is a monomial support pair, as tau_rewrite returns them,
+    merged by collect.  A start of weight p^M or more raises
+    CutoffBeyondFaithful, as tau_rewrite does.
 
     All transcripts run in lockstep: the residuals are one support pair
     keyed by transcript order + index, and a pass rewrites the
     lowest-weight monomials of every transcript as the rows of one
-    _rewrite_rows and merges them by one collect, its terms kept as arrays
-    that one stable sort cuts into the transcripts.  Returns the
-    transcripts, one per start; a break raises ContractViolation at the
-    first in lockstep order, the earliest pass and then the first row
+    _rewrite_rows and merges them by one collect.  Returns the terms of
+    all transcripts as three arrays, sorted by transcript and each
+    transcript's terms in rewrite order (pass, then index): owner, the
+    transcript of each term; srcs, the (terms, n) exponents of the
+    monomials rewritten, whose split and weights follow; and coeffs,
+    their coefficients.  A break raises ContractViolation at the first
+    in lockstep order, the earliest pass and then the first row
     (transcript, then index), which need not be the break that rewriting
     the starts one after another meets first.  One monomial is a batch
     of one."""
-    if cutoff >= alg.pM:  # the rewriting reads its contract below p^M only
-        raise CutoffBeyondFaithful(f"cutoff {cutoff} reaches the unfaithful range")
     starts = [alg.model.check_digits(x) for x in starts]
     order, nu_w = alg.order, alg.nu_weight_array
     keys = np.array([t * order + alg.model.index_of(x) for t, x in enumerate(starts)],
                     dtype=np.int64)
+    for x, w in zip(starts, nu_w[keys % order].tolist()):
+        if w >= alg.pM:  # the rewriting reads its contract below p^M only
+            raise CutoffBeyondFaithful(f"weight {w} of {x} reaches the unfaithful range")
     coeffs = np.ones(keys.size, dtype=np.int64)
     # (transcript, monomial, coefficient) of the terms, a pass at a time
     terms = [(keys[:0], np.zeros((0, alg.n), dtype=np.int64), coeffs[:0])]
-    residual: list[int | None] = [None] * len(starts)
-    passes = np.zeros(len(starts), dtype=np.int64)
     rewrote = np.full(len(starts), -1)  # the weight of each transcript's last pass
     while keys.size:
         t = keys // order
@@ -522,64 +513,53 @@ def iterate_taus(alg: GroupAlgebra, starts: list[Digits], N: int,
         stuck = np.flatnonzero((w0 >= 0) & (w0 <= rewrote))
         if stuck.size:  # the last pass did not raise the least weight
             s = int(stuck[0])
-            raise ContractViolation(f"pass {passes[s] - 1} on {starts[s]} failed to raise "
-                                    f"the weight past {rewrote[s]}", starts[s])
-        for tt in np.flatnonzero(w0 > cutoff).tolist():
-            residual[tt] = int(w0[tt])
-        least = w0[t]
-        level = np.flatnonzero((w == least) & (least <= cutoff))
-        if not level.size:
-            break
+            raise ContractViolation(f"the pass on {starts[s]} at weight {rewrote[s]} failed "
+                                    f"to raise the weight", starts[s])
+        level = np.flatnonzero(w == w0[t])
         src_t, level_c = t[level], coeffs[level]
         exps = np.stack(np.unravel_index(keys[level] - src_t * order, (alg.pM,) * alg.n), axis=1)
         terms.append((src_t, exps, level_c))
         ks, c = _rewrite_rows(alg, exps, N)  # rows ascend with the transcript, then the index
         rt = ks // order  # the row, whose transcript is src_t[rt]
-        keep = least <= cutoff
-        keys, coeffs = alg.collect(np.concatenate([keys[keep], ks + (src_t[rt] - rt) * order]),
-                                   np.concatenate([coeffs[keep], -level_c[rt] * c]))
-        rewrote = np.where(w0 <= cutoff, w0, -1)
-        passes += rewrote >= 0
+        keys, coeffs = alg.collect(np.concatenate([keys, ks + (src_t[rt] - rt) * order]),
+                                   np.concatenate([coeffs, -level_c[rt] * c]))
+        rewrote = w0
     owner, srcs, cs = map(np.concatenate, zip(*terms))
     by = np.argsort(owner, kind="stable")
-    cuts = np.searchsorted(owner[by], np.arange(len(starts) + 1)).tolist()
-    return [TauTranscript(start=x, N=N, cutoff=cutoff, srcs=srcs[by[lo:hi]], coeffs=cs[by[lo:hi]],
-                          residual_weight=residual[t], passes=int(passes[t]))
-            for t, (x, lo, hi) in enumerate(zip(starts, cuts, cuts[1:]))]
+    return owner[by], srcs[by], cs[by]
 
 
-def verify_transcripts(alg: GroupAlgebra, trs: list[TauTranscript]) -> list[bool]:
+def verify_transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, owner: np.ndarray,
+                       srcs: np.ndarray, coeffs: np.ndarray) -> list[bool]:
     """Build every emitted word again from its term's monomial, and confirm
-    for each transcript (all of one N) the exact identity start = sum of
-    terms + residual in group coordinates, with the residual's nu (read
-    below p^M, as element_nu does) the transcript's residual weight and
-    beyond the cutoff.  Each start z^start and then its terms' words are
-    the rows of one GroupAlgebra.zmul, so nothing the rewriting built is
-    read again; its row groups are rekeyed by transcript order + index
-    into the residuals, one support pair merged by collect (_MERGE word
-    entries at a time) and read by _expand."""
-    if not trs:
+    for each start the exact identity start = sum of terms + residual in
+    group coordinates, with nothing of the residual left below p^M (read
+    as element_nu does).  The terms are iterate_taus' arrays.  Each start
+    z^start and then its terms' words are the rows of one
+    GroupAlgebra.zmul, so nothing the rewriting built is read again; its
+    row groups are rekeyed by transcript order + index into the
+    residuals, one support pair merged by collect (_MERGE word entries at
+    a time) and read by _expand."""
+    if not starts:
         return []
     order = alg.order
-    counts = np.array([len(tr.coeffs) for tr in trs])
+    counts = np.bincount(owner, minlength=len(starts))
     at = np.cumsum(counts) - counts  # where each transcript's terms begin
-    chunks, fracs = tau_exponents(alg, np.concatenate([tr.srcs for tr in trs]), trs[0].N)
-    chunks = np.insert(chunks, at, [tr.start for tr in trs], axis=0)
+    chunks, fracs = tau_exponents(alg, srcs, N)
+    chunks = np.insert(chunks, at, starts, axis=0)
     fracs = np.insert(fracs, at, 0, axis=0)
-    sign = np.insert(-np.concatenate([tr.coeffs for tr in trs]), at, 1)
-    owner = np.repeat(np.arange(len(trs)), counts + 1)
+    sign = np.insert(-coeffs, at, 1)
+    row_owner = np.repeat(np.arange(len(starts)), counts + 1)
     parts, pending = [], 0
-    for keys, coeffs in alg.zmul(chunks, fracs):
+    for keys, cs in alg.zmul(chunks, fracs):
         r = keys // order
-        parts.append((keys + (owner[r] - r) * order, sign[r] * coeffs))
+        parts.append((keys + (row_owner[r] - r) * order, sign[r] * cs))
         pending += keys.size
         if pending > _MERGE:
             parts, pending = [alg.collect(*map(np.concatenate, zip(*parts)))], 0
-    keys, coeffs = alg.collect(*map(np.concatenate, zip(*parts)))
-    keys, weights, _ = _expand(alg, [(keys, coeffs)], alg.pM - 1)
-    lowest = _row_minima(keys // order, weights, len(trs)).tolist()
-    return [(None if v < 0 else v) == tr.residual_weight and (v < 0 or v > tr.cutoff)
-            for v, tr in zip(lowest, trs)]
+    keys, cs = alg.collect(*map(np.concatenate, zip(*parts)))
+    keys = _expand(alg, [(keys, cs)], alg.pM - 1)[0]
+    return (np.bincount(keys // order, minlength=len(starts)) == 0).tolist()
 
 
 def chunk_weight_bound(alg: GroupAlgebra, src_weight: int | np.ndarray, N: int):
@@ -611,18 +591,6 @@ def draw_row(rng: np.random.Generator, high: int, n: int, accept) -> Digits:
             rng.integers(0, high, size=(j + 1, n))
             return tuple(rows[j].tolist())
         size = min(2 * size, _DRAW_MAX)
-
-
-def _transcripts(alg: GroupAlgebra, starts: list[Digits], N: int, cutoff: int, verify: bool):
-    """The starts rewritten in order by iterate_taus, whose break raises,
-    in lockstep batches of _BATCH starts: yields (lo, transcripts,
-    verdicts) for the batch starts[lo:lo + _BATCH], the verdicts from
-    verify_transcripts when verify is set (True otherwise).  A batch's
-    residuals, terms and the word sums verify_transcripts merges grow
-    with its count, whatever the group."""
-    for lo in range(0, len(starts), _BATCH):
-        trs = iterate_taus(alg, starts[lo:lo + _BATCH], N, cutoff)
-        yield lo, trs, verify_transcripts(alg, trs) if verify else [True] * len(trs)
 
 
 def _first_draws(alg: GroupAlgebra, k: int, N: int, rng: np.random.Generator, samples: int):
@@ -688,22 +656,21 @@ def _in_window(alg: GroupAlgebra, k: int, N: int):
     return accept
 
 
-def _tally(alg: GroupAlgebra, N: int, reps: list[tuple[int, dict]], trs: list[TauTranscript],
-           verified: list[bool]) -> None:
+def _tally(alg: GroupAlgebra, N: int, reps: list[tuple[int, dict]], owner: np.ndarray,
+           srcs: np.ndarray, verified: list[bool]) -> None:
     """Count a batch of transcripts of the second inclusion into their
-    reports: trs[i], with verdict verified[i], at the index k of reps[i] =
-    (k, report).  A report fails with its first failing transcript and
-    counts none after it.  All terms of the batch are read at once."""
-    q, w = alg.p**N, np.array(alg.nu_weights)
-    counts = np.array([len(tr.coeffs) for tr in trs])
-    owner = np.repeat(np.arange(len(trs)), counts)
-    srcs = np.concatenate([tr.srcs for tr in trs])
+    reports: transcript i, whose terms are those iterate_taus gives owner
+    i and whose verdict is verified[i], at the index k of reps[i] = (k,
+    report).  A report fails with its first failing transcript and counts
+    none after it.  All terms of the batch are read at once."""
+    q, w, count = alg.p**N, np.array(alg.nu_weights), len(reps)
     chunk_w = (srcs // q) @ w  # nu'(chunk) / p^N
     margin = chunk_w - (np.array([k for k, _ in reps])[owner] - 4 * alg.model.f)
     bad = (chunk_w < chunk_weight_bound(alg, srcs @ w, N)) | (margin < 0)
-    bad = np.bincount(owner[bad], minlength=len(trs)).tolist()
-    least = _row_minima(owner, margin, len(trs)).tolist()  # read only where n > 0
-    for (_, rep), n, m, b, ok in zip(reps, counts.tolist(), least, bad, verified):
+    bad = np.bincount(owner[bad], minlength=count).tolist()
+    counts = np.bincount(owner, minlength=count).tolist()
+    least = _row_minima(owner, margin, count).tolist()  # read only where n > 0
+    for (_, rep), n, m, b, ok in zip(reps, counts, least, bad, verified):
         if rep["ok"]:
             rep["transcripts"] += 1
             rep["ok"] = ok and not b
@@ -734,9 +701,10 @@ def check_sandwich(alg: GroupAlgebra, ks, N: int, rng: np.random.Generator,
     the other k do not depend on any k's verdict, and the reports are
     those of checking one k after another (tests/sandwich_oracle.py).
     Then each first inclusion runs up to its first failing product, and
-    the monomials of all k are rewritten as one lockstep stream
-    (_transcripts), each k's transcripts counted up to its first failing
-    one.  A broken rewriting raises at its first break in lockstep order."""
+    the monomials of all k are rewritten as one lockstep stream in
+    batches of _BATCH starts, each k's transcripts counted up to its first
+    failing one.  A broken rewriting raises at its first break in lockstep
+    order."""
     if alg.model.M <= N:
         raise ConfigError("need N < M")
     q, cutoff = alg.p**N, alg.pM - 1
@@ -754,8 +722,11 @@ def check_sandwich(alg: GroupAlgebra, ks, N: int, rng: np.random.Generator,
     seconds = [{"transcripts": 0, "monomials_touched": 0, "min_chunk_margin": None,
                 "ok": True} for _ in live]
     reps = [(k, rep) for k, rep in zip(live, seconds) for _ in range(mono_samples)]
-    for lo, trs, verified in _transcripts(alg, starts, N, cutoff, verify=True):
-        _tally(alg, N, reps[lo:lo + len(trs)], trs, verified)
+    for lo in range(0, len(starts), _BATCH):
+        batch = starts[lo:lo + _BATCH]
+        owner, srcs, coeffs = iterate_taus(alg, batch, N)
+        _tally(alg, N, reps[lo:lo + _BATCH], owner, srcs,
+               verify_transcripts(alg, batch, N, owner, srcs, coeffs))
     return [{"k": k, "N": N, "cutoff": cutoff, "first_inclusion": first,
              "second_inclusion": second, "ok": first["ok"] and second["ok"]}
             for k, first, second in zip(live, firsts, seconds)]
@@ -775,6 +746,7 @@ def check_tau_contract(alg: GroupAlgebra, N: int, rng: np.random.Generator,
               for _ in range(samples)]
     # _rewrite_rows checks the contract on every rewrite and raises at the
     # first break; nothing verifies the identity start = terms + residual
-    batches = _transcripts(alg, starts, N, cutoff, verify=False)
-    checked = sum(len(tr.coeffs) for _, trs, _ in batches for tr in trs)
+    checked = 0
+    for lo in range(0, len(starts), _BATCH):
+        checked += len(iterate_taus(alg, starts[lo:lo + _BATCH], N)[0])
     return {"N": N, "monomials_checked": checked, "ok": True}

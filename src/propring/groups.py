@@ -413,11 +413,19 @@ class GL2Model(GroupModel):
 
     @functools.cached_property
     def _peel_array(self) -> np.ndarray:
-        """(f, M, p, f): entry [i, k-1, delta] is (1 + p[a^i])^(-delta p^(k-1))."""
-        p = self.p
-        return np.array([[[(t ** (delta * p ** (k - 1))).vec for delta in range(p)]
-                          for k in range(1, self.M + 1)] for t in self._tdiag_inv],
-                        dtype=self.dtype)
+        """(f, M, p, f): entry [i, k-1, delta] is (1 + p[a^i])^(-delta p^(k-1)),
+        by running products: entry delta is entry delta - 1 times the row's
+        base u, and u^p is the base of the next row: f M p ring products in
+        all, where a power per entry takes about log2 of its exponent."""
+        rows = []
+        for u in self._tdiag_inv:
+            for _ in range(self.M):
+                row = [self.ring.one, u]
+                for _ in range(2, self.p):
+                    row.append(row[-1] * u)
+                rows.append([e.vec for e in row])
+                u = row[-1] * u  # u^p, the base of the next row
+        return np.array(rows, dtype=self.dtype).reshape(self.f, self.M, self.p, self.f)
 
     def _decompose_array(self, m):
         """decompose on a (batch, 4, f) array."""

@@ -6,6 +6,7 @@ object."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,6 +30,17 @@ def _as_int_list(v, what: str) -> list[int]:
     if not isinstance(v, (list, tuple)):
         raise ConfigError(f"{what} must be a list of integers")
     return [json_int(x, f"{what} entry") for x in v]
+
+
+# the keys of a config header, which every point-query document carries
+CONFIG_KEYS = frozenset(field.name for field in dataclasses.fields(PrimeConfig))
+
+
+def refuse_unknown_keys(d: dict, allowed: set | frozenset, what: str) -> None:
+    """Raise ConfigError naming the keys of the document d outside allowed,
+    so that a misspelled key is refused rather than ignored."""
+    if extra := set(d) - allowed:
+        raise ConfigError(f"unknown {what} keys {sorted(extra)}")
 
 
 def config_from_json(d: dict) -> PrimeConfig:
@@ -84,6 +96,7 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
     from .groups import group_model
 
     cfg = config_from_json(d)
+    refuse_unknown_keys(d, CONFIG_KEYS | {"digits", "matrix", "a", "b"}, "decompose")
     if cfg.M > ELEMENT_LEVEL_MAX:
         raise ConfigError(f"element level M = {cfg.M} is above {ELEMENT_LEVEL_MAX}: the "
                           f"decomposition's cost grows faster than the level")
@@ -216,6 +229,7 @@ def module_from_json(d: dict):
 
     if not isinstance(d, dict):
         raise ConfigError("module must be an object")
+    refuse_unknown_keys(d, {"dim", "field", "generators", "level", "case"}, "module")
     fld = d.get("field")
     if not isinstance(fld, dict):
         raise ConfigError("module needs a field header {p, f}")

@@ -64,6 +64,15 @@ def decompose_gl2(model, m):
     return tuple(digits)
 
 
+def peel_array(model):
+    """GL2Model._peel_array by one power per entry: [i, k-1, delta] is
+    (1 + p[a^i])^(-delta p^(k-1))."""
+    p = model.p
+    return np.array([[[(t ** (delta * p ** (k - 1))).vec for delta in range(p)]
+                      for k in range(1, model.M + 1)] for t in model._tdiag_inv],
+                    dtype=model.dtype)
+
+
 def decompose_quat(model, q):
     R = model.ctx.ring
     F = R.field

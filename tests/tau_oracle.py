@@ -7,17 +7,15 @@ monomial; iterate_tau keeps its residual as a dense group-coordinate
 vector and transforms it back to monomial coordinates twice per pass.
 The library keeps support pairs throughout and reads each rewritten word
 below p^M only, by GroupAlgebra.support_expansion; both share only the
-transcript types.  The word is zmul_oracle.tau_word.  below_faithful and
-read_residual read the oracle's answers on the weights below p^M, as the
-library gives them."""
-
-import dataclasses
+transcript record (batch_of_one.Transcript).  The word is
+zmul_oracle.tau_word.  below_faithful reads the oracle's answers on the
+weights below p^M, as the library gives them."""
 
 import numpy as np
 
 from propring.errors import ContractViolation
-from propring.graded import TauTranscript
 
+from batch_of_one import Transcript
 from transform_oracle import of_group
 from zmul_oracle import tau_word, word_mul
 
@@ -36,14 +34,6 @@ def below_faithful(alg, dense):
     return c
 
 
-def read_residual(alg, tr):
-    """The transcript with a residual weight of p^M or more read as None:
-    nothing is left below p^M."""
-    if tr.residual_weight is not None and tr.residual_weight >= alg.pM:
-        return dataclasses.replace(tr, residual_weight=None)
-    return tr
-
-
 def tau_rewrite(alg, exps, N, verify=True):
     """Dense (group-coordinate) image of the monomial under the rewriting;
     with verify, the contract nu(tau(x)) = nu(x) and tau(x) - x in
@@ -60,24 +50,21 @@ def tau_rewrite(alg, exps, N, verify=True):
     return dense
 
 
-def iterate_tau(alg, exps, N, cutoff):
+def iterate_tau(alg, exps, N):
     """The iterated rewriting with a dense residual, transformed to monomial
-    coordinates to pick each pass's level and again to check its rise."""
+    coordinates to pick each pass's level and again to check its rise,
+    until nothing below p^M is left."""
     exps = alg.model.check_digits(exps)
     nu_w = alg.nu_weight_array
     residual = alg.monomial(exps)
     srcs, coeffs = [], []
     passes = 0
     while True:
-        mono = alg.to_monomial(residual)
+        mono = below_faithful(alg, residual)
         hit = np.nonzero(mono)[0]
         if hit.size == 0:
-            residual_weight = None
             break
         w0 = int(nu_w[hit].min())
-        if w0 > cutoff:
-            residual_weight = w0
-            break
         for idx in hit[nu_w[hit] == w0]:
             k = alg.model.digits_of(int(idx))
             coeff = int(mono[idx])
@@ -91,7 +78,5 @@ def iterate_tau(alg, exps, N, cutoff):
             raise ContractViolation(
                 f"pass {passes} on {exps} failed to raise the weight past {w0}", exps)
         passes += 1
-    return TauTranscript(start=exps, N=N, cutoff=cutoff,
-                         srcs=np.array(srcs, dtype=np.int64).reshape(-1, alg.n),
-                         coeffs=np.array(coeffs, dtype=np.int64),
-                         residual_weight=residual_weight, passes=passes)
+    return Transcript(start=exps, N=N, srcs=np.array(srcs, dtype=np.int64).reshape(-1, alg.n),
+                      coeffs=np.array(coeffs, dtype=np.int64), passes=passes)

@@ -145,7 +145,7 @@ def test_criterion_06_tau_contract_on_touched_monomials():
                 wx = alg.nu_prime(x)
                 if 5 * k <= wx <= min(cutoff, 5 * k + 10):
                     break
-            tr = iterate_tau(alg, x, 1, cutoff)
+            tr = iterate_tau(alg, x, 1)
             for src in map(tuple, tr.srcs.tolist()):
                 dense = tau_oracle.tau_rewrite(alg, src, 1, verify=False)
                 w = alg.nu_prime(src)

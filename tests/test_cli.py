@@ -368,6 +368,15 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         "name": "misspelled", "checks": ["arithmetic-oracles"], **doc}) for i, doc in enumerate(
             [{"sead": 7, "config": {"p": 5, "f": 1, "M": 2, "case": "GL2"}},
              {"config": {"p": 5, "f": 1, "M": 2, "case": "GL2", "sede": 3}}])]
+    # misspelled keys of point-query and module documents, once ignored: nu
+    # echoed header seed 0, decompose read the matrix beside "digts", and
+    # the module loaded at level 1
+    unknown_keys = [["nu", "--in", write(tmp_path, "unknown0.json", {
+        **GL2, "digits": [1, 0, 0], "sede": 3, "n": 1})],
+        ["decompose", "--in", write(tmp_path, "unknown1.json", {
+            **GL2, "digts": [1, 0, 0], "matrix": [[1, 0], [0, 1]]})],
+        ["module-exponent", "--in", write(tmp_path, "unknown2.json", dict(
+            module, field={"p": 5, "f": 1}, levle=3))]]
     # past jsonio.ELEMENT_LEVEL_MAX: GL2 (5, 1, 512) took 14 CPU s
     deep_element = write(tmp_path, "p.json", {**GL2, "M": 512, "matrix": [[1, 5], [0, 1]]})
     support_int = write(tmp_path, "u.json", {**GL2, "support": [1]})
@@ -419,7 +428,7 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                  ["decompose", "--in", gl2_outside], ["decompose", "--in", quat_outside],
                  ["module-exponent", "--in", no_rep], ["module-exponent", "--in", wide],
                  ["module-exponent", "--in", empty_rows], ["decompose", "--in", deep_element],
-                 *(["verify", path] for path in refused + misspelled)):
+                 *(["verify", path] for path in refused + misspelled), *unknown_keys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""

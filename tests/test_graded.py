@@ -28,8 +28,8 @@ from propring.graded import (
     hilbert_oracle,
     ideal_spec,
     tau_rewrite,
-    TauTranscript,
 )
+import batch_of_one
 import graded_oracle
 from batch_of_one import iterate_tau, verify_transcript
 import monomial_oracle
@@ -189,15 +189,13 @@ def _value(tr):
 
 def assert_tau_matches_oracle(alg, x):
     """The support-pair rewriting of x against the dense one: the same
-    image below p^M, the same transcript once the oracle's residual weight
-    from p^M on is read as None; returns the number of passes."""
-    cutoff = alg.pM - 1
+    image below p^M and the same transcript, whose passes the library's
+    side reads as the distinct weights of its terms; returns the number
+    of passes."""
     assert np.array_equal(of_support(alg, tau_rewrite(alg, x, 1)), tau_oracle.below_faithful(
         alg, tau_oracle.tau_rewrite(alg, x, 1))), x
-    tr = iterate_tau(alg, x, 1, cutoff)
-    want = tau_oracle.read_residual(alg, tau_oracle.iterate_tau(alg, x, 1, cutoff))
-    assert _value(tr) == _value(want), x
-    assert tr.residual_weight is None  # the cutoff p^M - 1 leaves nothing below p^M
+    tr = iterate_tau(alg, x, 1)
+    assert _value(tr) == _value(tau_oracle.iterate_tau(alg, x, 1)), x
     return tr.passes
 
 
@@ -231,7 +229,7 @@ def test_iterate_tau_transcripts(alg, rng):
         x = tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n))
         if not any(x) or alg.nu_prime(x) > alg.pM - 1:
             continue
-        tr = iterate_tau(alg, x, 1, alg.pM - 1)
+        tr = iterate_tau(alg, x, 1)
         assert verify_transcript(alg, tr)
         # the bound on a whole array, against the ceiling of each weight
         w = np.array(alg.nu_weights)
@@ -249,13 +247,26 @@ def test_sandwich_light(alg, rng):
     assert out["second_inclusion"]["min_chunk_margin"] >= 0
 
 
-def test_sandwich_gate(alg, rng):
+def test_sandwich_gate(alg, cfg, rng, monkeypatch):
     # k p^N = 25 passes the faithful cutoff p^M - 1 = 24
     with pytest.raises(CutoffBeyondFaithful):
         check_sandwich(alg, [5], 1, rng, samples=1, mono_samples=1)
-    # the rewriting reads its contract below p^M only
+    # the rewriting reads its contract below p^M only: a start of weight
+    # 25 = p^M is refused by the rewriting of one monomial and by the
+    # lockstep, where it had no term below p^M to rewrite and its
+    # re-expansion read as a failing transcript
     with pytest.raises(CutoffBeyondFaithful):
         tau_rewrite(alg, (20, 5, 0), 1)
+    with pytest.raises(CutoffBeyondFaithful, match=r"weight 25 of \(20, 5, 0\)"):
+        graded.iterate_taus(alg, [(1, 0, 0), (20, 5, 0)], 1)
+    # so a check that met such a start would report indeterminate, not fail
+    monkeypatch.setattr(graded, "draw_row", lambda *args: (20, 5, 0))
+    report, code = checks.run_scenario({
+        "name": "unfaithful-start", "seed": 7,
+        "config": {"p": 5, "f": 1, "M": 2, "N": 1, "case": cfg.case},
+        "checks": [{"check": "tau-contract", "params": {"N": 1, "samples": 2}}]})
+    entry, = report["checks"]
+    assert code == 1 and entry["status"] == "indeterminate", entry
 
 
 @pytest.mark.parametrize("fail_at", [None, 0, 9])
@@ -375,14 +386,14 @@ def _record_draws(monkeypatch):
     list returned collects the monomials they draw."""
     drawn = []
 
-    def iterate_taus(alg, starts, N, cutoff):
+    def iterate_taus(alg, starts, N):
         drawn.extend(starts)
-        return [TauTranscript(start=x, N=N, cutoff=cutoff, srcs=np.zeros((0, alg.n), dtype=int),
-                              coeffs=np.zeros(0, dtype=int), residual_weight=None, passes=0)
-                for x in starts]
+        return (np.zeros(0, dtype=np.int64), np.zeros((0, alg.n), dtype=np.int64),
+                np.zeros(0, dtype=np.int64))
 
     monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
-    monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [True] * len(trs))
+    monkeypatch.setattr(graded, "verify_transcripts",
+                        lambda alg, starts, *arrays: [True] * len(starts))
     return drawn
 
 
@@ -452,7 +463,7 @@ def test_transcripts_at_depth_3_stay_below_one_vector():
     tracemalloc.start()
     try:
         for x in ((76, 14, 5), (55, 4, 17), (2, 32, 31), (46, 38, 15)):
-            assert verify_transcript(alg, iterate_tau(alg, x, 1, alg.pM - 1)), x
+            assert verify_transcript(alg, iterate_tau(alg, x, 1)), x
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -494,14 +505,13 @@ def test_lockstep_matches_per_transcript_oracle(pfm, case):
     # that draw and rewrite one at a time: the same reports and the
     # generator in the same state
     alg = group_algebra(PrimeConfig(*pfm, case, N=1))
-    cutoff = alg.pM - 1
     multi = 0
     for k in (1, 2, 3):
         starts = _window_starts(alg, k, np.random.default_rng(k), 30)
-        trs = graded.iterate_taus(alg, starts, 1, cutoff)
-        want = [transcript_oracle.iterate_tau(alg, x, 1, cutoff) for x in starts]
+        trs = batch_of_one.iterate_taus(alg, starts, 1)
+        want = [transcript_oracle.iterate_tau(alg, x, 1) for x in starts]
         assert [_value(tr) for tr in trs] == [_value(tr) for tr in want]
-        assert graded.verify_transcripts(alg, trs) == [
+        assert batch_of_one.verify_transcripts(alg, trs) == [
             transcript_oracle.verify_transcript(alg, tr) for tr in want] == [True] * 30
         multi += sum(tr.passes > 1 for tr in trs)
         rng, seq = np.random.default_rng(10 + k), np.random.default_rng(10 + k)
@@ -541,9 +551,9 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
     # and rewrites its 30 as one batch, so it raises T2's break too, with
     # the generator after all the draws
     alg = group_algebra(PrimeConfig(*pfm, case, N=1))
-    cutoff, k = alg.pM - 1, 2
+    k = 2
     starts = _window_starts(alg, k, np.random.default_rng(31), 30)
-    clean = [transcript_oracle.iterate_tau(alg, x, 1, cutoff) for x in starts]
+    clean = [transcript_oracle.iterate_tau(alg, x, 1) for x in starts]
     first = _first_passes(alg, clean)
     late = min((tp, x) for x, tp in first.items() if tp[1] >= 1)
     (T, P), x = late
@@ -577,16 +587,16 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
     perturbed, changed = (f"rewriting perturbed {x} at its own weight",
                           f"rewriting changed the weight of {y}")
     with pytest.raises(ContractViolation) as got:
-        graded.iterate_taus(alg, starts, 1, cutoff)
+        graded.iterate_taus(alg, starts, 1)
     assert str(got.value) == changed and got.value.witness == y
     with pytest.raises(ContractViolation) as want:
-        [transcript_oracle.iterate_tau(alg, s, 1, cutoff) for s in starts]
+        [transcript_oracle.iterate_tau(alg, s, 1) for s in starts]
     assert str(want.value) == perturbed and want.value.witness == x
     batches, real_taus = [], graded.iterate_taus
 
-    def iterate_taus(alg, starts, N, cutoff):
+    def iterate_taus(alg, starts, N):
         batches.append(len(starts))
-        return real_taus(alg, starts, N, cutoff)
+        return real_taus(alg, starts, N)
 
     monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
     rng, seq = np.random.default_rng(31), np.random.default_rng(31)
@@ -598,9 +608,9 @@ def test_lockstep_raises_the_break_the_sequential_loop_raises(pfm, case, monkeyp
     assert rng.bit_generator.state == seq.bit_generator.state
     del broken[tuple(tau_word(alg, y, 1))]
     with pytest.raises(ContractViolation) as got:
-        real_taus(alg, starts, 1, cutoff)
+        real_taus(alg, starts, 1)
     with pytest.raises(ContractViolation) as want:
-        [transcript_oracle.iterate_tau(alg, s, 1, cutoff) for s in starts]
+        [transcript_oracle.iterate_tau(alg, s, 1) for s in starts]
     assert str(got.value) == str(want.value) == perturbed
     assert got.value.witness == want.value.witness == x
 
@@ -620,11 +630,11 @@ def test_lockstep_batch_at_depth_3_stays_below_one_vector():
               for _ in range(20)]
     tracemalloc.start()
     try:
-        trs = graded.iterate_taus(alg, starts, 1, alg.pM - 1)
+        owner = graded.iterate_taus(alg, starts, 1)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(trs) == 20
+    assert np.unique(owner).tolist() == list(range(20))
     assert peak < 8 * alg.order, peak
 
 
@@ -707,16 +717,16 @@ def test_lockstep_batches_hold_the_count(monkeypatch):
     real, real_verify = graded.iterate_taus, graded.verify_transcripts
     starts, batches = [], []
 
-    def iterate_taus(alg, xs, N, cutoff):
+    def iterate_taus(alg, xs, N):
         starts.extend(xs)
         batches.append(len(xs))
-        return real(alg, xs, N, cutoff)
+        return real(alg, xs, N)
 
     monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
     check_sandwich(alg, [1, 2, 3], 1, np.random.default_rng(8), samples=0, mono_samples=10)
     x = starts[13]
-    monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [
-        ok and tr.start != x for ok, tr in zip(real_verify(alg, trs), trs)])
+    monkeypatch.setattr(graded, "verify_transcripts", lambda alg, xs, *rest: [
+        ok and s != x for ok, s in zip(real_verify(alg, xs, *rest), xs)])
     reports = []
     for count in (1, 7, graded._BATCH):
         monkeypatch.setattr(graded, "_BATCH", count)
@@ -743,9 +753,9 @@ def test_bench_sandwich_starts_run_in_one_batch(case, monkeypatch):
     alg = group_algebra(PrimeConfig(5, 1, 2, case, N=1))
     real, batches = graded.iterate_taus, []
 
-    def iterate_taus(alg, starts, N, cutoff):
+    def iterate_taus(alg, starts, N):
         batches.append(len(starts))
-        return real(alg, starts, N, cutoff)
+        return real(alg, starts, N)
 
     monkeypatch.setattr(graded, "iterate_taus", iterate_taus)
     res = checks._chk_sandwich(checks.Run(PrimeConfig(5, 1, 2, case, N=1)),
@@ -796,10 +806,10 @@ def _plant(alg, monkeypatch, plant, starts, params):
     if plant == "transcript":
         x = starts[mono + 2]
         real_verify = graded.verify_transcripts
-        monkeypatch.setattr(graded, "verify_transcripts", lambda alg, trs: [
-            ok and tr.start != x for ok, tr in zip(real_verify(alg, trs), trs)])
+        monkeypatch.setattr(graded, "verify_transcripts", lambda alg, xs, *rest: [
+            ok and s != x for ok, s in zip(real_verify(alg, xs, *rest), xs)])
         return x, lambda: None
-    trs = graded.iterate_taus(alg, starts, 1, alg.pM - 1)
+    trs = batch_of_one.iterate_taus(alg, starts, 1)
     before = set()
     for t, tr in enumerate(trs):
         if t >= 2 * mono and tr.start not in before:
@@ -961,7 +971,7 @@ def test_tau_path_builds_no_power_tables(model_cls):
         x = tuple(int(v) for v in rng.integers(0, alg.pM, size=alg.n))
         if not any(x) or alg.nu_prime(x) > alg.pM - 1:
             continue
-        assert verify_transcript(alg, iterate_tau(alg, x, 1, alg.pM - 1))
+        assert verify_transcript(alg, iterate_tau(alg, x, 1))
         done += 1
     tables = set(alg.model._tables)
     assert tables <= power_oracle.pc_generators(alg.model) and len(tables) <= alg.n

@@ -333,6 +333,17 @@ def test_deep_point_queries_stay_exact(case, pfm, dtype):
         assert model.mul(x, y) == oracle.mul(model, x, y)
 
 
+@pytest.mark.parametrize("pfm", ((5, 1, 2), (5, 2, 1), (7, 1, 2), (5, 1, 3), (13, 2, 2),
+                                 (5, 3, 2), (101, 1, 3), (7, 2, 5), (5, 1, 13)), ids=str)
+def test_gl2_peel_table_matches_one_power_per_entry(pfm):
+    # the running products of GL2Model._peel_array against a power per
+    # entry, byte for byte, the object-dtype table at (5, 1, 13) among them
+    model = GL2Model(*pfm)
+    got, want = model._peel_array, oracle.peel_array(model)
+    assert got.dtype == want.dtype and got.shape == want.shape == (pfm[1], pfm[2], pfm[0], pfm[1])
+    assert got.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("case", ("GL2", "QUAT"))
 @pytest.mark.parametrize("pfm", ((5, 1, 2), (5, 2, 1), (7, 1, 2)), ids=str)
 def test_digit_powers_match_repeated_products(case, pfm):
