@@ -1,5 +1,5 @@
 """The chunk-and-remainder rewriting in group coordinates: the test oracle
-for graded.tau_rewrite and graded.iterate_tau.
+for graded.tau_rewrite and graded.iterate_taus.
 
 tau_rewrite returns the dense image of the rewritten word and checks the
 contract by transforming that image and its difference from the dense

@@ -252,14 +252,13 @@ def test_sandwich_gate(alg, cfg, rng, monkeypatch):
     with pytest.raises(CutoffBeyondFaithful):
         check_sandwich(alg, [5], 1, rng, samples=1, mono_samples=1)
     # the rewriting reads its contract below p^M only: a start of weight
-    # 25 = p^M is refused by the rewriting of one monomial and by the
-    # lockstep, where it had no term below p^M to rewrite and its
-    # re-expansion read as a failing transcript
+    # 25 = p^M, which has no term below p^M to rewrite, is refused by the
+    # rewriting of one monomial and by the lockstep
     with pytest.raises(CutoffBeyondFaithful):
         tau_rewrite(alg, (20, 5, 0), 1)
     with pytest.raises(CutoffBeyondFaithful, match=r"weight 25 of \(20, 5, 0\)"):
         graded.iterate_taus(alg, [(1, 0, 0), (20, 5, 0)], 1)
-    # so a check that met such a start would report indeterminate, not fail
+    # so a check that met such a start reports indeterminate, not fail
     monkeypatch.setattr(graded, "draw_row", lambda *args: (20, 5, 0))
     report, code = checks.run_scenario({
         "name": "unfaithful-start", "seed": 7,
