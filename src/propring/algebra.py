@@ -83,7 +83,7 @@ import math
 
 import numpy as np
 
-from .config import CACHED_CONFIGS, PrimeConfig
+from .config import PrimeConfig
 from .errors import ConfigError, CutoffBeyondFaithful
 from .gf import gf, matmul, rref
 from .groups import Digits, GroupModel, group_model
@@ -585,10 +585,11 @@ def check_maximal_ideal_powers(alg: GroupAlgebra, jmax: int) -> dict:
             "graded_dims": [int(v) for v in counts]}
 
 
-@functools.lru_cache(maxsize=CACHED_CONFIGS)
-def _algebra(p: int, f: int, M: int, case: str) -> GroupAlgebra:
-    return GroupAlgebra(group_model(PrimeConfig(p=p, f=f, M=M, case=case)))
-
-
 def group_algebra(cfg: PrimeConfig) -> GroupAlgebra:
-    return _algebra(cfg.p, cfg.f, cfg.M, cfg.case)
+    """The algebra on group_model(cfg), built once and kept on the model.
+    Model and algebra then refer to each other; Python's cycle collector
+    frees the pair once groups._model drops the model."""
+    model = group_model(cfg)
+    if model.algebra is None:
+        model.algebra = GroupAlgebra(model)
+    return model.algebra

@@ -35,7 +35,7 @@ from .modules import (
     module_corpus,
     restriction_determinism,
 )
-from .padic import quat_context, zq_ring
+from .padic import QuatContext, ZqRing
 
 
 def sub_rng(seed: int, name: str) -> np.random.Generator:
@@ -136,7 +136,7 @@ def _chk_restriction_determinism(run: Run, rng, N: int, count: int,
 def _chk_arithmetic_oracles(run: Run, rng) -> dict:
     """Frozen unit oracles at p=5, f=1, level 2; independent of the
     scenario configuration."""
-    R = zq_ring(5, 1, 2)
+    R = ZqRing(5, 1, 2)
     model = group_model(PrimeConfig(5, 1, 2, "GL2"))
     results = {}
     results["teichmuller_2_is_7"] = R.teichmuller(2).vec == (7,)
@@ -144,7 +144,7 @@ def _chk_arithmetic_oracles(run: Run, rng) -> dict:
     results["hensel_sqrt_21_is_11"] = R.hensel_sqrt(R.from_int(21)).vec == (11,)
     results["hensel_sqrt_6_is_16"] = R.hensel_sqrt(R.from_int(6)).vec == (16,)
     results["inverse_6_is_21"] = R.inv(R.from_int(6)).vec == (21,)
-    ctx = quat_context(5, 1, 2)
+    ctx = QuatContext(5, 1, 2)
     one_plus_pi = ctx.quat(ctx.ring.one, ctx.ring.one)
     results["nrd_one_plus_pi_is_1_minus_p"] = (
         one_plus_pi.nrd() == ctx.ring.from_int(1 - 5)

@@ -117,18 +117,16 @@ def _element_from_input(data):
     import numpy as np
 
     from .algebra import group_algebra
-    from .jsonio import (CONFIG_KEYS, algebra_element_from_json, config_from_json,
-                         digits_from_json, refuse_unknown_keys)
+    from .jsonio import (algebra_element_from_json, config_from_json, digits_from_json,
+                         require_one_form)
 
     cfg = config_from_json(data)
-    refuse_unknown_keys(data, CONFIG_KEYS | {"support", "digits"}, "element")
+    require_one_form(data, ({"support"}, {"digits"}), "element")
     alg = group_algebra(cfg)
     if "support" in data:
         return cfg, alg, algebra_element_from_json(alg, data["support"])
-    if "digits" in data:
-        idx = np.array([alg.model.index_of(digits_from_json(data, cfg))])
-        return cfg, alg, (idx, np.eye(1, cfg.f, dtype=np.int64))
-    raise ConfigError("element needs either a support list or digits")
+    idx = np.array([alg.model.index_of(digits_from_json(data, cfg))])
+    return cfg, alg, (idx, np.eye(1, cfg.f, dtype=np.int64))
 
 
 def _cmd_nu(args) -> int:

@@ -4,7 +4,7 @@ A configuration fixes the prime p > 3, the residue degree f, the truncation
 depth M (group = full group mod p^M-th powers, ring coefficients mod p), the
 optional rescaling depth N with 1 <= N < M used by the integer- and
 residue-scaled filtrations, the group case, and the seed for every sampled
-check.  All derived objects (rings, group models, algebras) are keyed by it.
+check.  The group model of a config owns its ring, tables and algebra.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import dataclasses
 from .errors import ConfigError
 
 CASES = ("GL2", "QUAT")
-# entries each per-config cache (fields, rings, group models, algebras)
-# holds, least recently used first out; a run touches a handful
+# entries each of the two caches (gf's fields, groups' models with their
+# rings and algebras) holds, least recently used first out; a run uses few
 CACHED_CONFIGS = 32
 
 

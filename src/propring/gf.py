@@ -51,14 +51,13 @@ IRREDUCIBLE_LIFTS = {
 }
 
 
-@functools.lru_cache(maxsize=CACHED_CONFIGS)
 def irreducible_lift(p: int, deg: int) -> tuple[int, ...]:
     """Monic degree-deg polynomial f over Z whose root x generates the
     multiplicative group of F_p[x]/(f), and at whose power
     x^((p^deg - 1)/(p^m - 1)) the lift of every degree m | deg, m < deg,
     vanishes: the first in ascending-lex order of (a_0, ..., a_{deg-1}), a_0
     most significant, tested mod (p, f) in blocks of the p^(deg-1) that
-    share a_0; from IRREDUCIBLE_LIFTS if cached.  x of order exactly
+    share a_0; from IRREDUCIBLE_LIFTS if listed.  x of order exactly
     p^deg - 1 makes f irreducible: its powers are that many distinct units,
     so every nonzero residue is a unit and F_p[x]/(f) is a field."""
     if (p, deg) in IRREDUCIBLE_LIFTS:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .config import CACHED_CONFIGS, PrimeConfig
 from .errors import ConfigError, ContractViolation, NotInGroup
-from .padic import Quaternion, quat_context, zq_ring
+from .padic import QuatContext, Quaternion, ZqRing
 
 Digits = tuple[int, ...]
 
@@ -67,7 +67,8 @@ def _vp(n: int, p: int, cap: int) -> int:
 
 class GroupModel:
     """Shared digit machinery; concrete subclasses supply realization and
-    decomposition through their coordinate model."""
+    decomposition through their coordinate model.  A model owns its ring or
+    quaternion context, generator tables, pc relations and algebra."""
 
     def __init__(self, p: int, f: int, M: int):
         self.p = p
@@ -83,6 +84,7 @@ class GroupModel:
         self._pc: tuple | None = None
         self._straight: set[int] = set()  # levels N certified by certify_straightening
         self._normal = False  # set by certify_normal_ideals
+        self.algebra = None  # the GroupAlgebra on this model, set by algebra.group_algebra
         self._strides = tuple(self.pM ** (self.n - 1 - i) for i in range(self.n))
 
     # -- digit bookkeeping -------------------------------------------------
@@ -375,7 +377,7 @@ class GroupModel:
 class GL2Model(GroupModel):
     def __init__(self, p: int, f: int, M: int):
         super().__init__(p, f, M)
-        self.ring = zq_ring(p, f, M + 1)
+        self.ring = ZqRing(p, f, M + 1)
         R = self.ring
         self.dtype = R.dtype
         tb = R.teich_basis
@@ -476,7 +478,7 @@ class GL2Model(GroupModel):
 class QuatModel(GroupModel):
     def __init__(self, p: int, f: int, M: int):
         super().__init__(p, f, M)
-        self.ctx = quat_context(p, f, M + 1)
+        self.ctx = QuatContext(p, f, M + 1)
         R = self.ctx.ring
         self.dtype = R.dtype
         F = R.field
@@ -588,7 +590,7 @@ def quaternion_commutator_congruence(p: int, f: int, level: int = 3) -> dict:
     ConfigError is raised instead."""
     if level < 2:
         raise ConfigError(f"level must be at least 2 to test the congruence, got {level}")
-    ctx = quat_context(p, f, level)
+    ctx = QuatContext(p, f, level)
     R = ctx.ring
     F = R.field
     sig_idx = F.frob.copy()

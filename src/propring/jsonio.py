@@ -43,6 +43,16 @@ def refuse_unknown_keys(d: dict, allowed: set | frozenset, what: str) -> None:
         raise ConfigError(f"unknown {what} keys {sorted(extra)}")
 
 
+def require_one_form(d: dict, forms, what: str) -> None:
+    """Raise ConfigError unless the keys of the point query d beside its
+    config header are exactly one of the key sets forms, so that the
+    element is given one way."""
+    if (given := set(d) - CONFIG_KEYS) not in forms:
+        named = " or ".join(" + ".join(sorted(form)) for form in forms)
+        raise ConfigError(f"{what} takes exactly one of {named} beside the config, "
+                          f"got {sorted(given)}")
+
+
 def config_from_json(d: dict) -> PrimeConfig:
     if not isinstance(d, dict):
         raise ConfigError("config must be an object")
@@ -96,7 +106,8 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
     from .groups import group_model
 
     cfg = config_from_json(d)
-    refuse_unknown_keys(d, CONFIG_KEYS | {"digits", "matrix", "a", "b"}, "decompose")
+    require_one_form(d, ({"digits"}, {"matrix"} if cfg.case == "GL2" else {"a", "b"}),
+                     "decompose")
     if cfg.M > ELEMENT_LEVEL_MAX:
         raise ConfigError(f"element level M = {cfg.M} is above {ELEMENT_LEVEL_MAX}: the "
                           f"decomposition's cost grows faster than the level")
@@ -104,7 +115,7 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
     if "digits" in d:
         return cfg, digits_from_json(d, cfg)
     if cfg.case == "GL2":
-        m = d.get("matrix")
+        m = d["matrix"]
         if not (isinstance(m, list) and len(m) == 2
                 and all(isinstance(r, list) and len(r) == 2 for r in m)):
             raise ConfigError("GL2 element needs a 2x2 matrix")
@@ -112,8 +123,6 @@ def group_element_digits(d: dict) -> tuple[PrimeConfig, tuple]:
         args = ([_as_int_list(e, "matrix entry") if isinstance(e, list)
                  else json_int(e, "matrix entry") for row in m for e in row],)
     else:
-        if d.get("a") is None or d.get("b") is None:
-            raise ConfigError("QUAT element needs components a and b")
         args = (_as_int_list(d["a"], "a"), _as_int_list(d["b"], "b"))
     try:
         return cfg, model.normalize(*args)
@@ -134,6 +143,7 @@ def algebra_element_from_json(alg: GroupAlgebra, items) -> tuple[np.ndarray, np.
     for item in items:
         if not isinstance(item, dict):
             raise ConfigError("each support item must be an object {digits, coeff}")
+        refuse_unknown_keys(item, {"digits", "coeff"}, "support item")
         x = _as_int_list(item.get("digits"), "digits")
         if len(x) != alg.n or any(not 0 <= v < pM for v in x):
             raise ConfigError("support digits must be n values in [0, p^M)")
@@ -158,6 +168,7 @@ def monomial_expansion(alg: GroupAlgebra, support: tuple[np.ndarray, np.ndarray]
 def ideal_spec_from_json(d: dict, f: int, field: GF) -> IdealSpec:
     if not isinstance(d, dict):
         raise ConfigError("ideal spec must be an object")
+    refuse_unknown_keys(d, {"name", "f_gens"}, "ideal")
     gens_in = d.get("f_gens")
     if not isinstance(gens_in, list):
         raise ConfigError("ideal spec needs an f_gens list")
@@ -167,6 +178,7 @@ def ideal_spec_from_json(d: dict, f: int, field: GF) -> IdealSpec:
             raise ConfigError("each ideal generator must be a list of {m, n, coeff} terms")
         terms = []
         for t in gen:
+            refuse_unknown_keys(t, {"m", "n", "coeff"}, "ideal term")
             m = _as_int_list(t.get("m"), "a-exponents")
             n = _as_int_list(t.get("n"), "b-exponents")
             terms.append((tuple(m), tuple(n), coeff_from_json(field, t.get("coeff"))))
@@ -233,6 +245,7 @@ def module_from_json(d: dict):
     fld = d.get("field")
     if not isinstance(fld, dict):
         raise ConfigError("module needs a field header {p, f}")
+    refuse_unknown_keys(fld, {"p", "f"}, "module field")
     level = json_int(d.get("level", 1), "level")
     if level > MODULE_LEVEL_MAX:
         raise ConfigError(f"module level {level} is above {MODULE_LEVEL_MAX}: the relation "

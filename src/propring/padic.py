@@ -13,9 +13,9 @@ Distinguished elements and maps:
   computed as the stable value of repeated p^deg-th powers of any lift.
 * hensel_sqrt(u): for u = 1 mod p, the unique square root = 1 mod p,
   by Newton iteration (p odd).
-* frobenius(f): for the quadratic ring of degree 2f, the ring automorphism
-  of order two lifting x -> x^(p^f) on the residue field; it fixes the
-  degree-f subring pointwise.
+* sigma: on a ring of even degree 2f, the ring automorphism of order two
+  lifting x -> x^(p^f) on the residue field; it fixes the degree-f subring
+  pointwise.
 * the Teichmueller digit basis 1, [a], ..., [a]^(f-1), where a is the
   residue-field generator: every element has unique coordinates over
   Z/p^level in this basis, which is what group-digit extraction uses.
@@ -39,7 +39,7 @@ import functools
 
 import numpy as np
 
-from .config import CACHED_CONFIGS, prime_factors
+from .config import prime_factors
 from .errors import ConfigError, ConfigMismatch, InputNotUnitOne
 from .gf import gf, mat_inverse
 
@@ -126,7 +126,6 @@ class ZqRing:
         self.one = ZqElement(self, (1,) + (0,) * (deg - 1))
         self.x = ZqElement(self, tuple(1 if i == 1 else 0 for i in range(deg))) if deg > 1 else self.one
         self._teich_cache: dict[int, ZqElement] = {}
-        self._sigma = {}
 
     def _check(self, other):
         if not isinstance(other, ZqElement) or other.ring is not self:
@@ -295,23 +294,21 @@ class ZqRing:
             return a
         return a @ self._teich_inverse.T % self.modulus
 
-    def frobenius(self, f: int) -> "FrobeniusMap":
+    @functools.cached_property
+    def sigma(self) -> "FrobeniusMap":
         """Order-two automorphism of the degree-2f ring lifting x -> x^(p^f)."""
-        if self.deg != 2 * f:
-            raise ConfigError("frobenius is defined on the quadratic ring of degree 2f")
-        if f not in self._sigma:
-            self._sigma[f] = FrobeniusMap(self, f)
-        return self._sigma[f]
+        if self.deg % 2:
+            raise ConfigError(f"sigma is defined on a ring of even degree, got {self.deg}")
+        return FrobeniusMap(self)
 
 
 class FrobeniusMap:
-    """sigma on (Z/p^level)[x]/(phi): sends the class of x to the unique root
-    of phi congruent to x^(p^f) mod p, found by Newton refinement."""
+    """sigma on (Z/p^level)[x]/(phi) of degree 2f: sends the class of x to the
+    unique root of phi congruent to x^(p^f) mod p, by Newton refinement."""
 
-    def __init__(self, ring: ZqRing, f: int):
+    def __init__(self, ring: ZqRing):
         self.ring = ring
-        self.f = f
-        r = ring.x ** (ring.p**f)
+        r = ring.x ** (ring.p ** (ring.deg // 2))
         phi = ring.poly
         dphi = tuple(i * phi[i] for i in range(1, len(phi)))
 
@@ -321,14 +318,12 @@ class FrobeniusMap:
                 acc = acc * at + ring.from_int(c)
             return acc
 
-        # phi is monic: append leading 1 for evaluation
-        full = tuple(phi[:-1]) + (phi[-1],)
         for _ in range(ring.level + 1):
-            val = ev(full, r)
+            val = ev(phi, r)
             if val == ring.zero:
                 break
             r = r - val * ring.inv(ev(dphi, r))
-        assert ev(full, r) == ring.zero
+        assert ev(phi, r) == ring.zero
         # matrix columns: coordinates of r^i
         pw = ring.one
         cols = []
@@ -349,11 +344,6 @@ class FrobeniusMap:
                 for i in range(ring.deg):
                     out[i] += c * col[i]
         return ZqElement(ring, tuple(v % mod for v in out))
-
-
-@functools.lru_cache(maxsize=CACHED_CONFIGS)
-def zq_ring(p: int, deg: int, level: int) -> ZqRing:
-    return ZqRing(p, deg, level)
 
 
 class Quaternion:
@@ -408,8 +398,8 @@ class QuatContext:
     def __init__(self, p: int, f: int, level: int):
         self.p = p
         self.f = f
-        self.ring = zq_ring(p, 2 * f, level)
-        self.sigma = self.ring.frobenius(f)
+        self.ring = ZqRing(p, 2 * f, level)
+        self.sigma = self.ring.sigma
         self.p_elem = self.ring.from_int(p)
         self.one = Quaternion(self, self.ring.one, self.ring.zero)
 
@@ -433,7 +423,3 @@ class QuatContext:
     def alpha_residue(self) -> int:
         return self.ring.field.pow(self.ring.field.gen, self.p**self.f + 1)
 
-
-@functools.lru_cache(maxsize=CACHED_CONFIGS)
-def quat_context(p: int, f: int, level: int) -> QuatContext:
-    return QuatContext(p, f, level)

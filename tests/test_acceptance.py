@@ -35,7 +35,7 @@ from propring.modules import (
     module_corpus,
     restriction_determinism,
 )
-from propring.padic import zq_ring
+from propring.padic import ZqRing
 import module_oracle
 from batch_of_one import iterate_tau
 from span_oracle import primal_ideal_power_spans
@@ -190,7 +190,7 @@ def test_criterion_08_restriction_only_reconstruction():
 
 def test_criterion_09_arithmetic_unit_oracles():
     t0 = time.monotonic()
-    R = zq_ring(5, 1, 2)
+    R = ZqRing(5, 1, 2)
     assert R.teichmuller(2).vec == (7,)
     assert R.hensel_sqrt(R.from_int(21)).vec == (11,)
     assert R.hensel_sqrt(R.from_int(6)).vec == (16,)

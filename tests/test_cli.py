@@ -448,6 +448,42 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         assert "2^53" in captured.err, captured.err
 
 
+def test_nested_unknown_keys_and_second_element_forms_exit_2(tmp_path, capsys):
+    # each was once read in part: the field header and the support item
+    # beside their extra keys, the digits beside the matrix, the matrix
+    # beside a and b (GL2), a and b beside the matrix (QUAT), the support
+    # beside the digits
+    from propring.config import PrimeConfig
+    from propring.jsonio import module_to_json
+    from propring.modules import trivial_module
+
+    module = module_to_json(trivial_module(PrimeConfig(5, 1, 2, "GL2")))
+    good = write(tmp_path, "g.json", module)
+    term = {"m": [1], "n": [0], "coeff": 1}
+    item = {"digits": [1, 0, 0], "coeff": 1}
+    quat = {**GL2, "case": "QUAT"}
+    docs = [(["module-exponent"], dict(module, field={"p": 5, "f": 1, "ff": 2})),
+            (["nu"], {**GL2, "support": [{**item, "cof": 3}]}),
+            (["decompose"], {**GL2, "digits": [1, 0, 0], "matrix": [[1, 5], [0, 1]]}),
+            (["decompose"], {**GL2, "matrix": [[1, 5], [0, 1]], "a": [1], "b": [0]}),
+            (["decompose"], {**quat, "matrix": [[1, 5], [0, 1]], "a": [1, 0], "b": [0, 0]}),
+            (["decompose"], {**quat, "a": [1, 0]}),
+            (["decompose"], dict(GL2)),
+            (["nu"], {**GL2, "digits": [2, 0, 0], "support": [item]}),
+            (["expand"], {**GL2, "digits": [2, 0, 0], "support": [item]})]
+    ideals = [{"name": "x", "f_gens": [[term]], "nmae": "y"},
+              {"f_gens": [[{**term, "cof": 1}]]}]
+    argvs = [argv + ["--in", write(tmp_path, f"doc{i}.json", doc)]
+             for i, (argv, doc) in enumerate(docs)]
+    argvs += [["module-exponent", "--in", good, "--ideal", write(tmp_path, f"ideal{i}.json", doc)]
+              for i, doc in enumerate(ideals)]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:"), captured.err
+
+
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "ff.json"
     path.write_bytes(b"\xff")

@@ -83,12 +83,9 @@ def test_field_tables_are_built_on_first_use():
 
 @pytest.fixture
 def searched_lift(monkeypatch):
-    """gf.irreducible_lift with IRREDUCIBLE_LIFTS bypassed for every degree,
-    its cache emptied before and after, so no lift outlives the test."""
+    """gf.irreducible_lift with IRREDUCIBLE_LIFTS bypassed for every degree."""
     monkeypatch.setattr(gflib, "IRREDUCIBLE_LIFTS", {})
-    gflib.irreducible_lift.cache_clear()
-    yield gflib.irreducible_lift
-    gflib.irreducible_lift.cache_clear()
+    return gflib.irreducible_lift
 
 
 def test_lift_table_is_the_search_cache(searched_lift):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propring import groups, padic
+from propring import padic
 from propring.config import PrimeConfig
 from propring.errors import ConfigError, NotInGroup
 from propring.gf import GF
@@ -485,12 +485,11 @@ def test_solve_tables_match_the_field_table_oracle(pf):
 def test_quat_model_builds_no_field_tables(monkeypatch):
     # QuatModel(101, 1, 2) lives over F_(101^2), whose two q x q tables,
     # 2 x 10,201^2 x 2 bytes (416 MB, 4.6 CPU s), were built while the
-    # solve columns were products in them.  Fields, rings and the context
-    # are built fresh, outside the caches, so the traced peak holds all of
-    # them, as in test_padic's test_extension_ring_builds_no_field_tables
+    # solve columns were products in them.  Fields are built fresh, outside
+    # gf's cache, and the model builds its own ring and context, so the
+    # traced peak holds all of them, as in test_padic's
+    # test_extension_ring_builds_no_field_tables
     monkeypatch.setattr(padic, "gf", GF)
-    monkeypatch.setattr(padic, "zq_ring", padic.ZqRing)
-    monkeypatch.setattr(groups, "quat_context", padic.QuatContext)
     tracemalloc.start()
     try:
         model = QuatModel(101, 1, 2)

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from propring import padic
-from propring.errors import InputNotUnitOne
+from propring.errors import ConfigError, InputNotUnitOne
 from propring.gf import GF
-from propring.padic import ZqRing, quat_context, zq_ring
+from propring.padic import QuatContext, ZqRing
 
 import teich_oracle
 
-R25 = zq_ring(5, 1, 2)
+R25 = ZqRing(5, 1, 2)
 
 
 def test_teichmuller_frozen_values():
@@ -64,8 +64,10 @@ def test_valuation_and_units():
 
 
 def test_unramified_degree_two_frobenius():
-    R = zq_ring(5, 2, 2)
-    frob = R.frobenius(1)
+    with pytest.raises(ConfigError):
+        ZqRing(5, 1, 2).sigma  # defined on even degrees only
+    R = ZqRing(5, 2, 2)
+    frob = R.sigma
     one = R.from_int(1)
     assert frob(one) == one
     for idx in range(1, 25):
@@ -77,7 +79,7 @@ def test_unramified_degree_two_frobenius():
 
 
 def test_teich_coordinate_roundtrip():
-    R = zq_ring(5, 2, 2)
+    R = ZqRing(5, 2, 2)
     for idx in (0, 1, 7, 12, 23):
         e = R.teichmuller(idx) + R.teichmuller((idx * 3) % 25) * R.from_int(5)
         back = R.zero
@@ -101,14 +103,14 @@ def test_teich_inverse_matches_gauss_jordan(p, deg):
 
 
 def test_quaternion_norm_frozen():
-    ctx = quat_context(5, 1, 3)
+    ctx = QuatContext(5, 1, 3)
     R = ctx.ring
     one_plus_pi = ctx.quat(R.from_int(1), R.from_int(1))
     assert one_plus_pi.nrd() == R.from_int(1 - 5)
 
 
 def test_quaternion_uniformizer():
-    ctx = quat_context(5, 1, 3)
+    ctx = QuatContext(5, 1, 3)
     R = ctx.ring
     pi = ctx.quat(R.from_int(0), R.from_int(1))
     assert pi * pi == ctx.quat(R.from_int(5), R.from_int(0))
@@ -118,7 +120,7 @@ def test_quaternion_uniformizer():
 def test_quaternion_norm_multiplicative():
     import numpy as np
 
-    ctx = quat_context(5, 1, 3)
+    ctx = QuatContext(5, 1, 3)
     R = ctx.ring
     rng = np.random.default_rng(11)
 
@@ -138,7 +140,7 @@ def test_quaternion_norm_multiplicative():
 
 
 def test_extension_ring_builds_no_field_tables(monkeypatch):
-    # zq_ring(5, 6, 3) reads the residue field F_(5^6) through its log
+    # ZqRing(5, 6, 3) reads the residue field F_(5^6) through its log
     # tables only: its q x q add and mul tables, 2 x 15,625^2 x 2 bytes
     # (976 MB), are never built.  The field is built fresh, outside gf's
     # cache, so the traced peak holds all of it

@@ -86,7 +86,7 @@ def test_every_cache_is_bounded():
     # lru_cache(maxsize=None) and functools.cache grow without limit, so
     # they may wrap only a function of no arguments, which holds one entry;
     # the per-config caches hold more configs than the queries workload's 6
-    from propring import algebra, gf, groups, padic
+    from propring import gf, groups
 
     cached = set()
     for path in SOURCES:
@@ -99,7 +99,24 @@ def test_every_cache_is_bounded():
                     bounded = (dec.startswith("functools.lru_cache(maxsize=")
                                and dec != "functools.lru_cache(maxsize=None)")
                     assert bounded or not node.args.args, f"{path.name}:{node.lineno} {node.name}"
-    per_config = (algebra._algebra, groups._model, gf.gf, gf.irreducible_lift,
-                  padic.zq_ring, padic.quat_context)
+    per_config = (groups._model, gf.gf)
     assert {fn.__name__ for fn in per_config} < cached
     assert all(fn.cache_parameters()["maxsize"] > 6 for fn in per_config)
+
+
+def test_algebra_stays_on_the_cached_model():
+    # the model owns its algebra: once the model cache has dropped cfg's
+    # model for more than CACHED_CONFIGS others, group_algebra(cfg) is
+    # still the algebra on the model group_model(cfg) returns, not one on
+    # the dropped model with its own tables
+    from propring.algebra import group_algebra
+    from propring.config import CACHED_CONFIGS, PrimeConfig
+    from propring.groups import group_model
+
+    cfg = PrimeConfig(5, 1, 2, "GL2")
+    group_algebra(cfg)
+    for M in range(3, CACHED_CONFIGS + 4):
+        group_model(PrimeConfig(5, 1, M, "GL2"))
+    alg = group_algebra(cfg)
+    assert alg.model is group_model(cfg)
+    assert group_algebra(cfg) is alg
